@@ -1,16 +1,19 @@
 """The MoE block that substitutes for a dense FFN.
 
 Fine-grained segmentation: a k-in-E layer holds E experts whose inner width
-is dense_hidden / k, so the k experts active per token cost exactly the
-dense FFN's inner width budget. The router is a two-layer head (linear +
-GELU at model width) feeding two output heads: a gating head producing the
-E affinity logits and a target head predicting the denoiser's regression
-target, which drives the per-layer regularization loss.
+is dense_hidden / k, so k experts applied to one token cost the dense FFN's
+inner width budget. The router is a two-layer head (linear + GELU at model
+width) feeding two output heads: a gating head producing the E affinity
+logits and a target head predicting the denoiser's regression target, which
+drives the per-layer regularization loss.
 
-Dispatch is dense-masked: every expert runs on every token and the result
-is weighted by the sparsified gate tensor. At desk scale this is both the
-simplest and the most auditable form; experts whose gate column is all
-zero contribute nothing and receive exactly zero gradient.
+Dispatch is gathered and dropless (MegaBlocks-style, at desk scale): each
+expert runs only on the token rows its mask column selects, and its gated
+output is scatter-added back, so the expert work is one row per selected
+token-expert pair. Train and eval mode select exactly B*L*k pairs, i.e. the
+dense FFN's cost; infer mode pays for however many pairs the threshold
+admits. No token is dropped and no capacity is padded. An expert that
+selects no token is not run and receives exactly zero gradient.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 
 from . import routing
 from .routing import ConfigError, RouteResult, RoutingStrategy, ThresholdState
-from .tensor import Tensor, gelu, matmul
+from .tensor import Tensor, gelu, matmul, scatter_rows, take_rows
 
 __all__ = [
     "FineGrainedConfig",
@@ -180,9 +183,13 @@ def moe_forward(
 ) -> LayerOutput:
     """Route, run experts, and combine: y[b,l] = sum_i gates[b,l,i] * E_i(x[b,l]).
 
-    All experts run densely; the gate tensor (zero outside the selection)
-    performs the dispatch. The target head's prediction rides along for the
-    per-layer regularization loss.
+    Gathered dispatch: expert i runs on the rows of x its mask column
+    selects, its output is scaled by the matching gate values and
+    scatter-added into y. Expert work is one row per selected pair: B*L*k
+    in train and eval mode, mask.sum() in infer mode. Experts with no
+    selected row are skipped; if none is selected, y is a zero constant.
+    The target head's prediction rides along for the per-layer
+    regularization loss.
     """
     logits = routing.compute_logits(x, params)
     result = routing.route(
@@ -195,24 +202,23 @@ def moe_forward(
         force_unit_gate=force_unit_gate,
     )
 
+    B, L, D = x.shape
+    E = params.config.num_experts
+    x_rows = x.reshape(B * L, D)
+    gate_rows = result.gates.reshape(B * L * E, 1)
     # weighted sum over experts, deterministic order
     y = None
     for i, expert in enumerate(params.experts):
-        out_i = expert_forward(expert, x)  # (B, L, D)
-        g_i = _gate_slice(result.gates, i)  # (B, L, 1)
-        term = out_i * g_i
+        rows = np.flatnonzero(result.mask[..., i])
+        if rows.size == 0:
+            continue
+        out_i = expert_forward(expert, take_rows(x_rows, rows))  # (n_i, D)
+        term = scatter_rows(out_i * take_rows(gate_rows, rows * E + i), rows, B * L)
         y = term if y is None else y + term
+    y = Tensor(np.zeros((B, L, D))) if y is None else y.reshape(B, L, D)
 
     y_hat = params.target_prediction(x)
     return LayerOutput(y=y, route=result, y_hat=y_hat, logits=logits)
-
-
-def _gate_slice(gates: Tensor, i: int) -> Tensor:
-    """(B, L, 1) view of expert i's gate column, keeping the grad path."""
-    B, L, E = gates.shape
-    sel = np.zeros((E, 1))
-    sel[i, 0] = 1.0
-    return matmul(gates, Tensor(sel))
 
 
 def count_params(config: FineGrainedConfig) -> dict[str, int]:

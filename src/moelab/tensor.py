@@ -1,7 +1,7 @@
 """Dense float64 tensors with reverse-mode differentiation.
 
 A deliberately small op set: matmul, elementwise arithmetic, GELU, sigmoid,
-softmax, reductions, reshape/permute, row gather and constant masking. Every
+softmax, reductions, reshape/permute, row gather/scatter and constant masking. Every
 op is eager; the graph is the chain of parent links plus a global creation
 counter, so backward() can replay nodes in exact reverse execution order.
 
@@ -31,6 +31,7 @@ __all__ = [
     "sigmoid",
     "softmax",
     "take_rows",
+    "scatter_rows",
     "broadcast_to",
 ]
 
@@ -321,6 +322,25 @@ def take_rows(table: Tensor, indices) -> Tensor:
         _accumulate(table, acc)
 
     return Tensor(out, _parents=(table,), _grad_fn=gfn)
+
+
+def scatter_rows(src: Tensor, indices, n: int) -> Tensor:
+    """Scatter-add the rows of a 2-D `src` into an (n, cols) zero table.
+
+    The transpose of take_rows: out[indices[j]] += src[j], duplicates
+    accumulate in order. Backward gathers g[indices].
+    """
+    src = Tensor._coerce(src)
+    idx = np.asarray(indices, dtype=np.intp)
+    if src.data.ndim != 2 or idx.shape != src.shape[:1]:
+        raise ShapeError(f"scatter_rows expects 2-D src with one index per row: {src.shape} vs {idx.shape}")
+    out = np.zeros((n, src.shape[1]))
+    np.add.at(out, idx, src.data)
+
+    def gfn(g):
+        _accumulate(src, g[idx])
+
+    return Tensor(out, _parents=(src,), _grad_fn=gfn)
 
 
 def broadcast_to(x: Tensor, shape: Sequence[int]) -> Tensor:

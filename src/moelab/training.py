@@ -8,7 +8,9 @@ container so a resumed run replays the original trajectory bit for bit.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -276,7 +278,13 @@ def _to_eps(pred: np.ndarray, x_t: np.ndarray, t: int, sched: NoiseSchedule, par
 
 
 def save_checkpoint(path, trainer: Trainer) -> None:
-    """Single .npz container: weights, EMA shadow, optimizer, thresholds, RNG."""
+    """Single .npz container: weights, EMA shadow, optimizer, thresholds, RNG.
+
+    Written atomically: the archive goes to a temp file in the target
+    directory, which then replaces `path`, so an interrupted save leaves any
+    previous checkpoint intact. Like np.savez, appends ".npz" to a path
+    without that suffix.
+    """
     arrays: dict[str, np.ndarray] = {}
     for name, t in trainer.params.named_tensors():
         arrays[f"param/{name}"] = t.data
@@ -299,13 +307,41 @@ def save_checkpoint(path, trainer: Trainer) -> None:
         "rng_state": trainer.rng.bit_generator.state,
     }
     arrays["meta_json"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-    np.savez(path, **arrays)
+
+    path = Path(path)
+    if path.suffix != ".npz":
+        path = path.with_name(path.name + ".npz")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:  # a file handle: np.savez adds no suffix
+            np.savez(fh, **arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+_META_KEYS = {"version", "step", "opt_step", "config", "thresholds", "rng_state"}
 
 
 def load_checkpoint(path, config: TrainerConfig, strict_config: bool = True) -> Trainer:
-    """Rebuild a Trainer in the exact state it was saved in."""
+    """Rebuild a Trainer in the exact state it was saved in.
+
+    A checkpoint lacking an array entry the config needs, or a metadata
+    field, raises ConfigError naming what is missing.
+    """
     with np.load(path) as data:
-        meta = json.loads(bytes(data["meta_json"]).decode("utf-8"))
+
+        def entry(key: str) -> np.ndarray:
+            try:
+                return data[key]
+            except KeyError:
+                raise ConfigError(f"checkpoint {path} has no entry {key!r}") from None
+
+        meta = json.loads(bytes(entry("meta_json")).decode("utf-8"))
+        missing = sorted(_META_KEYS - set(meta))
+        if missing:
+            raise ConfigError(f"checkpoint {path} metadata has no {missing}")
         if meta["version"] != CHECKPOINT_VERSION:
             raise ConfigError(f"checkpoint version {meta['version']} != {CHECKPOINT_VERSION}")
         if strict_config:
@@ -320,12 +356,12 @@ def load_checkpoint(path, config: TrainerConfig, strict_config: bool = True) -> 
 
         trainer = Trainer(config)
         for name, t in trainer.params.named_tensors():
-            t.data = data[f"param/{name}"].copy()
+            t.data = entry(f"param/{name}")
         for name in list(trainer.ema.shadow):
-            trainer.ema.shadow[name] = data[f"ema/{name}"].copy()
+            trainer.ema.shadow[name] = entry(f"ema/{name}")
         for i in range(len(trainer.opt.m)):
-            trainer.opt.m[i] = data[f"opt_m/{i}"].copy()
-            trainer.opt.v[i] = data[f"opt_v/{i}"].copy()
+            trainer.opt.m[i] = entry(f"opt_m/{i}")
+            trainer.opt.v[i] = entry(f"opt_v/{i}")
         trainer.opt.step_count = meta["opt_step"]
         trainer.step_count = meta["step"]
         for blk, thr in zip(trainer.params.blocks, meta["thresholds"]):

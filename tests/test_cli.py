@@ -123,6 +123,28 @@ def test_metrics_report_from_checkpoint(tmp_path):
     assert (out / "metrics.json").read_text() == (out2 / "metrics.json").read_text()
 
 
+@pytest.mark.parametrize("drop", ["param", "meta"])
+def test_metrics_checkpoint_missing_entry_is_config_error(tmp_path, capsys, drop):
+    run = tmp_path / "run"
+    main(["train", "--out", str(run), "--steps", "1", "--seed", "5", *FAST])
+    with np.load(run / "ckpt_final.npz") as data:
+        arrays = {key: data[key] for key in data.files}
+    if drop == "param":
+        missing = next(key for key in arrays if key.startswith("param/"))
+        del arrays[missing]
+    else:
+        missing = "opt_step"
+        meta = json.loads(bytes(arrays["meta_json"]).decode("utf-8"))
+        del meta[missing]
+        arrays["meta_json"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    broken = tmp_path / "broken.npz"
+    np.savez(broken, **arrays)
+    rc = main(["metrics", "--checkpoint", str(broken),
+               "--out", str(tmp_path / "rep"), "--seed", "5", *FAST])
+    assert rc == 2
+    assert missing in capsys.readouterr().err
+
+
 def test_metrics_one_in_one_flags_no_pairs(tmp_path):
     args = ["--batch-size", "4", "--tokens", "4", "--model-dim", "8",
             "--layers", "1", "--experts", "1", "--k", "1"]

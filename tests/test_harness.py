@@ -243,6 +243,25 @@ def test_checkpoint_resume_bit_exact(tmp_path):
         assert np.array_equal(a.data, b.data), name
 
 
+def test_interrupted_checkpoint_save_keeps_previous_file(tmp_path, monkeypatch):
+    trainer = small_trainer(seed=4)
+    trainer.train_step()
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, trainer)
+    before = path.read_bytes()
+    trainer.train_step()
+
+    def savez_dies_midway(fh, **arrays):
+        fh.write(b"PK\x03\x04 half an archive")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez", savez_dies_midway)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, trainer)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt.npz"]
+
+
 def test_checkpoint_rejects_config_mismatch(tmp_path):
     config = TrainerConfig(model=SMALL, batch_size=6, seed=3)
     trainer = Trainer(config)

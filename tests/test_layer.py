@@ -13,7 +13,7 @@ from moelab.layer import (
     moe_forward,
     xavier_bound,
 )
-from moelab.routing import ConfigError, ThresholdState, get_strategy
+from moelab.routing import STRATEGIES, ConfigError, ThresholdState, apply_gating, get_strategy, route
 from moelab.tensor import Tensor, backward, finite_difference_grad, gelu, matmul
 
 
@@ -120,10 +120,12 @@ def test_moe_forward_all_gates_zero_gives_zero_output():
     cfg = make_config()
     params = init_params(cfg, 9)
     params.threshold.tau = np.inf
-    x = Tensor(np.random.default_rng(3).normal(size=(2, 3, cfg.model_dim)))
-    out = moe_forward(x, params, get_strategy("expert-race"), "identity", "infer")
-    assert out.route.mask.sum() == 0
-    assert np.array_equal(out.y.data, np.zeros_like(out.y.data))
+    x = Tensor(np.random.default_rng(3).normal(size=(2, 3, cfg.model_dim)), requires_grad=True)
+    for gating in ("identity", "sigmoid", "softmax"):
+        out = moe_forward(x, params, get_strategy("expert-race"), gating, "infer")
+        assert out.route.mask.sum() == 0
+        assert np.array_equal(out.y.data, np.zeros((2, 3, cfg.model_dim)))
+        assert not out.y.requires_grad  # no expert ran, so nothing to differentiate
 
 
 def test_dense_equivalence_one_in_one():
@@ -245,3 +247,75 @@ def test_layer_output_carries_target_head_prediction():
     out = moe_forward(x, params, get_strategy("expert-race"), "identity", "train")
     assert out.y_hat.shape == (2, 3, cfg.model_dim)
     assert np.allclose(out.y_hat.data, params.target_prediction(x).data)
+
+
+def dense_masked_reference(x, params, strategy, gating, mode):
+    """The dispatch moe_forward replaced: every expert on every token, each
+    output weighted by its gate column (picked out with a 0/1 matmul)."""
+    logits = params.gating_logits(x)
+    result = route(logits, strategy, gating, mode, params.threshold, k=params.config.k)
+    E = params.config.num_experts
+    y = None
+    for i, expert in enumerate(params.experts):
+        sel = np.zeros((E, 1))
+        sel[i, 0] = 1.0
+        term = expert_forward(expert, x) * matmul(result.gates, Tensor(sel))
+        y = term if y is None else y + term
+    return y, result
+
+
+def assert_close(got, want, what):
+    """Within 1e-12 of the reference's largest magnitude; exact where it is all zero."""
+    scale = np.abs(want).max()
+    assert np.abs(got - want).max() <= 1e-12 * scale, what
+
+
+@pytest.mark.parametrize("mode", ["train", "eval", "infer"])
+@pytest.mark.parametrize("gating", ["identity", "sigmoid", "softmax"])
+@pytest.mark.parametrize("strategy_name", sorted(STRATEGIES))
+def test_gathered_dispatch_matches_dense_masked_oracle(strategy_name, gating, mode):
+    cfg = make_config(d=4, e=4, k=2, dense=8)
+    strategy = get_strategy(strategy_name)
+    rng = np.random.default_rng(29)
+    x_base = rng.normal(size=(2, 4, 4))
+    probe = Tensor(rng.normal(size=(2, 4, 4)))
+
+    def build():
+        params = init_params(cfg, 31)
+        params.gate_b.data = np.array([0.0, 0.0, 0.0, -30.0])  # expert 3 is all but never wanted
+        if mode == "infer":
+            # between the lowest per-token best score and the highest
+            # per-token second-best one: some token gets no expert, another
+            # at least two, and expert 3 none
+            gated = apply_gating(params.gating_logits(Tensor(x_base)), gating).data
+            top = np.sort(gated, axis=-1)
+            params.threshold.tau = float(top[..., -1].min() + top[..., -2].max()) / 2.0
+        return params
+
+    runs = []
+    for reference in (False, True):
+        params = build()
+        x = Tensor(x_base, requires_grad=True)
+        if reference:
+            y, result = dense_masked_reference(x, params, strategy, gating, mode)
+        else:
+            out = moe_forward(x, params, strategy, gating, mode)
+            y, result = out.y, out.route
+        backward((y * probe).sum(), [x] + [t for _, t in params.tensors()])
+        runs.append((y.data, result.mask, x.grad, {name: t.grad for name, t in params.tensors()}))
+    (y, mask, gx, grads), (y_ref, mask_ref, gx_ref, grads_ref) = runs
+
+    assert np.array_equal(mask, mask_ref)
+    if mode == "infer":
+        active = mask.sum(axis=-1)
+        assert active.min() == 0 and active.max() >= 2
+        assert mask[..., 3].sum() == 0
+    assert_close(y, y_ref, "y")
+    assert_close(gx, gx_ref, "dL/dx")
+    for name, g in grads.items():
+        assert_close(g, grads_ref[name], name)
+    for i in range(cfg.num_experts):
+        if mask[..., i].sum() == 0:
+            assert np.array_equal(grads[f"expert{i}.w_in"], np.zeros((4, 4)))
+            assert np.array_equal(grads[f"expert{i}.w_out"], np.zeros((4, 4)))
+

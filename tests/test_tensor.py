@@ -14,6 +14,7 @@ from moelab.tensor import (
     gelu,
     matmul,
     sigmoid,
+    scatter_rows,
     softmax,
     take_rows,
 )
@@ -168,6 +169,43 @@ def test_take_rows_scatter_adds():
     expected[0] = 2.0
     expected[2] = 1.0
     assert np.array_equal(table.grad, expected)
+
+
+def test_scatter_rows_backward_matches_finite_differences():
+    rng = np.random.default_rng(8)
+    idx = np.array([4, 0, 4, 2])
+    probe = rng.normal(size=(5, 3))
+    src = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+
+    def f(t):
+        return (scatter_rows(t, idx, 5) * Tensor(probe)).square().sum()
+
+    backward(f(src))
+    fd = finite_difference_grad(lambda t: f(t).item(), Tensor(src.data), h=1e-5)
+    rel = np.abs(src.grad - fd.data) / np.maximum(np.maximum(np.abs(fd.data), np.abs(src.grad)), 1e-8)
+    assert rel.max() < 1e-6
+
+
+def test_scatter_rows_duplicates_accumulate():
+    src = Tensor(np.array([[1.0, 2.0], [10.0, 20.0], [100.0, 200.0]]))
+    out = scatter_rows(src, [1, 3, 1], 4)
+    assert np.array_equal(out.data, np.array([[0.0, 0.0], [101.0, 202.0], [0.0, 0.0], [10.0, 20.0]]))
+
+
+def test_take_then_scatter_rows_permutation_round_trips():
+    rng = np.random.default_rng(9)
+    table = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+    perm = rng.permutation(6)
+    back = scatter_rows(take_rows(table, perm), perm, 6)
+    assert np.array_equal(back.data, table.data)
+    g = rng.normal(size=(6, 4))
+    backward((back * Tensor(g)).sum())
+    assert np.array_equal(table.grad, g)
+
+
+def test_scatter_rows_rejects_index_count_mismatch():
+    with pytest.raises(ShapeError):
+        scatter_rows(Tensor(np.ones((3, 2))), [0, 1], 4)
 
 
 def test_evaluate_wraps_graph_fn():
