@@ -197,17 +197,20 @@ def cmd_train(args: argparse.Namespace) -> int:
     write_config_snapshot(cfg, out_dir)
 
     tconfig = trainer_config_from(cfg)
-    if args.resume:
-        trainer = load_checkpoint(args.resume, tconfig)
-        log_mode = "a"
-    else:
-        trainer = Trainer(tconfig)
-        log_mode = "w"
+    trainer = load_checkpoint(args.resume, tconfig) if args.resume else Trainer(tconfig)
 
+    # a resumed run keeps the log rows up to the checkpoint's step and
+    # rewrites the rest, so resuming into the same --out duplicates nothing
     log_path = out_dir / "log.csv"
-    with log_path.open(log_mode) as fh:
-        if fh.tell() == 0:
-            fh.write(",".join(LogRecord.CSV_COLUMNS) + "\n")
+    kept = []
+    if args.resume and log_path.exists():
+        for row in log_path.read_text().splitlines(keepends=True)[1:]:
+            step = row.split(",", 1)[0]
+            if step.isdigit() and int(step) <= trainer.step_count:
+                kept.append(row)
+    with log_path.open("w") as fh:
+        fh.write(",".join(LogRecord.CSV_COLUMNS) + "\n")
+        fh.writelines(kept)
         last = None
         while trainer.step_count < cfg["steps"]:
             record = trainer.train_step()

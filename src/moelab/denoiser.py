@@ -18,7 +18,7 @@ import numpy as np
 from . import layer as moe_layer
 from .layer import ExpertParams, FineGrainedConfig, LayerOutput, MoeLayerParams, expert_forward
 from .routing import RoutingStrategy, get_strategy
-from .tensor import Tensor, gelu, matmul, take_rows
+from .tensor import Tensor, gelu, matmul, take_cols, take_rows
 
 __all__ = ["DenoiserConfig", "DenoiserParams", "BlockParams", "init_denoiser", "denoiser_forward"]
 
@@ -182,15 +182,10 @@ def init_denoiser(config: DenoiserConfig, seed_or_rng) -> DenoiserParams:
 
 
 def _split_cols(x: Tensor, parts: int) -> list[Tensor]:
-    """Split (B, n*parts) into `parts` tensors of (B, 1, n) via selectors."""
+    """Split (B, n*parts) into `parts` tensors of (B, 1, n)."""
     B, total = x.shape
     n = total // parts
-    out = []
-    for p in range(parts):
-        sel = np.zeros((total, n))
-        sel[p * n : (p + 1) * n, :] = np.eye(n)
-        out.append(matmul(x, Tensor(sel)).reshape(B, 1, n))
-    return out
+    return [take_cols(x, p * n, (p + 1) * n).reshape(B, 1, n) for p in range(parts)]
 
 
 def denoiser_forward(

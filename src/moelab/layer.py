@@ -2,10 +2,10 @@
 
 Fine-grained segmentation: a k-in-E layer holds E experts whose inner width
 is dense_hidden / k, so k experts applied to one token cost the dense FFN's
-inner width budget. The router is a two-layer head (linear + GELU at model
-width) feeding two output heads: a gating head producing the E affinity
-logits and a target head predicting the denoiser's regression target, which
-drives the per-layer regularization loss.
+inner width budget. The router is a shared trunk (linear + GELU at model
+width), computed once per forward, feeding two output heads: a gating head
+producing the E affinity logits and a target head predicting the denoiser's
+regression target, which drives the per-layer regularization loss.
 
 Dispatch is gathered and dropless (MegaBlocks-style, at desk scale): each
 expert runs only on the token rows its mask column selects, and its gated
@@ -94,14 +94,16 @@ class MoeLayerParams:
     threshold: ThresholdState
     config: FineGrainedConfig
 
-    def gating_logits(self, x: Tensor) -> Tensor:
-        """Raw affinity logits (B, L, E) from the shared head; no normalization."""
-        h = gelu(matmul(x, self.router_w) + self.router_b)
+    def router_trunk(self, x: Tensor) -> Tensor:
+        """Shared first router layer gelu(x @ router_w + router_b), (..., D)."""
+        return gelu(matmul(x, self.router_w) + self.router_b)
+
+    def gating_logits(self, h: Tensor) -> Tensor:
+        """Raw affinity logits (B, L, E) from the trunk output; no normalization."""
         return matmul(h, self.gate_w) + self.gate_b
 
-    def target_prediction(self, x: Tensor) -> Tensor:
-        """Per-token target prediction from the head sharing the first layer."""
-        h = gelu(matmul(x, self.router_w) + self.router_b)
+    def target_prediction(self, h: Tensor) -> Tensor:
+        """Per-token target prediction from the trunk output."""
         return matmul(h, self.target_w) + self.target_b
 
     def tensors(self) -> list[tuple[str, Tensor]]:
@@ -188,10 +190,11 @@ def moe_forward(
     scatter-added into y. Expert work is one row per selected pair: B*L*k
     in train and eval mode, mask.sum() in infer mode. Experts with no
     selected row are skipped; if none is selected, y is a zero constant.
-    The target head's prediction rides along for the per-layer
-    regularization loss.
+    The router trunk runs once and feeds both heads; the target head's
+    prediction rides along for the per-layer regularization loss.
     """
-    logits = routing.compute_logits(x, params)
+    h = params.router_trunk(x)
+    logits = params.gating_logits(h)
     result = routing.route(
         logits,
         strategy,
@@ -217,7 +220,7 @@ def moe_forward(
         y = term if y is None else y + term
     y = Tensor(np.zeros((B, L, D))) if y is None else y.reshape(B, L, D)
 
-    y_hat = params.target_prediction(x)
+    y_hat = params.target_prediction(h)
     return LayerOutput(y=y, route=result, y_hat=y_hat, logits=logits)
 
 

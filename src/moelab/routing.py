@@ -41,7 +41,6 @@ __all__ = [
     "GATING_FUNCTIONS",
     "ThresholdState",
     "RouteResult",
-    "compute_logits",
     "effective_k",
     "row_budgets",
     "reshape_scores",
@@ -102,22 +101,15 @@ STRATEGIES: dict[str, RoutingStrategy] = {
     )
 }
 
-_ALIASES = {
-    "tokenchoice": "token-choice",
-    "expertchoice": "expert-choice",
-    "blchoice": "bl-choice",
-    "bechoice": "be-choice",
-    "lechoice": "le-choice",
-    "expertrace": "expert-race",
-}
+_BY_KEY = {name.replace("-", ""): strategy for name, strategy in STRATEGIES.items()}
 
 
 def get_strategy(name: str) -> RoutingStrategy:
-    key = name.lower().replace("_", "-")
-    key = _ALIASES.get(key.replace("-", ""), key)
-    if key not in STRATEGIES:
+    """Look a strategy up by name, ignoring case, '-' and '_'."""
+    strategy = _BY_KEY.get(name.lower().replace("_", "").replace("-", ""))
+    if strategy is None:
         raise ConfigError(f"unknown strategy {name!r}; choose from {sorted(STRATEGIES)}")
-    return STRATEGIES[key]
+    return strategy
 
 
 # ----------------------------------------------------------------------
@@ -149,19 +141,6 @@ def apply_gating(scores: Tensor, gating: str) -> Tensor:
 
 # ----------------------------------------------------------------------
 # score shaping and selection
-
-
-def compute_logits(x: Tensor, router) -> Tensor:
-    """Raw token-expert affinity logits from the shared router head.
-
-    `router` is any object exposing gating_logits(x) -> (B, L, E); the MoE
-    layer's two-layer head implements it. Kept as a thin dispatch point so
-    routing tests can drive it with a stub.
-    """
-    logits = router.gating_logits(x)
-    if logits.data.ndim != 3:
-        raise ConfigError(f"router logits must be (B, L, E), got {logits.shape}")
-    return logits
 
 
 def effective_k(strategy: RoutingStrategy, B: int, L: int, E: int, k: int) -> int:

@@ -1,9 +1,10 @@
 """Dense float64 tensors with reverse-mode differentiation.
 
 A deliberately small op set: matmul, elementwise arithmetic, GELU, sigmoid,
-softmax, reductions, reshape/permute, row gather/scatter and constant masking. Every
-op is eager; the graph is the chain of parent links plus a global creation
-counter, so backward() can replay nodes in exact reverse execution order.
+softmax, reductions, reshape/permute, row gather/scatter, column slicing
+(take_cols) and constant masking. Every op is eager; the graph is the chain
+of parent links plus a global creation counter, so backward() can replay
+nodes in exact reverse execution order.
 
 Graph nodes are never mutated once built; the optimizer rebinds leaf data
 between steps, after the graph of the previous step is gone. float64
@@ -14,7 +15,7 @@ checks tight.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 from scipy.special import erf
@@ -23,7 +24,6 @@ __all__ = [
     "Tensor",
     "ShapeError",
     "ContractError",
-    "evaluate",
     "backward",
     "finite_difference_grad",
     "matmul",
@@ -32,7 +32,7 @@ __all__ = [
     "softmax",
     "take_rows",
     "scatter_rows",
-    "broadcast_to",
+    "take_cols",
 ]
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -120,9 +120,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     # ------------------------------------------------------------------
     # elementwise arithmetic (numpy trailing-aligned broadcasting only)
 
@@ -191,14 +188,10 @@ class Tensor:
         out = x.data.sum(axis=axis, keepdims=keepdims)
 
         def gfn(g):
-            g = np.asarray(g)
-            if axis is None:
-                _accumulate(x, np.broadcast_to(g, x.shape).copy())
-                return
-            axes = (axis,) if isinstance(axis, int) else tuple(axis)
-            if not keepdims:
+            if axis is not None and not keepdims:
+                axes = (axis,) if isinstance(axis, int) else tuple(axis)
                 g = np.expand_dims(g, tuple(a % x.data.ndim for a in axes))
-            _accumulate(x, np.broadcast_to(g, x.shape).copy())
+            _accumulate(x, np.broadcast_to(g, x.shape))
 
         return Tensor(out, _parents=(x,), _grad_fn=gfn)
 
@@ -343,26 +336,19 @@ def scatter_rows(src: Tensor, indices, n: int) -> Tensor:
     return Tensor(out, _parents=(src,), _grad_fn=gfn)
 
 
-def broadcast_to(x: Tensor, shape: Sequence[int]) -> Tensor:
-    """Explicit broadcast; backward sums over the expanded axes."""
+def take_cols(x: Tensor, start: int, stop: int) -> Tensor:
+    """Slice the last axis: x[..., start:stop]. Backward writes g into that
+    slice of a zero gradient."""
     x = Tensor._coerce(x)
-    shape = tuple(shape)
-    if not _broadcastable(x.shape, shape):
-        raise ShapeError(f"cannot broadcast {x.shape} to {shape}")
-    out = np.broadcast_to(x.data, shape).copy()
+    if x.data.ndim < 1 or not 0 <= start < stop <= x.shape[-1]:
+        raise ShapeError(f"take_cols [{start}:{stop}] out of range for shape {x.shape}")
 
     def gfn(g):
-        _accumulate(x, _unbroadcast(g, x.shape))
+        acc = np.zeros_like(x.data)
+        acc[..., start:stop] = g
+        _accumulate(x, acc)
 
-    return Tensor(out, _parents=(x,), _grad_fn=gfn)
-
-
-def evaluate(graph_fn: Callable[..., Tensor], *inputs: Tensor) -> Tensor:
-    """Run a tensor-valued function eagerly; the result carries the tape."""
-    out = graph_fn(*inputs)
-    if not isinstance(out, Tensor):
-        raise ContractError("graph_fn must return a Tensor")
-    return out
+    return Tensor(x.data[..., start:stop], _parents=(x,), _grad_fn=gfn)
 
 
 def backward(loss: Tensor, params: Iterable[Tensor] = ()) -> None:

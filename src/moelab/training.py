@@ -19,7 +19,7 @@ from . import metrics as metrics_mod
 from .denoiser import DenoiserConfig, denoiser_forward, init_denoiser
 from .diffusion import NoiseSchedule, SyntheticTask, build_schedule
 from .losses import LossWeights, aux_inputs_from_routing
-from .routing import ConfigError, StateError
+from .routing import ConfigError, StateError, ThresholdState
 from .tensor import Tensor, backward
 
 __all__ = [
@@ -364,9 +364,13 @@ def load_checkpoint(path, config: TrainerConfig, strict_config: bool = True) -> 
             trainer.opt.v[i] = entry(f"opt_v/{i}")
         trainer.opt.step_count = meta["opt_step"]
         trainer.step_count = meta["step"]
+        if len(meta["thresholds"]) != len(trainer.params.blocks):
+            raise ConfigError(
+                f"checkpoint {path} has {len(meta['thresholds'])} threshold entries "
+                f"for {len(trainer.params.blocks)} blocks"
+            )
         for blk, thr in zip(trainer.params.blocks, meta["thresholds"]):
             if blk.moe is not None and thr is not None:
-                blk.moe.threshold.momentum = thr["momentum"]
-                blk.moe.threshold.tau = thr["tau"]
+                blk.moe.threshold = ThresholdState.from_dict(thr)
         trainer.rng.bit_generator.state = meta["rng_state"]
     return trainer

@@ -171,7 +171,7 @@ def test_criterion_5_gradients_match_finite_differences():
         return (out.y * Tensor(probe)).sum()
 
     # selection-stability guard: margin around the global K-th value
-    gated = 1 / (1 + np.exp(-params.gating_logits(Tensor(x_base)).data))
+    gated = 1 / (1 + np.exp(-params.gating_logits(params.router_trunk(Tensor(x_base))).data))
     flat = np.sort(gated.ravel())[::-1]
     K = R.effective_k(strategy, 2, 3, 4, 2)
     assert flat[K - 1] - flat[K] > 1e-4, "reseed: selection not stable"

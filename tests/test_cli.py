@@ -87,6 +87,19 @@ def test_train_resume_reproduces_trajectory(tmp_path):
     assert [r["total"] for r in full_rows[4:]] == [r["total"] for r in resumed_rows]
 
 
+def test_train_resume_into_same_dir_keeps_one_row_per_step(tmp_path):
+    cfg = tmp_path / "every3.cfg"
+    cfg.write_text("checkpoint_every = 3\n")
+    base = ["--config", str(cfg), "--seed", "3", "--steps", "6", *FAST]
+    run = tmp_path / "run"
+    main(["train", "--out", str(run), *base])
+    first = (run / "log.csv").read_text()
+    rc = main(["train", "--out", str(run), "--resume", str(run / "ckpt_000003.npz"), *base])
+    assert rc == 0
+    assert [r["step"] for r in read_csv(run / "log.csv")] == ["1", "2", "3", "4", "5", "6"]
+    assert (run / "log.csv").read_text() == first  # resumed rows repeat bit for bit
+
+
 def test_train_resume_rejects_mismatched_config(tmp_path):
     part = tmp_path / "part"
     main(["train", "--out", str(part), "--steps", "2", "--seed", "3", *FAST])
@@ -143,6 +156,26 @@ def test_metrics_checkpoint_missing_entry_is_config_error(tmp_path, capsys, drop
                "--out", str(tmp_path / "rep"), "--seed", "5", *FAST])
     assert rc == 2
     assert missing in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fault,named", [("momentum", "momentum"), ("missing", "threshold entries")])
+def test_metrics_checkpoint_bad_thresholds_is_config_error(tmp_path, capsys, fault, named):
+    run = tmp_path / "run"
+    main(["train", "--out", str(run), "--steps", "1", "--seed", "5", *FAST])
+    with np.load(run / "ckpt_final.npz") as data:
+        arrays = {key: data[key] for key in data.files}
+    meta = json.loads(bytes(arrays["meta_json"]).decode("utf-8"))
+    if fault == "momentum":
+        meta["thresholds"][0]["momentum"] = 1.5  # outside [0, 1)
+    else:
+        meta["thresholds"].pop()
+    arrays["meta_json"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    broken = tmp_path / "broken.npz"
+    np.savez(broken, **arrays)
+    rc = main(["metrics", "--checkpoint", str(broken),
+               "--out", str(tmp_path / "rep"), "--seed", "5", *FAST])
+    assert rc == 2
+    assert named in capsys.readouterr().err
 
 
 def test_metrics_one_in_one_flags_no_pairs(tmp_path):

@@ -62,7 +62,7 @@ def test_compute_logits_zero_weights_zero_logits():
     for _, t in params.tensors():
         t.data = np.zeros_like(t.data)
     x = Tensor(np.random.default_rng(0).normal(size=(2, 3, cfg.model_dim)))
-    assert np.array_equal(params.gating_logits(x).data, np.zeros((2, 3, cfg.num_experts)))
+    assert np.array_equal(params.gating_logits(params.router_trunk(x)).data, np.zeros((2, 3, cfg.num_experts)))
 
 
 def test_compute_logits_hand_built_head():
@@ -75,7 +75,7 @@ def test_compute_logits_hand_built_head():
     params.gate_w.data = np.array([[1.0, -1.0], [0.5, 2.0]])
     params.gate_b.data = np.zeros(2)
     x = np.array([[[0.3, -0.7]]])
-    got = params.gating_logits(Tensor(x)).data[0, 0]
+    got = params.gating_logits(params.router_trunk(Tensor(x))).data[0, 0]
     g = gelu(Tensor(x[0, 0])).data
     want = np.array([g[0] * 1.0 + g[1] * 0.5, g[0] * -1.0 + g[1] * 2.0])
     assert np.allclose(got, want, atol=1e-14)
@@ -85,7 +85,7 @@ def test_logits_shape_contract():
     cfg = make_config(d=8, e=4)
     params = init_params(cfg, 3)
     x = Tensor(np.random.default_rng(1).normal(size=(2, 3, 8)))
-    assert params.gating_logits(x).shape == (2, 3, 4)
+    assert params.gating_logits(params.router_trunk(x)).shape == (2, 3, 4)
 
 
 def test_expert_forward_zero_weights_and_shape():
@@ -168,7 +168,7 @@ def test_moe_forward_gradients_match_finite_differences():
     x = Tensor(x_base, requires_grad=True)
     backward(loss_fn(x))
     # stable-selection check: the top-k gap must dwarf the fd step
-    logits = params.gating_logits(Tensor(x_base)).data
+    logits = params.gating_logits(params.router_trunk(Tensor(x_base))).data
     gaps = np.sort(logits, axis=-1)
     assert (gaps[..., -2] - gaps[..., -3]).min() > 1e-3
     fd = finite_difference_grad(lambda t: loss_fn(t).item(), Tensor(x_base), h=1e-6)
@@ -246,13 +246,13 @@ def test_layer_output_carries_target_head_prediction():
     x = Tensor(np.random.default_rng(8).normal(size=(2, 3, cfg.model_dim)))
     out = moe_forward(x, params, get_strategy("expert-race"), "identity", "train")
     assert out.y_hat.shape == (2, 3, cfg.model_dim)
-    assert np.allclose(out.y_hat.data, params.target_prediction(x).data)
+    assert np.allclose(out.y_hat.data, params.target_prediction(params.router_trunk(x)).data)
 
 
 def dense_masked_reference(x, params, strategy, gating, mode):
     """The dispatch moe_forward replaced: every expert on every token, each
     output weighted by its gate column (picked out with a 0/1 matmul)."""
-    logits = params.gating_logits(x)
+    logits = params.gating_logits(params.router_trunk(x))
     result = route(logits, strategy, gating, mode, params.threshold, k=params.config.k)
     E = params.config.num_experts
     y = None
@@ -287,7 +287,7 @@ def test_gathered_dispatch_matches_dense_masked_oracle(strategy_name, gating, mo
             # between the lowest per-token best score and the highest
             # per-token second-best one: some token gets no expert, another
             # at least two, and expert 3 none
-            gated = apply_gating(params.gating_logits(Tensor(x_base)), gating).data
+            gated = apply_gating(params.gating_logits(params.router_trunk(Tensor(x_base))), gating).data
             top = np.sort(gated, axis=-1)
             params.threshold.tau = float(top[..., -1].min() + top[..., -2].max()) / 2.0
         return params

@@ -25,6 +25,24 @@ from moelab.tensor import Tensor
 ALL = [get_strategy(n) for n in routing.STRATEGIES]
 
 
+@pytest.mark.parametrize(
+    "spelling,name",
+    [
+        ("expert_race", "expert-race"),
+        ("ExpertRace", "expert-race"),
+        ("TOKEN-CHOICE", "token-choice"),
+        ("tokenchoice", "token-choice"),
+    ],
+)
+def test_get_strategy_accepts_case_and_separator_variants(spelling, name):
+    assert get_strategy(spelling) is routing.STRATEGIES[name]
+
+
+def test_get_strategy_rejects_unknown_name():
+    with pytest.raises(ConfigError, match="unknown strategy"):
+        get_strategy("race-expert")
+
+
 # ----------------------------------------------------------------------
 # effective_k
 

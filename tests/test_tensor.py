@@ -8,14 +8,13 @@ from moelab.tensor import (
     ShapeError,
     Tensor,
     backward,
-    broadcast_to,
-    evaluate,
     finite_difference_grad,
     gelu,
     matmul,
     sigmoid,
     scatter_rows,
     softmax,
+    take_cols,
     take_rows,
 )
 
@@ -154,13 +153,6 @@ def test_reshape_permute_preserve_multiset_and_grad():
     assert np.allclose(x.grad, 2.0 * x.data)
 
 
-def test_broadcast_to_backward_sums():
-    x = Tensor(np.array([[1.0], [2.0]]), requires_grad=True)
-    y = broadcast_to(x, (2, 5))
-    backward(y.sum())
-    assert np.array_equal(x.grad, np.full((2, 1), 5.0))
-
-
 def test_take_rows_scatter_adds():
     table = Tensor(np.eye(3), requires_grad=True)
     out = take_rows(table, [0, 0, 2])
@@ -208,11 +200,27 @@ def test_scatter_rows_rejects_index_count_mismatch():
         scatter_rows(Tensor(np.ones((3, 2))), [0, 1], 4)
 
 
-def test_evaluate_wraps_graph_fn():
-    out = evaluate(lambda a, b: a + b, Tensor(np.ones(2)), Tensor(np.ones(2)))
-    assert np.array_equal(out.data, np.full(2, 2.0))
-    with pytest.raises(ContractError):
-        evaluate(lambda a: 1.0, Tensor(np.ones(1)))
+@pytest.mark.parametrize("shape", [(3, 7), (2, 3, 7)])
+def test_take_cols_backward_matches_finite_differences(shape):
+    rng = np.random.default_rng(10)
+    x = Tensor(rng.normal(size=shape), requires_grad=True)
+    probe = rng.normal(size=shape[:-1] + (3,))
+
+    def f(t):
+        return (take_cols(t, 2, 5) * Tensor(probe)).square().sum()
+
+    assert np.array_equal(take_cols(x, 2, 5).data, x.data[..., 2:5])
+    backward(f(x))
+    fd = finite_difference_grad(lambda t: f(t).item(), Tensor(x.data), h=1e-5)
+    rel = np.abs(x.grad - fd.data) / np.maximum(np.maximum(np.abs(fd.data), np.abs(x.grad)), 1e-8)
+    assert rel.max() < 1e-6
+    assert np.all(x.grad[..., :2] == 0) and np.all(x.grad[..., 5:] == 0)
+
+
+@pytest.mark.parametrize("start,stop", [(-1, 2), (3, 3), (2, 8)])
+def test_take_cols_rejects_out_of_range_slice(start, stop):
+    with pytest.raises(ShapeError):
+        take_cols(Tensor(np.ones((2, 7))), start, stop)
 
 
 def test_determinism_bitwise():
