@@ -9,6 +9,7 @@ a toy diffusion training harness that exercises the whole pipeline.
 from .routing import (
     STRATEGIES,
     ConfigError,
+    NumericError,
     RouteResult,
     RoutingStrategy,
     StateError,
@@ -24,6 +25,7 @@ __all__ = [
     "Tensor",
     "ConfigError",
     "StateError",
+    "NumericError",
     "RoutingStrategy",
     "RouteResult",
     "ThresholdState",

@@ -23,8 +23,8 @@ from . import metrics as metrics_mod
 from . import routing
 from .denoiser import DenoiserConfig
 from .losses import LossWeights
-from .routing import ConfigError, StateError
-from .training import LogRecord, NumericError, Trainer, TrainerConfig, load_checkpoint, save_checkpoint
+from .routing import ConfigError, NumericError, StateError
+from .training import LogRecord, Trainer, TrainerConfig, load_checkpoint, save_checkpoint
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -217,6 +217,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             fh.write(record.csv_row() + "\n")
             last = record
             if cfg["checkpoint_every"] > 0 and record.step % cfg["checkpoint_every"] == 0:
+                fh.flush()  # the log on disk reaches every checkpoint's step
                 save_checkpoint(out_dir / f"ckpt_{record.step:06d}.npz", trainer)
 
     save_checkpoint(out_dir / "ckpt_final.npz", trainer)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import layer as moe_layer
 from .layer import ExpertParams, FineGrainedConfig, LayerOutput, MoeLayerParams, expert_forward
-from .routing import RoutingStrategy, get_strategy
+from .routing import NumericError, RoutingStrategy, get_strategy
 from .tensor import Tensor, gelu, matmul, take_cols, take_rows
 
 __all__ = ["DenoiserConfig", "DenoiserParams", "BlockParams", "init_denoiser", "denoiser_forward"]
@@ -198,7 +198,8 @@ def denoiser_forward(
     """Predict the regression target; collect per-layer routing artifacts.
 
     Returns the prediction (B, L, D) and one LayerOutput per MoE block
-    (empty list in dense mode).
+    (empty list in dense mode). Non-finite router scores raise NumericError
+    naming the block.
     """
     cfg = params.config
     strategy = cfg.routing_strategy()
@@ -211,16 +212,19 @@ def denoiser_forward(
     cond = t_emb + take_rows(params.class_emb, np.asarray(c, dtype=np.intp))  # (B, D)
 
     layer_outputs: list[LayerOutput] = []
-    for blk in params.blocks:
+    for i, blk in enumerate(params.blocks):
         mods = matmul(cond, blk.mod_w) + blk.mod_b  # (B, 3D)
         scale, shift, gate = _split_cols(mods, 3)  # each (B, 1, D)
         u = h * (scale + 1.0) + shift
         # token mixing: contract the L axis with a learned (L, L) map
         u = matmul(u.transpose(0, 2, 1), blk.mix_w).transpose(0, 2, 1)
         if blk.moe is not None:
-            out = moe_layer.moe_forward(
-                u, blk.moe, strategy, cfg.gating, mode, force_unit_gate=cfg.force_unit_gate
-            )
+            try:
+                out = moe_layer.moe_forward(
+                    u, blk.moe, strategy, cfg.gating, mode, force_unit_gate=cfg.force_unit_gate
+                )
+            except NumericError as exc:
+                raise NumericError(f"block {i}: {exc}") from exc
             layer_outputs.append(out)
             y = out.y
         else:

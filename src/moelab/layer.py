@@ -7,13 +7,17 @@ width), computed once per forward, feeding two output heads: a gating head
 producing the E affinity logits and a target head predicting the denoiser's
 regression target, which drives the per-layer regularization loss.
 
-Dispatch is gathered and dropless (MegaBlocks-style, at desk scale): each
-expert runs only on the token rows its mask column selects, and its gated
-output is scatter-added back, so the expert work is one row per selected
-token-expert pair. Train and eval mode select exactly B*L*k pairs, i.e. the
-dense FFN's cost; infer mode pays for however many pairs the threshold
-admits. No token is dropped and no capacity is padded. An expert that
-selects no token is not run and receives exactly zero gradient.
+Dispatch is grouped and dropless (MegaBlocks-style, at desk scale): the
+selected token-expert pairs are listed expert by expert, x is gathered
+once in that expert-major order, and all experts run as two segmented
+matmuls (tensor.segment_matmul, one GEMM per expert's contiguous row
+segment) around one GELU. The gated rows are scatter-added back in one
+op, so each layer's graph has the same few nodes whatever E is, and the
+expert work is one row per selected pair. Train and eval mode select
+exactly B*L*k pairs, i.e. the dense FFN's cost; infer mode pays for
+however many pairs the threshold admits. No token is dropped and no
+capacity is padded. An expert that selects no token is not run and
+receives exactly zero gradient.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import numpy as np
 
 from . import routing
 from .routing import ConfigError, RouteResult, RoutingStrategy, ThresholdState
-from .tensor import Tensor, gelu, matmul, scatter_rows, take_rows
+from .tensor import Tensor, gelu, matmul, scatter_rows, segment_matmul, take_rows
 
 __all__ = [
     "FineGrainedConfig",
@@ -185,13 +189,17 @@ def moe_forward(
 ) -> LayerOutput:
     """Route, run experts, and combine: y[b,l] = sum_i gates[b,l,i] * E_i(x[b,l]).
 
-    Gathered dispatch: expert i runs on the rows of x its mask column
-    selects, its output is scaled by the matching gate values and
-    scatter-added into y. Expert work is one row per selected pair: B*L*k
-    in train and eval mode, mask.sum() in infer mode. Experts with no
-    selected row are skipped; if none is selected, y is a zero constant.
-    The router trunk runs once and feeds both heads; the target head's
-    prediction rides along for the per-layer regularization loss.
+    Grouped dispatch: the selected (expert, row) pairs are taken expert by
+    expert, rows ascending within each expert, so expert i owns one
+    contiguous segment of the pair list. One gather of x in that order
+    feeds segment_matmul with every expert's w_in, one GELU, and
+    segment_matmul with every w_out; the outputs are scaled by the pairs'
+    gate values (one gather of the flat gates) and scatter-added into y in
+    one op. Expert work is one row per selected pair: B*L*k in train and
+    eval mode, mask.sum() in infer mode. Experts with no selected row are
+    skipped; if none is selected, y is a zero constant. The router trunk
+    runs once and feeds both heads; the target head's prediction rides
+    along for the per-layer regularization loss.
     """
     h = params.router_trunk(x)
     logits = params.gating_logits(h)
@@ -207,18 +215,16 @@ def moe_forward(
 
     B, L, D = x.shape
     E = params.config.num_experts
-    x_rows = x.reshape(B * L, D)
-    gate_rows = result.gates.reshape(B * L * E, 1)
-    # weighted sum over experts, deterministic order
-    y = None
-    for i, expert in enumerate(params.experts):
-        rows = np.flatnonzero(result.mask[..., i])
-        if rows.size == 0:
-            continue
-        out_i = expert_forward(expert, take_rows(x_rows, rows))  # (n_i, D)
-        term = scatter_rows(out_i * take_rows(gate_rows, rows * E + i), rows, B * L)
-        y = term if y is None else y + term
-    y = Tensor(np.zeros((B, L, D))) if y is None else y.reshape(B, L, D)
+    experts_of, rows = np.nonzero(result.mask.reshape(B * L, E).T)
+    if rows.size == 0:
+        y = Tensor(np.zeros((B, L, D)))
+    else:
+        offsets = np.concatenate(([0], np.cumsum(np.bincount(experts_of, minlength=E))))
+        x_pairs = take_rows(x.reshape(B * L, D), rows)  # (pairs, D), expert-major
+        hidden = gelu(segment_matmul(x_pairs, [ex.w_in for ex in params.experts], offsets))
+        out = segment_matmul(hidden, [ex.w_out for ex in params.experts], offsets)
+        gates = take_rows(result.gates.reshape(B * L * E, 1), rows * E + experts_of)
+        y = scatter_rows(out * gates, rows, B * L).reshape(B, L, D)
 
     y_hat = params.target_prediction(h)
     return LayerOutput(y=y, route=result, y_hat=y_hat, logits=logits)

@@ -35,6 +35,7 @@ from .tensor import Tensor, sigmoid, softmax
 __all__ = [
     "ConfigError",
     "StateError",
+    "NumericError",
     "RoutingStrategy",
     "STRATEGIES",
     "get_strategy",
@@ -63,6 +64,10 @@ class ConfigError(ValueError):
 
 class StateError(RuntimeError):
     """Routing state used before it was initialized."""
+
+
+class NumericError(RuntimeError):
+    """Non-finite scores, loss or state; carries a diagnostic breakdown."""
 
 
 @dataclass(frozen=True)
@@ -321,9 +326,13 @@ def route(
 
     force_unit_gate replaces surviving gate values with exactly 1.0
     (selection unchanged); used by the dense-equivalence harness path.
+    Scores holding NaN or inf raise NumericError with their count.
     """
     if scores.data.ndim != 3:
         raise ConfigError(f"scores must be (B, L, E), got {scores.shape}")
+    bad = scores.size - np.count_nonzero(np.isfinite(scores.data))
+    if bad:
+        raise NumericError(f"router scores have {bad} non-finite entries of {scores.size}")
     B, L, E = scores.shape
     gated = apply_gating(scores, gating)
 

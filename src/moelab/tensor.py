@@ -1,10 +1,12 @@
 """Dense float64 tensors with reverse-mode differentiation.
 
-A deliberately small op set: matmul, elementwise arithmetic, GELU, sigmoid,
-softmax, reductions, reshape/permute, row gather/scatter, column slicing
-(take_cols) and constant masking. Every op is eager; the graph is the chain
-of parent links plus a global creation counter, so backward() can replay
-nodes in exact reverse execution order.
+A deliberately small op set: matmul, a grouped matmul over contiguous row
+segments (segment_matmul), elementwise arithmetic, GELU, sigmoid, softmax,
+reductions, reshape/permute, row gather/scatter (take_rows/scatter_rows,
+whose scatter-add is one np.bincount), column slicing (take_cols) and
+constant masking. Every op is eager; the graph is the chain of parent links
+plus a global creation counter, so backward() can replay nodes in exact
+reverse execution order.
 
 Graph nodes are never mutated once built; the optimizer rebinds leaf data
 between steps, after the graph of the previous step is gone. float64
@@ -15,7 +17,7 @@ checks tight.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy.special import erf
@@ -27,6 +29,7 @@ __all__ = [
     "backward",
     "finite_difference_grad",
     "matmul",
+    "segment_matmul",
     "gelu",
     "sigmoid",
     "softmax",
@@ -266,6 +269,49 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(out, _parents=(a, b), _grad_fn=gfn)
 
 
+def segment_matmul(x: Tensor, weights: Sequence[Tensor], offsets) -> Tensor:
+    """Grouped matmul: out[o_s:o_{s+1}] = x[o_s:o_{s+1}] @ weights[s].
+
+    `x` is (n, d) with its rows sorted by segment; `offsets` holds the
+    len(weights) + 1 segment boundaries, rising from 0 to n; every weight
+    is (d, m). One GEMM per non-empty segment and no padding. Empty
+    segments are skipped and their weights never touched: this op gives
+    them no gradient, so backward(loss, params) leaves them exact zeros.
+    """
+    x = Tensor._coerce(x)
+    weights = [Tensor._coerce(w) for w in weights]
+    shapes = sorted({w.shape for w in weights})
+    if x.data.ndim != 2 or len(shapes) != 1 or len(shapes[0]) != 2 or shapes[0][0] != x.shape[1]:
+        raise ShapeError(f"segment_matmul expects (n, d) x one (d, m) shape for all weights: {x.shape} vs {shapes}")
+    offsets = np.asarray(offsets, dtype=np.intp)
+    if (
+        offsets.shape != (len(weights) + 1,)
+        or offsets[0] != 0
+        or offsets[-1] != x.shape[0]
+        or np.any(np.diff(offsets) < 0)
+    ):
+        raise ShapeError(
+            f"segment_matmul offsets {offsets.tolist()} must rise from 0 to the {x.shape[0]} rows "
+            f"of x in {len(weights)} segments"
+        )
+    segments = [(w, lo, hi) for w, lo, hi in zip(weights, offsets[:-1], offsets[1:]) if lo < hi]
+    out = np.empty((x.shape[0], shapes[0][1]))
+    for w, lo, hi in segments:
+        np.matmul(x.data[lo:hi], w.data, out=out[lo:hi])
+
+    def gfn(g):
+        if x.requires_grad:
+            dx = np.empty_like(x.data)  # the segments cover every row
+            for w, lo, hi in segments:
+                np.matmul(g[lo:hi], w.data.T, out=dx[lo:hi])
+            _accumulate(x, dx)
+        for w, lo, hi in segments:
+            if w.requires_grad:
+                _accumulate(w, x.data[lo:hi].T @ g[lo:hi])
+
+    return Tensor(out, _parents=(x, *weights), _grad_fn=gfn)
+
+
 def gelu(x: Tensor) -> Tensor:
     """Exact Gaussian-CDF GELU: x * Phi(x). Derivative Phi(x) + x * phi(x)."""
     x = Tensor._coerce(x)
@@ -301,18 +347,42 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return Tensor(p, _parents=(x,), _grad_fn=gfn)
 
 
+def _row_indices(op: str, indices, n: int) -> np.ndarray:
+    """`indices` as an intp array, each required to lie in [0, n)."""
+    idx = np.asarray(indices, dtype=np.intp)
+    bad = idx[(idx < 0) | (idx >= n)]
+    if bad.size:
+        raise ShapeError(f"{op} index {bad.flat[0]} out of range for {n} rows")
+    return idx
+
+
+def _scatter_add(idx: np.ndarray, src: np.ndarray, n: int) -> np.ndarray:
+    """An (n, cols) zero table with src[j] added into row idx[j], for 1-D
+    in-range `idx` and 2-D `src`.
+
+    One np.bincount over the flat indices idx[j] * cols + c. It adds each
+    element's terms in index order starting from zero, as np.add.at does,
+    so the result is bit-identical to np.add.at's.
+    """
+    cols = src.shape[1]
+    flat = (idx[:, None] * cols + np.arange(cols)).reshape(-1)
+    return np.bincount(flat, weights=src.reshape(-1), minlength=n * cols).reshape(n, cols)
+
+
 def take_rows(table: Tensor, indices) -> Tensor:
-    """Gather rows of a 2-D table (embedding lookup). Backward scatter-adds."""
+    """Gather rows of a 2-D table (embedding lookup). Backward scatter-adds.
+
+    Every index must lie in [0, rows); negative indices do not wrap.
+    """
     table = Tensor._coerce(table)
     if table.data.ndim != 2:
         raise ShapeError(f"take_rows expects a 2-D table, got {table.shape}")
-    idx = np.asarray(indices, dtype=np.intp)
+    n, cols = table.shape
+    idx = _row_indices("take_rows", indices, n)
     out = table.data[idx]
 
     def gfn(g):
-        acc = np.zeros_like(table.data)
-        np.add.at(acc, idx, g)
-        _accumulate(table, acc)
+        _accumulate(table, _scatter_add(idx.reshape(-1), g.reshape(-1, cols), n))
 
     return Tensor(out, _parents=(table,), _grad_fn=gfn)
 
@@ -321,14 +391,14 @@ def scatter_rows(src: Tensor, indices, n: int) -> Tensor:
     """Scatter-add the rows of a 2-D `src` into an (n, cols) zero table.
 
     The transpose of take_rows: out[indices[j]] += src[j], duplicates
-    accumulate in order. Backward gathers g[indices].
+    accumulate in order; every index must lie in [0, n). Backward gathers
+    g[indices].
     """
     src = Tensor._coerce(src)
-    idx = np.asarray(indices, dtype=np.intp)
+    idx = _row_indices("scatter_rows", indices, n)
     if src.data.ndim != 2 or idx.shape != src.shape[:1]:
         raise ShapeError(f"scatter_rows expects 2-D src with one index per row: {src.shape} vs {idx.shape}")
-    out = np.zeros((n, src.shape[1]))
-    np.add.at(out, idx, src.data)
+    out = _scatter_add(idx, src.data, n)
 
     def gfn(g):
         _accumulate(src, g[idx])

@@ -19,7 +19,7 @@ from . import metrics as metrics_mod
 from .denoiser import DenoiserConfig, denoiser_forward, init_denoiser
 from .diffusion import NoiseSchedule, SyntheticTask, build_schedule
 from .losses import LossWeights, aux_inputs_from_routing
-from .routing import ConfigError, StateError, ThresholdState
+from .routing import ConfigError, NumericError, StateError, ThresholdState
 from .tensor import Tensor, backward
 
 __all__ = [
@@ -34,10 +34,6 @@ __all__ = [
 ]
 
 CHECKPOINT_VERSION = 1
-
-
-class NumericError(RuntimeError):
-    """Non-finite loss or state; carries a diagnostic breakdown."""
 
 
 class AdamW(object):
@@ -211,16 +207,20 @@ class Trainer(object):
         """Ancestral reverse process under thresholded routing.
 
         Returns generated samples (n, L, D) and, per reverse step, the mean
-        active experts per token per layer (plus raw masks on request).
+        active experts per token per layer (plus raw masks on request). A
+        class label outside [0, num_classes) raises ConfigError.
         """
         cfg = self.config.model
+        c = np.broadcast_to(np.asarray(c, dtype=np.int64), (n,)).copy()
+        bad = c[(c < 0) | (c >= cfg.num_classes)]
+        if bad.size:
+            raise ConfigError(f"class label {bad[0]} outside [0, {cfg.num_classes})")
         if not cfg.dense:
             for blk in self.params.blocks:
                 if not blk.moe.threshold.initialized:
                     raise StateError("sampling needs initialized thresholds; run training first")
         rng = rng if rng is not None else self.rng
         sched = self.schedule
-        c = np.broadcast_to(np.asarray(c, dtype=np.int64), (n,)).copy()
 
         x = rng.normal(size=(n, cfg.tokens, cfg.model_dim))
         allocation_log: list[dict] = []

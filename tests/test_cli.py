@@ -100,6 +100,26 @@ def test_train_resume_into_same_dir_keeps_one_row_per_step(tmp_path):
     assert (run / "log.csv").read_text() == first  # resumed rows repeat bit for bit
 
 
+def test_train_log_on_disk_reaches_each_checkpoint_step(tmp_path, monkeypatch):
+    from moelab import cli
+
+    cfg = tmp_path / "every3.cfg"
+    cfg.write_text("checkpoint_every = 3\n")
+    run = tmp_path / "run"
+    seen = []
+    save = cli.save_checkpoint
+
+    def recording_save(path, trainer):
+        seen.append((Path(path).name, len((run / "log.csv").read_text().splitlines())))
+        save(path, trainer)
+
+    monkeypatch.setattr(cli, "save_checkpoint", recording_save)
+    rc = main(["train", "--out", str(run), "--config", str(cfg), "--seed", "3", "--steps", "6", *FAST])
+    assert rc == 0
+    # header plus one row per step done, at every save
+    assert seen == [("ckpt_000003.npz", 4), ("ckpt_000006.npz", 7), ("ckpt_final.npz", 7)]
+
+
 def test_train_resume_rejects_mismatched_config(tmp_path):
     part = tmp_path / "part"
     main(["train", "--out", str(part), "--steps", "2", "--seed", "3", *FAST])
@@ -176,6 +196,24 @@ def test_metrics_checkpoint_bad_thresholds_is_config_error(tmp_path, capsys, fau
                "--out", str(tmp_path / "rep"), "--seed", "5", *FAST])
     assert rc == 2
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["metrics", "train"])
+def test_non_finite_router_scores_exit_3_naming_the_block(tmp_path, capsys, command):
+    run = tmp_path / "run"
+    main(["train", "--out", str(run), "--steps", "1", "--seed", "5", *FAST])
+    with np.load(run / "ckpt_final.npz") as data:
+        arrays = {key: data[key] for key in data.files}
+    arrays["param/block0.moe.gate_b"] = np.full_like(arrays["param/block0.moe.gate_b"], np.nan)
+    broken = tmp_path / "broken.npz"
+    np.savez(broken, **arrays)
+    if command == "metrics":  # infer-mode routing
+        args = ["metrics", "--checkpoint", str(broken)]
+    else:  # train-mode routing on the resumed step
+        args = ["train", "--steps", "2", "--resume", str(broken)]
+    rc = main([*args, "--out", str(tmp_path / "out"), "--seed", "5", *FAST])
+    assert rc == 3
+    assert "block 0: router scores have" in capsys.readouterr().err
 
 
 def test_metrics_one_in_one_flags_no_pairs(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from moelab.denoiser import DenoiserConfig, denoiser_forward, init_denoiser
 from moelab.diffusion import DiffusionBatch, SyntheticTask, build_schedule, forward_diffuse, make_target
 from moelab.routing import ConfigError, StateError
-from moelab.training import Trainer, TrainerConfig, load_checkpoint, save_checkpoint
+from moelab.training import NumericError, Trainer, TrainerConfig, load_checkpoint, save_checkpoint
 from moelab.losses import LossWeights
 
 
@@ -192,6 +192,18 @@ def test_dense_twin_forward_matches_one_in_one():
     assert np.abs(pred_moe.data - pred_dense.data).max() < 1e-10
 
 
+@pytest.mark.parametrize("mode", ["train", "eval", "infer"])
+def test_denoiser_non_finite_router_scores_name_the_block(mode):
+    params = init_denoiser(SMALL, 24)
+    for blk in params.blocks:
+        blk.moe.threshold.tau = 0.0
+    params.blocks[1].moe.gate_b.data[2] = np.nan  # expert 2's score at every token of block 1
+    x_t = np.random.default_rng(25).normal(size=(3, SMALL.tokens, SMALL.model_dim))
+    n_bad = 3 * SMALL.tokens
+    with pytest.raises(NumericError, match=rf"block 1: router scores have {n_bad} non-finite entries"):
+        denoiser_forward(x_t, np.array([1, 5, 9]), np.array([0, 1, 2]), params, mode=mode)
+
+
 # ----------------------------------------------------------------------
 # trainer
 
@@ -278,6 +290,14 @@ def test_sampling_requires_thresholds():
     trainer = small_trainer(seed=5)
     with pytest.raises(StateError):
         trainer.sample(2, 0)
+
+
+@pytest.mark.parametrize("c", [-1, SMALL.num_classes, [0, 7]])
+def test_sampling_rejects_class_label_out_of_range(c):
+    trainer = small_trainer(seed=5)
+    trainer.train_step()
+    with pytest.raises(ConfigError, match=r"class label -?\d+ outside \[0, 3\)"):
+        trainer.sample(2, c)
 
 
 def test_sampling_smoke_and_determinism():

@@ -153,6 +153,36 @@ def test_zero_token_experts_get_exact_zero_grad():
     assert np.abs(params.experts[0].w_in.grad).max() > 0
 
 
+def test_expert_idle_this_step_gets_zero_grad_not_last_steps():
+    cfg = make_config(d=4, e=4, k=1, dense=8)
+    params = init_params(cfg, 13)
+    x = Tensor(np.random.default_rng(5).normal(size=(2, 4, 4)))
+    named = [t for _, t in params.tensors()]
+    out = moe_forward(x, params, get_strategy("bl-choice"), "identity", "train")  # every expert gets rows
+    backward(out.y.square().sum(), named)
+    assert all(np.abs(ex.w_in.grad).max() > 0 for ex in params.experts)
+    params.gate_b.data = np.array([100.0, 0.0, 0.0, 0.0])
+    out = moe_forward(x, params, get_strategy("token-choice"), "identity", "train")
+    assert out.route.mask[..., 1:].sum() == 0
+    backward(out.y.square().sum(), named)
+    for ex in params.experts[1:]:
+        assert np.array_equal(ex.w_in.grad, np.zeros((4, 8)))
+        assert np.array_equal(ex.w_out.grad, np.zeros((8, 4)))
+
+
+def test_moe_forward_graph_size_does_not_grow_with_expert_count():
+    x_base = np.random.default_rng(10).normal(size=(2, 8, 8))
+    nodes = {}
+    for e in (4, 8):
+        params = init_params(make_config(d=8, e=e, k=2, dense=32), 37)
+        x = Tensor(x_base, requires_grad=True)
+        before = next(Tensor._order_counter)
+        out = moe_forward(x, params, get_strategy("expert-race"), "softmax", "train")
+        nodes[e] = next(Tensor._order_counter) - before
+        assert (out.route.mask.sum(axis=(0, 1)) > 0).sum() >= e - 1  # nearly every expert runs
+    assert nodes[4] == nodes[8]
+
+
 def test_moe_forward_gradients_match_finite_differences():
     cfg = make_config(d=4, e=4, k=2, dense=8)
     params = init_params(cfg, 17)

@@ -8,6 +8,7 @@ import pytest
 from moelab import routing
 from moelab.routing import (
     ConfigError,
+    NumericError,
     StateError,
     ThresholdState,
     effective_k,
@@ -255,6 +256,18 @@ def test_route_infer_requires_initialized_tau():
     S = Tensor(np.zeros((1, 2, 2)))
     with pytest.raises(StateError):
         route(S, get_strategy("expert-race"), "identity", "infer", ThresholdState(), k=1)
+
+
+@pytest.mark.parametrize("mode", ["train", "eval", "infer"])
+def test_route_rejects_non_finite_scores_with_count(mode):
+    S = np.random.default_rng(44).normal(size=(2, 3, 4))
+    S[0, 1, 2] = np.nan
+    S[1, 0, 0] = np.inf
+    S[1, 2, 3] = -np.inf
+    state = ThresholdState(tau=0.0)
+    with pytest.raises(NumericError, match="3 non-finite entries of 24"):
+        route(Tensor(S), get_strategy("expert-race"), "identity", mode, state, k=1)
+    assert state.tau == 0.0  # rejected before the threshold update
 
 
 @pytest.mark.parametrize("strategy", ALL, ids=lambda s: s.name)

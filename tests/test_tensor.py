@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from moelab import tensor as tensor_mod
 from moelab.tensor import (
     ContractError,
     ShapeError,
@@ -13,6 +14,7 @@ from moelab.tensor import (
     matmul,
     sigmoid,
     scatter_rows,
+    segment_matmul,
     softmax,
     take_cols,
     take_rows,
@@ -198,6 +200,88 @@ def test_take_then_scatter_rows_permutation_round_trips():
 def test_scatter_rows_rejects_index_count_mismatch():
     with pytest.raises(ShapeError):
         scatter_rows(Tensor(np.ones((3, 2))), [0, 1], 4)
+
+
+@pytest.mark.parametrize("op", ["take_rows", "scatter_rows"])
+@pytest.mark.parametrize("bad", [-1, 4, 9])
+def test_row_ops_reject_out_of_range_index(op, bad):
+    idx = [0, bad, 2]
+    with pytest.raises(ShapeError, match=rf"index {bad} out of range for 4 rows"):
+        if op == "take_rows":
+            take_rows(Tensor(np.ones((4, 2))), idx)
+        else:
+            scatter_rows(Tensor(np.ones((3, 2))), idx, 4)
+
+
+@pytest.mark.parametrize(
+    "idx,n,cols",
+    [
+        ([3, 0, 3, 1, 3], 5, 4),  # duplicates, out of order
+        ([], 3, 2),  # empty index
+        ([6, 2, 2, 0, 6, 5], 7, 1),  # an (n, 1) column
+        ([4, 3, 2, 1, 0], 5, 3),  # descending
+    ],
+)
+def test_scatter_add_is_bit_identical_to_add_at(idx, n, cols):
+    idx = np.asarray(idx, dtype=np.intp)
+    src = np.random.default_rng(12).normal(size=(idx.size, cols)) * 10.0 ** np.arange(idx.size)[:, None]
+    want = np.zeros((n, cols))
+    np.add.at(want, idx, src)
+    got = tensor_mod._scatter_add(idx, src, n)
+    assert got.shape == (n, cols)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_segment_matmul_backward_matches_finite_differences():
+    rng = np.random.default_rng(13)
+    offsets = [0, 3, 3, 4, 6]  # segment 1 empty, segment 2 a single row
+    ws = [Tensor(rng.normal(size=(3, 2)), requires_grad=True) for _ in range(4)]
+    x = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+    probe = Tensor(rng.normal(size=(6, 2)))
+
+    out = segment_matmul(x, ws, offsets)
+    for s, w in enumerate(ws):
+        lo, hi = offsets[s], offsets[s + 1]
+        assert np.array_equal(out.data[lo:hi], x.data[lo:hi] @ w.data)
+
+    def loss(xt, wt):
+        return (segment_matmul(xt, wt, offsets) * probe).square().sum()
+
+    backward(loss(x, ws), [x, *ws])
+    assert np.array_equal(ws[1].grad, np.zeros((3, 2)))  # no rows: exactly zero
+    checks = [(x.grad, finite_difference_grad(lambda t: loss(t, ws).item(), Tensor(x.data)))]
+    for s in (0, 2, 3):
+        def f(t, s=s):
+            return loss(x, ws[:s] + [t] + ws[s + 1:]).item()
+
+        checks.append((ws[s].grad, finite_difference_grad(f, Tensor(ws[s].data))))
+    for got, fd in checks:
+        rel = np.abs(got - fd.data) / np.maximum(np.maximum(np.abs(fd.data), np.abs(got)), 1e-8)
+        assert rel.max() < 1e-6
+
+
+@pytest.mark.parametrize(
+    "offsets",
+    [
+        [0, 2, 5],  # stops short of the 6 rows
+        [0, 3, 7],  # runs past them
+        [1, 3, 6],  # does not start at 0
+        [0, 4, 3, 6],  # one boundary too many
+        [0, 6],  # one too few
+    ],
+)
+def test_segment_matmul_rejects_offsets_that_do_not_cover_x(offsets):
+    ws = [Tensor(np.ones((3, 2))), Tensor(np.ones((3, 2)))]
+    with pytest.raises(ShapeError, match="offsets"):
+        segment_matmul(Tensor(np.ones((6, 3))), ws, offsets)
+
+
+def test_segment_matmul_rejects_mismatched_weights():
+    x = Tensor(np.ones((4, 3)))
+    with pytest.raises(ShapeError):
+        segment_matmul(x, [Tensor(np.ones((2, 2)))], [0, 4])  # inner dims differ
+    with pytest.raises(ShapeError):
+        segment_matmul(x, [Tensor(np.ones((3, 2))), Tensor(np.ones((3, 5)))], [0, 2, 4])
 
 
 @pytest.mark.parametrize("shape", [(3, 7), (2, 3, 7)])
