@@ -235,8 +235,11 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _checkpoint_metrics(trainer: Trainer, eval_batches: int = 4) -> dict:
-    """MaxVio / combination usage / allocation per layer on held-out batches."""
+    """MaxVio / combination usage / allocation per layer on held-out batches.
+    A dense model has no routed layers: {"dense": true, "per_layer": []}."""
     cfg = trainer.config
+    if cfg.model.dense:
+        return {"dense": True, "per_layer": []}
     rng = np.random.default_rng(cfg.seed + 4242)
     per_layer: list[dict] = []
     masks_per_layer = None
@@ -287,6 +290,8 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     report = _checkpoint_metrics(trainer)
     path = out_dir / "metrics.json"
     path.write_text(json.dumps(report, indent=2) + "\n")
+    if report.get("dense"):
+        print("dense model: no routed layers to report")
     print(f"wrote {path}")
     return 0
 

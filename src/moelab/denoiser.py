@@ -17,10 +17,17 @@ import numpy as np
 
 from . import layer as moe_layer
 from .layer import ExpertParams, FineGrainedConfig, LayerOutput, MoeLayerParams, expert_forward
-from .routing import NumericError, RoutingStrategy, get_strategy
+from .routing import ConfigError, NumericError, RoutingStrategy, get_strategy
 from .tensor import Tensor, gelu, matmul, take_cols, take_rows
 
-__all__ = ["DenoiserConfig", "DenoiserParams", "BlockParams", "init_denoiser", "denoiser_forward"]
+__all__ = [
+    "DenoiserConfig",
+    "DenoiserParams",
+    "BlockParams",
+    "init_denoiser",
+    "class_labels",
+    "denoiser_forward",
+]
 
 
 @dataclass(frozen=True)
@@ -188,6 +195,18 @@ def _split_cols(x: Tensor, parts: int) -> list[Tensor]:
     return [take_cols(x, p * n, (p + 1) * n).reshape(B, 1, n) for p in range(parts)]
 
 
+def class_labels(c) -> np.ndarray:
+    """Class labels as an intp array. Integer-valued floats such as 1.0 pass;
+    any other label (1.9, nan) raises ConfigError instead of truncating."""
+    c = np.asarray(c)
+    with np.errstate(invalid="ignore"):
+        labels = c.astype(np.intp)
+    bad = c[labels != c]
+    if bad.size:
+        raise ConfigError(f"class label {bad.flat[0]} is not an integer")
+    return labels
+
+
 def denoiser_forward(
     x_t: np.ndarray,
     t: np.ndarray,
@@ -199,7 +218,8 @@ def denoiser_forward(
 
     Returns the prediction (B, L, D) and one LayerOutput per MoE block
     (empty list in dense mode). Non-finite router scores raise NumericError
-    naming the block.
+    naming the block; a class label that is not an integer raises
+    ConfigError.
     """
     cfg = params.config
     strategy = cfg.routing_strategy()
@@ -209,7 +229,7 @@ def denoiser_forward(
 
     t_feats = Tensor(params.timestep_embedding(t, cfg.total_steps))
     t_emb = matmul(gelu(matmul(t_feats, params.t_w1) + params.t_b1), params.t_w2) + params.t_b2
-    cond = t_emb + take_rows(params.class_emb, np.asarray(c, dtype=np.intp))  # (B, D)
+    cond = t_emb + take_rows(params.class_emb, class_labels(c))  # (B, D)
 
     layer_outputs: list[LayerOutput] = []
     for i, blk in enumerate(params.blocks):

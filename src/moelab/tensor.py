@@ -9,13 +9,24 @@ plus a global creation counter, so backward() can replay nodes in exact
 reverse execution order.
 
 Graph nodes are never mutated once built; the optimizer rebinds leaf data
-between steps, after the graph of the previous step is gone. float64
-everywhere: shapes are desk-scale and the precision keeps finite-difference
-checks tight.
+between steps, after the graph of the previous step is gone. Gradients are
+never written in place either: a second contribution rebinds
+`t.grad = t.grad + g`. So a gradient is stored as the very array an op hands
+over when that array is C-contiguous, and copied into C order only when it
+is not (a transposed or broadcast view), which also keeps the layout that
+later BLAS calls and reductions round on fixed.
+
+Inside `with no_grad():` op outputs record no parents and no grad-fn, so a
+forward-only pass (sampling, evaluation) builds no tape and keeps none of
+its intermediates alive; leaves made with requires_grad=True keep the flag.
+
+float64 everywhere: shapes are desk-scale and the precision keeps
+finite-difference checks tight.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from typing import Callable, Iterable, Sequence
 
@@ -27,6 +38,7 @@ __all__ = [
     "ShapeError",
     "ContractError",
     "backward",
+    "no_grad",
     "finite_difference_grad",
     "matmul",
     "segment_matmul",
@@ -50,12 +62,20 @@ class ContractError(ValueError):
     """Raised when a caller violates an operation's contract (e.g. non-scalar loss)."""
 
 
-def _norm_cdf(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + erf(x * _INV_SQRT2))
+_grad_enabled = True
 
 
-def _norm_pdf(x: np.ndarray) -> np.ndarray:
-    return _INV_SQRT_2PI * np.exp(-0.5 * x * x)
+@contextlib.contextmanager
+def no_grad():
+    """Build no graph inside the block: op outputs get no parents, no grad-fn
+    and requires_grad=False. Nests; the previous mode returns on exit, also
+    on an exception."""
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
 
 
 def _broadcastable(a: tuple, b: tuple) -> bool:
@@ -96,12 +116,12 @@ class Tensor:
         _parents: tuple = (),
         _grad_fn: Callable[[np.ndarray], None] | None = None,
     ):
-        arr = np.asarray(data, dtype=np.float64)
-        self.data = arr
-        self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in _parents)
+        self.data = np.asarray(data, dtype=np.float64)
+        tracked = _grad_enabled and (requires_grad or any(p.requires_grad for p in _parents))
+        self.requires_grad = bool(requires_grad) or tracked
         self.grad: np.ndarray | None = None
-        self._parents = _parents if self.requires_grad else ()
-        self._grad_fn = _grad_fn if self.requires_grad else None
+        self._parents = _parents if tracked else ()
+        self._grad_fn = _grad_fn if tracked else None
         self._order = next(Tensor._order_counter)
 
     # ------------------------------------------------------------------
@@ -235,10 +255,17 @@ class Tensor:
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    if t.grad is None:
-        t.grad = g.copy() if isinstance(g, np.ndarray) else np.asarray(g, dtype=np.float64)
-    else:
+    """Add g to t.grad. Nothing writes a gradient in place (a second
+    contribution rebinds t.grad), so a C-contiguous ndarray is stored as is,
+    even when it aliases another node's gradient; anything else is copied
+    into C order, which fixes the layout the rounding of later BLAS calls
+    and reductions depends on."""
+    if t.grad is not None:
         t.grad = t.grad + g
+    elif isinstance(g, np.ndarray) and g.flags.c_contiguous:
+        t.grad = g
+    else:
+        t.grad = np.array(g, dtype=np.float64, order="C")
 
 
 # ----------------------------------------------------------------------
@@ -315,10 +342,21 @@ def segment_matmul(x: Tensor, weights: Sequence[Tensor], offsets) -> Tensor:
 def gelu(x: Tensor) -> Tensor:
     """Exact Gaussian-CDF GELU: x * Phi(x). Derivative Phi(x) + x * phi(x)."""
     x = Tensor._coerce(x)
-    cdf = _norm_cdf(x.data)
+    cdf = erf(x.data * _INV_SQRT2)  # then 0.5 * (1 + erf), in place
+    cdf += 1.0
+    cdf *= 0.5
 
     def gfn(g):
-        _accumulate(x, g * (cdf + x.data * _norm_pdf(x.data)))
+        # g * (cdf + x * pdf) with pdf = exp(-0.5 * x * x) / sqrt(2 pi), one
+        # buffer, the same IEEE operations in the same order
+        d = x.data * -0.5
+        d *= x.data
+        np.exp(d, out=d)
+        d *= _INV_SQRT_2PI
+        d *= x.data
+        d += cdf
+        d *= g
+        _accumulate(x, d)
 
     return Tensor(x.data * cdf, _parents=(x,), _grad_fn=gfn)
 

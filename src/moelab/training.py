@@ -3,6 +3,12 @@
 One Trainer owns the parameters, optimizer state, EMA shadow, threshold
 states and RNG; everything it touches round-trips through the checkpoint
 container so a resumed run replays the original trajectory bit for bit.
+
+The optimizer moments and the EMA shadow are arrays the trainer owns and
+updates in place. Parameters are rebound to a new array each step
+(`p.data = p.data - u`), never written in place: graph nodes and callers may
+still hold the previous step's array. Sampling and `Trainer.forward` run
+under `tensor.no_grad()` and build no tape.
 """
 
 from __future__ import annotations
@@ -16,11 +22,11 @@ import numpy as np
 
 from . import losses as losses_mod
 from . import metrics as metrics_mod
-from .denoiser import DenoiserConfig, denoiser_forward, init_denoiser
+from .denoiser import DenoiserConfig, class_labels, denoiser_forward, init_denoiser
 from .diffusion import NoiseSchedule, SyntheticTask, build_schedule
 from .losses import LossWeights, aux_inputs_from_routing
 from .routing import ConfigError, NumericError, StateError, ThresholdState
-from .tensor import Tensor, backward
+from .tensor import Tensor, backward, no_grad
 
 __all__ = [
     "NumericError",
@@ -37,7 +43,12 @@ CHECKPOINT_VERSION = 1
 
 
 class AdamW(object):
-    """AdamW with zero weight decay (constant learning rate)."""
+    """AdamW with zero weight decay (constant learning rate).
+
+    `m` and `v` are updated in place, with the same IEEE operations in the
+    same order as the textbook formulas; `p.grad` is only read and each
+    parameter is rebound to a new array.
+    """
 
     def __init__(self, params: list[Tensor], lr: float = 1e-4, betas=(0.9, 0.999), eps: float = 1e-8):
         self.params = params
@@ -53,17 +64,26 @@ class AdamW(object):
         b1, b2 = self.beta1, self.beta2
         bc1 = 1.0 - b1**self.step_count
         bc2 = 1.0 - b2**self.step_count
-        for i, p in enumerate(self.params):
+        for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
-            self.v[i] = b2 * self.v[i] + (1.0 - b2) * g * g
-            m_hat = self.m[i] / bc1
-            v_hat = self.v[i] / bc2
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            u = np.multiply(g, 1.0 - b1)
+            m *= b1
+            m += u  # m = b1 * m + (1 - b1) * g
+            np.multiply(g, 1.0 - b2, out=u)
+            u *= g
+            v *= b2
+            v += u  # v = b2 * v + (1 - b2) * g * g
+            denom = np.divide(v, bc2)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            np.divide(m, bc1, out=u)
+            u *= self.lr
+            u /= denom  # lr * m_hat / (sqrt(v_hat) + eps)
+            p.data = p.data - u
 
 
 class WeightEma(object):
-    """Shadow copy of the weights, updated as ema <- d*ema + (1-d)*w."""
+    """Shadow copy of the weights, updated in place as ema <- d*ema + (1-d)*w."""
 
     def __init__(self, named: list[tuple[str, Tensor]], decay: float = 0.999):
         self.decay = decay
@@ -72,7 +92,9 @@ class WeightEma(object):
     def update(self, named: list[tuple[str, Tensor]]) -> None:
         d = self.decay
         for name, t in named:
-            self.shadow[name] = d * self.shadow[name] + (1.0 - d) * t.data
+            shadow = self.shadow[name]
+            shadow *= d
+            shadow += (1.0 - d) * t.data
 
 
 @dataclass
@@ -194,8 +216,10 @@ class Trainer(object):
     # ------------------------------------------------------------------
 
     def forward(self, batch, mode: str = "eval"):
-        """Run the denoiser on a batch without touching optimizer state."""
-        return denoiser_forward(batch.x_t, batch.t, batch.c, self.params, mode=mode)
+        """Run the denoiser on a batch without touching optimizer state.
+        Builds no tape: the outputs carry no gradient."""
+        with no_grad():
+            return denoiser_forward(batch.x_t, batch.t, batch.c, self.params, mode=mode)
 
     def sample(
         self,
@@ -208,10 +232,11 @@ class Trainer(object):
 
         Returns generated samples (n, L, D) and, per reverse step, the mean
         active experts per token per layer (plus raw masks on request). A
-        class label outside [0, num_classes) raises ConfigError.
+        class label that is not an integer in [0, num_classes) raises
+        ConfigError. The reverse steps build no tape.
         """
         cfg = self.config.model
-        c = np.broadcast_to(np.asarray(c, dtype=np.int64), (n,)).copy()
+        c = np.broadcast_to(class_labels(c), (n,)).copy()
         bad = c[(c < 0) | (c >= cfg.num_classes)]
         if bad.size:
             raise ConfigError(f"class label {bad[0]} outside [0, {cfg.num_classes})")
@@ -224,33 +249,34 @@ class Trainer(object):
 
         x = rng.normal(size=(n, cfg.tokens, cfg.model_dim))
         allocation_log: list[dict] = []
-        for step_t in range(sched.total_steps, 0, -1):
-            t_vec = np.full(n, step_t, dtype=np.int64)
-            pred, layer_outputs = denoiser_forward(x, t_vec, c, self.params, mode="infer")
-            eps_hat = _to_eps(pred.data, x, step_t, sched, cfg.parameterization)
+        with no_grad():
+            for step_t in range(sched.total_steps, 0, -1):
+                t_vec = np.full(n, step_t, dtype=np.int64)
+                pred, layer_outputs = denoiser_forward(x, t_vec, c, self.params, mode="infer")
+                eps_hat = _to_eps(pred.data, x, step_t, sched, cfg.parameterization)
 
-            ab_t = sched.alpha_bar[step_t]
-            ab_prev = sched.alpha_bar[step_t - 1]
-            alpha_t = ab_t / ab_prev
-            beta_t = 1.0 - alpha_t
-            mean = (x - beta_t / np.sqrt(1.0 - ab_t) * eps_hat) / np.sqrt(alpha_t)
-            if step_t > 1:
-                sigma = np.sqrt(beta_t * (1.0 - ab_prev) / (1.0 - ab_t))
-                x = mean + sigma * rng.normal(size=x.shape)
-            else:
-                x = mean
+                ab_t = sched.alpha_bar[step_t]
+                ab_prev = sched.alpha_bar[step_t - 1]
+                alpha_t = ab_t / ab_prev
+                beta_t = 1.0 - alpha_t
+                mean = (x - beta_t / np.sqrt(1.0 - ab_t) * eps_hat) / np.sqrt(alpha_t)
+                if step_t > 1:
+                    sigma = np.sqrt(beta_t * (1.0 - ab_prev) / (1.0 - ab_t))
+                    x = mean + sigma * rng.normal(size=x.shape)
+                else:
+                    x = mean
 
-            if not np.all(np.isfinite(x)):
-                raise NumericError(f"non-finite sample state at reverse step {step_t}")
-            entry = {
-                "t": step_t,
-                "mean_active_per_layer": [
-                    float(out.route.mask.sum(axis=-1).mean()) for out in layer_outputs
-                ],
-            }
-            if record_masks:
-                entry["masks"] = [out.route.mask for out in layer_outputs]
-            allocation_log.append(entry)
+                if not np.all(np.isfinite(x)):
+                    raise NumericError(f"non-finite sample state at reverse step {step_t}")
+                entry = {
+                    "t": step_t,
+                    "mean_active_per_layer": [
+                        float(out.route.mask.sum(axis=-1).mean()) for out in layer_outputs
+                    ],
+                }
+                if record_masks:
+                    entry["masks"] = [out.route.mask for out in layer_outputs]
+                allocation_log.append(entry)
         return x, allocation_log
 
 
@@ -328,15 +354,22 @@ def load_checkpoint(path, config: TrainerConfig, strict_config: bool = True) -> 
     """Rebuild a Trainer in the exact state it was saved in.
 
     A checkpoint lacking an array entry the config needs, or a metadata
-    field, raises ConfigError naming what is missing.
+    field, raises ConfigError naming what is missing; so does a weight,
+    EMA or optimizer entry whose shape differs from the model's or whose
+    dtype is not float64, since that state is updated in place.
     """
     with np.load(path) as data:
 
-        def entry(key: str) -> np.ndarray:
+        def entry(key: str, like: np.ndarray | None = None) -> np.ndarray:
             try:
-                return data[key]
+                arr = data[key]
             except KeyError:
                 raise ConfigError(f"checkpoint {path} has no entry {key!r}") from None
+            if like is not None and arr.shape != like.shape:
+                raise ConfigError(f"checkpoint {path} entry {key!r} has shape {arr.shape}, the model needs {like.shape}")
+            if like is not None and arr.dtype != like.dtype:
+                raise ConfigError(f"checkpoint {path} entry {key!r} has dtype {arr.dtype}, the model needs {like.dtype}")
+            return arr
 
         meta = json.loads(bytes(entry("meta_json")).decode("utf-8"))
         missing = sorted(_META_KEYS - set(meta))
@@ -356,12 +389,12 @@ def load_checkpoint(path, config: TrainerConfig, strict_config: bool = True) -> 
 
         trainer = Trainer(config)
         for name, t in trainer.params.named_tensors():
-            t.data = entry(f"param/{name}")
-        for name in list(trainer.ema.shadow):
-            trainer.ema.shadow[name] = entry(f"ema/{name}")
-        for i in range(len(trainer.opt.m)):
-            trainer.opt.m[i] = entry(f"opt_m/{i}")
-            trainer.opt.v[i] = entry(f"opt_v/{i}")
+            t.data = entry(f"param/{name}", t.data)
+        for name, shadow in trainer.ema.shadow.items():
+            trainer.ema.shadow[name] = entry(f"ema/{name}", shadow)
+        for i, (m, v) in enumerate(zip(trainer.opt.m, trainer.opt.v)):
+            trainer.opt.m[i] = entry(f"opt_m/{i}", m)
+            trainer.opt.v[i] = entry(f"opt_v/{i}", v)
         trainer.opt.step_count = meta["opt_step"]
         trainer.step_count = meta["step"]
         if len(meta["thresholds"]) != len(trainer.params.blocks):

@@ -178,6 +178,53 @@ def test_metrics_checkpoint_missing_entry_is_config_error(tmp_path, capsys, drop
     assert missing in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key,bad,named",
+    [
+        ("param/in_b", np.zeros(1), "shape (1,), the model needs (8,)"),
+        ("ema/in_w", np.zeros((8, 4)), "shape (8, 4), the model needs (8, 8)"),
+        ("opt_m/0", np.zeros((8, 8), dtype=np.float32), "dtype float32, the model needs float64"),
+        ("opt_v/1", np.zeros(8, dtype=np.int64), "dtype int64, the model needs float64"),
+    ],
+    ids=["param-shape", "ema-shape", "opt_m-float32", "opt_v-int64"],
+)
+def test_metrics_checkpoint_bad_array_is_config_error(tmp_path, capsys, key, bad, named):
+    run = tmp_path / "run"
+    main(["train", "--out", str(run), "--steps", "1", "--seed", "5", *FAST])
+    with np.load(run / "ckpt_final.npz") as data:
+        arrays = {name: data[name] for name in data.files}
+    arrays[key] = bad
+    broken = tmp_path / "broken.npz"
+    np.savez(broken, **arrays)
+    rc = main(["metrics", "--checkpoint", str(broken),
+               "--out", str(tmp_path / "rep"), "--seed", "5", *FAST])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert repr(key) in err and named in err
+
+
+def test_metrics_on_dense_checkpoint_reports_no_routed_layers(tmp_path, capsys, monkeypatch):
+    from dataclasses import replace
+
+    from moelab import cli
+
+    # the CLI has no dense key; build the dense twin through its config hook
+    to_config = cli.trainer_config_from
+
+    def dense_config(cfg):
+        tc = to_config(cfg)
+        return replace(tc, model=replace(tc.model, dense=True))
+
+    monkeypatch.setattr(cli, "trainer_config_from", dense_config)
+    run = tmp_path / "run"
+    assert main(["train", "--out", str(run), "--steps", "2", "--seed", "5", *FAST]) == 0
+    out = tmp_path / "report"
+    rc = main(["metrics", "--checkpoint", str(run / "ckpt_final.npz"), "--out", str(out), "--seed", "5", *FAST])
+    assert rc == 0
+    assert json.loads((out / "metrics.json").read_text()) == {"dense": True, "per_layer": []}
+    assert "no routed layers" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("fault,named", [("momentum", "momentum"), ("missing", "threshold entries")])
 def test_metrics_checkpoint_bad_thresholds_is_config_error(tmp_path, capsys, fault, named):
     run = tmp_path / "run"

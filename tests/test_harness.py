@@ -6,8 +6,17 @@ import pytest
 from moelab.denoiser import DenoiserConfig, denoiser_forward, init_denoiser
 from moelab.diffusion import DiffusionBatch, SyntheticTask, build_schedule, forward_diffuse, make_target
 from moelab.routing import ConfigError, StateError
-from moelab.training import NumericError, Trainer, TrainerConfig, load_checkpoint, save_checkpoint
+from moelab.training import (
+    AdamW,
+    NumericError,
+    Trainer,
+    TrainerConfig,
+    WeightEma,
+    load_checkpoint,
+    save_checkpoint,
+)
 from moelab.losses import LossWeights
+from moelab.tensor import Tensor, no_grad
 
 
 SMALL = DenoiserConfig(
@@ -204,8 +213,99 @@ def test_denoiser_non_finite_router_scores_name_the_block(mode):
         denoiser_forward(x_t, np.array([1, 5, 9]), np.array([0, 1, 2]), params, mode=mode)
 
 
+@pytest.mark.parametrize("mode", ["train", "eval", "infer"])
+def test_denoiser_no_grad_outputs_bit_identical_with_no_tape(mode):
+    x_t = np.random.default_rng(26).normal(size=(3, SMALL.tokens, SMALL.model_dim))
+    t, c = np.array([2, 17, 38]), np.array([0, 1, 2])
+    runs = []
+    for grad in (True, False):
+        params = init_denoiser(SMALL, 27)  # fresh: train mode writes the thresholds
+        for blk in params.blocks:
+            blk.moe.threshold.tau = 0.1
+        if grad:
+            pred, outs = denoiser_forward(x_t, t, c, params, mode=mode)
+        else:
+            with no_grad():
+                pred, outs = denoiser_forward(x_t, t, c, params, mode=mode)
+        runs.append((pred, outs, [blk.moe.threshold.tau for blk in params.blocks]))
+    (pred_g, outs_g, tau_g), (pred_n, outs_n, tau_n) = runs
+    assert pred_g.requires_grad and pred_g._parents
+    assert not pred_n.requires_grad and pred_n._parents == ()
+    assert np.array_equal(pred_g.data, pred_n.data)
+    assert tau_g == tau_n
+    for a, b in zip(outs_g, outs_n):
+        assert np.array_equal(a.route.mask, b.route.mask)
+        assert np.array_equal(a.y.data, b.y.data) and np.array_equal(a.y_hat.data, b.y_hat.data)
+        assert b.y._parents == () and b.logits._parents == ()
+
+
+@pytest.mark.parametrize("c", [[0, 1.5], 1.9, [2, np.nan]])
+def test_denoiser_rejects_fractional_class_labels(c):
+    params = init_denoiser(SMALL, 28)
+    x_t = np.zeros((2, SMALL.tokens, SMALL.model_dim))
+    with pytest.raises(ConfigError, match="is not an integer"):
+        denoiser_forward(x_t, np.array([1, 2]), c, params)
+
+
+def test_denoiser_accepts_integer_valued_float_labels():
+    params = init_denoiser(SMALL, 28)
+    x_t = np.random.default_rng(29).normal(size=(2, SMALL.tokens, SMALL.model_dim))
+    pred_int, _ = denoiser_forward(x_t, np.array([1, 2]), np.array([0, 2]), params, mode="eval")
+    pred_float, _ = denoiser_forward(x_t, np.array([1, 2]), np.array([0.0, 2.0]), params, mode="eval")
+    assert np.array_equal(pred_int.data, pred_float.data)
+
+
 # ----------------------------------------------------------------------
 # trainer
+
+
+def _random_params(rng):
+    return [Tensor(rng.normal(size=shape), requires_grad=True) for shape in [(4, 3), (5,), (2, 3, 2)]]
+
+
+def test_adamw_in_place_matches_allocating_formulas():
+    rng = np.random.default_rng(40)
+    params = _random_params(rng)
+    opt = AdamW(params, lr=1e-2)
+    ref_p = [p.data.copy() for p in params]
+    ref_m = [np.zeros_like(p.data) for p in params]
+    ref_v = [np.zeros_like(p.data) for p in params]
+    b1, b2, eps = opt.beta1, opt.beta2, opt.eps
+    for step in range(1, 6):
+        grads = [rng.normal(size=p.shape) for p in params]
+        for p, g in zip(params, grads):
+            p.grad = g
+        grad_copies = [g.copy() for g in grads]
+        old_data = [p.data for p in params]
+        old_copies = [d.copy() for d in old_data]
+        opt.step()
+        bc1, bc2 = 1.0 - b1**step, 1.0 - b2**step
+        for i, g in enumerate(grad_copies):
+            ref_m[i] = b1 * ref_m[i] + (1.0 - b1) * g
+            ref_v[i] = b2 * ref_v[i] + (1.0 - b2) * g * g
+            ref_p[i] = ref_p[i] - opt.lr * (ref_m[i] / bc1) / (np.sqrt(ref_v[i] / bc2) + eps)
+        for i, p in enumerate(params):
+            assert np.array_equal(opt.m[i], ref_m[i]) and np.array_equal(opt.v[i], ref_v[i])
+            assert np.array_equal(p.data, ref_p[i])
+            assert p.data is not old_data[i]  # rebound, not written
+            assert np.array_equal(old_data[i], old_copies[i])
+            assert p.grad is grads[i] and np.array_equal(grads[i], grad_copies[i])
+
+
+def test_weight_ema_in_place_matches_allocating_formula():
+    rng = np.random.default_rng(42)
+    named = [(f"w{i}", p) for i, p in enumerate(_random_params(rng))]
+    ema = WeightEma(named, decay=0.9)
+    ref = {name: p.data.copy() for name, p in named}
+    for _ in range(5):
+        for _, p in named:
+            p.data = p.data + rng.normal(size=p.shape)
+        data_copies = [p.data.copy() for _, p in named]
+        ema.update(named)
+        for (name, p), data in zip(named, data_copies):
+            ref[name] = 0.9 * ref[name] + (1.0 - 0.9) * data
+            assert np.array_equal(ema.shadow[name], ref[name])
+            assert np.array_equal(p.data, data)
 
 
 def test_zero_learning_rate_keeps_params_bit_exact():
@@ -298,6 +398,22 @@ def test_sampling_rejects_class_label_out_of_range(c):
     trainer.train_step()
     with pytest.raises(ConfigError, match=r"class label -?\d+ outside \[0, 3\)"):
         trainer.sample(2, c)
+
+
+@pytest.mark.parametrize("c", [1.9, [0, 0.5], np.nan])
+def test_sampling_rejects_fractional_class_labels(c):
+    trainer = small_trainer(seed=5)
+    trainer.train_step()
+    with pytest.raises(ConfigError, match="is not an integer"):
+        trainer.sample(2, c)
+
+
+def test_sampling_integer_valued_float_label_is_that_class():
+    trainer = small_trainer(seed=5)
+    trainer.train_step()
+    x_int, _ = trainer.sample(2, 1, rng=np.random.default_rng(3))
+    x_float, _ = trainer.sample(2, 1.0, rng=np.random.default_rng(3))
+    assert np.array_equal(x_int, x_float)
 
 
 def test_sampling_smoke_and_determinism():

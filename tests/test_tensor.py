@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from moelab import tensor as tensor_mod
 from moelab.tensor import (
@@ -12,6 +13,7 @@ from moelab.tensor import (
     finite_difference_grad,
     gelu,
     matmul,
+    no_grad,
     sigmoid,
     scatter_rows,
     segment_matmul,
@@ -334,3 +336,70 @@ def test_division_backward():
     backward((a / b).sum())
     assert np.allclose(a.grad, [0.5, 1.0 / 3.0])
     assert np.allclose(b.grad, [-1.0, -1.0])
+
+
+# ----------------------------------------------------------------------
+# the lean tape: no gradient copies it does not need, no tape under no_grad
+
+
+def test_accumulate_stores_fresh_c_contiguous_gradient_by_identity():
+    t = Tensor(np.zeros((3, 4)), requires_grad=True)
+    g = np.arange(12.0).reshape(3, 4)
+    tensor_mod._accumulate(t, g)
+    assert t.grad is g
+    # a second contribution rebinds, so the first array is never written
+    tensor_mod._accumulate(t, np.ones((3, 4)))
+    assert np.array_equal(g, np.arange(12.0).reshape(3, 4))
+    assert np.array_equal(t.grad, g + 1.0)
+
+
+@pytest.mark.parametrize(
+    "view",
+    [np.arange(12.0).reshape(4, 3).T, np.broadcast_to(np.arange(4.0), (3, 4)), np.arange(24.0).reshape(3, 8)[:, ::2]],
+    ids=["transposed", "broadcast", "strided"],
+)
+def test_accumulate_copies_a_view_into_c_order(view):
+    t = Tensor(np.zeros((3, 4)), requires_grad=True)
+    tensor_mod._accumulate(t, view)
+    assert t.grad is not view and t.grad.flags.c_contiguous and t.grad.flags.owndata
+    assert np.array_equal(t.grad, view)
+
+
+def test_gelu_bit_identical_to_textbook_expressions():
+    rng = np.random.default_rng(41)
+    x = np.concatenate([rng.normal(size=500), rng.normal(scale=12.0, size=200), [0.0, -40.0, 40.0, -1e3, 1e3]])
+    g = rng.normal(size=x.shape)
+    xt = Tensor(x, requires_grad=True)
+    out = gelu(xt)
+    backward((out * Tensor(g)).sum())
+    inv_sqrt2, inv_sqrt_2pi = 1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0 * np.pi)
+    cdf = 0.5 * (1.0 + erf(x * inv_sqrt2))
+    assert np.array_equal(out.data, x * cdf)
+    assert np.array_equal(xt.grad, g * (cdf + x * (inv_sqrt_2pi * np.exp(-0.5 * x * x))))
+
+
+def test_no_grad_records_no_tape():
+    w = Tensor(np.ones((3, 3)), requires_grad=True)
+    x = Tensor(np.arange(6.0).reshape(2, 3))
+    with no_grad():
+        leaf = Tensor(np.ones(3), requires_grad=True)
+        outs = [matmul(x, w), gelu(x @ w) + leaf, softmax(x @ w).sum(), take_rows(w, [0, 2]).square()]
+    assert leaf.requires_grad
+    for out in outs:
+        assert out._parents == () and out._grad_fn is None and not out.requires_grad
+    grad_mode = matmul(x, w)
+    assert grad_mode.requires_grad and grad_mode._parents == (x, w)
+    assert np.array_equal(outs[0].data, grad_mode.data)
+
+
+def test_no_grad_nests_and_restores_after_an_exception():
+    w = Tensor(np.ones((2, 2)), requires_grad=True)
+    with no_grad():
+        with no_grad():
+            assert not (w * 2.0).requires_grad
+        assert not (w * 2.0).requires_grad
+    assert (w * 2.0).requires_grad
+    with pytest.raises(RuntimeError):
+        with no_grad():
+            raise RuntimeError("inside")
+    assert (w * 2.0).requires_grad
