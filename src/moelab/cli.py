@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -53,14 +52,6 @@ _CONFIG_DEFAULTS = {
     "checkpoint_every": 100,
 }
 
-_INT_KEYS = {
-    "schema_version", "k", "experts", "batch_size", "tokens", "model_dim", "layers",
-    "dense_hidden", "total_steps", "num_classes", "seed", "steps",
-    "checkpoint_every",
-}
-_FLOAT_KEYS = {"lr", "ema_decay", "w_plr", "w_sim", "w_blc"}
-
-
 def parse_config_file(path: Path) -> dict:
     """Flat `key = value` lines; '#' starts a comment."""
     values: dict = {}
@@ -82,17 +73,27 @@ def resolve_config(args: argparse.Namespace) -> dict:
     cfg = dict(_CONFIG_DEFAULTS)
     if args.config:
         cfg.update(parse_config_file(Path(args.config)))
-    for key in _CONFIG_DEFAULTS:
+    for key, default in _CONFIG_DEFAULTS.items():
         flag = getattr(args, key, None)
-        if flag is not None:
-            cfg[key] = flag
-    for key in _INT_KEYS:
-        cfg[key] = int(cfg[key])
-    for key in _FLOAT_KEYS:
-        cfg[key] = float(cfg[key])
-    cfg["strategy"] = routing.get_strategy(str(cfg["strategy"])).name
+        value = cfg[key] if flag is None else flag
+        try:  # every key takes its default's type
+            cfg[key] = type(default)(value)
+        except ValueError:
+            raise ConfigError(f"config key {key!r} must be {type(default).__name__}, got {value!r}") from None
     if int(cfg["schema_version"]) != CONFIG_SCHEMA_VERSION:
         raise ConfigError(f"config schema_version {cfg['schema_version']} != {CONFIG_SCHEMA_VERSION}")
+    return validate_config(cfg)
+
+
+def validate_config(cfg: dict) -> dict:
+    """Canonical strategy name, a known gating, loss weights >= 0 and an
+    integral selection budget, checked before a command writes anything."""
+    strategy = routing.get_strategy(cfg["strategy"])
+    cfg["strategy"] = strategy.name
+    if cfg["gating"] not in routing.GATING_FUNCTIONS:
+        raise ConfigError(f"unknown gating {cfg['gating']!r}; choose from {sorted(routing.GATING_FUNCTIONS)}")
+    LossWeights(plr=cfg["w_plr"], sim=cfg["w_sim"], blc=cfg["w_blc"])
+    routing.effective_k(strategy, cfg["batch_size"], cfg["tokens"], cfg["experts"], cfg["k"])
     return cfg
 
 
@@ -101,7 +102,7 @@ def write_config_snapshot(cfg: dict, out_dir: Path) -> None:
     (out_dir / "config.snapshot").write_text("\n".join(lines) + "\n")
 
 
-def trainer_config_from(cfg: dict, **overrides) -> TrainerConfig:
+def trainer_config_from(cfg: dict) -> TrainerConfig:
     model = DenoiserConfig(
         layers=cfg["layers"],
         model_dim=cfg["model_dim"],
@@ -116,7 +117,7 @@ def trainer_config_from(cfg: dict, **overrides) -> TrainerConfig:
         total_steps=cfg["total_steps"],
         schedule=cfg["schedule"],
     )
-    tc = TrainerConfig(
+    return TrainerConfig(
         model=model,
         batch_size=cfg["batch_size"],
         lr=cfg["lr"],
@@ -124,14 +125,6 @@ def trainer_config_from(cfg: dict, **overrides) -> TrainerConfig:
         weights=LossWeights(plr=cfg["w_plr"], sim=cfg["w_sim"], blc=cfg["w_blc"]),
         seed=cfg["seed"],
     )
-    if overrides:
-        tc = replace(tc, **overrides)
-    return tc
-
-
-def validate_selection_size(cfg: dict) -> None:
-    strategy = routing.get_strategy(cfg["strategy"])
-    routing.effective_k(strategy, cfg["batch_size"], cfg["tokens"], cfg["experts"], cfg["k"])
 
 
 # ----------------------------------------------------------------------
@@ -140,46 +133,38 @@ def validate_selection_size(cfg: dict) -> None:
 
 def cmd_route_sim(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
-    out_dir = Path(cfg_out(args))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_config_snapshot(cfg, out_dir)
-
+    if args.draws < 1:
+        raise ConfigError(f"--draws must be >= 1, got {args.draws}")
     wanted = args.strategies.split(",") if args.strategies else list(routing.STRATEGIES)
     strategies = [routing.get_strategy(s) for s in wanted]
     B, L, E, k = cfg["batch_size"], cfg["tokens"], cfg["experts"], cfg["k"]
     budgets = {s.name: routing.effective_k(s, B, L, E, k) for s in strategies}
+    out_dir = make_out_dir(args)
+    write_config_snapshot(cfg, out_dir)
     rng = np.random.default_rng(cfg["seed"])
-    n_draws = args.draws
 
-    per_strategy = {s.name: {"objective": [], "max_vio": [], "comb": []} for s in strategies}
-    race_obj = []
-    for _ in range(n_draws):
+    objectives = {s.name: [] for s in strategies}
+    reports = {s.name: [] for s in strategies}  # one report record per draw
+    for _ in range(args.draws):
         scores = rng.normal(size=(B, L, E))
-        draw_objs = {}
         for strat in strategies:
             view = routing.reshape_scores(scores, strat)
             mask2d = routing.topk_mask(view, budgets[strat.name])
-            obj = metrics_mod.routing_objective(view, mask2d)
+            objectives[strat.name].append(metrics_mod.routing_objective(view, mask2d))
             mask = routing.scatter_mask(mask2d, strat, (B, L, E))
-            per_strategy[strat.name]["objective"].append(obj)
-            per_strategy[strat.name]["max_vio"].append(metrics_mod.max_violation(mask, k))
-            per_strategy[strat.name]["comb"].append(metrics_mod.combination_usage(mask).ratio)
-            draw_objs[strat.name] = obj
-        race_obj.append(draw_objs.get("expert-race"))
+            reports[strat.name].append(metrics_mod.routing_report([mask], k)[0])
 
+    race = objectives.get("expert-race")
     csv_path = out_dir / "route_sim.csv"
     with csv_path.open("w") as fh:
         fh.write("strategy,objective,gap_vs_expert_race,max_vio,comb_usage\n")
         for strat in strategies:
-            stats = per_strategy[strat.name]
-            mean_obj = float(np.mean(stats["objective"]))
-            if race_obj[0] is not None:
-                gap = float(np.mean(np.array(race_obj) - np.array(stats["objective"])))
-            else:
-                gap = float("nan")
+            objs = objectives[strat.name]
+            gap = float("nan") if race is None else float(np.mean(np.array(race) - np.array(objs)))
             fh.write(
-                f"{strat.name},{mean_obj:.10g},{gap:.10g},"
-                f"{np.mean(stats['max_vio']):.10g},{np.mean(stats['comb']):.10g}\n"
+                f"{strat.name},{float(np.mean(objs)):.10g},{gap:.10g},"
+                f"{metrics_mod.report_mean(reports[strat.name], 'max_vio'):.10g},"
+                f"{metrics_mod.report_mean(reports[strat.name], 'comb_usage'):.10g}\n"
             )
     print(f"wrote {csv_path}")
     return 0
@@ -191,9 +176,7 @@ def cmd_route_sim(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
-    validate_selection_size(cfg)
-    out_dir = Path(cfg_out(args))
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = make_out_dir(args)
     write_config_snapshot(cfg, out_dir)
 
     tconfig = trainer_config_from(cfg)
@@ -234,58 +217,39 @@ def cmd_train(args: argparse.Namespace) -> int:
 # metrics
 
 
-def _checkpoint_metrics(trainer: Trainer, eval_batches: int = 4) -> dict:
-    """MaxVio / combination usage / allocation per layer on held-out batches.
-    A dense model has no routed layers: {"dense": true, "per_layer": []}."""
+def _heldout_masks(trainer: Trainer, batches: int, mode: str) -> tuple[list[np.ndarray], np.ndarray]:
+    """Per-layer (N, L, E) routing masks and the (N,) timesteps on `batches`
+    held-out batches, drawn from seed + 4242 so every checkpoint and arm of
+    a config sees the same data."""
     cfg = trainer.config
-    if cfg.model.dense:
-        return {"dense": True, "per_layer": []}
     rng = np.random.default_rng(cfg.seed + 4242)
-    per_layer: list[dict] = []
-    masks_per_layer = None
-    timesteps = []
-    thresholds_ready = all(
-        blk.moe is not None and blk.moe.threshold.initialized for blk in trainer.params.blocks
-    )
-    if not thresholds_ready:
-        raise StateError("checkpoint has uninitialized thresholds; train first")
-
-    for _ in range(eval_batches):
+    masks, timesteps = [], []
+    for _ in range(batches):
         batch = trainer.task.sample_batch(rng, cfg.batch_size, trainer.schedule, cfg.model.parameterization)
-        _, layer_outputs = trainer.forward(batch, mode="infer")
-        if masks_per_layer is None:
-            masks_per_layer = [[] for _ in layer_outputs]
-        for i, out in enumerate(layer_outputs):
-            masks_per_layer[i].append(out.route.mask)
+        _, layer_outputs = trainer.forward(batch, mode=mode)
+        masks.append([out.route.mask for out in layer_outputs])
         timesteps.append(batch.t)
+    return [np.concatenate(layer, axis=0) for layer in zip(*masks)], np.concatenate(timesteps)
 
-    t_all = np.concatenate(timesteps)
-    for i, mask_list in enumerate(masks_per_layer):
-        masks = np.concatenate(mask_list, axis=0)
-        if masks.shape[-1] < 2:  # single expert: no pairs exist
-            comb_ratio, comb_no_pairs = 0.0, True
-        else:
-            usage = metrics_mod.combination_usage(masks)
-            comb_ratio, comb_no_pairs = usage.ratio, usage.no_pairs
-        profile = metrics_mod.allocation_profile(masks, t_all, trainer.schedule.total_steps)
-        per_layer.append(
-            {
-                "layer": i,
-                "max_vio": metrics_mod.max_violation(masks, cfg.model.k),
-                "comb_usage": comb_ratio,
-                "comb_no_pairs": comb_no_pairs,
-                "mean_active": float(masks.sum(axis=-1).mean()),
-                "allocation_bucket_variance": profile.bucket_variance,
-                "tau": trainer.params.blocks[i].moe.threshold.tau,
-            }
-        )
+
+def _checkpoint_metrics(trainer: Trainer, eval_batches: int = 4) -> dict:
+    """The routing report per layer, with its tau, on held-out batches routed
+    in infer mode. A dense model has no routed layers:
+    {"dense": true, "per_layer": []}."""
+    if trainer.config.model.dense:
+        return {"dense": True, "per_layer": []}
+    blocks = trainer.params.blocks
+    if not all(blk.moe is not None and blk.moe.threshold.initialized for blk in blocks):
+        raise StateError("checkpoint has uninitialized thresholds; train first")
+    masks, t = _heldout_masks(trainer, eval_batches, "infer")
+    report = metrics_mod.routing_report(masks, trainer.config.model.k, t, trainer.schedule.total_steps)
+    per_layer = [{"layer": i, **rec, "tau": blocks[i].moe.threshold.tau} for i, rec in enumerate(report)]
     return {"per_layer": per_layer}
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
-    out_dir = Path(cfg_out(args))
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = make_out_dir(args)
     trainer = load_checkpoint(args.checkpoint, trainer_config_from(cfg))
     report = _checkpoint_metrics(trainer)
     path = out_dir / "metrics.json"
@@ -300,55 +264,60 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 # ablate
 
 
-def cmd_ablate(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
-    out_dir = Path(cfg_out(args))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_config_snapshot(cfg, out_dir)
-
-    arms = [arm.strip() for arm in args.arms.split(";") if arm.strip()]
+def _parse_arms(spec: str, cfg: dict) -> list[tuple[str, dict]]:
+    """Each 'strategy:gating[:w_sim[:w_blc]]' arm with its full config, all
+    validated before the first arm trains."""
+    arms = []
+    for arm in (a.strip() for a in spec.split(";")):
+        if not arm:
+            continue
+        parts = arm.split(":")
+        if not 2 <= len(parts) <= 4:
+            raise ConfigError(f"arm {arm!r} must be strategy:gating[:w_sim[:w_blc]]")
+        try:
+            weights = [float(w) for w in parts[2:]]
+        except ValueError:
+            raise ConfigError(f"arm {arm!r}: w_sim and w_blc must be numbers") from None
+        w_sim, w_blc = weights + [cfg["w_sim"], cfg["w_blc"]][len(weights):]
+        arm_cfg = dict(cfg, strategy=parts[0], gating=parts[1], w_sim=w_sim, w_blc=w_blc)
+        arms.append((arm, validate_config(arm_cfg)))
     if not arms:
         raise ConfigError("ablate needs --arms 'strategy:gating[:w_sim[:w_blc]];...'")
+    return arms
+
+
+def cmd_ablate(args: argparse.Namespace) -> int:
+    """One row per arm: final losses and the layer mean of the routing report
+    on one held-out batch routed in eval mode."""
+    cfg = resolve_config(args)
+    arms = _parse_arms(args.arms, cfg)
+    out_dir = make_out_dir(args)
+    write_config_snapshot(cfg, out_dir)
 
     csv_path = out_dir / "ablate.csv"
     with csv_path.open("w") as fh:
         fh.write("arm,strategy,gating,w_sim,w_blc,final_total,final_diffusion,max_vio,comb_usage,alloc_variance\n")
-        for arm in arms:
-            parts = arm.split(":")
-            if len(parts) < 2:
-                raise ConfigError(f"arm {arm!r} must be strategy:gating[:w_sim[:w_blc]]")
-            strat, gating = parts[0], parts[1]
-            w_sim = float(parts[2]) if len(parts) > 2 else cfg["w_sim"]
-            w_blc = float(parts[3]) if len(parts) > 3 else cfg["w_blc"]
-            arm_cfg = dict(cfg, strategy=routing.get_strategy(strat).name, gating=gating,
-                           w_sim=w_sim, w_blc=w_blc)
-            validate_selection_size(arm_cfg)
+        for arm, arm_cfg in arms:
             trainer = Trainer(trainer_config_from(arm_cfg))
             last = None
             for _ in range(cfg["steps"]):
                 last = trainer.train_step()
-            rng = np.random.default_rng(cfg["seed"] + 4242)
-            batch = trainer.task.sample_batch(rng, cfg["batch_size"], trainer.schedule,
-                                              arm_cfg["parameterization"])
-            _, layer_outputs = trainer.forward(batch, mode="eval")
-            masks = np.concatenate([out.route.mask for out in layer_outputs], axis=0)
-            t_rep = np.tile(batch.t, len(layer_outputs))
-            profile = metrics_mod.allocation_profile(masks, t_rep, trainer.schedule.total_steps)
-            fh.write(
-                f"{arm},{arm_cfg['strategy']},{gating},{w_sim:.10g},{w_blc:.10g},"
-                f"{last.total:.10g},{last.diffusion:.10g},"
-                f"{metrics_mod.max_violation(masks, cfg['k']):.10g},"
-                f"{metrics_mod.combination_usage(masks).ratio:.10g},"
-                f"{profile.bucket_variance:.10g}\n"
-            )
+            masks, t = _heldout_masks(trainer, 1, "eval")
+            report = metrics_mod.routing_report(masks, cfg["k"], t, trainer.schedule.total_steps)
+            numbers = [arm_cfg["w_sim"], arm_cfg["w_blc"], last.total, last.diffusion] + [
+                metrics_mod.report_mean(report, key) for key in ("max_vio", "comb_usage", "allocation_bucket_variance")
+            ]
+            fh.write(",".join([arm, arm_cfg["strategy"], arm_cfg["gating"]] + [f"{x:.10g}" for x in numbers]) + "\n")
     print(f"wrote {csv_path}")
     return 0
 
 
-def cfg_out(args: argparse.Namespace) -> str:
+def make_out_dir(args: argparse.Namespace) -> Path:
     if not args.out:
         raise ConfigError("--out is required")
-    return args.out
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
 
 
 # ----------------------------------------------------------------------

@@ -4,6 +4,9 @@ Everything here is pure and operates on detached masks and scores:
 the selection objective (sum of selected scores in the strategy view),
 the worst-expert overload ratio, the pairwise combination-usage ratio,
 and experts-per-token profiles bucketed by diffusion timestep.
+
+`routing_report` turns per-layer masks into the one set of records that the
+train log, `metrics`, `ablate` and `route-sim` all write from.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ __all__ = [
     "pair_counts",
     "AllocationProfile",
     "allocation_profile",
+    "routing_report",
+    "report_mean",
 ]
 
 
@@ -71,8 +76,6 @@ class CombinationUsage:
     """ratio = fraction of expert pairs carrying the bulk of co-selections."""
 
     ratio: float
-    total_pairs: int
-    active_pairs: int
     no_pairs: bool  # no token activated >= 2 experts
 
 
@@ -88,16 +91,11 @@ def combination_usage(mask: np.ndarray, cutoff: float = 0.95) -> CombinationUsag
     n_bins = counts.size
     total = counts.sum()
     if total == 0:
-        return CombinationUsage(ratio=0.0, total_pairs=n_bins, active_pairs=0, no_pairs=True)
+        return CombinationUsage(ratio=0.0, no_pairs=True)
     ordered = np.sort(counts)[::-1] / total
     cum = np.cumsum(ordered)
     active = int((cum < cutoff).sum())
-    return CombinationUsage(
-        ratio=active / n_bins,
-        total_pairs=n_bins,
-        active_pairs=active,
-        no_pairs=False,
-    )
+    return CombinationUsage(ratio=active / n_bins, no_pairs=False)
 
 
 @dataclass
@@ -161,3 +159,39 @@ def allocation_profile(
     nonzero = counts > 0
     means[nonzero] = sums[nonzero] / counts[nonzero]
     return AllocationProfile(edges=edges, means=means, counts=counts)
+
+
+def routing_report(
+    masks: list[np.ndarray],
+    k: int,
+    t: np.ndarray | None = None,
+    t_max: int | None = None,
+) -> list[dict]:
+    """One record per layer from its (N, L, E) routing mask: max_vio,
+    comb_usage, comb_no_pairs, mean_active (experts per token) and, given
+    the samples' (N,) timesteps t and the schedule length t_max,
+    allocation_bucket_variance. A single expert has no pairs: comb_usage
+    0.0 with comb_no_pairs true.
+    """
+    if t is not None and t_max is None:
+        raise ConfigError("allocation by timestep needs t_max")
+    records = []
+    for mask in masks:
+        E = mask.shape[-1]
+        usage = combination_usage(mask) if E >= 2 else CombinationUsage(ratio=0.0, no_pairs=True)
+        record = {
+            "max_vio": max_violation(mask, k),
+            "comb_usage": usage.ratio,
+            "comb_no_pairs": usage.no_pairs,
+            # 0/1 selections sum exactly: equals mask.sum(-1).mean() bit for bit
+            "mean_active": float(mask.sum() / (mask.size // E)),
+        }
+        if t is not None:
+            record["allocation_bucket_variance"] = allocation_profile(mask, t, t_max).bucket_variance
+        records.append(record)
+    return records
+
+
+def report_mean(records: list[dict], key: str) -> float:
+    """Mean of one report field over records (layers, or draws); NaN for none."""
+    return float(np.mean([r[key] for r in records])) if records else float("nan")

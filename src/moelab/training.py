@@ -189,18 +189,7 @@ class Trainer(object):
         self.ema.update(self.params.named_tensors())
         self.step_count += 1
 
-        max_vio = comb = mean_active = float("nan")
-        if layer_outputs:
-            vios, combs, actives = [], [], []
-            for out in layer_outputs:
-                vios.append(metrics_mod.max_violation(out.route.mask, cfg.model.k))
-                if cfg.model.num_experts >= 2:
-                    combs.append(metrics_mod.combination_usage(out.route.mask).ratio)
-                actives.append(float(out.route.mask.sum(axis=-1).mean()))
-            max_vio = float(np.mean(vios))
-            comb = float(np.mean(combs)) if combs else 0.0
-            mean_active = float(np.mean(actives))
-
+        report = metrics_mod.routing_report([out.route.mask for out in layer_outputs], cfg.model.k)
         return LogRecord(
             step=self.step_count,
             diffusion=breakdown["diffusion"],
@@ -208,9 +197,9 @@ class Trainer(object):
             sim=breakdown["sim"],
             blc=breakdown["blc"],
             total=breakdown["total"],
-            max_vio=max_vio,
-            comb_usage=comb,
-            mean_active=mean_active,
+            max_vio=metrics_mod.report_mean(report, "max_vio"),
+            comb_usage=metrics_mod.report_mean(report, "comb_usage"),
+            mean_active=metrics_mod.report_mean(report, "mean_active"),
         )
 
     # ------------------------------------------------------------------
@@ -232,11 +221,15 @@ class Trainer(object):
 
         Returns generated samples (n, L, D) and, per reverse step, the mean
         active experts per token per layer (plus raw masks on request). A
-        class label that is not an integer in [0, num_classes) raises
-        ConfigError. The reverse steps build no tape.
+        class label that is not an integer in [0, num_classes), or a label
+        list whose length is neither 1 nor n, raises ConfigError. The
+        reverse steps build no tape.
         """
         cfg = self.config.model
-        c = np.broadcast_to(class_labels(c), (n,)).copy()
+        labels = class_labels(c)
+        if labels.ndim > 1 or labels.size not in (1, n):
+            raise ConfigError(f"{labels.size} class labels for {n} samples; give 1 or {n}")
+        c = np.broadcast_to(labels, (n,)).copy()
         bad = c[(c < 0) | (c >= cfg.num_classes)]
         if bad.size:
             raise ConfigError(f"class label {bad[0]} outside [0, {cfg.num_classes})")

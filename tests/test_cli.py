@@ -358,3 +358,103 @@ def test_config_file_rejects_unknown_key(tmp_path):
 
 def test_missing_out_is_config_error():
     assert main(["route-sim", "--draws", "1"]) == 2
+
+
+ONE_EXPERT = ["--batch-size", "4", "--tokens", "4", "--model-dim", "8",
+              "--layers", "2", "--experts", "1", "--k", "1"]
+
+
+def test_route_sim_single_expert_reports_zero_comb_usage(tmp_path):
+    out = tmp_path / "sim"
+    rc = main(["route-sim", "--out", str(out), "--seed", "1", "--draws", "3", *ONE_EXPERT])
+    assert rc == 0
+    rows = read_csv(out / "route_sim.csv")
+    assert len(rows) == 6
+    assert all(float(r["comb_usage"]) == 0.0 and float(r["max_vio"]) == 0.0 for r in rows)
+
+
+def test_ablate_single_expert_reports_zero_comb_usage(tmp_path):
+    out = tmp_path / "ablate"
+    rc = main(["ablate", "--out", str(out), "--seed", "1", "--steps", "2",
+               "--arms", "expert-race:identity;token-choice:softmax", *ONE_EXPERT])
+    assert rc == 0
+    rows = read_csv(out / "ablate.csv")
+    assert [float(r["comb_usage"]) for r in rows] == [0.0, 0.0]
+
+
+def test_ablate_columns_are_layer_means_of_the_routing_report(tmp_path):
+    from moelab import cli, metrics
+
+    args = ["--seed", "4", "--steps", "3", "--batch-size", "4", "--tokens", "4", "--model-dim", "8",
+            "--layers", "3", "--experts", "4", "--k", "2"]
+    out = tmp_path / "ablate"
+    assert main(["ablate", "--out", str(out), "--arms", "bl-choice:softmax", *args]) == 0
+    row = read_csv(out / "ablate.csv")[0]
+
+    # the same arm, trained and routed again by hand on the held-out batch
+    cfg = cli.resolve_config(cli.build_parser().parse_args(
+        ["train", "--strategy", "bl-choice", "--gating", "softmax", *args]))
+    trainer = cli.Trainer(cli.trainer_config_from(cfg))
+    for _ in range(cfg["steps"]):
+        trainer.train_step()
+    batch = trainer.task.sample_batch(np.random.default_rng(cfg["seed"] + 4242), cfg["batch_size"],
+                                      trainer.schedule, cfg["parameterization"])
+    _, layer_outputs = trainer.forward(batch, mode="eval")
+    report = metrics.routing_report([out.route.mask for out in layer_outputs], cfg["k"],
+                                    batch.t, trainer.schedule.total_steps)
+    assert len(report) == 3
+    for column, key in [("max_vio", "max_vio"), ("comb_usage", "comb_usage"),
+                        ("alloc_variance", "allocation_bucket_variance")]:
+        assert row[column] == f"{np.mean([r[key] for r in report]):.10g}"
+
+
+def test_route_sim_rejects_fewer_than_one_draw(tmp_path, capsys):
+    out = tmp_path / "sim"
+    rc = main(["route-sim", "--out", str(out), "--draws", "0"])
+    assert rc == 2
+    assert "--draws" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "arms,named",
+    [
+        ("expert-race:identity;expert-race:sigmod", "unknown gating 'sigmod'"),
+        ("expert-race:identity;expert-rice:identity", "expert-rice"),
+        ("expert-race:identity;expert-race:identity:-1", "loss weights must be >= 0"),
+        ("expert-race:identity;expert-race:identity:0:x", "must be numbers"),
+        ("expert-race:identity;expert-race", "strategy:gating"),
+        ("expert-race:identity;expert-choice:identity", "E must divide"),
+    ],
+    ids=["gating", "strategy", "w_sim", "w_blc", "shape", "budget"],
+)
+def test_ablate_validates_every_arm_before_training(tmp_path, capsys, monkeypatch, arms, named):
+    from moelab import cli
+
+    trained = []
+    monkeypatch.setattr(cli.Trainer, "train_step", lambda self: trained.append(1))
+    out = tmp_path / "ablate"
+    rc = main(["ablate", "--out", str(out), "--seed", "1", "--steps", "2", "--arms", arms,
+               "--batch-size", "2", "--tokens", "3", "--model-dim", "8", "--layers", "1",
+               "--experts", "4", "--k", "1"])
+    assert rc == 2
+    assert named in capsys.readouterr().err
+    assert trained == [] and not (out / "ablate.csv").exists()
+
+
+def test_train_rejects_unknown_gating_before_writing(tmp_path, capsys):
+    out = tmp_path / "run"
+    rc = main(["train", "--out", str(out), "--steps", "1", "--gating", "sigmod", *FAST])
+    assert rc == 2
+    assert "unknown gating 'sigmod'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_file_value_of_wrong_type_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("k = two\n")
+    out = tmp_path / "o"
+    rc = main(["train", "--config", str(cfg), "--out", str(out), "--steps", "1"])
+    assert rc == 2
+    assert "'k' must be int, got 'two'" in capsys.readouterr().err
+    assert not out.exists()

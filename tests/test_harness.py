@@ -408,6 +408,18 @@ def test_sampling_rejects_fractional_class_labels(c):
         trainer.sample(2, c)
 
 
+@pytest.mark.parametrize(
+    "c,sizes",
+    [([0, 1, 2], "3 class labels for 2 samples"), ([[0], [1]], "2 class labels for 2 samples")],
+    ids=["three-for-two", "two-dimensional"],
+)
+def test_sampling_rejects_label_list_of_wrong_length(c, sizes):
+    trainer = small_trainer(seed=5)
+    trainer.train_step()
+    with pytest.raises(ConfigError, match=sizes):
+        trainer.sample(2, c)
+
+
 def test_sampling_integer_valued_float_label_is_that_class():
     trainer = small_trainer(seed=5)
     trainer.train_step()

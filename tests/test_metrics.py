@@ -10,7 +10,9 @@ from moelab.metrics import (
     combination_usage,
     max_violation,
     pair_counts,
+    report_mean,
     routing_objective,
+    routing_report,
 )
 from moelab.routing import (
     ConfigError,
@@ -19,6 +21,7 @@ from moelab.routing import (
     reshape_scores,
     route,
     row_budgets,
+    scatter_mask,
     topk_mask_budgets,
 )
 from moelab.tensor import Tensor
@@ -225,3 +228,70 @@ def test_allocation_profile_empty_bucket_is_missing():
     assert np.isnan(profile.means[5])
     assert profile.counts[5] == 0
     assert profile.means[0] == 3.0
+
+
+# ----------------------------------------------------------------------
+# routing report
+
+
+def _legacy_layer_record(mask, k, t, t_max):
+    """A layer's metrics as `moelab metrics` computed them inline before the
+    report existed; the parity oracle."""
+    if mask.shape[-1] < 2:  # single expert: no pairs exist
+        comb_ratio, comb_no_pairs = 0.0, True
+    else:
+        usage = combination_usage(mask)
+        comb_ratio, comb_no_pairs = usage.ratio, usage.no_pairs
+    return {
+        "max_vio": max_violation(mask, k),
+        "comb_usage": comb_ratio,
+        "comb_no_pairs": comb_no_pairs,
+        "mean_active": float(mask.sum(axis=-1).mean()),
+        "allocation_bucket_variance": allocation_profile(mask, t, t_max).bucket_variance,
+    }
+
+
+def _legacy_train_means(masks, k):
+    """The train log's three columns as `train_step` averaged them inline."""
+    vios, combs, actives = [], [], []
+    for mask in masks:
+        vios.append(max_violation(mask, k))
+        if mask.shape[-1] >= 2:
+            combs.append(combination_usage(mask).ratio)
+        actives.append(float(mask.sum(axis=-1).mean()))
+    return float(np.mean(vios)), float(np.mean(combs)) if combs else 0.0, float(np.mean(actives))
+
+
+@pytest.mark.parametrize("E,k", [(1, 1), (2, 1), (4, 2), (8, 2)])
+def test_routing_report_matches_legacy_formulas(E, k):
+    rng = np.random.default_rng(300 + E)
+    N, L, t_max = 12, 5, 40
+    strategy = get_strategy("expert-race")
+    budgets = row_budgets(strategy, N, L, E, k)
+    masks = [
+        scatter_mask(topk_mask_budgets(reshape_scores(rng.normal(size=(N, L, E)), strategy), budgets),
+                     strategy, (N, L, E))
+        for _ in range(3)
+    ]
+    masks.append(np.zeros((N, L, E)))  # a layer that selected nothing
+    masks.append((rng.random((N, L, E)) < 0.4).astype(np.float64))  # uneven per-token counts
+    t = rng.integers(0, t_max + 1, size=N)
+
+    report = routing_report(masks, k, t, t_max)
+    legacy = [_legacy_layer_record(m, k, t, t_max) for m in masks]
+    assert report == legacy
+    for got, want in zip(report, legacy):  # and bit for bit: repr tells -0.0 from 0.0
+        assert [repr(v) for v in got.values()] == [repr(v) for v in want.values()]
+    assert report[3]["comb_no_pairs"] is True and report[3]["mean_active"] == 0.0
+
+    no_t = routing_report(masks, k)
+    assert [list(r) for r in no_t] == [["max_vio", "comb_usage", "comb_no_pairs", "mean_active"]] * 5
+    means = tuple(report_mean(no_t, key) for key in ("max_vio", "comb_usage", "mean_active"))
+    assert means == _legacy_train_means(masks, k)
+
+
+def test_routing_report_edges():
+    assert routing_report([], 2) == []
+    assert np.isnan(report_mean([], "max_vio"))
+    with pytest.raises(ConfigError, match="t_max"):
+        routing_report([np.ones((2, 3, 4))], 2, t=np.array([1, 2]))
