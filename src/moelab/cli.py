@@ -54,8 +54,12 @@ _CONFIG_DEFAULTS = {
 
 def parse_config_file(path: Path) -> dict:
     """Flat `key = value` lines; '#' starts a comment."""
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from None
     values: dict = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -176,11 +180,10 @@ def cmd_route_sim(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
-    out_dir = make_out_dir(args)
-    write_config_snapshot(cfg, out_dir)
-
     tconfig = trainer_config_from(cfg)
     trainer = load_checkpoint(args.resume, tconfig) if args.resume else Trainer(tconfig)
+    out_dir = make_out_dir(args)
+    write_config_snapshot(cfg, out_dir)
 
     # a resumed run keeps the log rows up to the checkpoint's step and
     # rewrites the rest, so resuming into the same --out duplicates nothing
@@ -249,8 +252,8 @@ def _checkpoint_metrics(trainer: Trainer, eval_batches: int = 4) -> dict:
 
 def cmd_metrics(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
-    out_dir = make_out_dir(args)
     trainer = load_checkpoint(args.checkpoint, trainer_config_from(cfg))
+    out_dir = make_out_dir(args)
     report = _checkpoint_metrics(trainer)
     path = out_dir / "metrics.json"
     path.write_text(json.dumps(report, indent=2) + "\n")
@@ -290,6 +293,8 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     """One row per arm: final losses and the layer mean of the routing report
     on one held-out batch routed in eval mode."""
     cfg = resolve_config(args)
+    if cfg["steps"] < 1:
+        raise ConfigError(f"ablate trains each arm for --steps >= 1, got {cfg['steps']}")
     arms = _parse_arms(args.arms, cfg)
     out_dir = make_out_dir(args)
     write_config_snapshot(cfg, out_dir)

@@ -12,6 +12,7 @@ train log, `metrics`, `ablate` and `route-sim` all write from.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -57,6 +58,15 @@ def max_violation(mask: np.ndarray, k: int) -> float:
     return float((loads.max() - expected) / expected)
 
 
+@lru_cache(maxsize=8)
+def _upper_pairs(E: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(E, 1), built once per expert count and read-only."""
+    rows, cols = np.triu_indices(E, k=1)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
+
+
 def pair_counts(mask: np.ndarray) -> np.ndarray:
     """Co-selection counts for each unordered expert pair (i < j).
 
@@ -67,8 +77,7 @@ def pair_counts(mask: np.ndarray) -> np.ndarray:
     E = mask.shape[-1]
     flat = mask.reshape(-1, E)
     co = flat.T @ flat  # co[i, j] = tokens with both i and j active
-    iu = np.triu_indices(E, k=1)
-    return co[iu]
+    return co[_upper_pairs(E)]
 
 
 @dataclass

@@ -25,6 +25,7 @@ batch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Literal
 
@@ -89,9 +90,7 @@ class RoutingStrategy:
     def extents(self, B: int, L: int, E: int) -> tuple[int, int]:
         """(D_A, D_B) for a score tensor of shape (B, L, E)."""
         sizes = {"B": B, "L": L, "E": E}
-        d_a = int(np.prod([sizes[d] for d in self.row_dims], dtype=np.int64)) if self.row_dims else 1
-        d_b = int(np.prod([sizes[d] for d in self.pool_dims], dtype=np.int64))
-        return d_a, d_b
+        return math.prod(sizes[d] for d in self.row_dims), math.prod(sizes[d] for d in self.pool_dims)
 
 
 STRATEGIES: dict[str, RoutingStrategy] = {
@@ -206,42 +205,59 @@ def scatter_mask(mask2d: np.ndarray, strategy: RoutingStrategy, shape: tuple[int
     return mask2d.reshape(permuted_shape).transpose(inv)
 
 
-def topk_mask(scores2d: np.ndarray, k: int) -> np.ndarray:
-    """Row-wise binary mask with exactly k ones per row.
+def _selection_pool(scores2d: np.ndarray, k: int, least: int) -> int:
+    """D_B of a (D_A, D_B) view from which each row selects k entries.
 
-    Ties break toward the lowest column index (stable argsort on negated
-    scores), so identical inputs always produce identical masks.
+    k must lie in [least, D_B]. NaN scores are rejected: they have no place
+    in the order, and a partition would quietly select fewer than k of them.
     """
-    d_a, d_b = scores2d.shape
+    d_b = scores2d.shape[1]
+    if k < least:
+        raise ConfigError(f"K={k} must be >= {least}")
     if k > d_b:
         raise ConfigError(f"K={k} exceeds pool size D_B={d_b}")
-    order = np.argsort(-scores2d, axis=1, kind="stable")
-    mask = np.zeros_like(scores2d, dtype=np.float64)
-    rows = np.arange(d_a)[:, None]
-    mask[rows, order[:, :k]] = 1.0
-    return mask
+    nan = np.count_nonzero(np.isnan(scores2d))
+    if nan:
+        raise NumericError(f"{nan} NaN scores of {scores2d.size}; top-K selection needs ordered values")
+    return d_b
+
+
+def topk_mask(scores2d: np.ndarray, k: int) -> np.ndarray:
+    """Row-wise binary mask with exactly k ones per row (all zero for k=0).
+
+    One partition per row finds its K-th largest value in O(D_B). The row
+    keeps every entry above that value and, of the entries equal to it, the
+    lowest-index ones until it holds k: the order a stable argsort on the
+    negated scores gives, so identical inputs always produce identical
+    masks. +-inf are ordinary values here; NaN raises NumericError.
+    """
+    d_b = _selection_pool(scores2d, k, least=0)
+    if k == 0:  # the partition below has no index d_b - 0
+        return np.zeros_like(scores2d, dtype=np.float64)
+    kth = np.partition(scores2d, d_b - k, axis=1)[:, d_b - k, None]
+    mask = scores2d >= kth
+    # rows where entries tied with the K-th value do not all fit in the budget
+    over = np.flatnonzero(np.count_nonzero(mask, axis=1) > k)
+    if over.size:
+        rows, cut = scores2d[over], kth[over]
+        tied = rows == cut
+        room = k - np.count_nonzero(rows > cut, axis=1, keepdims=True)
+        mask[over] = (rows > cut) | (tied & (np.cumsum(tied, axis=1) <= room))
+    return mask.astype(np.float64)
 
 
 def topk_mask_budgets(scores2d: np.ndarray, budgets: np.ndarray) -> np.ndarray:
     """Row-wise top-k with a per-row budget vector (comparison path)."""
-    d_a, d_b = scores2d.shape
+    d_a, _ = scores2d.shape
     if len(budgets) != d_a:
         raise ConfigError(f"budgets length {len(budgets)} != D_A {d_a}")
-    if budgets.max(initial=0) > d_b:
-        raise ConfigError(f"a budget exceeds pool size D_B={d_b}")
-    order = np.argsort(-scores2d, axis=1, kind="stable")
-    mask = np.zeros_like(scores2d, dtype=np.float64)
-    for i in range(d_a):
-        mask[i, order[i, : budgets[i]]] = 1.0
-    return mask
+    return np.concatenate([topk_mask(scores2d[i : i + 1], int(b)) for i, b in enumerate(budgets)])
 
 
 def kth_value_per_row(scores2d: np.ndarray, k: int) -> np.ndarray:
-    """K-th largest value of each row (the marginal selected score)."""
-    d_a, d_b = scores2d.shape
-    if k > d_b:
-        raise ConfigError(f"K={k} exceeds pool size D_B={d_b}")
-    return np.sort(scores2d, axis=1)[:, d_b - k]
+    """K-th largest value of each row (the marginal selected score), k >= 1."""
+    d_b = _selection_pool(scores2d, k, least=1)
+    return np.partition(scores2d, d_b - k, axis=1)[:, d_b - k]
 
 
 # ----------------------------------------------------------------------

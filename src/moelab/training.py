@@ -349,9 +349,14 @@ def load_checkpoint(path, config: TrainerConfig, strict_config: bool = True) -> 
     A checkpoint lacking an array entry the config needs, or a metadata
     field, raises ConfigError naming what is missing; so does a weight,
     EMA or optimizer entry whose shape differs from the model's or whose
-    dtype is not float64, since that state is updated in place.
+    dtype is not float64, since that state is updated in place. A file
+    that cannot be opened raises ConfigError naming the path.
     """
-    with np.load(path) as data:
+    try:
+        archive = np.load(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read checkpoint {path}: {exc.strerror or exc}") from None
+    with archive as data:
 
         def entry(key: str, like: np.ndarray | None = None) -> np.ndarray:
             try:

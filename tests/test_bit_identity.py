@@ -3,19 +3,21 @@ training loop.
 
 The reference implementations below are the plain allocating versions the
 lean ones replaced: `_accumulate` copying every gradient into C order, GELU
-and AdamW/EMA as one-line textbook expressions, and sampling with the tape
-on. A short training run and a sample with the lean ops must match a run
-with these patched in, bit for bit. A later change that swaps an op for a
-faster one adds its old form here.
+and AdamW/EMA as one-line textbook expressions, sampling with the tape on,
+and top-K selection by a full stable argsort and K-th values by a full
+sort. A short training run, a sample and a `route-sim` table with the lean
+ops must match a run with these patched in, bit for bit. A later change
+that swaps an op for a faster one adds its old form here.
 """
 
 import contextlib
+import io
 
 import numpy as np
 import pytest
 from scipy.special import erf
 
-from moelab import denoiser, layer, tensor, training
+from moelab import cli, denoiser, layer, routing, tensor, training
 from moelab.denoiser import DenoiserConfig
 from moelab.tensor import Tensor
 from moelab.training import Trainer, TrainerConfig
@@ -66,6 +68,20 @@ def reference_ema_update(self, named):
         self.shadow[name] = d * self.shadow[name] + (1.0 - d) * t.data
 
 
+def reference_topk_mask(scores2d, k):
+    d_a, d_b = scores2d.shape
+    if k > d_b:
+        raise routing.ConfigError(f"K={k} exceeds pool size D_B={d_b}")
+    order = np.argsort(-scores2d, axis=1, kind="stable")
+    mask = np.zeros_like(scores2d, dtype=np.float64)
+    mask[np.arange(d_a)[:, None], order[:, :k]] = 1.0
+    return mask
+
+
+def reference_kth_value_per_row(scores2d, k):
+    return np.sort(scores2d, axis=1)[:, scores2d.shape[1] - k]
+
+
 def use_reference_ops(monkeypatch):
     monkeypatch.setattr(tensor, "_accumulate", reference_accumulate)
     for module in (layer, denoiser):  # each calls gelu through its own global
@@ -73,6 +89,8 @@ def use_reference_ops(monkeypatch):
     monkeypatch.setattr(training.AdamW, "step", reference_adamw_step)
     monkeypatch.setattr(training.WeightEma, "update", reference_ema_update)
     monkeypatch.setattr(training, "no_grad", contextlib.nullcontext)
+    monkeypatch.setattr(routing, "topk_mask", reference_topk_mask)
+    monkeypatch.setattr(routing, "kth_value_per_row", reference_kth_value_per_row)
 
 
 def run(steps=5):
@@ -104,3 +122,15 @@ def test_lean_ops_are_bit_identical_to_reference_ops(lean_run, monkeypatch):
         assert a["mean_active_per_layer"] == b["mean_active_per_layer"]
         assert all(np.array_equal(ma, mb) for ma, mb in zip(a["masks"], b["masks"]))
 
+
+def route_sim_csv(out):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["route-sim", "--out", str(out), "--draws", "3", "--seed", "2",
+                         "--batch-size", "8", "--tokens", "6", "--experts", "4", "--k", "2"]) == 0
+    return (out / "route_sim.csv").read_bytes()
+
+
+def test_route_sim_table_is_bit_identical_under_reference_ops(tmp_path, monkeypatch):
+    lean = route_sim_csv(tmp_path / "lean")
+    use_reference_ops(monkeypatch)
+    assert route_sim_csv(tmp_path / "reference") == lean

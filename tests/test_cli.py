@@ -416,6 +416,25 @@ def test_route_sim_rejects_fewer_than_one_draw(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_ablate_rejects_zero_steps_before_writing(tmp_path, capsys):
+    out = tmp_path / "ablate"
+    rc = main(["ablate", "--out", str(out), "--steps", "0", "--arms", "expert-race:identity", *FAST])
+    assert rc == 2
+    assert "--steps" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,flag", [("metrics", "--checkpoint"), ("train", "--config"), ("train", "--resume")])
+def test_missing_input_file_is_config_error_naming_it(tmp_path, capsys, command, flag):
+    missing = tmp_path / "nope"
+    out = tmp_path / "out"
+    rc = main([command, flag, str(missing), "--out", str(out), "--steps", "1", *FAST])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(missing) in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "arms,named",
     [

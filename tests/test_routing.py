@@ -148,6 +148,44 @@ def test_topk_mask_rejects_oversized_k():
         topk_mask(np.zeros((2, 3)), 4)
 
 
+def test_selection_rejects_negative_or_zero_k():
+    with pytest.raises(ConfigError, match="K=-1"):
+        topk_mask(np.array([[3.0, 2.0, 1.0]]), -1)
+    with pytest.raises(ConfigError, match="K=0"):
+        kth_value_per_row(np.array([[3.0, 2.0, 1.0]]), 0)
+
+
+def test_topk_mask_of_zero_is_all_zero():
+    mask = topk_mask(np.array([[3.0, 2.0, 1.0], [0.0, np.inf, -np.inf]]), 0)
+    assert mask.tolist() == [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+
+
+@pytest.mark.parametrize("select", [topk_mask, kth_value_per_row], ids=lambda f: f.__name__)
+def test_selection_rejects_nan_with_its_count(select):
+    S = np.array([[3.0, np.nan, 1.0], [np.nan, 0.0, 2.0]])
+    with pytest.raises(NumericError, match="2 NaN scores of 6"):
+        select(S, 1)
+
+
+def test_topk_mask_infinities_follow_the_tie_rule():
+    S = np.array([[np.inf, -np.inf, np.inf, 0.0, -0.0, np.inf], [-np.inf] * 6])
+    assert topk_mask(S, 2).tolist() == [[1, 0, 1, 0, 0, 0], [1, 1, 0, 0, 0, 0]]
+    assert topk_mask(S, 5).tolist() == [[1, 0, 1, 1, 1, 1], [1, 1, 1, 1, 1, 0]]
+    assert kth_value_per_row(S, 4).tolist() == [0.0, -np.inf]
+
+
+def test_topk_mask_budgets_against_full_sort_oracle():
+    rng = np.random.default_rng(31)
+    S = rng.integers(-2, 3, size=(5, 6)).astype(np.float64)  # many ties
+    budgets = np.array([0, 1, 3, 6, 2])
+    mask = routing.topk_mask_budgets(S, budgets)
+    for i, b in enumerate(budgets):
+        keep = set(np.argsort(-S[i], kind="stable")[:b].tolist())
+        assert {j for j in range(6) if mask[i, j] == 1.0} == keep
+    with pytest.raises(ConfigError):
+        routing.topk_mask_budgets(S, np.array([1, 1, 1, 1, -1]))
+
+
 def test_kth_value_per_row():
     assert kth_value_per_row(np.array([[5.0, 1.0, 3.0, 2.0]]), 2)[0] == 3.0
     assert kth_value_per_row(np.full((3, 5), 2.5), 4).tolist() == [2.5, 2.5, 2.5]

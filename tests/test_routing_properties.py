@@ -10,9 +10,11 @@ from moelab.routing import (
     STRATEGIES,
     ThresholdState,
     get_strategy,
+    kth_value_per_row,
     reshape_scores,
     route,
     scatter_mask,
+    topk_mask,
 )
 from moelab.tensor import Tensor
 
@@ -21,6 +23,8 @@ SETTINGS = settings(max_examples=25, deadline=None)
 # a handful of repeated values makes ties common
 TIED = st.sampled_from([-1.0, 0.0, 0.5, 2.0])
 REAL = st.floats(-4.0, 4.0, allow_nan=False)
+# signed zeros compare equal and the infinities are ordinary values
+EXTREME_TIED = st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 0.5, np.inf])
 
 
 @st.composite
@@ -77,3 +81,17 @@ def test_ties_break_the_same_way_on_repeated_calls(case, gating):
     again = route(Tensor(scores.copy()), strategy, gating, "train", ThresholdState(), k=k)
     assert np.array_equal(first.mask, again.mask)
     assert np.array_equal(first.gates.data, again.gates.data)
+
+
+@settings(max_examples=100, deadline=None)
+@given(routing_cases(elements=EXTREME_TIED), st.data())
+def test_partition_selection_matches_the_sort_oracles(case, data):
+    strategy, scores, _ = case
+    view = reshape_scores(scores, strategy)
+    d_a, d_b = view.shape
+    K = data.draw(st.integers(0, d_b), label="K")
+    oracle = np.zeros((d_a, d_b))
+    oracle[np.arange(d_a)[:, None], np.argsort(-view, axis=1, kind="stable")[:, :K]] = 1.0
+    assert np.array_equal(topk_mask(view, K), oracle)
+    if K >= 1:
+        assert np.array_equal(kth_value_per_row(view, K), np.sort(view, axis=1)[:, d_b - K])
