@@ -135,28 +135,61 @@ def trainer_config_from(cfg: dict) -> TrainerConfig:
 # route-sim
 
 
+# Draws are routed in blocks of at most this many scores: one selection and
+# one report per strategy per block instead of per draw. It bounds the
+# block's memory; the results do not depend on it.
+BLOCK_BUDGET = 2**16
+
+
+def route_sim_draws(
+    rng: np.random.Generator,
+    budgets: dict[routing.RoutingStrategy, int],
+    shape: tuple[int, int, int],
+    k: int,
+    draws: int,
+) -> tuple[dict[str, list[float]], dict[str, list[dict]]]:
+    """Per strategy name, the selection objective and the routing report
+    record of each of `draws` (B, L, E) score tensors drawn from `rng`, in
+    draw order. budgets maps each strategy to its per-row K.
+
+    A Generator fills an (n, B, L, E) block in the order n separate
+    (B, L, E) draws would take, so the draws do not depend on the block size.
+    """
+    B, L, E = shape
+    block = max(1, BLOCK_BUDGET // (B * L * E))
+    objectives = {s.name: [] for s in budgets}
+    reports = {s.name: [] for s in budgets}
+    for start in range(0, draws, block):
+        n = min(block, draws - start)
+        scores = rng.normal(size=(n, B, L, E))
+        for strat, budget in budgets.items():
+            view = routing.reshape_scores(scores, strat)
+            mask2d = routing.topk_mask(view, budget)
+            # each draw's objective sums its own view, in that view's memory
+            # order (a strided view for bl-choice), as a one-draw call would
+            for draw, draw_mask in zip(scores, mask2d.reshape(n, -1, view.shape[1])):
+                objectives[strat.name].append(
+                    metrics_mod.routing_objective(routing.reshape_scores(draw, strat), draw_mask)
+                )
+            reports[strat.name] += metrics_mod.routing_report(routing.scatter_mask(mask2d, strat, scores.shape), k)
+    return objectives, reports
+
+
 def cmd_route_sim(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     if args.draws < 1:
         raise ConfigError(f"--draws must be >= 1, got {args.draws}")
     wanted = args.strategies.split(",") if args.strategies else list(routing.STRATEGIES)
     strategies = [routing.get_strategy(s) for s in wanted]
+    repeated = sorted({s.name for s in strategies if strategies.count(s) > 1})
+    if repeated:
+        raise ConfigError(f"--strategies names {', '.join(repeated)} more than once")
     B, L, E, k = cfg["batch_size"], cfg["tokens"], cfg["experts"], cfg["k"]
-    budgets = {s.name: routing.effective_k(s, B, L, E, k) for s in strategies}
+    budgets = {s: routing.effective_k(s, B, L, E, k) for s in strategies}
     out_dir = make_out_dir(args)
     write_config_snapshot(cfg, out_dir)
     rng = np.random.default_rng(cfg["seed"])
-
-    objectives = {s.name: [] for s in strategies}
-    reports = {s.name: [] for s in strategies}  # one report record per draw
-    for _ in range(args.draws):
-        scores = rng.normal(size=(B, L, E))
-        for strat in strategies:
-            view = routing.reshape_scores(scores, strat)
-            mask2d = routing.topk_mask(view, budgets[strat.name])
-            objectives[strat.name].append(metrics_mod.routing_objective(view, mask2d))
-            mask = routing.scatter_mask(mask2d, strat, (B, L, E))
-            reports[strat.name].append(metrics_mod.routing_report([mask], k)[0])
+    objectives, reports = route_sim_draws(rng, budgets, (B, L, E), k, args.draws)
 
     race = objectives.get("expert-race")
     csv_path = out_dir / "route_sim.csv"

@@ -5,8 +5,9 @@ the selection objective (sum of selected scores in the strategy view),
 the worst-expert overload ratio, the pairwise combination-usage ratio,
 and experts-per-token profiles bucketed by diffusion timestep.
 
-`routing_report` turns per-layer masks into the one set of records that the
-train log, `metrics`, `ablate` and `route-sim` all write from.
+`routing_report` turns a stack of masks (a model's layers, or a block of
+route-sim draws) into the one set of records that the train log, `metrics`,
+`ablate` and `route-sim` all write from, in one pass over the stack.
 """
 
 from __future__ import annotations
@@ -33,10 +34,33 @@ __all__ = [
 
 def routing_objective(scores2d: np.ndarray, mask2d: np.ndarray) -> float:
     """Sum of selected scores in the (D_A, D_B) view; the quantity every
-    strategy maximizes subject to its row constraints."""
+    strategy maximizes subject to its row constraints.
+
+    A sum's order follows its operand's memory layout. The product is laid
+    out like scores2d, so the result depends on the view alone, not on how
+    the mask is laid out.
+    """
     if scores2d.shape != mask2d.shape:
         raise ConfigError(f"scores {scores2d.shape} vs mask {mask2d.shape}")
-    return float((scores2d * mask2d).sum())
+    return float(np.multiply(scores2d, mask2d, out=np.empty_like(scores2d, dtype=np.float64)).sum())
+
+
+def _expert_loads(masks: np.ndarray) -> np.ndarray:
+    """(R, E) selections per expert of a stack of R masks shaped (R, ..., E).
+
+    Taken as a product with ones, which sums 0/1 selections exactly, as any
+    order does, at a fraction of the cost of a sum over the token axis.
+    """
+    flat = masks.reshape(masks.shape[0], -1, masks.shape[-1])
+    return np.ones(flat.shape[1]) @ flat
+
+
+def _max_violations(loads: np.ndarray, k: int, T: int) -> np.ndarray:
+    """max_violation of each row of (R, E) expert loads over T tokens."""
+    expected = k * T / loads.shape[-1]
+    if expected <= 0:
+        raise ConfigError("expected load is zero; check k and token count")
+    return (loads.max(axis=1) - expected) / expected
 
 
 def max_violation(mask: np.ndarray, k: int) -> float:
@@ -48,14 +72,7 @@ def max_violation(mask: np.ndarray, k: int) -> float:
     """
     if mask.ndim < 2:
         raise ConfigError(f"mask must end in an expert axis, got shape {mask.shape}")
-    E = mask.shape[-1]
-    flat = mask.reshape(-1, E)
-    T = flat.shape[0]
-    expected = k * T / E
-    if expected <= 0:
-        raise ConfigError("expected load is zero; check k and token count")
-    loads = flat.sum(axis=0)
-    return float((loads.max() - expected) / expected)
+    return float(_max_violations(_expert_loads(mask[None]), k, mask.size // mask.shape[-1])[0])
 
 
 @lru_cache(maxsize=8)
@@ -67,6 +84,15 @@ def _upper_pairs(E: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
+def _pair_counts(masks: np.ndarray) -> np.ndarray:
+    """(R, E*(E-1)/2) pair_counts of each mask in an (R, ..., E) stack."""
+    E = masks.shape[-1]
+    flat = masks.reshape(masks.shape[0], -1, E)
+    co = np.matmul(flat.transpose(0, 2, 1), flat)  # co[r, i, j] = tokens with both i and j active
+    rows, cols = _upper_pairs(E)
+    return co[:, rows, cols]
+
+
 def pair_counts(mask: np.ndarray) -> np.ndarray:
     """Co-selection counts for each unordered expert pair (i < j).
 
@@ -74,10 +100,7 @@ def pair_counts(mask: np.ndarray) -> np.ndarray:
     the total equals sum_t C(a_t, 2). Returned in lexicographic pair order,
     length E*(E-1)/2.
     """
-    E = mask.shape[-1]
-    flat = mask.reshape(-1, E)
-    co = flat.T @ flat  # co[i, j] = tokens with both i and j active
-    return co[_upper_pairs(E)]
+    return _pair_counts(mask[None])[0]
 
 
 @dataclass
@@ -88,6 +111,18 @@ class CombinationUsage:
     no_pairs: bool  # no token activated >= 2 experts
 
 
+def _combination_usages(masks: np.ndarray, cutoff: float = 0.95) -> tuple[np.ndarray, np.ndarray]:
+    """(ratio, no_pairs) arrays of combination_usage over an (R, ..., E) stack, E >= 2."""
+    counts = _pair_counts(masks)
+    n_bins = counts.shape[1]
+    total = counts.sum(axis=1, keepdims=True)
+    no_pairs = total[:, 0] == 0
+    ordered = np.sort(counts, axis=1)[:, ::-1] / np.where(no_pairs[:, None], 1.0, total)
+    cum = np.cumsum(ordered, axis=1)
+    active = np.count_nonzero(cum < cutoff, axis=1)
+    return np.where(no_pairs, 0.0, active / n_bins), no_pairs
+
+
 def combination_usage(mask: np.ndarray, cutoff: float = 0.95) -> CombinationUsage:
     """Sort pair counts descending, normalize, and count the bins whose
     running cumulative sum (own mass included) stays strictly below the
@@ -96,15 +131,8 @@ def combination_usage(mask: np.ndarray, cutoff: float = 0.95) -> CombinationUsag
     E = mask.shape[-1]
     if E < 2:
         raise ConfigError("combination usage needs E >= 2")
-    counts = pair_counts(mask)
-    n_bins = counts.size
-    total = counts.sum()
-    if total == 0:
-        return CombinationUsage(ratio=0.0, no_pairs=True)
-    ordered = np.sort(counts)[::-1] / total
-    cum = np.cumsum(ordered)
-    active = int((cum < cutoff).sum())
-    return CombinationUsage(ratio=active / n_bins, no_pairs=False)
+    ratio, no_pairs = _combination_usages(mask[None], cutoff)
+    return CombinationUsage(ratio=float(ratio[0]), no_pairs=bool(no_pairs[0]))
 
 
 @dataclass
@@ -171,33 +199,42 @@ def allocation_profile(
 
 
 def routing_report(
-    masks: list[np.ndarray],
+    masks: list[np.ndarray] | np.ndarray,
     k: int,
     t: np.ndarray | None = None,
     t_max: int | None = None,
 ) -> list[dict]:
-    """One record per layer from its (N, L, E) routing mask: max_vio,
+    """One record per mask of a stack of equal-shape (N, L, E) routing masks
+    (a list, or an array whose first axis runs over them): max_vio,
     comb_usage, comb_no_pairs, mean_active (experts per token) and, given
     the samples' (N,) timesteps t and the schedule length t_max,
     allocation_bucket_variance. A single expert has no pairs: comb_usage
-    0.0 with comb_no_pairs true.
+    0.0 with comb_no_pairs true. All records come from one pass over the
+    stack; each equals the one its mask would get on its own, bit for bit.
     """
     if t is not None and t_max is None:
         raise ConfigError("allocation by timestep needs t_max")
-    records = []
-    for mask in masks:
-        E = mask.shape[-1]
-        usage = combination_usage(mask) if E >= 2 else CombinationUsage(ratio=0.0, no_pairs=True)
-        record = {
-            "max_vio": max_violation(mask, k),
-            "comb_usage": usage.ratio,
-            "comb_no_pairs": usage.no_pairs,
-            # 0/1 selections sum exactly: equals mask.sum(-1).mean() bit for bit
-            "mean_active": float(mask.sum() / (mask.size // E)),
-        }
-        if t is not None:
+    if len(masks) == 0:
+        return []
+    masks = np.ascontiguousarray(masks)  # one copy of a strided stack, then views
+    R, E = masks.shape[0], masks.shape[-1]
+    T = masks[0].size // E
+    if E >= 2:
+        ratios, no_pairs = _combination_usages(masks)
+    else:
+        ratios, no_pairs = np.zeros(R), np.ones(R, dtype=bool)
+    loads = _expert_loads(masks)
+    # 0/1 selections sum exactly: equals mask.sum(-1).mean() bit for bit
+    mean_active = loads.sum(axis=1) / T
+    records = [
+        {"max_vio": vio, "comb_usage": ratio, "comb_no_pairs": flag, "mean_active": active}
+        for vio, ratio, flag, active in zip(
+            _max_violations(loads, k, T).tolist(), ratios.tolist(), no_pairs.tolist(), mean_active.tolist()
+        )
+    ]
+    if t is not None:
+        for record, mask in zip(records, masks):
             record["allocation_bucket_variance"] = allocation_profile(mask, t, t_max).bucket_variance
-        records.append(record)
     return records
 
 

@@ -185,24 +185,28 @@ def row_budgets(strategy: RoutingStrategy, B: int, L: int, E: int, k: int) -> np
     return budgets
 
 
+def _permutation(strategy: RoutingStrategy, lead: int) -> tuple[int, ...]:
+    """Axis order putting the row dims, then the pool dims, after `lead` leading axes."""
+    return tuple(range(lead)) + tuple(lead + _AXIS_INDEX[d] for d in strategy.row_dims + strategy.pool_dims)
+
+
 def reshape_scores(scores: np.ndarray, strategy: RoutingStrategy) -> np.ndarray:
-    """Permute and reshape (B, L, E) scores into the (D_A, D_B) view."""
-    if scores.ndim != 3:
-        raise ConfigError(f"scores must be (B, L, E), got {scores.shape}")
-    perm = tuple(_AXIS_INDEX[d] for d in strategy.row_dims + strategy.pool_dims)
-    B, L, E = scores.shape
-    d_a, d_b = strategy.extents(B, L, E)
-    return scores.transpose(perm).reshape(d_a, d_b)
+    """Permute and reshape (B, L, E) scores into the (D_A, D_B) view.
+
+    A block of n draws, (n, B, L, E), becomes one (n*D_A, D_B) view whose
+    rows i*D_A .. (i+1)*D_A - 1 are draw i's view.
+    """
+    if scores.ndim not in (3, 4):
+        raise ConfigError(f"scores must be (B, L, E) or (n, B, L, E), got {scores.shape}")
+    _, d_b = strategy.extents(*scores.shape[-3:])
+    return scores.transpose(_permutation(strategy, scores.ndim - 3)).reshape(-1, d_b)
 
 
-def scatter_mask(mask2d: np.ndarray, strategy: RoutingStrategy, shape: tuple[int, int, int]) -> np.ndarray:
-    """Inverse of reshape_scores: map a (D_A, D_B) mask back to (B, L, E)."""
-    B, L, E = shape
-    perm = tuple(_AXIS_INDEX[d] for d in strategy.row_dims + strategy.pool_dims)
-    sizes = (B, L, E)
-    permuted_shape = tuple(sizes[p] for p in perm)
-    inv = tuple(np.argsort(perm))
-    return mask2d.reshape(permuted_shape).transpose(inv)
+def scatter_mask(mask2d: np.ndarray, strategy: RoutingStrategy, shape: tuple[int, ...]) -> np.ndarray:
+    """Inverse of reshape_scores: map a (D_A, D_B) mask back to shape (B, L, E),
+    or a block's (n*D_A, D_B) mask back to shape (n, B, L, E)."""
+    perm = _permutation(strategy, len(shape) - 3)
+    return mask2d.reshape(tuple(shape[p] for p in perm)).transpose(tuple(np.argsort(perm)))
 
 
 def _selection_pool(scores2d: np.ndarray, k: int, least: int) -> int:
@@ -236,9 +240,11 @@ def topk_mask(scores2d: np.ndarray, k: int) -> np.ndarray:
         return np.zeros_like(scores2d, dtype=np.float64)
     kth = np.partition(scores2d, d_b - k, axis=1)[:, d_b - k, None]
     mask = scores2d >= kth
-    # rows where entries tied with the K-th value do not all fit in the budget
-    over = np.flatnonzero(np.count_nonzero(mask, axis=1) > k)
-    if over.size:
+    # A row holds more than k entries >= its K-th value only where entries
+    # tied with it do not all fit in the budget; every row holds at least k,
+    # so one total count rules that out for all rows at once.
+    if np.count_nonzero(mask) > mask.shape[0] * k:
+        over = np.flatnonzero(np.count_nonzero(mask, axis=1) > k)
         rows, cut = scores2d[over], kth[over]
         tied = rows == cut
         room = k - np.count_nonzero(rows > cut, axis=1, keepdims=True)
@@ -258,6 +264,13 @@ def kth_value_per_row(scores2d: np.ndarray, k: int) -> np.ndarray:
     """K-th largest value of each row (the marginal selected score), k >= 1."""
     d_b = _selection_pool(scores2d, k, least=1)
     return np.partition(scores2d, d_b - k, axis=1)[:, d_b - k]
+
+
+def _kth_from_mask(scores2d: np.ndarray, mask2d: np.ndarray) -> np.ndarray:
+    """kth_value_per_row read off a top-K mask (K >= 1) instead of a second
+    partition: the smallest selected score of a row is its K-th largest,
+    +-inf included."""
+    return np.where(mask2d, scores2d, np.inf).min(axis=1)
 
 
 # ----------------------------------------------------------------------
@@ -356,7 +369,7 @@ def route(
         budget = effective_k(strategy, B, L, E, k)
         view = reshape_scores(gated.data, strategy)
         mask2d = topk_mask(view, budget)
-        kth = kth_value_per_row(view, budget)
+        kth = _kth_from_mask(view, mask2d)
         if mode == "train":
             ema_update(state, kth)
         mask = scatter_mask(mask2d, strategy, (B, L, E))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import os
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -350,12 +351,17 @@ def load_checkpoint(path, config: TrainerConfig, strict_config: bool = True) -> 
     field, raises ConfigError naming what is missing; so does a weight,
     EMA or optimizer entry whose shape differs from the model's or whose
     dtype is not float64, since that state is updated in place. A file
-    that cannot be opened raises ConfigError naming the path.
+    that cannot be opened, or that is not an .npz archive, raises
+    ConfigError naming the path.
     """
     try:
         archive = np.load(path)
     except OSError as exc:
         raise ConfigError(f"cannot read checkpoint {path}: {exc.strerror or exc}") from None
+    except (ValueError, EOFError, zipfile.BadZipFile):  # text, empty or truncated files
+        archive = None
+    if not isinstance(archive, np.lib.npyio.NpzFile):  # a lone .npy array loads as one
+        raise ConfigError(f"checkpoint {path} is not an .npz archive")
     with archive as data:
 
         def entry(key: str, like: np.ndarray | None = None) -> np.ndarray:

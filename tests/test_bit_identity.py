@@ -4,20 +4,23 @@ training loop.
 The reference implementations below are the plain allocating versions the
 lean ones replaced: `_accumulate` copying every gradient into C order, GELU
 and AdamW/EMA as one-line textbook expressions, sampling with the tape on,
-and top-K selection by a full stable argsort and K-th values by a full
-sort. A short training run, a sample and a `route-sim` table with the lean
-ops must match a run with these patched in, bit for bit. A later change
-that swaps an op for a faster one adds its old form here.
+top-K selection by a full stable argsort and K-th values by a full sort,
+`route` taking its K-th values from a second selection pass, `route-sim`
+routing one draw at a time, and the routing report one mask at a time. A
+short training run, a sample and `route-sim` outputs with the lean ops must
+match a run with these patched in, bit for bit. A later change that swaps
+an op for a faster one adds its old form here.
 """
 
 import contextlib
 import io
+import math
 
 import numpy as np
 import pytest
 from scipy.special import erf
 
-from moelab import cli, denoiser, layer, routing, tensor, training
+from moelab import cli, denoiser, layer, metrics, routing, tensor, training
 from moelab.denoiser import DenoiserConfig
 from moelab.tensor import Tensor
 from moelab.training import Trainer, TrainerConfig
@@ -82,6 +85,76 @@ def reference_kth_value_per_row(scores2d, k):
     return np.sort(scores2d, axis=1)[:, scores2d.shape[1] - k]
 
 
+def reference_route(scores, strategy, gating, mode, state, k=1, force_unit_gate=False):
+    if scores.data.ndim != 3:
+        raise routing.ConfigError(f"scores must be (B, L, E), got {scores.shape}")
+    bad = scores.size - np.count_nonzero(np.isfinite(scores.data))
+    if bad:
+        raise routing.NumericError(f"router scores have {bad} non-finite entries of {scores.size}")
+    B, L, E = scores.shape
+    gated = routing.apply_gating(scores, gating)
+    if mode in ("train", "eval"):
+        budget = routing.effective_k(strategy, B, L, E, k)
+        view = routing.reshape_scores(gated.data, strategy)
+        mask2d = routing.topk_mask(view, budget)
+        kth = routing.kth_value_per_row(view, budget)
+        if mode == "train":
+            routing.ema_update(state, kth)
+        mask = routing.scatter_mask(mask2d, strategy, (B, L, E))
+    elif mode == "infer":
+        if not state.initialized:
+            raise routing.StateError("inference routing needs an initialized threshold")
+        mask = (gated.data >= state.tau).astype(np.float64)
+        kth = None
+    else:
+        raise routing.ConfigError(f"mode must be 'train', 'eval' or 'infer', got {mode!r}")
+    gates = Tensor(mask.copy()) if force_unit_gate else gated * Tensor(mask)
+    return routing.RouteResult(mask=mask, gates=gates, kth_values=kth)
+
+
+def reference_routing_report(masks, k, t=None, t_max=None):
+    if t is not None and t_max is None:
+        raise routing.ConfigError("allocation by timestep needs t_max")
+    records = []
+    for mask in masks:
+        E = mask.shape[-1]
+        flat = mask.reshape(-1, E)
+        T = flat.shape[0]
+        expected = k * T / E
+        loads = flat.sum(axis=0)
+        comb_usage, no_pairs = 0.0, True
+        if E >= 2:
+            counts = (flat.T @ flat)[np.triu_indices(E, k=1)]
+            total = counts.sum()
+            if total != 0:
+                cum = np.cumsum(np.sort(counts)[::-1] / total)
+                comb_usage, no_pairs = int((cum < 0.95).sum()) / counts.size, False
+        record = {
+            "max_vio": float((loads.max() - expected) / expected),
+            "comb_usage": comb_usage,
+            "comb_no_pairs": no_pairs,
+            "mean_active": float(mask.sum() / T),
+        }
+        if t is not None:
+            record["allocation_bucket_variance"] = metrics.allocation_profile(mask, t, t_max).bucket_variance
+        records.append(record)
+    return records
+
+
+def reference_route_sim_draws(rng, budgets, shape, k, draws):
+    objectives = {s.name: [] for s in budgets}
+    reports = {s.name: [] for s in budgets}
+    for _ in range(draws):
+        scores = rng.normal(size=shape)
+        for strat, budget in budgets.items():
+            view = routing.reshape_scores(scores, strat)
+            mask2d = routing.topk_mask(view, budget)
+            objectives[strat.name].append(float((view * mask2d).sum()))
+            mask = routing.scatter_mask(mask2d, strat, shape)
+            reports[strat.name].append(metrics.routing_report([mask], k)[0])
+    return objectives, reports
+
+
 def use_reference_ops(monkeypatch):
     monkeypatch.setattr(tensor, "_accumulate", reference_accumulate)
     for module in (layer, denoiser):  # each calls gelu through its own global
@@ -91,6 +164,9 @@ def use_reference_ops(monkeypatch):
     monkeypatch.setattr(training, "no_grad", contextlib.nullcontext)
     monkeypatch.setattr(routing, "topk_mask", reference_topk_mask)
     monkeypatch.setattr(routing, "kth_value_per_row", reference_kth_value_per_row)
+    monkeypatch.setattr(routing, "route", reference_route)
+    monkeypatch.setattr(metrics, "routing_report", reference_routing_report)
+    monkeypatch.setattr(cli, "route_sim_draws", reference_route_sim_draws)
 
 
 def run(steps=5):
@@ -101,7 +177,8 @@ def run(steps=5):
         [t.data for _, t in trainer.params.named_tensors()]
         + list(trainer.ema.shadow.values()) + trainer.opt.m + trainer.opt.v
     )
-    return losses, state, x, log
+    taus = [blk.moe.threshold.tau.hex() for blk in trainer.params.blocks]
+    return losses, state, x, log, taus
 
 
 @pytest.fixture(scope="module")
@@ -111,8 +188,9 @@ def lean_run():
 
 def test_lean_ops_are_bit_identical_to_reference_ops(lean_run, monkeypatch):
     use_reference_ops(monkeypatch)
-    losses, state, x, log = run()
-    lean_losses, lean_state, lean_x, lean_log = lean_run
+    losses, state, x, log, taus = run()
+    lean_losses, lean_state, lean_x, lean_log, lean_taus = lean_run
+    assert lean_taus == taus
     assert [float(v).hex() for v in lean_losses] == [float(v).hex() for v in losses]
     assert len(lean_state) == len(state)
     assert all(np.array_equal(a, b) for a, b in zip(lean_state, state))
@@ -123,10 +201,10 @@ def test_lean_ops_are_bit_identical_to_reference_ops(lean_run, monkeypatch):
         assert all(np.array_equal(ma, mb) for ma, mb in zip(a["masks"], b["masks"]))
 
 
-def route_sim_csv(out):
+def route_sim_csv(out, *args):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["route-sim", "--out", str(out), "--draws", "3", "--seed", "2",
-                         "--batch-size", "8", "--tokens", "6", "--experts", "4", "--k", "2"]) == 0
+                         "--batch-size", "8", "--tokens", "6", "--experts", "4", "--k", "2", *args]) == 0
     return (out / "route_sim.csv").read_bytes()
 
 
@@ -134,3 +212,39 @@ def test_route_sim_table_is_bit_identical_under_reference_ops(tmp_path, monkeypa
     lean = route_sim_csv(tmp_path / "lean")
     use_reference_ops(monkeypatch)
     assert route_sim_csv(tmp_path / "reference") == lean
+
+
+SMALL = (8, 6, 4)
+BLOCK = cli.BLOCK_BUDGET // math.prod(SMALL)  # draws per block at the small shape
+BIG = (96, 32, 32)  # one draw holds more scores than a block may: blocks of one
+
+
+@pytest.mark.parametrize(
+    "shape,strategies,draws",
+    [(SMALL, None, d) for d in (1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3)]
+    + [(SMALL, "bl-choice,token-choice,le-choice", BLOCK + 1), (BIG, None, 3)],
+    ids=["1", "n-1", "n", "n+1", "2n+3", "no-expert-race", "block-of-one"],
+)
+def test_route_sim_in_blocks_matches_the_per_draw_loop(tmp_path, monkeypatch, shape, strategies, draws):
+    assert BLOCK > 1 and math.prod(BIG) > cli.BLOCK_BUDGET
+    names = strategies.split(",") if strategies else list(routing.STRATEGIES)
+    budgets = {s: routing.effective_k(s, *shape, 2) for s in map(routing.get_strategy, names)}
+    flags = ["--draws", str(draws), "--batch-size", str(shape[0]), "--tokens", str(shape[1]),
+             "--experts", str(shape[2])] + (["--strategies", strategies] if strategies else [])
+
+    def outputs(side):
+        objectives, reports = cli.route_sim_draws(np.random.default_rng(9), budgets, shape, 2, draws)
+        return (
+            {name: [v.hex() for v in values] for name, values in objectives.items()},
+            {name: [repr(r) for r in records] for name, records in reports.items()},
+            route_sim_csv(tmp_path / side, *flags),
+        )
+
+    lean = outputs("lean")
+    use_reference_ops(monkeypatch)
+    reference = outputs("reference")
+    assert all(len(v) == draws for v in lean[0].values()) and all(len(v) == draws for v in lean[1].values())
+    assert lean[0] == reference[0]
+    assert lean[1] == reference[1]
+    assert lean[2] == reference[2]
+    assert (b",nan," in lean[2]) == (strategies is not None)

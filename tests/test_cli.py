@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -422,6 +425,52 @@ def test_ablate_rejects_zero_steps_before_writing(tmp_path, capsys):
     assert rc == 2
     assert "--steps" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("strategies", ["expert-race,expert-race,token-choice", "token-choice,expert_race,Expert-Race"])
+def test_route_sim_rejects_a_repeated_strategy_before_writing(tmp_path, capsys, strategies):
+    out = tmp_path / "sim"
+    rc = main(["route-sim", "--out", str(out), "--draws", "2", "--strategies", strategies])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "expert-race more than once" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content", ["text", "empty", "truncated", "npy"])
+def test_metrics_checkpoint_that_is_no_npz_archive_is_config_error(tmp_path, capsys, content):
+    bad = tmp_path / "bad.npz"
+    if content == "text":
+        bad.write_text("step = 3\n")
+    elif content == "empty":
+        bad.write_bytes(b"")
+    elif content == "truncated":
+        run = tmp_path / "run"
+        main(["train", "--out", str(run), "--steps", "1", "--seed", "5", *FAST])
+        archive = (run / "ckpt_final.npz").read_bytes()
+        bad.write_bytes(archive[: len(archive) // 2])
+    else:
+        with bad.open("wb") as fh:  # a handle: np.save adds no .npy suffix
+            np.save(fh, np.zeros(3))
+    capsys.readouterr()
+    out = tmp_path / "rep"
+    rc = main(["metrics", "--checkpoint", str(bad), "--out", str(out), "--seed", "5", *FAST])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: checkpoint {bad} is not an .npz archive\n"
+    assert not out.exists()
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = tmp_path / "sim"
+    done = subprocess.run(
+        [sys.executable, "-m", "moelab", "route-sim", "--out", str(out), "--draws", "2",
+         "--batch-size", "2", "--tokens", "4", "--experts", "4", "--k", "2"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert len(read_csv(out / "route_sim.csv")) == 6
 
 
 @pytest.mark.parametrize("command,flag", [("metrics", "--checkpoint"), ("train", "--config"), ("train", "--resume")])

@@ -283,6 +283,11 @@ def test_routing_report_matches_legacy_formulas(E, k):
     for got, want in zip(report, legacy):  # and bit for bit: repr tells -0.0 from 0.0
         assert [repr(v) for v in got.values()] == [repr(v) for v in want.values()]
     assert report[3]["comb_no_pairs"] is True and report[3]["mean_active"] == 0.0
+    # a stacked array gives the same records, as does a strided stack like a
+    # block of route-sim masks
+    stack = np.stack(masks)
+    for stacked in (stack, np.asfortranarray(stack)):
+        assert [repr(r) for r in routing_report(stacked, k, t, t_max)] == [repr(r) for r in report]
 
     no_t = routing_report(masks, k)
     assert [list(r) for r in no_t] == [["max_vio", "comb_usage", "comb_no_pairs", "mean_active"]] * 5

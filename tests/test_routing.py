@@ -120,6 +120,24 @@ def test_scatter_gather_round_trip(strategy):
     assert np.array_equal(again, mask2d)
 
 
+@pytest.mark.parametrize("strategy", ALL, ids=lambda s: s.name)
+def test_block_of_draws_views_and_scatters_draw_by_draw(strategy):
+    block = np.random.default_rng(18).normal(size=(3, 2, 5, 4))
+    view = reshape_scores(block, strategy)
+    assert np.array_equal(view, np.concatenate([reshape_scores(draw, strategy) for draw in block]))
+    mask2d = topk_mask(view, 2)
+    d_a = view.shape[0] // 3
+    per_draw = [scatter_mask(mask2d[i * d_a:(i + 1) * d_a], strategy, (2, 5, 4)) for i in range(3)]
+    assert np.array_equal(scatter_mask(mask2d, strategy, block.shape), np.stack(per_draw))
+    assert np.array_equal(scatter_mask(view, strategy, block.shape), block)
+
+
+@pytest.mark.parametrize("shape", [(4, 5), (1, 2, 3, 4, 5)])
+def test_reshape_rejects_scores_that_are_neither_a_draw_nor_a_block(shape):
+    with pytest.raises(ConfigError, match=r"\(n, B, L, E\)"):
+        reshape_scores(np.zeros(shape), ALL[0])
+
+
 # ----------------------------------------------------------------------
 # top-K selection
 

@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from moelab import routing
 from moelab.routing import (
     GATING_FUNCTIONS,
     STRATEGIES,
@@ -25,6 +26,7 @@ TIED = st.sampled_from([-1.0, 0.0, 0.5, 2.0])
 REAL = st.floats(-4.0, 4.0, allow_nan=False)
 # signed zeros compare equal and the infinities are ordinary values
 EXTREME_TIED = st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 0.5, np.inf])
+ZERO_INF_TIED = st.sampled_from([-np.inf, -0.0, 0.0, 0.5, np.inf])
 
 
 @st.composite
@@ -95,3 +97,12 @@ def test_partition_selection_matches_the_sort_oracles(case, data):
     assert np.array_equal(topk_mask(view, K), oracle)
     if K >= 1:
         assert np.array_equal(kth_value_per_row(view, K), np.sort(view, axis=1)[:, d_b - K])
+
+
+@settings(max_examples=100, deadline=None)
+@given(routing_cases(elements=ZERO_INF_TIED), st.data())
+def test_kth_read_off_the_mask_is_the_partition_kth(case, data):
+    strategy, scores, _ = case
+    view = reshape_scores(scores, strategy)
+    K = data.draw(st.integers(1, view.shape[1]), label="K")
+    assert np.array_equal(routing._kth_from_mask(view, topk_mask(view, K)), kth_value_per_row(view, K))
