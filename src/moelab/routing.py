@@ -269,8 +269,16 @@ def kth_value_per_row(scores2d: np.ndarray, k: int) -> np.ndarray:
 def _kth_from_mask(scores2d: np.ndarray, mask2d: np.ndarray) -> np.ndarray:
     """kth_value_per_row read off a top-K mask (K >= 1) instead of a second
     partition: the smallest selected score of a row is its K-th largest,
-    +-inf included."""
-    return np.where(mask2d, scores2d, np.inf).min(axis=1)
+    +-inf included.
+
+    The min runs along the longer axis laid out contiguously: a row-wise
+    min over short rows (token-choice's 8 columns) or over a strided view
+    (bl-choice) is slower than the partition it replaces.
+    """
+    picked = np.where(mask2d, scores2d, np.inf)
+    if picked.shape[1] < picked.shape[0]:
+        return np.ascontiguousarray(picked.T).min(axis=0)
+    return np.ascontiguousarray(picked).min(axis=1)
 
 
 # ----------------------------------------------------------------------

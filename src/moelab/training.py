@@ -3,6 +3,10 @@
 One Trainer owns the parameters, optimizer state, EMA shadow, threshold
 states and RNG; everything it touches round-trips through the checkpoint
 container so a resumed run replays the original trajectory bit for bit.
+The container (version 2) is an .npz archive with one flat float64 member
+per state group (`param`, `ema`, `opt_m`, `opt_v`) plus `meta_json`, whose
+manifest lists each tensor's name and shape; tensors are streamed into
+and out of the trainer's own arrays, one .npy header per group.
 
 The optimizer moments and the EMA shadow are arrays the trainer owns and
 updates in place. Parameters are rebound to a new array each step
@@ -16,6 +20,7 @@ from __future__ import annotations
 import json
 import os
 import zipfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -40,7 +45,7 @@ __all__ = [
     "load_checkpoint",
 ]
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class AdamW(object):
@@ -222,10 +227,13 @@ class Trainer(object):
 
         Returns generated samples (n, L, D) and, per reverse step, the mean
         active experts per token per layer (plus raw masks on request). A
-        class label that is not an integer in [0, num_classes), or a label
-        list whose length is neither 1 nor n, raises ConfigError. The
-        reverse steps build no tape.
+        sample count n that is not a positive integer, a class label that
+        is not an integer in [0, num_classes), or a label list whose length
+        is neither 1 nor n, raises ConfigError. The reverse steps build no
+        tape.
         """
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ConfigError(f"sample count must be a positive integer, got {n!r}")
         cfg = self.config.model
         labels = class_labels(c)
         if labels.ndim > 1 or labels.size not in (1, n):
@@ -296,24 +304,49 @@ def _to_eps(pred: np.ndarray, x_t: np.ndarray, t: int, sched: NoiseSchedule, par
 # ----------------------------------------------------------------------
 # checkpoints
 
+# The four state groups, each one flat float64 member in named_tensors() order.
+_GROUPS = ("param", "ema", "opt_m", "opt_v")
+_F8 = np.dtype(np.float64)
+_U8 = np.dtype(np.uint8)
+_META_KEYS = {"version", "step", "opt_step", "config", "thresholds", "rng_state", "tensors"}
+
+
+def _state_groups(trainer: Trainer) -> dict[str, list[np.ndarray]]:
+    """The arrays the trainer owns, by group, each in named_tensors() order."""
+    named = trainer.params.named_tensors()
+    return dict(zip(_GROUPS, (
+        [t.data for _, t in named],
+        [trainer.ema.shadow[name] for name, _ in named],
+        trainer.opt.m,
+        trainer.opt.v,
+    )))
+
+
+def _write_member(archive: zipfile.ZipFile, key: str, dtype: np.dtype, length: int, chunks) -> None:
+    """Stream one 1-D .npy member: its header, then each chunk's bytes."""
+    header = {"descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": False, "shape": (length,)}
+    with archive.open(f"{key}.npy", "w", force_zip64=True) as fh:
+        np.lib.format.write_array_header_1_0(fh, header)
+        for chunk in chunks:
+            fh.write(np.ascontiguousarray(chunk, dtype=dtype))
+
 
 def save_checkpoint(path, trainer: Trainer) -> None:
     """Single .npz container: weights, EMA shadow, optimizer, thresholds, RNG.
+
+    Five stored (uncompressed) members. `param`, `ema`, `opt_m` and `opt_v`
+    each hold one 1-D float64 array: the model's tensors concatenated in
+    named_tensors() order, streamed from the trainer's own arrays with no
+    concatenated copy. `meta_json` holds UTF-8 JSON bytes: the step counts,
+    config, thresholds, RNG state and the manifest `tensors`, a list of
+    [name, shape] in that order.
 
     Written atomically: the archive goes to a temp file in the target
     directory, which then replaces `path`, so an interrupted save leaves any
     previous checkpoint intact. Like np.savez, appends ".npz" to a path
     without that suffix.
     """
-    arrays: dict[str, np.ndarray] = {}
-    for name, t in trainer.params.named_tensors():
-        arrays[f"param/{name}"] = t.data
-    for name, arr in trainer.ema.shadow.items():
-        arrays[f"ema/{name}"] = arr
-    for i, (m, v) in enumerate(zip(trainer.opt.m, trainer.opt.v)):
-        arrays[f"opt_m/{i}"] = m
-        arrays[f"opt_v/{i}"] = v
-
+    named = trainer.params.named_tensors()
     thresholds = [
         blk.moe.threshold.to_dict() if blk.moe is not None else None
         for blk in trainer.params.blocks
@@ -325,62 +358,107 @@ def save_checkpoint(path, trainer: Trainer) -> None:
         "config": trainer.config.to_dict(),
         "thresholds": thresholds,
         "rng_state": trainer.rng.bit_generator.state,
+        "tensors": [[name, list(t.shape)] for name, t in named],
     }
-    arrays["meta_json"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    blob = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    total = sum(t.size for _, t in named)
 
     path = Path(path)
     if path.suffix != ".npz":
         path = path.with_name(path.name + ".npz")
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "wb") as fh:  # a file handle: np.savez adds no suffix
-            np.savez(fh, **arrays)
+        with zipfile.ZipFile(tmp, "w") as archive:
+            for group, arrays in _state_groups(trainer).items():
+                _write_member(archive, group, _F8, total, arrays)
+            _write_member(archive, "meta_json", _U8, blob.size, [blob])
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
-_META_KEYS = {"version", "step", "opt_step", "config", "thresholds", "rng_state"}
+@contextmanager
+def _read_member(archive: zipfile.ZipFile, path, key: str, dtype: np.dtype, length: int | None = None):
+    """Open 1-D, C-order .npy member `key` holding `dtype` values (`length`
+    of them, if given) and yield the stream at its data.
+
+    Any fault in the member, including one the caller meets reading or
+    decoding the data, raises a one-line ConfigError naming the path and
+    the member. Bytes left over after the caller's reads are one too.
+    """
+    where = f"checkpoint {path} member {key!r}"
+    try:
+        info = archive.getinfo(f"{key}.npy")
+    except KeyError:
+        raise ConfigError(f"checkpoint {path} has no entry {key!r}") from None
+    try:
+        with archive.open(info) as fh:
+            if np.lib.format.read_magic(fh) != (1, 0):
+                raise ConfigError(f"{where} is not a version 1.0 .npy array")
+            shape, fortran, found = np.lib.format.read_array_header_1_0(fh)
+            if found != dtype:
+                raise ConfigError(f"{where} has dtype {found}, the model needs {dtype}")
+            if fortran:
+                raise ConfigError(f"{where} is in Fortran order, the model needs C order")
+            if length is not None and shape != (length,):
+                raise ConfigError(f"{where} has shape {shape}, the model needs {(length,)}")
+            yield fh
+            if fh.read(1):
+                raise ConfigError(f"{where} holds more bytes than its header says")
+    except ConfigError:
+        raise
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:  # not .npy, not JSON, bad CRC, ...
+        raise ConfigError(f"{where} is unreadable: {exc}") from None
+
+
+def _check_manifest(path, manifest, named: list[tuple[str, Tensor]]) -> None:
+    """The saved [name, shape] list must be the model's, entry by entry."""
+    if not isinstance(manifest, list) or len(manifest) != len(named):
+        raise ConfigError(f"checkpoint {path} manifest does not list the model's {len(named)} tensors")
+    for entry, (name, t) in zip(manifest, named):
+        try:
+            saved_name, saved_shape = entry
+            saved_shape = tuple(saved_shape)
+        except (TypeError, ValueError):
+            raise ConfigError(f"checkpoint {path} manifest entry {entry!r} is not [name, shape]") from None
+        if saved_name != name:
+            raise ConfigError(f"checkpoint {path} lists tensor {saved_name!r} where the model has {name!r}")
+        if saved_shape != t.shape:
+            raise ConfigError(f"checkpoint {path} tensor {name!r} has shape {saved_shape}, the model needs {t.shape}")
 
 
 def load_checkpoint(path, config: TrainerConfig, strict_config: bool = True) -> Trainer:
     """Rebuild a Trainer in the exact state it was saved in.
 
-    A checkpoint lacking an array entry the config needs, or a metadata
-    field, raises ConfigError naming what is missing; so does a weight,
-    EMA or optimizer entry whose shape differs from the model's or whose
-    dtype is not float64, since that state is updated in place. A file
-    that cannot be opened, or that is not an .npz archive, raises
-    ConfigError naming the path.
+    Reads the layout save_checkpoint writes, version 2 only; any other
+    version raises ConfigError naming both. The manifest must match the
+    model's tensors, names and shapes, and each state group must be a 1-D
+    C-order float64 member of exactly their total size; its bytes are read
+    straight into the new Trainer's own arrays, so every state array owns
+    its memory. A missing member or metadata field, a member that is not a
+    readable .npy array, metadata that is not UTF-8 JSON, a CRC mismatch, a
+    file that cannot be opened or that is not an .npz archive: each raises
+    a one-line ConfigError naming the path (and the member).
     """
     try:
-        archive = np.load(path)
+        archive = zipfile.ZipFile(path)
     except OSError as exc:
         raise ConfigError(f"cannot read checkpoint {path}: {exc.strerror or exc}") from None
-    except (ValueError, EOFError, zipfile.BadZipFile):  # text, empty or truncated files
-        archive = None
-    if not isinstance(archive, np.lib.npyio.NpzFile):  # a lone .npy array loads as one
-        raise ConfigError(f"checkpoint {path} is not an .npz archive")
-    with archive as data:
-
-        def entry(key: str, like: np.ndarray | None = None) -> np.ndarray:
-            try:
-                arr = data[key]
-            except KeyError:
-                raise ConfigError(f"checkpoint {path} has no entry {key!r}") from None
-            if like is not None and arr.shape != like.shape:
-                raise ConfigError(f"checkpoint {path} entry {key!r} has shape {arr.shape}, the model needs {like.shape}")
-            if like is not None and arr.dtype != like.dtype:
-                raise ConfigError(f"checkpoint {path} entry {key!r} has dtype {arr.dtype}, the model needs {like.dtype}")
-            return arr
-
-        meta = json.loads(bytes(entry("meta_json")).decode("utf-8"))
+    except zipfile.BadZipFile:  # text, empty or truncated files, a lone .npy array
+        raise ConfigError(f"checkpoint {path} is not an .npz archive") from None
+    with archive:
+        with _read_member(archive, path, "meta_json", _U8) as fh:
+            meta = json.loads(fh.read().decode("utf-8"))
+        if not isinstance(meta, dict):
+            raise ConfigError(f"checkpoint {path} member 'meta_json' is not a JSON object")
+        if "version" in meta and meta["version"] != CHECKPOINT_VERSION:
+            raise ConfigError(
+                f"checkpoint {path} has version {meta['version']}; this moelab reads version {CHECKPOINT_VERSION}"
+            )
         missing = sorted(_META_KEYS - set(meta))
         if missing:
             raise ConfigError(f"checkpoint {path} metadata has no {missing}")
-        if meta["version"] != CHECKPOINT_VERSION:
-            raise ConfigError(f"checkpoint version {meta['version']} != {CHECKPOINT_VERSION}")
         if strict_config:
             saved, current = meta["config"], config.to_dict()
             if saved != current:
@@ -392,13 +470,14 @@ def load_checkpoint(path, config: TrainerConfig, strict_config: bool = True) -> 
                 raise ConfigError(f"checkpoint config mismatch (saved vs requested): {diff}")
 
         trainer = Trainer(config)
-        for name, t in trainer.params.named_tensors():
-            t.data = entry(f"param/{name}", t.data)
-        for name, shadow in trainer.ema.shadow.items():
-            trainer.ema.shadow[name] = entry(f"ema/{name}", shadow)
-        for i, (m, v) in enumerate(zip(trainer.opt.m, trainer.opt.v)):
-            trainer.opt.m[i] = entry(f"opt_m/{i}", m)
-            trainer.opt.v[i] = entry(f"opt_v/{i}", v)
+        named = trainer.params.named_tensors()
+        _check_manifest(path, meta["tensors"], named)
+        total = sum(t.size for _, t in named)
+        for group, arrays in _state_groups(trainer).items():
+            with _read_member(archive, path, group, _F8, total) as fh:
+                for arr in arrays:
+                    if fh.readinto(arr) != arr.nbytes:
+                        raise ConfigError(f"checkpoint {path} member {group!r} is truncated")
         trainer.opt.step_count = meta["opt_step"]
         trainer.step_count = meta["step"]
         if len(meta["thresholds"]) != len(trainer.params.blocks):

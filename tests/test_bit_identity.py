@@ -6,14 +6,17 @@ lean ones replaced: `_accumulate` copying every gradient into C order, GELU
 and AdamW/EMA as one-line textbook expressions, sampling with the tape on,
 top-K selection by a full stable argsort and K-th values by a full sort,
 `route` taking its K-th values from a second selection pass, `route-sim`
-routing one draw at a time, and the routing report one mask at a time. A
-short training run, a sample and `route-sim` outputs with the lean ops must
-match a run with these patched in, bit for bit. A later change that swaps
-an op for a faster one adds its old form here.
+routing one draw at a time, the routing report one mask at a time, and
+checkpoints holding one .npz member per tensor. A short training run, a
+sample, `route-sim` outputs and a checkpoint round trip with the lean ops
+must match a run with these patched in (or, for checkpoints, a round trip
+through the old form), bit for bit. A later change that swaps an op for a
+faster one adds its old form here.
 """
 
 import contextlib
 import io
+import json
 import math
 
 import numpy as np
@@ -155,6 +158,44 @@ def reference_route_sim_draws(rng, budgets, shape, k, draws):
     return objectives, reports
 
 
+def reference_save_checkpoint(path, trainer):
+    arrays = {f"param/{name}": t.data for name, t in trainer.params.named_tensors()}
+    arrays.update({f"ema/{name}": arr for name, arr in trainer.ema.shadow.items()})
+    for i, (m, v) in enumerate(zip(trainer.opt.m, trainer.opt.v)):
+        arrays[f"opt_m/{i}"] = m
+        arrays[f"opt_v/{i}"] = v
+    meta = {
+        "version": 1,
+        "step": trainer.step_count,
+        "opt_step": trainer.opt.step_count,
+        "config": trainer.config.to_dict(),
+        "thresholds": [blk.moe.threshold.to_dict() if blk.moe is not None else None for blk in trainer.params.blocks],
+        "rng_state": trainer.rng.bit_generator.state,
+    }
+    arrays["meta_json"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    np.savez(path, **arrays)
+
+
+def reference_load_checkpoint(path, config):
+    with np.load(path) as data:
+        meta = json.loads(bytes(data["meta_json"]).decode("utf-8"))
+        trainer = Trainer(config)
+        for name, t in trainer.params.named_tensors():
+            t.data = data[f"param/{name}"]
+        for name in trainer.ema.shadow:
+            trainer.ema.shadow[name] = data[f"ema/{name}"]
+        for i in range(len(trainer.opt.m)):
+            trainer.opt.m[i] = data[f"opt_m/{i}"]
+            trainer.opt.v[i] = data[f"opt_v/{i}"]
+        trainer.opt.step_count = meta["opt_step"]
+        trainer.step_count = meta["step"]
+        for blk, thr in zip(trainer.params.blocks, meta["thresholds"]):
+            if blk.moe is not None and thr is not None:
+                blk.moe.threshold = routing.ThresholdState.from_dict(thr)
+        trainer.rng.bit_generator.state = meta["rng_state"]
+    return trainer
+
+
 def use_reference_ops(monkeypatch):
     monkeypatch.setattr(tensor, "_accumulate", reference_accumulate)
     for module in (layer, denoiser):  # each calls gelu through its own global
@@ -169,15 +210,20 @@ def use_reference_ops(monkeypatch):
     monkeypatch.setattr(cli, "route_sim_draws", reference_route_sim_draws)
 
 
+def full_state(trainer):
+    return (
+        [t.data for _, t in trainer.params.named_tensors()]
+        + list(trainer.ema.shadow.values()) + trainer.opt.m + trainer.opt.v,
+        [blk.moe.threshold.tau.hex() for blk in trainer.params.blocks],
+        trainer.rng.bit_generator.state, trainer.step_count, trainer.opt.step_count,
+    )
+
+
 def run(steps=5):
     trainer = Trainer(CONFIG)
     losses = [trainer.train_step().total for _ in range(steps)]
     x, log = trainer.sample(3, 2, rng=np.random.default_rng(5), record_masks=True)
-    state = (
-        [t.data for _, t in trainer.params.named_tensors()]
-        + list(trainer.ema.shadow.values()) + trainer.opt.m + trainer.opt.v
-    )
-    taus = [blk.moe.threshold.tau.hex() for blk in trainer.params.blocks]
+    state, taus, *_ = full_state(trainer)
     return losses, state, x, log, taus
 
 
@@ -199,6 +245,24 @@ def test_lean_ops_are_bit_identical_to_reference_ops(lean_run, monkeypatch):
     for a, b in zip(lean_log, log):
         assert a["mean_active_per_layer"] == b["mean_active_per_layer"]
         assert all(np.array_equal(ma, mb) for ma, mb in zip(a["masks"], b["masks"]))
+
+
+def test_grouped_checkpoint_round_trip_matches_the_per_tensor_form(tmp_path):
+    trainer = Trainer(CONFIG)
+    for _ in range(4):
+        trainer.train_step()
+    training.save_checkpoint(tmp_path / "grouped.npz", trainer)
+    reference_save_checkpoint(tmp_path / "per_tensor.npz", trainer)
+    grouped = training.load_checkpoint(tmp_path / "grouped.npz", CONFIG)
+    per_tensor = reference_load_checkpoint(tmp_path / "per_tensor.npz", CONFIG)
+    want_arrays, *want_rest = full_state(trainer)
+    for restored in (grouped, per_tensor):
+        arrays, *rest = full_state(restored)
+        assert len(arrays) == len(want_arrays)
+        assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(arrays, want_arrays))
+        assert rest == want_rest
+    losses = [[float(t.train_step().total).hex() for _ in range(3)] for t in (trainer, grouped, per_tensor)]
+    assert losses[0] == losses[1] == losses[2]
 
 
 def route_sim_csv(out, *args):

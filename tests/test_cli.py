@@ -1,10 +1,14 @@
 """CLI commands drive the library end to end and stay reproducible."""
 
 import csv
+import io
 import json
+import math
 import os
+import struct
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -166,7 +170,7 @@ def test_metrics_checkpoint_missing_entry_is_config_error(tmp_path, capsys, drop
     with np.load(run / "ckpt_final.npz") as data:
         arrays = {key: data[key] for key in data.files}
     if drop == "param":
-        missing = next(key for key in arrays if key.startswith("param/"))
+        missing = "param"
         del arrays[missing]
     else:
         missing = "opt_step"
@@ -181,29 +185,55 @@ def test_metrics_checkpoint_missing_entry_is_config_error(tmp_path, capsys, drop
     assert missing in capsys.readouterr().err
 
 
+def read_meta(arrays: dict) -> dict:
+    return json.loads(bytes(arrays["meta_json"]).decode("utf-8"))
+
+
+def encode_meta(meta: dict) -> np.ndarray:
+    return np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+
+
+def tensor_slice(meta: dict, name: str) -> slice:
+    """Where a named tensor sits in each flat state group, from the manifest."""
+    start = 0
+    for saved, shape in meta["tensors"]:
+        size = math.prod(shape)
+        if saved == name:
+            return slice(start, start + size)
+        start += size
+    raise KeyError(name)
+
+
+def in_b_of_shape_1(meta_json: np.ndarray) -> np.ndarray:
+    meta = read_meta({"meta_json": meta_json})
+    meta["tensors"] = [[name, [1] if name == "in_b" else shape] for name, shape in meta["tensors"]]
+    return encode_meta(meta)
+
+
 @pytest.mark.parametrize(
-    "key,bad,named",
+    "member,edit,key,named",
     [
-        ("param/in_b", np.zeros(1), "shape (1,), the model needs (8,)"),
-        ("ema/in_w", np.zeros((8, 4)), "shape (8, 4), the model needs (8, 8)"),
-        ("opt_m/0", np.zeros((8, 8), dtype=np.float32), "dtype float32, the model needs float64"),
-        ("opt_v/1", np.zeros(8, dtype=np.int64), "dtype int64, the model needs float64"),
+        ("meta_json", in_b_of_shape_1, "in_b", "shape (1,), the model needs (8,)"),
+        ("ema", lambda a: a[:-32], "ema", "shape ({short},), the model needs ({n},)"),
+        ("opt_m", lambda a: a.astype(np.float32), "opt_m", "dtype float32, the model needs float64"),
+        ("opt_v", lambda a: a.astype(np.int64), "opt_v", "dtype int64, the model needs float64"),
     ],
     ids=["param-shape", "ema-shape", "opt_m-float32", "opt_v-int64"],
 )
-def test_metrics_checkpoint_bad_array_is_config_error(tmp_path, capsys, key, bad, named):
+def test_metrics_checkpoint_bad_array_is_config_error(tmp_path, capsys, member, edit, key, named):
     run = tmp_path / "run"
     main(["train", "--out", str(run), "--steps", "1", "--seed", "5", *FAST])
     with np.load(run / "ckpt_final.npz") as data:
         arrays = {name: data[name] for name in data.files}
-    arrays[key] = bad
+    arrays[member] = edit(arrays[member])
+    n = arrays["param"].size
     broken = tmp_path / "broken.npz"
     np.savez(broken, **arrays)
     rc = main(["metrics", "--checkpoint", str(broken),
                "--out", str(tmp_path / "rep"), "--seed", "5", *FAST])
     assert rc == 2
     err = capsys.readouterr().err
-    assert repr(key) in err and named in err
+    assert repr(key) in err and named.format(n=n, short=n - 32) in err
 
 
 def test_metrics_on_dense_checkpoint_reports_no_routed_layers(tmp_path, capsys, monkeypatch):
@@ -254,7 +284,7 @@ def test_non_finite_router_scores_exit_3_naming_the_block(tmp_path, capsys, comm
     main(["train", "--out", str(run), "--steps", "1", "--seed", "5", *FAST])
     with np.load(run / "ckpt_final.npz") as data:
         arrays = {key: data[key] for key in data.files}
-    arrays["param/block0.moe.gate_b"] = np.full_like(arrays["param/block0.moe.gate_b"], np.nan)
+    arrays["param"][tensor_slice(read_meta(arrays), "block0.moe.gate_b")] = np.nan
     broken = tmp_path / "broken.npz"
     np.savez(broken, **arrays)
     if command == "metrics":  # infer-mode routing
@@ -458,6 +488,115 @@ def test_metrics_checkpoint_that_is_no_npz_archive_is_config_error(tmp_path, cap
     assert rc == 2
     err = capsys.readouterr().err
     assert err == f"config error: checkpoint {bad} is not an .npz archive\n"
+    assert not out.exists()
+
+
+def npy_bytes(value) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, value)
+    return buf.getvalue()
+
+
+def raw_npy(descr: str, shape: tuple, data: bytes, fortran: bool = False) -> bytes:
+    """A .npy member whose header says what it is told, whatever the data."""
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(buf, {"descr": descr, "fortran_order": fortran, "shape": shape})
+    return buf.getvalue() + data
+
+
+def write_archive(path: Path, members: dict) -> None:
+    with zipfile.ZipFile(path, "w") as zf:
+        for key, value in members.items():
+            zf.writestr(f"{key}.npy", value if isinstance(value, bytes) else npy_bytes(value))
+
+
+def flip_a_data_byte(archive: bytes, member: str) -> bytes:
+    """Flip one byte inside a member's data, past its .npy header: a CRC mismatch."""
+    with zipfile.ZipFile(io.BytesIO(archive)) as zf:
+        offset = zf.getinfo(member).header_offset
+    name_len, extra_len = struct.unpack_from("<HH", archive, offset + 26)  # local file header
+    at = offset + 30 + name_len + extra_len + 1000
+    return archive[:at] + bytes([archive[at] ^ 0x40]) + archive[at + 1:]
+
+
+@pytest.fixture(scope="module")
+def trained_checkpoint(tmp_path_factory):
+    run = tmp_path_factory.mktemp("trained")
+    assert main(["train", "--out", str(run), "--steps", "1", "--seed", "5", *FAST]) == 0
+    return run / "ckpt_final.npz"
+
+
+def malformed(fault: str, ckpt: Path, broken: Path) -> None:
+    with np.load(ckpt) as data:
+        arrays = {name: data[name] for name in data.files}
+    param = arrays["param"]
+    edits = {
+        "not-npy": {"meta_json": b"0123456789"},
+        "not-utf8": {**arrays, "meta_json": np.frombuffer(b"\xff\xfe{}", dtype=np.uint8)},
+        "not-json": {**arrays, "meta_json": np.frombuffer(b"step = 3", dtype=np.uint8)},
+        "json-list": {**arrays, "meta_json": np.frombuffer(b"[1, 2]", dtype=np.uint8)},
+        "dtype": {**arrays, "param": param.astype(np.float32)},
+        "order": {**arrays, "param": raw_npy("<f8", param.shape, param.tobytes(), fortran=True)},
+        "length": {**arrays, "param": np.append(param, 0.0)},
+        "truncated": {**arrays, "param": raw_npy("<f8", param.shape, param[:-1].tobytes())},
+        "trailing": {**arrays, "param": raw_npy("<f8", param.shape, param.tobytes() + bytes(8))},
+    }
+    if fault == "crc":
+        broken.write_bytes(flip_a_data_byte(ckpt.read_bytes(), "param.npy"))
+    else:
+        write_archive(broken, edits[fault])
+
+
+@pytest.mark.parametrize(
+    "fault,member,named",
+    [
+        ("not-npy", "meta_json", "magic string is not correct"),
+        ("not-utf8", "meta_json", "can't decode byte 0xff"),
+        ("not-json", "meta_json", "Expecting value"),
+        ("json-list", "meta_json", "is not a JSON object"),
+        ("dtype", "param", "has dtype float32, the model needs float64"),
+        ("order", "param", "is in Fortran order, the model needs C order"),
+        ("length", "param", "the model needs ("),
+        ("truncated", "param", "is truncated"),
+        ("trailing", "param", "holds more bytes than its header says"),
+        ("crc", "param", "Bad CRC-32 for file 'param.npy'"),
+    ],
+)
+def test_metrics_checkpoint_malformed_member_is_config_error(tmp_path, capsys, trained_checkpoint, fault, member, named):
+    broken = tmp_path / "broken.npz"
+    malformed(fault, trained_checkpoint, broken)
+    capsys.readouterr()
+    out = tmp_path / "rep"
+    rc = main(["metrics", "--checkpoint", str(broken), "--out", str(out), "--seed", "5", *FAST])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: checkpoint {broken} member {member!r} ") and err.count("\n") == 1
+    assert named in err
+    assert not out.exists()
+
+
+def test_version_1_checkpoint_is_rejected_naming_both_versions(tmp_path, capsys, trained_checkpoint):
+    # the version-1 layout: one member per tensor, no manifest
+    with np.load(trained_checkpoint) as data:
+        arrays = {name: data[name] for name in data.files}
+    meta = read_meta(arrays)
+    v1 = {}
+    for i, (name, shape) in enumerate(meta["tensors"]):
+        at = tensor_slice(meta, name)
+        v1[f"param/{name}"] = arrays["param"][at].reshape(shape)
+        v1[f"ema/{name}"] = arrays["ema"][at].reshape(shape)
+        v1[f"opt_m/{i}"] = arrays["opt_m"][at].reshape(shape)
+        v1[f"opt_v/{i}"] = arrays["opt_v"][at].reshape(shape)
+    del meta["tensors"]
+    v1["meta_json"] = encode_meta({**meta, "version": 1})
+    old = tmp_path / "v1.npz"
+    np.savez(old, **v1)
+    capsys.readouterr()
+    out = tmp_path / "rep"
+    rc = main(["metrics", "--checkpoint", str(old), "--out", str(out), "--seed", "5", *FAST])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: checkpoint {old} has version 1; this moelab reads version 2\n"
     assert not out.exists()
 
 

@@ -363,15 +363,39 @@ def test_interrupted_checkpoint_save_keeps_previous_file(tmp_path, monkeypatch):
     before = path.read_bytes()
     trainer.train_step()
 
-    def savez_dies_midway(fh, **arrays):
-        fh.write(b"PK\x03\x04 half an archive")
-        raise OSError("disk full")
+    write_header = np.lib.format.write_array_header_1_0
+    headers = []
 
-    monkeypatch.setattr(np, "savez", savez_dies_midway)
+    def disk_full_after_the_first_member(fh, header):
+        headers.append(header)
+        if len(headers) > 1:
+            raise OSError("disk full")
+        write_header(fh, header)
+
+    monkeypatch.setattr(np.lib.format, "write_array_header_1_0", disk_full_after_the_first_member)
     with pytest.raises(OSError, match="disk full"):
         save_checkpoint(path, trainer)
+    assert len(headers) == 2  # one member was written whole before the failure
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["ckpt.npz"]
+
+
+def test_loaded_state_arrays_own_their_memory(tmp_path):
+    # a group read into one buffer and handed out as views would pin that
+    # buffer for the trainer's life; each array is read into in place instead
+    trainer = small_trainer(seed=4)
+    trainer.train_step()
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, trainer)
+    restored = load_checkpoint(path, trainer.config)
+    arrays = (
+        [t.data for _, t in restored.params.named_tensors()]
+        + list(restored.ema.shadow.values()) + restored.opt.m + restored.opt.v
+    )
+    assert len(arrays) == 4 * len(restored.params.named_tensors())
+    assert all(a.base is None and a.flags.owndata and a.flags.c_contiguous for a in arrays)
+    spans = sorted((a.ctypes.data, a.ctypes.data + a.nbytes) for a in arrays)
+    assert all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))
 
 
 def test_checkpoint_rejects_config_mismatch(tmp_path):
@@ -390,6 +414,19 @@ def test_sampling_requires_thresholds():
     trainer = small_trainer(seed=5)
     with pytest.raises(StateError):
         trainer.sample(2, 0)
+
+
+@pytest.mark.parametrize("n", [0, -1, 2.5])
+def test_sampling_rejects_a_count_that_is_no_positive_integer(n, monkeypatch):
+    from moelab import training
+
+    trainer = small_trainer(seed=5)
+    trainer.train_step()
+    steps = []
+    monkeypatch.setattr(training, "denoiser_forward", lambda *args, **kwargs: steps.append(1))
+    with pytest.raises(ConfigError, match=f"sample count must be a positive integer, got {n}"):
+        trainer.sample(n, 0)
+    assert steps == []
 
 
 @pytest.mark.parametrize("c", [-1, SMALL.num_classes, [0, 7]])
