@@ -268,16 +268,13 @@ def _heldout_masks(trainer: Trainer, batches: int, mode: str) -> tuple[list[np.n
     return [np.concatenate(layer, axis=0) for layer in zip(*masks)], np.concatenate(timesteps)
 
 
-def _checkpoint_metrics(trainer: Trainer, eval_batches: int = 4) -> dict:
-    """The routing report per layer, with its tau, on held-out batches routed
-    in infer mode. A dense model has no routed layers:
-    {"dense": true, "per_layer": []}."""
-    if trainer.config.model.dense:
-        return {"dense": True, "per_layer": []}
+def _checkpoint_metrics(trainer: Trainer) -> dict:
+    """The routing report per layer, with its tau, on four held-out batches
+    routed in infer mode."""
     blocks = trainer.params.blocks
-    if not all(blk.moe is not None and blk.moe.threshold.initialized for blk in blocks):
+    if not all(blk.moe.threshold.initialized for blk in blocks):
         raise StateError("checkpoint has uninitialized thresholds; train first")
-    masks, t = _heldout_masks(trainer, eval_batches, "infer")
+    masks, t = _heldout_masks(trainer, 4, "infer")
     report = metrics_mod.routing_report(masks, trainer.config.model.k, t, trainer.schedule.total_steps)
     per_layer = [{"layer": i, **rec, "tau": blocks[i].moe.threshold.tau} for i, rec in enumerate(report)]
     return {"per_layer": per_layer}
@@ -290,8 +287,6 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     report = _checkpoint_metrics(trainer)
     path = out_dir / "metrics.json"
     path.write_text(json.dumps(report, indent=2) + "\n")
-    if report.get("dense"):
-        print("dense model: no routed layers to report")
     print(f"wrote {path}")
     return 0
 

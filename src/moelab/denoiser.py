@@ -16,7 +16,7 @@ from typing import Literal
 import numpy as np
 
 from . import layer as moe_layer
-from .layer import ExpertParams, FineGrainedConfig, LayerOutput, MoeLayerParams, expert_forward
+from .layer import ExpertParams, FineGrainedConfig, LayerOutput, MoeLayerParams, _xavier, expert_forward
 from .routing import ConfigError, NumericError, RoutingStrategy, get_strategy
 from .tensor import Tensor, gelu, matmul, take_cols, take_rows
 
@@ -45,7 +45,6 @@ class DenoiserConfig:
     total_steps: int = 100
     schedule: str = "cosine"
     dense: bool = False  # plain FFN blocks instead of MoE (the twin model)
-    force_unit_gate: bool = False
 
     @property
     def resolved_dense_hidden(self) -> int:
@@ -142,21 +141,12 @@ def _zeros(*shape: int) -> Tensor:
 def init_denoiser(config: DenoiserConfig, seed_or_rng) -> DenoiserParams:
     """Xavier-uniform linears, zero-initialized adaptive and output layers."""
     rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) else np.random.default_rng(seed_or_rng)
-    d, L = config.model_dim, config.tokens
-
-    def xavier(fan_in, fan_out):
-        b = moe_layer.xavier_bound(fan_in, fan_out)
-        return Tensor(rng.uniform(-b, b, size=(fan_in, fan_out)), requires_grad=True)
+    d, L, H = config.model_dim, config.tokens, config.resolved_dense_hidden
 
     blocks = []
     for _ in range(config.layers):
         if config.dense:
-            mcfg = config.moe_config()
-            bound = moe_layer.xavier_bound(d, mcfg.dense_hidden)
-            ffn = ExpertParams(
-                w_in=Tensor(rng.uniform(-bound, bound, size=(d, mcfg.dense_hidden)), requires_grad=True),
-                w_out=Tensor(rng.uniform(-bound, bound, size=(mcfg.dense_hidden, d)), requires_grad=True),
-            )
+            ffn = ExpertParams(w_in=_xavier(rng, d, H), w_out=_xavier(rng, H, d))
             moe = None
         else:
             moe = moe_layer.init_params(config.moe_config(), rng)
@@ -165,7 +155,7 @@ def init_denoiser(config: DenoiserConfig, seed_or_rng) -> DenoiserParams:
             BlockParams(
                 mod_w=_zeros(d, 3 * d),
                 mod_b=_zeros(3 * d),
-                mix_w=xavier(L, L),
+                mix_w=_xavier(rng, L, L),
                 moe=moe,
                 ffn=ffn,
             )
@@ -173,12 +163,12 @@ def init_denoiser(config: DenoiserConfig, seed_or_rng) -> DenoiserParams:
 
     return DenoiserParams(
         config=config,
-        in_w=xavier(d, d),
+        in_w=_xavier(rng, d, d),
         in_b=_zeros(d),
         class_emb=Tensor(rng.normal(0.0, 0.02, size=(config.num_classes, d)), requires_grad=True),
-        t_w1=xavier(d, d),
+        t_w1=_xavier(rng, d, d),
         t_b1=_zeros(d),
-        t_w2=xavier(d, d),
+        t_w2=_xavier(rng, d, d),
         t_b2=_zeros(d),
         blocks=blocks,
         final_mod_w=_zeros(d, 2 * d),
@@ -240,9 +230,7 @@ def denoiser_forward(
         u = matmul(u.transpose(0, 2, 1), blk.mix_w).transpose(0, 2, 1)
         if blk.moe is not None:
             try:
-                out = moe_layer.moe_forward(
-                    u, blk.moe, strategy, cfg.gating, mode, force_unit_gate=cfg.force_unit_gate
-                )
+                out = moe_layer.moe_forward(u, blk.moe, strategy, cfg.gating, mode)
             except NumericError as exc:
                 raise NumericError(f"block {i}: {exc}") from exc
             layer_outputs.append(out)

@@ -93,15 +93,16 @@ def make_target(
     schedule: NoiseSchedule,
     parameterization: str,
 ) -> np.ndarray:
-    """Regression target: the noise, the clean sample, or the velocity
-    v = sqrt(1 - alpha_bar) * eps - sqrt(alpha_bar) * x0."""
+    """Regression target: the noise, the clean sample, or the velocity of
+    Salimans & Ho (2022), v = sqrt(alpha_bar) * eps - sqrt(1 - alpha_bar) * x0,
+    which is eps at alpha_bar = 1 and tends to -x0 as alpha_bar -> 0."""
     if parameterization == "eps":
         return eps.copy()
     if parameterization == "x0":
         return x0.copy()
     if parameterization == "v":
         ab = _per_sample(schedule.alpha_bar, np.asarray(t), x0.ndim)
-        return np.sqrt(1.0 - ab) * eps - np.sqrt(ab) * x0
+        return np.sqrt(ab) * eps - np.sqrt(1.0 - ab) * x0
     raise ConfigError(f"unknown parameterization {parameterization!r}; use eps, x0 or v")
 
 

@@ -40,7 +40,6 @@ __all__ = [
     "init_params",
     "expert_forward",
     "moe_forward",
-    "count_params",
 ]
 
 
@@ -52,7 +51,6 @@ class FineGrainedConfig:
     num_experts: int
     k: int
     dense_hidden: int
-    target_dim: int | None = None  # defaults to model_dim
 
     def __post_init__(self):
         if self.k < 1 or self.num_experts < 1:
@@ -68,10 +66,6 @@ class FineGrainedConfig:
     @property
     def expert_hidden(self) -> int:
         return self.dense_hidden // self.k
-
-    @property
-    def resolved_target_dim(self) -> int:
-        return self.model_dim if self.target_dim is None else self.target_dim
 
 
 @dataclass
@@ -92,8 +86,8 @@ class MoeLayerParams:
     router_b: Tensor  # (D,)
     gate_w: Tensor  # (D, E)
     gate_b: Tensor  # (E,)
-    target_w: Tensor  # (D, target_dim)
-    target_b: Tensor  # (target_dim,)
+    target_w: Tensor  # (D, D)
+    target_b: Tensor  # (D,)
     experts: list[ExpertParams]
     threshold: ThresholdState
     config: FineGrainedConfig
@@ -129,7 +123,7 @@ class MoeLayerParams:
 class LayerOutput:
     y: Tensor  # (B, L, D) mixed expert output
     route: RouteResult
-    y_hat: Tensor  # (B, L, target_dim) per-layer target prediction
+    y_hat: Tensor  # (B, L, D) per-layer target prediction
     logits: Tensor  # (B, L, E) raw router logits, kept for the aux losses
 
 
@@ -152,15 +146,14 @@ def init_params(config: FineGrainedConfig, seed_or_rng) -> MoeLayerParams:
     """
     rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) else np.random.default_rng(seed_or_rng)
     d, e, h = config.model_dim, config.num_experts, config.expert_hidden
-    tdim = config.resolved_target_dim
 
     params = MoeLayerParams(
         router_w=_xavier(rng, d, d),
         router_b=Tensor(np.zeros(d), requires_grad=True),
         gate_w=_xavier(rng, d, e),
         gate_b=Tensor(np.zeros(e), requires_grad=True),
-        target_w=_xavier(rng, d, tdim),
-        target_b=Tensor(np.zeros(tdim), requires_grad=True),
+        target_w=_xavier(rng, d, d),
+        target_b=Tensor(np.zeros(d), requires_grad=True),
         experts=[
             ExpertParams(
                 w_in=_xavier(rng, d, h, bound=xavier_bound(d, h * config.k)),
@@ -185,7 +178,6 @@ def moe_forward(
     strategy: RoutingStrategy,
     gating: str,
     mode: Literal["train", "eval", "infer"],
-    force_unit_gate: bool = False,
 ) -> LayerOutput:
     """Route, run experts, and combine: y[b,l] = sum_i gates[b,l,i] * E_i(x[b,l]).
 
@@ -199,19 +191,13 @@ def moe_forward(
     eval mode, mask.sum() in infer mode. Experts with no selected row are
     skipped; if none is selected, y is a zero constant. The router trunk
     runs once and feeds both heads; the target head's prediction rides
-    along for the per-layer regularization loss.
+    along for the per-layer regularization loss. A 1-in-1 layer with
+    softmax gating has every gate exactly 1.0, so y is exactly its one
+    expert's dense FFN output: the dense twin.
     """
     h = params.router_trunk(x)
     logits = params.gating_logits(h)
-    result = routing.route(
-        logits,
-        strategy,
-        gating,
-        mode,
-        params.threshold,
-        k=params.config.k,
-        force_unit_gate=force_unit_gate,
-    )
+    result = routing.route(logits, strategy, gating, mode, params.threshold, k=params.config.k)
 
     B, L, D = x.shape
     E = params.config.num_experts
@@ -228,24 +214,3 @@ def moe_forward(
 
     y_hat = params.target_prediction(h)
     return LayerOutput(y=y, route=result, y_hat=y_hat, logits=logits)
-
-
-def count_params(config: FineGrainedConfig) -> dict[str, int]:
-    """Parameter accounting for reporting.
-
-    activated counts the k experts a token pays for plus the full router
-    (always active); expert weights dominate and are exactly invariant
-    across the k-in-E family at fixed model dim and dense_hidden.
-    """
-    d, e, h = config.model_dim, config.num_experts, config.expert_hidden
-    tdim = config.resolved_target_dim
-    per_expert = d * h + h * d
-    router = d * d + d + d * e + e + d * tdim + tdim
-    total_experts = e * per_expert
-    return {
-        "expert_total": total_experts,
-        "expert_activated": config.k * per_expert,
-        "router": router,
-        "total": total_experts + router,
-        "activated": config.k * per_expert + router,
-    }

@@ -33,6 +33,7 @@ __all__ = [
     "similarity_weights",
     "router_similarity_loss",
     "router_similarity_diag",
+    "layer_mean",
     "per_layer_reg_loss",
     "diffusion_loss",
     "total_loss",
@@ -157,6 +158,14 @@ def router_similarity_diag(inputs: AuxLossInputs) -> Tensor:
     return (p_corr * Tensor(W_diag)).sum() * (1.0 / T)
 
 
+def layer_mean(terms: list[Tensor]) -> Tensor:
+    """The per-layer terms summed in layer order, times 1 / (layer count)."""
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total * (1.0 / len(terms))
+
+
 def per_layer_reg_loss(y_hats: list[Tensor], target) -> Tensor:
     """Mean over layers and tokens of the squared error to the final target.
 
@@ -166,15 +175,14 @@ def per_layer_reg_loss(y_hats: list[Tensor], target) -> Tensor:
     if not y_hats:
         raise ConfigError("per_layer_reg_loss needs at least one layer prediction")
     y = target if isinstance(target, Tensor) else Tensor(target)
-    total = None
+    terms = []
     for y_hat in y_hats:
         if y_hat.shape != y.shape:
             raise ConfigError(f"target head output {y_hat.shape} does not match target {y.shape}")
         diff = y_hat - y
         per_token = diff.square().sum(axis=-1)  # (B, L)
-        term = per_token.mean()
-        total = term if total is None else total + term
-    return total * (1.0 / len(y_hats))
+        terms.append(per_token.mean())
+    return layer_mean(terms)
 
 
 def diffusion_loss(prediction: Tensor, target) -> Tensor:

@@ -111,7 +111,7 @@ class CombinationUsage:
     no_pairs: bool  # no token activated >= 2 experts
 
 
-def _combination_usages(masks: np.ndarray, cutoff: float = 0.95) -> tuple[np.ndarray, np.ndarray]:
+def _combination_usages(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(ratio, no_pairs) arrays of combination_usage over an (R, ..., E) stack, E >= 2."""
     counts = _pair_counts(masks)
     n_bins = counts.shape[1]
@@ -119,19 +119,19 @@ def _combination_usages(masks: np.ndarray, cutoff: float = 0.95) -> tuple[np.nda
     no_pairs = total[:, 0] == 0
     ordered = np.sort(counts, axis=1)[:, ::-1] / np.where(no_pairs[:, None], 1.0, total)
     cum = np.cumsum(ordered, axis=1)
-    active = np.count_nonzero(cum < cutoff, axis=1)
+    active = np.count_nonzero(cum < 0.95, axis=1)
     return np.where(no_pairs, 0.0, active / n_bins), no_pairs
 
 
-def combination_usage(mask: np.ndarray, cutoff: float = 0.95) -> CombinationUsage:
+def combination_usage(mask: np.ndarray) -> CombinationUsage:
     """Sort pair counts descending, normalize, and count the bins whose
     running cumulative sum (own mass included) stays strictly below the
-    cutoff; the ratio is that count over C(E, 2).
+    paper's cutoff of 0.95; the ratio is that count over C(E, 2).
     """
     E = mask.shape[-1]
     if E < 2:
         raise ConfigError("combination usage needs E >= 2")
-    ratio, no_pairs = _combination_usages(mask[None], cutoff)
+    ratio, no_pairs = _combination_usages(mask[None])
     return CombinationUsage(ratio=float(ratio[0]), no_pairs=bool(no_pairs[0]))
 
 

@@ -350,7 +350,6 @@ def route(
     mode: Literal["train", "eval", "infer"],
     state: ThresholdState,
     k: int = 1,
-    force_unit_gate: bool = False,
 ) -> RouteResult:
     """Select token-expert pairs and produce the sparsified gate tensor.
 
@@ -361,9 +360,10 @@ def route(
     so each sample's routing depends only on its own scores; activation
     counts may vary per token.
 
-    force_unit_gate replaces surviving gate values with exactly 1.0
-    (selection unchanged); used by the dense-equivalence harness path.
-    Scores holding NaN or inf raise NumericError with their count.
+    Softmax gating over a single expert gives gates of exactly 1.0 and
+    passes exactly zero gradient to the logits, so a 1-in-1 softmax layer
+    is the unit-gated dense twin. Scores holding NaN or inf raise
+    NumericError with their count.
     """
     if scores.data.ndim != 3:
         raise ConfigError(f"scores must be (B, L, E), got {scores.shape}")
@@ -389,8 +389,4 @@ def route(
     else:
         raise ConfigError(f"mode must be 'train', 'eval' or 'infer', got {mode!r}")
 
-    if force_unit_gate:
-        gates = Tensor(mask.copy())
-    else:
-        gates = gated * Tensor(mask)
-    return RouteResult(mask=mask, gates=gates, kth_values=kth)
+    return RouteResult(mask=mask, gates=gated * Tensor(mask), kth_values=kth)

@@ -49,18 +49,19 @@ CHECKPOINT_VERSION = 2
 
 
 class AdamW(object):
-    """AdamW with zero weight decay (constant learning rate).
+    """AdamW with zero weight decay (constant learning rate) and the usual
+    betas (0.9, 0.999) and eps 1e-8.
 
     `m` and `v` are updated in place, with the same IEEE operations in the
     same order as the textbook formulas; `p.grad` is only read and each
     parameter is rebound to a new array.
     """
 
-    def __init__(self, params: list[Tensor], lr: float = 1e-4, betas=(0.9, 0.999), eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: list[Tensor], lr: float = 1e-4):
         self.params = params
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.step_count = 0
         self.m = [np.zeros_like(p.data) for p in params]
         self.v = [np.zeros_like(p.data) for p in params]
@@ -183,8 +184,8 @@ class Trainer(object):
                     aux_inputs_from_routing(out.route.mask, out.logits, cfg.model.k)
                     for out in layer_outputs
                 ]
-                sim = _mean_over_layers([losses_mod.router_similarity_loss(a) for a in aux])
-                blc = _mean_over_layers([losses_mod.balance_loss(a) for a in aux])
+                sim = losses_mod.layer_mean([losses_mod.router_similarity_loss(a) for a in aux])
+                blc = losses_mod.layer_mean([losses_mod.balance_loss(a) for a in aux])
         total, breakdown = losses_mod.total_loss(diff, plr, sim, blc, cfg.weights)
 
         if not np.isfinite(total.item()):
@@ -280,13 +281,6 @@ class Trainer(object):
                     entry["masks"] = [out.route.mask for out in layer_outputs]
                 allocation_log.append(entry)
         return x, allocation_log
-
-
-def _mean_over_layers(terms: list[Tensor]) -> Tensor:
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
-    return total * (1.0 / len(terms))
 
 
 def _to_eps(pred: np.ndarray, x_t: np.ndarray, t: int, sched: NoiseSchedule, parameterization: str) -> np.ndarray:
@@ -428,11 +422,13 @@ def _check_manifest(path, manifest, named: list[tuple[str, Tensor]]) -> None:
             raise ConfigError(f"checkpoint {path} tensor {name!r} has shape {saved_shape}, the model needs {t.shape}")
 
 
-def load_checkpoint(path, config: TrainerConfig, strict_config: bool = True) -> Trainer:
+def load_checkpoint(path, config: TrainerConfig) -> Trainer:
     """Rebuild a Trainer in the exact state it was saved in.
 
     Reads the layout save_checkpoint writes, version 2 only; any other
-    version raises ConfigError naming both. The manifest must match the
+    version raises ConfigError naming both. The saved config must equal
+    `config` key for key, or a ConfigError names each key that differs,
+    one the other side lacks included. The manifest must match the
     model's tensors, names and shapes, and each state group must be a 1-D
     C-order float64 member of exactly their total size; its bytes are read
     straight into the new Trainer's own arrays, so every state array owns
@@ -459,15 +455,14 @@ def load_checkpoint(path, config: TrainerConfig, strict_config: bool = True) -> 
         missing = sorted(_META_KEYS - set(meta))
         if missing:
             raise ConfigError(f"checkpoint {path} metadata has no {missing}")
-        if strict_config:
-            saved, current = meta["config"], config.to_dict()
-            if saved != current:
-                diff = {
-                    key: (saved.get(key), current.get(key))
-                    for key in sorted(set(saved) | set(current))
-                    if saved.get(key) != current.get(key)
-                }
-                raise ConfigError(f"checkpoint config mismatch (saved vs requested): {diff}")
+        saved, current = meta["config"], config.to_dict()
+        if saved != current:
+            diff = {
+                key: (saved.get(key), current.get(key))
+                for key in sorted(set(saved) | set(current))
+                if saved.get(key) != current.get(key)
+            }
+            raise ConfigError(f"checkpoint config mismatch (saved vs requested): {diff}")
 
         trainer = Trainer(config)
         named = trainer.params.named_tensors()

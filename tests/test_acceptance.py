@@ -406,11 +406,11 @@ def _graft_dense_twin(moe_trainer: Trainer, dense_trainer: Trainer) -> None:
 
 
 def test_criterion_9_dense_twin_equivalence():
+    # softmax over the one expert gates every token by exactly 1.0
     base = DenoiserConfig(layers=2, model_dim=16, tokens=8, num_classes=3,
-                          num_experts=1, k=1, dense_hidden=64, total_steps=40)
+                          num_experts=1, k=1, dense_hidden=64, total_steps=40, gating="softmax")
     weights = LossWeights(plr=0.0, sim=0.0, blc=0.0)
-    moe_trainer = Trainer(TrainerConfig(model=replace(base, force_unit_gate=True),
-                                        batch_size=6, seed=4, weights=weights))
+    moe_trainer = Trainer(TrainerConfig(model=base, batch_size=6, seed=4, weights=weights))
     dense_trainer = Trainer(TrainerConfig(model=replace(base, dense=True),
                                           batch_size=6, seed=4, weights=weights))
     _graft_dense_twin(moe_trainer, dense_trainer)

@@ -88,7 +88,7 @@ def reference_kth_value_per_row(scores2d, k):
     return np.sort(scores2d, axis=1)[:, scores2d.shape[1] - k]
 
 
-def reference_route(scores, strategy, gating, mode, state, k=1, force_unit_gate=False):
+def reference_route(scores, strategy, gating, mode, state, k=1):
     if scores.data.ndim != 3:
         raise routing.ConfigError(f"scores must be (B, L, E), got {scores.shape}")
     bad = scores.size - np.count_nonzero(np.isfinite(scores.data))
@@ -111,7 +111,7 @@ def reference_route(scores, strategy, gating, mode, state, k=1, force_unit_gate=
         kth = None
     else:
         raise routing.ConfigError(f"mode must be 'train', 'eval' or 'infer', got {mode!r}")
-    gates = Tensor(mask.copy()) if force_unit_gate else gated * Tensor(mask)
+    gates = gated * Tensor(mask)
     return routing.RouteResult(mask=mask, gates=gates, kth_values=kth)
 
 

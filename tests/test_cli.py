@@ -236,28 +236,6 @@ def test_metrics_checkpoint_bad_array_is_config_error(tmp_path, capsys, member, 
     assert repr(key) in err and named.format(n=n, short=n - 32) in err
 
 
-def test_metrics_on_dense_checkpoint_reports_no_routed_layers(tmp_path, capsys, monkeypatch):
-    from dataclasses import replace
-
-    from moelab import cli
-
-    # the CLI has no dense key; build the dense twin through its config hook
-    to_config = cli.trainer_config_from
-
-    def dense_config(cfg):
-        tc = to_config(cfg)
-        return replace(tc, model=replace(tc.model, dense=True))
-
-    monkeypatch.setattr(cli, "trainer_config_from", dense_config)
-    run = tmp_path / "run"
-    assert main(["train", "--out", str(run), "--steps", "2", "--seed", "5", *FAST]) == 0
-    out = tmp_path / "report"
-    rc = main(["metrics", "--checkpoint", str(run / "ckpt_final.npz"), "--out", str(out), "--seed", "5", *FAST])
-    assert rc == 0
-    assert json.loads((out / "metrics.json").read_text()) == {"dense": True, "per_layer": []}
-    assert "no routed layers" in capsys.readouterr().out
-
-
 @pytest.mark.parametrize("fault,named", [("momentum", "momentum"), ("missing", "threshold entries")])
 def test_metrics_checkpoint_bad_thresholds_is_config_error(tmp_path, capsys, fault, named):
     run = tmp_path / "run"

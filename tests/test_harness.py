@@ -1,8 +1,11 @@
 """Diffusion harness: schedules, noising, the denoiser, training machinery."""
 
+import json
+
 import numpy as np
 import pytest
 
+from moelab.cli import main
 from moelab.denoiser import DenoiserConfig, denoiser_forward, init_denoiser
 from moelab.diffusion import DiffusionBatch, SyntheticTask, build_schedule, forward_diffuse, make_target
 from moelab.routing import ConfigError, StateError
@@ -102,20 +105,36 @@ def test_make_target_three_parameterizations():
     assert np.array_equal(make_target(x0, eps, t, sched, "x0"), x0)
     v = make_target(x0, eps, t, sched, "v")
     ab = sched.alpha_bar[t][:, None, None]
-    assert np.allclose(v, np.sqrt(1 - ab) * eps - np.sqrt(ab) * x0, atol=1e-15)
+    assert np.allclose(v, np.sqrt(ab) * eps - np.sqrt(1 - ab) * x0, atol=1e-15)
     with pytest.raises(ConfigError):
         make_target(x0, eps, t, sched, "score")
 
 
 def test_velocity_endpoints():
-    # alpha_bar = 1 -> v = -x0 ; alpha_bar ~ 0 -> v ~ eps
+    # alpha_bar = 1 -> v = eps ; alpha_bar ~ 0 -> v ~ -x0
     sched = build_schedule(30)
     x0 = np.ones((1, 2, 2))
     eps = np.full((1, 2, 2), 2.0)
     v0 = make_target(x0, eps, np.array([0]), sched, "v")
-    assert np.allclose(v0, -x0, atol=1e-12)
+    assert np.allclose(v0, eps, atol=1e-12)
     vT = make_target(x0, eps, np.array([30]), sched, "v")
-    assert np.allclose(vT, eps, atol=0.1)
+    assert np.allclose(vT, -x0, atol=0.1)
+
+
+@pytest.mark.parametrize("parameterization", ["eps", "x0", "v"])
+def test_target_converts_back_to_the_noise(parameterization):
+    # the sampler's inverse of each target recovers eps at every timestep
+    from moelab.training import _to_eps
+
+    sched = build_schedule(100)
+    rng = np.random.default_rng(8)
+    x0 = rng.normal(size=(3, 4, 5))
+    eps = rng.normal(size=(3, 4, 5))
+    for step in range(1, sched.total_steps + 1):
+        t = np.full(3, step)
+        y = make_target(x0, eps, t, sched, parameterization)
+        x_t = forward_diffuse(x0, t, eps, sched)
+        assert np.abs(_to_eps(y, x_t, step, sched, parameterization) - eps).max() < 1e-12, step
 
 
 # ----------------------------------------------------------------------
@@ -169,7 +188,7 @@ def test_denoiser_prediction_shape_matches_target():
 def test_dense_twin_forward_matches_one_in_one():
     from dataclasses import replace
 
-    moe_cfg = replace(SMALL, num_experts=1, k=1, force_unit_gate=True)
+    moe_cfg = replace(SMALL, num_experts=1, k=1, gating="softmax")
     moe = init_denoiser(moe_cfg, 21)
     dense = init_denoiser(replace(SMALL, dense=True, num_experts=1, k=1), 22)
     # graft the MoE expert weights into the dense twin
@@ -398,7 +417,7 @@ def test_loaded_state_arrays_own_their_memory(tmp_path):
     assert all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))
 
 
-def test_checkpoint_rejects_config_mismatch(tmp_path):
+def test_checkpoint_rejects_config_mismatch(tmp_path, capsys):
     config = TrainerConfig(model=SMALL, batch_size=6, seed=3)
     trainer = Trainer(config)
     trainer.train_step()
@@ -408,6 +427,22 @@ def test_checkpoint_rejects_config_mismatch(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_checkpoint(path, other)
     assert "batch_size" in str(err.value)
+
+    # a version 2 checkpoint whose config holds a key this moelab dropped
+    with np.load(path) as archive:
+        arrays = dict(archive)
+    meta = json.loads(bytes(arrays["meta_json"]).decode("utf-8"))
+    meta["config"]["force_unit_gate"] = False
+    arrays["meta_json"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    old = tmp_path / "old.npz"
+    np.savez(old, **arrays)
+    with pytest.raises(ConfigError) as err:
+        load_checkpoint(old, config)
+    assert str(err.value) == (
+        "checkpoint config mismatch (saved vs requested): {'force_unit_gate': (False, None)}"
+    )
+    assert main(["metrics", "--checkpoint", str(old), "--out", str(tmp_path / "report")]) == 2
+    assert "'force_unit_gate'" in capsys.readouterr().err
 
 
 def test_sampling_requires_thresholds():

@@ -21,7 +21,7 @@ from moelab.routing import (
     scatter_mask,
     topk_mask,
 )
-from moelab.tensor import Tensor
+from moelab.tensor import Tensor, backward
 
 ALL = [get_strategy(n) for n in routing.STRATEGIES]
 
@@ -367,11 +367,18 @@ def test_inference_per_sample_independence():
     assert np.array_equal(res_a.mask[0], res_b.mask[0])
 
 
-def test_route_force_unit_gate():
-    S = Tensor(np.random.default_rng(67).normal(size=(1, 4, 4)))
-    res = route(S, get_strategy("token-choice"), "identity", "train", ThresholdState(), k=2, force_unit_gate=True)
-    assert set(np.unique(res.gates.data)) <= {0.0, 1.0}
+@pytest.mark.parametrize("mode", ["train", "eval", "infer"])
+@pytest.mark.parametrize("strategy", ALL, ids=lambda s: s.name)
+def test_route_softmax_over_one_expert_gives_unit_gates_and_no_gradient(strategy, mode):
+    # the dense twin of a 1-in-1 layer: every gate is exactly 1.0, and the
+    # logits get exactly zero gradient
+    rng = np.random.default_rng(67)
+    S = Tensor(rng.normal(size=(2, 4, 1)) * 3.0, requires_grad=True)
+    res = route(S, strategy, "softmax", mode, ThresholdState(tau=1.0), k=1)
+    assert res.mask.all()
     assert np.array_equal(res.gates.data, res.mask)
+    backward((res.gates * Tensor(rng.normal(size=(2, 4, 1)))).sum(), [S])
+    assert np.array_equal(S.grad, np.zeros((2, 4, 1)))
 
 
 # ----------------------------------------------------------------------
