@@ -245,10 +245,16 @@ def test_expert_relabeling_symmetry():
     assert np.allclose(out, base, atol=1e-12)
 
 
+def test_count_params_one_in_one_equals_dense_ffn():
+    params = init_params(FineGrainedConfig(model_dim=8, num_experts=1, k=1, dense_hidden=32), 0)
+    (expert,) = params.experts
+    assert expert.w_in.size + expert.w_out.size == 8 * 32 + 32 * 8
+
+
 def test_activated_params_invariant_across_family():
     # k experts of a k-in-E layer hold exactly the dense FFN's weight count
     activated = set()
-    for k, e in [(1, 1), (2, 8), (4, 16), (8, 32)]:
+    for k, e in [(2, 8), (4, 16), (8, 32)]:
         expert = init_params(FineGrainedConfig(model_dim=64, num_experts=e, k=k, dense_hidden=256), 0).experts[0]
         activated.add(k * (expert.w_in.size + expert.w_out.size))
     assert activated == {64 * 256 + 256 * 64}
