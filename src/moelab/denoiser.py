@@ -38,7 +38,7 @@ class DenoiserConfig:
     num_classes: int = 4
     num_experts: int = 8
     k: int = 2
-    dense_hidden: int | None = None  # defaults to 4 * model_dim
+    dense_hidden: int = 256  # the dense FFN's inner width, 4 * the default model_dim
     strategy: str = "expert-race"
     gating: str = "identity"
     parameterization: Literal["eps", "x0", "v"] = "eps"
@@ -46,16 +46,12 @@ class DenoiserConfig:
     schedule: str = "cosine"
     dense: bool = False  # plain FFN blocks instead of MoE (the twin model)
 
-    @property
-    def resolved_dense_hidden(self) -> int:
-        return 4 * self.model_dim if self.dense_hidden is None else self.dense_hidden
-
     def moe_config(self) -> FineGrainedConfig:
         return FineGrainedConfig(
             model_dim=self.model_dim,
             num_experts=self.num_experts,
             k=self.k,
-            dense_hidden=self.resolved_dense_hidden,
+            dense_hidden=self.dense_hidden,
         )
 
     def routing_strategy(self) -> RoutingStrategy:
@@ -141,7 +137,7 @@ def _zeros(*shape: int) -> Tensor:
 def init_denoiser(config: DenoiserConfig, seed_or_rng) -> DenoiserParams:
     """Xavier-uniform linears, zero-initialized adaptive and output layers."""
     rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) else np.random.default_rng(seed_or_rng)
-    d, L, H = config.model_dim, config.tokens, config.resolved_dense_hidden
+    d, L, H = config.model_dim, config.tokens, config.dense_hidden
 
     blocks = []
     for _ in range(config.layers):

@@ -24,6 +24,9 @@ __all__ = [
 ]
 
 _MAX_BETA = 0.999
+# SyntheticTask: class-mean spread, and the per-token noise scale's ends
+_CLASS_SEPARATION = 2.0
+_SIGMA_LO, _SIGMA_HI = 0.2, 1.0
 
 
 @dataclass(frozen=True)
@@ -31,13 +34,11 @@ class NoiseSchedule:
     """Cumulative signal-retention coefficients alpha_bar[0..T].
 
     alpha_bar[0] = 1 and alpha_bar[T] is within a floor of 0; strictly
-    decreasing in between. betas are the per-step noise rates implied by
-    consecutive ratios, capped so the terminal value stays positive.
+    decreasing in between.
     """
 
     total_steps: int
     alpha_bar: np.ndarray  # (T + 1,)
-    betas: np.ndarray  # (T,), betas[i] applies to the step t = i + 1
 
     def __post_init__(self):
         ab = self.alpha_bar
@@ -68,7 +69,7 @@ def build_schedule(total_steps: int, kind: str = "cosine") -> NoiseSchedule:
     # the reverse-process arithmetic finite
     betas = np.clip(1.0 - raw[1:] / raw[:-1], 0.0, _MAX_BETA)
     alpha_bar = np.concatenate([[1.0], np.cumprod(1.0 - betas)])
-    return NoiseSchedule(total_steps=total_steps, alpha_bar=alpha_bar, betas=betas)
+    return NoiseSchedule(total_steps=total_steps, alpha_bar=alpha_bar)
 
 
 def _per_sample(coeffs: np.ndarray, t: np.ndarray, x_ndim: int) -> np.ndarray:
@@ -121,26 +122,23 @@ class SyntheticTask:
     """Class-conditional Gaussian mixture over token grids.
 
     Each class gets a fixed mean grid (L, D); samples add noise scaled by a
-    per-token sigma profile that ramps quadratically from sigma_lo to
-    sigma_hi across token positions. Deterministic given the seed.
+    per-token sigma profile that ramps quadratically from 0.2 to 1.0 across
+    token positions. Deterministic given the seed.
     """
 
     num_classes: int
     tokens: int
     dim: int
     seed: int
-    class_separation: float = 2.0
-    sigma_lo: float = 0.2
-    sigma_hi: float = 1.0
     means: np.ndarray = field(init=False)
     token_sigma: np.ndarray = field(init=False)
 
     def __post_init__(self):
         rng = np.random.default_rng(self.seed)
         self.means = rng.normal(0.0, 1.0, size=(self.num_classes, self.tokens, self.dim))
-        self.means *= self.class_separation / np.sqrt(self.dim)
+        self.means *= _CLASS_SEPARATION / np.sqrt(self.dim)
         ramp = np.linspace(0.0, 1.0, self.tokens) ** 2
-        self.token_sigma = self.sigma_lo + (self.sigma_hi - self.sigma_lo) * ramp
+        self.token_sigma = _SIGMA_LO + (_SIGMA_HI - _SIGMA_LO) * ramp
 
     def sample_x0(self, rng: np.random.Generator, batch: int) -> tuple[np.ndarray, np.ndarray]:
         c = rng.integers(0, self.num_classes, size=batch)

@@ -26,7 +26,6 @@ from .tensor import Tensor, softmax
 __all__ = [
     "AuxLossInputs",
     "LossWeights",
-    "SimilarityWeights",
     "aux_inputs_from_routing",
     "balance_loss",
     "correlation_matrices",
@@ -107,21 +106,11 @@ def correlation_matrices(inputs: AuxLossInputs) -> tuple[np.ndarray, Tensor]:
     return m_corr, p_corr
 
 
-@dataclass
-class SimilarityWeights:
-    """Blockwise-normalized co-selection weights plus empty-block flags."""
-
-    W: np.ndarray
-    diag_empty: bool
-    offdiag_empty: bool
-
-
-def similarity_weights(m_corr: np.ndarray) -> SimilarityWeights:
-    """Diagonal entries scaled to sum to E, off-diagonal to E^2 - E.
+def similarity_weights(m_corr: np.ndarray) -> np.ndarray:
+    """W: diagonal entries scaled to sum to E, off-diagonal to E^2 - E.
 
     A block whose co-selection counts are all zero (e.g. no token ever
-    activated two experts) gets zero weights and a flag instead of a
-    division by zero.
+    activated two experts) gets zero weights instead of a division by zero.
     """
     E = m_corr.shape[0]
     diag = np.diag(m_corr).astype(np.float64)
@@ -131,29 +120,25 @@ def similarity_weights(m_corr: np.ndarray) -> SimilarityWeights:
     W = np.zeros((E, E), dtype=np.float64)
     diag_sum = diag.sum()
     off_sum = off.sum()
-    diag_empty = diag_sum == 0.0
-    offdiag_empty = off_sum == 0.0
-    if not diag_empty:
+    if diag_sum != 0.0:
         np.fill_diagonal(W, diag * E / diag_sum)
-    if not offdiag_empty:
+    if off_sum != 0.0:
         W += off * (E * E - E) / off_sum
-    return SimilarityWeights(W=W, diag_empty=diag_empty, offdiag_empty=offdiag_empty)
+    return W
 
 
 def router_similarity_loss(inputs: AuxLossInputs) -> Tensor:
     """(1/T) * sum_{i,j} W(i,j) * P'_{i,j}, constant-score fixed point 1."""
     m_corr, p_corr = correlation_matrices(inputs)
-    weights = similarity_weights(m_corr)
     T = inputs.num_tokens
-    return (p_corr * Tensor(weights.W)).sum() * (1.0 / T)
+    return (p_corr * Tensor(similarity_weights(m_corr))).sum() * (1.0 / T)
 
 
 def router_similarity_diag(inputs: AuxLossInputs) -> Tensor:
     """Diagonal contribution of the similarity loss (a geometric-mean
     flavored balance term: selection ratio times mean squared probability)."""
     m_corr, p_corr = correlation_matrices(inputs)
-    weights = similarity_weights(m_corr)
-    W_diag = np.diag(np.diag(weights.W))
+    W_diag = np.diag(np.diag(similarity_weights(m_corr)))
     T = inputs.num_tokens
     return (p_corr * Tensor(W_diag)).sum() * (1.0 / T)
 

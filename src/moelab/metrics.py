@@ -24,7 +24,6 @@ __all__ = [
     "max_violation",
     "CombinationUsage",
     "combination_usage",
-    "pair_counts",
     "AllocationProfile",
     "allocation_profile",
     "routing_report",
@@ -84,23 +83,18 @@ def _upper_pairs(E: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
-def _pair_counts(masks: np.ndarray) -> np.ndarray:
-    """(R, E*(E-1)/2) pair_counts of each mask in an (R, ..., E) stack."""
+def _co_selections(masks: np.ndarray) -> np.ndarray:
+    """(R, E*(E-1)/2) co-selection counts of each unordered expert pair
+    (i < j, in lexicographic order) for each mask of an (R, ..., E) stack.
+
+    Token t contributes one count to every pair inside its active set, so
+    a mask's counts total sum_t C(a_t, 2).
+    """
     E = masks.shape[-1]
     flat = masks.reshape(masks.shape[0], -1, E)
     co = np.matmul(flat.transpose(0, 2, 1), flat)  # co[r, i, j] = tokens with both i and j active
     rows, cols = _upper_pairs(E)
     return co[:, rows, cols]
-
-
-def pair_counts(mask: np.ndarray) -> np.ndarray:
-    """Co-selection counts for each unordered expert pair (i < j).
-
-    Token t contributes one count to every pair inside its active set, so
-    the total equals sum_t C(a_t, 2). Returned in lexicographic pair order,
-    length E*(E-1)/2.
-    """
-    return _pair_counts(mask[None])[0]
 
 
 @dataclass
@@ -113,7 +107,7 @@ class CombinationUsage:
 
 def _combination_usages(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(ratio, no_pairs) arrays of combination_usage over an (R, ..., E) stack, E >= 2."""
-    counts = _pair_counts(masks)
+    counts = _co_selections(masks)
     n_bins = counts.shape[1]
     total = counts.sum(axis=1, keepdims=True)
     no_pairs = total[:, 0] == 0
@@ -154,15 +148,6 @@ class AllocationProfile:
         if valid.size == 0:
             return float("nan")
         return float(np.var(valid))
-
-    @property
-    def overall_mean(self) -> float:
-        """Token-weighted mean across buckets == global activation rate."""
-        filled = np.where(np.isnan(self.means), 0.0, self.means)
-        n = self.counts.sum()
-        if n == 0:
-            return float("nan")
-        return float((filled * self.counts).sum() / n)
 
 
 def allocation_profile(

@@ -44,13 +44,10 @@ __all__ = [
     "ThresholdState",
     "RouteResult",
     "effective_k",
-    "row_budgets",
     "reshape_scores",
     "scatter_mask",
     "topk_mask",
-    "topk_mask_budgets",
     "apply_gating",
-    "kth_value_per_row",
     "ema_update",
     "route",
 ]
@@ -167,24 +164,6 @@ def effective_k(strategy: RoutingStrategy, B: int, L: int, E: int, k: int) -> in
     return total // E
 
 
-def row_budgets(strategy: RoutingStrategy, B: int, L: int, E: int, k: int) -> np.ndarray:
-    """Per-row budgets summing to B*L*k, for strategy comparisons.
-
-    Valid configurations get the uniform budget [K] * D_A. When K is
-    fractional the total budget is spread as evenly as possible, with the
-    remainder going to the lowest-index rows, so strategies stay comparable
-    at equal total selection count even where effective_k would reject.
-    """
-    if min(B, L, E) < 1 or not (1 <= k <= E):
-        raise ConfigError(f"invalid extents/k: B={B} L={L} E={E} k={k}")
-    d_a, _ = strategy.extents(B, L, E)
-    total = B * L * k
-    base, rem = divmod(total, d_a)
-    budgets = np.full(d_a, base, dtype=np.int64)
-    budgets[:rem] += 1
-    return budgets
-
-
 def _permutation(strategy: RoutingStrategy, lead: int) -> tuple[int, ...]:
     """Axis order putting the row dims, then the pool dims, after `lead` leading axes."""
     return tuple(range(lead)) + tuple(lead + _AXIS_INDEX[d] for d in strategy.row_dims + strategy.pool_dims)
@@ -209,23 +188,6 @@ def scatter_mask(mask2d: np.ndarray, strategy: RoutingStrategy, shape: tuple[int
     return mask2d.reshape(tuple(shape[p] for p in perm)).transpose(tuple(np.argsort(perm)))
 
 
-def _selection_pool(scores2d: np.ndarray, k: int, least: int) -> int:
-    """D_B of a (D_A, D_B) view from which each row selects k entries.
-
-    k must lie in [least, D_B]. NaN scores are rejected: they have no place
-    in the order, and a partition would quietly select fewer than k of them.
-    """
-    d_b = scores2d.shape[1]
-    if k < least:
-        raise ConfigError(f"K={k} must be >= {least}")
-    if k > d_b:
-        raise ConfigError(f"K={k} exceeds pool size D_B={d_b}")
-    nan = np.count_nonzero(np.isnan(scores2d))
-    if nan:
-        raise NumericError(f"{nan} NaN scores of {scores2d.size}; top-K selection needs ordered values")
-    return d_b
-
-
 def topk_mask(scores2d: np.ndarray, k: int) -> np.ndarray:
     """Row-wise binary mask with exactly k ones per row (all zero for k=0).
 
@@ -233,9 +195,16 @@ def topk_mask(scores2d: np.ndarray, k: int) -> np.ndarray:
     keeps every entry above that value and, of the entries equal to it, the
     lowest-index ones until it holds k: the order a stable argsort on the
     negated scores gives, so identical inputs always produce identical
-    masks. +-inf are ordinary values here; NaN raises NumericError.
+    masks. +-inf are ordinary values here. K outside [0, D_B] raises
+    ConfigError. NaN raises NumericError: it has no place in the order, and a
+    partition would quietly select fewer than k entries.
     """
-    d_b = _selection_pool(scores2d, k, least=0)
+    d_b = scores2d.shape[1]
+    if not 0 <= k <= d_b:
+        raise ConfigError(f"K={k} must lie in [0, D_B={d_b}]")
+    nan = np.count_nonzero(np.isnan(scores2d))
+    if nan:
+        raise NumericError(f"{nan} NaN scores of {scores2d.size}; top-K selection needs ordered values")
     if k == 0:  # the partition below has no index d_b - 0
         return np.zeros_like(scores2d, dtype=np.float64)
     kth = np.partition(scores2d, d_b - k, axis=1)[:, d_b - k, None]
@@ -252,24 +221,10 @@ def topk_mask(scores2d: np.ndarray, k: int) -> np.ndarray:
     return mask.astype(np.float64)
 
 
-def topk_mask_budgets(scores2d: np.ndarray, budgets: np.ndarray) -> np.ndarray:
-    """Row-wise top-k with a per-row budget vector (comparison path)."""
-    d_a, _ = scores2d.shape
-    if len(budgets) != d_a:
-        raise ConfigError(f"budgets length {len(budgets)} != D_A {d_a}")
-    return np.concatenate([topk_mask(scores2d[i : i + 1], int(b)) for i, b in enumerate(budgets)])
-
-
-def kth_value_per_row(scores2d: np.ndarray, k: int) -> np.ndarray:
-    """K-th largest value of each row (the marginal selected score), k >= 1."""
-    d_b = _selection_pool(scores2d, k, least=1)
-    return np.partition(scores2d, d_b - k, axis=1)[:, d_b - k]
-
-
 def _kth_from_mask(scores2d: np.ndarray, mask2d: np.ndarray) -> np.ndarray:
-    """kth_value_per_row read off a top-K mask (K >= 1) instead of a second
-    partition: the smallest selected score of a row is its K-th largest,
-    +-inf included.
+    """Each row's K-th largest score, read off its top-K mask (K >= 1)
+    instead of a second partition: the smallest selected score of a row is
+    its K-th largest, +-inf included.
 
     The min runs along the longer axis laid out contiguously: a row-wise
     min over short rows (token-choice's 8 columns) or over a strided view
@@ -309,8 +264,14 @@ class ThresholdState:
         return {"momentum": self.momentum, "tau": self.tau}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ThresholdState":
-        return cls(momentum=float(d["momentum"]), tau=None if d["tau"] is None else float(d["tau"]))
+    def from_dict(cls, d) -> "ThresholdState":
+        """Inverse of to_dict; anything but {"momentum": number, "tau": finite
+        number or None} raises ConfigError."""
+        tau = d.get("tau", "") if isinstance(d, dict) else ""
+        if not (isinstance(d, dict) and isinstance(d.get("momentum"), (int, float))
+                and (tau is None or isinstance(tau, (int, float)) and math.isfinite(tau))):
+            raise ConfigError(f"threshold {d!r} is not {{'momentum': number, 'tau': finite number or null}}")
+        return cls(momentum=float(d["momentum"]), tau=None if tau is None else float(tau))
 
 
 def ema_update(state: ThresholdState, kth_values: np.ndarray) -> ThresholdState:

@@ -173,24 +173,10 @@ class Tensor:
     def __sub__(self, other):
         return self._binary(other, np.subtract, lambda g, x, y: g, lambda g, x, y: -g)
 
-    def __rsub__(self, other):
-        return Tensor._coerce(other).__sub__(self)
-
     def __mul__(self, other):
         return self._binary(other, np.multiply, lambda g, x, y: g * y, lambda g, x, y: g * x)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return self.__mul__(-1.0)
-
-    def __truediv__(self, other):
-        return self._binary(
-            other,
-            np.divide,
-            lambda g, x, y: g / y,
-            lambda g, x, y: -g * x / (y * y),
-        )
 
     def __matmul__(self, other):
         return matmul(self, other)

@@ -222,16 +222,15 @@ class Trainer(object):
         n: int,
         c: np.ndarray | int,
         rng: np.random.Generator | None = None,
-        record_masks: bool = False,
     ) -> tuple[np.ndarray, list[dict]]:
         """Ancestral reverse process under thresholded routing.
 
         Returns generated samples (n, L, D) and, per reverse step, the mean
-        active experts per token per layer (plus raw masks on request). A
-        sample count n that is not a positive integer, a class label that
-        is not an integer in [0, num_classes), or a label list whose length
-        is neither 1 nor n, raises ConfigError. The reverse steps build no
-        tape.
+        active experts per token per layer. A sample count n that is not a
+        positive integer, a class label that is not an integer in [0,
+        num_classes), or a label list whose length is neither 1 nor n,
+        raises ConfigError. A NumericError from the model names the reverse
+        step. The reverse steps build no tape.
         """
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
             raise ConfigError(f"sample count must be a positive integer, got {n!r}")
@@ -255,7 +254,10 @@ class Trainer(object):
         with no_grad():
             for step_t in range(sched.total_steps, 0, -1):
                 t_vec = np.full(n, step_t, dtype=np.int64)
-                pred, layer_outputs = denoiser_forward(x, t_vec, c, self.params, mode="infer")
+                try:
+                    pred, layer_outputs = denoiser_forward(x, t_vec, c, self.params, mode="infer")
+                except NumericError as exc:
+                    raise NumericError(f"reverse step {step_t}: {exc}") from exc
                 eps_hat = _to_eps(pred.data, x, step_t, sched, cfg.parameterization)
 
                 ab_t = sched.alpha_bar[step_t]
@@ -271,15 +273,12 @@ class Trainer(object):
 
                 if not np.all(np.isfinite(x)):
                     raise NumericError(f"non-finite sample state at reverse step {step_t}")
-                entry = {
+                allocation_log.append({
                     "t": step_t,
                     "mean_active_per_layer": [
                         float(out.route.mask.sum(axis=-1).mean()) for out in layer_outputs
                     ],
-                }
-                if record_masks:
-                    entry["masks"] = [out.route.mask for out in layer_outputs]
-                allocation_log.append(entry)
+                })
         return x, allocation_log
 
 
@@ -433,9 +432,10 @@ def load_checkpoint(path, config: TrainerConfig) -> Trainer:
     C-order float64 member of exactly their total size; its bytes are read
     straight into the new Trainer's own arrays, so every state array owns
     its memory. A missing member or metadata field, a member that is not a
-    readable .npy array, metadata that is not UTF-8 JSON, a CRC mismatch, a
-    file that cannot be opened or that is not an .npz archive: each raises
-    a one-line ConfigError naming the path (and the member).
+    readable .npy array, metadata that is not UTF-8 JSON, a metadata field
+    of the wrong type or value, a CRC mismatch, a file that cannot be opened
+    or that is not an .npz archive: each raises a one-line ConfigError
+    naming the path (and the member or field).
     """
     try:
         archive = zipfile.ZipFile(path)
@@ -473,15 +473,21 @@ def load_checkpoint(path, config: TrainerConfig) -> Trainer:
                 for arr in arrays:
                     if fh.readinto(arr) != arr.nbytes:
                         raise ConfigError(f"checkpoint {path} member {group!r} is truncated")
-        trainer.opt.step_count = meta["opt_step"]
-        trainer.step_count = meta["step"]
-        if len(meta["thresholds"]) != len(trainer.params.blocks):
-            raise ConfigError(
-                f"checkpoint {path} has {len(meta['thresholds'])} threshold entries "
-                f"for {len(trainer.params.blocks)} blocks"
-            )
-        for blk, thr in zip(trainer.params.blocks, meta["thresholds"]):
-            if blk.moe is not None and thr is not None:
-                blk.moe.threshold = ThresholdState.from_dict(thr)
-        trainer.rng.bit_generator.state = meta["rng_state"]
+        for key in ("step", "opt_step"):
+            if not isinstance(meta[key], int) or meta[key] < 0:
+                raise ConfigError(f"checkpoint {path} metadata {key!r} is {meta[key]!r}, not a step count")
+        trainer.step_count, trainer.opt.step_count = meta["step"], meta["opt_step"]
+        blocks, thresholds = trainer.params.blocks, meta["thresholds"]
+        if not isinstance(thresholds, list) or len(thresholds) != len(blocks):
+            raise ConfigError(f"checkpoint {path} metadata 'thresholds' is not a list of {len(blocks)} threshold entries")
+        for i, (blk, thr) in enumerate(zip(blocks, thresholds)):
+            if blk.moe is not None:
+                try:
+                    blk.moe.threshold = ThresholdState.from_dict(thr)
+                except ConfigError as exc:
+                    raise ConfigError(f"checkpoint {path} block {i}: {exc}") from None
+        try:
+            trainer.rng.bit_generator.state = meta["rng_state"]
+        except (KeyError, TypeError, ValueError, OverflowError):
+            raise ConfigError(f"checkpoint {path} metadata 'rng_state' is not a PCG64 generator state") from None
     return trainer

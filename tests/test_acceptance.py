@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from budgets import row_budgets
 
 from moelab import losses as L
 from moelab import metrics as M
@@ -62,7 +63,7 @@ def test_criterion_1_expert_race_objective_optimality():
         race_value = np.sort(scores.ravel())[::-1][: B * L * k].sum()
         for strategy in others:
             view = R.reshape_scores(scores, strategy)
-            best = _best_row_constrained(view, R.row_budgets(strategy, B, L, E, k))
+            best = _best_row_constrained(view, row_budgets(strategy, B, L, E, k))
             assert race_value >= best - 1e-12, strategy.name
             if race_value > best + 1e-12:
                 strict[strategy.name] += 1

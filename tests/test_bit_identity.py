@@ -100,7 +100,7 @@ def reference_route(scores, strategy, gating, mode, state, k=1):
         budget = routing.effective_k(strategy, B, L, E, k)
         view = routing.reshape_scores(gated.data, strategy)
         mask2d = routing.topk_mask(view, budget)
-        kth = routing.kth_value_per_row(view, budget)
+        kth = reference_kth_value_per_row(view, budget)
         if mode == "train":
             routing.ema_update(state, kth)
         mask = routing.scatter_mask(mask2d, strategy, (B, L, E))
@@ -204,7 +204,6 @@ def use_reference_ops(monkeypatch):
     monkeypatch.setattr(training.WeightEma, "update", reference_ema_update)
     monkeypatch.setattr(training, "no_grad", contextlib.nullcontext)
     monkeypatch.setattr(routing, "topk_mask", reference_topk_mask)
-    monkeypatch.setattr(routing, "kth_value_per_row", reference_kth_value_per_row)
     monkeypatch.setattr(routing, "route", reference_route)
     monkeypatch.setattr(metrics, "routing_report", reference_routing_report)
     monkeypatch.setattr(cli, "route_sim_draws", reference_route_sim_draws)
@@ -220,11 +219,23 @@ def full_state(trainer):
 
 
 def run(steps=5):
+    """Losses, final state and taus of a short run, then a sample, its log and
+    every layer's mask at each reverse step."""
     trainer = Trainer(CONFIG)
     losses = [trainer.train_step().total for _ in range(steps)]
-    x, log = trainer.sample(3, 2, rng=np.random.default_rng(5), record_masks=True)
+    masks = []
+    forward = training.denoiser_forward
+
+    def recording_forward(*args, **kwargs):
+        pred, outs = forward(*args, **kwargs)
+        masks.append([out.route.mask for out in outs])
+        return pred, outs
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(training, "denoiser_forward", recording_forward)
+        x, log = trainer.sample(3, 2, rng=np.random.default_rng(5))
     state, taus, *_ = full_state(trainer)
-    return losses, state, x, log, taus
+    return losses, state, x, log, masks, taus
 
 
 @pytest.fixture(scope="module")
@@ -234,17 +245,18 @@ def lean_run():
 
 def test_lean_ops_are_bit_identical_to_reference_ops(lean_run, monkeypatch):
     use_reference_ops(monkeypatch)
-    losses, state, x, log, taus = run()
-    lean_losses, lean_state, lean_x, lean_log, lean_taus = lean_run
+    losses, state, x, log, masks, taus = run()
+    lean_losses, lean_state, lean_x, lean_log, lean_masks, lean_taus = lean_run
     assert lean_taus == taus
     assert [float(v).hex() for v in lean_losses] == [float(v).hex() for v in losses]
     assert len(lean_state) == len(state)
     assert all(np.array_equal(a, b) for a, b in zip(lean_state, state))
     assert np.array_equal(lean_x, x)
-    assert len(lean_log) == len(log) == CONFIG.model.total_steps
-    for a, b in zip(lean_log, log):
-        assert a["mean_active_per_layer"] == b["mean_active_per_layer"]
-        assert all(np.array_equal(ma, mb) for ma, mb in zip(a["masks"], b["masks"]))
+    assert len(lean_log) == len(log) == len(lean_masks) == len(masks) == CONFIG.model.total_steps
+    assert [a["mean_active_per_layer"] for a in lean_log] == [b["mean_active_per_layer"] for b in log]
+    for a, b in zip(lean_masks, masks):
+        assert len(a) == len(b) == CONFIG.model.layers
+        assert all(np.array_equal(ma, mb) for ma, mb in zip(a, b))
 
 
 def test_grouped_checkpoint_round_trip_matches_the_per_tensor_form(tmp_path):

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from moelab.cli import main, parse_config_file
+from moelab.training import Trainer, TrainerConfig, load_checkpoint, save_checkpoint
 
 FAST = [
     "--batch-size", "4", "--tokens", "4", "--model-dim", "8",
@@ -135,6 +136,18 @@ def test_train_resume_rejects_mismatched_config(tmp_path):
     assert rc == 2
 
 
+def test_default_model_is_one_config_in_library_and_cli(tmp_path):
+    # a checkpoint of Trainer(TrainerConfig()) goes through the CLI's
+    # defaults, and one the CLI writes at its defaults loads with TrainerConfig()
+    trainer = Trainer(TrainerConfig())
+    trainer.train_step()
+    lib = tmp_path / "lib.npz"
+    save_checkpoint(lib, trainer)
+    assert main(["metrics", "--checkpoint", str(lib), "--out", str(tmp_path / "rep")]) == 0
+    assert main(["train", "--steps", "1", "--resume", str(lib), "--out", str(tmp_path / "cli")]) == 0
+    assert load_checkpoint(tmp_path / "cli" / "ckpt_final.npz", TrainerConfig()).step_count == 1
+
+
 def test_invalid_selection_size_is_config_error(tmp_path):
     # expert-choice with E not dividing k*L
     rc = main(["train", "--out", str(tmp_path / "x"), "--steps", "1", "--seed", "0",
@@ -236,24 +249,49 @@ def test_metrics_checkpoint_bad_array_is_config_error(tmp_path, capsys, member, 
     assert repr(key) in err and named.format(n=n, short=n - 32) in err
 
 
-@pytest.mark.parametrize("fault,named", [("momentum", "momentum"), ("missing", "threshold entries")])
+def _edit_meta(fault: str, meta: dict) -> None:
+    if fault == "momentum":
+        meta["thresholds"][0]["momentum"] = 1.5  # outside [0, 1)
+    elif fault == "missing":
+        meta["thresholds"].pop()
+    elif fault == "no-momentum":
+        del meta["thresholds"][0]["momentum"]
+    elif fault == "tau-text":
+        meta["thresholds"][0]["tau"] = "abc"
+    elif fault == "tau-nan":
+        meta["thresholds"][0]["tau"] = float("nan")
+    elif fault == "not-a-dict":
+        meta["thresholds"][0] = [0.99, 0.5]
+    elif fault == "rng_state":
+        meta["rng_state"] = "x"
+    else:
+        meta["step"] = "1"
+
+
+@pytest.mark.parametrize("fault,named", [
+    ("momentum", "momentum"), ("missing", "threshold entries"), ("no-momentum", "'momentum'"),
+    ("tau-text", "'tau': 'abc'"), ("tau-nan", "'tau': nan"), ("not-a-dict", "threshold [0.99, 0.5]"), ("rng_state", "'rng_state'"),
+    ("step", "'step' is '1'"),
+])
 def test_metrics_checkpoint_bad_thresholds_is_config_error(tmp_path, capsys, fault, named):
+    # malformed checkpoint metadata: one config-error line naming the field,
+    # from `metrics` and from `train --resume` alike
     run = tmp_path / "run"
     main(["train", "--out", str(run), "--steps", "1", "--seed", "5", *FAST])
     with np.load(run / "ckpt_final.npz") as data:
         arrays = {key: data[key] for key in data.files}
-    meta = json.loads(bytes(arrays["meta_json"]).decode("utf-8"))
-    if fault == "momentum":
-        meta["thresholds"][0]["momentum"] = 1.5  # outside [0, 1)
-    else:
-        meta["thresholds"].pop()
-    arrays["meta_json"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    meta = read_meta(arrays)
+    _edit_meta(fault, meta)
+    arrays["meta_json"] = encode_meta(meta)
     broken = tmp_path / "broken.npz"
     np.savez(broken, **arrays)
-    rc = main(["metrics", "--checkpoint", str(broken),
-               "--out", str(tmp_path / "rep"), "--seed", "5", *FAST])
-    assert rc == 2
-    assert named in capsys.readouterr().err
+    capsys.readouterr()
+    for args in (["metrics", "--checkpoint", str(broken)], ["train", "--steps", "2", "--resume", str(broken)]):
+        rc = main([*args, "--out", str(tmp_path / "rep"), "--seed", "5", *FAST])
+        err = capsys.readouterr().err
+        assert rc == 2, args
+        assert err.startswith("config error: checkpoint ") and err.count("\n") == 1, err
+        assert named in err, err
 
 
 @pytest.mark.parametrize("command", ["metrics", "train"])

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from moelab import training
 from moelab.cli import main
 from moelab.denoiser import DenoiserConfig, denoiser_forward, init_denoiser
 from moelab.diffusion import DiffusionBatch, SyntheticTask, build_schedule, forward_diffuse, make_target
@@ -151,7 +152,7 @@ def test_synthetic_task_deterministic():
 
 
 def test_synthetic_task_class_separation():
-    task = SyntheticTask(num_classes=2, tokens=4, dim=16, seed=11, class_separation=5.0)
+    task = SyntheticTask(num_classes=2, tokens=4, dim=16, seed=11)
     gap = np.linalg.norm(task.means[0] - task.means[1])
     assert gap > 2.0
 
@@ -230,6 +231,15 @@ def test_denoiser_non_finite_router_scores_name_the_block(mode):
     n_bad = 3 * SMALL.tokens
     with pytest.raises(NumericError, match=rf"block 1: router scores have {n_bad} non-finite entries"):
         denoiser_forward(x_t, np.array([1, 5, 9]), np.array([0, 1, 2]), params, mode=mode)
+
+
+def test_sampler_non_finite_router_scores_name_the_reverse_step():
+    trainer = small_trainer(seed=24)
+    trainer.train_step()  # initializes the thresholds
+    trainer.params.blocks[1].moe.gate_b.data[2] = np.nan
+    n_bad = 3 * SMALL.tokens
+    with pytest.raises(NumericError, match=rf"^reverse step {SMALL.total_steps}: block 1: router scores have {n_bad} "):
+        trainer.sample(3, 0, rng=np.random.default_rng(2))
 
 
 @pytest.mark.parametrize("mode", ["train", "eval", "infer"])
@@ -512,18 +522,27 @@ def test_sampling_smoke_and_determinism():
     assert all(len(e["mean_active_per_layer"]) == SMALL.layers for e in alloc)
 
 
-def test_sampler_allocation_matches_profile_on_same_masks():
+def test_sampler_allocation_matches_profile_on_same_masks(monkeypatch):
     from moelab.metrics import allocation_profile
 
     trainer = small_trainer(seed=7)
     for _ in range(5):
         trainer.train_step()
-    _, alloc = trainer.sample(3, 0, rng=np.random.default_rng(1), record_masks=True)
-    entry = alloc[len(alloc) // 2]
-    masks = entry["masks"][0]
-    t = np.full(masks.shape[0], entry["t"])
-    profile = allocation_profile(masks, t, SMALL.total_steps, buckets=4)
-    assert abs(profile.overall_mean - entry["mean_active_per_layer"][0]) < 1e-12
+    masks = []  # the first layer's mask at each reverse step
+    forward = training.denoiser_forward
+
+    def recording_forward(*args, **kwargs):
+        pred, outs = forward(*args, **kwargs)
+        masks.append(outs[0].route.mask)
+        return pred, outs
+
+    monkeypatch.setattr(training, "denoiser_forward", recording_forward)
+    _, alloc = trainer.sample(3, 0, rng=np.random.default_rng(1))
+    entry, mask = alloc[len(alloc) // 2], masks[len(alloc) // 2]
+    t = np.full(mask.shape[0], entry["t"])
+    profile = allocation_profile(mask, t, SMALL.total_steps, buckets=4)
+    filled = profile.means[profile.counts > 0]  # every sample is at step t: one bucket
+    assert filled.shape == (1,) and abs(filled[0] - entry["mean_active_per_layer"][0]) < 1e-12
 
 
 @pytest.mark.slow

@@ -121,25 +121,25 @@ def test_correlation_against_triple_loop_oracle():
 def test_similarity_weights_uniform_fixed_point():
     E = 4
     m_corr = np.full((E, E), 3.0)
-    weights = similarity_weights(m_corr)
-    assert np.allclose(weights.W, 1.0, atol=1e-12)
-    assert not weights.diag_empty and not weights.offdiag_empty
+    assert np.allclose(similarity_weights(m_corr), 1.0, atol=1e-12)
 
 
 def test_similarity_weights_empty_offdiagonal_flagged():
-    weights = similarity_weights(np.array([[2.0, 0.0], [0.0, 2.0]]))
-    assert np.allclose(np.diag(weights.W), 1.0)
-    assert weights.offdiag_empty
-    off = weights.W.copy()
+    # no token co-selected two experts: the off-diagonal block gets zero
+    # weights, not a division by zero
+    W = similarity_weights(np.array([[2.0, 0.0], [0.0, 2.0]]))
+    assert np.allclose(np.diag(W), 1.0)
+    off = W.copy()
     np.fill_diagonal(off, 0.0)
     assert np.all(off == 0.0)
+    assert np.array_equal(similarity_weights(np.zeros((3, 3))), np.zeros((3, 3)))
 
 
 def test_similarity_weights_against_naive_oracle():
     inputs = random_inputs(107)
     m_corr, _ = correlation_matrices(inputs)
     E = inputs.num_experts
-    weights = similarity_weights(m_corr)
+    W = similarity_weights(m_corr)
     diag_sum = sum(m_corr[i, i] for i in range(E))
     off_sum = sum(m_corr[i, j] for i in range(E) for j in range(E) if i != j)
     for i in range(E):
@@ -148,7 +148,7 @@ def test_similarity_weights_against_naive_oracle():
                 want = m_corr[i, i] * E / diag_sum
             else:
                 want = m_corr[i, j] * (E * E - E) / off_sum
-            assert abs(weights.W[i, j] - want) < 1e-12
+            assert abs(W[i, j] - want) < 1e-12
 
 
 # ----------------------------------------------------------------------
@@ -170,10 +170,10 @@ def test_similarity_loss_constant_scores_equal_one():
 def test_similarity_loss_against_naive_double_sum():
     inputs = random_inputs(109)
     m_corr, p_corr = correlation_matrices(inputs)
-    weights = similarity_weights(m_corr)
+    W = similarity_weights(m_corr)
     T, E = inputs.M.shape
     expected = sum(
-        weights.W[i, j] * p_corr.data[i, j] for i in range(E) for j in range(E)
+        W[i, j] * p_corr.data[i, j] for i in range(E) for j in range(E)
     ) / T
     assert abs(router_similarity_loss(inputs).item() - expected) < 1e-12
 

@@ -5,11 +5,11 @@ import itertools
 import numpy as np
 import pytest
 
+from moelab import metrics
 from moelab.metrics import (
     allocation_profile,
     combination_usage,
     max_violation,
-    pair_counts,
     report_mean,
     routing_objective,
     routing_report,
@@ -17,12 +17,12 @@ from moelab.metrics import (
 from moelab.routing import (
     ConfigError,
     ThresholdState,
+    effective_k,
     get_strategy,
     reshape_scores,
     route,
-    row_budgets,
     scatter_mask,
-    topk_mask_budgets,
+    topk_mask,
 )
 from moelab.tensor import Tensor
 
@@ -44,9 +44,9 @@ def test_objective_race_beats_token_choice_on_seeded_draw():
     race = get_strategy("expert-race")
     tc = get_strategy("token-choice")
     race_view = reshape_scores(S, race)
-    race_val = routing_objective(race_view, topk_mask_budgets(race_view, row_budgets(race, 2, 3, 4, k)))
+    race_val = routing_objective(race_view, topk_mask(race_view, effective_k(race, 2, 3, 4, k)))
     tc_view = reshape_scores(S, tc)
-    tc_val = routing_objective(tc_view, topk_mask_budgets(tc_view, row_budgets(tc, 2, 3, 4, k)))
+    tc_val = routing_objective(tc_view, topk_mask(tc_view, effective_k(tc, 2, 3, 4, k)))
     # sorting oracle for the race side
     assert abs(race_val - np.sort(S.ravel())[::-1][:6].sum()) < 1e-12
     assert race_val >= tc_val
@@ -57,12 +57,9 @@ def test_objective_equals_exhaustive_row_oracle():
     for strategy in (get_strategy("token-choice"), get_strategy("be-choice"), get_strategy("bl-choice")):
         S = rng.normal(size=(2, 2, 2))
         view = reshape_scores(S, strategy)
-        budgets = row_budgets(strategy, 2, 2, 2, 1)
-        value = routing_objective(view, topk_mask_budgets(view, budgets))
-        best = 0.0
-        for row, budget in zip(view, budgets):
-            if budget:
-                best += max(sum(c) for c in itertools.combinations(row, budget))
+        K = effective_k(strategy, 2, 2, 2, 1)
+        value = routing_objective(view, topk_mask(view, K))
+        best = sum(max(sum(c) for c in itertools.combinations(row, K)) for row in view)
         assert abs(value - best) < 1e-12
 
 
@@ -120,7 +117,7 @@ def test_max_violation_race_can_exceed_one():
 def test_pair_counts_total_identity():
     rng = np.random.default_rng(229)
     mask = (rng.random((20, 5)) < 0.5).astype(float)
-    counts = pair_counts(mask)
+    counts = metrics._co_selections(mask[None])[0]
     active = mask.sum(axis=1)
     expected_total = sum(a * (a - 1) / 2 for a in active)
     assert counts.sum() == expected_total
@@ -213,14 +210,6 @@ def test_allocation_profile_two_cluster_threshold():
     assert profile.means[0] == E and profile.means[1] == 0.0
 
 
-def test_allocation_profile_overall_mean_identity():
-    rng = np.random.default_rng(251)
-    masks = (rng.random((30, 8, 4)) < 0.3).astype(float)
-    t = rng.integers(0, 101, size=30)
-    profile = allocation_profile(masks, t, 100, buckets=7)
-    assert abs(profile.overall_mean - masks.sum(axis=-1).mean()) < 1e-12
-
-
 def test_allocation_profile_empty_bucket_is_missing():
     masks = np.ones((4, 2, 3))
     t = np.array([5, 5, 95, 95])
@@ -267,10 +256,9 @@ def test_routing_report_matches_legacy_formulas(E, k):
     rng = np.random.default_rng(300 + E)
     N, L, t_max = 12, 5, 40
     strategy = get_strategy("expert-race")
-    budgets = row_budgets(strategy, N, L, E, k)
+    K = effective_k(strategy, N, L, E, k)
     masks = [
-        scatter_mask(topk_mask_budgets(reshape_scores(rng.normal(size=(N, L, E)), strategy), budgets),
-                     strategy, (N, L, E))
+        scatter_mask(topk_mask(reshape_scores(rng.normal(size=(N, L, E)), strategy), K), strategy, (N, L, E))
         for _ in range(3)
     ]
     masks.append(np.zeros((N, L, E)))  # a layer that selected nothing

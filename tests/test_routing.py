@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from budgets import row_budgets
 
 from moelab import routing
 from moelab.routing import (
@@ -14,10 +15,8 @@ from moelab.routing import (
     effective_k,
     ema_update,
     get_strategy,
-    kth_value_per_row,
     reshape_scores,
     route,
-    row_budgets,
     scatter_mask,
     topk_mask,
 )
@@ -169,8 +168,14 @@ def test_topk_mask_rejects_oversized_k():
 def test_selection_rejects_negative_or_zero_k():
     with pytest.raises(ConfigError, match="K=-1"):
         topk_mask(np.array([[3.0, 2.0, 1.0]]), -1)
-    with pytest.raises(ConfigError, match="K=0"):
-        kth_value_per_row(np.array([[3.0, 2.0, 1.0]]), 0)
+    # route's budget, and with it the K-th value it reads, needs k >= 1
+    with pytest.raises(ConfigError, match="k=0"):
+        route(Tensor(np.zeros((1, 3, 2))), ALL[0], "identity", "train", ThresholdState(), k=0)
+
+
+def _kth_from_topk_mask(scores2d, k):
+    """route's K-th values: read off the row's top-K mask."""
+    return routing._kth_from_mask(scores2d, topk_mask(scores2d, k))
 
 
 def test_topk_mask_of_zero_is_all_zero():
@@ -178,7 +183,7 @@ def test_topk_mask_of_zero_is_all_zero():
     assert mask.tolist() == [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
 
 
-@pytest.mark.parametrize("select", [topk_mask, kth_value_per_row], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("select", [topk_mask, _kth_from_topk_mask], ids=["topk_mask", "kth_from_mask"])
 def test_selection_rejects_nan_with_its_count(select):
     S = np.array([[3.0, np.nan, 1.0], [np.nan, 0.0, 2.0]])
     with pytest.raises(NumericError, match="2 NaN scores of 6"):
@@ -189,30 +194,36 @@ def test_topk_mask_infinities_follow_the_tie_rule():
     S = np.array([[np.inf, -np.inf, np.inf, 0.0, -0.0, np.inf], [-np.inf] * 6])
     assert topk_mask(S, 2).tolist() == [[1, 0, 1, 0, 0, 0], [1, 1, 0, 0, 0, 0]]
     assert topk_mask(S, 5).tolist() == [[1, 0, 1, 1, 1, 1], [1, 1, 1, 1, 1, 0]]
-    assert kth_value_per_row(S, 4).tolist() == [0.0, -np.inf]
+    assert _kth_from_topk_mask(S, 4).tolist() == [0.0, -np.inf]
+    assert _kth_from_topk_mask(S, 2).tolist() == [np.inf, -np.inf]
 
 
 def test_topk_mask_budgets_against_full_sort_oracle():
+    # one row at a time, each with its own budget, on many ties
     rng = np.random.default_rng(31)
-    S = rng.integers(-2, 3, size=(5, 6)).astype(np.float64)  # many ties
-    budgets = np.array([0, 1, 3, 6, 2])
-    mask = routing.topk_mask_budgets(S, budgets)
-    for i, b in enumerate(budgets):
-        keep = set(np.argsort(-S[i], kind="stable")[:b].tolist())
-        assert {j for j in range(6) if mask[i, j] == 1.0} == keep
-    with pytest.raises(ConfigError):
-        routing.topk_mask_budgets(S, np.array([1, 1, 1, 1, -1]))
+    S = rng.integers(-2, 3, size=(5, 6)).astype(np.float64)
+    for row, b in zip(S, [0, 1, 3, 6, 2]):
+        mask = topk_mask(row[None], b)[0]
+        keep = set(np.argsort(-row, kind="stable")[:b].tolist())
+        assert {j for j in range(6) if mask[j] == 1.0} == keep
 
 
 def test_kth_value_per_row():
-    assert kth_value_per_row(np.array([[5.0, 1.0, 3.0, 2.0]]), 2)[0] == 3.0
-    assert kth_value_per_row(np.full((3, 5), 2.5), 4).tolist() == [2.5, 2.5, 2.5]
+    assert _kth_from_topk_mask(np.array([[5.0, 1.0, 3.0, 2.0]]), 2)[0] == 3.0
+    assert _kth_from_topk_mask(np.full((3, 5), 2.5), 4).tolist() == [2.5, 2.5, 2.5]
     rng = np.random.default_rng(29)
     S = rng.normal(size=(6, 9))
     for k in (1, 4, 9):
-        got = kth_value_per_row(S, k)
+        got = _kth_from_topk_mask(S, k)
         want = np.array([np.sort(row)[::-1][k - 1] for row in S])
         assert np.array_equal(got, want)
+    # and route's kth_values, from the gated view of each strategy
+    scores = rng.normal(size=(2, 4, 4))
+    for strategy in ALL:
+        res = route(Tensor(scores), strategy, "identity", "eval", ThresholdState(), k=2)
+        view = reshape_scores(scores, strategy)
+        K = effective_k(strategy, 2, 4, 4, 2)
+        assert np.array_equal(res.kth_values, np.sort(view, axis=1)[:, view.shape[1] - K])
 
 
 # ----------------------------------------------------------------------
@@ -279,9 +290,8 @@ def test_ema_converges_to_pooled_quantile():
     pool = []
     for _ in range(600):
         scores = rng.normal(size=(B, L, E))
-        view = reshape_scores(scores, strategy)
-        ema_update(state, kth_value_per_row(view, K))
-        pool.append(view.ravel())
+        route(Tensor(scores), strategy, "identity", "train", state, k=k)
+        pool.append(reshape_scores(scores, strategy).ravel())
     pooled = np.sort(np.concatenate(pool))[::-1]
     oracle = pooled[len(pool) * K - 1]
     assert abs(state.tau - oracle) / abs(oracle) < 0.02
@@ -423,7 +433,6 @@ def test_topk_mask_is_row_optimal():
     for strategy in ALL:
         S = rng.normal(size=(2, 2, 2))
         view = reshape_scores(S, strategy)
-        budgets = row_budgets(strategy, 2, 2, 2, 1)
-        mask = routing.topk_mask_budgets(view, budgets)
-        value = float((view * mask).sum())
-        assert abs(value - _best_objective_bruteforce(view, budgets)) < 1e-12
+        K = effective_k(strategy, 2, 2, 2, 1)
+        value = float((view * topk_mask(view, K)).sum())
+        assert abs(value - _best_objective_bruteforce(view, [K] * view.shape[0])) < 1e-12

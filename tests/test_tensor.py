@@ -330,14 +330,6 @@ def test_mean_and_sum_axis_grads():
     assert np.allclose(x.grad, np.full((3, 4), 1.0 / 3.0))
 
 
-def test_division_backward():
-    a = Tensor(np.array([4.0, 9.0]), requires_grad=True)
-    b = Tensor(np.array([2.0, 3.0]), requires_grad=True)
-    backward((a / b).sum())
-    assert np.allclose(a.grad, [0.5, 1.0 / 3.0])
-    assert np.allclose(b.grad, [-1.0, -1.0])
-
-
 # ----------------------------------------------------------------------
 # the lean tape: no gradient copies it does not need, no tape under no_grad
 
