@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -20,37 +21,22 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from . import routing
-from .denoiser import DenoiserConfig
-from .losses import LossWeights
 from .routing import ConfigError, NumericError, StateError
 from .training import LogRecord, Trainer, TrainerConfig, load_checkpoint, save_checkpoint
 
 CONFIG_SCHEMA_VERSION = 1
 
-_CONFIG_DEFAULTS = {
-    "schema_version": CONFIG_SCHEMA_VERSION,
-    "strategy": "expert-race",
-    "gating": "identity",
-    "k": 2,
-    "experts": 8,
-    "batch_size": 32,
-    "tokens": 16,
-    "model_dim": 64,
-    "layers": 4,
-    "dense_hidden": 256,
-    "total_steps": 100,
-    "schedule": "cosine",
-    "parameterization": "eps",
-    "num_classes": 4,
-    "lr": 1e-4,
-    "ema_decay": 0.999,
-    "w_plr": 1e-2,
-    "w_sim": 1e-4,
-    "w_blc": 0.0,
-    "seed": 0,
-    "steps": 200,
-    "checkpoint_every": 100,
-}
+# A run's settings are TrainerConfig's flat fields (to_dict), with num_experts
+# spelled `experts` and without `dense` (the CLI does not build the dense
+# twin), plus the run's own keys.
+_RUN_DEFAULTS = {"schema_version": CONFIG_SCHEMA_VERSION, "steps": 200, "checkpoint_every": 100}
+_CONFIG_DEFAULTS = {key: value for key, value in TrainerConfig().to_dict().items() if key != "dense"}
+_CONFIG_DEFAULTS["experts"] = _CONFIG_DEFAULTS.pop("num_experts")
+_CONFIG_DEFAULTS.update(_RUN_DEFAULTS)
+# the keys that also have a command-line flag
+_FLAG_KEYS = ("seed", "strategy", "gating", "k", "experts", "steps", "batch_size", "tokens", "model_dim", "layers",
+              "w_sim", "w_plr", "w_blc")
+
 
 def parse_config_file(path: Path) -> dict:
     """Flat `key = value` lines; '#' starts a comment."""
@@ -72,8 +58,9 @@ def parse_config_file(path: Path) -> dict:
     return values
 
 
-def resolve_config(args: argparse.Namespace) -> dict:
-    """Defaults < config file < command-line flags."""
+def resolve_config(args: argparse.Namespace) -> tuple[dict, TrainerConfig]:
+    """Defaults < config file < command-line flags. Returns the run's settings
+    and the TrainerConfig built, and so checked, from them."""
     cfg = dict(_CONFIG_DEFAULTS)
     if args.config:
         cfg.update(parse_config_file(Path(args.config)))
@@ -84,21 +71,14 @@ def resolve_config(args: argparse.Namespace) -> dict:
             cfg[key] = type(default)(value)
         except ValueError:
             raise ConfigError(f"config key {key!r} must be {type(default).__name__}, got {value!r}") from None
-    if int(cfg["schema_version"]) != CONFIG_SCHEMA_VERSION:
+    if cfg["schema_version"] != CONFIG_SCHEMA_VERSION:
         raise ConfigError(f"config schema_version {cfg['schema_version']} != {CONFIG_SCHEMA_VERSION}")
-    return validate_config(cfg)
-
-
-def validate_config(cfg: dict) -> dict:
-    """Canonical strategy name, a known gating, loss weights >= 0 and an
-    integral selection budget, checked before a command writes anything."""
-    strategy = routing.get_strategy(cfg["strategy"])
-    cfg["strategy"] = strategy.name
-    if cfg["gating"] not in routing.GATING_FUNCTIONS:
-        raise ConfigError(f"unknown gating {cfg['gating']!r}; choose from {sorted(routing.GATING_FUNCTIONS)}")
-    LossWeights(plr=cfg["w_plr"], sim=cfg["w_sim"], blc=cfg["w_blc"])
-    routing.effective_k(strategy, cfg["batch_size"], cfg["tokens"], cfg["experts"], cfg["k"])
-    return cfg
+    for key in ("steps", "checkpoint_every"):
+        if cfg[key] < 0:
+            raise ConfigError(f"{key} must be >= 0, got {cfg[key]}")
+    config = trainer_config_from(cfg)
+    cfg["strategy"] = config.model.strategy  # its canonical name
+    return cfg, config
 
 
 def write_config_snapshot(cfg: dict, out_dir: Path) -> None:
@@ -107,28 +87,10 @@ def write_config_snapshot(cfg: dict, out_dir: Path) -> None:
 
 
 def trainer_config_from(cfg: dict) -> TrainerConfig:
-    model = DenoiserConfig(
-        layers=cfg["layers"],
-        model_dim=cfg["model_dim"],
-        tokens=cfg["tokens"],
-        num_classes=cfg["num_classes"],
-        num_experts=cfg["experts"],
-        k=cfg["k"],
-        dense_hidden=cfg["dense_hidden"],
-        strategy=cfg["strategy"],
-        gating=cfg["gating"],
-        parameterization=cfg["parameterization"],
-        total_steps=cfg["total_steps"],
-        schedule=cfg["schedule"],
-    )
-    return TrainerConfig(
-        model=model,
-        batch_size=cfg["batch_size"],
-        lr=cfg["lr"],
-        ema_decay=cfg["ema_decay"],
-        weights=LossWeights(plr=cfg["w_plr"], sim=cfg["w_sim"], blc=cfg["w_blc"]),
-        seed=cfg["seed"],
-    )
+    """The TrainerConfig a run's settings describe; building it checks them."""
+    flat = {key: value for key, value in cfg.items() if key not in _RUN_DEFAULTS}
+    flat["num_experts"] = flat.pop("experts")
+    return TrainerConfig.from_dict(flat)
 
 
 # ----------------------------------------------------------------------
@@ -176,7 +138,7 @@ def route_sim_draws(
 
 
 def cmd_route_sim(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
+    cfg, _ = resolve_config(args)
     if args.draws < 1:
         raise ConfigError(f"--draws must be >= 1, got {args.draws}")
     wanted = args.strategies.split(",") if args.strategies else list(routing.STRATEGIES)
@@ -212,9 +174,8 @@ def cmd_route_sim(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
-    tconfig = trainer_config_from(cfg)
-    trainer = load_checkpoint(args.resume, tconfig) if args.resume else Trainer(tconfig)
+    cfg, config = resolve_config(args)
+    trainer = load_checkpoint(args.resume, config) if args.resume else Trainer(config)
     out_dir = make_out_dir(args)
     write_config_snapshot(cfg, out_dir)
 
@@ -227,9 +188,12 @@ def cmd_train(args: argparse.Namespace) -> int:
             step = row.split(",", 1)[0]
             if step.isdigit() and int(step) <= trainer.step_count:
                 kept.append(row)
-    with log_path.open("w") as fh:
-        fh.write(",".join(LogRecord.CSV_COLUMNS) + "\n")
-        fh.writelines(kept)
+    # the header and kept rows replace the log in one step, so a run killed
+    # before its first new row still leaves the rows its checkpoint covers
+    tmp = out_dir / f".log.csv.{os.getpid()}.tmp"
+    tmp.write_text(",".join(LogRecord.CSV_COLUMNS) + "\n" + "".join(kept))
+    os.replace(tmp, log_path)
+    with log_path.open("a") as fh:
         last = None
         while trainer.step_count < cfg["steps"]:
             record = trainer.train_step()
@@ -281,8 +245,8 @@ def _checkpoint_metrics(trainer: Trainer) -> dict:
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
-    trainer = load_checkpoint(args.checkpoint, trainer_config_from(cfg))
+    _, config = resolve_config(args)
+    trainer = load_checkpoint(args.checkpoint, config)
     out_dir = make_out_dir(args)
     report = _checkpoint_metrics(trainer)
     path = out_dir / "metrics.json"
@@ -295,9 +259,9 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 # ablate
 
 
-def _parse_arms(spec: str, cfg: dict) -> list[tuple[str, dict]]:
-    """Each 'strategy:gating[:w_sim[:w_blc]]' arm with its full config, all
-    validated before the first arm trains."""
+def _parse_arms(spec: str, cfg: dict) -> list[tuple[str, TrainerConfig]]:
+    """Each 'strategy:gating[:w_sim[:w_blc]]' arm with its config, all
+    built, and so checked, before the first arm trains."""
     arms = []
     for arm in (a.strip() for a in spec.split(";")):
         if not arm:
@@ -311,7 +275,7 @@ def _parse_arms(spec: str, cfg: dict) -> list[tuple[str, dict]]:
             raise ConfigError(f"arm {arm!r}: w_sim and w_blc must be numbers") from None
         w_sim, w_blc = weights + [cfg["w_sim"], cfg["w_blc"]][len(weights):]
         arm_cfg = dict(cfg, strategy=parts[0], gating=parts[1], w_sim=w_sim, w_blc=w_blc)
-        arms.append((arm, validate_config(arm_cfg)))
+        arms.append((arm, trainer_config_from(arm_cfg)))
     if not arms:
         raise ConfigError("ablate needs --arms 'strategy:gating[:w_sim[:w_blc]];...'")
     return arms
@@ -320,7 +284,7 @@ def _parse_arms(spec: str, cfg: dict) -> list[tuple[str, dict]]:
 def cmd_ablate(args: argparse.Namespace) -> int:
     """One row per arm: final losses and the layer mean of the routing report
     on one held-out batch routed in eval mode."""
-    cfg = resolve_config(args)
+    cfg, _ = resolve_config(args)
     if cfg["steps"] < 1:
         raise ConfigError(f"ablate trains each arm for --steps >= 1, got {cfg['steps']}")
     arms = _parse_arms(args.arms, cfg)
@@ -330,17 +294,17 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     csv_path = out_dir / "ablate.csv"
     with csv_path.open("w") as fh:
         fh.write("arm,strategy,gating,w_sim,w_blc,final_total,final_diffusion,max_vio,comb_usage,alloc_variance\n")
-        for arm, arm_cfg in arms:
-            trainer = Trainer(trainer_config_from(arm_cfg))
+        for arm, config in arms:
+            trainer = Trainer(config)
             last = None
             for _ in range(cfg["steps"]):
                 last = trainer.train_step()
             masks, t = _heldout_masks(trainer, 1, "eval")
             report = metrics_mod.routing_report(masks, cfg["k"], t, trainer.schedule.total_steps)
-            numbers = [arm_cfg["w_sim"], arm_cfg["w_blc"], last.total, last.diffusion] + [
+            numbers = [config.weights.sim, config.weights.blc, last.total, last.diffusion] + [
                 metrics_mod.report_mean(report, key) for key in ("max_vio", "comb_usage", "allocation_bucket_variance")
             ]
-            fh.write(",".join([arm, arm_cfg["strategy"], arm_cfg["gating"]] + [f"{x:.10g}" for x in numbers]) + "\n")
+            fh.write(",".join([arm, config.model.strategy, config.model.gating] + [f"{x:.10g}" for x in numbers]) + "\n")
     print(f"wrote {csv_path}")
     return 0
 
@@ -362,20 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser):
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", help="output directory")
-        p.add_argument("--strategy", default=None)
-        p.add_argument("--gating", default=None)
-        p.add_argument("--k", type=int, default=None)
-        p.add_argument("--experts", type=int, default=None)
-        p.add_argument("--steps", type=int, default=None)
-        p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-        p.add_argument("--tokens", type=int, default=None)
-        p.add_argument("--model-dim", dest="model_dim", type=int, default=None)
-        p.add_argument("--layers", type=int, default=None)
-        p.add_argument("--w-sim", dest="w_sim", type=float, default=None)
-        p.add_argument("--w-plr", dest="w_plr", type=float, default=None)
-        p.add_argument("--w-blc", dest="w_blc", type=float, default=None)
+        for key in _FLAG_KEYS:  # each flag takes its config key's type
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=type(_CONFIG_DEFAULTS[key]), default=None)
 
     p_sim = sub.add_parser("route-sim", help="compare strategies on sampled score tensors")
     add_common(p_sim)

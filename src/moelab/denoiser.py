@@ -16,8 +16,9 @@ from typing import Literal
 import numpy as np
 
 from . import layer as moe_layer
+from .diffusion import PARAMETERIZATIONS, build_schedule
 from .layer import ExpertParams, FineGrainedConfig, LayerOutput, MoeLayerParams, _xavier, expert_forward
-from .routing import ConfigError, NumericError, RoutingStrategy, get_strategy
+from .routing import GATING_FUNCTIONS, ConfigError, NumericError, RoutingStrategy, get_strategy
 from .tensor import Tensor, gelu, matmul, take_cols, take_rows
 
 __all__ = [
@@ -45,6 +46,19 @@ class DenoiserConfig:
     total_steps: int = 100
     schedule: str = "cosine"
     dense: bool = False  # plain FFN blocks instead of MoE (the twin model)
+
+    def __post_init__(self):
+        """A bad value raises a ConfigError naming its field; the strategy name is made canonical."""
+        for key in ("layers", "model_dim", "tokens", "num_classes", "dense_hidden"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
+        self.moe_config()  # the k-in-E layout
+        object.__setattr__(self, "strategy", get_strategy(self.strategy).name)
+        if self.gating not in GATING_FUNCTIONS:
+            raise ConfigError(f"unknown gating {self.gating!r}; choose from {sorted(GATING_FUNCTIONS)}")
+        if self.parameterization not in PARAMETERIZATIONS:
+            raise ConfigError(f"unknown parameterization {self.parameterization!r}; use one of {PARAMETERIZATIONS}")
+        build_schedule(self.total_steps, self.schedule)
 
     def moe_config(self) -> FineGrainedConfig:
         return FineGrainedConfig(

@@ -15,6 +15,7 @@ import numpy as np
 from .routing import ConfigError
 
 __all__ = [
+    "PARAMETERIZATIONS",
     "NoiseSchedule",
     "build_schedule",
     "forward_diffuse",
@@ -23,6 +24,8 @@ __all__ = [
     "SyntheticTask",
 ]
 
+# what the network predicts: the noise, the clean sample or the velocity
+PARAMETERIZATIONS = ("eps", "x0", "v")
 _MAX_BETA = 0.999
 # SyntheticTask: class-mean spread, and the per-token noise scale's ends
 _CLASS_SEPARATION = 2.0
@@ -48,7 +51,7 @@ class NoiseSchedule:
             raise ConfigError("alpha_bar must start at 1 and decrease strictly")
 
 
-def build_schedule(total_steps: int, kind: str = "cosine") -> NoiseSchedule:
+def build_schedule(total_steps: int, kind: str) -> NoiseSchedule:
     if total_steps < 2:
         raise ConfigError(f"need at least 2 timesteps, got {total_steps}")
     t = np.arange(total_steps + 1, dtype=np.float64)
@@ -104,7 +107,7 @@ def make_target(
     if parameterization == "v":
         ab = _per_sample(schedule.alpha_bar, np.asarray(t), x0.ndim)
         return np.sqrt(ab) * eps - np.sqrt(1.0 - ab) * x0
-    raise ConfigError(f"unknown parameterization {parameterization!r}; use eps, x0 or v")
+    raise ConfigError(f"unknown parameterization {parameterization!r}; use one of {PARAMETERIZATIONS}")
 
 
 @dataclass
@@ -151,7 +154,7 @@ class SyntheticTask:
         rng: np.random.Generator,
         batch: int,
         schedule: NoiseSchedule,
-        parameterization: str = "eps",
+        parameterization: str,
         t: np.ndarray | None = None,
     ) -> DiffusionBatch:
         x0, c = self.sample_x0(rng, batch)

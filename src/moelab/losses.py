@@ -68,8 +68,9 @@ class LossWeights:
     blc: float = 0.0
 
     def __post_init__(self):
-        if min(self.plr, self.sim, self.blc) < 0:
-            raise ConfigError("loss weights must be >= 0")
+        for name, value in self.__dict__.items():
+            if not 0 <= value < np.inf:
+                raise ConfigError(f"loss weights must be >= 0 and finite, got w_{name} = {value}")
 
 
 def aux_inputs_from_routing(mask: np.ndarray, logits: Tensor, k: int) -> AuxLossInputs:

@@ -31,7 +31,7 @@ from . import metrics as metrics_mod
 from .denoiser import DenoiserConfig, class_labels, denoiser_forward, init_denoiser
 from .diffusion import NoiseSchedule, SyntheticTask, build_schedule
 from .losses import LossWeights, aux_inputs_from_routing
-from .routing import ConfigError, NumericError, StateError, ThresholdState
+from .routing import ConfigError, NumericError, StateError, ThresholdState, effective_k
 from .tensor import Tensor, backward, no_grad
 
 __all__ = [
@@ -59,7 +59,7 @@ class AdamW(object):
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-    def __init__(self, params: list[Tensor], lr: float = 1e-4):
+    def __init__(self, params: list[Tensor], lr: float):
         self.params = params
         self.lr = lr
         self.step_count = 0
@@ -92,7 +92,7 @@ class AdamW(object):
 class WeightEma(object):
     """Shadow copy of the weights, updated in place as ema <- d*ema + (1-d)*w."""
 
-    def __init__(self, named: list[tuple[str, Tensor]], decay: float = 0.999):
+    def __init__(self, named: list[tuple[str, Tensor]], decay: float):
         self.decay = decay
         self.shadow = {name: t.data.copy() for name, t in named}
 
@@ -134,6 +134,19 @@ class TrainerConfig:
     weights: LossWeights = field(default_factory=LossWeights)
     seed: int = 0
 
+    def __post_init__(self):
+        """A bad value DenoiserConfig does not see raises a ConfigError naming its key."""
+        if not 0 < self.lr < np.inf:
+            raise ConfigError(f"lr must be > 0 and finite, got {self.lr}")
+        if not 0 <= self.ema_decay <= 1:
+            raise ConfigError(f"ema_decay must lie in [0, 1], got {self.ema_decay}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        m = self.model
+        effective_k(m.routing_strategy(), self.batch_size, m.tokens, m.num_experts, m.k)
+
     def to_dict(self) -> dict:
         d = dict(self.model.__dict__)
         d.update(
@@ -146,6 +159,14 @@ class TrainerConfig:
             seed=self.seed,
         )
         return d
+
+    @classmethod
+    def from_dict(cls, d: dict) -> TrainerConfig:
+        """The inverse of to_dict; `dense` may be left out."""
+        d = dict(d)
+        weights = LossWeights(plr=d.pop("w_plr"), sim=d.pop("w_sim"), blc=d.pop("w_blc"))
+        own = {key: d.pop(key) for key in ("batch_size", "lr", "ema_decay", "seed")}
+        return cls(model=DenoiserConfig(**d), weights=weights, **own)
 
 
 class Trainer(object):
@@ -283,15 +304,13 @@ class Trainer(object):
 
 
 def _to_eps(pred: np.ndarray, x_t: np.ndarray, t: int, sched: NoiseSchedule, parameterization: str) -> np.ndarray:
-    """Convert the network's prediction to an estimate of the noise."""
+    """The noise estimate from the network's prediction; DenoiserConfig checks the parameterization."""
     ab = sched.alpha_bar[t]
     if parameterization == "eps":
         return pred
     if parameterization == "x0":
         return (x_t - np.sqrt(ab) * pred) / np.sqrt(1.0 - ab)
-    if parameterization == "v":
-        return np.sqrt(1.0 - ab) * x_t + np.sqrt(ab) * pred
-    raise ConfigError(f"unknown parameterization {parameterization!r}")
+    return np.sqrt(1.0 - ab) * x_t + np.sqrt(ab) * pred  # v
 
 
 # ----------------------------------------------------------------------

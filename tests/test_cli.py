@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import signal
 import struct
 import subprocess
 import sys
@@ -15,6 +16,8 @@ import numpy as np
 import pytest
 
 from moelab.cli import main, parse_config_file
+from moelab.denoiser import DenoiserConfig
+from moelab.losses import LossWeights
 from moelab.training import Trainer, TrainerConfig, load_checkpoint, save_checkpoint
 
 FAST = [
@@ -108,6 +111,30 @@ def test_train_resume_into_same_dir_keeps_one_row_per_step(tmp_path):
     assert (run / "log.csv").read_text() == first  # resumed rows repeat bit for bit
 
 
+def test_killed_resume_keeps_the_log_its_checkpoint_covers(tmp_path):
+    # a resume into the run's own --out, killed before its first new step
+    cfg = tmp_path / "every2.cfg"
+    cfg.write_text("checkpoint_every = 2\n")
+    run = tmp_path / "run"
+    args = ["train", "--out", str(run), "--config", str(cfg), "--seed", "3", "--steps", "4", *FAST]
+    assert main(args) == 0
+    header_and_steps_1_2 = "".join((run / "log.csv").read_text().splitlines(keepends=True)[:3])
+    child = (
+        "import os, signal, sys\n"
+        "from moelab import cli\n"
+        "cli.Trainer.train_step = lambda self: os.kill(os.getpid(), signal.SIGKILL)\n"
+        "cli.main(sys.argv[1:])\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", child, *args, "--resume", str(run / "ckpt_000002.npz")],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == -signal.SIGKILL, done.stderr
+    assert (run / "log.csv").read_text() == header_and_steps_1_2
+    assert not list(run.glob(".log.csv.*"))
+
+
 def test_train_log_on_disk_reaches_each_checkpoint_step(tmp_path, monkeypatch):
     from moelab import cli
 
@@ -146,6 +173,49 @@ def test_default_model_is_one_config_in_library_and_cli(tmp_path):
     assert main(["metrics", "--checkpoint", str(lib), "--out", str(tmp_path / "rep")]) == 0
     assert main(["train", "--steps", "1", "--resume", str(lib), "--out", str(tmp_path / "cli")]) == 0
     assert load_checkpoint(tmp_path / "cli" / "ckpt_final.npz", TrainerConfig()).step_count == 1
+
+
+def test_trainer_config_from_dict_inverts_to_dict():
+    default = TrainerConfig()
+    other = TrainerConfig(
+        model=DenoiserConfig(layers=2, model_dim=12, tokens=6, num_classes=3, num_experts=3, k=3,
+                             dense_hidden=24, strategy="token-choice", gating="softmax", parameterization="v",
+                             total_steps=30, schedule="linear", dense=True),
+        batch_size=5, lr=3e-3, ema_decay=0.5, weights=LossWeights(plr=0.5, sim=0.25, blc=0.125), seed=9,
+    )
+    assert all(other.to_dict()[key] != value for key, value in default.to_dict().items())
+    for config in (default, other):
+        assert TrainerConfig.from_dict(config.to_dict()) == config
+
+
+def test_default_config_snapshot(tmp_path):
+    # the CLI's keys and defaults: TrainerConfig's flat fields plus the run's own
+    out = tmp_path / "sim"
+    assert main(["route-sim", "--out", str(out), "--draws", "1"]) == 0
+    assert (out / "config.snapshot").read_text() == (
+        "batch_size = 32\n"
+        "checkpoint_every = 100\n"
+        "dense_hidden = 256\n"
+        "ema_decay = 0.999\n"
+        "experts = 8\n"
+        "gating = identity\n"
+        "k = 2\n"
+        "layers = 4\n"
+        "lr = 0.0001\n"
+        "model_dim = 64\n"
+        "num_classes = 4\n"
+        "parameterization = eps\n"
+        "schedule = cosine\n"
+        "schema_version = 1\n"
+        "seed = 0\n"
+        "steps = 200\n"
+        "strategy = expert-race\n"
+        "tokens = 16\n"
+        "total_steps = 100\n"
+        "w_blc = 0.0\n"
+        "w_plr = 0.01\n"
+        "w_sim = 0.0001\n"
+    )
 
 
 def test_invalid_selection_size_is_config_error(tmp_path):
@@ -441,9 +511,9 @@ def test_ablate_columns_are_layer_means_of_the_routing_report(tmp_path):
     row = read_csv(out / "ablate.csv")[0]
 
     # the same arm, trained and routed again by hand on the held-out batch
-    cfg = cli.resolve_config(cli.build_parser().parse_args(
+    cfg, config = cli.resolve_config(cli.build_parser().parse_args(
         ["train", "--strategy", "bl-choice", "--gating", "softmax", *args]))
-    trainer = cli.Trainer(cli.trainer_config_from(cfg))
+    trainer = cli.Trainer(config)
     for _ in range(cfg["steps"]):
         trainer.train_step()
     batch = trainer.task.sample_batch(np.random.default_rng(cfg["seed"] + 4242), cfg["batch_size"],
@@ -665,11 +735,38 @@ def test_ablate_validates_every_arm_before_training(tmp_path, capsys, monkeypatc
     assert trained == [] and not (out / "ablate.csv").exists()
 
 
-def test_train_rejects_unknown_gating_before_writing(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "command,setting,named",
+    [
+        ("train", "gating = sigmod", "unknown gating 'sigmod'"),
+        ("train", "parameterization = foo", "unknown parameterization 'foo'"),
+        ("train", "num_classes = 0", "num_classes must be >= 1"),
+        ("train", "model_dim = 0", "model_dim must be >= 1"),
+        ("train", "layers = 0", "layers must be >= 1"),
+        ("train", "dense_hidden = 0", "dense_hidden must be >= 1"),
+        ("train", "seed = -1", "seed must be >= 0"),
+        ("train", "batch_size = 0", "batch_size must be >= 1"),
+        ("train", "lr = nan", "lr must be > 0 and finite, got nan"),
+        ("train", "lr = -1", "lr must be > 0 and finite, got -1.0"),
+        ("train", "ema_decay = 2", "ema_decay must lie in [0, 1]"),
+        ("train", "w_sim = nan", "w_sim = nan"),
+        ("train", "steps = -1", "steps must be >= 0"),
+        ("ablate", "parameterization = foo", "unknown parameterization 'foo'"),
+    ],
+    ids=["gating", "parameterization", "num_classes", "model_dim", "layers", "dense_hidden", "seed", "batch_size", "lr-nan",
+         "lr-negative", "ema_decay", "w_sim-nan", "steps", "ablate-parameterization"],
+)
+def test_train_rejects_unknown_gating_before_writing(tmp_path, capsys, command, setting, named):
+    # a bad value is one config-error line naming its key, before --out exists
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"layers = 1\nmodel_dim = 8\ntokens = 4\nbatch_size = 4\nexperts = 4\nsteps = 1\n{setting}\n")
     out = tmp_path / "run"
-    rc = main(["train", "--out", str(out), "--steps", "1", "--gating", "sigmod", *FAST])
+    arms = ["--arms", "expert-race:identity"] if command == "ablate" else []
+    rc = main([command, "--config", str(cfg), "--out", str(out), *arms])
     assert rc == 2
-    assert "unknown gating 'sigmod'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+    assert named in err, err
     assert not out.exists()
 
 

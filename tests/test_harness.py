@@ -51,11 +51,11 @@ def test_schedule_endpoints_and_monotonic(kind):
 
 def test_schedule_rejects_tiny_t():
     with pytest.raises(ConfigError):
-        build_schedule(1)
+        build_schedule(1, "cosine")
 
 
 def test_forward_diffuse_identity_at_t0():
-    sched = build_schedule(50)
+    sched = build_schedule(50, "cosine")
     rng = np.random.default_rng(0)
     x0 = rng.normal(size=(3, 4, 5))
     eps = rng.normal(size=(3, 4, 5))
@@ -64,7 +64,7 @@ def test_forward_diffuse_identity_at_t0():
 
 
 def test_forward_diffuse_pure_noise_at_terminal():
-    sched = build_schedule(50)
+    sched = build_schedule(50, "cosine")
     rng = np.random.default_rng(1)
     x0 = rng.normal(size=(2, 3, 4))
     eps = rng.normal(size=(2, 3, 4))
@@ -74,14 +74,14 @@ def test_forward_diffuse_pure_noise_at_terminal():
 
 
 def test_forward_diffuse_rejects_out_of_range_t():
-    sched = build_schedule(10)
+    sched = build_schedule(10, "cosine")
     with pytest.raises(ConfigError):
         forward_diffuse(np.zeros((1, 2, 2)), np.array([11]), np.zeros((1, 2, 2)), sched)
 
 
 def test_forward_diffuse_second_moment_monte_carlo():
     # E||x_t||^2 = ab*||x0||^2 + (1-ab)*dim for unit Gaussian noise
-    sched = build_schedule(100)
+    sched = build_schedule(100, "cosine")
     rng = np.random.default_rng(2)
     t = 60
     dim = 8
@@ -97,7 +97,7 @@ def test_forward_diffuse_second_moment_monte_carlo():
 
 
 def test_make_target_three_parameterizations():
-    sched = build_schedule(20)
+    sched = build_schedule(20, "cosine")
     rng = np.random.default_rng(3)
     x0 = rng.normal(size=(2, 3, 4))
     eps = rng.normal(size=(2, 3, 4))
@@ -113,7 +113,7 @@ def test_make_target_three_parameterizations():
 
 def test_velocity_endpoints():
     # alpha_bar = 1 -> v = eps ; alpha_bar ~ 0 -> v ~ -x0
-    sched = build_schedule(30)
+    sched = build_schedule(30, "cosine")
     x0 = np.ones((1, 2, 2))
     eps = np.full((1, 2, 2), 2.0)
     v0 = make_target(x0, eps, np.array([0]), sched, "v")
@@ -127,7 +127,7 @@ def test_target_converts_back_to_the_noise(parameterization):
     # the sampler's inverse of each target recovers eps at every timestep
     from moelab.training import _to_eps
 
-    sched = build_schedule(100)
+    sched = build_schedule(100, "cosine")
     rng = np.random.default_rng(8)
     x0 = rng.normal(size=(3, 4, 5))
     eps = rng.normal(size=(3, 4, 5))
