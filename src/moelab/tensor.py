@@ -8,13 +8,16 @@ constant masking. Every op is eager; the graph is the chain of parent links
 plus a global creation counter, so backward() can replay nodes in exact
 reverse execution order.
 
-Graph nodes are never mutated once built; the optimizer rebinds leaf data
-between steps, after the graph of the previous step is gone. Gradients are
-never written in place either: a second contribution rebinds
-`t.grad = t.grad + g`. So a gradient is stored as the very array an op hands
-over when that array is C-contiguous, and copied into C order only when it
-is not (a transposed or broadcast view), which also keeps the layout that
-later BLAS calls and reductions round on fixed.
+backward() consumes interior nodes; leaves keep grads. As the sweep passes
+an interior node it drops the node's gradient, grad-fn and parent links, so
+the arrays its grad-fn saved are freed as soon as no later node needs them,
+and a second backward through the same graph raises ContractError. The
+optimizer rebinds leaf data between steps. Gradients are never written in
+place: a second contribution rebinds `t.grad = t.grad + g`. So a gradient
+is stored as the very array an op hands over when that array is
+C-contiguous, and copied into C order only when it is not (a transposed or
+broadcast view), which also keeps the layout that later BLAS calls and
+reductions round on fixed.
 
 Inside `with no_grad():` op outputs record no parents and no grad-fn, so a
 forward-only pass (sampling, evaluation) builds no tape and keeps none of
@@ -100,9 +103,10 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 class Tensor:
     """A dense float64 array plus the bookkeeping needed for backward().
 
-    `grad` is populated by backward() for every requires_grad tensor in the
-    graph (ndarray of the same shape). Leaf tensors outside the graph keep
-    grad=None; optimizers treat that as zero.
+    `grad` is populated by backward() for every requires_grad leaf in the
+    graph (ndarray of the same shape); interior nodes hold theirs only while
+    the sweep needs it. Leaf tensors outside the graph keep grad=None;
+    optimizers treat that as zero.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_grad_fn", "_order")
@@ -445,12 +449,22 @@ def take_cols(x: Tensor, start: int, stop: int) -> Tensor:
     return Tensor(x.data[..., start:stop], _parents=(x,), _grad_fn=gfn)
 
 
-def backward(loss: Tensor, params: Iterable[Tensor] = ()) -> None:
-    """Reverse-mode sweep from a scalar loss.
+def _consumed(g: np.ndarray) -> None:
+    """The grad-fn of a node a backward sweep has already passed."""
+    raise ContractError("backward already ran through this graph and freed it; build the graph again")
 
-    Fills `grad` on every requires_grad tensor reachable from `loss`,
-    traversing nodes in exact reverse creation order. Tensors passed in
-    `params` that the graph never touched get explicit zero gradients.
+
+def backward(loss: Tensor, params: Iterable[Tensor] = ()) -> None:
+    """Reverse-mode sweep from a scalar loss that consumes the graph.
+
+    Fills `grad` on every requires_grad leaf reachable from `loss`
+    (parameters and inputs made with requires_grad=True), popping nodes in
+    exact reverse creation order. Once an interior node's grad-fn has run,
+    or was skipped because no gradient reached the node, its grad, grad-fn
+    and parent links are dropped, so what it saved for backward is freed as
+    soon as no later node needs it; a later backward that reaches the node
+    raises ContractError. Tensors passed in `params` that the graph never
+    touched get explicit zero gradients.
     """
     if loss.data.size != 1:
         raise ContractError(f"loss must be scalar, got shape {loss.shape}")
@@ -470,10 +484,14 @@ def backward(loss: Tensor, params: Iterable[Tensor] = ()) -> None:
         node.grad = None
     loss.grad = np.ones_like(loss.data)
 
-    nodes.sort(key=lambda n: n._order, reverse=True)
-    for node in nodes:
-        if node._grad_fn is not None and node.grad is not None:
+    nodes.sort(key=lambda n: n._order)
+    while nodes:
+        node = nodes.pop()
+        if node._grad_fn is None:
+            continue  # a leaf keeps its gradient
+        if node.grad is not None:
             node._grad_fn(node.grad)
+        node.grad, node._grad_fn, node._parents = None, _consumed, ()
 
     for p in params:
         if p.requires_grad and p.grad is None:

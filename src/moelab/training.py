@@ -59,12 +59,14 @@ class AdamW(object):
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-    def __init__(self, params: list[Tensor], lr: float):
+    def __init__(self, params: list[Tensor], lr: float, blank: bool = False):
+        """Moments start at zero, or as np.empty arrays with `blank`."""
         self.params = params
         self.lr = lr
         self.step_count = 0
-        self.m = [np.zeros_like(p.data) for p in params]
-        self.v = [np.zeros_like(p.data) for p in params]
+        start = np.empty_like if blank else np.zeros_like
+        self.m = [start(p.data) for p in params]
+        self.v = [start(p.data) for p in params]
 
     def step(self) -> None:
         self.step_count += 1
@@ -92,9 +94,11 @@ class AdamW(object):
 class WeightEma(object):
     """Shadow copy of the weights, updated in place as ema <- d*ema + (1-d)*w."""
 
-    def __init__(self, named: list[tuple[str, Tensor]], decay: float):
+    def __init__(self, named: list[tuple[str, Tensor]], decay: float, blank: bool = False):
+        """The shadow starts as a copy of the weights, or as np.empty arrays with `blank`."""
         self.decay = decay
-        self.shadow = {name: t.data.copy() for name, t in named}
+        start = np.empty_like if blank else np.copy
+        self.shadow = {name: start(t.data) for name, t in named}
 
     def update(self, named: list[tuple[str, Tensor]]) -> None:
         d = self.decay
@@ -169,11 +173,29 @@ class TrainerConfig:
         return cls(model=DenoiserConfig(**d), weights=weights, **own)
 
 
+class _Undrawn(np.random.Generator):
+    """Stands in for init_denoiser's generator when every weight is about to
+    be overwritten: each draw is an np.empty array of the asked size."""
+
+    def __init__(self):
+        super().__init__(np.random.PCG64(0))
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        return np.empty(size)
+
+    normal = uniform
+
+
 class Trainer(object):
-    def __init__(self, config: TrainerConfig):
+    def __init__(self, config: TrainerConfig, blank: bool = False):
+        """A run at step 0: weights drawn from the config's seed, zero
+        optimizer moments and an EMA shadow equal to the weights. With
+        `blank`, the weights, moments and shadow are np.empty arrays
+        instead, for load_checkpoint to overwrite: nothing is drawn, zeroed
+        or copied first."""
         self.config = config
         self.rng = np.random.default_rng(config.seed)
-        self.params = init_denoiser(config.model, np.random.default_rng(config.seed))
+        self.params = init_denoiser(config.model, _Undrawn() if blank else np.random.default_rng(config.seed))
         self.schedule = build_schedule(config.model.total_steps, config.model.schedule)
         self.task = SyntheticTask(
             num_classes=config.model.num_classes,
@@ -181,8 +203,8 @@ class Trainer(object):
             dim=config.model.model_dim,
             seed=config.seed + 7919,
         )
-        self.opt = AdamW(self.params.parameters(), lr=config.lr)
-        self.ema = WeightEma(self.params.named_tensors(), decay=config.ema_decay)
+        self.opt = AdamW(self.params.parameters(), lr=config.lr, blank=blank)
+        self.ema = WeightEma(self.params.named_tensors(), decay=config.ema_decay, blank=blank)
         self.step_count = 0
 
     # ------------------------------------------------------------------
@@ -214,6 +236,8 @@ class Trainer(object):
 
         backward(total, self.params.parameters())
         self.opt.step()
+        for p in self.opt.params:  # applied: free the gradients until the next step
+            p.grad = None
         self.ema.update(self.params.named_tensors())
         self.step_count += 1
 
@@ -250,8 +274,10 @@ class Trainer(object):
         active experts per token per layer. A sample count n that is not a
         positive integer, a class label that is not an integer in [0,
         num_classes), or a label list whose length is neither 1 nor n,
-        raises ConfigError. A NumericError from the model names the reverse
-        step. The reverse steps build no tape.
+        raises ConfigError. The first non-finite router score, noise
+        estimate or sample state raises NumericError naming the reverse
+        step, with no numpy warning before it. The reverse steps build no
+        tape.
         """
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
             raise ConfigError(f"sample count must be a positive integer, got {n!r}")
@@ -272,7 +298,9 @@ class Trainer(object):
 
         x = rng.normal(size=(n, cfg.tokens, cfg.model_dim))
         allocation_log: list[dict] = []
-        with no_grad():
+        # a diverging state overflows inside the model; the checks below name
+        # the reverse step instead of numpy warning first
+        with no_grad(), np.errstate(over="ignore", invalid="ignore"):
             for step_t in range(sched.total_steps, 0, -1):
                 t_vec = np.full(n, step_t, dtype=np.int64)
                 try:
@@ -280,6 +308,8 @@ class Trainer(object):
                 except NumericError as exc:
                     raise NumericError(f"reverse step {step_t}: {exc}") from exc
                 eps_hat = _to_eps(pred.data, x, step_t, sched, cfg.parameterization)
+                if not np.all(np.isfinite(eps_hat)):
+                    raise NumericError(f"non-finite noise estimate at reverse step {step_t}")
 
                 ab_t = sched.alpha_bar[step_t]
                 ab_prev = sched.alpha_bar[step_t - 1]
@@ -343,6 +373,17 @@ def _write_member(archive: zipfile.ZipFile, key: str, dtype: np.dtype, length: i
             fh.write(np.ascontiguousarray(chunk, dtype=dtype))
 
 
+def _process_exists(pid: int) -> bool:
+    """Whether a process with this id is running (a zombie counts)."""
+    try:
+        os.kill(pid, 0)  # signal 0: only asks whether the process exists
+    except ProcessLookupError:
+        return False
+    except PermissionError:  # it exists and belongs to another user
+        return True
+    return True
+
+
 def save_checkpoint(path, trainer: Trainer) -> None:
     """Single .npz container: weights, EMA shadow, optimizer, thresholds, RNG.
 
@@ -355,8 +396,9 @@ def save_checkpoint(path, trainer: Trainer) -> None:
 
     Written atomically: the archive goes to a temp file in the target
     directory, which then replaces `path`, so an interrupted save leaves any
-    previous checkpoint intact. Like np.savez, appends ".npz" to a path
-    without that suffix.
+    previous checkpoint intact. The temp files of earlier saves to `path`
+    whose process is gone (killed before its cleanup ran) are removed. Like
+    np.savez, appends ".npz" to a path without that suffix.
     """
     named = trainer.params.named_tensors()
     thresholds = [
@@ -379,6 +421,12 @@ def save_checkpoint(path, trainer: Trainer) -> None:
     if path.suffix != ".npz":
         path = path.with_name(path.name + ".npz")
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    prefix = f".{path.name}."
+    for stale in path.parent.iterdir():
+        if stale.name.startswith(prefix) and stale.name.endswith(".tmp"):
+            pid = stale.name[len(prefix):-len(".tmp")]
+            if pid.isdigit() and int(pid) > 0 and not _process_exists(int(pid)):
+                stale.unlink(missing_ok=True)
     try:
         with zipfile.ZipFile(tmp, "w") as archive:
             for group, arrays in _state_groups(trainer).items():
@@ -449,12 +497,13 @@ def load_checkpoint(path, config: TrainerConfig) -> Trainer:
     one the other side lacks included. The manifest must match the
     model's tensors, names and shapes, and each state group must be a 1-D
     C-order float64 member of exactly their total size; its bytes are read
-    straight into the new Trainer's own arrays, so every state array owns
-    its memory. A missing member or metadata field, a member that is not a
-    readable .npy array, metadata that is not UTF-8 JSON, a metadata field
-    of the wrong type or value, a CRC mismatch, a file that cannot be opened
-    or that is not an .npz archive: each raises a one-line ConfigError
-    naming the path (and the member or field).
+    straight into the arrays of a blank Trainer (np.empty, never drawn,
+    zeroed or copied), so every state array owns its memory. A missing
+    member or metadata field, a member that is not a readable .npy array,
+    metadata that is not UTF-8 JSON, a metadata field of the wrong type or
+    value, a CRC mismatch, a file that cannot be opened or that is not an
+    .npz archive: each raises a one-line ConfigError naming the path (and
+    the member or field).
     """
     try:
         archive = zipfile.ZipFile(path)
@@ -483,7 +532,7 @@ def load_checkpoint(path, config: TrainerConfig) -> Trainer:
             }
             raise ConfigError(f"checkpoint config mismatch (saved vs requested): {diff}")
 
-        trainer = Trainer(config)
+        trainer = Trainer(config, blank=True)
         named = trainer.params.named_tensors()
         _check_manifest(path, meta["tensors"], named)
         total = sum(t.size for _, t in named)

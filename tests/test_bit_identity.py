@@ -2,7 +2,8 @@
 training loop.
 
 The reference implementations below are the plain allocating versions the
-lean ones replaced: `_accumulate` copying every gradient into C order, GELU
+lean ones replaced: a backward sweep that keeps every node's gradient and
+graph, `_accumulate` copying every gradient into C order, GELU
 and AdamW/EMA as one-line textbook expressions, sampling with the tape on,
 top-K selection by a full stable argsort and K-th values by a full sort,
 `route` taking its K-th values from a second selection pass, `route-sim`
@@ -34,6 +35,29 @@ CONFIG = TrainerConfig(
     batch_size=6,
     seed=11,
 )
+
+
+def reference_backward(loss, params=()):
+    if loss.data.size != 1:
+        raise tensor.ContractError(f"loss must be scalar, got shape {loss.shape}")
+    nodes, seen, stack = [], set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or not node.requires_grad:
+            continue
+        seen.add(id(node))
+        nodes.append(node)
+        stack.extend(node._parents)
+    for node in nodes:
+        node.grad = None
+    loss.grad = np.ones_like(loss.data)
+    nodes.sort(key=lambda n: n._order, reverse=True)
+    for node in nodes:
+        if node._grad_fn is not None and node.grad is not None:
+            node._grad_fn(node.grad)
+    for p in params:
+        if p.requires_grad and p.grad is None:
+            p.grad = np.zeros_like(p.data)
 
 
 def reference_accumulate(t, g):
@@ -197,6 +221,7 @@ def reference_load_checkpoint(path, config):
 
 
 def use_reference_ops(monkeypatch):
+    monkeypatch.setattr(training, "backward", reference_backward)
     monkeypatch.setattr(tensor, "_accumulate", reference_accumulate)
     for module in (layer, denoiser):  # each calls gelu through its own global
         monkeypatch.setattr(module, "gelu", reference_gelu)

@@ -112,27 +112,47 @@ def test_train_resume_into_same_dir_keeps_one_row_per_step(tmp_path):
 
 
 def test_killed_resume_keeps_the_log_its_checkpoint_covers(tmp_path):
-    # a resume into the run's own --out, killed before its first new step
+    # resumes into the run's own --out, SIGKILLed before their first new
+    # step and inside a checkpoint save
     cfg = tmp_path / "every2.cfg"
     cfg.write_text("checkpoint_every = 2\n")
     run = tmp_path / "run"
-    args = ["train", "--out", str(run), "--config", str(cfg), "--seed", "3", "--steps", "4", *FAST]
-    assert main(args) == 0
-    header_and_steps_1_2 = "".join((run / "log.csv").read_text().splitlines(keepends=True)[:3])
-    child = (
-        "import os, signal, sys\n"
-        "from moelab import cli\n"
-        "cli.Trainer.train_step = lambda self: os.kill(os.getpid(), signal.SIGKILL)\n"
-        "cli.main(sys.argv[1:])\n"
-    )
+    base = ["train", "--out", str(run), "--config", str(cfg), "--seed", "3", *FAST]
+    assert main([*base, "--steps", "4"]) == 0
+    full_log = (run / "log.csv").read_text()
+    header_and_steps_1_2 = "".join(full_log.splitlines(keepends=True)[:3])
     src = Path(__file__).resolve().parents[1] / "src"
-    done = subprocess.run(
-        [sys.executable, "-c", child, *args, "--resume", str(run / "ckpt_000002.npz")],
-        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120,
-    )
-    assert done.returncode == -signal.SIGKILL, done.stderr
+
+    def killed(kill, *resume):
+        child = f"import os, signal, sys\nfrom moelab import cli, training\n{kill}\ncli.main(sys.argv[1:])\n"
+        done = subprocess.run(
+            [sys.executable, "-c", child, *resume],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == -signal.SIGKILL, done.stderr
+
+    kill_on_step = "cli.Trainer.train_step = lambda self: os.kill(os.getpid(), signal.SIGKILL)"
+    resume_2 = [*base, "--steps", "4", "--resume", str(run / "ckpt_000002.npz")]
+    killed(kill_on_step, *resume_2)
     assert (run / "log.csv").read_text() == header_and_steps_1_2
-    assert not list(run.glob(".log.csv.*"))
+    # nothing left claims a state past step 2: no summary, final or step 4 checkpoint
+    assert sorted(p.name for p in run.iterdir()) == ["ckpt_000002.npz", "config.snapshot", "log.csv"]
+
+    killed("training._write_member = lambda *a: os.kill(os.getpid(), signal.SIGKILL)", *resume_2)
+    assert len(list(run.glob(".ckpt_000004.npz.*.tmp"))) == 1  # the killed save's temp file
+    # its save of ckpt_000004.npz removes that file
+    assert main([*base, "--steps", "5", "--resume", str(run / "ckpt_000002.npz")]) == 0
+    assert not list(run.glob(".*.tmp"))
+    log_5 = (run / "log.csv").read_text()
+    assert log_5.startswith(full_log) and len(log_5.splitlines()) == 6
+    final = (run / "ckpt_final.npz").read_bytes()
+
+    # resuming from ckpt_final.npz itself keeps that file, as ckpt_000005.npz
+    killed(kill_on_step, *base, "--steps", "6", "--resume", str(run / "ckpt_final.npz"))
+    assert sorted(p.name for p in run.iterdir()) == [
+        "ckpt_000002.npz", "ckpt_000004.npz", "ckpt_000005.npz", "config.snapshot", "log.csv"]
+    assert (run / "ckpt_000005.npz").read_bytes() == final
+    assert (run / "log.csv").read_text() == log_5
 
 
 def test_train_log_on_disk_reaches_each_checkpoint_step(tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 """Diffusion harness: schedules, noising, the denoiser, training machinery."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -240,6 +241,22 @@ def test_sampler_non_finite_router_scores_name_the_reverse_step():
     n_bad = 3 * SMALL.tokens
     with pytest.raises(NumericError, match=rf"^reverse step {SMALL.total_steps}: block 1: router scores have {n_bad} "):
         trainer.sample(3, 0, rng=np.random.default_rng(2))
+
+
+@pytest.mark.parametrize("parameterization", ["eps", "x0", "v"])
+def test_sampler_fails_at_the_first_non_finite_value_without_a_warning(parameterization):
+    trainer = small_trainer(seed=8, parameterization=parameterization)
+    trainer.train_step()  # initializes the thresholds
+    out_w = trainer.params.out_w
+    trained = out_w.data
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would fail the test
+        out_w.data = np.full_like(trained, 1e308)  # the first prediction overflows
+        with pytest.raises(NumericError, match=rf"^non-finite noise estimate at reverse step {SMALL.total_steps}$"):
+            trainer.sample(3, 0, rng=np.random.default_rng(4))
+        out_w.data = trained * 1e200  # finite at first, then the state blows up
+        with pytest.raises(NumericError, match=rf"^reverse step {SMALL.total_steps - 1}: block 1: router scores"):
+            trainer.sample(3, 0, rng=np.random.default_rng(4))
 
 
 @pytest.mark.parametrize("mode", ["train", "eval", "infer"])
