@@ -173,16 +173,17 @@ def cmd_route_sim(args: argparse.Namespace) -> int:
 # train
 
 
-def discard_later_claims(out_dir: Path, step: int, source: Path) -> None:
+def discard_later_claims(out_dir: Path, step: int, source: Path | None = None) -> None:
     """Remove the files in `out_dir` that describe a state past `step`.
 
-    A resume rewrites everything after its checkpoint's step, so before it
-    trains, summary.json, ckpt_final.npz and each ckpt_<n>.npz with n > step
-    go; a run killed after this never leaves them disagreeing with its log.
-    A ckpt_final.npz that is the resume source holds `step` itself: it is
+    A run rewrites everything after the step it starts from (0 for a fresh
+    run, the checkpoint's step for a resume), so before it trains,
+    summary.json, ckpt_final.npz and each ckpt_<n>.npz with n > step go; a
+    run killed after this never leaves them disagreeing with its log. A
+    ckpt_final.npz that is the resume `source` holds `step` itself: it is
     renamed to ckpt_<step>.npz, so the checkpoint the log reaches stays.
     """
-    source = source.resolve()
+    source = None if source is None else source.resolve()
     final = out_dir / "ckpt_final.npz"
     if final.resolve() == source:
         os.replace(final, out_dir / f"ckpt_{step:06d}.npz")
@@ -199,8 +200,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     trainer = load_checkpoint(args.resume, config) if args.resume else Trainer(config)
     out_dir = make_out_dir(args)
     write_config_snapshot(cfg, out_dir)
-    if args.resume:
-        discard_later_claims(out_dir, trainer.step_count, Path(args.resume))
+    discard_later_claims(out_dir, trainer.step_count, Path(args.resume) if args.resume else None)
 
     # a resumed run keeps the log rows up to the checkpoint's step and
     # rewrites the rest, so resuming into the same --out duplicates nothing

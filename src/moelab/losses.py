@@ -31,7 +31,6 @@ __all__ = [
     "correlation_matrices",
     "similarity_weights",
     "router_similarity_loss",
-    "router_similarity_diag",
     "layer_mean",
     "per_layer_reg_loss",
     "diffusion_loss",
@@ -133,15 +132,6 @@ def router_similarity_loss(inputs: AuxLossInputs) -> Tensor:
     m_corr, p_corr = correlation_matrices(inputs)
     T = inputs.num_tokens
     return (p_corr * Tensor(similarity_weights(m_corr))).sum() * (1.0 / T)
-
-
-def router_similarity_diag(inputs: AuxLossInputs) -> Tensor:
-    """Diagonal contribution of the similarity loss (a geometric-mean
-    flavored balance term: selection ratio times mean squared probability)."""
-    m_corr, p_corr = correlation_matrices(inputs)
-    W_diag = np.diag(np.diag(similarity_weights(m_corr)))
-    T = inputs.num_tokens
-    return (p_corr * Tensor(W_diag)).sum() * (1.0 / T)
 
 
 def layer_mean(terms: list[Tensor]) -> Tensor:

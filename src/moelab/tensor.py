@@ -4,9 +4,21 @@ A deliberately small op set: matmul, a grouped matmul over contiguous row
 segments (segment_matmul), elementwise arithmetic, GELU, sigmoid, softmax,
 reductions, reshape/permute, row gather/scatter (take_rows/scatter_rows,
 whose scatter-add is one np.bincount), column slicing (take_cols) and
-constant masking. Every op is eager; the graph is the chain of parent links
-plus a global creation counter, so backward() can replay nodes in exact
-reverse execution order.
+constant masking. Every op is eager.
+
+The tape is a graph of _Node objects apart from the data: a Tensor is its
+array plus its node, or no node when it needs no gradient (a constant, or
+an op output under no_grad); `grad` and `requires_grad` read through to it.
+A node holds the grad-fn, the nodes of the parents that need a gradient,
+its gradient and a global creation order, so backward() can replay nodes in
+exact reverse execution order. A grad-fn closes over only the arrays its
+formula reads, never a parent Tensor, so the forward's dead intermediates
+are freed at once. add, sub, sum, reshape, transpose, take_rows,
+scatter_rows and take_cols save no array; mul and segment_matmul save both
+operands; matmul saves `a` only if `b` needs a gradient and `b` only if `a`
+does. gelu computes its derivative Phi(x) + x * phi(x) in the forward, with
+the IEEE operations of the textbook backward in the same order, and saves
+only that; its backward is one multiply by g.
 
 backward() consumes interior nodes; leaves keep grads. As the sweep passes
 an interior node it drops the node's gradient, grad-fn and parent links, so
@@ -19,9 +31,10 @@ C-contiguous, and copied into C order only when it is not (a transposed or
 broadcast view), which also keeps the layout that later BLAS calls and
 reductions round on fixed.
 
-Inside `with no_grad():` op outputs record no parents and no grad-fn, so a
-forward-only pass (sampling, evaluation) builds no tape and keeps none of
-its intermediates alive; leaves made with requires_grad=True keep the flag.
+Inside `with no_grad():` op outputs get no node, so a forward-only pass
+(sampling, evaluation) builds no tape and keeps none of its intermediates
+alive; gelu skips its derivative there. Leaves made with requires_grad=True
+keep the flag.
 
 float64 everywhere: shapes are desk-scale and the precision keeps
 finite-difference checks tight.
@@ -70,9 +83,9 @@ _grad_enabled = True
 
 @contextlib.contextmanager
 def no_grad():
-    """Build no graph inside the block: op outputs get no parents, no grad-fn
-    and requires_grad=False. Nests; the previous mode returns on exit, also
-    on an exception."""
+    """Build no graph inside the block: op outputs get no node and
+    requires_grad=False. Nests; the previous mode returns on exit, also on
+    an exception."""
     global _grad_enabled
     previous, _grad_enabled = _grad_enabled, False
     try:
@@ -100,8 +113,18 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
+class _Node:
+    """A tape entry: the op's grad-fn, the nodes of the parents that need a
+    gradient, the gradient and the creation order backward() replays."""
+
+    __slots__ = ("grad_fn", "parents", "grad", "order")
+
+    def __init__(self, order: int, grad_fn: Callable[[np.ndarray], None] | None, parents: tuple):
+        self.grad_fn, self.parents, self.grad, self.order = grad_fn, parents, None, order
+
+
 class Tensor:
-    """A dense float64 array plus the bookkeeping needed for backward().
+    """A dense float64 array plus a pointer to its tape node.
 
     `grad` is populated by backward() for every requires_grad leaf in the
     graph (ndarray of the same shape); interior nodes hold theirs only while
@@ -109,7 +132,7 @@ class Tensor:
     optimizers treat that as zero.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_grad_fn", "_order")
+    __slots__ = ("data", "_node")
 
     _order_counter = itertools.count()
 
@@ -121,12 +144,26 @@ class Tensor:
         _grad_fn: Callable[[np.ndarray], None] | None = None,
     ):
         self.data = np.asarray(data, dtype=np.float64)
-        tracked = _grad_enabled and (requires_grad or any(p.requires_grad for p in _parents))
-        self.requires_grad = bool(requires_grad) or tracked
-        self.grad: np.ndarray | None = None
-        self._parents = _parents if tracked else ()
-        self._grad_fn = _grad_fn if tracked else None
-        self._order = next(Tensor._order_counter)
+        order = next(Tensor._order_counter)
+        parents = tuple(p._node for p in _parents if p._node is not None) if _grad_enabled else ()
+        self._node = _Node(order, _grad_fn, parents) if parents or requires_grad else None
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._node is not None
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return None if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None) -> None:
+        self._node.grad = value
+
+    @property
+    def _parents(self) -> tuple:
+        """The parent nodes this tensor's node links; () without a node."""
+        return () if self._node is None else self._node.parents
 
     # ------------------------------------------------------------------
     # basics
@@ -154,31 +191,33 @@ class Tensor:
     def _coerce(other) -> "Tensor":
         return other if isinstance(other, Tensor) else Tensor(np.asarray(other, dtype=np.float64))
 
-    def _binary(self, other, fwd, grad_a, grad_b) -> "Tensor":
+    def _binary(self, other, fwd, grads) -> "Tensor":
+        """fwd(x, y) is the output; grads(x, y) returns the maps from the output
+        gradient to each operand's, closing over only the arrays they read."""
         other = Tensor._coerce(other)
         if not _broadcastable(self.shape, other.shape):
             raise ShapeError(f"operands not broadcastable: {self.shape} vs {other.shape}")
-        out_data = fwd(self.data, other.data)
-        a, b = self, other
+        grad_a, grad_b = grads(self.data, other.data)
+        an, bn, a_shape, b_shape = self._node, other._node, self.shape, other.shape
 
         def gfn(g: np.ndarray) -> None:
-            if a.requires_grad:
-                _accumulate(a, _unbroadcast(grad_a(g, a.data, b.data), a.shape))
-            if b.requires_grad:
-                _accumulate(b, _unbroadcast(grad_b(g, a.data, b.data), b.shape))
+            if an is not None:
+                _accumulate(an, _unbroadcast(grad_a(g), a_shape))
+            if bn is not None:
+                _accumulate(bn, _unbroadcast(grad_b(g), b_shape))
 
-        return Tensor(out_data, _parents=(a, b), _grad_fn=gfn)
+        return Tensor(fwd(self.data, other.data), _parents=(self, other), _grad_fn=gfn)
 
     def __add__(self, other):
-        return self._binary(other, np.add, lambda g, x, y: g, lambda g, x, y: g)
+        return self._binary(other, np.add, lambda x, y: (lambda g: g, lambda g: g))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._binary(other, np.subtract, lambda g, x, y: g, lambda g, x, y: -g)
+        return self._binary(other, np.subtract, lambda x, y: (lambda g: g, np.negative))
 
     def __mul__(self, other):
-        return self._binary(other, np.multiply, lambda g, x, y: g * y, lambda g, x, y: g * x)
+        return self._binary(other, np.multiply, lambda x, y: (lambda g: g * y, lambda g: g * x))
 
     __rmul__ = __mul__
 
@@ -186,27 +225,26 @@ class Tensor:
         return matmul(self, other)
 
     def square(self) -> "Tensor":
-        x = self
+        x, xn = self.data, self._node
 
         def gfn(g):
-            _accumulate(x, g * 2.0 * x.data)
+            _accumulate(xn, g * 2.0 * x)
 
-        return Tensor(x.data * x.data, _parents=(x,), _grad_fn=gfn)
+        return Tensor(x * x, _parents=(self,), _grad_fn=gfn)
 
     # ------------------------------------------------------------------
     # reductions
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        x = self
-        out = x.data.sum(axis=axis, keepdims=keepdims)
+        shape, xn = self.shape, self._node
 
         def gfn(g):
             if axis is not None and not keepdims:
                 axes = (axis,) if isinstance(axis, int) else tuple(axis)
-                g = np.expand_dims(g, tuple(a % x.data.ndim for a in axes))
-            _accumulate(x, np.broadcast_to(g, x.shape))
+                g = np.expand_dims(g, tuple(a % len(shape) for a in axes))
+            _accumulate(xn, np.broadcast_to(g, shape))
 
-        return Tensor(out, _parents=(x,), _grad_fn=gfn)
+        return Tensor(self.data.sum(axis=axis, keepdims=keepdims), _parents=(self,), _grad_fn=gfn)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         if axis is None:
@@ -222,29 +260,27 @@ class Tensor:
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        x = self
-        out = x.data.reshape(shape)
+        old, xn = self.shape, self._node
 
         def gfn(g):
-            _accumulate(x, g.reshape(x.shape))
+            _accumulate(xn, g.reshape(old))
 
-        return Tensor(out, _parents=(x,), _grad_fn=gfn)
+        return Tensor(self.data.reshape(shape), _parents=(self,), _grad_fn=gfn)
 
     def transpose(self, *perm) -> "Tensor":
         if len(perm) == 1 and isinstance(perm[0], (tuple, list)):
             perm = tuple(perm[0])
         if not perm:
             perm = tuple(reversed(range(self.data.ndim)))
-        x = self
-        inv = tuple(np.argsort(perm))
+        inv, xn = tuple(np.argsort(perm)), self._node
 
         def gfn(g):
-            _accumulate(x, g.transpose(inv))
+            _accumulate(xn, g.transpose(inv))
 
-        return Tensor(x.data.transpose(perm), _parents=(x,), _grad_fn=gfn)
+        return Tensor(self.data.transpose(perm), _parents=(self,), _grad_fn=gfn)
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
+def _accumulate(t: _Node | Tensor, g: np.ndarray) -> None:
     """Add g to t.grad. Nothing writes a gradient in place (a second
     contribution rebinds t.grad), so a C-contiguous ndarray is stored as is,
     even when it aliases another node's gradient; anything else is copied
@@ -273,17 +309,19 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul expects (..., n) x (n, m) with 2-D rhs: {a.shape} vs {b.shape}")
     if a.shape[-1] != b.shape[0]:
         raise ShapeError(f"matmul inner dims differ: {a.shape} vs {b.shape}")
-    out = a.data @ b.data
+    an, bn = a._node, b._node
+    a_data = a.data if bn is not None else None  # each operand only for the other's gradient
+    b_data = b.data if an is not None else None
 
     def gfn(g):
-        if a.requires_grad:
-            _accumulate(a, g @ b.data.T)
-        if b.requires_grad:
+        if an is not None:
+            _accumulate(an, g @ b_data.T)
+        if bn is not None:
             g2 = g.reshape(-1, g.shape[-1])
-            a2 = a.data.reshape(-1, a.shape[-1])
-            _accumulate(b, a2.T @ g2)
+            a2 = a_data.reshape(-1, a_data.shape[-1])
+            _accumulate(bn, a2.T @ g2)
 
-    return Tensor(out, _parents=(a, b), _grad_fn=gfn)
+    return Tensor(a.data @ b.data, _parents=(a, b), _grad_fn=gfn)
 
 
 def segment_matmul(x: Tensor, weights: Sequence[Tensor], offsets) -> Tensor:
@@ -311,20 +349,21 @@ def segment_matmul(x: Tensor, weights: Sequence[Tensor], offsets) -> Tensor:
             f"segment_matmul offsets {offsets.tolist()} must rise from 0 to the {x.shape[0]} rows "
             f"of x in {len(weights)} segments"
         )
-    segments = [(w, lo, hi) for w, lo, hi in zip(weights, offsets[:-1], offsets[1:]) if lo < hi]
+    segments = [(w._node, w.data, lo, hi) for w, lo, hi in zip(weights, offsets[:-1], offsets[1:]) if lo < hi]
     out = np.empty((x.shape[0], shapes[0][1]))
-    for w, lo, hi in segments:
-        np.matmul(x.data[lo:hi], w.data, out=out[lo:hi])
+    for _, w, lo, hi in segments:
+        np.matmul(x.data[lo:hi], w, out=out[lo:hi])
+    xn, x_data = x._node, x.data
 
     def gfn(g):
-        if x.requires_grad:
-            dx = np.empty_like(x.data)  # the segments cover every row
-            for w, lo, hi in segments:
-                np.matmul(g[lo:hi], w.data.T, out=dx[lo:hi])
-            _accumulate(x, dx)
-        for w, lo, hi in segments:
-            if w.requires_grad:
-                _accumulate(w, x.data[lo:hi].T @ g[lo:hi])
+        if xn is not None:
+            dx = np.empty_like(x_data)  # the segments cover every row
+            for _, w, lo, hi in segments:
+                np.matmul(g[lo:hi], w.T, out=dx[lo:hi])
+            _accumulate(xn, dx)
+        for wn, _, lo, hi in segments:
+            if wn is not None:
+                _accumulate(wn, x_data[lo:hi].T @ g[lo:hi])
 
     return Tensor(out, _parents=(x, *weights), _grad_fn=gfn)
 
@@ -335,28 +374,33 @@ def gelu(x: Tensor) -> Tensor:
     cdf = erf(x.data * _INV_SQRT2)  # then 0.5 * (1 + erf), in place
     cdf += 1.0
     cdf *= 0.5
+    out = x.data * cdf
+    if not (_grad_enabled and x.requires_grad):
+        return Tensor(out)
+    # d = cdf + x * pdf with pdf = exp(-0.5 * x * x) / sqrt(2 pi), in one
+    # buffer: the same IEEE operations in the same order as the textbook form
+    d = x.data * -0.5
+    d *= x.data
+    np.exp(d, out=d)
+    d *= _INV_SQRT_2PI
+    d *= x.data
+    d += cdf
+    xn = x._node
 
     def gfn(g):
-        # g * (cdf + x * pdf) with pdf = exp(-0.5 * x * x) / sqrt(2 pi), one
-        # buffer, the same IEEE operations in the same order
-        d = x.data * -0.5
-        d *= x.data
-        np.exp(d, out=d)
-        d *= _INV_SQRT_2PI
-        d *= x.data
-        d += cdf
-        d *= g
-        _accumulate(x, d)
+        np.multiply(d, g, out=d)  # the sweep calls this once
+        _accumulate(xn, d)
 
-    return Tensor(x.data * cdf, _parents=(x,), _grad_fn=gfn)
+    return Tensor(out, _parents=(x,), _grad_fn=gfn)
 
 
 def sigmoid(x: Tensor) -> Tensor:
     x = Tensor._coerce(x)
     s = 1.0 / (1.0 + np.exp(-x.data))
+    xn = x._node
 
     def gfn(g):
-        _accumulate(x, g * s * (1.0 - s))
+        _accumulate(xn, g * s * (1.0 - s))
 
     return Tensor(s, _parents=(x,), _grad_fn=gfn)
 
@@ -367,10 +411,11 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     p = e / e.sum(axis=axis, keepdims=True)
+    xn = x._node
 
     def gfn(g):
         dot = (g * p).sum(axis=axis, keepdims=True)
-        _accumulate(x, p * (g - dot))
+        _accumulate(xn, p * (g - dot))
 
     return Tensor(p, _parents=(x,), _grad_fn=gfn)
 
@@ -407,12 +452,12 @@ def take_rows(table: Tensor, indices) -> Tensor:
         raise ShapeError(f"take_rows expects a 2-D table, got {table.shape}")
     n, cols = table.shape
     idx = _row_indices("take_rows", indices, n)
-    out = table.data[idx]
+    tn = table._node
 
     def gfn(g):
-        _accumulate(table, _scatter_add(idx.reshape(-1), g.reshape(-1, cols), n))
+        _accumulate(tn, _scatter_add(idx.reshape(-1), g.reshape(-1, cols), n))
 
-    return Tensor(out, _parents=(table,), _grad_fn=gfn)
+    return Tensor(table.data[idx], _parents=(table,), _grad_fn=gfn)
 
 
 def scatter_rows(src: Tensor, indices, n: int) -> Tensor:
@@ -426,12 +471,12 @@ def scatter_rows(src: Tensor, indices, n: int) -> Tensor:
     idx = _row_indices("scatter_rows", indices, n)
     if src.data.ndim != 2 or idx.shape != src.shape[:1]:
         raise ShapeError(f"scatter_rows expects 2-D src with one index per row: {src.shape} vs {idx.shape}")
-    out = _scatter_add(idx, src.data, n)
+    sn = src._node
 
     def gfn(g):
-        _accumulate(src, g[idx])
+        _accumulate(sn, g[idx])
 
-    return Tensor(out, _parents=(src,), _grad_fn=gfn)
+    return Tensor(_scatter_add(idx, src.data, n), _parents=(src,), _grad_fn=gfn)
 
 
 def take_cols(x: Tensor, start: int, stop: int) -> Tensor:
@@ -440,11 +485,12 @@ def take_cols(x: Tensor, start: int, stop: int) -> Tensor:
     x = Tensor._coerce(x)
     if x.data.ndim < 1 or not 0 <= start < stop <= x.shape[-1]:
         raise ShapeError(f"take_cols [{start}:{stop}] out of range for shape {x.shape}")
+    shape, xn = x.shape, x._node
 
     def gfn(g):
-        acc = np.zeros_like(x.data)
+        acc = np.zeros(shape)
         acc[..., start:stop] = g
-        _accumulate(x, acc)
+        _accumulate(xn, acc)
 
     return Tensor(x.data[..., start:stop], _parents=(x,), _grad_fn=gfn)
 
@@ -469,29 +515,30 @@ def backward(loss: Tensor, params: Iterable[Tensor] = ()) -> None:
     if loss.data.size != 1:
         raise ContractError(f"loss must be scalar, got shape {loss.shape}")
 
-    nodes: list[Tensor] = []
+    nodes: list[_Node] = []
     seen: set[int] = set()
-    stack = [loss]
+    stack = [loss._node] if loss.requires_grad else []
     while stack:
         node = stack.pop()
-        if id(node) in seen or not node.requires_grad:
+        if id(node) in seen:
             continue
         seen.add(id(node))
         nodes.append(node)
-        stack.extend(node._parents)
+        stack.extend(node.parents)
 
     for node in nodes:
         node.grad = None
-    loss.grad = np.ones_like(loss.data)
+    if loss.requires_grad:
+        loss.grad = np.ones_like(loss.data)
 
-    nodes.sort(key=lambda n: n._order)
+    nodes.sort(key=lambda n: n.order)
     while nodes:
         node = nodes.pop()
-        if node._grad_fn is None:
+        if node.grad_fn is None:
             continue  # a leaf keeps its gradient
         if node.grad is not None:
-            node._grad_fn(node.grad)
-        node.grad, node._grad_fn, node._parents = None, _consumed, ()
+            node.grad_fn(node.grad)
+        node.grad, node.grad_fn, node.parents = None, _consumed, ()
 
     for p in params:
         if p.requires_grad and p.grad is None:

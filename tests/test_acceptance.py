@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from budgets import row_budgets
+from similarity import router_similarity_diag
 
 from moelab import losses as L
 from moelab import metrics as M
@@ -137,7 +138,7 @@ def test_criterion_4_diagonal_geometric_mean_identity():
         mask = np.zeros((T, E))
         mask[np.arange(T)[:, None], order[:, :k]] = 1.0
         inputs = AuxLossInputs(mask, softmax(Tensor(logits), axis=-1), k, E)
-        diag = L.router_similarity_diag(inputs).item()
+        diag = router_similarity_diag(inputs).item()
         p = inputs.P.data
         oracle = sum(
             (E / mask.sum()) * mask[:, i].sum() * (p[:, i] ** 2).sum() / T

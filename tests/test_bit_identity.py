@@ -3,9 +3,10 @@ training loop.
 
 The reference implementations below are the plain allocating versions the
 lean ones replaced: a backward sweep that keeps every node's gradient and
-graph, `_accumulate` copying every gradient into C order, GELU
-and AdamW/EMA as one-line textbook expressions, sampling with the tape on,
-top-K selection by a full stable argsort and K-th values by a full sort,
+graph, `_accumulate` copying every gradient into C order, GELU (its
+derivative computed in backward) and AdamW/EMA as one-line textbook
+expressions, sampling with the tape on, top-K selection by a full stable
+argsort and K-th values by a full sort,
 `route` taking its K-th values from a second selection pass, `route-sim`
 routing one draw at a time, the routing report one mask at a time, and
 checkpoints holding one .npz member per tensor. A short training run, a
@@ -40,21 +41,21 @@ CONFIG = TrainerConfig(
 def reference_backward(loss, params=()):
     if loss.data.size != 1:
         raise tensor.ContractError(f"loss must be scalar, got shape {loss.shape}")
-    nodes, seen, stack = [], set(), [loss]
+    nodes, seen, stack = [], set(), [loss._node]
     while stack:
         node = stack.pop()
-        if id(node) in seen or not node.requires_grad:
+        if id(node) in seen:
             continue
         seen.add(id(node))
         nodes.append(node)
-        stack.extend(node._parents)
+        stack.extend(node.parents)
     for node in nodes:
         node.grad = None
     loss.grad = np.ones_like(loss.data)
-    nodes.sort(key=lambda n: n._order, reverse=True)
+    nodes.sort(key=lambda n: n.order, reverse=True)
     for node in nodes:
-        if node._grad_fn is not None and node.grad is not None:
-            node._grad_fn(node.grad)
+        if node.grad_fn is not None and node.grad is not None:
+            node.grad_fn(node.grad)
     for p in params:
         if p.requires_grad and p.grad is None:
             p.grad = np.zeros_like(p.data)

@@ -155,6 +155,32 @@ def test_killed_resume_keeps_the_log_its_checkpoint_covers(tmp_path):
     assert (run / "log.csv").read_text() == log_5
 
 
+def test_fresh_train_into_a_used_out_leaves_no_file_of_the_earlier_run(tmp_path, monkeypatch):
+    from moelab import cli
+
+    cfg = tmp_path / "every3.cfg"
+    cfg.write_text("checkpoint_every = 3\n")
+    run = tmp_path / "run"
+    base = ["train", "--out", str(run), "--config", str(cfg), "--seed", "3", *FAST]
+    assert main([*base, "--steps", "6"]) == 0
+    assert main([*base, "--steps", "2"]) == 0
+    assert sorted(p.name for p in run.iterdir()) == ["ckpt_final.npz", "config.snapshot", "log.csv", "summary.json"]
+    assert [r["step"] for r in read_csv(run / "log.csv")] == ["1", "2"]
+    assert json.loads((run / "summary.json").read_text())["steps"] == 2
+
+    # a fresh run that dies before its first step leaves no final or summary
+    assert main([*base, "--steps", "6"]) == 0
+
+    def dies(self):
+        raise RuntimeError("killed")
+
+    monkeypatch.setattr(cli.Trainer, "train_step", dies)
+    with pytest.raises(RuntimeError, match="killed"):
+        main([*base, "--steps", "6"])
+    assert sorted(p.name for p in run.iterdir()) == ["config.snapshot", "log.csv"]
+    assert read_csv(run / "log.csv") == []
+
+
 def test_train_log_on_disk_reaches_each_checkpoint_step(tmp_path, monkeypatch):
     from moelab import cli
 

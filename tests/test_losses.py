@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from similarity import router_similarity_diag
 
 from moelab.losses import (
     AuxLossInputs,
@@ -11,7 +12,6 @@ from moelab.losses import (
     correlation_matrices,
     diffusion_loss,
     per_layer_reg_loss,
-    router_similarity_diag,
     router_similarity_loss,
     similarity_weights,
     total_loss,
