@@ -336,7 +336,10 @@ def make_out_dir(args: argparse.Namespace) -> Path:
     if not args.out:
         raise ConfigError("--out is required")
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in the way, no permission, ...
+        raise ConfigError(f"cannot create output directory {out_dir}: {exc.strerror or exc}") from None
     return out_dir
 
 

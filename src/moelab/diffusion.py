@@ -149,6 +149,34 @@ class SyntheticTask:
         x0 = self.means[c] + self.token_sigma[None, :, None] * noise
         return x0, c
 
+    def optimal_prediction(
+        self,
+        x_t: np.ndarray,
+        t: np.ndarray,
+        c: np.ndarray,
+        schedule: NoiseSchedule,
+        parameterization: str,
+    ) -> np.ndarray:
+        """The Bayes-optimal prediction E[target | x_t, c] of every token.
+
+        Given its class, each token is x0 ~ N(m, s^2 I) and x_t = a x0 + sigma eps
+        with a^2 = alpha_bar_t and sigma^2 = 1 - alpha_bar_t, so the posterior
+        mean is E[x0 | x_t, c] = m + a s^2 / (a^2 s^2 + sigma^2) (x_t - a m) and
+        E[eps | x_t, c] = sigma / (a^2 s^2 + sigma^2) (x_t - a m), finite at
+        t = 0. make_target is linear in (x0, eps), so it maps the two means to
+        the mean of any parameterization's target. No network reaches a lower
+        expected loss; the residual is the posterior variance
+        V = s^2 sigma^2 / (a^2 s^2 + sigma^2) for x0, a^2 V / sigma^2 for eps
+        and V / sigma^2 for v.
+        """
+        t = np.asarray(t)
+        ab = _per_sample(schedule.alpha_bar, t, x_t.ndim)
+        a, sigma = np.sqrt(ab), np.sqrt(1.0 - ab)
+        m = self.means[np.asarray(c)]
+        s2 = (self.token_sigma**2)[:, None]
+        residual = (x_t - a * m) / (ab * s2 + 1.0 - ab)
+        return make_target(m + a * s2 * residual, sigma * residual, t, schedule, parameterization)
+
     def sample_batch(
         self,
         rng: np.random.Generator,

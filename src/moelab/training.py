@@ -398,7 +398,9 @@ def save_checkpoint(path, trainer: Trainer) -> None:
     directory, which then replaces `path`, so an interrupted save leaves any
     previous checkpoint intact. The temp files of earlier saves to `path`
     whose process is gone (killed before its cleanup ran) are removed. Like
-    np.savez, appends ".npz" to a path without that suffix.
+    np.savez, appends ".npz" to a path without that suffix. A directory that
+    is missing or cannot be listed raises a one-line ConfigError naming the
+    path, before any file is written.
     """
     named = trainer.params.named_tensors()
     thresholds = [
@@ -422,7 +424,11 @@ def save_checkpoint(path, trainer: Trainer) -> None:
         path = path.with_name(path.name + ".npz")
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     prefix = f".{path.name}."
-    for stale in path.parent.iterdir():
+    try:
+        entries = list(path.parent.iterdir())
+    except OSError as exc:  # no such directory, or not one
+        raise ConfigError(f"cannot write checkpoint {path}: {exc.strerror or exc}") from None
+    for stale in entries:
         if stale.name.startswith(prefix) and stale.name.endswith(".tmp"):
             pid = stale.name[len(prefix):-len(".tmp")]
             if pid.isdigit() and int(pid) > 0 and not _process_exists(int(pid)):

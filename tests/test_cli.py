@@ -525,6 +525,27 @@ def test_missing_out_is_config_error():
     assert main(["route-sim", "--draws", "1"]) == 2
 
 
+@pytest.mark.parametrize("command", ["route-sim", "train", "metrics", "ablate"])
+@pytest.mark.parametrize("blocked", ["file", "below_a_file"])
+def test_out_that_cannot_be_a_directory_is_config_error_naming_it(tmp_path, capsys, trained_checkpoint,
+                                                                  command, blocked):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    out = taken if blocked == "file" else taken / "run"
+    extra = {
+        "route-sim": ["--draws", "1"],
+        "train": ["--steps", "1"],
+        "metrics": ["--checkpoint", str(trained_checkpoint)],
+        "ablate": ["--steps", "1", "--arms", "expert-race:identity"],
+    }[command]
+    rc = main([command, "--out", str(out), "--seed", "5", *FAST, *extra])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(out) in err
+    assert taken.read_text() == "not a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+
 ONE_EXPERT = ["--batch-size", "4", "--tokens", "4", "--model-dim", "8",
               "--layers", "2", "--experts", "1", "--k", "1"]
 

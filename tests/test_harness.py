@@ -167,6 +167,27 @@ def test_synthetic_task_variance_profile():
     assert np.allclose(observed, task.token_sigma, rtol=0.05)
 
 
+@pytest.mark.parametrize("parameterization", ["x0", "eps", "v"])
+def test_optimal_prediction_reaches_the_posterior_variance(parameterization):
+    # the exact posterior mean's MSE against make_target's targets is the
+    # closed-form posterior variance, per token V = s^2 sigma^2 / (a^2 s^2 + sigma^2)
+    # for x0, a^2 V / sigma^2 for eps and V / sigma^2 for v; a v target with
+    # its coefficients swapped gives 4 a^2 sigma^2 times that, under 1/30 at
+    # t = 5 and t = 95
+    task = SyntheticTask(num_classes=4, tokens=16, dim=8, seed=21)
+    sched = build_schedule(100, "cosine")
+    rng = np.random.default_rng(22)
+    s2 = task.token_sigma**2
+    for step in (5, 50, 95):
+        batch = task.sample_batch(rng, 4096, sched, parameterization, t=step)
+        pred = task.optimal_prediction(batch.x_t, batch.t, batch.c, sched, parameterization)
+        ab = sched.alpha_bar[step]
+        v_x0 = s2 * (1.0 - ab) / (ab * s2 + 1.0 - ab)
+        expected = {"x0": v_x0, "eps": ab * v_x0 / (1.0 - ab), "v": v_x0 / (1.0 - ab)}[parameterization]
+        mse = np.mean((pred - batch.y) ** 2, axis=(0, 2))
+        assert np.allclose(mse.mean(), expected.mean(), rtol=0.05), (step, mse.mean(), expected.mean())
+
+
 # ----------------------------------------------------------------------
 # denoiser
 
@@ -424,6 +445,15 @@ def test_interrupted_checkpoint_save_keeps_previous_file(tmp_path, monkeypatch):
     assert len(headers) == 2  # one member was written whole before the failure
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["ckpt.npz"]
+
+
+def test_checkpoint_into_a_missing_directory_is_config_error(tmp_path):
+    trainer = small_trainer(seed=4)
+    path = tmp_path / "gone" / "ckpt.npz"
+    with pytest.raises(ConfigError) as info:
+        save_checkpoint(path, trainer)
+    assert str(path) in str(info.value) and "\n" not in str(info.value)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_loaded_state_arrays_own_their_memory(tmp_path):
