@@ -257,10 +257,8 @@ def _heldout_masks(trainer: Trainer, batches: int, mode: str) -> tuple[list[np.n
 
 def _checkpoint_metrics(trainer: Trainer) -> dict:
     """The routing report per layer, with its tau, on four held-out batches
-    routed in infer mode."""
+    routed in infer mode; uninitialized thresholds raise StateError."""
     blocks = trainer.params.blocks
-    if not all(blk.moe.threshold.initialized for blk in blocks):
-        raise StateError("checkpoint has uninitialized thresholds; train first")
     masks, t = _heldout_masks(trainer, 4, "infer")
     report = metrics_mod.routing_report(masks, trainer.config.model.k, t, trainer.schedule.total_steps)
     per_layer = [{"layer": i, **rec, "tau": blocks[i].moe.threshold.tau} for i, rec in enumerate(report)]
@@ -327,7 +325,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
             numbers = [config.weights.sim, config.weights.blc, last.total, last.diffusion] + [
                 metrics_mod.report_mean(report, key) for key in ("max_vio", "comb_usage", "allocation_bucket_variance")
             ]
-            fh.write(",".join([arm, config.model.strategy, config.model.gating] + [f"{x:.10g}" for x in numbers]) + "\n")
+            fh.write(",".join([arm, config.model.strategy, config.model.gating] + [repr(float(x)) for x in numbers]) + "\n")
     print(f"wrote {csv_path}")
     return 0
 

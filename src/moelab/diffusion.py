@@ -1,9 +1,11 @@
-"""Forward diffusion: noise schedules, noising, targets, synthetic data.
+"""Diffusion, forward and reverse: noise schedules, noising, targets, the
+ancestral sampler and synthetic data.
 
-The data side is plain numpy; tensors enter the picture only at the model
-boundary. The synthetic task is a class-conditional Gaussian mixture over
-token grids whose per-token noise scale ramps across positions, so spatial
-expert allocation has an actual signal to find.
+Everything here is plain numpy; tensors enter the picture only at the model
+boundary, behind the noise predictor the sampler is given. The synthetic
+task is a class-conditional Gaussian mixture over token grids whose
+per-token noise scale ramps across positions, so spatial expert allocation
+has an actual signal to find.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .routing import ConfigError
+from .routing import ConfigError, NumericError
 
 __all__ = [
     "PARAMETERIZATIONS",
@@ -20,6 +22,7 @@ __all__ = [
     "build_schedule",
     "forward_diffuse",
     "make_target",
+    "ancestral_sample",
     "DiffusionBatch",
     "SyntheticTask",
 ]
@@ -108,6 +111,44 @@ def make_target(
         ab = _per_sample(schedule.alpha_bar, np.asarray(t), x0.ndim)
         return np.sqrt(ab) * eps - np.sqrt(1.0 - ab) * x0
     raise ConfigError(f"unknown parameterization {parameterization!r}; use one of {PARAMETERIZATIONS}")
+
+
+def ancestral_sample(predict_eps, shape: tuple, schedule: NoiseSchedule, rng: np.random.Generator) -> np.ndarray:
+    """DDPM's ancestral reverse process (Ho et al. 2020) from x_T ~ N(0, I).
+
+    At each step t = T..1, `predict_eps(x, t)` returns the noise estimate for
+    the state x; the next state is the posterior mean
+    (x - beta_t / sqrt(1 - alpha_bar_t) * eps) / sqrt(alpha_t), plus noise of
+    variance beta~_t = beta_t (1 - alpha_bar_{t-1}) / (1 - alpha_bar_t) above
+    t = 1. Every draw comes from `rng`. A NumericError the predictor raises
+    gains a "reverse step t: " prefix; the first non-finite noise estimate or
+    state raises NumericError naming the step, with no numpy warning before
+    it, the predictor's own included.
+    """
+    x = rng.normal(size=shape)
+    # a diverging state overflows inside the predictor; the checks below name
+    # the reverse step instead of numpy warning first
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(schedule.total_steps, 0, -1):
+            try:
+                eps_hat = predict_eps(x, t)
+            except NumericError as exc:
+                raise NumericError(f"reverse step {t}: {exc}") from exc
+            if not np.all(np.isfinite(eps_hat)):
+                raise NumericError(f"non-finite noise estimate at reverse step {t}")
+
+            ab_t, ab_prev = schedule.alpha_bar[t], schedule.alpha_bar[t - 1]
+            alpha_t = ab_t / ab_prev
+            beta_t = 1.0 - alpha_t
+            mean = (x - beta_t / np.sqrt(1.0 - ab_t) * eps_hat) / np.sqrt(alpha_t)
+            if t > 1:
+                sigma = np.sqrt(beta_t * (1.0 - ab_prev) / (1.0 - ab_t))
+                x = mean + sigma * rng.normal(size=x.shape)
+            else:
+                x = mean
+            if not np.all(np.isfinite(x)):
+                raise NumericError(f"non-finite sample state at reverse step {t}")
+    return x
 
 
 @dataclass

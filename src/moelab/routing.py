@@ -26,6 +26,7 @@ batch.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Literal
 
@@ -238,6 +239,12 @@ def _kth_from_mask(scores2d: np.ndarray, mask2d: np.ndarray) -> np.ndarray:
 # threshold state
 
 
+def _is_float(value) -> bool:
+    """Whether a JSON value is a number a float holds: not a boolean, and no
+    integer beyond the float range."""
+    return type(value) is float or type(value) is int and abs(value) <= sys.float_info.max
+
+
 @dataclass
 class ThresholdState:
     """EMA estimate of the mean per-row K-th largest score.
@@ -266,8 +273,8 @@ class ThresholdState:
         """Inverse of to_dict; anything but {"momentum": number, "tau": finite
         number or None} raises ConfigError."""
         tau = d.get("tau", "") if isinstance(d, dict) else ""
-        if not (isinstance(d, dict) and isinstance(d.get("momentum"), (int, float))
-                and (tau is None or isinstance(tau, (int, float)) and math.isfinite(tau))):
+        if not (isinstance(d, dict) and _is_float(d.get("momentum"))
+                and (tau is None or _is_float(tau) and math.isfinite(tau))):
             raise ConfigError(f"threshold {d!r} is not {{'momentum': number, 'tau': finite number or null}}")
         return cls(momentum=float(d["momentum"]), tau=None if tau is None else float(tau))
 

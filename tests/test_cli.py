@@ -292,6 +292,18 @@ def test_metrics_report_from_checkpoint(tmp_path):
     assert (out / "metrics.json").read_text() == (out2 / "metrics.json").read_text()
 
 
+def test_metrics_on_an_untrained_checkpoint_is_a_state_error(tmp_path, capsys):
+    run = tmp_path / "run"
+    assert main(["train", "--out", str(run), "--steps", "0", "--seed", "5", *FAST]) == 0
+    capsys.readouterr()
+    rc = main(["metrics", "--checkpoint", str(run / "ckpt_final.npz"),
+               "--out", str(tmp_path / "rep"), "--seed", "5", *FAST])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("state error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "rep" / "metrics.json").exists()
+
+
 @pytest.mark.parametrize("drop", ["param", "meta"])
 def test_metrics_checkpoint_missing_entry_is_config_error(tmp_path, capsys, drop):
     run = tmp_path / "run"
@@ -378,16 +390,23 @@ def _edit_meta(fault: str, meta: dict) -> None:
         meta["thresholds"][0]["tau"] = float("nan")
     elif fault == "not-a-dict":
         meta["thresholds"][0] = [0.99, 0.5]
+    elif fault == "tau-bool":
+        meta["thresholds"][0]["tau"] = True
+    elif fault == "tau-huge":
+        meta["thresholds"][0]["tau"] = 10**400  # a JSON integer no float holds
     elif fault == "rng_state":
         meta["rng_state"] = "x"
+    elif fault == "step-bool":
+        meta["step"] = True
     else:
         meta["step"] = "1"
 
 
 @pytest.mark.parametrize("fault,named", [
     ("momentum", "momentum"), ("missing", "threshold entries"), ("no-momentum", "'momentum'"),
-    ("tau-text", "'tau': 'abc'"), ("tau-nan", "'tau': nan"), ("not-a-dict", "threshold [0.99, 0.5]"), ("rng_state", "'rng_state'"),
-    ("step", "'step' is '1'"),
+    ("tau-text", "'tau': 'abc'"), ("tau-nan", "'tau': nan"), ("tau-bool", "'tau': True"), ("tau-huge", "'tau': 1000"),
+    ("not-a-dict", "threshold [0.99, 0.5]"), ("rng_state", "'rng_state'"), ("step", "'step' is '1'"),
+    ("step-bool", "'step' is True"),
 ])
 def test_metrics_checkpoint_bad_thresholds_is_config_error(tmp_path, capsys, fault, named):
     # malformed checkpoint metadata: one config-error line naming the field,
@@ -465,8 +484,8 @@ def test_ablate_balance_settings_arms(tmp_path):
     assert rc == 0
     rows = read_csv(out / "ablate.csv")
     assert len(rows) == 3
-    assert [r["w_sim"] for r in rows] == ["0", "0", "0.0001"]
-    assert [r["w_blc"] for r in rows] == ["0", "0.0001", "0"]
+    assert [float(r["w_sim"]) for r in rows] == [0.0, 0.0, 0.0001]
+    assert [float(r["w_blc"]) for r in rows] == [0.0, 0.0001, 0.0]
 
 
 def test_ablate_arm_matches_individual_run(tmp_path):
@@ -591,7 +610,7 @@ def test_ablate_columns_are_layer_means_of_the_routing_report(tmp_path):
     assert len(report) == 3
     for column, key in [("max_vio", "max_vio"), ("comb_usage", "comb_usage"),
                         ("alloc_variance", "allocation_bucket_variance")]:
-        assert row[column] == f"{np.mean([r[key] for r in report]):.10g}"
+        assert float(row[column]) == np.mean([r[key] for r in report])
 
 
 def test_route_sim_rejects_fewer_than_one_draw(tmp_path, capsys):

@@ -9,7 +9,14 @@ import pytest
 from moelab import training
 from moelab.cli import main
 from moelab.denoiser import DenoiserConfig, denoiser_forward, init_denoiser
-from moelab.diffusion import DiffusionBatch, SyntheticTask, build_schedule, forward_diffuse, make_target
+from moelab.diffusion import (
+    DiffusionBatch,
+    SyntheticTask,
+    ancestral_sample,
+    build_schedule,
+    forward_diffuse,
+    make_target,
+)
 from moelab.routing import ConfigError, StateError
 from moelab.training import (
     AdamW,
@@ -188,6 +195,28 @@ def test_optimal_prediction_reaches_the_posterior_variance(parameterization):
         assert np.allclose(mse.mean(), expected.mean(), rtol=0.05), (step, mse.mean(), expected.mean())
 
 
+def test_ancestral_sampler_driven_by_the_oracle_draws_the_task_law():
+    # with the exact noise predictor the sampler's only errors are Monte Carlo
+    # and its own: the class means come out within 0.05 RMS (standard error
+    # about 0.033 at 256 per class), and the per-token SD falls short of
+    # token_sigma by the bias of the beta~ posterior variance at T = 100
+    # (0.92-0.98 on rng seeds 0-2). A sampler with variance beta reads up
+    # to 1.03 and one without noise reads 0, so both fail on purpose:
+    # switching the variance is a measured decision, not a way to pass.
+    task = SyntheticTask(num_classes=4, tokens=16, dim=64, seed=7919)
+    sched = build_schedule(100, "cosine")
+    c = np.repeat(np.arange(4), 256)
+
+    def predict_eps(x, t):
+        return task.optimal_prediction(x, np.full(c.size, t), c, sched, "eps")
+
+    x = ancestral_sample(predict_eps, (c.size, task.tokens, task.dim), sched, np.random.default_rng(0))
+    class_means = np.stack([x[c == k].mean(axis=0) for k in range(4)])
+    assert np.sqrt(np.mean((class_means - task.means) ** 2)) < 0.05
+    sd_ratio = (x - task.means[c]).std(axis=(0, 2)) / task.token_sigma
+    assert np.all((0.90 <= sd_ratio) & (sd_ratio <= 0.99)), sd_ratio
+
+
 # ----------------------------------------------------------------------
 # denoiser
 
@@ -278,6 +307,15 @@ def test_sampler_fails_at_the_first_non_finite_value_without_a_warning(parameter
         out_w.data = trained * 1e200  # finite at first, then the state blows up
         with pytest.raises(NumericError, match=rf"^reverse step {SMALL.total_steps - 1}: block 1: router scores"):
             trainer.sample(3, 0, rng=np.random.default_rng(4))
+
+
+def test_sampler_reads_to_eps_from_the_training_module_at_each_step(monkeypatch):
+    # the perfbench sample workload forces failures by patching training._to_eps
+    trainer = small_trainer(seed=8)
+    trainer.train_step()  # initializes the thresholds
+    monkeypatch.setattr(training, "_to_eps", lambda pred, *args: np.full_like(pred, np.nan))
+    with pytest.raises(NumericError, match=rf"^non-finite noise estimate at reverse step {SMALL.total_steps}$"):
+        trainer.sample(3, 0, rng=np.random.default_rng(4))
 
 
 @pytest.mark.parametrize("mode", ["train", "eval", "infer"])
@@ -401,6 +439,14 @@ def test_log_record_schema():
         assert hasattr(record, col)
     row = record.csv_row()
     assert len(row.split(",")) == len(record.CSV_COLUMNS)
+
+
+def test_log_row_holds_the_exact_values():
+    # log.csv can show bit-identity only if each float parses back equal
+    record = small_trainer().train_step()
+    step, *floats = record.csv_row().split(",")
+    assert int(step) == record.step
+    assert [float(v) for v in floats] == [getattr(record, c) for c in record.CSV_COLUMNS[1:]]
 
 
 def test_checkpoint_resume_bit_exact(tmp_path):
