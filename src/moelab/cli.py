@@ -203,13 +203,14 @@ def cmd_train(args: argparse.Namespace) -> int:
     discard_later_claims(out_dir, trainer.step_count, Path(args.resume) if args.resume else None)
 
     # a resumed run keeps the log rows up to the checkpoint's step and
-    # rewrites the rest, so resuming into the same --out duplicates nothing
+    # rewrites the rest, so resuming into the same --out duplicates nothing;
+    # a last row without its newline was torn by a kill, whatever it starts with
     log_path = out_dir / "log.csv"
     kept = []
     if args.resume and log_path.exists():
         for row in log_path.read_text().splitlines(keepends=True)[1:]:
             step = row.split(",", 1)[0]
-            if step.isdigit() and int(step) <= trainer.step_count:
+            if row.endswith("\n") and step.isdigit() and int(step) <= trainer.step_count:
                 kept.append(row)
     # the header and kept rows replace the log in one step, so a run killed
     # before its first new row still leaves the rows its checkpoint covers

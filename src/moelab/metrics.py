@@ -3,7 +3,8 @@
 Everything here is pure and operates on detached masks and scores:
 the selection objective (sum of selected scores in the strategy view),
 the worst-expert overload ratio, the pairwise combination-usage ratio,
-and experts-per-token profiles bucketed by diffusion timestep.
+experts-per-token profiles bucketed by diffusion timestep, and the quality
+of diffusion samples measured against the synthetic task's known law.
 
 `routing_report` turns a stack of masks (a model's layers, or a block of
 route-sim draws) into the one set of records that the train log, `metrics`,
@@ -17,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .routing import ConfigError
+from .routing import ConfigError, NumericError
 
 __all__ = [
     "routing_objective",
@@ -28,6 +29,8 @@ __all__ = [
     "allocation_profile",
     "routing_report",
     "report_mean",
+    "SampleQuality",
+    "sample_quality",
 ]
 
 
@@ -159,7 +162,8 @@ def allocation_profile(
     """Bucket per-sample mean experts-per-token by timestep.
 
     masks: (N, L, E) routing masks, one per sample; timesteps: (N,) the
-    sample's diffusion step in [0, t_max].
+    sample's diffusion step in [0, t_max]. A timestep outside that range,
+    or NaN, raises ConfigError naming the first one.
     """
     masks = np.asarray(masks, dtype=np.float64)
     timesteps = np.asarray(timesteps)
@@ -167,6 +171,9 @@ def allocation_profile(
         raise ConfigError(
             f"need (N, L, E) masks and (N,) timesteps, got {masks.shape} / {timesteps.shape}"
         )
+    outside = ~((timesteps >= 0) & (timesteps <= t_max))  # NaN is outside too
+    if outside.any():
+        raise ConfigError(f"timestep {timesteps[np.argmax(outside)]} is outside [0, {t_max}]")
     edges = np.linspace(0.0, float(t_max), buckets + 1)
     per_token = masks.sum(axis=-1)  # (N, L) active experts per token
     # right-open buckets except the last, which absorbs t == t_max
@@ -196,11 +203,17 @@ def routing_report(
     allocation_bucket_variance. A single expert has no pairs: comb_usage
     0.0 with comb_no_pairs true. All records come from one pass over the
     stack; each equals the one its mask would get on its own, bit for bit.
+    A list of masks of unequal shapes raises ConfigError naming two of them.
     """
     if t is not None and t_max is None:
         raise ConfigError("allocation by timestep needs t_max")
     if len(masks) == 0:
         return []
+    if not isinstance(masks, np.ndarray):
+        first = np.shape(masks[0])
+        for mask in masks[1:]:
+            if np.shape(mask) != first:
+                raise ConfigError(f"masks must share one shape, got {first} and {np.shape(mask)}")
     masks = np.ascontiguousarray(masks)  # one copy of a strided stack, then views
     R, E = masks.shape[0], masks.shape[-1]
     T = masks[0].size // E
@@ -226,3 +239,51 @@ def routing_report(
 def report_mean(records: list[dict], key: str) -> float:
     """Mean of one report field over records (layers, or draws); NaN for none."""
     return float(np.mean([r[key] for r in records])) if records else float("nan")
+
+
+@dataclass
+class SampleQuality:
+    """How close samples come to the task's exact law (see sample_quality)."""
+
+    accuracy: float  # share of samples whose most likely class is their label
+    sd_ratio: np.ndarray  # (L,) per-token SD about the class mean / token_sigma
+    log_likelihood: float  # mean log-density per dimension under the mixture
+
+
+def sample_quality(x: np.ndarray, c: np.ndarray, task) -> SampleQuality:
+    """Score (N, L, D) samples x drawn for the (N,) class labels c against
+    a SyntheticTask's exact law, where class k's x0 has independent
+    N(means[k], token_sigma[l]^2) entries.
+
+    accuracy: the argmax over classes of the exact per-class Gaussian
+    log-density, compared with c. sd_ratio: (x - means[c]).std(axis=(0, 2))
+    / token_sigma, 1 at every token for draws of the law. log_likelihood:
+    the mean over samples of the log-density under the uniform-prior
+    mixture, divided by L * D; fresh draws of the default task read about
+    -0.53. The mixture sum is a max-shifted log-sum-exp.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    c = np.asarray(c)
+    means, sigma = task.means, task.token_sigma
+    if x.ndim != 3 or x.shape[1:] != means.shape[1:] or c.shape != x.shape[:1]:
+        raise ConfigError(f"need (N, {', '.join(map(str, means.shape[1:]))}) samples and (N,) labels, "
+                          f"got {x.shape} / {c.shape}")
+    classes = means.shape[0]
+    if c.dtype.kind not in "iu" or np.any((c < 0) | (c >= classes)):
+        raise ConfigError(f"labels must be integers in [0, {classes}), got {c[:8].tolist()}")
+    if not np.isfinite(x).all():
+        raise NumericError(f"samples hold {np.count_nonzero(~np.isfinite(x))} non-finite values")
+    N, L, D = x.shape
+    inv_sigma = (1.0 / sigma)[:, None]
+    constant = -D * np.log(sigma).sum() - 0.5 * L * D * np.log(2.0 * np.pi)
+    log_density = np.empty((N, classes))
+    for k in range(classes):
+        z = (x - means[k]) * inv_sigma
+        log_density[:, k] = -0.5 * np.einsum("nld,nld->n", z, z) + constant
+    top = log_density.max(axis=1)
+    mixture = top + np.log(np.exp(log_density - top[:, None]).sum(axis=1)) - np.log(classes)
+    return SampleQuality(
+        accuracy=float(np.mean(log_density.argmax(axis=1) == c)),
+        sd_ratio=(x - means[c]).std(axis=(0, 2)) / sigma,
+        log_likelihood=float(mixture.mean() / (L * D)),
+    )

@@ -1,6 +1,7 @@
 """CLI commands drive the library end to end and stay reproducible."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -9,6 +10,7 @@ import signal
 import struct
 import subprocess
 import sys
+import time
 import zipfile
 from pathlib import Path
 
@@ -153,6 +155,78 @@ def test_killed_resume_keeps_the_log_its_checkpoint_covers(tmp_path):
         "ckpt_000002.npz", "ckpt_000004.npz", "ckpt_000005.npz", "config.snapshot", "log.csv"]
     assert (run / "ckpt_000005.npz").read_bytes() == final
     assert (run / "log.csv").read_text() == log_5
+
+
+def test_resume_drops_a_torn_last_log_row(tmp_path):
+    # a kill can cut the log's last row wherever a buffer flush ended; the
+    # row "11,..." torn to "1" reads as step 1 and must not be kept
+    cfg = tmp_path / "every10.cfg"
+    cfg.write_text("checkpoint_every = 10\n")
+    run = tmp_path / "run"
+    base = ["train", "--out", str(run), "--config", str(cfg), "--seed", "3", "--steps", "12", *FAST]
+    assert main(base) == 0
+    full = (run / "log.csv").read_text()
+    rows = full.splitlines(keepends=True)
+    (run / "log.csv").write_text("".join(rows[:11]) + rows[11][:1])
+    assert main([*base, "--resume", str(run / "ckpt_000010.npz")]) == 0
+    assert (run / "log.csv").read_text() == full
+
+
+def _member_digests(path: Path) -> dict:
+    with zipfile.ZipFile(path) as archive:
+        return {m: hashlib.sha256(archive.read(f"{m}.npy")).hexdigest() for m in ("param", "ema", "opt_m", "opt_v")}
+
+
+def test_train_killed_at_seeded_times_resumes_to_the_uninterrupted_run(tmp_path):
+    # `python -m moelab train` SIGKILLed three times, each time resumed from
+    # its newest checkpoint (fresh if it has none). A kill is keyed to the
+    # log on disk reaching a seeded row count (the log is flushed before
+    # each checkpoint save), plus a seeded delay under one step, so it lands
+    # inside a save or a step whatever the process's start-up costs. On a
+    # 2-vCPU x86 VM the first kill lands inside the save of step 8, so the
+    # resume from step 4 must drop logged rows 5-8, and the others in steps.
+    steps, every = 80, 4
+    cfg = tmp_path / "every4.cfg"
+    cfg.write_text(f"checkpoint_every = {every}\n")
+    args = ["--config", str(cfg), "--seed", "3", "--steps", str(steps), *FAST]
+    ref, run = tmp_path / "ref", tmp_path / "run"
+    assert main(["train", "--out", str(ref), *args]) == 0
+
+    rng = np.random.default_rng(1)
+    # rows in separate bands, so each resume starts below the next kill
+    # point; the last band ends 34 steps before the run does
+    kill_rows = [int(rng.integers(lo, lo + 13)) for lo in (2, 18, 34)]
+    delays = rng.uniform(0.0, 0.004, size=3)  # a tiny-config step takes ~4 ms
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    log = run / "log.csv"
+
+    def resume_newest():
+        ckpts = sorted(p for p in run.glob("ckpt_*.npz") if p.stem[len("ckpt_"):].isdigit())
+        return ["--resume", str(ckpts[-1])] if ckpts else []
+
+    for rows, delay in zip(kill_rows, delays):
+        resume = resume_newest()
+        child = subprocess.Popen([sys.executable, "-m", "moelab", "train", "--out", str(run), *args, *resume],
+                                 env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        killed, deadline = False, time.monotonic() + 60
+        try:
+            while not killed and child.poll() is None and time.monotonic() < deadline:
+                if log.exists() and log.read_text().count("\n") - 1 >= rows:
+                    time.sleep(delay)
+                    child.send_signal(signal.SIGKILL)
+                    killed = True
+                time.sleep(0.0005)
+        finally:
+            if child.poll() is None:
+                child.kill()
+            _, err = child.communicate()
+        assert killed and child.returncode == -signal.SIGKILL, (rows, child.returncode, err.decode())
+
+    assert main(["train", "--out", str(run), *args, *resume_newest()]) == 0
+    assert [r["step"] for r in read_csv(log)] == [str(n) for n in range(1, steps + 1)]
+    assert log.read_text() == (ref / "log.csv").read_text()
+    assert _member_digests(run / "ckpt_final.npz") == _member_digests(ref / "ckpt_final.npz")
+    assert not [p.name for p in run.iterdir() if p.name.endswith(".tmp")]
 
 
 def test_fresh_train_into_a_used_out_leaves_no_file_of_the_earlier_run(tmp_path, monkeypatch):

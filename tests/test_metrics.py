@@ -1,4 +1,5 @@
-"""Metrics: objective values, MaxVio, combination usage, allocation profiles."""
+"""Metrics: objective values, MaxVio, combination usage, allocation profiles,
+sample quality."""
 
 import itertools
 
@@ -13,9 +14,12 @@ from moelab.metrics import (
     report_mean,
     routing_objective,
     routing_report,
+    sample_quality,
 )
+from moelab.diffusion import SyntheticTask
 from moelab.routing import (
     ConfigError,
+    NumericError,
     ThresholdState,
     effective_k,
     get_strategy,
@@ -219,6 +223,13 @@ def test_allocation_profile_empty_bucket_is_missing():
     assert profile.means[0] == 3.0
 
 
+@pytest.mark.parametrize("bad", [-5, 101, float("nan")])
+def test_allocation_profile_rejects_a_timestep_outside_its_range(bad):
+    t = np.array([0, 100, bad, 7])
+    with pytest.raises(ConfigError, match=rf"^timestep {bad} is outside \[0, 100\]$"):
+        allocation_profile(np.ones((4, 2, 3)), t, 100, buckets=10)
+
+
 # ----------------------------------------------------------------------
 # routing report
 
@@ -288,3 +299,59 @@ def test_routing_report_edges():
     assert np.isnan(report_mean([], "max_vio"))
     with pytest.raises(ConfigError, match="t_max"):
         routing_report([np.ones((2, 3, 4))], 2, t=np.array([1, 2]))
+
+
+def test_routing_report_names_both_shapes_of_unequal_masks():
+    with pytest.raises(ConfigError, match=r"^masks must share one shape, got \(2, 3, 4\) and \(2, 3, 5\)$"):
+        routing_report([np.ones((2, 3, 4)), np.ones((2, 3, 4)), np.ones((2, 3, 5))], 2)
+
+
+# ----------------------------------------------------------------------
+# sample quality
+
+
+TASK = SyntheticTask(num_classes=4, tokens=16, dim=64, seed=7919)
+
+
+def test_sample_quality_of_draws_of_the_law():
+    x, c = TASK.sample_x0(np.random.default_rng(0), 1024)
+    quality = sample_quality(x, c, TASK)
+    assert quality.accuracy == 1.0
+    assert abs(quality.log_likelihood - (-0.534)) < 0.01  # measured -0.5343
+    assert np.all((0.97 <= quality.sd_ratio) & (quality.sd_ratio <= 1.03)), quality.sd_ratio
+
+    wide = sample_quality(TASK.means[c] + 2.0 * (x - TASK.means[c]), c, TASK)
+    assert np.allclose(wide.sd_ratio, 2.0 * quality.sd_ratio)
+    assert wide.log_likelihood < quality.log_likelihood - 1.0
+
+    shuffled = sample_quality(x, np.random.default_rng(1).permutation(c), TASK)
+    assert abs(shuffled.accuracy - 0.25) < 0.05
+    assert shuffled.log_likelihood == quality.log_likelihood  # the mixture ignores labels
+
+
+def test_sample_quality_log_likelihood_matches_a_scipy_reference():
+    from scipy.special import logsumexp
+    from scipy.stats import norm
+
+    task = SyntheticTask(num_classes=3, tokens=4, dim=5, seed=11)
+    rng = np.random.default_rng(2)
+    x = 1.5 * rng.normal(size=(40, 4, 5))  # off the law, so classes overlap
+    c = rng.integers(0, 3, size=40)
+    per_class = np.stack(
+        [norm.logpdf(x, task.means[k], task.token_sigma[:, None]).sum(axis=(1, 2)) for k in range(3)], axis=1)
+    want = np.mean(logsumexp(per_class, axis=1) - np.log(3)) / 20
+    quality = sample_quality(x, c, task)
+    assert abs(quality.log_likelihood - want) < 1e-12
+    assert quality.accuracy == np.mean(per_class.argmax(axis=1) == c)
+
+
+@pytest.mark.parametrize("x,c,error,named", [
+    (np.zeros((2, 16, 8)), np.array([0, 1]), ConfigError, r"\(2, 16, 8\)"),
+    (np.zeros((2, 16, 64)), np.array([0]), ConfigError, r"\(1,\)"),
+    (np.zeros((2, 16, 64)), np.array([0, 4]), ConfigError, r"\[0, 4\)"),
+    (np.zeros((2, 16, 64)), np.array([0.0, 1.0]), ConfigError, "integers"),
+    (np.full((2, 16, 64), np.nan), np.array([0, 1]), NumericError, "2048 non-finite"),
+])
+def test_sample_quality_rejects_bad_input(x, c, error, named):
+    with pytest.raises(error, match=named):
+        sample_quality(x, c, TASK)

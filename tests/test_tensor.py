@@ -1,8 +1,12 @@
 """Tensor substrate: forward values, backward vs finite differences, determinism."""
 
 import ctypes
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -375,6 +379,29 @@ def test_gelu_bit_identical_to_textbook_expressions():
     cdf = 0.5 * (1.0 + erf(x * inv_sqrt2))
     assert np.array_equal(out.data, x * cdf)
     assert np.array_equal(xt.grad, g * (cdf + x * (inv_sqrt_2pi * np.exp(-0.5 * x * x))))
+
+
+def test_scipy_loads_at_the_first_gelu_not_at_import(tmp_path):
+    # a fresh process, since this module imports scipy.special: route-sim
+    # runs without it, and the first gelu loads it and computes the same values
+    child = f"""
+import sys
+import numpy as np
+import moelab
+from moelab import cli, tensor
+assert cli.main(["route-sim", "--out", {str(tmp_path / "sim")!r}, "--draws", "1",
+                 "--batch-size", "2", "--tokens", "4", "--experts", "4", "--k", "2"]) == 0
+assert "scipy.special" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+x = np.linspace(-3.0, 3.0, 7)
+out = tensor.gelu(tensor.Tensor(x)).data
+assert "scipy.special" in sys.modules
+from scipy.special import erf
+assert np.array_equal(out, x * (0.5 * (1.0 + erf(x * (1.0 / np.sqrt(2.0)))))), out
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", child], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_gelu_under_no_grad_equals_the_grad_path_and_keeps_its_input():
