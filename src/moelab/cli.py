@@ -222,9 +222,9 @@ def cmd_train(args: argparse.Namespace) -> int:
         while trainer.step_count < cfg["steps"]:
             record = trainer.train_step()
             fh.write(record.csv_row() + "\n")
+            fh.flush()  # the log on disk holds every finished step, so a tail is never behind
             last = record
             if cfg["checkpoint_every"] > 0 and record.step % cfg["checkpoint_every"] == 0:
-                fh.flush()  # the log on disk reaches every checkpoint's step
                 save_checkpoint(out_dir / f"ckpt_{record.step:06d}.npz", trainer)
 
     save_checkpoint(out_dir / "ckpt_final.npz", trainer)

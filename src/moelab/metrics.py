@@ -4,7 +4,8 @@ Everything here is pure and operates on detached masks and scores:
 the selection objective (sum of selected scores in the strategy view),
 the worst-expert overload ratio, the pairwise combination-usage ratio,
 experts-per-token profiles bucketed by diffusion timestep, and the quality
-of diffusion samples measured against the synthetic task's known law.
+of diffusion samples and predictions measured against the synthetic task's
+known law.
 
 `routing_report` turns a stack of masks (a model's layers, or a block of
 route-sim draws) into the one set of records that the train log, `metrics`,
@@ -31,6 +32,7 @@ __all__ = [
     "report_mean",
     "SampleQuality",
     "sample_quality",
+    "excess_loss",
 ]
 
 
@@ -287,3 +289,17 @@ def sample_quality(x: np.ndarray, c: np.ndarray, task) -> SampleQuality:
         sd_ratio=(x - means[c]).std(axis=(0, 2)) / sigma,
         log_likelihood=float(mixture.mean() / (L * D)),
     )
+
+
+def excess_loss(prediction: np.ndarray, batch, task, schedule, parameterization: str) -> float:
+    """The MSE of `prediction` against a DiffusionBatch's target batch.y,
+    minus the MSE of task.optimal_prediction, the Bayes-optimal denoiser, on
+    the same batch. It is 0 for the oracle itself; for any other prediction
+    made from (x_t, t, c) its expectation is the mean squared distance to
+    the oracle, so it is below 0 only by chance.
+    """
+    prediction = np.asarray(prediction, dtype=np.float64)
+    if prediction.shape != batch.y.shape:
+        raise ConfigError(f"prediction {prediction.shape} vs target {batch.y.shape}")
+    oracle = task.optimal_prediction(batch.x_t, batch.t, batch.c, schedule, parameterization)
+    return float(np.mean((prediction - batch.y) ** 2) - np.mean((oracle - batch.y) ** 2))

@@ -92,11 +92,12 @@ class AdamW(object):
 
 
 class WeightEma(object):
-    """Shadow copy of the weights, updated in place as ema <- d*ema + (1-d)*w."""
+    """Shadow copy of the weights, updated in place as ema <- d*ema + (1-d)*w, d = decay."""
 
-    def __init__(self, named: list[tuple[str, Tensor]], decay: float, blank: bool = False):
+    decay = 0.999
+
+    def __init__(self, named: list[tuple[str, Tensor]], blank: bool = False):
         """The shadow starts as a copy of the weights, or as np.empty arrays with `blank`."""
-        self.decay = decay
         start = np.empty_like if blank else np.copy
         self.shadow = {name: start(t.data) for name, t in named}
 
@@ -132,7 +133,6 @@ class TrainerConfig:
     model: DenoiserConfig = field(default_factory=DenoiserConfig)
     batch_size: int = 32
     lr: float = 1e-4
-    ema_decay: float = 0.999
     weights: LossWeights = field(default_factory=LossWeights)
     seed: int = 0
 
@@ -140,8 +140,6 @@ class TrainerConfig:
         """A bad value DenoiserConfig does not see raises a ConfigError naming its key."""
         if not 0 < self.lr < np.inf:
             raise ConfigError(f"lr must be > 0 and finite, got {self.lr}")
-        if not 0 <= self.ema_decay <= 1:
-            raise ConfigError(f"ema_decay must lie in [0, 1], got {self.ema_decay}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.batch_size < 1:
@@ -154,7 +152,6 @@ class TrainerConfig:
         d.update(
             batch_size=self.batch_size,
             lr=self.lr,
-            ema_decay=self.ema_decay,
             w_plr=self.weights.plr,
             w_sim=self.weights.sim,
             w_blc=self.weights.blc,
@@ -167,7 +164,7 @@ class TrainerConfig:
         """The inverse of to_dict; `dense` may be left out."""
         d = dict(d)
         weights = LossWeights(plr=d.pop("w_plr"), sim=d.pop("w_sim"), blc=d.pop("w_blc"))
-        own = {key: d.pop(key) for key in ("batch_size", "lr", "ema_decay", "seed")}
+        own = {key: d.pop(key) for key in ("batch_size", "lr", "seed")}
         return cls(model=DenoiserConfig(**d), weights=weights, **own)
 
 
@@ -202,7 +199,7 @@ class Trainer(object):
             seed=config.seed + 7919,
         )
         self.opt = AdamW(self.params.parameters(), lr=config.lr, blank=blank)
-        self.ema = WeightEma(self.params.named_tensors(), decay=config.ema_decay, blank=blank)
+        self.ema = WeightEma(self.params.named_tensors(), blank=blank)
         self.step_count = 0
 
     # ------------------------------------------------------------------

@@ -6,7 +6,7 @@ tolerances; the slow ones (toy trainings) dominate the runtime.
 
 import itertools
 import time
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -16,6 +16,7 @@ from similarity import router_similarity_diag
 from moelab import losses as L
 from moelab import metrics as M
 from moelab import routing as R
+from moelab.cli import _heldout_masks
 from moelab.denoiser import DenoiserConfig, denoiser_forward
 from moelab.layer import FineGrainedConfig, init_params, moe_forward
 from moelab.losses import AuxLossInputs, LossWeights, aux_inputs_from_routing
@@ -402,9 +403,7 @@ def _graft_dense_twin(moe_trainer: Trainer, dense_trainer: Trainer) -> None:
         else:
             src = moe_named[name]
         t.data = src.data.copy()
-    dense_trainer.ema = type(dense_trainer.ema)(
-        dense_trainer.params.named_tensors(), decay=dense_trainer.config.ema_decay
-    )
+    dense_trainer.ema = type(dense_trainer.ema)(dense_trainer.params.named_tensors())
 
 
 def test_criterion_9_dense_twin_equivalence():
@@ -433,38 +432,115 @@ def test_criterion_9_dense_twin_equivalence():
 
 
 # ----------------------------------------------------------------------
-# 10. toy training smoke
+# 10. toy training smoke, and the `v` run's thresholded inference
 
 
-@pytest.mark.slow
-def test_criterion_10_toy_training_smoke(tmp_path):
-    firsts, lasts = [], []
-    runtime = {}
+def v_config(seed: int) -> TrainerConfig:
+    """The default shape (B=32, L=16, D=64, 4 layers, 2-in-8) with `v`
+    prediction at lr 2e-3, under which the reverse process completes; under
+    the defaults (`eps`, lr 1e-4) every attempt diverges."""
+    return TrainerConfig(model=DenoiserConfig(parameterization="v"), lr=2e-3, seed=seed)
+
+
+@dataclass
+class VRun:
+    trainer: Trainer
+    records: list  # the LogRecords of steps 1..200
+    runtime: float  # seconds for those 200 steps
+    weights: dict  # name -> a copy of each weight at step 200
+
+
+@pytest.fixture(scope="module")
+def v_runs(tmp_path_factory):
+    """Seeds 0, 1 and 2 of v_config, each trained 200 steps once for every
+    test that reads them, and seed 0's checkpoint at step 100."""
+    mid_ckpt = tmp_path_factory.mktemp("v_runs") / "mid_0.npz"
+    runs = {}
     for seed in (0, 1, 2):
-        trainer = Trainer(TrainerConfig(seed=seed))  # B=32, L=16, D=64, 4 layers, 2-in-8
+        trainer = Trainer(v_config(seed))
         start = time.time()
         records = []
-        mid_ckpt = tmp_path / f"mid_{seed}.npz"
         for step in range(200):
             records.append(trainer.train_step())
             if step + 1 == 100 and seed == 0:
                 save_checkpoint(mid_ckpt, trainer)
-        runtime[seed] = time.time() - start
+        weights = {name: t.data.copy() for name, t in trainer.params.named_tensors()}
+        runs[seed] = VRun(trainer, records, time.time() - start, weights)
+    return runs, mid_ckpt
+
+
+@pytest.mark.slow
+def test_criterion_10_toy_training_smoke(v_runs):
+    runs, mid_ckpt = v_runs
+    firsts, lasts = [], []
+    runtime = {}
+    for seed, run in runs.items():
+        runtime[seed] = run.runtime
         assert runtime[seed] < 300.0, f"seed {seed} took {runtime[seed]:.0f}s"
-        assert all(np.isfinite(r.total) for r in records)
-        firsts.append(float(np.median([r.total for r in records[:20]])))
-        lasts.append(float(np.median([r.total for r in records[-20:]])))
-        if seed == 0:
-            reference = {name: t.data.copy() for name, t in trainer.params.named_tensors()}
+        assert all(np.isfinite(r.total) for r in run.records)
+        firsts.append(float(np.median([r.total for r in run.records[:20]])))
+        lasts.append(float(np.median([r.total for r in run.records[-20:]])))
     assert float(np.median(lasts)) < float(np.median(firsts))
 
-    resumed = load_checkpoint(tmp_path / "mid_0.npz", TrainerConfig(seed=0))
+    resumed = load_checkpoint(mid_ckpt, v_config(0))
     for _ in range(100):
         resumed.train_step()
     for name, t in resumed.params.named_tensors():
-        assert np.array_equal(t.data, reference[name]), f"resume diverged at {name}"
+        assert np.array_equal(t.data, runs[0].weights[name]), f"resume diverged at {name}"
     report(10, f"3 seeds x 200 steps, max {max(runtime.values()):.0f}s/run, "
                f"median loss {np.median(firsts):.3f} -> {np.median(lasts):.3f}, resume bit-exact")
+
+
+# mean active experts per token under inference thresholds, for k = 2
+ACTIVE_BAND = (1.8, 2.2)
+# timestep buckets of the excess loss report
+EXCESS_BUCKETS = ((1, 10), (11, 40), (41, 70), (71, 100))
+
+
+def _excess_by_bucket(trainer: Trainer, per_bucket: int = 256) -> list[float]:
+    """metrics.excess_loss of the eval-mode prediction on fresh batches
+    with timesteps drawn uniformly in each bucket."""
+    cfg = trainer.config
+    rng = np.random.default_rng(cfg.seed + 4242)
+    excess = []
+    for lo, hi in EXCESS_BUCKETS:
+        values = []
+        for _ in range(per_bucket // cfg.batch_size):
+            t = rng.integers(lo, hi + 1, size=cfg.batch_size)
+            batch = trainer.task.sample_batch(rng, cfg.batch_size, trainer.schedule, cfg.model.parameterization, t=t)
+            pred, _ = trainer.forward(batch, mode="eval")
+            values.append(M.excess_loss(pred.data, batch, trainer.task, trainer.schedule, cfg.model.parameterization))
+        excess.append(float(np.mean(values)))
+    return excess
+
+
+@pytest.mark.slow
+def test_v_run_samples_the_task_law_under_thresholds(v_runs):
+    # the paper's inference story on the default shape: after 300 steps,
+    # thresholded routing keeps about k experts per token on held-out data
+    # and in the reverse process, whose samples are finite and of their class
+    runs, _ = v_runs
+    lines = []
+    for seed, run in runs.items():
+        trainer = run.trainer
+        while trainer.step_count < 300:
+            trainer.train_step()
+        c = np.arange(32) % trainer.config.model.num_classes
+        x, allocation_log = trainer.sample(32, c, rng=np.random.default_rng(seed + 100))
+        assert np.all(np.isfinite(x))
+        quality = M.sample_quality(x, c, trainer.task)
+        assert quality.accuracy >= 0.9, f"seed {seed}: accuracy {quality.accuracy}"
+
+        masks, _ = _heldout_masks(trainer, 4, "infer")
+        on_data = float(np.mean([mask.sum(axis=-1).mean() for mask in masks]))
+        sampling = float(np.mean([entry["mean_active_per_layer"] for entry in allocation_log]))
+        for where, active in (("held-out data", on_data), ("sampling", sampling)):
+            assert ACTIVE_BAND[0] <= active <= ACTIVE_BAND[1], f"seed {seed}: {active:.3f} experts per token on {where}"
+
+        excess = ", ".join(f"{lo}-{hi}: {e:.3f}" for (lo, hi), e in zip(EXCESS_BUCKETS, _excess_by_bucket(trainer)))
+        lines.append(f"seed {seed}: accuracy {quality.accuracy:.2f}, log-lik/dim {quality.log_likelihood:.3f}, "
+                     f"experts/token {on_data:.3f} on data, {sampling:.3f} sampling; excess loss by t {excess}")
+    print("\nPASS v run, 300 steps, 32 samples per seed:\n  " + "\n  ".join(lines))
 
 
 # ----------------------------------------------------------------------

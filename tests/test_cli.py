@@ -275,6 +275,27 @@ def test_train_log_on_disk_reaches_each_checkpoint_step(tmp_path, monkeypatch):
     assert seen == [("ckpt_000003.npz", 4), ("ckpt_000006.npz", 7), ("ckpt_final.npz", 7)]
 
 
+def test_train_log_on_disk_holds_every_finished_step(tmp_path, monkeypatch):
+    # between checkpoints too: before each step, a reader of log.csv sees
+    # the whole row of every step already done
+    run = tmp_path / "run"
+    step = Trainer.train_step
+    checked = []
+
+    def checking_step(trainer):
+        text = (run / "log.csv").read_text()
+        assert text.endswith("\n")
+        assert [row.split(",", 1)[0] for row in text.splitlines()[1:]] == [
+            str(n) for n in range(1, trainer.step_count + 1)
+        ]
+        checked.append(trainer.step_count)
+        return step(trainer)
+
+    monkeypatch.setattr(Trainer, "train_step", checking_step)
+    assert main(["train", "--out", str(run), "--seed", "3", "--steps", "5", *FAST]) == 0
+    assert checked == [0, 1, 2, 3, 4]
+
+
 def test_train_resume_rejects_mismatched_config(tmp_path):
     part = tmp_path / "part"
     main(["train", "--out", str(part), "--steps", "2", "--seed", "3", *FAST])
@@ -301,7 +322,7 @@ def test_trainer_config_from_dict_inverts_to_dict():
         model=DenoiserConfig(layers=2, model_dim=12, tokens=6, num_classes=3, num_experts=3, k=3,
                              dense_hidden=24, strategy="token-choice", gating="softmax", parameterization="v",
                              total_steps=30, schedule="linear", dense=True),
-        batch_size=5, lr=3e-3, ema_decay=0.5, weights=LossWeights(plr=0.5, sim=0.25, blc=0.125), seed=9,
+        batch_size=5, lr=3e-3, weights=LossWeights(plr=0.5, sim=0.25, blc=0.125), seed=9,
     )
     assert all(other.to_dict()[key] != value for key, value in default.to_dict().items())
     for config in (default, other):
@@ -316,7 +337,6 @@ def test_default_config_snapshot(tmp_path):
         "batch_size = 32\n"
         "checkpoint_every = 100\n"
         "dense_hidden = 256\n"
-        "ema_decay = 0.999\n"
         "experts = 8\n"
         "gating = identity\n"
         "k = 2\n"
@@ -472,6 +492,8 @@ def _edit_meta(fault: str, meta: dict) -> None:
         meta["rng_state"] = "x"
     elif fault == "step-bool":
         meta["step"] = True
+    elif fault == "ema_decay":  # saved when the EMA decay was a setting
+        meta["config"]["ema_decay"] = 0.999
     else:
         meta["step"] = "1"
 
@@ -480,7 +502,7 @@ def _edit_meta(fault: str, meta: dict) -> None:
     ("momentum", "momentum"), ("missing", "threshold entries"), ("no-momentum", "'momentum'"),
     ("tau-text", "'tau': 'abc'"), ("tau-nan", "'tau': nan"), ("tau-bool", "'tau': True"), ("tau-huge", "'tau': 1000"),
     ("not-a-dict", "threshold [0.99, 0.5]"), ("rng_state", "'rng_state'"), ("step", "'step' is '1'"),
-    ("step-bool", "'step' is True"),
+    ("step-bool", "'step' is True"), ("ema_decay", "'ema_decay': (0.999, None)"),
 ])
 def test_metrics_checkpoint_bad_thresholds_is_config_error(tmp_path, capsys, fault, named):
     # malformed checkpoint metadata: one config-error line naming the field,
@@ -908,7 +930,7 @@ def test_ablate_validates_every_arm_before_training(tmp_path, capsys, monkeypatc
         ("train", "batch_size = 0", "batch_size must be >= 1"),
         ("train", "lr = nan", "lr must be > 0 and finite, got nan"),
         ("train", "lr = -1", "lr must be > 0 and finite, got -1.0"),
-        ("train", "ema_decay = 2", "ema_decay must lie in [0, 1]"),
+        ("train", "ema_decay = 0.999", "unknown config key 'ema_decay'"),
         ("train", "w_sim = nan", "w_sim = nan"),
         ("train", "steps = -1", "steps must be >= 0"),
         ("ablate", "parameterization = foo", "unknown parameterization 'foo'"),

@@ -400,7 +400,8 @@ def test_adamw_in_place_matches_allocating_formulas():
 def test_weight_ema_in_place_matches_allocating_formula():
     rng = np.random.default_rng(42)
     named = [(f"w{i}", p) for i, p in enumerate(_random_params(rng))]
-    ema = WeightEma(named, decay=0.9)
+    ema = WeightEma(named)
+    d = WeightEma.decay
     ref = {name: p.data.copy() for name, p in named}
     for _ in range(5):
         for _, p in named:
@@ -408,7 +409,7 @@ def test_weight_ema_in_place_matches_allocating_formula():
         data_copies = [p.data.copy() for _, p in named]
         ema.update(named)
         for (name, p), data in zip(named, data_copies):
-            ref[name] = 0.9 * ref[name] + (1.0 - 0.9) * data
+            ref[name] = d * ref[name] + (1.0 - d) * data
             assert np.array_equal(ema.shadow[name], ref[name])
             assert np.array_equal(p.data, data)
 

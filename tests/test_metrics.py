@@ -1,5 +1,5 @@
 """Metrics: objective values, MaxVio, combination usage, allocation profiles,
-sample quality."""
+sample quality, excess loss."""
 
 import itertools
 
@@ -10,13 +10,14 @@ from moelab import metrics
 from moelab.metrics import (
     allocation_profile,
     combination_usage,
+    excess_loss,
     max_violation,
     report_mean,
     routing_objective,
     routing_report,
     sample_quality,
 )
-from moelab.diffusion import SyntheticTask
+from moelab.diffusion import PARAMETERIZATIONS, SyntheticTask, build_schedule
 from moelab.routing import (
     ConfigError,
     NumericError,
@@ -355,3 +356,27 @@ def test_sample_quality_log_likelihood_matches_a_scipy_reference():
 def test_sample_quality_rejects_bad_input(x, c, error, named):
     with pytest.raises(error, match=named):
         sample_quality(x, c, TASK)
+
+
+# ----------------------------------------------------------------------
+# excess loss over the Bayes-optimal denoiser
+
+
+SCHEDULE = build_schedule(100, "cosine")
+
+
+@pytest.mark.parametrize("parameterization", PARAMETERIZATIONS)
+def test_excess_loss_of_the_oracle_is_zero_and_of_noise_its_variance(parameterization):
+    rng = np.random.default_rng(3)
+    batch = TASK.sample_batch(rng, 1024, SCHEDULE, parameterization, t=50)
+    oracle = TASK.optimal_prediction(batch.x_t, batch.t, batch.c, SCHEDULE, parameterization)
+    assert excess_loss(oracle, batch, TASK, SCHEDULE, parameterization) == 0.0
+    noisy = oracle + rng.normal(0.0, 0.1, size=oracle.shape)
+    excess = excess_loss(noisy, batch, TASK, SCHEDULE, parameterization)
+    assert abs(excess - 0.01) < 0.001, excess
+
+
+def test_excess_loss_rejects_a_prediction_of_another_shape():
+    batch = TASK.sample_batch(np.random.default_rng(0), 2, SCHEDULE, "v")
+    with pytest.raises(ConfigError, match=r"\(2, 16, 8\) vs target \(2, 16, 64\)"):
+        excess_loss(np.zeros((2, 16, 8)), batch, TASK, SCHEDULE, "v")
