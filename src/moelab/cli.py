@@ -39,12 +39,13 @@ _FLAG_KEYS = ("seed", "strategy", "gating", "k", "experts", "steps", "batch_size
 
 
 def parse_config_file(path: Path) -> dict:
-    """Flat `key = value` lines; '#' starts a comment."""
+    """Flat `key = value` lines, each key at most once; '#' starts a comment."""
     try:
         text = path.read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from None
     values: dict = {}
+    line_of: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -54,7 +55,9 @@ def parse_config_file(path: Path) -> dict:
         key, val = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_DEFAULTS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = val
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: config key {key!r} is already set on line {line_of[key]}")
+        values[key], line_of[key] = val, lineno
     return values
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import layer as moe_layer
 from .diffusion import PARAMETERIZATIONS, build_schedule
-from .layer import ExpertParams, FineGrainedConfig, LayerOutput, MoeLayerParams, _xavier, expert_forward
+from .layer import ExpertParams, LayerOutput, MoeLayerParams, _xavier, expert_forward
 from .routing import GATING_FUNCTIONS, ConfigError, NumericError, RoutingStrategy, get_strategy
 from .tensor import Tensor, gelu, matmul, take_cols, take_rows
 
@@ -37,14 +37,13 @@ class DenoiserConfig:
     model_dim: int = 64
     tokens: int = 16
     num_classes: int = 4
-    num_experts: int = 8
+    num_experts: int = 8  # E in the k-in-E layout: E experts of inner width dense_hidden / k
     k: int = 2
     dense_hidden: int = 256  # the dense FFN's inner width, 4 * the default model_dim
     strategy: str = "expert-race"
     gating: str = "identity"
     parameterization: Literal["eps", "x0", "v"] = "eps"
-    total_steps: int = 100
-    schedule: str = "cosine"
+    total_steps: int = 100  # of the cosine noise schedule
     dense: bool = False  # plain FFN blocks instead of MoE (the twin model)
 
     def __post_init__(self):
@@ -52,21 +51,21 @@ class DenoiserConfig:
         for key in ("layers", "model_dim", "tokens", "num_classes", "dense_hidden"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
-        self.moe_config()  # the k-in-E layout
+        if self.k < 1 or self.num_experts < 1:
+            raise ConfigError(f"k and num_experts must be >= 1, got {self.k}-in-{self.num_experts}")
+        if self.k > self.num_experts:
+            raise ConfigError(f"k={self.k} exceeds expert count {self.num_experts}")
+        if self.dense_hidden % self.k != 0:
+            raise ConfigError(
+                f"k={self.k} must divide dense_hidden={self.dense_hidden} "
+                f"(fine-grained split needs an exact width)"
+            )
         object.__setattr__(self, "strategy", get_strategy(self.strategy).name)
         if self.gating not in GATING_FUNCTIONS:
             raise ConfigError(f"unknown gating {self.gating!r}; choose from {sorted(GATING_FUNCTIONS)}")
         if self.parameterization not in PARAMETERIZATIONS:
             raise ConfigError(f"unknown parameterization {self.parameterization!r}; use one of {PARAMETERIZATIONS}")
-        build_schedule(self.total_steps, self.schedule)
-
-    def moe_config(self) -> FineGrainedConfig:
-        return FineGrainedConfig(
-            model_dim=self.model_dim,
-            num_experts=self.num_experts,
-            k=self.k,
-            dense_hidden=self.dense_hidden,
-        )
+        build_schedule(self.total_steps)
 
     def routing_strategy(self) -> RoutingStrategy:
         return get_strategy(self.strategy)
@@ -159,7 +158,7 @@ def init_denoiser(config: DenoiserConfig, seed_or_rng) -> DenoiserParams:
             ffn = ExpertParams(w_in=_xavier(rng, d, H), w_out=_xavier(rng, H, d))
             moe = None
         else:
-            moe = moe_layer.init_params(config.moe_config(), rng)
+            moe = moe_layer.init_params(config, rng)
             ffn = None
         blocks.append(
             BlockParams(
@@ -240,7 +239,7 @@ def denoiser_forward(
         u = matmul(u.transpose(0, 2, 1), blk.mix_w).transpose(0, 2, 1)
         if blk.moe is not None:
             try:
-                out = moe_layer.moe_forward(u, blk.moe, strategy, cfg.gating, mode)
+                out = moe_layer.moe_forward(u, blk.moe, strategy, cfg.gating, cfg.k, mode)
             except NumericError as exc:
                 raise NumericError(f"block {i}: {exc}") from exc
             layer_outputs.append(out)

@@ -54,22 +54,14 @@ class NoiseSchedule:
             raise ConfigError("alpha_bar must start at 1 and decrease strictly")
 
 
-def build_schedule(total_steps: int, kind: str) -> NoiseSchedule:
+def build_schedule(total_steps: int) -> NoiseSchedule:
+    """The cosine schedule (Nichol & Dhariwal 2021) over total_steps >= 2 steps."""
     if total_steps < 2:
         raise ConfigError(f"need at least 2 timesteps, got {total_steps}")
     t = np.arange(total_steps + 1, dtype=np.float64)
-    if kind == "cosine":
-        s = 0.008
-        f = np.cos((t / total_steps + s) / (1.0 + s) * np.pi / 2.0) ** 2
-        raw = f / f[0]
-    elif kind == "linear":
-        # DDPM's 1e-4..2e-2 range is calibrated for 1000 steps; rescale so
-        # the terminal alpha_bar stays near zero for any T
-        scale = 1000.0 / total_steps
-        betas = np.linspace(1e-4 * scale, 2e-2 * scale, total_steps)
-        raw = np.concatenate([[1.0], np.cumprod(1.0 - betas)])
-    else:
-        raise ConfigError(f"unknown schedule kind {kind!r}; use 'cosine' or 'linear'")
+    s = 0.008
+    f = np.cos((t / total_steps + s) / (1.0 + s) * np.pi / 2.0) ** 2
+    raw = f / f[0]
 
     # cap the implied betas so alpha_bar never hits exactly zero, keeping
     # the reverse-process arithmetic finite

@@ -23,16 +23,18 @@ receives exactly zero gradient.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
+from typing import TYPE_CHECKING, Literal
 
 import numpy as np
 
 from . import routing
-from .routing import ConfigError, RouteResult, RoutingStrategy, ThresholdState
+from .routing import RouteResult, RoutingStrategy, ThresholdState
 from .tensor import Tensor, gelu, matmul, scatter_rows, segment_matmul, take_rows
 
+if TYPE_CHECKING:  # denoiser imports this module
+    from .denoiser import DenoiserConfig
+
 __all__ = [
-    "FineGrainedConfig",
     "ExpertParams",
     "MoeLayerParams",
     "LayerOutput",
@@ -41,31 +43,6 @@ __all__ = [
     "expert_forward",
     "moe_forward",
 ]
-
-
-@dataclass(frozen=True)
-class FineGrainedConfig:
-    """k-in-E expert layout against a dense reference FFN."""
-
-    model_dim: int
-    num_experts: int
-    k: int
-    dense_hidden: int
-
-    def __post_init__(self):
-        if self.k < 1 or self.num_experts < 1:
-            raise ConfigError(f"k and num_experts must be >= 1, got {self.k}-in-{self.num_experts}")
-        if self.k > self.num_experts:
-            raise ConfigError(f"k={self.k} exceeds expert count {self.num_experts}")
-        if self.dense_hidden % self.k != 0:
-            raise ConfigError(
-                f"k={self.k} must divide dense_hidden={self.dense_hidden} "
-                f"(fine-grained split needs an exact width)"
-            )
-
-    @property
-    def expert_hidden(self) -> int:
-        return self.dense_hidden // self.k
 
 
 @dataclass
@@ -90,7 +67,6 @@ class MoeLayerParams:
     target_b: Tensor  # (D,)
     experts: list[ExpertParams]
     threshold: ThresholdState
-    config: FineGrainedConfig
 
     def router_trunk(self, x: Tensor) -> Tensor:
         """Shared first router layer gelu(x @ router_w + router_b), (..., D)."""
@@ -136,18 +112,19 @@ def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int, bound: float | 
     return Tensor(rng.uniform(-b, b, size=(fan_in, fan_out)), requires_grad=True)
 
 
-def init_params(config: FineGrainedConfig, seed_or_rng) -> MoeLayerParams:
-    """Xavier-uniform init, deterministic under seed.
+def init_params(config: DenoiserConfig, seed_or_rng) -> MoeLayerParams:
+    """Xavier-uniform init of one k-in-E layer of the config, deterministic under seed.
 
-    Expert linears draw from the bound their dense counterpart would use:
-    the inner dimension is treated as expert_hidden * k (= dense_hidden)
-    when computing the Xavier bound, so the per-weight range matches the
-    dense FFN despite the narrower expert width.
+    Each expert's inner width is dense_hidden / k. Expert linears draw from
+    the bound their dense counterpart would use: the inner dimension is
+    treated as dense_hidden when computing the Xavier bound, so the
+    per-weight range matches the dense FFN despite the narrower expert width.
     """
     rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) else np.random.default_rng(seed_or_rng)
-    d, e, h = config.model_dim, config.num_experts, config.expert_hidden
+    d, e, dense = config.model_dim, config.num_experts, config.dense_hidden
+    h = dense // config.k
 
-    params = MoeLayerParams(
+    return MoeLayerParams(
         router_w=_xavier(rng, d, d),
         router_b=Tensor(np.zeros(d), requires_grad=True),
         gate_w=_xavier(rng, d, e),
@@ -156,15 +133,13 @@ def init_params(config: FineGrainedConfig, seed_or_rng) -> MoeLayerParams:
         target_b=Tensor(np.zeros(d), requires_grad=True),
         experts=[
             ExpertParams(
-                w_in=_xavier(rng, d, h, bound=xavier_bound(d, h * config.k)),
-                w_out=_xavier(rng, h, d, bound=xavier_bound(h * config.k, d)),
+                w_in=_xavier(rng, d, h, bound=xavier_bound(d, dense)),
+                w_out=_xavier(rng, h, d, bound=xavier_bound(dense, d)),
             )
             for _ in range(e)
         ],
         threshold=ThresholdState(),
-        config=config,
     )
-    return params
 
 
 def expert_forward(expert: ExpertParams, x: Tensor) -> Tensor:
@@ -177,9 +152,12 @@ def moe_forward(
     params: MoeLayerParams,
     strategy: RoutingStrategy,
     gating: str,
+    k: int,
     mode: Literal["train", "eval", "infer"],
 ) -> LayerOutput:
     """Route, run experts, and combine: y[b,l] = sum_i gates[b,l,i] * E_i(x[b,l]).
+
+    strategy, gating and k are the DenoiserConfig's; E is len(params.experts).
 
     Grouped dispatch: the selected (expert, row) pairs are taken expert by
     expert, rows ascending within each expert, so expert i owns one
@@ -197,10 +175,10 @@ def moe_forward(
     """
     h = params.router_trunk(x)
     logits = params.gating_logits(h)
-    result = routing.route(logits, strategy, gating, mode, params.threshold, k=params.config.k)
+    result = routing.route(logits, strategy, gating, mode, params.threshold, k=k)
 
     B, L, D = x.shape
-    E = params.config.num_experts
+    E = len(params.experts)
     experts_of, rows = np.nonzero(result.mask.reshape(B * L, E).T)
     if rows.size == 0:
         y = Tensor(np.zeros((B, L, D)))

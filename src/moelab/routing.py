@@ -26,7 +26,6 @@ batch.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable, Literal
 
@@ -239,44 +238,21 @@ def _kth_from_mask(scores2d: np.ndarray, mask2d: np.ndarray) -> np.ndarray:
 # threshold state
 
 
-def _is_float(value) -> bool:
-    """Whether a JSON value is a number a float holds: not a boolean, and no
-    integer beyond the float range."""
-    return type(value) is float or type(value) is int and abs(value) <= sys.float_info.max
-
-
 @dataclass
 class ThresholdState:
     """EMA estimate of the mean per-row K-th largest score.
 
     tau starts unset; the first update adopts the batch statistic directly
-    (warm start), after which tau <- m*tau + (1-m)*mean(kth values). One
-    instance per MoE layer; serialized into checkpoints.
+    (warm start), after which tau <- m*tau + (1-m)*mean(kth values), with
+    m = momentum. One instance per MoE layer; its tau is checkpointed.
     """
 
-    momentum: float = 0.99
+    momentum = 0.99
     tau: float | None = None
-
-    def __post_init__(self):
-        if not (0.0 <= self.momentum < 1.0):
-            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
 
     @property
     def initialized(self) -> bool:
         return self.tau is not None
-
-    def to_dict(self) -> dict:
-        return {"momentum": self.momentum, "tau": self.tau}
-
-    @classmethod
-    def from_dict(cls, d) -> "ThresholdState":
-        """Inverse of to_dict; anything but {"momentum": number, "tau": finite
-        number or None} raises ConfigError."""
-        tau = d.get("tau", "") if isinstance(d, dict) else ""
-        if not (isinstance(d, dict) and _is_float(d.get("momentum"))
-                and (tau is None or _is_float(tau) and math.isfinite(tau))):
-            raise ConfigError(f"threshold {d!r} is not {{'momentum': number, 'tau': finite number or null}}")
-        return cls(momentum=float(d["momentum"]), tau=None if tau is None else float(tau))
 
 
 def ema_update(state: ThresholdState, kth_values: np.ndarray) -> ThresholdState:

@@ -3,7 +3,7 @@
 One Trainer owns the parameters, optimizer state, EMA shadow, threshold
 states and RNG; everything it touches round-trips through the checkpoint
 container so a resumed run replays the original trajectory bit for bit.
-The container (version 2) is an .npz archive with one flat float64 member
+The container (version 3) is an .npz archive with one flat float64 member
 per state group (`param`, `ema`, `opt_m`, `opt_v`) plus `meta_json`, whose
 manifest lists each tensor's name and shape; tensors are streamed into
 and out of the trainer's own arrays, one .npy header per group.
@@ -18,7 +18,9 @@ under `tensor.no_grad()` and build no tape.
 from __future__ import annotations
 
 import json
+import math
 import os
+import sys
 import zipfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -31,7 +33,7 @@ from . import metrics as metrics_mod
 from .denoiser import DenoiserConfig, class_labels, denoiser_forward, init_denoiser
 from .diffusion import NoiseSchedule, SyntheticTask, ancestral_sample, build_schedule
 from .losses import LossWeights, aux_inputs_from_routing
-from .routing import ConfigError, NumericError, StateError, ThresholdState, effective_k
+from .routing import ConfigError, NumericError, StateError, effective_k
 from .tensor import Tensor, backward, no_grad
 
 __all__ = [
@@ -45,7 +47,7 @@ __all__ = [
     "load_checkpoint",
 ]
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 class AdamW(object):
@@ -191,7 +193,7 @@ class Trainer(object):
         self.config = config
         self.rng = np.random.default_rng(config.seed)
         self.params = init_denoiser(config.model, _Undrawn() if blank else np.random.default_rng(config.seed))
-        self.schedule = build_schedule(config.model.total_steps, config.model.schedule)
+        self.schedule = build_schedule(config.model.total_steps)
         self.task = SyntheticTask(
             num_classes=config.model.num_classes,
             tokens=config.model.tokens,
@@ -336,6 +338,12 @@ def _state_groups(trainer: Trainer) -> dict[str, list[np.ndarray]]:
     )))
 
 
+def _is_float(value) -> bool:
+    """Whether a JSON value is a number a float holds: not a boolean, and no
+    integer beyond the float range."""
+    return type(value) is float or type(value) is int and abs(value) <= sys.float_info.max
+
+
 def _write_member(archive: zipfile.ZipFile, key: str, dtype: np.dtype, length: int, chunks) -> None:
     """Stream one 1-D .npy member: its header, then each chunk's bytes."""
     header = {"descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": False, "shape": (length,)}
@@ -363,7 +371,8 @@ def save_checkpoint(path, trainer: Trainer) -> None:
     each hold one 1-D float64 array: the model's tensors concatenated in
     named_tensors() order, streamed from the trainer's own arrays with no
     concatenated copy. `meta_json` holds UTF-8 JSON bytes: the step counts,
-    config, thresholds, RNG state and the manifest `tensors`, a list of
+    config, thresholds (each block's tau: a number, or null when unset or
+    for a dense block), RNG state and the manifest `tensors`, a list of
     [name, shape] in that order.
 
     Written atomically: the archive goes to a temp file in the target
@@ -375,10 +384,7 @@ def save_checkpoint(path, trainer: Trainer) -> None:
     path, before any file is written.
     """
     named = trainer.params.named_tensors()
-    thresholds = [
-        blk.moe.threshold.to_dict() if blk.moe is not None else None
-        for blk in trainer.params.blocks
-    ]
+    thresholds = [blk.moe.threshold.tau if blk.moe is not None else None for blk in trainer.params.blocks]
     meta = {
         "version": CHECKPOINT_VERSION,
         "step": trainer.step_count,
@@ -469,7 +475,7 @@ def _check_manifest(path, manifest, named: list[tuple[str, Tensor]]) -> None:
 def load_checkpoint(path, config: TrainerConfig) -> Trainer:
     """Rebuild a Trainer in the exact state it was saved in.
 
-    Reads the layout save_checkpoint writes, version 2 only; any other
+    Reads the layout save_checkpoint writes, version 3 only; any other
     version raises ConfigError naming both. The saved config must equal
     `config` key for key, or a ConfigError names each key that differs,
     one the other side lacks included. The manifest must match the
@@ -496,12 +502,14 @@ def load_checkpoint(path, config: TrainerConfig) -> Trainer:
             raise ConfigError(f"checkpoint {path} member 'meta_json' is not a JSON object")
         if "version" in meta and meta["version"] != CHECKPOINT_VERSION:
             raise ConfigError(
-                f"checkpoint {path} has version {meta['version']}; this moelab reads version {CHECKPOINT_VERSION}"
+                f"checkpoint {path} has version {meta['version']!r}; this moelab reads version {CHECKPOINT_VERSION}"
             )
         missing = sorted(_META_KEYS - set(meta))
         if missing:
             raise ConfigError(f"checkpoint {path} metadata has no {missing}")
         saved, current = meta["config"], config.to_dict()
+        if not isinstance(saved, dict):
+            raise ConfigError(f"checkpoint {path} metadata 'config' is not a JSON object")
         if saved != current:
             diff = {
                 key: (saved.get(key), current.get(key))
@@ -526,12 +534,11 @@ def load_checkpoint(path, config: TrainerConfig) -> Trainer:
         blocks, thresholds = trainer.params.blocks, meta["thresholds"]
         if not isinstance(thresholds, list) or len(thresholds) != len(blocks):
             raise ConfigError(f"checkpoint {path} metadata 'thresholds' is not a list of {len(blocks)} threshold entries")
-        for i, (blk, thr) in enumerate(zip(blocks, thresholds)):
+        for i, (blk, tau) in enumerate(zip(blocks, thresholds)):
+            if not (tau is None or _is_float(tau) and math.isfinite(tau)):
+                raise ConfigError(f"checkpoint {path} block {i} threshold 'tau': {tau!r} is not a finite number or null")
             if blk.moe is not None:
-                try:
-                    blk.moe.threshold = ThresholdState.from_dict(thr)
-                except ConfigError as exc:
-                    raise ConfigError(f"checkpoint {path} block {i}: {exc}") from None
+                blk.moe.threshold.tau = None if tau is None else float(tau)
         try:
             trainer.rng.bit_generator.state = meta["rng_state"]
         except (KeyError, TypeError, ValueError, OverflowError):

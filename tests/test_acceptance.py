@@ -18,7 +18,7 @@ from moelab import metrics as M
 from moelab import routing as R
 from moelab.cli import _heldout_masks
 from moelab.denoiser import DenoiserConfig, denoiser_forward
-from moelab.layer import FineGrainedConfig, init_params, moe_forward
+from moelab.layer import init_params, moe_forward
 from moelab.losses import AuxLossInputs, LossWeights, aux_inputs_from_routing
 from moelab.routing import ThresholdState, get_strategy
 from moelab.tensor import Tensor, backward, softmax
@@ -162,7 +162,7 @@ def test_criterion_5_gradients_match_finite_differences():
     start = time.time()
 
     # (a) MoE layer forward w.r.t. input and a full expert + router head
-    cfg = FineGrainedConfig(model_dim=4, num_experts=4, k=2, dense_hidden=8)
+    cfg = DenoiserConfig(model_dim=4, num_experts=4, k=2, dense_hidden=8)
     params = init_params(cfg, 404)
     rng = np.random.default_rng(11)
     x_base = rng.normal(size=(2, 3, 4))
@@ -170,7 +170,7 @@ def test_criterion_5_gradients_match_finite_differences():
     strategy = get_strategy("expert-race")
 
     def layer_loss():
-        out = moe_forward(Tensor(x_base), params, strategy, "sigmoid", "eval")
+        out = moe_forward(Tensor(x_base), params, strategy, "sigmoid", cfg.k, "eval")
         return (out.y * Tensor(probe)).sum()
 
     # selection-stability guard: margin around the global K-th value
@@ -180,7 +180,7 @@ def test_criterion_5_gradients_match_finite_differences():
     assert flat[K - 1] - flat[K] > 1e-4, "reseed: selection not stable"
 
     x_t = Tensor(x_base, requires_grad=True)
-    out = moe_forward(x_t, params, strategy, "sigmoid", "eval")
+    out = moe_forward(x_t, params, strategy, "sigmoid", cfg.k, "eval")
     backward((out.y * Tensor(probe)).sum())
     fd_x = np.zeros_like(x_base)
     h = 1e-6
@@ -189,7 +189,7 @@ def test_criterion_5_gradients_match_finite_differences():
             bumped = x_base.reshape(-1).copy()
             bumped[idx] += sign * h
             val = (
-                moe_forward(Tensor(bumped.reshape(x_base.shape)), params, strategy, "sigmoid", "eval").y
+                moe_forward(Tensor(bumped.reshape(x_base.shape)), params, strategy, "sigmoid", cfg.k, "eval").y
                 * Tensor(probe)
             ).sum().item()
             fd_x[np.unravel_index(idx, x_base.shape)] += sign * val / (2 * h)
@@ -291,7 +291,7 @@ def test_criterion_6_threshold_tracks_population_quantile():
     strategy = get_strategy("expert-race")
     B, Ln, E, k = 4, 8, 8, 2
     K = R.effective_k(strategy, B, Ln, E, k)
-    state = ThresholdState(momentum=0.99)
+    state = ThresholdState()
     pool = []
     for _ in range(2000):
         scores = rng.normal(size=(B, Ln, E))

@@ -194,7 +194,8 @@ def reference_save_checkpoint(path, trainer):
         "step": trainer.step_count,
         "opt_step": trainer.opt.step_count,
         "config": trainer.config.to_dict(),
-        "thresholds": [blk.moe.threshold.to_dict() if blk.moe is not None else None for blk in trainer.params.blocks],
+        "thresholds": [{"momentum": routing.ThresholdState.momentum, "tau": blk.moe.threshold.tau}
+                       for blk in trainer.params.blocks],
         "rng_state": trainer.rng.bit_generator.state,
     }
     arrays["meta_json"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
@@ -215,8 +216,7 @@ def reference_load_checkpoint(path, config):
         trainer.opt.step_count = meta["opt_step"]
         trainer.step_count = meta["step"]
         for blk, thr in zip(trainer.params.blocks, meta["thresholds"]):
-            if blk.moe is not None and thr is not None:
-                blk.moe.threshold = routing.ThresholdState.from_dict(thr)
+            blk.moe.threshold = routing.ThresholdState(tau=thr["tau"])
         trainer.rng.bit_generator.state = meta["rng_state"]
     return trainer
 

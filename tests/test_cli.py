@@ -321,7 +321,7 @@ def test_trainer_config_from_dict_inverts_to_dict():
     other = TrainerConfig(
         model=DenoiserConfig(layers=2, model_dim=12, tokens=6, num_classes=3, num_experts=3, k=3,
                              dense_hidden=24, strategy="token-choice", gating="softmax", parameterization="v",
-                             total_steps=30, schedule="linear", dense=True),
+                             total_steps=30, dense=True),
         batch_size=5, lr=3e-3, weights=LossWeights(plr=0.5, sim=0.25, blc=0.125), seed=9,
     )
     assert all(other.to_dict()[key] != value for key, value in default.to_dict().items())
@@ -345,7 +345,6 @@ def test_default_config_snapshot(tmp_path):
         "model_dim = 64\n"
         "num_classes = 4\n"
         "parameterization = eps\n"
-        "schedule = cosine\n"
         "schema_version = 1\n"
         "seed = 0\n"
         "steps = 200\n"
@@ -472,22 +471,24 @@ def test_metrics_checkpoint_bad_array_is_config_error(tmp_path, capsys, member, 
 
 
 def _edit_meta(fault: str, meta: dict) -> None:
-    if fault == "momentum":
-        meta["thresholds"][0]["momentum"] = 1.5  # outside [0, 1)
+    if fault == "momentum":  # the version 2 entry, not a number
+        meta["thresholds"][0] = {"momentum": 0.99, "tau": meta["thresholds"][0]}
     elif fault == "missing":
         meta["thresholds"].pop()
-    elif fault == "no-momentum":
-        del meta["thresholds"][0]["momentum"]
     elif fault == "tau-text":
-        meta["thresholds"][0]["tau"] = "abc"
+        meta["thresholds"][0] = "abc"
     elif fault == "tau-nan":
-        meta["thresholds"][0]["tau"] = float("nan")
-    elif fault == "not-a-dict":
-        meta["thresholds"][0] = [0.99, 0.5]
+        meta["thresholds"][0] = float("nan")
     elif fault == "tau-bool":
-        meta["thresholds"][0]["tau"] = True
+        meta["thresholds"][0] = True
     elif fault == "tau-huge":
-        meta["thresholds"][0]["tau"] = 10**400  # a JSON integer no float holds
+        meta["thresholds"][0] = 10**400  # a JSON integer no float holds
+    elif fault == "config-list":
+        meta["config"] = [1, 2]
+    elif fault == "config-text":
+        meta["config"] = "x"
+    elif fault == "version-text":
+        meta["version"] = "3"
     elif fault == "rng_state":
         meta["rng_state"] = "x"
     elif fault == "step-bool":
@@ -499,10 +500,12 @@ def _edit_meta(fault: str, meta: dict) -> None:
 
 
 @pytest.mark.parametrize("fault,named", [
-    ("momentum", "momentum"), ("missing", "threshold entries"), ("no-momentum", "'momentum'"),
+    ("momentum", "momentum"), ("missing", "threshold entries"),
     ("tau-text", "'tau': 'abc'"), ("tau-nan", "'tau': nan"), ("tau-bool", "'tau': True"), ("tau-huge", "'tau': 1000"),
-    ("not-a-dict", "threshold [0.99, 0.5]"), ("rng_state", "'rng_state'"), ("step", "'step' is '1'"),
+    ("rng_state", "'rng_state'"), ("step", "'step' is '1'"),
     ("step-bool", "'step' is True"), ("ema_decay", "'ema_decay': (0.999, None)"),
+    ("config-list", "'config' is not a JSON object"), ("config-text", "'config' is not a JSON object"),
+    ("version-text", "has version '3'; this moelab reads version 3"),
 ])
 def test_metrics_checkpoint_bad_thresholds_is_config_error(tmp_path, capsys, fault, named):
     # malformed checkpoint metadata: one config-error line naming the field,
@@ -843,28 +846,33 @@ def test_metrics_checkpoint_malformed_member_is_config_error(tmp_path, capsys, t
     assert not out.exists()
 
 
-def test_version_1_checkpoint_is_rejected_naming_both_versions(tmp_path, capsys, trained_checkpoint):
-    # the version-1 layout: one member per tensor, no manifest
+@pytest.mark.parametrize("version", [1, 2])
+def test_old_checkpoint_is_rejected_naming_both_versions(tmp_path, capsys, trained_checkpoint, version):
+    # versions 1 and 2 store each threshold as {"momentum": m, "tau": tau};
+    # version 1 also stores one member per tensor and no manifest
     with np.load(trained_checkpoint) as data:
         arrays = {name: data[name] for name in data.files}
     meta = read_meta(arrays)
-    v1 = {}
-    for i, (name, shape) in enumerate(meta["tensors"]):
-        at = tensor_slice(meta, name)
-        v1[f"param/{name}"] = arrays["param"][at].reshape(shape)
-        v1[f"ema/{name}"] = arrays["ema"][at].reshape(shape)
-        v1[f"opt_m/{i}"] = arrays["opt_m"][at].reshape(shape)
-        v1[f"opt_v/{i}"] = arrays["opt_v"][at].reshape(shape)
-    del meta["tensors"]
-    v1["meta_json"] = encode_meta({**meta, "version": 1})
-    old = tmp_path / "v1.npz"
-    np.savez(old, **v1)
+    meta["thresholds"] = [{"momentum": 0.99, "tau": tau} for tau in meta["thresholds"]]
+    if version == 1:
+        for i, (name, shape) in enumerate(meta["tensors"]):
+            at = tensor_slice(meta, name)
+            arrays[f"param/{name}"] = arrays["param"][at].reshape(shape)
+            arrays[f"ema/{name}"] = arrays["ema"][at].reshape(shape)
+            arrays[f"opt_m/{i}"] = arrays["opt_m"][at].reshape(shape)
+            arrays[f"opt_v/{i}"] = arrays["opt_v"][at].reshape(shape)
+        for group in ("param", "ema", "opt_m", "opt_v"):
+            del arrays[group]
+        del meta["tensors"]
+    arrays["meta_json"] = encode_meta({**meta, "version": version})
+    old = tmp_path / f"v{version}.npz"
+    np.savez(old, **arrays)
     capsys.readouterr()
     out = tmp_path / "rep"
     rc = main(["metrics", "--checkpoint", str(old), "--out", str(out), "--seed", "5", *FAST])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err == f"config error: checkpoint {old} has version 1; this moelab reads version 2\n"
+    assert err == f"config error: checkpoint {old} has version {version}; this moelab reads version 3\n"
     assert not out.exists()
 
 
@@ -931,17 +939,22 @@ def test_ablate_validates_every_arm_before_training(tmp_path, capsys, monkeypatc
         ("train", "lr = nan", "lr must be > 0 and finite, got nan"),
         ("train", "lr = -1", "lr must be > 0 and finite, got -1.0"),
         ("train", "ema_decay = 0.999", "unknown config key 'ema_decay'"),
+        ("train", "schedule = linear", "unknown config key 'schedule'"),
+        ("train", "k = 2\nk = 4", "bad.cfg:8: config key 'k' is already set on line 7"),
         ("train", "w_sim = nan", "w_sim = nan"),
         ("train", "steps = -1", "steps must be >= 0"),
         ("ablate", "parameterization = foo", "unknown parameterization 'foo'"),
     ],
     ids=["gating", "parameterization", "num_classes", "model_dim", "layers", "dense_hidden", "seed", "batch_size", "lr-nan",
-         "lr-negative", "ema_decay", "w_sim-nan", "steps", "ablate-parameterization"],
+         "lr-negative", "ema_decay", "schedule", "repeated-key", "w_sim-nan", "steps", "ablate-parameterization"],
 )
 def test_train_rejects_unknown_gating_before_writing(tmp_path, capsys, command, setting, named):
     # a bad value is one config-error line naming its key, before --out exists
+    small = {"layers": 1, "model_dim": 8, "tokens": 4, "batch_size": 4, "experts": 4, "steps": 1}
+    overridden = setting.split("=", 1)[0].strip()  # a config file sets each key once
+    lines = [f"{key} = {value}" for key, value in small.items() if key != overridden]
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(f"layers = 1\nmodel_dim = 8\ntokens = 4\nbatch_size = 4\nexperts = 4\nsteps = 1\n{setting}\n")
+    cfg.write_text("\n".join([*lines, setting]) + "\n")
     out = tmp_path / "run"
     arms = ["--arms", "expert-race:identity"] if command == "ablate" else []
     rc = main([command, "--config", str(cfg), "--out", str(out), *arms])

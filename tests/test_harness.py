@@ -48,9 +48,8 @@ def small_trainer(seed=0, **model_overrides):
 # schedules
 
 
-@pytest.mark.parametrize("kind", ["cosine", "linear"])
-def test_schedule_endpoints_and_monotonic(kind):
-    sched = build_schedule(100, kind)
+def test_schedule_endpoints_and_monotonic():
+    sched = build_schedule(100)
     assert sched.alpha_bar[0] == 1.0
     assert sched.alpha_bar[-1] < 1e-3
     assert np.all(np.diff(sched.alpha_bar) < 0)
@@ -59,11 +58,11 @@ def test_schedule_endpoints_and_monotonic(kind):
 
 def test_schedule_rejects_tiny_t():
     with pytest.raises(ConfigError):
-        build_schedule(1, "cosine")
+        build_schedule(1)
 
 
 def test_forward_diffuse_identity_at_t0():
-    sched = build_schedule(50, "cosine")
+    sched = build_schedule(50)
     rng = np.random.default_rng(0)
     x0 = rng.normal(size=(3, 4, 5))
     eps = rng.normal(size=(3, 4, 5))
@@ -72,7 +71,7 @@ def test_forward_diffuse_identity_at_t0():
 
 
 def test_forward_diffuse_pure_noise_at_terminal():
-    sched = build_schedule(50, "cosine")
+    sched = build_schedule(50)
     rng = np.random.default_rng(1)
     x0 = rng.normal(size=(2, 3, 4))
     eps = rng.normal(size=(2, 3, 4))
@@ -82,14 +81,14 @@ def test_forward_diffuse_pure_noise_at_terminal():
 
 
 def test_forward_diffuse_rejects_out_of_range_t():
-    sched = build_schedule(10, "cosine")
+    sched = build_schedule(10)
     with pytest.raises(ConfigError):
         forward_diffuse(np.zeros((1, 2, 2)), np.array([11]), np.zeros((1, 2, 2)), sched)
 
 
 def test_forward_diffuse_second_moment_monte_carlo():
     # E||x_t||^2 = ab*||x0||^2 + (1-ab)*dim for unit Gaussian noise
-    sched = build_schedule(100, "cosine")
+    sched = build_schedule(100)
     rng = np.random.default_rng(2)
     t = 60
     dim = 8
@@ -105,7 +104,7 @@ def test_forward_diffuse_second_moment_monte_carlo():
 
 
 def test_make_target_three_parameterizations():
-    sched = build_schedule(20, "cosine")
+    sched = build_schedule(20)
     rng = np.random.default_rng(3)
     x0 = rng.normal(size=(2, 3, 4))
     eps = rng.normal(size=(2, 3, 4))
@@ -121,7 +120,7 @@ def test_make_target_three_parameterizations():
 
 def test_velocity_endpoints():
     # alpha_bar = 1 -> v = eps ; alpha_bar ~ 0 -> v ~ -x0
-    sched = build_schedule(30, "cosine")
+    sched = build_schedule(30)
     x0 = np.ones((1, 2, 2))
     eps = np.full((1, 2, 2), 2.0)
     v0 = make_target(x0, eps, np.array([0]), sched, "v")
@@ -135,7 +134,7 @@ def test_target_converts_back_to_the_noise(parameterization):
     # the sampler's inverse of each target recovers eps at every timestep
     from moelab.training import _to_eps
 
-    sched = build_schedule(100, "cosine")
+    sched = build_schedule(100)
     rng = np.random.default_rng(8)
     x0 = rng.normal(size=(3, 4, 5))
     eps = rng.normal(size=(3, 4, 5))
@@ -182,7 +181,7 @@ def test_optimal_prediction_reaches_the_posterior_variance(parameterization):
     # its coefficients swapped gives 4 a^2 sigma^2 times that, under 1/30 at
     # t = 5 and t = 95
     task = SyntheticTask(num_classes=4, tokens=16, dim=8, seed=21)
-    sched = build_schedule(100, "cosine")
+    sched = build_schedule(100)
     rng = np.random.default_rng(22)
     s2 = task.token_sigma**2
     for step in (5, 50, 95):
@@ -204,7 +203,7 @@ def test_ancestral_sampler_driven_by_the_oracle_draws_the_task_law():
     # to 1.03 and one without noise reads 0, so both fail on purpose:
     # switching the variance is a measured decision, not a way to pass.
     task = SyntheticTask(num_classes=4, tokens=16, dim=64, seed=7919)
-    sched = build_schedule(100, "cosine")
+    sched = build_schedule(100)
     c = np.repeat(np.arange(4), 256)
 
     def predict_eps(x, t):
@@ -532,7 +531,7 @@ def test_checkpoint_rejects_config_mismatch(tmp_path, capsys):
         load_checkpoint(path, other)
     assert "batch_size" in str(err.value)
 
-    # a version 2 checkpoint whose config holds a key this moelab dropped
+    # a checkpoint whose config holds a key this moelab dropped
     with np.load(path) as archive:
         arrays = dict(archive)
     meta = json.loads(bytes(arrays["meta_json"]).decode("utf-8"))

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from moelab.denoiser import DenoiserConfig
 from moelab.layer import (
     ExpertParams,
-    FineGrainedConfig,
     MoeLayerParams,
     expert_forward,
     init_params,
@@ -17,12 +17,23 @@ from moelab.tensor import Tensor, backward, finite_difference_grad, gelu, matmul
 
 
 def make_config(d=8, e=4, k=2, dense=32):
-    return FineGrainedConfig(model_dim=d, num_experts=e, k=k, dense_hidden=dense)
+    return DenoiserConfig(model_dim=d, num_experts=e, k=k, dense_hidden=dense)
 
 
 def test_config_rejects_indivisible_width():
-    with pytest.raises(ConfigError):
-        FineGrainedConfig(model_dim=8, num_experts=4, k=3, dense_hidden=32)
+    with pytest.raises(ConfigError, match=r"^k=3 must divide dense_hidden=32 \(fine-grained split needs an exact width\)$"):
+        make_config(e=4, k=3, dense=32)
+
+
+@pytest.mark.parametrize("e,k,message", [
+    (4, 5, "k=5 exceeds expert count 4"),
+    (4, 0, "k and num_experts must be >= 1, got 0-in-4"),
+    (0, 1, "k and num_experts must be >= 1, got 1-in-0"),
+])
+def test_config_rejects_k_outside_one_to_e(e, k, message):
+    with pytest.raises(ConfigError) as err:
+        make_config(e=e, k=k, dense=40)
+    assert str(err.value) == message
 
 
 def test_init_deterministic_under_seed():
@@ -41,7 +52,7 @@ def test_expert_bound_matches_dense_counterpart():
         assert np.abs(ex.w_out.data).max() <= dense_bound
     # the range really is the dense (smaller) one: draws fill it nearly to
     # the brim yet stay strictly under the wider naive expert bound
-    naive = xavier_bound(cfg.model_dim, cfg.expert_hidden)
+    naive = xavier_bound(cfg.model_dim, cfg.dense_hidden // cfg.k)
     assert dense_bound < naive
     empirical = max(np.abs(ex.w_in.data).max() for ex in params.experts)
     assert dense_bound * 0.95 < empirical <= dense_bound
@@ -108,7 +119,7 @@ def test_moe_forward_single_expert_gate_scaling():
     cfg = make_config(d=4, e=2, k=1, dense=8)
     params = init_params(cfg, 7)
     x = Tensor(np.random.default_rng(2).normal(size=(1, 1, 4)))
-    out = moe_forward(x, params, get_strategy("token-choice"), "identity", "train")
+    out = moe_forward(x, params, get_strategy("token-choice"), "identity", cfg.k, "train")
     (chosen,) = np.nonzero(out.route.mask[0, 0])[0].reshape(-1)[:1]
     gate = out.route.gates.data[0, 0, chosen]
     expert_out = expert_forward(params.experts[chosen], x).data[0, 0]
@@ -121,17 +132,17 @@ def test_moe_forward_all_gates_zero_gives_zero_output():
     params.threshold.tau = np.inf
     x = Tensor(np.random.default_rng(3).normal(size=(2, 3, cfg.model_dim)), requires_grad=True)
     for gating in ("identity", "sigmoid", "softmax"):
-        out = moe_forward(x, params, get_strategy("expert-race"), gating, "infer")
+        out = moe_forward(x, params, get_strategy("expert-race"), gating, cfg.k, "infer")
         assert out.route.mask.sum() == 0
         assert np.array_equal(out.y.data, np.zeros((2, 3, cfg.model_dim)))
         assert not out.y.requires_grad  # no expert ran, so nothing to differentiate
 
 
 def test_dense_equivalence_one_in_one():
-    cfg = FineGrainedConfig(model_dim=6, num_experts=1, k=1, dense_hidden=24)
+    cfg = make_config(d=6, e=1, k=1, dense=24)
     params = init_params(cfg, 11)
     x = Tensor(np.random.default_rng(4).normal(size=(2, 5, 6)))
-    out = moe_forward(x, params, get_strategy("token-choice"), "softmax", "train")
+    out = moe_forward(x, params, get_strategy("token-choice"), "softmax", cfg.k, "train")
     dense = expert_forward(params.experts[0], x)
     assert np.array_equal(out.y.data, dense.data)
 
@@ -142,7 +153,7 @@ def test_zero_token_experts_get_exact_zero_grad():
     # push all tokens to expert 0 by biasing the gate head
     params.gate_b.data = np.array([100.0, 0.0, 0.0, 0.0])
     x = Tensor(np.random.default_rng(5).normal(size=(2, 3, 4)))
-    out = moe_forward(x, params, get_strategy("token-choice"), "identity", "train")
+    out = moe_forward(x, params, get_strategy("token-choice"), "identity", cfg.k, "train")
     assert np.all(out.route.mask[..., 0] == 1.0) and out.route.mask[..., 1:].sum() == 0
     loss = out.y.square().sum()
     backward(loss, [t for _, t in params.tensors()])
@@ -157,11 +168,11 @@ def test_expert_idle_this_step_gets_zero_grad_not_last_steps():
     params = init_params(cfg, 13)
     x = Tensor(np.random.default_rng(5).normal(size=(2, 4, 4)))
     named = [t for _, t in params.tensors()]
-    out = moe_forward(x, params, get_strategy("bl-choice"), "identity", "train")  # every expert gets rows
+    out = moe_forward(x, params, get_strategy("bl-choice"), "identity", cfg.k, "train")  # every expert gets rows
     backward(out.y.square().sum(), named)
     assert all(np.abs(ex.w_in.grad).max() > 0 for ex in params.experts)
     params.gate_b.data = np.array([100.0, 0.0, 0.0, 0.0])
-    out = moe_forward(x, params, get_strategy("token-choice"), "identity", "train")
+    out = moe_forward(x, params, get_strategy("token-choice"), "identity", cfg.k, "train")
     assert out.route.mask[..., 1:].sum() == 0
     backward(out.y.square().sum(), named)
     for ex in params.experts[1:]:
@@ -176,7 +187,7 @@ def test_moe_forward_graph_size_does_not_grow_with_expert_count():
         params = init_params(make_config(d=8, e=e, k=2, dense=32), 37)
         x = Tensor(x_base, requires_grad=True)
         before = next(Tensor._order_counter)
-        out = moe_forward(x, params, get_strategy("expert-race"), "softmax", "train")
+        out = moe_forward(x, params, get_strategy("expert-race"), "softmax", 2, "train")
         nodes[e] = next(Tensor._order_counter) - before
         assert (out.route.mask.sum(axis=(0, 1)) > 0).sum() >= e - 1  # nearly every expert runs
     assert nodes[4] == nodes[8]
@@ -191,7 +202,7 @@ def test_moe_forward_gradients_match_finite_differences():
     strategy = get_strategy("token-choice")
 
     def loss_fn(x_t):
-        out = moe_forward(x_t, params, strategy, "sigmoid", "eval")
+        out = moe_forward(x_t, params, strategy, "sigmoid", cfg.k, "eval")
         return (out.y * Tensor(probe)).sum()
 
     x = Tensor(x_base, requires_grad=True)
@@ -227,7 +238,7 @@ def test_expert_relabeling_symmetry():
     params = init_params(cfg, 19)
     x = Tensor(np.random.default_rng(7).normal(size=(2, 3, 4)))
     strategy = get_strategy("token-choice")
-    base = moe_forward(x, params, strategy, "sigmoid", "eval").y.data
+    base = moe_forward(x, params, strategy, "sigmoid", cfg.k, "eval").y.data
 
     perm = [2, 0, 3, 1]
     permuted = MoeLayerParams(
@@ -239,14 +250,13 @@ def test_expert_relabeling_symmetry():
         target_b=params.target_b,
         experts=[params.experts[i] for i in perm],
         threshold=ThresholdState(),
-        config=cfg,
     )
-    out = moe_forward(x, permuted, strategy, "sigmoid", "eval").y.data
+    out = moe_forward(x, permuted, strategy, "sigmoid", cfg.k, "eval").y.data
     assert np.allclose(out, base, atol=1e-12)
 
 
 def test_count_params_one_in_one_equals_dense_ffn():
-    params = init_params(FineGrainedConfig(model_dim=8, num_experts=1, k=1, dense_hidden=32), 0)
+    params = init_params(make_config(d=8, e=1, k=1, dense=32), 0)
     (expert,) = params.experts
     assert expert.w_in.size + expert.w_out.size == 8 * 32 + 32 * 8
 
@@ -255,7 +265,7 @@ def test_activated_params_invariant_across_family():
     # k experts of a k-in-E layer hold exactly the dense FFN's weight count
     activated = set()
     for k, e in [(2, 8), (4, 16), (8, 32)]:
-        expert = init_params(FineGrainedConfig(model_dim=64, num_experts=e, k=k, dense_hidden=256), 0).experts[0]
+        expert = init_params(make_config(d=64, e=e, k=k, dense=256), 0).experts[0]
         activated.add(k * (expert.w_in.size + expert.w_out.size))
     assert activated == {64 * 256 + 256 * 64}
 
@@ -264,17 +274,17 @@ def test_layer_output_carries_target_head_prediction():
     cfg = make_config()
     params = init_params(cfg, 23)
     x = Tensor(np.random.default_rng(8).normal(size=(2, 3, cfg.model_dim)))
-    out = moe_forward(x, params, get_strategy("expert-race"), "identity", "train")
+    out = moe_forward(x, params, get_strategy("expert-race"), "identity", cfg.k, "train")
     assert out.y_hat.shape == (2, 3, cfg.model_dim)
     assert np.allclose(out.y_hat.data, params.target_prediction(params.router_trunk(x)).data)
 
 
-def dense_masked_reference(x, params, strategy, gating, mode):
+def dense_masked_reference(x, params, strategy, gating, k, mode):
     """The dispatch moe_forward replaced: every expert on every token, each
     output weighted by its gate column (picked out with a 0/1 matmul)."""
     logits = params.gating_logits(params.router_trunk(x))
-    result = route(logits, strategy, gating, mode, params.threshold, k=params.config.k)
-    E = params.config.num_experts
+    result = route(logits, strategy, gating, mode, params.threshold, k=k)
+    E = len(params.experts)
     y = None
     for i, expert in enumerate(params.experts):
         sel = np.zeros((E, 1))
@@ -317,9 +327,9 @@ def test_gathered_dispatch_matches_dense_masked_oracle(strategy_name, gating, mo
         params = build()
         x = Tensor(x_base, requires_grad=True)
         if reference:
-            y, result = dense_masked_reference(x, params, strategy, gating, mode)
+            y, result = dense_masked_reference(x, params, strategy, gating, cfg.k, mode)
         else:
-            out = moe_forward(x, params, strategy, gating, mode)
+            out = moe_forward(x, params, strategy, gating, cfg.k, mode)
             y, result = out.y, out.route
         backward((y * probe).sum(), [x] + [t for _, t in params.tensors()])
         runs.append((y.data, result.mask, x.grad, {name: t.grad for name, t in params.tensors()}))

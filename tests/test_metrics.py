@@ -362,7 +362,7 @@ def test_sample_quality_rejects_bad_input(x, c, error, named):
 # excess loss over the Bayes-optimal denoiser
 
 
-SCHEDULE = build_schedule(100, "cosine")
+SCHEDULE = build_schedule(100)
 
 
 @pytest.mark.parametrize("parameterization", PARAMETERIZATIONS)

@@ -1,0 +1,43 @@
+"""The benchmark's tracer patches moelab names from outside the package
+(perfbench/tracing.py). Installing and removing it here makes a deleted or
+renamed name fail the tests, not only the traced benchmark run."""
+
+import importlib.util
+from pathlib import Path
+
+from moelab import cli, layer, routing, training
+from moelab.denoiser import DenoiserConfig
+from moelab.training import Trainer, TrainerConfig
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def patched_names():
+    return (layer.moe_forward, layer.MoeLayerParams.gating_logits, routing.route, routing.topk_mask,
+            training.denoiser_forward, training.Trainer.train_step, cli.main)
+
+
+def test_perfbench_tracer_installs_records_spans_and_undoes():
+    tracing = load_tracing()
+    originals = patched_names()
+    model = DenoiserConfig(layers=1, model_dim=8, tokens=4, num_classes=2, num_experts=4, k=2,
+                           dense_hidden=16, total_steps=5)
+    trainer = Trainer(TrainerConfig(model=model, batch_size=4, seed=1))
+    tracer = tracing.Tracer()
+    patches = tracing.instrument(tracer)
+    try:
+        trainer.train_step()
+    finally:
+        patches.undo()
+    names = {span[0] for span in tracer.spans}
+    assert {"training.train_step", "denoiser.forward", "layer.moe_forward", "layer.router",
+            "routing.route", "routing.topk_mask.expert-race"} <= names
+    assert tracer.counts["matmul_calls"] > 0
+    assert patched_names() == originals

@@ -1,5 +1,6 @@
 """Routing: selection budgets, top-K masks, gating, the EMA threshold."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -261,21 +262,23 @@ def test_order_preservation_identity_sigmoid_not_softmax():
 
 
 def test_ema_geometric_series():
-    state = ThresholdState(momentum=0.9, tau=0.0)
+    state = ThresholdState(tau=0.0)
     c = 4.0
     for _ in range(12):
         ema_update(state, np.array([c]))
-    assert abs(state.tau - c * (1.0 - 0.9**12)) < 1e-12
+    assert abs(state.tau - c * (1.0 - 0.99**12)) < 1e-12
 
 
-def test_ema_zero_momentum_tracks_batch():
-    state = ThresholdState(momentum=0.0, tau=123.0)
+def test_ema_update_weighs_the_batch_mean_by_the_constant_momentum():
+    assert ThresholdState.momentum == 0.99
+    assert [f.name for f in dataclasses.fields(ThresholdState)] == ["tau"]  # a constant, not a setting
+    state = ThresholdState(tau=123.0)
     ema_update(state, np.array([1.0, 3.0]))
-    assert state.tau == 2.0
+    assert state.tau == 0.99 * 123.0 + (1.0 - 0.99) * 2.0
 
 
 def test_ema_warm_start_uses_first_batch():
-    state = ThresholdState(momentum=0.99)
+    state = ThresholdState()
     ema_update(state, np.array([7.0, 9.0]))
     assert state.tau == 8.0
 
@@ -284,7 +287,7 @@ def test_ema_converges_to_pooled_quantile():
     # stationary stream; pooled-sort oracle for the population K-th value
     rng = np.random.default_rng(41)
     strategy = get_strategy("expert-race")
-    state = ThresholdState(momentum=0.99)
+    state = ThresholdState()
     B, L, E, k = 4, 8, 8, 2
     K = effective_k(strategy, B, L, E, k)
     pool = []
