@@ -308,7 +308,7 @@ def _parse_arms(spec: str, cfg: dict) -> list[tuple[str, TrainerConfig]]:
 
 def cmd_ablate(args: argparse.Namespace) -> int:
     """One row per arm: final losses and the layer mean of the routing report
-    on one held-out batch routed in eval mode."""
+    on one held-out batch routed in train mode (batch top-K)."""
     cfg, _ = resolve_config(args)
     if cfg["steps"] < 1:
         raise ConfigError(f"ablate trains each arm for --steps >= 1, got {cfg['steps']}")
@@ -324,7 +324,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
             last = None
             for _ in range(cfg["steps"]):
                 last = trainer.train_step()
-            masks, t = _heldout_masks(trainer, 1, "eval")
+            masks, t = _heldout_masks(trainer, 1, "train")
             report = metrics_mod.routing_report(masks, cfg["k"], t, trainer.schedule.total_steps)
             numbers = [config.weights.sim, config.weights.blc, last.total, last.diffusion] + [
                 metrics_mod.report_mean(report, key) for key in ("max_vio", "comb_usage", "allocation_bucket_variance")

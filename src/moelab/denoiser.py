@@ -211,7 +211,7 @@ def denoiser_forward(
     t: np.ndarray,
     c: np.ndarray,
     params: DenoiserParams,
-    mode: Literal["train", "eval", "infer"] = "train",
+    mode: Literal["train", "infer"] = "train",
 ) -> tuple[Tensor, list[LayerOutput]]:
     """Predict the regression target; collect per-layer routing artifacts.
 

@@ -13,11 +13,11 @@ once in that expert-major order, and all experts run as two segmented
 matmuls (tensor.segment_matmul, one GEMM per expert's contiguous row
 segment) around one GELU. The gated rows are scatter-added back in one
 op, so each layer's graph has the same few nodes whatever E is, and the
-expert work is one row per selected pair. Train and eval mode select
-exactly B*L*k pairs, i.e. the dense FFN's cost; infer mode pays for
-however many pairs the threshold admits. No token is dropped and no
-capacity is padded. An expert that selects no token is not run and
-receives exactly zero gradient.
+expert work is one row per selected pair. Train mode selects exactly
+B*L*k pairs, i.e. the dense FFN's cost; infer mode pays for however many
+pairs the threshold admits. No token is dropped and no capacity is
+padded. An expert that selects no token is not run and receives exactly
+zero gradient.
 """
 
 from __future__ import annotations
@@ -153,7 +153,7 @@ def moe_forward(
     strategy: RoutingStrategy,
     gating: str,
     k: int,
-    mode: Literal["train", "eval", "infer"],
+    mode: Literal["train", "infer"],
 ) -> LayerOutput:
     """Route, run experts, and combine: y[b,l] = sum_i gates[b,l,i] * E_i(x[b,l]).
 
@@ -165,8 +165,8 @@ def moe_forward(
     feeds segment_matmul with every expert's w_in, one GELU, and
     segment_matmul with every w_out; the outputs are scaled by the pairs'
     gate values (one gather of the flat gates) and scatter-added into y in
-    one op. Expert work is one row per selected pair: B*L*k in train and
-    eval mode, mask.sum() in infer mode. Experts with no selected row are
+    one op. Expert work is one row per selected pair: B*L*k in train
+    mode, mask.sum() in infer mode. Experts with no selected row are
     skipped; if none is selected, y is a zero constant. The router trunk
     runs once and feeds both heads; the target head's prediction rides
     along for the per-layer regularization loss. A 1-in-1 layer with

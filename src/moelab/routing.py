@@ -17,10 +17,10 @@ k is the average number of active experts per token, so the total number
 of selected entries is always B*L*k regardless of strategy. K must come
 out to a positive integer; configurations where it does not are rejected.
 
-Training mode selects exact row-wise top-K. Inference applies a scalar
-threshold tau, an EMA of the mean per-row K-th largest score maintained
-during training, which decouples each sample's mask from the rest of the
-batch.
+Training mode selects exact row-wise top-K and returns each row's K-th
+largest score; Trainer.train_step folds their mean into tau, an EMA, with
+ema_update. Inference applies tau as a scalar threshold, which decouples
+each sample's mask from the rest of the batch.
 """
 
 from __future__ import annotations
@@ -240,7 +240,7 @@ def _kth_from_mask(scores2d: np.ndarray, mask2d: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ThresholdState:
-    """EMA estimate of the mean per-row K-th largest score.
+    """Trainer.train_step's EMA of the mean per-row K-th largest score.
 
     tau starts unset; the first update adopts the batch statistic directly
     (warm start), after which tau <- m*tau + (1-m)*mean(kth values), with
@@ -276,8 +276,8 @@ class RouteResult:
     mask: binary (B, L, E) ndarray of selected token-expert pairs.
     gates: Tensor (B, L, E), gating(scores) * mask; gradient flows through
         the gate values only, never through the selection itself.
-    kth_values: per-row K-th largest gated score (train mode; None when
-        the mask came from the threshold).
+    kth_values: per-row K-th largest gated score (train mode; None in
+        infer mode, where the mask came from the threshold).
     """
 
     mask: np.ndarray
@@ -289,18 +289,17 @@ def route(
     scores: Tensor,
     strategy: RoutingStrategy,
     gating: str,
-    mode: Literal["train", "eval", "infer"],
+    mode: Literal["train", "infer"],
     state: ThresholdState,
     k: int = 1,
 ) -> RouteResult:
     """Select token-expert pairs and produce the sparsified gate tensor.
 
     Train mode: exact row-wise top-K on the gated scores of the strategy's
-    (D_A, D_B) view, then an EMA threshold update from the per-row K-th
-    values. Eval mode is the same selection with the threshold left alone
-    (pure, for metrics). Infer mode: elementwise mask = gated score >= tau,
+    (D_A, D_B) view, with each row's K-th value in `kth_values` for the
+    caller's ema_update. Infer mode: elementwise mask = gated score >= tau,
     so each sample's routing depends only on its own scores; activation
-    counts may vary per token.
+    counts may vary per token. Neither mode writes `state`.
 
     Softmax gating over a single expert gives gates of exactly 1.0 and
     passes exactly zero gradient to the logits, so a 1-in-1 softmax layer
@@ -315,13 +314,11 @@ def route(
     B, L, E = scores.shape
     gated = apply_gating(scores, gating)
 
-    if mode in ("train", "eval"):
+    if mode == "train":
         budget = effective_k(strategy, B, L, E, k)
         view = reshape_scores(gated.data, strategy)
         mask2d = topk_mask(view, budget)
         kth = _kth_from_mask(view, mask2d)
-        if mode == "train":
-            ema_update(state, kth)
         mask = scatter_mask(mask2d, strategy, (B, L, E))
     elif mode == "infer":
         if not state.initialized:
@@ -329,6 +326,6 @@ def route(
         mask = (gated.data >= state.tau).astype(np.float64)
         kth = None
     else:
-        raise ConfigError(f"mode must be 'train', 'eval' or 'infer', got {mode!r}")
+        raise ConfigError(f"mode must be 'train' or 'infer', got {mode!r}")
 
     return RouteResult(mask=mask, gates=gated * Tensor(mask), kth_values=kth)

@@ -3,7 +3,7 @@
 One Trainer owns the parameters, optimizer state, EMA shadow, threshold
 states and RNG; everything it touches round-trips through the checkpoint
 container so a resumed run replays the original trajectory bit for bit.
-The container (version 3) is an .npz archive with one flat float64 member
+The container (version 4) is an .npz archive with one flat float64 member
 per state group (`param`, `ema`, `opt_m`, `opt_v`) plus `meta_json`, whose
 manifest lists each tensor's name and shape; tensors are streamed into
 and out of the trainer's own arrays, one .npy header per group.
@@ -33,7 +33,7 @@ from . import metrics as metrics_mod
 from .denoiser import DenoiserConfig, class_labels, denoiser_forward, init_denoiser
 from .diffusion import NoiseSchedule, SyntheticTask, ancestral_sample, build_schedule
 from .losses import LossWeights, aux_inputs_from_routing
-from .routing import ConfigError, NumericError, StateError, effective_k
+from .routing import ConfigError, NumericError, StateError, effective_k, ema_update
 from .tensor import Tensor, backward, no_grad
 
 __all__ = [
@@ -47,7 +47,7 @@ __all__ = [
     "load_checkpoint",
 ]
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 class AdamW(object):
@@ -207,35 +207,43 @@ class Trainer(object):
     # ------------------------------------------------------------------
 
     def train_step(self) -> LogRecord:
+        """One AdamW step on a fresh batch, then the weight EMA and each
+        block's threshold. Non-finite router scores or loss raise NumericError
+        prefixed "step n: " (n counts from 1, as log.csv does), with no numpy
+        warning; such a step writes no state but the RNG's batch draw."""
         cfg = self.config
         batch = self.task.sample_batch(
             self.rng, cfg.batch_size, self.schedule, cfg.model.parameterization
         )
-        prediction, layer_outputs = denoiser_forward(
-            batch.x_t, batch.t, batch.c, self.params, mode="train"
-        )
-
-        diff = losses_mod.diffusion_loss(prediction, batch.y)
-        plr = sim = blc = None
-        if layer_outputs:
-            plr = losses_mod.per_layer_reg_loss([out.y_hat for out in layer_outputs], batch.y)
-            if cfg.model.num_experts >= 2:  # pairwise losses are undefined for a single expert
-                aux = [
-                    aux_inputs_from_routing(out.route.mask, out.logits, cfg.model.k)
-                    for out in layer_outputs
-                ]
-                sim = losses_mod.layer_mean([losses_mod.router_similarity_loss(a) for a in aux])
-                blc = losses_mod.layer_mean([losses_mod.balance_loss(a) for a in aux])
-        total, breakdown = losses_mod.total_loss(diff, plr, sim, blc, cfg.weights)
-
-        if not np.isfinite(total.item()):
-            raise NumericError(f"non-finite loss at step {self.step_count}: {breakdown}")
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                prediction, layer_outputs = denoiser_forward(
+                    batch.x_t, batch.t, batch.c, self.params, mode="train"
+                )
+                diff = losses_mod.diffusion_loss(prediction, batch.y)
+                plr = sim = blc = None
+                if layer_outputs:
+                    plr = losses_mod.per_layer_reg_loss([out.y_hat for out in layer_outputs], batch.y)
+                    if cfg.model.num_experts >= 2:  # pairwise losses are undefined for a single expert
+                        aux = [
+                            aux_inputs_from_routing(out.route.mask, out.logits, cfg.model.k)
+                            for out in layer_outputs
+                        ]
+                        sim = losses_mod.layer_mean([losses_mod.router_similarity_loss(a) for a in aux])
+                        blc = losses_mod.layer_mean([losses_mod.balance_loss(a) for a in aux])
+                total, breakdown = losses_mod.total_loss(diff, plr, sim, blc, cfg.weights)
+            if not np.isfinite(total.item()):
+                raise NumericError(f"non-finite loss: {breakdown}")
+        except NumericError as exc:
+            raise NumericError(f"step {self.step_count + 1}: {exc}") from exc
 
         backward(total, self.params.parameters())
         self.opt.step()
         for p in self.opt.params:  # applied: free the gradients until the next step
             p.grad = None
         self.ema.update(self.params.named_tensors())
+        for blk, out in zip(self.params.blocks, layer_outputs):  # none when dense
+            ema_update(blk.moe.threshold, out.route.kth_values)
         self.step_count += 1
 
         report = metrics_mod.routing_report([out.route.mask for out in layer_outputs], cfg.model.k)
@@ -253,9 +261,9 @@ class Trainer(object):
 
     # ------------------------------------------------------------------
 
-    def forward(self, batch, mode: str = "eval"):
-        """Run the denoiser on a batch without touching optimizer state.
-        Builds no tape: the outputs carry no gradient."""
+    def forward(self, batch, mode: str = "train"):
+        """Run the denoiser on a batch, writing no state (train mode leaves
+        the thresholds alone). Builds no tape: the outputs carry no gradient."""
         with no_grad():
             return denoiser_forward(batch.x_t, batch.t, batch.c, self.params, mode=mode)
 
@@ -324,7 +332,7 @@ def _to_eps(pred: np.ndarray, x_t: np.ndarray, t: int, sched: NoiseSchedule, par
 _GROUPS = ("param", "ema", "opt_m", "opt_v")
 _F8 = np.dtype(np.float64)
 _U8 = np.dtype(np.uint8)
-_META_KEYS = {"version", "step", "opt_step", "config", "thresholds", "rng_state", "tensors"}
+_META_KEYS = {"version", "step", "config", "thresholds", "rng_state", "tensors"}
 
 
 def _state_groups(trainer: Trainer) -> dict[str, list[np.ndarray]]:
@@ -370,7 +378,8 @@ def save_checkpoint(path, trainer: Trainer) -> None:
     Five stored (uncompressed) members. `param`, `ema`, `opt_m` and `opt_v`
     each hold one 1-D float64 array: the model's tensors concatenated in
     named_tensors() order, streamed from the trainer's own arrays with no
-    concatenated copy. `meta_json` holds UTF-8 JSON bytes: the step counts,
+    concatenated copy. `meta_json` holds UTF-8 JSON bytes: the step count
+    (of the trainer and of its optimizer, which train_step keeps equal),
     config, thresholds (each block's tau: a number, or null when unset or
     for a dense block), RNG state and the manifest `tensors`, a list of
     [name, shape] in that order.
@@ -388,7 +397,6 @@ def save_checkpoint(path, trainer: Trainer) -> None:
     meta = {
         "version": CHECKPOINT_VERSION,
         "step": trainer.step_count,
-        "opt_step": trainer.opt.step_count,
         "config": trainer.config.to_dict(),
         "thresholds": thresholds,
         "rng_state": trainer.rng.bit_generator.state,
@@ -475,7 +483,7 @@ def _check_manifest(path, manifest, named: list[tuple[str, Tensor]]) -> None:
 def load_checkpoint(path, config: TrainerConfig) -> Trainer:
     """Rebuild a Trainer in the exact state it was saved in.
 
-    Reads the layout save_checkpoint writes, version 3 only; any other
+    Reads the layout save_checkpoint writes, version 4 only; any other
     version raises ConfigError naming both. The saved config must equal
     `config` key for key, or a ConfigError names each key that differs,
     one the other side lacks included. The manifest must match the
@@ -527,10 +535,9 @@ def load_checkpoint(path, config: TrainerConfig) -> Trainer:
                 for arr in arrays:
                     if fh.readinto(arr) != arr.nbytes:
                         raise ConfigError(f"checkpoint {path} member {group!r} is truncated")
-        for key in ("step", "opt_step"):
-            if type(meta[key]) is not int or meta[key] < 0:  # JSON true is no step count
-                raise ConfigError(f"checkpoint {path} metadata {key!r} is {meta[key]!r}, not a step count")
-        trainer.step_count, trainer.opt.step_count = meta["step"], meta["opt_step"]
+        if type(meta["step"]) is not int or meta["step"] < 0:  # JSON true is no step count
+            raise ConfigError(f"checkpoint {path} metadata 'step' is {meta['step']!r}, not a step count")
+        trainer.step_count = trainer.opt.step_count = meta["step"]
         blocks, thresholds = trainer.params.blocks, meta["thresholds"]
         if not isinstance(thresholds, list) or len(thresholds) != len(blocks):
             raise ConfigError(f"checkpoint {path} metadata 'thresholds' is not a list of {len(blocks)} threshold entries")

@@ -170,7 +170,7 @@ def test_criterion_5_gradients_match_finite_differences():
     strategy = get_strategy("expert-race")
 
     def layer_loss():
-        out = moe_forward(Tensor(x_base), params, strategy, "sigmoid", cfg.k, "eval")
+        out = moe_forward(Tensor(x_base), params, strategy, "sigmoid", cfg.k, "train")
         return (out.y * Tensor(probe)).sum()
 
     # selection-stability guard: margin around the global K-th value
@@ -180,7 +180,7 @@ def test_criterion_5_gradients_match_finite_differences():
     assert flat[K - 1] - flat[K] > 1e-4, "reseed: selection not stable"
 
     x_t = Tensor(x_base, requires_grad=True)
-    out = moe_forward(x_t, params, strategy, "sigmoid", cfg.k, "eval")
+    out = moe_forward(x_t, params, strategy, "sigmoid", cfg.k, "train")
     backward((out.y * Tensor(probe)).sum())
     fd_x = np.zeros_like(x_base)
     h = 1e-6
@@ -189,7 +189,7 @@ def test_criterion_5_gradients_match_finite_differences():
             bumped = x_base.reshape(-1).copy()
             bumped[idx] += sign * h
             val = (
-                moe_forward(Tensor(bumped.reshape(x_base.shape)), params, strategy, "sigmoid", cfg.k, "eval").y
+                moe_forward(Tensor(bumped.reshape(x_base.shape)), params, strategy, "sigmoid", cfg.k, "train").y
                 * Tensor(probe)
             ).sum().item()
             fd_x[np.unravel_index(idx, x_base.shape)] += sign * val / (2 * h)
@@ -241,7 +241,7 @@ def test_criterion_5_gradients_match_finite_differences():
     batch = trainer.task.sample_batch(np.random.default_rng(3), 4, trainer.schedule, "eps")
 
     def end_to_end():
-        pred, outs = denoiser_forward(batch.x_t, batch.t, batch.c, trainer.params, mode="eval")
+        pred, outs = denoiser_forward(batch.x_t, batch.t, batch.c, trainer.params, mode="train")
         diff = L.diffusion_loss(pred, batch.y)
         aux = [aux_inputs_from_routing(o.route.mask, o.logits, model.k) for o in outs]
         plr = L.per_layer_reg_loss([o.y_hat for o in outs], batch.y)
@@ -295,7 +295,8 @@ def test_criterion_6_threshold_tracks_population_quantile():
     pool = []
     for _ in range(2000):
         scores = rng.normal(size=(B, Ln, E))
-        R.route(Tensor(scores), strategy, "identity", "train", state, k=k)
+        res = R.route(Tensor(scores), strategy, "identity", "train", state, k=k)
+        R.ema_update(state, res.kth_values)
         pool.append(scores.ravel())
     pooled = np.sort(np.concatenate(pool))[::-1]
     oracle = pooled[2000 * K - 1]
@@ -330,7 +331,7 @@ def _allocation_after_training(strategy: str, steps: int = 2000):
     for t_fix in range(5, 100, 10):
         batch = trainer.task.sample_batch(rng, 16, trainer.schedule, "eps", t=t_fix)
         _, outs_infer = trainer.forward(batch, mode="infer")
-        _, outs_topk = trainer.forward(batch, mode="eval")
+        _, outs_topk = trainer.forward(batch, mode="train")
         infer_masks.append(np.concatenate([o.route.mask for o in outs_infer], axis=0))
         topk_masks.append(np.concatenate([o.route.mask for o in outs_topk], axis=0))
         ts.append(np.full(16 * len(outs_infer), t_fix))
@@ -417,8 +418,8 @@ def test_criterion_9_dense_twin_equivalence():
     _graft_dense_twin(moe_trainer, dense_trainer)
 
     batch = moe_trainer.task.sample_batch(np.random.default_rng(5), 6, moe_trainer.schedule, "eps")
-    pred_moe, _ = moe_trainer.forward(batch, mode="eval")
-    pred_dense, _ = dense_trainer.forward(batch, mode="eval")
+    pred_moe, _ = moe_trainer.forward(batch, mode="train")
+    pred_dense, _ = dense_trainer.forward(batch, mode="train")
     forward_gap = float(np.abs(pred_moe.data - pred_dense.data).max())
     assert forward_gap < 1e-10
 
@@ -498,7 +499,7 @@ EXCESS_BUCKETS = ((1, 10), (11, 40), (41, 70), (71, 100))
 
 
 def _excess_by_bucket(trainer: Trainer, per_bucket: int = 256) -> list[float]:
-    """metrics.excess_loss of the eval-mode prediction on fresh batches
+    """metrics.excess_loss of the train-mode (batch top-K) prediction on fresh batches
     with timesteps drawn uniformly in each bucket."""
     cfg = trainer.config
     rng = np.random.default_rng(cfg.seed + 4242)
@@ -508,7 +509,7 @@ def _excess_by_bucket(trainer: Trainer, per_bucket: int = 256) -> list[float]:
         for _ in range(per_bucket // cfg.batch_size):
             t = rng.integers(lo, hi + 1, size=cfg.batch_size)
             batch = trainer.task.sample_batch(rng, cfg.batch_size, trainer.schedule, cfg.model.parameterization, t=t)
-            pred, _ = trainer.forward(batch, mode="eval")
+            pred, _ = trainer.forward(batch, mode="train")
             values.append(M.excess_loss(pred.data, batch, trainer.task, trainer.schedule, cfg.model.parameterization))
         excess.append(float(np.mean(values)))
     return excess
@@ -559,7 +560,7 @@ def _train_balance_arm(w_sim: float, seed: int = 1, steps: int = 400):
     masks = []
     for _ in range(6):
         batch = trainer.task.sample_batch(rng, 16, trainer.schedule, "eps")
-        _, outs = trainer.forward(batch, mode="eval")
+        _, outs = trainer.forward(batch, mode="train")
         masks.extend(out.route.mask for out in outs)
     mask = np.concatenate(masks, axis=0)
     return M.max_violation(mask, model.k), M.combination_usage(mask).ratio

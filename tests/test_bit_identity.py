@@ -121,13 +121,11 @@ def reference_route(scores, strategy, gating, mode, state, k=1):
         raise routing.NumericError(f"router scores have {bad} non-finite entries of {scores.size}")
     B, L, E = scores.shape
     gated = routing.apply_gating(scores, gating)
-    if mode in ("train", "eval"):
+    if mode == "train":
         budget = routing.effective_k(strategy, B, L, E, k)
         view = routing.reshape_scores(gated.data, strategy)
         mask2d = routing.topk_mask(view, budget)
         kth = reference_kth_value_per_row(view, budget)
-        if mode == "train":
-            routing.ema_update(state, kth)
         mask = routing.scatter_mask(mask2d, strategy, (B, L, E))
     elif mode == "infer":
         if not state.initialized:
@@ -135,7 +133,7 @@ def reference_route(scores, strategy, gating, mode, state, k=1):
         mask = (gated.data >= state.tau).astype(np.float64)
         kth = None
     else:
-        raise routing.ConfigError(f"mode must be 'train', 'eval' or 'infer', got {mode!r}")
+        raise routing.ConfigError(f"mode must be 'train' or 'infer', got {mode!r}")
     gates = gated * Tensor(mask)
     return routing.RouteResult(mask=mask, gates=gates, kth_values=kth)
 
@@ -192,7 +190,6 @@ def reference_save_checkpoint(path, trainer):
     meta = {
         "version": 1,
         "step": trainer.step_count,
-        "opt_step": trainer.opt.step_count,
         "config": trainer.config.to_dict(),
         "thresholds": [{"momentum": routing.ThresholdState.momentum, "tau": blk.moe.threshold.tau}
                        for blk in trainer.params.blocks],
@@ -213,8 +210,7 @@ def reference_load_checkpoint(path, config):
         for i in range(len(trainer.opt.m)):
             trainer.opt.m[i] = data[f"opt_m/{i}"]
             trainer.opt.v[i] = data[f"opt_v/{i}"]
-        trainer.opt.step_count = meta["opt_step"]
-        trainer.step_count = meta["step"]
+        trainer.step_count = trainer.opt.step_count = meta["step"]
         for blk, thr in zip(trainer.params.blocks, meta["thresholds"]):
             blk.moe.threshold = routing.ThresholdState(tau=thr["tau"])
         trainer.rng.bit_generator.state = meta["rng_state"]

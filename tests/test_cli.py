@@ -404,12 +404,12 @@ def test_metrics_checkpoint_missing_entry_is_config_error(tmp_path, capsys, drop
     with np.load(run / "ckpt_final.npz") as data:
         arrays = {key: data[key] for key in data.files}
     if drop == "param":
-        missing = "param"
-        del arrays[missing]
+        missing = "has no entry 'param'"
+        del arrays["param"]
     else:
-        missing = "opt_step"
+        missing = "metadata has no ['step']"
         meta = json.loads(bytes(arrays["meta_json"]).decode("utf-8"))
-        del meta[missing]
+        del meta["step"]
         arrays["meta_json"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
     broken = tmp_path / "broken.npz"
     np.savez(broken, **arrays)
@@ -505,7 +505,7 @@ def _edit_meta(fault: str, meta: dict) -> None:
     ("rng_state", "'rng_state'"), ("step", "'step' is '1'"),
     ("step-bool", "'step' is True"), ("ema_decay", "'ema_decay': (0.999, None)"),
     ("config-list", "'config' is not a JSON object"), ("config-text", "'config' is not a JSON object"),
-    ("version-text", "has version '3'; this moelab reads version 3"),
+    ("version-text", "has version '3'; this moelab reads version 4"),
 ])
 def test_metrics_checkpoint_bad_thresholds_is_config_error(tmp_path, capsys, fault, named):
     # malformed checkpoint metadata: one config-error line naming the field,
@@ -703,7 +703,7 @@ def test_ablate_columns_are_layer_means_of_the_routing_report(tmp_path):
         trainer.train_step()
     batch = trainer.task.sample_batch(np.random.default_rng(cfg["seed"] + 4242), cfg["batch_size"],
                                       trainer.schedule, cfg["parameterization"])
-    _, layer_outputs = trainer.forward(batch, mode="eval")
+    _, layer_outputs = trainer.forward(batch, mode="train")
     report = metrics.routing_report([out.route.mask for out in layer_outputs], cfg["k"],
                                     batch.t, trainer.schedule.total_steps)
     assert len(report) == 3
@@ -846,14 +846,17 @@ def test_metrics_checkpoint_malformed_member_is_config_error(tmp_path, capsys, t
     assert not out.exists()
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 3])
 def test_old_checkpoint_is_rejected_naming_both_versions(tmp_path, capsys, trained_checkpoint, version):
+    # versions 1 to 3 store the optimizer's step count apart, as "opt_step";
     # versions 1 and 2 store each threshold as {"momentum": m, "tau": tau};
     # version 1 also stores one member per tensor and no manifest
     with np.load(trained_checkpoint) as data:
         arrays = {name: data[name] for name in data.files}
     meta = read_meta(arrays)
-    meta["thresholds"] = [{"momentum": 0.99, "tau": tau} for tau in meta["thresholds"]]
+    meta["opt_step"] = meta["step"]
+    if version < 3:
+        meta["thresholds"] = [{"momentum": 0.99, "tau": tau} for tau in meta["thresholds"]]
     if version == 1:
         for i, (name, shape) in enumerate(meta["tensors"]):
             at = tensor_slice(meta, name)
@@ -872,7 +875,7 @@ def test_old_checkpoint_is_rejected_naming_both_versions(tmp_path, capsys, train
     rc = main(["metrics", "--checkpoint", str(old), "--out", str(out), "--seed", "5", *FAST])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err == f"config error: checkpoint {old} has version {version}; this moelab reads version 3\n"
+    assert err == f"config error: checkpoint {old} has version {version}; this moelab reads version 4\n"
     assert not out.exists()
 
 
@@ -886,6 +889,24 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert len(read_csv(out / "route_sim.csv")) == 6
+
+
+def test_a_diverging_run_names_its_failed_step_in_one_line(tmp_path):
+    # at lr 1e300 the first update overflows the weights, so step 2's router
+    # scores are all non-finite; the message is the whole of stderr
+    src = Path(__file__).resolve().parents[1] / "src"
+    config = tmp_path / "diverge.cfg"
+    config.write_text("lr = 1e300\nlayers = 1\nmodel_dim = 8\ntokens = 4\n"
+                      "experts = 4\nbatch_size = 4\ndense_hidden = 16\n")
+    out = tmp_path / "run"
+    done = subprocess.run(
+        [sys.executable, "-m", "moelab", "train", "--config", str(config), "--out", str(out), "--steps", "5"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 3
+    assert done.stderr.startswith("numeric failure: step 2: block 0: router scores ")
+    assert done.stderr.count("\n") == 1, done.stderr
+    assert [row["step"] for row in read_csv(out / "log.csv")] == ["1"]
 
 
 @pytest.mark.parametrize("command,flag", [("metrics", "--checkpoint"), ("train", "--config"), ("train", "--resume")])

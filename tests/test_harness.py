@@ -271,16 +271,30 @@ def test_dense_twin_forward_matches_one_in_one():
     assert np.abs(pred_moe.data - pred_dense.data).max() < 1e-10
 
 
-@pytest.mark.parametrize("mode", ["train", "eval", "infer"])
-def test_denoiser_non_finite_router_scores_name_the_block(mode):
-    params = init_denoiser(SMALL, 24)
+def case_params(case: str, seed: int, tau: float):
+    """The routing mode and denoiser of a test case: "train" routes fresh
+    blocks by top-K, "eval" trained ones (each tau set), as Trainer.forward
+    does, and "infer" thresholds at that tau."""
+    params = init_denoiser(SMALL, seed)
     for blk in params.blocks:
-        blk.moe.threshold.tau = 0.0
+        blk.moe.threshold.tau = None if case == "train" else tau
+    return ("infer" if case == "infer" else "train"), params
+
+
+def taus(params):
+    return [blk.moe.threshold.tau for blk in params.blocks]
+
+
+@pytest.mark.parametrize("case", ["train", "eval", "infer"])
+def test_denoiser_non_finite_router_scores_name_the_block(case):
+    mode, params = case_params(case, 24, 0.0)
     params.blocks[1].moe.gate_b.data[2] = np.nan  # expert 2's score at every token of block 1
     x_t = np.random.default_rng(25).normal(size=(3, SMALL.tokens, SMALL.model_dim))
     n_bad = 3 * SMALL.tokens
+    before = taus(params)
     with pytest.raises(NumericError, match=rf"block 1: router scores have {n_bad} non-finite entries"):
         denoiser_forward(x_t, np.array([1, 5, 9]), np.array([0, 1, 2]), params, mode=mode)
+    assert taus(params) == before
 
 
 def test_sampler_non_finite_router_scores_name_the_reverse_step():
@@ -317,26 +331,24 @@ def test_sampler_reads_to_eps_from_the_training_module_at_each_step(monkeypatch)
         trainer.sample(3, 0, rng=np.random.default_rng(4))
 
 
-@pytest.mark.parametrize("mode", ["train", "eval", "infer"])
-def test_denoiser_no_grad_outputs_bit_identical_with_no_tape(mode):
+@pytest.mark.parametrize("case", ["train", "eval", "infer"])
+def test_denoiser_no_grad_outputs_bit_identical_with_no_tape(case):
     x_t = np.random.default_rng(26).normal(size=(3, SMALL.tokens, SMALL.model_dim))
     t, c = np.array([2, 17, 38]), np.array([0, 1, 2])
     runs = []
     for grad in (True, False):
-        params = init_denoiser(SMALL, 27)  # fresh: train mode writes the thresholds
-        for blk in params.blocks:
-            blk.moe.threshold.tau = 0.1
+        mode, params = case_params(case, 27, 0.1)
         if grad:
             pred, outs = denoiser_forward(x_t, t, c, params, mode=mode)
         else:
             with no_grad():
                 pred, outs = denoiser_forward(x_t, t, c, params, mode=mode)
-        runs.append((pred, outs, [blk.moe.threshold.tau for blk in params.blocks]))
+        runs.append((pred, outs, taus(params)))
     (pred_g, outs_g, tau_g), (pred_n, outs_n, tau_n) = runs
     assert pred_g.requires_grad and pred_g._parents
     assert not pred_n.requires_grad and pred_n._parents == ()
     assert np.array_equal(pred_g.data, pred_n.data)
-    assert tau_g == tau_n
+    assert tau_g == tau_n == taus(case_params(case, 27, 0.1)[1])  # routing writes no threshold
     for a, b in zip(outs_g, outs_n):
         assert np.array_equal(a.route.mask, b.route.mask)
         assert np.array_equal(a.y.data, b.y.data) and np.array_equal(a.y_hat.data, b.y_hat.data)
@@ -354,8 +366,8 @@ def test_denoiser_rejects_fractional_class_labels(c):
 def test_denoiser_accepts_integer_valued_float_labels():
     params = init_denoiser(SMALL, 28)
     x_t = np.random.default_rng(29).normal(size=(2, SMALL.tokens, SMALL.model_dim))
-    pred_int, _ = denoiser_forward(x_t, np.array([1, 2]), np.array([0, 2]), params, mode="eval")
-    pred_float, _ = denoiser_forward(x_t, np.array([1, 2]), np.array([0.0, 2.0]), params, mode="eval")
+    pred_int, _ = denoiser_forward(x_t, np.array([1, 2]), np.array([0, 2]), params, mode="train")
+    pred_float, _ = denoiser_forward(x_t, np.array([1, 2]), np.array([0.0, 2.0]), params, mode="train")
     assert np.array_equal(pred_int.data, pred_float.data)
 
 
@@ -411,6 +423,63 @@ def test_weight_ema_in_place_matches_allocating_formula():
             ref[name] = d * ref[name] + (1.0 - d) * data
             assert np.array_equal(ema.shadow[name], ref[name])
             assert np.array_equal(p.data, data)
+
+
+def step_state(trainer):
+    """Copies of all a train step writes but the RNG: the weights, EMA
+    shadow and AdamW moments, each block's tau and both step counts."""
+    arrays = [t.data for _, t in trainer.params.named_tensors()]
+    arrays += list(trainer.ema.shadow.values()) + trainer.opt.m + trainer.opt.v
+    return [a.copy() for a in arrays], taus(trainer.params), (trainer.step_count, trainer.opt.step_count)
+
+
+def assert_same_state(a, b):
+    assert len(a[0]) == len(b[0]) and all(np.array_equal(x, y, equal_nan=True) for x, y in zip(a[0], b[0]))
+    assert a[1:] == b[1:]
+
+
+@pytest.mark.parametrize("fault", ["loss", "router"])
+def test_a_failed_step_names_itself_and_writes_no_state(fault):
+    trainer = small_trainer(seed=11)
+    trainer.train_step()
+    trainer.train_step()
+    if fault == "loss":  # the prediction, and so the loss, overflows
+        trainer.params.out_w.data = trainer.params.out_w.data + 1e200
+        message = r"^step 3: non-finite loss: \{"
+    else:
+        trainer.params.blocks[1].moe.gate_b.data[2] = np.nan
+        message = rf"^step 3: block 1: router scores have {6 * SMALL.tokens} non-finite entries"
+    before = step_state(trainer)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would fail the test
+        with pytest.raises(NumericError, match=message):
+            trainer.train_step()
+    assert_same_state(step_state(trainer), before)
+
+
+def test_a_failed_first_step_is_step_1():
+    trainer = small_trainer(seed=11)
+    trainer.params.out_w.data = np.full_like(trainer.params.out_w.data, 1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match=r"^step 1: non-finite loss: "):
+            trainer.train_step()
+    assert taus(trainer.params) == [None, None]
+
+
+def test_trainer_forward_writes_no_threshold():
+    trainer = small_trainer(seed=12)
+    batch = trainer.task.sample_batch(np.random.default_rng(5), 6, trainer.schedule, "eps")
+    trainer.forward(batch, mode="train")
+    assert taus(trainer.params) == [None, None]
+    trainer.train_step()
+    before = taus(trainer.params)
+    trainer.forward(batch)
+    trainer.forward(batch, mode="train")
+    trainer.forward(batch, mode="infer")
+    assert taus(trainer.params) == before
+    with pytest.raises(ConfigError, match="mode must be 'train' or 'infer', got 'eval'"):
+        trainer.forward(batch, mode="eval")
 
 
 def test_zero_learning_rate_keeps_params_bit_exact():
@@ -669,7 +738,7 @@ def test_end_to_end_gradients_match_finite_differences():
     batch = trainer.task.sample_batch(np.random.default_rng(7), 4, trainer.schedule, "eps")
 
     def total_for_current_params():
-        pred, outs = denoiser_forward(batch.x_t, batch.t, batch.c, trainer.params, mode="eval")
+        pred, outs = denoiser_forward(batch.x_t, batch.t, batch.c, trainer.params, mode="train")
         diff = L.diffusion_loss(pred, batch.y)
         aux = [aux_inputs_from_routing(o.route.mask, o.logits, cfg.model.k) for o in outs]
         plr = L.per_layer_reg_loss([o.y_hat for o in outs], batch.y)

@@ -202,7 +202,7 @@ def test_moe_forward_gradients_match_finite_differences():
     strategy = get_strategy("token-choice")
 
     def loss_fn(x_t):
-        out = moe_forward(x_t, params, strategy, "sigmoid", cfg.k, "eval")
+        out = moe_forward(x_t, params, strategy, "sigmoid", cfg.k, "train")
         return (out.y * Tensor(probe)).sum()
 
     x = Tensor(x_base, requires_grad=True)
@@ -238,7 +238,7 @@ def test_expert_relabeling_symmetry():
     params = init_params(cfg, 19)
     x = Tensor(np.random.default_rng(7).normal(size=(2, 3, 4)))
     strategy = get_strategy("token-choice")
-    base = moe_forward(x, params, strategy, "sigmoid", cfg.k, "eval").y.data
+    base = moe_forward(x, params, strategy, "sigmoid", cfg.k, "train").y.data
 
     perm = [2, 0, 3, 1]
     permuted = MoeLayerParams(
@@ -251,7 +251,7 @@ def test_expert_relabeling_symmetry():
         experts=[params.experts[i] for i in perm],
         threshold=ThresholdState(),
     )
-    out = moe_forward(x, permuted, strategy, "sigmoid", cfg.k, "eval").y.data
+    out = moe_forward(x, permuted, strategy, "sigmoid", cfg.k, "train").y.data
     assert np.allclose(out, base, atol=1e-12)
 
 
@@ -300,10 +300,13 @@ def assert_close(got, want, what):
     assert np.abs(got - want).max() <= 1e-12 * scale, what
 
 
-@pytest.mark.parametrize("mode", ["train", "eval", "infer"])
+@pytest.mark.parametrize("case", ["train", "eval", "infer"])
 @pytest.mark.parametrize("gating", ["identity", "sigmoid", "softmax"])
 @pytest.mark.parametrize("strategy_name", sorted(STRATEGIES))
-def test_gathered_dispatch_matches_dense_masked_oracle(strategy_name, gating, mode):
+def test_gathered_dispatch_matches_dense_masked_oracle(strategy_name, gating, case):
+    # train: top-K on a fresh layer; eval: top-K on a layer whose threshold
+    # is set, as Trainer.forward evaluates a trained model; infer: that threshold
+    mode = "infer" if case == "infer" else "train"
     cfg = make_config(d=4, e=4, k=2, dense=8)
     strategy = get_strategy(strategy_name)
     rng = np.random.default_rng(29)
@@ -313,7 +316,7 @@ def test_gathered_dispatch_matches_dense_masked_oracle(strategy_name, gating, mo
     def build():
         params = init_params(cfg, 31)
         params.gate_b.data = np.array([0.0, 0.0, 0.0, -30.0])  # expert 3 is all but never wanted
-        if mode == "infer":
+        if case != "train":
             # between the lowest per-token best score and the highest
             # per-token second-best one: some token gets no expert, another
             # at least two, and expert 3 none
@@ -325,6 +328,7 @@ def test_gathered_dispatch_matches_dense_masked_oracle(strategy_name, gating, mo
     runs = []
     for reference in (False, True):
         params = build()
+        tau = params.threshold.tau
         x = Tensor(x_base, requires_grad=True)
         if reference:
             y, result = dense_masked_reference(x, params, strategy, gating, cfg.k, mode)
@@ -333,6 +337,7 @@ def test_gathered_dispatch_matches_dense_masked_oracle(strategy_name, gating, mo
             y, result = out.y, out.route
         backward((y * probe).sum(), [x] + [t for _, t in params.tensors()])
         runs.append((y.data, result.mask, x.grad, {name: t.grad for name, t in params.tensors()}))
+        assert params.threshold.tau == tau  # routing writes no threshold
     (y, mask, gx, grads), (y_ref, mask_ref, gx_ref, grads_ref) = runs
 
     assert np.array_equal(mask, mask_ref)

@@ -195,7 +195,7 @@ def test_allocation_profile_token_choice_constant_k():
     rng = np.random.default_rng(241)
     B, L, E, k = 16, 6, 4, 2
     S = Tensor(rng.normal(size=(B, L, E)))
-    res = route(S, get_strategy("token-choice"), "identity", "eval", ThresholdState(), k=k)
+    res = route(S, get_strategy("token-choice"), "identity", "train", ThresholdState(), k=k)
     t = rng.integers(1, 101, size=B)
     profile = allocation_profile(res.mask, t, 100, buckets=10)
     filled = profile.means[~np.isnan(profile.means)]

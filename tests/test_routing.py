@@ -221,7 +221,7 @@ def test_kth_value_per_row():
     # and route's kth_values, from the gated view of each strategy
     scores = rng.normal(size=(2, 4, 4))
     for strategy in ALL:
-        res = route(Tensor(scores), strategy, "identity", "eval", ThresholdState(), k=2)
+        res = route(Tensor(scores), strategy, "identity", "train", ThresholdState(), k=2)
         view = reshape_scores(scores, strategy)
         K = effective_k(strategy, 2, 4, 4, 2)
         assert np.array_equal(res.kth_values, np.sort(view, axis=1)[:, view.shape[1] - K])
@@ -293,7 +293,8 @@ def test_ema_converges_to_pooled_quantile():
     pool = []
     for _ in range(600):
         scores = rng.normal(size=(B, L, E))
-        route(Tensor(scores), strategy, "identity", "train", state, k=k)
+        res = route(Tensor(scores), strategy, "identity", "train", state, k=k)
+        ema_update(state, res.kth_values)
         pool.append(reshape_scores(scores, strategy).ravel())
     pooled = np.sort(np.concatenate(pool))[::-1]
     oracle = pooled[len(pool) * K - 1]
@@ -327,16 +328,24 @@ def test_route_infer_requires_initialized_tau():
         route(S, get_strategy("expert-race"), "identity", "infer", ThresholdState(), k=1)
 
 
-@pytest.mark.parametrize("mode", ["train", "eval", "infer"])
-def test_route_rejects_non_finite_scores_with_count(mode):
+def case_state(case: str) -> tuple[str, ThresholdState]:
+    """The routing mode and threshold of a test case: "train" routes a
+    fresh layer by top-K, "eval" a trained one (its tau set), as
+    Trainer.forward does, and "infer" thresholds at that tau."""
+    return ("infer" if case == "infer" else "train"), ThresholdState(tau=None if case == "train" else 1.0)
+
+
+@pytest.mark.parametrize("case", ["train", "eval", "infer"])
+def test_route_rejects_non_finite_scores_with_count(case):
     S = np.random.default_rng(44).normal(size=(2, 3, 4))
     S[0, 1, 2] = np.nan
     S[1, 0, 0] = np.inf
     S[1, 2, 3] = -np.inf
-    state = ThresholdState(tau=0.0)
+    mode, state = case_state(case)
+    tau = state.tau
     with pytest.raises(NumericError, match="3 non-finite entries of 24"):
         route(Tensor(S), get_strategy("expert-race"), "identity", mode, state, k=1)
-    assert state.tau == 0.0  # rejected before the threshold update
+    assert state.tau == tau
 
 
 @pytest.mark.parametrize("strategy", ALL, ids=lambda s: s.name)
@@ -359,12 +368,11 @@ def test_token_choice_exact_k_per_token_race_varies():
     assert er.mask.sum(axis=-1).var() > 0
 
 
-def test_route_eval_mode_is_pure():
+@pytest.mark.parametrize("mode", ["eval", "", "TRAIN"])
+def test_route_rejects_a_mode_that_is_neither_train_nor_infer(mode):
     S = Tensor(np.random.default_rng(59).normal(size=(2, 4, 4)))
-    state = ThresholdState()
-    res = route(S, get_strategy("token-choice"), "identity", "eval", state, k=2)
-    assert res.mask.sum() == 16
-    assert not state.initialized
+    with pytest.raises(ConfigError, match=r"^mode must be 'train' or 'infer', got "):
+        route(S, get_strategy("token-choice"), "identity", mode, ThresholdState(tau=0.0), k=2)
 
 
 def test_inference_per_sample_independence():
@@ -380,14 +388,14 @@ def test_inference_per_sample_independence():
     assert np.array_equal(res_a.mask[0], res_b.mask[0])
 
 
-@pytest.mark.parametrize("mode", ["train", "eval", "infer"])
+@pytest.mark.parametrize("case", ["train", "eval", "infer"])
 @pytest.mark.parametrize("strategy", ALL, ids=lambda s: s.name)
-def test_route_softmax_over_one_expert_gives_unit_gates_and_no_gradient(strategy, mode):
+def test_route_softmax_over_one_expert_gives_unit_gates_and_no_gradient(strategy, case):
     # the dense twin of a 1-in-1 layer: every gate is exactly 1.0, and the
     # logits get exactly zero gradient
     rng = np.random.default_rng(67)
     S = Tensor(rng.normal(size=(2, 4, 1)) * 3.0, requires_grad=True)
-    res = route(S, strategy, "softmax", mode, ThresholdState(tau=1.0), k=1)
+    res = route(S, strategy, "softmax", *case_state(case), k=1)
     assert res.mask.all()
     assert np.array_equal(res.gates.data, res.mask)
     backward((res.gates * Tensor(rng.normal(size=(2, 4, 1)))).sum(), [S])

@@ -9,6 +9,7 @@ from moelab import routing
 from moelab.routing import (
     GATING_FUNCTIONS,
     STRATEGIES,
+    StateError,
     ThresholdState,
     get_strategy,
     reshape_scores,
@@ -71,6 +72,24 @@ def test_infer_mask_of_a_sample_ignores_the_rest_of_the_batch(case, gating, tau,
     alone = route(Tensor(scores[:1]), strategy, gating, "infer", state, k=k).mask
     mixed = route(Tensor(others), strategy, gating, "infer", state, k=k).mask
     assert np.array_equal(alone[0], mixed[0])
+
+
+@SETTINGS
+@given(
+    routing_cases(),
+    st.sampled_from(sorted(GATING_FUNCTIONS)),
+    st.sampled_from(["train", "infer"]),
+    st.none() | st.floats(-2.0, 2.0, allow_nan=False),
+)
+def test_route_leaves_the_threshold_as_it_was(case, gating, mode, tau):
+    # only Trainer.train_step folds the K-th values into tau
+    strategy, scores, k = case
+    state = ThresholdState(tau=tau)
+    try:
+        route(Tensor(scores), strategy, gating, mode, state, k=k)
+    except StateError:
+        assert mode == "infer" and tau is None
+    assert state.tau == tau
 
 
 @SETTINGS
