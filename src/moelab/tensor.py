@@ -199,11 +199,6 @@ class Tensor:
     def grad(self, value: np.ndarray | None) -> None:
         self._node.grad = value
 
-    @property
-    def _parents(self) -> tuple:
-        """The parent nodes this tensor's node links; () without a node."""
-        return () if self._node is None else self._node.parents
-
     # ------------------------------------------------------------------
     # basics
 

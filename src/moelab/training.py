@@ -3,6 +3,8 @@
 One Trainer owns the parameters, optimizer state, EMA shadow, threshold
 states and RNG; everything it touches round-trips through the checkpoint
 container so a resumed run replays the original trajectory bit for bit.
+`Trainer.loss` builds the training objective: `train_step` minimizes it and
+the finite-difference gradient tests differentiate it.
 The container (version 4) is an .npz archive with one flat float64 member
 per state group (`param`, `ema`, `opt_m`, `opt_v`) plus `meta_json`, whose
 manifest lists each tensor's name and shape; tensors are streamed into
@@ -202,39 +204,51 @@ class Trainer(object):
         )
         self.opt = AdamW(self.params.parameters(), lr=config.lr, blank=blank)
         self.ema = WeightEma(self.params.named_tensors(), blank=blank)
-        self.step_count = 0
+
+    @property
+    def step_count(self) -> int:
+        """Steps trained so far: the optimizer's count, the one step counter."""
+        return self.opt.step_count
 
     # ------------------------------------------------------------------
 
-    def train_step(self) -> LogRecord:
-        """One AdamW step on a fresh batch, then the weight EMA and each
-        block's threshold. Non-finite router scores or loss raise NumericError
-        prefixed "step n: " (n counts from 1, as log.csv does), with no numpy
-        warning; such a step writes no state but the RNG's batch draw."""
+    def loss(self, batch) -> tuple[Tensor, dict[str, float], list]:
+        """The training objective on a batch, from a train-mode forward that
+        records the tape: the diffusion loss plus the weighted per-layer
+        regularizer, router similarity and balance losses (the last two need
+        two or more experts). Returns the total, its float breakdown (log.csv's
+        loss columns) and each block's LayerOutput, and writes no state.
+        Non-finite router scores or loss raise NumericError, with no numpy
+        warning."""
         cfg = self.config
-        batch = self.task.sample_batch(
-            self.rng, cfg.batch_size, self.schedule, cfg.model.parameterization
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            prediction, layer_outputs = denoiser_forward(batch.x_t, batch.t, batch.c, self.params, mode="train")
+            diff = losses_mod.diffusion_loss(prediction, batch.y)
+            plr = sim = blc = None
+            if layer_outputs:
+                plr = losses_mod.per_layer_reg_loss([out.y_hat for out in layer_outputs], batch.y)
+                if cfg.model.num_experts >= 2:  # pairwise losses are undefined for a single expert
+                    aux = [aux_inputs_from_routing(out.route.mask, out.logits, cfg.model.k) for out in layer_outputs]
+                    sim = losses_mod.layer_mean([losses_mod.router_similarity_loss(a) for a in aux])
+                    blc = losses_mod.layer_mean([losses_mod.balance_loss(a) for a in aux])
+            total, breakdown = losses_mod.total_loss(diff, plr, sim, blc, cfg.weights)
+        if not np.isfinite(total.item()):
+            raise NumericError(f"non-finite loss: {breakdown}")
+        return total, breakdown, layer_outputs
+
+    def train_step(self) -> LogRecord:
+        """One AdamW step on self.loss of a fresh batch, then the weight EMA
+        and each block's threshold. A NumericError from the loss is raised
+        prefixed "step n: " (n counts from 1, as log.csv does), and such a
+        step writes no state: the RNG goes back to before its batch draw, so
+        a retry trains on the batch a resume from a checkpoint would."""
+        cfg = self.config
+        rng_state = self.rng.bit_generator.state
+        batch = self.task.sample_batch(self.rng, cfg.batch_size, self.schedule, cfg.model.parameterization)
         try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                prediction, layer_outputs = denoiser_forward(
-                    batch.x_t, batch.t, batch.c, self.params, mode="train"
-                )
-                diff = losses_mod.diffusion_loss(prediction, batch.y)
-                plr = sim = blc = None
-                if layer_outputs:
-                    plr = losses_mod.per_layer_reg_loss([out.y_hat for out in layer_outputs], batch.y)
-                    if cfg.model.num_experts >= 2:  # pairwise losses are undefined for a single expert
-                        aux = [
-                            aux_inputs_from_routing(out.route.mask, out.logits, cfg.model.k)
-                            for out in layer_outputs
-                        ]
-                        sim = losses_mod.layer_mean([losses_mod.router_similarity_loss(a) for a in aux])
-                        blc = losses_mod.layer_mean([losses_mod.balance_loss(a) for a in aux])
-                total, breakdown = losses_mod.total_loss(diff, plr, sim, blc, cfg.weights)
-            if not np.isfinite(total.item()):
-                raise NumericError(f"non-finite loss: {breakdown}")
+            total, breakdown, layer_outputs = self.loss(batch)
         except NumericError as exc:
+            self.rng.bit_generator.state = rng_state
             raise NumericError(f"step {self.step_count + 1}: {exc}") from exc
 
         backward(total, self.params.parameters())
@@ -244,16 +258,11 @@ class Trainer(object):
         self.ema.update(self.params.named_tensors())
         for blk, out in zip(self.params.blocks, layer_outputs):  # none when dense
             ema_update(blk.moe.threshold, out.route.kth_values)
-        self.step_count += 1
 
         report = metrics_mod.routing_report([out.route.mask for out in layer_outputs], cfg.model.k)
         return LogRecord(
             step=self.step_count,
-            diffusion=breakdown["diffusion"],
-            plr=breakdown["plr"],
-            sim=breakdown["sim"],
-            blc=breakdown["blc"],
-            total=breakdown["total"],
+            **breakdown,
             max_vio=metrics_mod.report_mean(report, "max_vio"),
             comb_usage=metrics_mod.report_mean(report, "comb_usage"),
             mean_active=metrics_mod.report_mean(report, "mean_active"),
@@ -379,10 +388,10 @@ def save_checkpoint(path, trainer: Trainer) -> None:
     each hold one 1-D float64 array: the model's tensors concatenated in
     named_tensors() order, streamed from the trainer's own arrays with no
     concatenated copy. `meta_json` holds UTF-8 JSON bytes: the step count
-    (of the trainer and of its optimizer, which train_step keeps equal),
-    config, thresholds (each block's tau: a number, or null when unset or
-    for a dense block), RNG state and the manifest `tensors`, a list of
-    [name, shape] in that order.
+    (the optimizer's, which `Trainer.step_count` reads), config, thresholds
+    (each block's tau: a number, or null when unset or for a dense block),
+    RNG state and the manifest `tensors`, a list of [name, shape] in that
+    order.
 
     Written atomically: the archive goes to a temp file in the target
     directory, which then replaces `path`, so an interrupted save leaves any
@@ -537,7 +546,7 @@ def load_checkpoint(path, config: TrainerConfig) -> Trainer:
                         raise ConfigError(f"checkpoint {path} member {group!r} is truncated")
         if type(meta["step"]) is not int or meta["step"] < 0:  # JSON true is no step count
             raise ConfigError(f"checkpoint {path} metadata 'step' is {meta['step']!r}, not a step count")
-        trainer.step_count = trainer.opt.step_count = meta["step"]
+        trainer.opt.step_count = meta["step"]
         blocks, thresholds = trainer.params.blocks, meta["thresholds"]
         if not isinstance(thresholds, list) or len(thresholds) != len(blocks):
             raise ConfigError(f"checkpoint {path} metadata 'thresholds' is not a list of {len(blocks)} threshold entries")

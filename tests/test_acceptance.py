@@ -17,9 +17,9 @@ from moelab import losses as L
 from moelab import metrics as M
 from moelab import routing as R
 from moelab.cli import _heldout_masks
-from moelab.denoiser import DenoiserConfig, denoiser_forward
+from moelab.denoiser import DenoiserConfig
 from moelab.layer import init_params, moe_forward
-from moelab.losses import AuxLossInputs, LossWeights, aux_inputs_from_routing
+from moelab.losses import AuxLossInputs, LossWeights
 from moelab.routing import ThresholdState, get_strategy
 from moelab.tensor import Tensor, backward, softmax
 from moelab.training import Trainer, TrainerConfig, load_checkpoint, save_checkpoint
@@ -240,20 +240,7 @@ def test_criterion_5_gradients_match_finite_differences():
         trainer.train_step()
     batch = trainer.task.sample_batch(np.random.default_rng(3), 4, trainer.schedule, "eps")
 
-    def end_to_end():
-        pred, outs = denoiser_forward(batch.x_t, batch.t, batch.c, trainer.params, mode="train")
-        diff = L.diffusion_loss(pred, batch.y)
-        aux = [aux_inputs_from_routing(o.route.mask, o.logits, model.k) for o in outs]
-        plr = L.per_layer_reg_loss([o.y_hat for o in outs], batch.y)
-        sim = aux and L.router_similarity_loss(aux[0])
-        for a in aux[1:]:
-            sim = sim + L.router_similarity_loss(a)
-        sim = sim * (1.0 / len(aux))
-        total, _ = L.total_loss(diff, plr, sim, None, trainer.config.weights)
-        return total
-
-    loss = end_to_end()
-    backward(loss, trainer.params.parameters())
+    backward(trainer.loss(batch)[0], trainer.params.parameters())  # the objective train_step minimizes
     coord_rng = np.random.default_rng(5)
     named = trainer.params.named_tensors()
     total_coords = sum(p.data.size for _, p in named)
@@ -268,7 +255,7 @@ def test_criterion_5_gradients_match_finite_differences():
             bumped = saved.reshape(-1).copy()
             bumped[idx] += sign * h
             p.data = bumped.reshape(saved.shape)
-            vals.append(end_to_end().item())
+            vals.append(trainer.loss(batch)[0].item())
         p.data = saved
         fd_val = (vals[0] - vals[1]) / (2 * h)
         got = (p.grad if p.grad is not None else np.zeros_like(saved)).reshape(-1)[idx]

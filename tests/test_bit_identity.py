@@ -210,7 +210,7 @@ def reference_load_checkpoint(path, config):
         for i in range(len(trainer.opt.m)):
             trainer.opt.m[i] = data[f"opt_m/{i}"]
             trainer.opt.v[i] = data[f"opt_v/{i}"]
-        trainer.step_count = trainer.opt.step_count = meta["step"]
+        trainer.opt.step_count = meta["step"]
         for blk, thr in zip(trainer.params.blocks, meta["thresholds"]):
             blk.moe.threshold = routing.ThresholdState(tau=thr["tau"])
         trainer.rng.bit_generator.state = meta["rng_state"]

@@ -28,7 +28,7 @@ from moelab.training import (
     save_checkpoint,
 )
 from moelab.losses import LossWeights
-from moelab.tensor import Tensor, no_grad
+from moelab.tensor import Tensor, backward, no_grad
 
 
 SMALL = DenoiserConfig(
@@ -345,14 +345,14 @@ def test_denoiser_no_grad_outputs_bit_identical_with_no_tape(case):
                 pred, outs = denoiser_forward(x_t, t, c, params, mode=mode)
         runs.append((pred, outs, taus(params)))
     (pred_g, outs_g, tau_g), (pred_n, outs_n, tau_n) = runs
-    assert pred_g.requires_grad and pred_g._parents
-    assert not pred_n.requires_grad and pred_n._parents == ()
+    assert pred_g.requires_grad and pred_g._node.parents
+    assert pred_n._node is None  # no tape node, so no parents
     assert np.array_equal(pred_g.data, pred_n.data)
     assert tau_g == tau_n == taus(case_params(case, 27, 0.1)[1])  # routing writes no threshold
     for a, b in zip(outs_g, outs_n):
         assert np.array_equal(a.route.mask, b.route.mask)
         assert np.array_equal(a.y.data, b.y.data) and np.array_equal(a.y_hat.data, b.y_hat.data)
-        assert b.y._parents == () and b.logits._parents == ()
+        assert b.y._node is None and b.logits._node is None
 
 
 @pytest.mark.parametrize("c", [[0, 1.5], 1.9, [2, np.nan]])
@@ -426,11 +426,11 @@ def test_weight_ema_in_place_matches_allocating_formula():
 
 
 def step_state(trainer):
-    """Copies of all a train step writes but the RNG: the weights, EMA
-    shadow and AdamW moments, each block's tau and both step counts."""
+    """Copies of all a train step writes: the weights, EMA shadow and AdamW
+    moments, each block's tau, the step count and the RNG state."""
     arrays = [t.data for _, t in trainer.params.named_tensors()]
     arrays += list(trainer.ema.shadow.values()) + trainer.opt.m + trainer.opt.v
-    return [a.copy() for a in arrays], taus(trainer.params), (trainer.step_count, trainer.opt.step_count)
+    return [a.copy() for a in arrays], taus(trainer.params), trainer.step_count, trainer.rng.bit_generator.state
 
 
 def assert_same_state(a, b):
@@ -455,6 +455,22 @@ def test_a_failed_step_names_itself_and_writes_no_state(fault):
         with pytest.raises(NumericError, match=message):
             trainer.train_step()
     assert_same_state(step_state(trainer), before)
+
+
+def test_loss_is_the_objective_the_step_minimizes_and_writes_no_state():
+    trainer = small_trainer(seed=13)
+    trainer.train_step()  # thresholds set, moments nonzero
+    cfg = trainer.config
+    rng = np.random.default_rng()
+    rng.bit_generator.state = trainer.rng.bit_generator.state  # draws the next step's batch
+    batch = trainer.task.sample_batch(rng, cfg.batch_size, trainer.schedule, cfg.model.parameterization)
+    before = step_state(trainer)
+    total, breakdown, _ = trainer.loss(batch)
+    assert_same_state(step_state(trainer), before)
+    record = trainer.train_step()
+    assert trainer.rng.bit_generator.state == rng.bit_generator.state  # the step drew that batch
+    assert record.total == total.item()  # bit-equal, as are the other loss columns
+    assert {c: getattr(record, c) for c in breakdown} == breakdown
 
 
 def test_a_failed_first_step_is_step_1():
@@ -725,33 +741,13 @@ def test_infer_activation_rate_tracks_k_over_e():
     assert abs(np.mean(rates) - target) / target < 0.15
 
 
-def test_end_to_end_gradients_match_finite_differences():
-    from moelab import losses as L
-    from moelab.losses import aux_inputs_from_routing
-    from moelab.tensor import Tensor, backward, finite_difference_grad
-    from moelab.denoiser import denoiser_forward
-
-    trainer = small_trainer(seed=9)
+@pytest.mark.parametrize("weights", [LossWeights(), LossWeights(blc=1e-2)], ids=["default", "blc"])
+def test_end_to_end_gradients_match_finite_differences(weights):
+    trainer = Trainer(TrainerConfig(model=SMALL, batch_size=6, weights=weights, seed=9))
     for _ in range(3):  # move off the zero-init point
         trainer.train_step()
-    cfg = trainer.config
     batch = trainer.task.sample_batch(np.random.default_rng(7), 4, trainer.schedule, "eps")
-
-    def total_for_current_params():
-        pred, outs = denoiser_forward(batch.x_t, batch.t, batch.c, trainer.params, mode="train")
-        diff = L.diffusion_loss(pred, batch.y)
-        aux = [aux_inputs_from_routing(o.route.mask, o.logits, cfg.model.k) for o in outs]
-        plr = L.per_layer_reg_loss([o.y_hat for o in outs], batch.y)
-        sim_terms = [L.router_similarity_loss(a) for a in aux]
-        sim = sim_terms[0]
-        for term in sim_terms[1:]:
-            sim = sim + term
-        sim = sim * (1.0 / len(sim_terms))
-        total, _ = L.total_loss(diff, plr, sim, None, cfg.weights)
-        return total
-
-    loss = total_for_current_params()
-    backward(loss, trainer.params.parameters())
+    backward(trainer.loss(batch)[0], trainer.params.parameters())  # the objective train_step minimizes
 
     rng = np.random.default_rng(31)
     named = trainer.params.named_tensors()
@@ -768,7 +764,7 @@ def test_end_to_end_gradients_match_finite_differences():
             mutated[flat_idx] = value
             p.data = mutated.reshape(saved.shape)
             try:
-                return total_for_current_params().item()
+                return trainer.loss(batch)[0].item()
             finally:
                 p.data = saved
 

@@ -461,7 +461,7 @@ def test_backward_frees_interior_nodes_and_keeps_leaf_grads():
     loss = (hidden * const).sum()
     backward(loss, [x, w, idle])
     for node in (loss, hidden, *scaled):
-        assert node.grad is None and node._parents == ()
+        assert node.grad is None and node._node.parents == ()
     z = x.data @ w.data
     gz = const.data * (0.5 * (1.0 + erf(z / np.sqrt(2.0))) + z * np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi))
     assert np.allclose(x.grad, gz @ w.data.T, rtol=1e-12, atol=1e-14)
