@@ -6,6 +6,9 @@ token-mixing linear map in place of attention, and the MoE block, joined
 to the residual stream through a zero-initialized gate. With all adaptive
 output layers zero-initialized the whole network starts as the identity
 residual path and predicts exactly zero.
+
+A weight's name is its field path in DenoiserParams, such as
+"block0.moe.expert3.w_in"; layer.named_tensors lists them in declaration order.
 """
 
 from __future__ import annotations
@@ -103,31 +106,8 @@ class DenoiserParams:
         self.t_freqs = np.exp(-np.log(10000.0) * np.arange(half) / max(half - 1, 1))
 
     def named_tensors(self) -> list[tuple[str, Tensor]]:
-        named = [
-            ("in_w", self.in_w),
-            ("in_b", self.in_b),
-            ("class_emb", self.class_emb),
-            ("t_w1", self.t_w1),
-            ("t_b1", self.t_b1),
-            ("t_w2", self.t_w2),
-            ("t_b2", self.t_b2),
-        ]
-        for i, blk in enumerate(self.blocks):
-            named.append((f"block{i}.mod_w", blk.mod_w))
-            named.append((f"block{i}.mod_b", blk.mod_b))
-            named.append((f"block{i}.mix_w", blk.mix_w))
-            if blk.moe is not None:
-                named.extend((f"block{i}.moe.{n}", t) for n, t in blk.moe.tensors())
-            if blk.ffn is not None:
-                named.append((f"block{i}.ffn.w_in", blk.ffn.w_in))
-                named.append((f"block{i}.ffn.w_out", blk.ffn.w_out))
-        named += [
-            ("final_mod_w", self.final_mod_w),
-            ("final_mod_b", self.final_mod_b),
-            ("out_w", self.out_w),
-            ("out_b", self.out_b),
-        ]
-        return named
+        """Every weight as (path, tensor) in declaration order (layer.named_tensors)."""
+        return moe_layer.named_tensors(self)
 
     def parameters(self) -> list[Tensor]:
         return [t for _, t in self.named_tensors()]

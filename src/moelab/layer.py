@@ -18,11 +18,14 @@ B*L*k pairs, i.e. the dense FFN's cost; infer mode pays for however many
 pairs the threshold admits. No token is dropped and no capacity is
 padded. An expert that selects no token is not run and receives exactly
 zero gradient.
+
+Each parameter dataclass, here and in the denoiser, declares its tensors
+once, as fields; `named_tensors` is the one list of them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import TYPE_CHECKING, Literal
 
 import numpy as np
@@ -38,6 +41,7 @@ __all__ = [
     "ExpertParams",
     "MoeLayerParams",
     "LayerOutput",
+    "named_tensors",
     "xavier_bound",
     "init_params",
     "expert_forward",
@@ -80,20 +84,6 @@ class MoeLayerParams:
         """Per-token target prediction from the trunk output."""
         return matmul(h, self.target_w) + self.target_b
 
-    def tensors(self) -> list[tuple[str, Tensor]]:
-        named = [
-            ("router_w", self.router_w),
-            ("router_b", self.router_b),
-            ("gate_w", self.gate_w),
-            ("gate_b", self.gate_b),
-            ("target_w", self.target_w),
-            ("target_b", self.target_b),
-        ]
-        for i, ex in enumerate(self.experts):
-            named.append((f"expert{i}.w_in", ex.w_in))
-            named.append((f"expert{i}.w_out", ex.w_out))
-        return named
-
 
 @dataclass
 class LayerOutput:
@@ -101,6 +91,28 @@ class LayerOutput:
     route: RouteResult
     y_hat: Tensor  # (B, L, D) per-layer target prediction
     logits: Tensor  # (B, L, E) raw router logits, kept for the aux losses
+
+
+def named_tensors(params, prefix: str = "") -> list[tuple[str, Tensor]]:
+    """Every Tensor of a parameter dataclass as (path, tensor), in field
+    declaration order. A nested dataclass recurses under "<field>."; a list
+    numbers its items under the field name less its trailing "s" (`blocks`
+    gives "block0.", `experts` gives "expert3."); None and any other value
+    (a config, a threshold, an array) name nothing. This one walk is the
+    checkpoint manifest, AdamW's parameter order and the weight EMA's keys,
+    so a Tensor field is trained, saved and averaged by being declared.
+    """
+    named = []
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if isinstance(value, Tensor):
+            named.append((prefix + f.name, value))
+        elif is_dataclass(value):
+            named += named_tensors(value, f"{prefix}{f.name}.")
+        elif isinstance(value, list):
+            for i, item in enumerate(value):
+                named += named_tensors(item, f"{prefix}{f.name.removesuffix('s')}{i}.")
+    return named
 
 
 def xavier_bound(fan_in: int, fan_out: int) -> float:

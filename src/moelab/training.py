@@ -251,7 +251,7 @@ class Trainer(object):
             self.rng.bit_generator.state = rng_state
             raise NumericError(f"step {self.step_count + 1}: {exc}") from exc
 
-        backward(total, self.params.parameters())
+        backward(total, self.opt.params)
         self.opt.step()
         for p in self.opt.params:  # applied: free the gradients until the next step
             p.grad = None

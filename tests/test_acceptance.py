@@ -18,7 +18,7 @@ from moelab import metrics as M
 from moelab import routing as R
 from moelab.cli import _heldout_masks
 from moelab.denoiser import DenoiserConfig
-from moelab.layer import init_params, moe_forward
+from moelab.layer import init_params, moe_forward, named_tensors
 from moelab.losses import AuxLossInputs, LossWeights
 from moelab.routing import ThresholdState, get_strategy
 from moelab.tensor import Tensor, backward, softmax
@@ -195,7 +195,7 @@ def test_criterion_5_gradients_match_finite_differences():
             fd_x[np.unravel_index(idx, x_base.shape)] += sign * val / (2 * h)
     assert _relcheck(x_t.grad, fd_x, 1e-4) < 0, "moe_forward d/dx mismatch"
 
-    for name, p in params.tensors():
+    for name, p in named_tensors(params):
         if name not in ("expert1.w_in", "gate_w", "router_w"):
             continue
         saved = p.data.copy()

@@ -553,6 +553,51 @@ def test_checkpoint_resume_bit_exact(tmp_path):
         assert np.array_equal(a.data, b.data), name
 
 
+# The version-4 manifest of SMALL, written out: the checkpoint's `tensors`,
+# AdamW's parameter order and the weight EMA's keys all follow it.
+_STEM = [("in_w", (16, 16)), ("in_b", (16,)), ("class_emb", (3, 16)),
+         ("t_w1", (16, 16)), ("t_b1", (16,)), ("t_w2", (16, 16)), ("t_b2", (16,))]
+_HEAD = [("final_mod_w", (16, 32)), ("final_mod_b", (32,)), ("out_w", (16, 16)), ("out_b", (16,))]
+_MOE_MANIFEST = _STEM + [
+    ("block0.mod_w", (16, 48)), ("block0.mod_b", (48,)), ("block0.mix_w", (8, 8)),
+    ("block0.moe.router_w", (16, 16)), ("block0.moe.router_b", (16,)),
+    ("block0.moe.gate_w", (16, 4)), ("block0.moe.gate_b", (4,)),
+    ("block0.moe.target_w", (16, 16)), ("block0.moe.target_b", (16,)),
+    ("block0.moe.expert0.w_in", (16, 16)), ("block0.moe.expert0.w_out", (16, 16)),
+    ("block0.moe.expert1.w_in", (16, 16)), ("block0.moe.expert1.w_out", (16, 16)),
+    ("block0.moe.expert2.w_in", (16, 16)), ("block0.moe.expert2.w_out", (16, 16)),
+    ("block0.moe.expert3.w_in", (16, 16)), ("block0.moe.expert3.w_out", (16, 16)),
+    ("block1.mod_w", (16, 48)), ("block1.mod_b", (48,)), ("block1.mix_w", (8, 8)),
+    ("block1.moe.router_w", (16, 16)), ("block1.moe.router_b", (16,)),
+    ("block1.moe.gate_w", (16, 4)), ("block1.moe.gate_b", (4,)),
+    ("block1.moe.target_w", (16, 16)), ("block1.moe.target_b", (16,)),
+    ("block1.moe.expert0.w_in", (16, 16)), ("block1.moe.expert0.w_out", (16, 16)),
+    ("block1.moe.expert1.w_in", (16, 16)), ("block1.moe.expert1.w_out", (16, 16)),
+    ("block1.moe.expert2.w_in", (16, 16)), ("block1.moe.expert2.w_out", (16, 16)),
+    ("block1.moe.expert3.w_in", (16, 16)), ("block1.moe.expert3.w_out", (16, 16)),
+] + _HEAD
+_DENSE_MANIFEST = _STEM + [
+    ("block0.mod_w", (16, 48)), ("block0.mod_b", (48,)), ("block0.mix_w", (8, 8)),
+    ("block0.ffn.w_in", (16, 32)), ("block0.ffn.w_out", (32, 16)),
+    ("block1.mod_w", (16, 48)), ("block1.mod_b", (48,)), ("block1.mix_w", (8, 8)),
+    ("block1.ffn.w_in", (16, 32)), ("block1.ffn.w_out", (32, 16)),
+] + _HEAD
+
+
+@pytest.mark.parametrize("dense, manifest", [(False, _MOE_MANIFEST), (True, _DENSE_MANIFEST)], ids=["moe", "dense"])
+def test_the_manifest_is_the_version_4_layout(dense, manifest, tmp_path):
+    trainer = small_trainer(dense=dense)
+    named = trainer.params.named_tensors()
+    assert [(name, t.shape) for name, t in named] == manifest
+    assert len(trainer.opt.params) == len(named)
+    assert all(p is t for p, (_, t) in zip(trainer.opt.params, named))
+    assert list(trainer.ema.shadow) == [name for name, _ in manifest]
+    save_checkpoint(tmp_path / "ckpt.npz", trainer)
+    with np.load(tmp_path / "ckpt.npz") as ckpt:
+        saved = json.loads(bytes(ckpt["meta_json"]))["tensors"]
+    assert [(name, tuple(shape)) for name, shape in saved] == manifest
+
+
 def test_interrupted_checkpoint_save_keeps_previous_file(tmp_path, monkeypatch):
     trainer = small_trainer(seed=4)
     trainer.train_step()

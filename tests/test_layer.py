@@ -10,6 +10,7 @@ from moelab.layer import (
     expert_forward,
     init_params,
     moe_forward,
+    named_tensors,
     xavier_bound,
 )
 from moelab.routing import STRATEGIES, ConfigError, ThresholdState, apply_gating, get_strategy, route
@@ -39,7 +40,7 @@ def test_config_rejects_k_outside_one_to_e(e, k, message):
 def test_init_deterministic_under_seed():
     a = init_params(make_config(), 5)
     b = init_params(make_config(), 5)
-    for (name_a, ta), (_, tb) in zip(a.tensors(), b.tensors()):
+    for (name_a, ta), (_, tb) in zip(named_tensors(a), named_tensors(b)):
         assert np.array_equal(ta.data, tb.data), name_a
 
 
@@ -69,7 +70,7 @@ def test_router_weights_within_analytic_xavier_bound():
 def test_compute_logits_zero_weights_zero_logits():
     cfg = make_config()
     params = init_params(cfg, 0)
-    for _, t in params.tensors():
+    for _, t in named_tensors(params):
         t.data = np.zeros_like(t.data)
     x = Tensor(np.random.default_rng(0).normal(size=(2, 3, cfg.model_dim)))
     assert np.array_equal(params.gating_logits(params.router_trunk(x)).data, np.zeros((2, 3, cfg.num_experts)))
@@ -156,7 +157,7 @@ def test_zero_token_experts_get_exact_zero_grad():
     out = moe_forward(x, params, get_strategy("token-choice"), "identity", cfg.k, "train")
     assert np.all(out.route.mask[..., 0] == 1.0) and out.route.mask[..., 1:].sum() == 0
     loss = out.y.square().sum()
-    backward(loss, [t for _, t in params.tensors()])
+    backward(loss, [t for _, t in named_tensors(params)])
     for i in (1, 2, 3):
         assert np.array_equal(params.experts[i].w_in.grad, np.zeros_like(params.experts[i].w_in.data))
         assert np.array_equal(params.experts[i].w_out.grad, np.zeros_like(params.experts[i].w_out.data))
@@ -167,7 +168,7 @@ def test_expert_idle_this_step_gets_zero_grad_not_last_steps():
     cfg = make_config(d=4, e=4, k=1, dense=8)
     params = init_params(cfg, 13)
     x = Tensor(np.random.default_rng(5).normal(size=(2, 4, 4)))
-    named = [t for _, t in params.tensors()]
+    named = [t for _, t in named_tensors(params)]
     out = moe_forward(x, params, get_strategy("bl-choice"), "identity", cfg.k, "train")  # every expert gets rows
     backward(out.y.square().sum(), named)
     assert all(np.abs(ex.w_in.grad).max() > 0 for ex in params.experts)
@@ -215,7 +216,7 @@ def test_moe_forward_gradients_match_finite_differences():
     rel = np.abs(x.grad - fd.data) / np.maximum(np.maximum(np.abs(fd.data), np.abs(x.grad)), 1e-8)
     assert rel.max() < 1e-4
 
-    for name, p in params.tensors():
+    for name, p in named_tensors(params):
         if "expert0" not in name and "router" not in name:
             continue
         grad = p.grad if p.grad is not None else np.zeros_like(p.data)
@@ -335,8 +336,8 @@ def test_gathered_dispatch_matches_dense_masked_oracle(strategy_name, gating, ca
         else:
             out = moe_forward(x, params, strategy, gating, cfg.k, mode)
             y, result = out.y, out.route
-        backward((y * probe).sum(), [x] + [t for _, t in params.tensors()])
-        runs.append((y.data, result.mask, x.grad, {name: t.grad for name, t in params.tensors()}))
+        backward((y * probe).sum(), [x] + [t for _, t in named_tensors(params)])
+        runs.append((y.data, result.mask, x.grad, {name: t.grad for name, t in named_tensors(params)}))
         assert params.threshold.tau == tau  # routing writes no threshold
     (y, mask, gx, grads), (y_ref, mask_ref, gx_ref, grads_ref) = runs
 
