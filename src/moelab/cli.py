@@ -61,9 +61,10 @@ def parse_config_file(path: Path) -> dict:
     return values
 
 
-def resolve_config(args: argparse.Namespace) -> tuple[dict, TrainerConfig]:
-    """Defaults < config file < command-line flags. Returns the run's settings
-    and the TrainerConfig built, and so checked, from them."""
+def resolve_settings(args: argparse.Namespace) -> dict:
+    """Defaults < config file < command-line flags: the run's settings, each
+    of its default's type. Checks the schema, the run's own keys and the
+    strategy name, which it makes canonical."""
     cfg = dict(_CONFIG_DEFAULTS)
     if args.config:
         cfg.update(parse_config_file(Path(args.config)))
@@ -79,9 +80,14 @@ def resolve_config(args: argparse.Namespace) -> tuple[dict, TrainerConfig]:
     for key in ("steps", "checkpoint_every"):
         if cfg[key] < 0:
             raise ConfigError(f"{key} must be >= 0, got {cfg[key]}")
-    config = trainer_config_from(cfg)
-    cfg["strategy"] = config.model.strategy  # its canonical name
-    return cfg, config
+    cfg["strategy"] = routing.get_strategy(cfg["strategy"]).name
+    return cfg
+
+
+def resolve_config(args: argparse.Namespace) -> tuple[dict, TrainerConfig]:
+    """The run's settings and the TrainerConfig built, and so checked, from them."""
+    cfg = resolve_settings(args)
+    return cfg, trainer_config_from(cfg)
 
 
 def write_config_snapshot(cfg: dict, out_dir: Path) -> None:
@@ -141,7 +147,11 @@ def route_sim_draws(
 
 
 def cmd_route_sim(args: argparse.Namespace) -> int:
-    cfg, _ = resolve_config(args)
+    """Builds no model, so checks only the settings it reads: the score
+    shape, k, the seed and the strategies."""
+    cfg = resolve_settings(args)
+    if cfg["seed"] < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg['seed']}")
     if args.draws < 1:
         raise ConfigError(f"--draws must be >= 1, got {args.draws}")
     wanted = args.strategies.split(",") if args.strategies else list(routing.STRATEGIES)

@@ -109,9 +109,6 @@ class DenoiserParams:
         """Every weight as (path, tensor) in declaration order (layer.named_tensors)."""
         return moe_layer.named_tensors(self)
 
-    def parameters(self) -> list[Tensor]:
-        return [t for _, t in self.named_tensors()]
-
     def timestep_embedding(self, t: np.ndarray, total_steps: int) -> np.ndarray:
         """Sinusoidal features of t / T; a constant w.r.t. the parameters."""
         frac = np.asarray(t, dtype=np.float64) / total_steps

@@ -98,9 +98,10 @@ def named_tensors(params, prefix: str = "") -> list[tuple[str, Tensor]]:
     declaration order. A nested dataclass recurses under "<field>."; a list
     numbers its items under the field name less its trailing "s" (`blocks`
     gives "block0.", `experts` gives "expert3."); None and any other value
-    (a config, a threshold, an array) name nothing. This one walk is the
-    checkpoint manifest, AdamW's parameter order and the weight EMA's keys,
-    so a Tensor field is trained, saved and averaged by being declared.
+    (a config, a threshold, an array) name nothing. A Trainer walks it once:
+    AdamW's list and the EMA's keys come from that walk, and AdamW's list is
+    the order each step, the EMA update and the checkpoint groups follow. So
+    a Tensor field is trained, saved and averaged by being declared.
     """
     named = []
     for f in fields(params):

@@ -105,10 +105,10 @@ class WeightEma(object):
         start = np.empty_like if blank else np.copy
         self.shadow = {name: start(t.data) for name, t in named}
 
-    def update(self, named: list[tuple[str, Tensor]]) -> None:
+    def update(self, params: list[Tensor]) -> None:
+        """`params` are the weights in the shadow's order: AdamW's list."""
         d = self.decay
-        for name, t in named:
-            shadow = self.shadow[name]
+        for shadow, t in zip(self.shadow.values(), params, strict=True):
             shadow *= d
             shadow += (1.0 - d) * t.data
 
@@ -202,8 +202,10 @@ class Trainer(object):
             dim=config.model.model_dim,
             seed=config.seed + 7919,
         )
-        self.opt = AdamW(self.params.parameters(), lr=config.lr, blank=blank)
-        self.ema = WeightEma(self.params.named_tensors(), blank=blank)
+        # the one walk: from here on AdamW's list is the order of every tensor
+        named = self.params.named_tensors()
+        self.opt = AdamW([t for _, t in named], lr=config.lr, blank=blank)
+        self.ema = WeightEma(named, blank=blank)
 
     @property
     def step_count(self) -> int:
@@ -255,7 +257,7 @@ class Trainer(object):
         self.opt.step()
         for p in self.opt.params:  # applied: free the gradients until the next step
             p.grad = None
-        self.ema.update(self.params.named_tensors())
+        self.ema.update(self.opt.params)
         for blk, out in zip(self.params.blocks, layer_outputs):  # none when dense
             ema_update(blk.moe.threshold, out.route.kth_values)
 
@@ -337,7 +339,7 @@ def _to_eps(pred: np.ndarray, x_t: np.ndarray, t: int, sched: NoiseSchedule, par
 # ----------------------------------------------------------------------
 # checkpoints
 
-# The four state groups, each one flat float64 member in named_tensors() order.
+# The four state groups, each one flat float64 member in AdamW's parameter order.
 _GROUPS = ("param", "ema", "opt_m", "opt_v")
 _F8 = np.dtype(np.float64)
 _U8 = np.dtype(np.uint8)
@@ -345,14 +347,9 @@ _META_KEYS = {"version", "step", "config", "thresholds", "rng_state", "tensors"}
 
 
 def _state_groups(trainer: Trainer) -> dict[str, list[np.ndarray]]:
-    """The arrays the trainer owns, by group, each in named_tensors() order."""
-    named = trainer.params.named_tensors()
-    return dict(zip(_GROUPS, (
-        [t.data for _, t in named],
-        [trainer.ema.shadow[name] for name, _ in named],
-        trainer.opt.m,
-        trainer.opt.v,
-    )))
+    """The arrays the trainer owns, by group, each in AdamW's parameter order."""
+    opt = trainer.opt
+    return dict(zip(_GROUPS, ([p.data for p in opt.params], list(trainer.ema.shadow.values()), opt.m, opt.v)))
 
 
 def _is_float(value) -> bool:

@@ -93,9 +93,9 @@ def reference_adamw_step(self):
         p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def reference_ema_update(self, named):
+def reference_ema_update(self, params):
     d = self.decay
-    for name, t in named:
+    for name, t in zip(list(self.shadow), params):
         self.shadow[name] = d * self.shadow[name] + (1.0 - d) * t.data
 
 

@@ -55,6 +55,29 @@ def test_route_sim_invalid_combo_names_constraint(tmp_path, capsys):
     assert "divide" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("k", [3, 5, 6, 7])
+def test_route_sim_takes_a_k_that_does_not_divide_dense_hidden(tmp_path, k):
+    # route-sim builds no model, so the default dense_hidden = 256 does not bind its k
+    out = tmp_path / "sim"
+    assert main(["route-sim", "--out", str(out), "--draws", "2", "--k", str(k)]) == 0
+    assert len(read_csv(out / "route_sim.csv")) == 6
+    assert f"\nk = {k}\n" in (out / "config.snapshot").read_text()
+
+
+@pytest.mark.parametrize("flag, value, named", [
+    ("--seed", "-1", "seed must be >= 0, got -1"),
+    ("--strategy", "fastest", "unknown strategy 'fastest'"),
+    ("--k", "9", "k=9"),
+])
+def test_route_sim_rejects_a_setting_it_reads_or_writes_before_writing(tmp_path, capsys, flag, value, named):
+    out = tmp_path / "sim"
+    rc = main(["route-sim", "--out", str(out), "--draws", "1", flag, value])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1 and named in err, err
+    assert not out.exists()
+
+
 def test_route_sim_single_strategy(tmp_path):
     out = tmp_path / "one"
     rc = main(["route-sim", "--out", str(out), "--strategies", "expert-race",

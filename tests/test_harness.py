@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from moelab import training
+from moelab import layer, training
 from moelab.cli import main
 from moelab.denoiser import DenoiserConfig, denoiser_forward, init_denoiser
 from moelab.diffusion import (
@@ -418,7 +418,7 @@ def test_weight_ema_in_place_matches_allocating_formula():
         for _, p in named:
             p.data = p.data + rng.normal(size=p.shape)
         data_copies = [p.data.copy() for _, p in named]
-        ema.update(named)
+        ema.update([p for _, p in named])
         for (name, p), data in zip(named, data_copies):
             ref[name] = d * ref[name] + (1.0 - d) * data
             assert np.array_equal(ema.shadow[name], ref[name])
@@ -596,6 +596,43 @@ def test_the_manifest_is_the_version_4_layout(dense, manifest, tmp_path):
     with np.load(tmp_path / "ckpt.npz") as ckpt:
         saved = json.loads(bytes(ckpt["meta_json"]))["tensors"]
     assert [(name, tuple(shape)) for name, shape in saved] == manifest
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The parameter trees walked so far: each top-level layer.named_tensors
+    call appends its root (the walk's own recursive calls carry a prefix)."""
+    roots = []
+    walk = layer.named_tensors
+
+    def counted(params, prefix=""):
+        if not prefix:
+            roots.append(params)
+        return walk(params, prefix)
+
+    monkeypatch.setattr(layer, "named_tensors", counted)
+    return roots
+
+
+def test_a_train_step_walks_no_parameter_tree(walks):
+    trainer = Trainer(TrainerConfig())
+    assert walks == [trainer.params]  # the one walk, at construction
+    walks.clear()
+    trainer.train_step()
+    assert walks == []
+
+
+def test_the_state_groups_walk_no_parameter_tree_and_a_save_or_load_walks_once(walks, tmp_path):
+    trainer = small_trainer(seed=4)
+    trainer.train_step()
+    walks.clear()
+    training._state_groups(trainer)
+    assert walks == []
+    save_checkpoint(tmp_path / "ckpt.npz", trainer)
+    assert walks == [trainer.params]  # the manifest's names
+    walks.clear()
+    restored = load_checkpoint(tmp_path / "ckpt.npz", trainer.config)
+    assert walks == [restored.params] * 2  # the blank Trainer's walk, then the manifest check's
 
 
 def test_interrupted_checkpoint_save_keeps_previous_file(tmp_path, monkeypatch):
@@ -792,7 +829,7 @@ def test_end_to_end_gradients_match_finite_differences(weights):
     for _ in range(3):  # move off the zero-init point
         trainer.train_step()
     batch = trainer.task.sample_batch(np.random.default_rng(7), 4, trainer.schedule, "eps")
-    backward(trainer.loss(batch)[0], trainer.params.parameters())  # the objective train_step minimizes
+    backward(trainer.loss(batch)[0], trainer.opt.params)  # the objective train_step minimizes
 
     rng = np.random.default_rng(31)
     named = trainer.params.named_tensors()

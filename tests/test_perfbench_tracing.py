@@ -38,6 +38,6 @@ def test_perfbench_tracer_installs_records_spans_and_undoes():
         patches.undo()
     names = {span[0] for span in tracer.spans}
     assert {"training.train_step", "denoiser.forward", "layer.moe_forward", "layer.router",
-            "routing.route", "routing.topk_mask.expert-race"} <= names
+            "routing.route", "routing.topk_mask.expert-race", "training.optimizer", "training.ema"} <= names
     assert tracer.counts["matmul_calls"] > 0
     assert patched_names() == originals

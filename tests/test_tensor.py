@@ -537,7 +537,7 @@ def test_train_step_backward_peak_stays_near_the_forward_tape(monkeypatch):
         tracemalloc.stop()
     assert seen["forward"] > 0
     assert seen["peak"] <= 1.2 * seen["forward"], seen
-    assert all(p.grad is None for p in trainer.params.parameters())  # applied, then freed
+    assert all(p.grad is None for p in trainer.opt.params)  # applied, then freed
 
 
 def test_train_step_tape_holds_only_what_backward_reads(monkeypatch):
