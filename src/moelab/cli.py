@@ -318,8 +318,10 @@ def _parse_arms(spec: str, cfg: dict) -> list[tuple[str, TrainerConfig]]:
 
 def cmd_ablate(args: argparse.Namespace) -> int:
     """One row per arm: final losses and the layer mean of the routing report
-    on one held-out batch routed in train mode (batch top-K)."""
-    cfg, _ = resolve_config(args)
+    on one held-out batch routed in train mode (batch top-K). Every arm
+    replaces the base strategy and gating, so only the arms' configs are
+    built and checked."""
+    cfg = resolve_settings(args)
     if cfg["steps"] < 1:
         raise ConfigError(f"ablate trains each arm for --steps >= 1, got {cfg['steps']}")
     arms = _parse_arms(args.arms, cfg)

@@ -4,7 +4,9 @@ A deliberately small op set: matmul, a grouped matmul over contiguous row
 segments (segment_matmul), elementwise arithmetic, GELU, sigmoid, softmax,
 reductions, reshape/permute, row gather/scatter (take_rows/scatter_rows,
 whose scatter-add is one np.bincount), column slicing (take_cols) and
-constant masking. Every op is eager.
+constant masking. Every op is eager. Each differentiable op has a row in
+the op table, tests/test_ops.py, which checks it against finite
+differences, no_grad, a freed tape and a bit-equal repeat.
 
 The tape is a graph of _Node objects apart from the data: a Tensor is its
 array plus its node, or no node when it needs no gradient (a constant, or
@@ -242,20 +244,20 @@ class Tensor:
 
         return Tensor(fwd(self.data, other.data), _parents=(self, other), _grad_fn=gfn)
 
-    def __add__(self, other):
+    def __add__(self, other) -> "Tensor":
         return self._binary(other, np.add, lambda x, y: (lambda g: g, lambda g: g))
 
     __radd__ = __add__
 
-    def __sub__(self, other):
+    def __sub__(self, other) -> "Tensor":
         return self._binary(other, np.subtract, lambda x, y: (lambda g: g, np.negative))
 
-    def __mul__(self, other):
+    def __mul__(self, other) -> "Tensor":
         return self._binary(other, np.multiply, lambda x, y: (lambda g: g * y, lambda g: g * x))
 
     __rmul__ = __mul__
 
-    def __matmul__(self, other):
+    def __matmul__(self, other) -> "Tensor":
         return matmul(self, other)
 
     def square(self) -> "Tensor":
@@ -433,7 +435,8 @@ def gelu(x: Tensor) -> Tensor:
 
 def sigmoid(x: Tensor) -> Tensor:
     x = Tensor._coerce(x)
-    s = 1.0 / (1.0 + np.exp(-x.data))
+    with np.errstate(over="ignore"):  # exp(-x) = inf below -709, and 1 / (1 + inf) = 0.0 exactly
+        s = 1.0 / (1.0 + np.exp(-x.data))
     xn = x._node
 
     def gfn(g):
@@ -591,7 +594,7 @@ def finite_difference_grad(f: Callable[[Tensor], float], x: Tensor, h: float = 1
     if h <= 0:
         raise ContractError("h must be positive")
     base = x.data
-    grad = np.zeros_like(base)
+    grad = np.zeros(base.shape)  # C order, so that `flat` below is a view of it
     flat = grad.reshape(-1)
     for i in range(base.size):
         bumped = base.copy().reshape(-1)

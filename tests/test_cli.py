@@ -969,6 +969,20 @@ def test_ablate_validates_every_arm_before_training(tmp_path, capsys, monkeypatc
     assert trained == [] and not (out / "ablate.csv").exists()
 
 
+@pytest.mark.parametrize("arms, rc", [("token-choice:identity", 0), ("token-choice:identity;expert-choice:identity", 2)],
+                         ids=["no-arm-uses-the-base", "an-arm-does"])
+def test_ablate_checks_the_arms_not_the_base_strategy_they_replace(tmp_path, capsys, arms, rc):
+    # k * batch_size * tokens / experts = 1 * 2 * 3 / 4 is no integer K: only an arm may run expert-choice here
+    out = tmp_path / "ablate"
+    assert main(["ablate", "--out", str(out), "--batch-size", "2", "--tokens", "3", "--experts", "4", "--k", "1",
+                 "--model-dim", "8", "--layers", "1", "--steps", "1", "--strategy", "expert-choice",
+                 "--arms", arms]) == rc
+    if rc == 0:
+        assert len(read_csv(out / "ablate.csv")) == 1
+    else:
+        assert "K = k*D_B/E = 1*3/4 is not an integer" in capsys.readouterr().err and not out.exists()
+
+
 @pytest.mark.parametrize(
     "command,setting,named",
     [
