@@ -282,9 +282,8 @@ def _checkpoint_metrics(trainer: Trainer) -> dict:
 def cmd_metrics(args: argparse.Namespace) -> int:
     _, config = resolve_config(args)
     trainer = load_checkpoint(args.checkpoint, config)
-    out_dir = make_out_dir(args)
-    report = _checkpoint_metrics(trainer)
-    path = out_dir / "metrics.json"
+    report = _checkpoint_metrics(trainer)  # before --out: a failed report leaves no directory
+    path = make_out_dir(args) / "metrics.json"
     path.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {path}")
     return 0

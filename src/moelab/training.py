@@ -20,10 +20,12 @@ under `tensor.no_grad()` and build no tape.
 from __future__ import annotations
 
 import json
+import lzma
 import math
 import os
 import sys
 import zipfile
+import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -437,19 +439,24 @@ def save_checkpoint(path, trainer: Trainer) -> None:
 
 
 @contextmanager
-def _read_member(archive: zipfile.ZipFile, path, key: str, dtype: np.dtype, length: int | None = None):
-    """Open 1-D, C-order .npy member `key` holding `dtype` values (`length`
-    of them, if given) and yield the stream at its data.
+def _read_member(archive: zipfile.ZipFile, path, key: str, dtype: np.dtype, arrays: list[np.ndarray] | None = None):
+    """Read the 1-D, C-order .npy member `key` of `dtype` values straight
+    into `arrays`, whose total size its length must be, or, without them,
+    into one new array of its length; yield the arrays.
 
-    Any fault in the member, including one the caller meets reading or
-    decoding the data, raises a one-line ConfigError naming the path and
-    the member. Bytes left over after the caller's reads are one too.
+    Any fault in the member, including one the caller's block meets decoding
+    what it yields, raises a one-line ConfigError naming the path and the
+    member: a missing or encrypted member, a compression method zipfile
+    cannot read, a corrupt compressed stream, a CRC mismatch, a wrong
+    header, or data shorter or longer than the header says.
     """
     where = f"checkpoint {path} member {key!r}"
     try:
         info = archive.getinfo(f"{key}.npy")
     except KeyError:
         raise ConfigError(f"checkpoint {path} has no entry {key!r}") from None
+    if info.flag_bits & 0x1:
+        raise ConfigError(f"{where} is encrypted")
     try:
         with archive.open(info) as fh:
             if np.lib.format.read_magic(fh) != (1, 0):
@@ -459,21 +466,29 @@ def _read_member(archive: zipfile.ZipFile, path, key: str, dtype: np.dtype, leng
                 raise ConfigError(f"{where} has dtype {found}, the model needs {dtype}")
             if fortran:
                 raise ConfigError(f"{where} is in Fortran order, the model needs C order")
-            if length is not None and shape != (length,):
-                raise ConfigError(f"{where} has shape {shape}, the model needs {(length,)}")
-            yield fh
+            need = "1-D" if arrays is None else (sum(arr.size for arr in arrays),)
+            if len(shape) != 1 or arrays is not None and shape != need:
+                raise ConfigError(f"{where} has shape {shape}, the model needs {need}")
+            nbytes = shape[0] * dtype.itemsize
+            if arrays is None:  # allocate no more than the member holds
+                arrays = [np.empty(shape, dtype)] if nbytes <= info.file_size else []
+            if sum(fh.readinto(arr) for arr in arrays) != nbytes:
+                raise ConfigError(f"{where} is truncated")
             if fh.read(1):
                 raise ConfigError(f"{where} holds more bytes than its header says")
+        yield arrays
     except ConfigError:
         raise
-    except (ValueError, EOFError, zipfile.BadZipFile) as exc:  # not .npy, not JSON, bad CRC, ...
+    except (ValueError, EOFError, OSError, zipfile.BadZipFile, zlib.error, lzma.LZMAError, NotImplementedError) as exc:
+        # not .npy, not JSON, a bad CRC, an unknown compression method, a corrupt
+        # deflate (zlib.error), bzip2 (OSError) or lzma stream, ...
         raise ConfigError(f"{where} is unreadable: {exc}") from None
 
 
 def _check_manifest(path, manifest, named: list[tuple[str, Tensor]]) -> None:
     """The saved [name, shape] list must be the model's, entry by entry."""
     if not isinstance(manifest, list) or len(manifest) != len(named):
-        raise ConfigError(f"checkpoint {path} manifest does not list the model's {len(named)} tensors")
+        raise ConfigError(f"checkpoint {path} metadata 'tensors' does not list the model's {len(named)} tensors")
     for entry, (name, t) in zip(manifest, named):
         try:
             saved_name, saved_shape = entry
@@ -496,12 +511,18 @@ def load_checkpoint(path, config: TrainerConfig) -> Trainer:
     model's tensors, names and shapes, and each state group must be a 1-D
     C-order float64 member of exactly their total size; its bytes are read
     straight into the arrays of a blank Trainer (np.empty, never drawn,
-    zeroed or copied), so every state array owns its memory. A missing
-    member or metadata field, a member that is not a readable .npy array,
-    metadata that is not UTF-8 JSON, a metadata field of the wrong type or
-    value, a CRC mismatch, a file that cannot be opened or that is not an
-    .npz archive: each raises a one-line ConfigError naming the path (and
-    the member or field).
+    zeroed or copied), so every state array owns its memory. Members may
+    be stored or compressed (np.savez_compressed loads bit-equal).
+
+    Each of these raises a one-line ConfigError naming the path (and the
+    member or field): a file that cannot be opened or that is not an .npz
+    archive; a missing or encrypted member; a member in a compression
+    method zipfile cannot read, with a corrupt compressed stream or a CRC
+    mismatch; a member that is not a version 1.0 .npy array, of another
+    dtype, in Fortran order, not 1-D (`meta_json` too), of the wrong
+    length, or with fewer or more data bytes than its header says;
+    metadata that is not a UTF-8 JSON object; a missing metadata field, or
+    one of the wrong JSON type or value.
     """
     try:
         archive = zipfile.ZipFile(path)
@@ -510,8 +531,8 @@ def load_checkpoint(path, config: TrainerConfig) -> Trainer:
     except zipfile.BadZipFile:  # text, empty or truncated files, a lone .npy array
         raise ConfigError(f"checkpoint {path} is not an .npz archive") from None
     with archive:
-        with _read_member(archive, path, "meta_json", _U8) as fh:
-            meta = json.loads(fh.read().decode("utf-8"))
+        with _read_member(archive, path, "meta_json", _U8) as (blob,):
+            meta = json.loads(blob.tobytes().decode("utf-8"))
         if not isinstance(meta, dict):
             raise ConfigError(f"checkpoint {path} member 'meta_json' is not a JSON object")
         if "version" in meta and meta["version"] != CHECKPOINT_VERSION:
@@ -530,17 +551,14 @@ def load_checkpoint(path, config: TrainerConfig) -> Trainer:
                 for key in sorted(set(saved) | set(current))
                 if saved.get(key) != current.get(key)
             }
-            raise ConfigError(f"checkpoint config mismatch (saved vs requested): {diff}")
+            raise ConfigError(f"checkpoint {path} config mismatch (saved vs requested): {diff}")
 
         trainer = Trainer(config, blank=True)
         named = trainer.params.named_tensors()
         _check_manifest(path, meta["tensors"], named)
-        total = sum(t.size for _, t in named)
         for group, arrays in _state_groups(trainer).items():
-            with _read_member(archive, path, group, _F8, total) as fh:
-                for arr in arrays:
-                    if fh.readinto(arr) != arr.nbytes:
-                        raise ConfigError(f"checkpoint {path} member {group!r} is truncated")
+            with _read_member(archive, path, group, _F8, arrays):
+                pass  # read straight into the trainer's arrays
         if type(meta["step"]) is not int or meta["step"] < 0:  # JSON true is no step count
             raise ConfigError(f"checkpoint {path} metadata 'step' is {meta['step']!r}, not a step count")
         trainer.opt.step_count = meta["step"]

@@ -7,7 +7,6 @@ import json
 import math
 import os
 import signal
-import struct
 import subprocess
 import sys
 import time
@@ -17,7 +16,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from moelab.cli import main, parse_config_file
+from moelab import training
+from moelab.cli import build_parser, main, parse_config_file, resolve_config
 from moelab.denoiser import DenoiserConfig
 from moelab.losses import LossWeights
 from moelab.training import Trainer, TrainerConfig, load_checkpoint, save_checkpoint
@@ -417,156 +417,7 @@ def test_metrics_on_an_untrained_checkpoint_is_a_state_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("state error: ") and err.count("\n") == 1, err
-    assert not (tmp_path / "rep" / "metrics.json").exists()
-
-
-@pytest.mark.parametrize("drop", ["param", "meta"])
-def test_metrics_checkpoint_missing_entry_is_config_error(tmp_path, capsys, drop):
-    run = tmp_path / "run"
-    main(["train", "--out", str(run), "--steps", "1", "--seed", "5", *FAST])
-    with np.load(run / "ckpt_final.npz") as data:
-        arrays = {key: data[key] for key in data.files}
-    if drop == "param":
-        missing = "has no entry 'param'"
-        del arrays["param"]
-    else:
-        missing = "metadata has no ['step']"
-        meta = json.loads(bytes(arrays["meta_json"]).decode("utf-8"))
-        del meta["step"]
-        arrays["meta_json"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-    broken = tmp_path / "broken.npz"
-    np.savez(broken, **arrays)
-    rc = main(["metrics", "--checkpoint", str(broken),
-               "--out", str(tmp_path / "rep"), "--seed", "5", *FAST])
-    assert rc == 2
-    assert missing in capsys.readouterr().err
-
-
-def read_meta(arrays: dict) -> dict:
-    return json.loads(bytes(arrays["meta_json"]).decode("utf-8"))
-
-
-def encode_meta(meta: dict) -> np.ndarray:
-    return np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-
-
-def tensor_slice(meta: dict, name: str) -> slice:
-    """Where a named tensor sits in each flat state group, from the manifest."""
-    start = 0
-    for saved, shape in meta["tensors"]:
-        size = math.prod(shape)
-        if saved == name:
-            return slice(start, start + size)
-        start += size
-    raise KeyError(name)
-
-
-def in_b_of_shape_1(meta_json: np.ndarray) -> np.ndarray:
-    meta = read_meta({"meta_json": meta_json})
-    meta["tensors"] = [[name, [1] if name == "in_b" else shape] for name, shape in meta["tensors"]]
-    return encode_meta(meta)
-
-
-@pytest.mark.parametrize(
-    "member,edit,key,named",
-    [
-        ("meta_json", in_b_of_shape_1, "in_b", "shape (1,), the model needs (8,)"),
-        ("ema", lambda a: a[:-32], "ema", "shape ({short},), the model needs ({n},)"),
-        ("opt_m", lambda a: a.astype(np.float32), "opt_m", "dtype float32, the model needs float64"),
-        ("opt_v", lambda a: a.astype(np.int64), "opt_v", "dtype int64, the model needs float64"),
-    ],
-    ids=["param-shape", "ema-shape", "opt_m-float32", "opt_v-int64"],
-)
-def test_metrics_checkpoint_bad_array_is_config_error(tmp_path, capsys, member, edit, key, named):
-    run = tmp_path / "run"
-    main(["train", "--out", str(run), "--steps", "1", "--seed", "5", *FAST])
-    with np.load(run / "ckpt_final.npz") as data:
-        arrays = {name: data[name] for name in data.files}
-    arrays[member] = edit(arrays[member])
-    n = arrays["param"].size
-    broken = tmp_path / "broken.npz"
-    np.savez(broken, **arrays)
-    rc = main(["metrics", "--checkpoint", str(broken),
-               "--out", str(tmp_path / "rep"), "--seed", "5", *FAST])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert repr(key) in err and named.format(n=n, short=n - 32) in err
-
-
-def _edit_meta(fault: str, meta: dict) -> None:
-    if fault == "momentum":  # the version 2 entry, not a number
-        meta["thresholds"][0] = {"momentum": 0.99, "tau": meta["thresholds"][0]}
-    elif fault == "missing":
-        meta["thresholds"].pop()
-    elif fault == "tau-text":
-        meta["thresholds"][0] = "abc"
-    elif fault == "tau-nan":
-        meta["thresholds"][0] = float("nan")
-    elif fault == "tau-bool":
-        meta["thresholds"][0] = True
-    elif fault == "tau-huge":
-        meta["thresholds"][0] = 10**400  # a JSON integer no float holds
-    elif fault == "config-list":
-        meta["config"] = [1, 2]
-    elif fault == "config-text":
-        meta["config"] = "x"
-    elif fault == "version-text":
-        meta["version"] = "3"
-    elif fault == "rng_state":
-        meta["rng_state"] = "x"
-    elif fault == "step-bool":
-        meta["step"] = True
-    elif fault == "ema_decay":  # saved when the EMA decay was a setting
-        meta["config"]["ema_decay"] = 0.999
-    else:
-        meta["step"] = "1"
-
-
-@pytest.mark.parametrize("fault,named", [
-    ("momentum", "momentum"), ("missing", "threshold entries"),
-    ("tau-text", "'tau': 'abc'"), ("tau-nan", "'tau': nan"), ("tau-bool", "'tau': True"), ("tau-huge", "'tau': 1000"),
-    ("rng_state", "'rng_state'"), ("step", "'step' is '1'"),
-    ("step-bool", "'step' is True"), ("ema_decay", "'ema_decay': (0.999, None)"),
-    ("config-list", "'config' is not a JSON object"), ("config-text", "'config' is not a JSON object"),
-    ("version-text", "has version '3'; this moelab reads version 4"),
-])
-def test_metrics_checkpoint_bad_thresholds_is_config_error(tmp_path, capsys, fault, named):
-    # malformed checkpoint metadata: one config-error line naming the field,
-    # from `metrics` and from `train --resume` alike
-    run = tmp_path / "run"
-    main(["train", "--out", str(run), "--steps", "1", "--seed", "5", *FAST])
-    with np.load(run / "ckpt_final.npz") as data:
-        arrays = {key: data[key] for key in data.files}
-    meta = read_meta(arrays)
-    _edit_meta(fault, meta)
-    arrays["meta_json"] = encode_meta(meta)
-    broken = tmp_path / "broken.npz"
-    np.savez(broken, **arrays)
-    capsys.readouterr()
-    for args in (["metrics", "--checkpoint", str(broken)], ["train", "--steps", "2", "--resume", str(broken)]):
-        rc = main([*args, "--out", str(tmp_path / "rep"), "--seed", "5", *FAST])
-        err = capsys.readouterr().err
-        assert rc == 2, args
-        assert err.startswith("config error: checkpoint ") and err.count("\n") == 1, err
-        assert named in err, err
-
-
-@pytest.mark.parametrize("command", ["metrics", "train"])
-def test_non_finite_router_scores_exit_3_naming_the_block(tmp_path, capsys, command):
-    run = tmp_path / "run"
-    main(["train", "--out", str(run), "--steps", "1", "--seed", "5", *FAST])
-    with np.load(run / "ckpt_final.npz") as data:
-        arrays = {key: data[key] for key in data.files}
-    arrays["param"][tensor_slice(read_meta(arrays), "block0.moe.gate_b")] = np.nan
-    broken = tmp_path / "broken.npz"
-    np.savez(broken, **arrays)
-    if command == "metrics":  # infer-mode routing
-        args = ["metrics", "--checkpoint", str(broken)]
-    else:  # train-mode routing on the resumed step
-        args = ["train", "--steps", "2", "--resume", str(broken)]
-    rc = main([*args, "--out", str(tmp_path / "out"), "--seed", "5", *FAST])
-    assert rc == 3
-    assert "block 0: router scores have" in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
 
 
 def test_metrics_one_in_one_flags_no_pairs(tmp_path):
@@ -761,58 +612,6 @@ def test_route_sim_rejects_a_repeated_strategy_before_writing(tmp_path, capsys, 
     assert not out.exists()
 
 
-@pytest.mark.parametrize("content", ["text", "empty", "truncated", "npy"])
-def test_metrics_checkpoint_that_is_no_npz_archive_is_config_error(tmp_path, capsys, content):
-    bad = tmp_path / "bad.npz"
-    if content == "text":
-        bad.write_text("step = 3\n")
-    elif content == "empty":
-        bad.write_bytes(b"")
-    elif content == "truncated":
-        run = tmp_path / "run"
-        main(["train", "--out", str(run), "--steps", "1", "--seed", "5", *FAST])
-        archive = (run / "ckpt_final.npz").read_bytes()
-        bad.write_bytes(archive[: len(archive) // 2])
-    else:
-        with bad.open("wb") as fh:  # a handle: np.save adds no .npy suffix
-            np.save(fh, np.zeros(3))
-    capsys.readouterr()
-    out = tmp_path / "rep"
-    rc = main(["metrics", "--checkpoint", str(bad), "--out", str(out), "--seed", "5", *FAST])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err == f"config error: checkpoint {bad} is not an .npz archive\n"
-    assert not out.exists()
-
-
-def npy_bytes(value) -> bytes:
-    buf = io.BytesIO()
-    np.save(buf, value)
-    return buf.getvalue()
-
-
-def raw_npy(descr: str, shape: tuple, data: bytes, fortran: bool = False) -> bytes:
-    """A .npy member whose header says what it is told, whatever the data."""
-    buf = io.BytesIO()
-    np.lib.format.write_array_header_1_0(buf, {"descr": descr, "fortran_order": fortran, "shape": shape})
-    return buf.getvalue() + data
-
-
-def write_archive(path: Path, members: dict) -> None:
-    with zipfile.ZipFile(path, "w") as zf:
-        for key, value in members.items():
-            zf.writestr(f"{key}.npy", value if isinstance(value, bytes) else npy_bytes(value))
-
-
-def flip_a_data_byte(archive: bytes, member: str) -> bytes:
-    """Flip one byte inside a member's data, past its .npy header: a CRC mismatch."""
-    with zipfile.ZipFile(io.BytesIO(archive)) as zf:
-        offset = zf.getinfo(member).header_offset
-    name_len, extra_len = struct.unpack_from("<HH", archive, offset + 26)  # local file header
-    at = offset + 30 + name_len + extra_len + 1000
-    return archive[:at] + bytes([archive[at] ^ 0x40]) + archive[at + 1:]
-
-
 @pytest.fixture(scope="module")
 def trained_checkpoint(tmp_path_factory):
     run = tmp_path_factory.mktemp("trained")
@@ -820,86 +619,197 @@ def trained_checkpoint(tmp_path_factory):
     return run / "ckpt_final.npz"
 
 
-def malformed(fault: str, ckpt: Path, broken: Path) -> None:
+def members_of(ckpt: Path) -> dict:
     with np.load(ckpt) as data:
-        arrays = {name: data[name] for name in data.files}
-    param = arrays["param"]
-    edits = {
-        "not-npy": {"meta_json": b"0123456789"},
-        "not-utf8": {**arrays, "meta_json": np.frombuffer(b"\xff\xfe{}", dtype=np.uint8)},
-        "not-json": {**arrays, "meta_json": np.frombuffer(b"step = 3", dtype=np.uint8)},
-        "json-list": {**arrays, "meta_json": np.frombuffer(b"[1, 2]", dtype=np.uint8)},
-        "dtype": {**arrays, "param": param.astype(np.float32)},
-        "order": {**arrays, "param": raw_npy("<f8", param.shape, param.tobytes(), fortran=True)},
-        "length": {**arrays, "param": np.append(param, 0.0)},
-        "truncated": {**arrays, "param": raw_npy("<f8", param.shape, param[:-1].tobytes())},
-        "trailing": {**arrays, "param": raw_npy("<f8", param.shape, param.tobytes() + bytes(8))},
-    }
-    if fault == "crc":
-        broken.write_bytes(flip_a_data_byte(ckpt.read_bytes(), "param.npy"))
-    else:
-        write_archive(broken, edits[fault])
+        return {key: data[key] for key in data.files}
 
 
-@pytest.mark.parametrize(
-    "fault,member,named",
-    [
-        ("not-npy", "meta_json", "magic string is not correct"),
-        ("not-utf8", "meta_json", "can't decode byte 0xff"),
-        ("not-json", "meta_json", "Expecting value"),
-        ("json-list", "meta_json", "is not a JSON object"),
-        ("dtype", "param", "has dtype float32, the model needs float64"),
-        ("order", "param", "is in Fortran order, the model needs C order"),
-        ("length", "param", "the model needs ("),
-        ("truncated", "param", "is truncated"),
-        ("trailing", "param", "holds more bytes than its header says"),
-        ("crc", "param", "Bad CRC-32 for file 'param.npy'"),
-    ],
-)
-def test_metrics_checkpoint_malformed_member_is_config_error(tmp_path, capsys, trained_checkpoint, fault, member, named):
-    broken = tmp_path / "broken.npz"
-    malformed(fault, trained_checkpoint, broken)
-    capsys.readouterr()
-    out = tmp_path / "rep"
-    rc = main(["metrics", "--checkpoint", str(broken), "--out", str(out), "--seed", "5", *FAST])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"config error: checkpoint {broken} member {member!r} ") and err.count("\n") == 1
-    assert named in err
-    assert not out.exists()
+def npy(a: np.ndarray, data: bytes | None = None, fortran: bool = False) -> bytes:
+    """A .npy member whose header describes `a` and that holds `data` (a's bytes by default)."""
+    buf = io.BytesIO()
+    header = {"descr": np.lib.format.dtype_to_descr(a.dtype), "fortran_order": fortran, "shape": a.shape}
+    np.lib.format.write_array_header_1_0(buf, header)
+    return buf.getvalue() + (a.tobytes() if data is None else data)
 
 
-@pytest.mark.parametrize("version", [1, 2, 3])
-def test_old_checkpoint_is_rejected_naming_both_versions(tmp_path, capsys, trained_checkpoint, version):
-    # versions 1 to 3 store the optimizer's step count apart, as "opt_step";
-    # versions 1 and 2 store each threshold as {"momentum": m, "tau": tau};
-    # version 1 also stores one member per tensor and no manifest
-    with np.load(trained_checkpoint) as data:
-        arrays = {name: data[name] for name in data.files}
-    meta = read_meta(arrays)
-    meta["opt_step"] = meta["step"]
-    if version < 3:
-        meta["thresholds"] = [{"momentum": 0.99, "tau": tau} for tau in meta["thresholds"]]
-    if version == 1:
-        for i, (name, shape) in enumerate(meta["tensors"]):
-            at = tensor_slice(meta, name)
-            arrays[f"param/{name}"] = arrays["param"][at].reshape(shape)
-            arrays[f"ema/{name}"] = arrays["ema"][at].reshape(shape)
-            arrays[f"opt_m/{i}"] = arrays["opt_m"][at].reshape(shape)
-            arrays[f"opt_v/{i}"] = arrays["opt_v"][at].reshape(shape)
-        for group in ("param", "ema", "opt_m", "opt_v"):
-            del arrays[group]
-        del meta["tensors"]
-    arrays["meta_json"] = encode_meta({**meta, "version": version})
-    old = tmp_path / f"v{version}.npz"
-    np.savez(old, **arrays)
-    capsys.readouterr()
-    out = tmp_path / "rep"
-    rc = main(["metrics", "--checkpoint", str(old), "--out", str(out), "--seed", "5", *FAST])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err == f"config error: checkpoint {old} has version {version}; this moelab reads version 4\n"
-    assert not out.exists()
+def write_members(path: Path, members: dict, key: str = "", **entry) -> None:
+    """An archive of stored members, each an array or raw .npy bytes. `entry`
+    sets fields of member `key`'s central-directory record, which a reader trusts."""
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, value in members.items():
+            zf.writestr(f"{name}.npy", value if isinstance(value, bytes) else npy(value))
+        for field, value in entry.items():
+            setattr(zf.getinfo(f"{key}.npy"), field, value)
+
+
+def tensor_slice(meta: dict, name: str) -> slice:
+    ends = np.cumsum([0] + [math.prod(shape) for _, shape in meta["tensors"]])
+    i = [saved for saved, _ in meta["tensors"]].index(name)
+    return slice(ends[i], ends[i + 1])
+
+
+def member(key: str, edit=lambda a: a, **entry):
+    """A fault: member `key` replaced by edit(its array), dropped where that
+    is None, and `entry` set on its central-directory record."""
+    def make(path, ckpt):
+        members = members_of(ckpt)
+        members[key] = edit(members[key])
+        write_members(path, {name: value for name, value in members.items() if value is not None}, key, **entry)
+    return make
+
+
+def meta(edit):
+    """A fault: the metadata replaced by edit(the saved metadata)."""
+    return member("meta_json", lambda a: np.frombuffer(json.dumps(edit(json.loads(a.tobytes()))).encode(), np.uint8))
+
+
+def meta_with(**fields):
+    return meta(lambda m: {**m, **fields})
+
+
+def old_version(version: int):
+    """Versions 1-3 store the step count apart, as "opt_step"; 1 and 2 store each threshold
+    as {"momentum", "tau"}; 1 also stores one member per tensor and no manifest."""
+    def make(path, ckpt):
+        members = members_of(ckpt)
+        m = json.loads(members["meta_json"].tobytes())
+        m.update(version=version, opt_step=m["step"])
+        if version < 3:
+            m["thresholds"] = [{"momentum": 0.99, "tau": tau} for tau in m["thresholds"]]
+        if version == 1:
+            for group in training._GROUPS:
+                flat = members.pop(group)
+                for i, (name, shape) in enumerate(m["tensors"]):
+                    at = name if group in ("param", "ema") else i
+                    members[f"{group}/{at}"] = flat[tensor_slice(m, name)].reshape(shape)
+            del m["tensors"]
+        write_members(path, {**members, "meta_json": np.frombuffer(json.dumps(m).encode(), np.uint8)})
+    return make
+
+
+CONFIG = resolve_config(build_parser().parse_args(["train", "--seed", "5", *FAST]))[1]  # the trained checkpoint's
+N = sum(t.size for t in Trainer(CONFIG).opt.params)  # each state group's length
+# what the message says when a metadata field holds its value as JSON text; a new key's says " metadata 'key' "
+AS_TEXT = {"version": " has version '4'; this moelab reads version 4\n",
+           "step": " metadata 'step' is '1', not a step count\n", "config": " metadata 'config' is not a JSON object\n"}
+
+
+# each member's faults: (fault, edit of its array, central-directory fields, what the message says of it)
+MEMBER_FAULTS = [
+    ("float32", lambda a: a.astype(np.float32), {}, "has dtype float32, the model needs {dtype}\n"),
+    ("2-d", lambda a: a[None], {}, "has shape (1, "),
+    ("not-npy", lambda a: b"0123456789", {}, "is unreadable: the magic string is not correct"),
+    ("fortran", lambda a: npy(a, fortran=True), {}, "is in Fortran order, the model needs C order\n"),
+    ("truncated", lambda a: npy(a, a[:-1].tobytes()), {}, "is truncated\n"),
+    ("trailing", lambda a: npy(a, a.tobytes() + a[:1].tobytes()), {}, "holds more bytes than its header says\n"),
+    ("crc", lambda a: a, {"CRC": 0}, "is unreadable: Bad CRC-32 for file '{key}.npy'\n"),
+    ("encrypted", lambda a: a, {"flag_bits": 0x1}, "is encrypted\n"),
+    ("method-99", lambda a: a, {"compress_type": 99}, "is unreadable: That compression method is not supported\n"),
+    *[(f"corrupt-{name}", lambda a: b"\xff" + npy(a)[1:], {"compress_type": method}, f"is unreadable: {said}")
+      for name, method, said in [("deflate", zipfile.ZIP_DEFLATED, "Error -3 while decompressing data"),
+                                 ("bzip2", zipfile.ZIP_BZIP2, "Invalid data stream"), ("lzma", zipfile.ZIP_LZMA, "")]],
+]
+LENGTH_FAULTS = [  # the model fixes every member's length but meta_json's
+    ("short", lambda a: a[:-1], {}, "has shape ({short},), the model needs ({n},)\n"),
+    ("long", lambda a: np.append(a, 0.0), {}, "has shape ({long},), the model needs ({n},)\n"),
+]
+
+
+def generated_rows():
+    """Each fault of each member and of each metadata key."""
+    for key in (*training._GROUPS, "meta_json"):
+        dtype, faults = ("uint8", MEMBER_FAULTS) if key == "meta_json" else ("float64", MEMBER_FAULTS + LENGTH_FAULTS)
+        yield f"{key}-missing", member(key, lambda a: None), f" has no entry {key!r}\n"
+        for fault, edit, entry, said in faults:
+            said = said.format(key=key, dtype=dtype, n=N, short=N - 1, long=N + 1)
+            yield f"{key}-{fault}", member(key, edit, **entry), f" member {key!r} {said}"
+    for key in sorted(training._META_KEYS):
+        without = meta(lambda m, key=key: {k: v for k, v in m.items() if k != key})
+        yield f"{key}-missing", without, f" metadata has no [{key!r}]\n"
+        as_text = meta(lambda m, key=key: {**m, key: json.dumps(m[key])})
+        yield f"{key}-as-json-text", as_text, AS_TEXT.get(key, f" metadata {key!r} ")
+
+
+# (row, fault, what the message says right after "checkpoint <path>"; a final newline pins the line's end)
+ROWS = [
+    *generated_rows(),
+    ("opt_v-int64", member("opt_v", lambda a: a.astype(np.int64)),
+     " member 'opt_v' has dtype int64, the model needs float64\n"),
+    ("meta_json-not-utf8", member("meta_json", lambda a: npy(np.frombuffer(b"\xff\xfe{}", np.uint8))),
+     " member 'meta_json' is unreadable: 'utf-8' codec can't decode byte 0xff"),
+    ("meta_json-not-json", member("meta_json", lambda a: npy(np.frombuffer(b"step = 3", np.uint8))),
+     " member 'meta_json' is unreadable: Expecting value"),
+    ("meta_json-huge", member("meta_json", lambda a: npy(np.broadcast_to(a[:1], (10**15,)), a.tobytes())),
+     " member 'meta_json' is truncated\n"),  # and no petabyte allocated for it
+    ("meta_json-list", meta(lambda m: [1, 2]), " member 'meta_json' is not a JSON object\n"),
+    ("in_b-shape", meta(lambda m: {**m, "tensors": [[n, [1] if n == "in_b" else s] for n, s in m["tensors"]]}),
+     " tensor 'in_b' has shape (1,), the model needs (8,)\n"),
+    ("thresholds-short", meta_with(thresholds=[]), " metadata 'thresholds' is not a list of 1 threshold entries\n"),
+    ("tau-momentum", meta_with(thresholds=[{"momentum": 0.99, "tau": 0.5}]), " block 0 threshold 'tau': {'momentum'"),
+    ("tau-text", meta_with(thresholds=["abc"]), " block 0 threshold 'tau': 'abc' is not a finite number or null\n"),
+    ("tau-nan", meta_with(thresholds=[math.nan]), " block 0 threshold 'tau': nan is not"),
+    ("tau-bool", meta_with(thresholds=[True]), " block 0 threshold 'tau': True is not"),
+    ("tau-huge", meta_with(thresholds=[10**400]), " block 0 threshold 'tau': 1000"),  # an integer no float holds
+    ("config-list", meta_with(config=[1, 2]), " metadata 'config' is not a JSON object\n"),
+    ("version-text", meta_with(version="3"), " has version '3'; this moelab reads version 4\n"),
+    ("step-bool", meta_with(step=True), " metadata 'step' is True, not a step count\n"),
+    ("batch_size", meta(lambda m: {**m, "config": {**m["config"], "batch_size": 8}}),
+     " config mismatch (saved vs requested): {'batch_size': (8, 4)}\n"),
+    ("ema_decay", meta(lambda m: {**m, "config": {**m["config"], "ema_decay": 0.999}}),  # once a setting
+     " config mismatch (saved vs requested): {'ema_decay': (0.999, None)}\n"),
+    ("force_unit_gate", meta(lambda m: {**m, "config": {**m["config"], "force_unit_gate": False}}),  # dropped
+     " config mismatch (saved vs requested): {'force_unit_gate': (False, None)}\n"),
+    *[(f"version-{v}", old_version(v), f" has version {v}; this moelab reads version 4\n") for v in (1, 2, 3)],
+    ("text", lambda path, _: path.write_text("step = 3\n"), " is not an .npz archive\n"),
+    ("empty", lambda path, _: path.write_bytes(b""), " is not an .npz archive\n"),
+    ("half-archive", lambda path, ckpt: path.write_bytes(ckpt.read_bytes()[: ckpt.stat().st_size // 2]),
+     " is not an .npz archive\n"),
+    ("npy", lambda path, _: path.write_bytes(npy(np.zeros(3))), " is not an .npz archive\n"),
+    ("no-file", lambda path, _: None, ": No such file or directory\n"),
+    ("directory", lambda path, _: path.mkdir(), ": Is a directory\n"),
+]
+
+
+@pytest.mark.parametrize("make,fragment", [pytest.param(make, fragment, id=row) for row, make, fragment in ROWS])
+def test_checkpoint_fault(tmp_path, capsys, trained_checkpoint, make, fragment):
+    # through `metrics` and `train --resume` alike: exit 2, one line naming the
+    # file and the fault, no --out, and the file and its directory untouched
+    home, out = tmp_path / "home", tmp_path / "out"
+    home.mkdir()
+    broken = home / "broken.npz"
+    make(broken, trained_checkpoint)
+
+    def files():
+        return {p: p.read_bytes() if p.is_file() else None for p in home.rglob("*")}
+
+    before = files()
+    for command in (["metrics", "--checkpoint"], ["train", "--steps", "2", "--resume"]):
+        capsys.readouterr()
+        rc = main([*command, str(broken), "--out", str(out), "--seed", "5", *FAST])
+        err = capsys.readouterr().err
+        head, named, tail = err.partition(f"checkpoint {broken}")
+        assert rc == 2 and head in ("config error: ", "config error: cannot read "), (command, err)
+        assert named and tail.startswith(fragment) and err.count("\n") == 1, (command, err)
+        assert not out.exists() and files() == before, command
+
+
+def test_a_compressed_copy_of_a_checkpoint_loads_bit_equal(tmp_path, trained_checkpoint):
+    members = members_of(trained_checkpoint)
+    np.savez_compressed(tmp_path / "compressed.npz", **members)
+    save_checkpoint(tmp_path / "resaved.npz", load_checkpoint(tmp_path / "compressed.npz", CONFIG))
+    resaved = members_of(tmp_path / "resaved.npz")
+    assert {k: v.tobytes() for k, v in resaved.items()} == {k: v.tobytes() for k, v in members.items()}
+
+
+@pytest.mark.parametrize("command", ["metrics", "train"])
+def test_non_finite_router_scores_exit_3_naming_the_block(tmp_path, capsys, trained_checkpoint, command):
+    members = members_of(trained_checkpoint)
+    members["param"][tensor_slice(json.loads(members["meta_json"].tobytes()), "block0.moe.gate_b")] = np.nan
+    write_members(tmp_path / "broken.npz", members)
+    # infer-mode routing in `metrics`, train-mode routing on the resumed step
+    args = ["metrics", "--checkpoint"] if command == "metrics" else ["train", "--steps", "2", "--resume"]
+    assert main([*args, str(tmp_path / "broken.npz"), "--out", str(tmp_path / "out"), "--seed", "5", *FAST]) == 3
+    assert "block 0: router scores have" in capsys.readouterr().err
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):
@@ -932,11 +842,11 @@ def test_a_diverging_run_names_its_failed_step_in_one_line(tmp_path):
     assert [row["step"] for row in read_csv(out / "log.csv")] == ["1"]
 
 
-@pytest.mark.parametrize("command,flag", [("metrics", "--checkpoint"), ("train", "--config"), ("train", "--resume")])
-def test_missing_input_file_is_config_error_naming_it(tmp_path, capsys, command, flag):
+def test_missing_config_file_is_config_error_naming_it(tmp_path, capsys):
+    # a missing checkpoint is the fault table's `no-file` row
     missing = tmp_path / "nope"
     out = tmp_path / "out"
-    rc = main([command, flag, str(missing), "--out", str(out), "--steps", "1", *FAST])
+    rc = main(["train", "--config", str(missing), "--out", str(out), "--steps", "1", *FAST])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and str(missing) in err
