@@ -842,11 +842,11 @@ def test_a_diverging_run_names_its_failed_step_in_one_line(tmp_path):
     assert [row["step"] for row in read_csv(out / "log.csv")] == ["1"]
 
 
-def test_missing_config_file_is_config_error_naming_it(tmp_path, capsys):
-    # a missing checkpoint is the fault table's `no-file` row
+@pytest.mark.parametrize("command,flag", [("metrics", "--checkpoint"), ("train", "--config"), ("train", "--resume")])
+def test_missing_input_file_is_config_error_naming_it(tmp_path, capsys, command, flag):
     missing = tmp_path / "nope"
     out = tmp_path / "out"
-    rc = main(["train", "--config", str(missing), "--out", str(out), "--steps", "1", *FAST])
+    rc = main([command, flag, str(missing), "--out", str(out), "--steps", "1", *FAST])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and str(missing) in err
