@@ -327,20 +327,22 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     out_dir = make_out_dir(args)
     write_config_snapshot(cfg, out_dir)
 
-    csv_path = out_dir / "ablate.csv"
-    with csv_path.open("w") as fh:
-        fh.write("arm,strategy,gating,w_sim,w_blc,final_total,final_diffusion,max_vio,comb_usage,alloc_variance\n")
-        for arm, config in arms:
+    rows = ["arm,strategy,gating,w_sim,w_blc,final_total,final_diffusion,max_vio,comb_usage,alloc_variance\n"]
+    for arm, config in arms:
+        try:
             trainer = Trainer(config)
-            last = None
             for _ in range(cfg["steps"]):
                 last = trainer.train_step()
             masks, t = _heldout_masks(trainer, 1, "train")
-            report = metrics_mod.routing_report(masks, cfg["k"], t, trainer.schedule.total_steps)
-            numbers = [config.weights.sim, config.weights.blc, last.total, last.diffusion] + [
-                metrics_mod.report_mean(report, key) for key in ("max_vio", "comb_usage", "allocation_bucket_variance")
-            ]
-            fh.write(",".join([arm, config.model.strategy, config.model.gating] + [repr(float(x)) for x in numbers]) + "\n")
+        except NumericError as exc:  # several arms: say which one diverged
+            raise NumericError(f"arm {arm!r}: {exc}") from None
+        report = metrics_mod.routing_report(masks, cfg["k"], t, trainer.schedule.total_steps)
+        numbers = [config.weights.sim, config.weights.blc, last.total, last.diffusion] + [
+            metrics_mod.report_mean(report, key) for key in ("max_vio", "comb_usage", "allocation_bucket_variance")
+        ]
+        rows.append(",".join([arm, config.model.strategy, config.model.gating] + [repr(float(x)) for x in numbers]) + "\n")
+    csv_path = out_dir / "ablate.csv"
+    csv_path.write_text("".join(rows))  # once, after the last arm: a failed arm leaves no ablate.csv
     print(f"wrote {csv_path}")
     return 0
 

@@ -18,12 +18,12 @@ formula reads, never a parent Tensor, so the forward's dead intermediates
 are freed at once. add, sub, sum, reshape, transpose, take_rows,
 scatter_rows and take_cols save no array; mul and segment_matmul save both
 operands; matmul saves `a` only if `b` needs a gradient and `b` only if `a`
-does. gelu computes erf into the buffer of its scaled input and, under
-no_grad, multiplies x into that same buffer, so a forward-only gelu
-allocates one array; with a gradient it computes its derivative
-Phi(x) + x * phi(x) in the forward, with the IEEE operations of the textbook
-backward in the same order, and saves only that; its backward is one
-multiply by g.
+does. gelu computes erf of |x| / sqrt 2 into one buffer, puts x's sign
+back and, under no_grad, multiplies x into that same buffer, so a
+forward-only gelu allocates one array; with a gradient it computes its
+derivative Phi(x) + x * phi(x) in the forward, with the IEEE operations of
+the textbook backward in the same order, and saves only that; its backward
+is one multiply by g.
 
 backward() consumes interior nodes; leaves keep grads. As the sweep passes
 an interior node it drops the node's gradient, grad-fn and parent links, so
@@ -62,6 +62,14 @@ of scipy.special.erf, and loading scipy.special at import cost every moelab
 process, route-sim and the other pure-numpy commands included, about 26 MB
 of RSS and 0.4 s on a 2-vCPU x86 VM. After the first call the import is a cached sys.modules
 lookup (under 1 us). Without scipy, the first gelu raises ImportError.
+scipy's erf follows Cephes, which takes a negative argument as -erf(-x): a
+branch on the data that mispredicts on activations of mixed sign. gelu
+passes it |x| / sqrt 2 and copies x's sign onto the result, which gives
+the same bits in less time: on a 2-vCPU x86 VM, GELU's CDF took 8.8-9.1 ms
+of a default train step before and 6.3-6.5 ms after, and 30-34 ms of a
+`sample` reverse step before and 26-27 ms after. That rests on scipy's erf
+being odd bit for bit, which tests/test_tensor.py checks across erf's
+branch points.
 """
 
 from __future__ import annotations
@@ -405,12 +413,22 @@ def segment_matmul(x: Tensor, weights: Sequence[Tensor], offsets) -> Tensor:
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Exact Gaussian-CDF GELU: x * Phi(x). Derivative Phi(x) + x * phi(x)."""
+    """Exact Gaussian-CDF GELU: x * Phi(x). Derivative Phi(x) + x * phi(x).
+
+    Phi(x) = 0.5 * (1 + erf(x / sqrt 2)), with erf taken of |x| / sqrt 2 and
+    x's sign put back: the same bits as erf(x * (1 / sqrt 2)), because
+    multiplying by a positive constant is symmetric in sign (-0.0 included)
+    and scipy's erf is odd bit for bit, but without erf's branch on the sign.
+    The whole CDF is built in one buffer. For a NaN x the buffer's NaN takes
+    x's sign, but x is the first operand of every later op that meets it, so
+    the output and the derivative carry x's NaN as before."""
     from scipy.special import erf  # loaded on the first call; see the module docstring
 
     x = Tensor._coerce(x)
-    cdf = x.data * _INV_SQRT2  # then erf and 0.5 * (1 + erf), all in place
+    cdf = np.abs(x.data)  # then erf(|x| / sqrt 2) with x's sign and 0.5 * (1 + erf), all in place
+    cdf *= _INV_SQRT2
     erf(cdf, out=cdf)
+    np.copysign(cdf, x.data, out=cdf)
     cdf += 1.0
     cdf *= 0.5
     if not (_grad_enabled and x.requires_grad):

@@ -842,6 +842,20 @@ def test_a_diverging_run_names_its_failed_step_in_one_line(tmp_path):
     assert [row["step"] for row in read_csv(out / "log.csv")] == ["1"]
 
 
+def test_ablate_arm_that_diverges_is_named_and_leaves_no_csv(tmp_path, capsys):
+    config = tmp_path / "diverge.cfg"
+    config.write_text("lr = 1e300\nlayers = 1\nmodel_dim = 8\ntokens = 4\n"
+                      "batch_size = 4\nexperts = 4\nk = 2\ndense_hidden = 16\n")
+    out = tmp_path / "ablate"
+    rc = main(["ablate", "--config", str(config), "--out", str(out), "--steps", "3",
+               "--arms", "expert-race:identity;token-choice:identity"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: arm 'expert-race:identity': step 2: block 0: router scores ")
+    assert err.count("\n") == 1, err
+    assert not (out / "ablate.csv").exists()
+
+
 @pytest.mark.parametrize("command,flag", [("metrics", "--checkpoint"), ("train", "--config"), ("train", "--resume")])
 def test_missing_input_file_is_config_error_naming_it(tmp_path, capsys, command, flag):
     missing = tmp_path / "nope"

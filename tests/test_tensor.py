@@ -249,16 +249,31 @@ def test_accumulate_copies_a_view_into_c_order(view):
 
 
 def test_gelu_bit_identical_to_textbook_expressions():
+    # gelu takes erf of |x| / sqrt 2 and puts x's sign back, the same bits only while
+    # scipy's erf is odd bit for bit. So the inputs also sweep erf's branch points
+    # |x / sqrt 2| = 1 and 8 and its underflow at 26.64 (2,000 adjacent floats each
+    # side, both signs), signed zeros, the least subnormals and the infinities
+    # (gelu(-inf) is NaN on both sides). A failure here with moelab unchanged means
+    # scipy's erf is not odd.
     rng = np.random.default_rng(41)
-    x = np.concatenate([rng.normal(size=500), rng.normal(scale=12.0, size=200), [0.0, -40.0, 40.0, -1e3, 1e3]])
-    g = rng.normal(size=x.shape)
-    xt = Tensor(x, requires_grad=True)
-    out = gelu(xt)
-    backward((out * Tensor(g)).sum())
     inv_sqrt2, inv_sqrt_2pi = 1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0 * np.pi)
-    cdf = 0.5 * (1.0 + erf(x * inv_sqrt2))
-    assert np.array_equal(out.data, x * cdf)
-    assert np.array_equal(xt.grad, g * (cdf + x * (inv_sqrt_2pi * np.exp(-0.5 * x * x))))
+    points = (1.0, 8.0, 26.64)
+    sweeps = [(np.float64(b / inv_sqrt2).view(np.int64) + np.arange(-2000, 2001)).view(np.float64) for b in points]
+    assert all((s * inv_sqrt2).min() < b < (s * inv_sqrt2).max() for s, b in zip(sweeps, points))
+    x = np.concatenate([rng.normal(size=500), rng.normal(scale=12.0, size=200), [0.0, 40.0, 1e3, 5e-324, np.inf], *sweeps])
+    x = np.concatenate([x, -x])
+    g = rng.normal(size=x.shape)
+    with np.errstate(invalid="ignore"):
+        xt = Tensor(x, requires_grad=True)
+        out = gelu(xt)
+        backward((out * Tensor(g)).sum())
+        with no_grad():
+            fast = gelu(Tensor(x)).data
+        cdf = 0.5 * (1.0 + erf(x * inv_sqrt2))
+        want = x * cdf
+        want_grad = g * (cdf + x * (inv_sqrt_2pi * np.exp(-0.5 * x * x)))
+    assert out.data.tobytes() == want.tobytes() and fast.tobytes() == want.tobytes()
+    assert xt.grad.tobytes() == want_grad.tobytes()
 
 
 def test_scipy_loads_at_the_first_gelu_not_at_import(tmp_path):
