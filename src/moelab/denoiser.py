@@ -194,38 +194,43 @@ def denoiser_forward(
 
     Returns the prediction (B, L, D) and one LayerOutput per MoE block
     (empty list in dense mode). Non-finite router scores raise NumericError
-    naming the block; a class label that is not an integer raises
-    ConfigError.
+    naming the block, with no numpy warning before it however the state
+    overflowed; a non-finite prediction is returned as it is, for the
+    caller's loss or sampler check. A class label that is not an integer
+    raises ConfigError.
     """
     cfg = params.config
     strategy = cfg.routing_strategy()
 
-    x = Tensor(np.asarray(x_t, dtype=np.float64))
-    h = matmul(x, params.in_w) + params.in_b
+    # a diverging state overflows here first: the router check below names
+    # the block, for every caller, instead of numpy warning before it
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = Tensor(np.asarray(x_t, dtype=np.float64))
+        h = matmul(x, params.in_w) + params.in_b
 
-    t_feats = Tensor(params.timestep_embedding(t, cfg.total_steps))
-    t_emb = matmul(gelu(matmul(t_feats, params.t_w1) + params.t_b1), params.t_w2) + params.t_b2
-    cond = t_emb + take_rows(params.class_emb, class_labels(c))  # (B, D)
+        t_feats = Tensor(params.timestep_embedding(t, cfg.total_steps))
+        t_emb = matmul(gelu(matmul(t_feats, params.t_w1) + params.t_b1), params.t_w2) + params.t_b2
+        cond = t_emb + take_rows(params.class_emb, class_labels(c))  # (B, D)
 
-    layer_outputs: list[LayerOutput] = []
-    for i, blk in enumerate(params.blocks):
-        mods = matmul(cond, blk.mod_w) + blk.mod_b  # (B, 3D)
-        scale, shift, gate = _split_cols(mods, 3)  # each (B, 1, D)
-        u = h * (scale + 1.0) + shift
-        # token mixing: contract the L axis with a learned (L, L) map
-        u = matmul(u.transpose(0, 2, 1), blk.mix_w).transpose(0, 2, 1)
-        if blk.moe is not None:
-            try:
-                out = moe_layer.moe_forward(u, blk.moe, strategy, cfg.gating, cfg.k, mode)
-            except NumericError as exc:
-                raise NumericError(f"block {i}: {exc}") from exc
-            layer_outputs.append(out)
-            y = out.y
-        else:
-            y = expert_forward(blk.ffn, u)
-        h = h + y * gate
+        layer_outputs: list[LayerOutput] = []
+        for i, blk in enumerate(params.blocks):
+            mods = matmul(cond, blk.mod_w) + blk.mod_b  # (B, 3D)
+            scale, shift, gate = _split_cols(mods, 3)  # each (B, 1, D)
+            u = h * (scale + 1.0) + shift
+            # token mixing: contract the L axis with a learned (L, L) map
+            u = matmul(u.transpose(0, 2, 1), blk.mix_w).transpose(0, 2, 1)
+            if blk.moe is not None:
+                try:
+                    out = moe_layer.moe_forward(u, blk.moe, strategy, cfg.gating, cfg.k, mode)
+                except NumericError as exc:
+                    raise NumericError(f"block {i}: {exc}") from exc
+                layer_outputs.append(out)
+                y = out.y
+            else:
+                y = expert_forward(blk.ffn, u)
+            h = h + y * gate
 
-    f_scale, f_shift = _split_cols(matmul(cond, params.final_mod_w) + params.final_mod_b, 2)
-    h = h * (f_scale + 1.0) + f_shift
-    prediction = matmul(h, params.out_w) + params.out_b
+        f_scale, f_shift = _split_cols(matmul(cond, params.final_mod_w) + params.final_mod_b, 2)
+        h = h * (f_scale + 1.0) + f_shift
+        prediction = matmul(h, params.out_w) + params.out_b
     return prediction, layer_outputs

@@ -276,7 +276,9 @@ class Trainer(object):
 
     def forward(self, batch, mode: str = "train"):
         """Run the denoiser on a batch, writing no state (train mode leaves
-        the thresholds alone). Builds no tape: the outputs carry no gradient."""
+        the thresholds alone). Builds no tape: the outputs carry no gradient.
+        Non-finite router scores raise NumericError naming the block, with
+        no numpy warning before it."""
         with no_grad():
             return denoiser_forward(batch.x_t, batch.t, batch.c, self.params, mode=mode)
 

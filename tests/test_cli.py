@@ -380,15 +380,6 @@ def test_default_config_snapshot(tmp_path):
     )
 
 
-def test_invalid_selection_size_is_config_error(tmp_path):
-    # expert-choice with E not dividing k*L
-    rc = main(["train", "--out", str(tmp_path / "x"), "--steps", "1", "--seed", "0",
-               "--strategy", "expert-choice",
-               "--batch-size", "2", "--tokens", "3", "--experts", "4", "--k", "1",
-               "--model-dim", "8", "--layers", "1"])
-    assert rc == 2
-
-
 def test_metrics_report_from_checkpoint(tmp_path):
     run = tmp_path / "run"
     main(["train", "--out", str(run), "--steps", "5", "--seed", "5", *FAST])
@@ -504,13 +495,6 @@ def test_run_reproducible_from_its_own_snapshot(tmp_path):
     rc = main(["train", "--config", str(first / "config.snapshot"), "--out", str(replay)])
     assert rc == 0
     assert (first / "log.csv").read_text() == (replay / "log.csv").read_text()
-
-
-def test_config_file_rejects_unknown_key(tmp_path):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("warp_speed = 9\n")
-    rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "o"), "--steps", "1"])
-    assert rc == 2
 
 
 def test_missing_out_is_config_error():
@@ -801,15 +785,47 @@ def test_a_compressed_copy_of_a_checkpoint_loads_bit_equal(tmp_path, trained_che
     assert {k: v.tobytes() for k, v in resaved.items()} == {k: v.tobytes() for k, v in members.items()}
 
 
-@pytest.mark.parametrize("command", ["metrics", "train"])
-def test_non_finite_router_scores_exit_3_naming_the_block(tmp_path, capsys, trained_checkpoint, command):
-    members = members_of(trained_checkpoint)
-    members["param"][tensor_slice(json.loads(members["meta_json"].tobytes()), "block0.moe.gate_b")] = np.nan
-    write_members(tmp_path / "broken.npz", members)
-    # infer-mode routing in `metrics`, train-mode routing on the resumed step
-    args = ["metrics", "--checkpoint"] if command == "metrics" else ["train", "--steps", "2", "--resume"]
-    assert main([*args, str(tmp_path / "broken.npz"), "--out", str(tmp_path / "out"), "--seed", "5", *FAST]) == 3
-    assert "block 0: router scores have" in capsys.readouterr().err
+SCORES = "block 0: router scores have {} non-finite entries of 64\n"  # 4 rows of 4 tokens, 4 experts
+ARM = "arm 'expert-race:identity': "
+# (row, the command; the trained checkpoint's tensor scaled and by what, or None for a fresh run at lr 1e300,
+#  whose first update overflows the weights; stderr after "numeric failure: "; what --out holds; log.csv's steps)
+NUMERIC_ROWS = [
+    ("train", ["train", "--steps", "5"], None, "step 2: " + SCORES.format(64), ["config.snapshot", "log.csv"], ["1"]),
+    ("train-nan-router", ["train", "--steps", "2"], ("block0.moe.gate_b", np.nan), "step 2: " + SCORES.format(64),
+     ["config.snapshot", "log.csv"], []),
+    ("train-huge-trunk", ["train", "--steps", "2"], ("in_w", 1e308), "step 2: " + SCORES.format(48),
+     ["config.snapshot", "log.csv"], []),
+    ("metrics-nan-router", ["metrics"], ("block0.moe.gate_b", np.nan), SCORES.format(64), None, None),
+    ("metrics-huge-trunk", ["metrics"], ("in_w", 1e308), SCORES.format(64), None, None),
+    ("ablate-step", ["ablate", "--steps", "3", "--arms", "expert-race:identity;token-choice:identity"], None,
+     ARM + "step 2: " + SCORES.format(64), ["config.snapshot"], None),
+    ("ablate-heldout", ["ablate", "--steps", "1", "--arms", "expert-race:identity"], None, ARM + SCORES.format(64),
+     ["config.snapshot"], None),
+]
+
+
+@pytest.mark.parametrize("command,fault,said,holds,logged", [pytest.param(*row[1:], id=row[0]) for row in NUMERIC_ROWS])
+def test_numeric_failure_exits_3_in_one_line(tmp_path, capsys, trained_checkpoint, command, fault, said, holds, logged):
+    # no traceback, no numpy warning, no summary.json, ckpt_final.npz or ablate.csv: log.csv holds the finished steps
+    if fault:
+        members = members_of(trained_checkpoint)
+        members["param"][tensor_slice(json.loads(members["meta_json"].tobytes()), fault[0])] *= fault[1]
+        write_members(tmp_path / "broken.npz", members)
+        given = ["--resume" if command[0] == "train" else "--checkpoint", str(tmp_path / "broken.npz")]
+    else:
+        (tmp_path / "diverge.cfg").write_text("lr = 1e300\n")
+        given = ["--config", str(tmp_path / "diverge.cfg")]
+    out = tmp_path / "out"
+    args = [*command, *given, "--out", str(out), "--seed", "5", *FAST]
+    if command[0] == "train" and not fault:  # real stderr, once
+        done = subprocess.run([sys.executable, "-m", "moelab", *args], capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")})
+        rc, err = done.returncode, done.stderr
+    else:
+        rc, err = main(args), capsys.readouterr().err
+    assert rc == 3 and err == f"numeric failure: {said}", err
+    assert (sorted(p.name for p in out.iterdir()) if out.exists() else None) == holds
+    assert logged is None or [row["step"] for row in read_csv(out / "log.csv")] == logged
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):
@@ -822,38 +838,6 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert len(read_csv(out / "route_sim.csv")) == 6
-
-
-def test_a_diverging_run_names_its_failed_step_in_one_line(tmp_path):
-    # at lr 1e300 the first update overflows the weights, so step 2's router
-    # scores are all non-finite; the message is the whole of stderr
-    src = Path(__file__).resolve().parents[1] / "src"
-    config = tmp_path / "diverge.cfg"
-    config.write_text("lr = 1e300\nlayers = 1\nmodel_dim = 8\ntokens = 4\n"
-                      "experts = 4\nbatch_size = 4\ndense_hidden = 16\n")
-    out = tmp_path / "run"
-    done = subprocess.run(
-        [sys.executable, "-m", "moelab", "train", "--config", str(config), "--out", str(out), "--steps", "5"],
-        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120,
-    )
-    assert done.returncode == 3
-    assert done.stderr.startswith("numeric failure: step 2: block 0: router scores ")
-    assert done.stderr.count("\n") == 1, done.stderr
-    assert [row["step"] for row in read_csv(out / "log.csv")] == ["1"]
-
-
-def test_ablate_arm_that_diverges_is_named_and_leaves_no_csv(tmp_path, capsys):
-    config = tmp_path / "diverge.cfg"
-    config.write_text("lr = 1e300\nlayers = 1\nmodel_dim = 8\ntokens = 4\n"
-                      "batch_size = 4\nexperts = 4\nk = 2\ndense_hidden = 16\n")
-    out = tmp_path / "ablate"
-    rc = main(["ablate", "--config", str(config), "--out", str(out), "--steps", "3",
-               "--arms", "expert-race:identity;token-choice:identity"])
-    assert rc == 3
-    err = capsys.readouterr().err
-    assert err.startswith("numeric failure: arm 'expert-race:identity': step 2: block 0: router scores ")
-    assert err.count("\n") == 1, err
-    assert not (out / "ablate.csv").exists()
 
 
 @pytest.mark.parametrize("command,flag", [("metrics", "--checkpoint"), ("train", "--config"), ("train", "--resume")])
@@ -926,15 +910,19 @@ def test_ablate_checks_the_arms_not_the_base_strategy_they_replace(tmp_path, cap
         ("train", "w_sim = nan", "w_sim = nan"),
         ("train", "steps = -1", "steps must be >= 0"),
         ("ablate", "parameterization = foo", "unknown parameterization 'foo'"),
+        ("train", "warp_speed = 9", "bad.cfg:7: unknown config key 'warp_speed'"),
+        ("train", "k = two", "config key 'k' must be int, got 'two'"),
+        ("train", "strategy = expert-choice\ntokens = 3\nk = 1", "K = k*D_B/E = 1*3/4 is not an integer"),
     ],
     ids=["gating", "parameterization", "num_classes", "model_dim", "layers", "dense_hidden", "seed", "batch_size", "lr-nan",
-         "lr-negative", "ema_decay", "schedule", "repeated-key", "w_sim-nan", "steps", "ablate-parameterization"],
+         "lr-negative", "ema_decay", "schedule", "repeated-key", "w_sim-nan", "steps", "ablate-parameterization",
+         "unknown-key", "k-wrong-type", "selection-size"],
 )
-def test_train_rejects_unknown_gating_before_writing(tmp_path, capsys, command, setting, named):
+def test_a_bad_setting_is_one_config_error_line_before_writing(tmp_path, capsys, command, setting, named):
     # a bad value is one config-error line naming its key, before --out exists
     small = {"layers": 1, "model_dim": 8, "tokens": 4, "batch_size": 4, "experts": 4, "steps": 1}
-    overridden = setting.split("=", 1)[0].strip()  # a config file sets each key once
-    lines = [f"{key} = {value}" for key, value in small.items() if key != overridden]
+    overridden = {line.split("=", 1)[0].strip() for line in setting.splitlines()}  # a config file sets each key once
+    lines = [f"{key} = {value}" for key, value in small.items() if key not in overridden]
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("\n".join([*lines, setting]) + "\n")
     out = tmp_path / "run"
@@ -944,14 +932,4 @@ def test_train_rejects_unknown_gating_before_writing(tmp_path, capsys, command, 
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1, err
     assert named in err, err
-    assert not out.exists()
-
-
-def test_config_file_value_of_wrong_type_is_config_error(tmp_path, capsys):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("k = two\n")
-    out = tmp_path / "o"
-    rc = main(["train", "--config", str(cfg), "--out", str(out), "--steps", "1"])
-    assert rc == 2
-    assert "'k' must be int, got 'two'" in capsys.readouterr().err
     assert not out.exists()

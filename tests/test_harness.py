@@ -1,7 +1,6 @@
 """Diffusion harness: schedules, noising, the denoiser, training machinery."""
 
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -284,43 +283,6 @@ def taus(params):
     return [blk.moe.threshold.tau for blk in params.blocks]
 
 
-@pytest.mark.parametrize("case", ["train", "eval", "infer"])
-def test_denoiser_non_finite_router_scores_name_the_block(case):
-    mode, params = case_params(case, 24, 0.0)
-    params.blocks[1].moe.gate_b.data[2] = np.nan  # expert 2's score at every token of block 1
-    x_t = np.random.default_rng(25).normal(size=(3, SMALL.tokens, SMALL.model_dim))
-    n_bad = 3 * SMALL.tokens
-    before = taus(params)
-    with pytest.raises(NumericError, match=rf"block 1: router scores have {n_bad} non-finite entries"):
-        denoiser_forward(x_t, np.array([1, 5, 9]), np.array([0, 1, 2]), params, mode=mode)
-    assert taus(params) == before
-
-
-def test_sampler_non_finite_router_scores_name_the_reverse_step():
-    trainer = small_trainer(seed=24)
-    trainer.train_step()  # initializes the thresholds
-    trainer.params.blocks[1].moe.gate_b.data[2] = np.nan
-    n_bad = 3 * SMALL.tokens
-    with pytest.raises(NumericError, match=rf"^reverse step {SMALL.total_steps}: block 1: router scores have {n_bad} "):
-        trainer.sample(3, 0, rng=np.random.default_rng(2))
-
-
-@pytest.mark.parametrize("parameterization", ["eps", "x0", "v"])
-def test_sampler_fails_at_the_first_non_finite_value_without_a_warning(parameterization):
-    trainer = small_trainer(seed=8, parameterization=parameterization)
-    trainer.train_step()  # initializes the thresholds
-    out_w = trainer.params.out_w
-    trained = out_w.data
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # a numpy RuntimeWarning would fail the test
-        out_w.data = np.full_like(trained, 1e308)  # the first prediction overflows
-        with pytest.raises(NumericError, match=rf"^non-finite noise estimate at reverse step {SMALL.total_steps}$"):
-            trainer.sample(3, 0, rng=np.random.default_rng(4))
-        out_w.data = trained * 1e200  # finite at first, then the state blows up
-        with pytest.raises(NumericError, match=rf"^reverse step {SMALL.total_steps - 1}: block 1: router scores"):
-            trainer.sample(3, 0, rng=np.random.default_rng(4))
-
-
 def test_sampler_reads_to_eps_from_the_training_module_at_each_step(monkeypatch):
     # the perfbench sample workload forces failures by patching training._to_eps
     trainer = small_trainer(seed=8)
@@ -437,22 +399,59 @@ def assert_same_state(a, b):
     assert a[1:] == b[1:]
 
 
-@pytest.mark.parametrize("fault", ["loss", "router"])
-def test_a_failed_step_names_itself_and_writes_no_state(fault):
-    trainer = small_trainer(seed=11)
-    trainer.train_step()
-    trainer.train_step()
-    if fault == "loss":  # the prediction, and so the loss, overflows
-        trainer.params.out_w.data = trainer.params.out_w.data + 1e200
-        message = r"^step 3: non-finite loss: \{"
+def break_weights(params, fault):
+    if fault == "router":
+        params.blocks[1].moe.gate_b.data[2] = np.nan  # expert 2's score at every token of block 1
+    elif fault == "trunk":
+        params.in_w.data *= 1e300  # overflows before block 1's router
+    elif fault == "output":
+        params.out_w.data += 1e200  # a finite prediction, an overflowing loss or next sample state
     else:
-        trainer.params.blocks[1].moe.gate_b.data[2] = np.nan
-        message = rf"^step 3: block 1: router scores have {6 * SMALL.tokens} non-finite entries"
+        params.out_w.data = np.full_like(params.out_w.data, 1e308)  # the first prediction overflows
+
+
+T = SMALL.total_steps
+# each library entry point: (steps trained before the fault, the call on a held-out batch, its message's prefix)
+NUMERIC_ENTRIES = {
+    "denoiser-train": (0, lambda tr, b: denoiser_forward(b.x_t, b.t, b.c, tr.params, mode="train"), ""),
+    "denoiser-eval": (1, lambda tr, b: denoiser_forward(b.x_t, b.t, b.c, tr.params, mode="train"), ""),
+    "denoiser-infer": (1, lambda tr, b: denoiser_forward(b.x_t, b.t, b.c, tr.params, mode="infer"), ""),
+    "forward-train": (1, lambda tr, b: tr.forward(b, mode="train"), ""),
+    "forward-infer": (1, lambda tr, b: tr.forward(b, mode="infer"), ""),
+    "loss": (1, lambda tr, b: tr.loss(b), ""),
+    "step-1": (0, lambda tr, b: tr.train_step(), "step 1: "),
+    "step-3": (2, lambda tr, b: tr.train_step(), "step 3: "),
+    **{f"sample-{p}": (1, lambda tr, b: tr.sample(6, 0, rng=np.random.default_rng(4)), f"reverse step {T}: ")
+       for p in ("eps", "x0", "v")},
+}
+
+
+def numeric_rows():
+    """Each entry point with each fault that makes it fail, and the whole message."""
+    block_1 = "block 1: router scores have {} non-finite entries of 192$"  # 6 rows of 8 tokens, 4 experts
+    for entry, (_, _, prefix) in NUMERIC_ENTRIES.items():
+        yield entry, "router", f"^{prefix}{block_1.format(48)}"
+        yield entry, "trunk", f"^{prefix}{block_1.format(192)}"
+        if entry.startswith("sample"):
+            yield entry, "output", f"^reverse step {T - 1}: {block_1.format(192)}"  # the state blew up at step T
+            yield entry, "output-max", f"^non-finite noise estimate at reverse step {T}$"
+        elif entry in ("loss", "step-1", "step-3"):
+            yield entry, "output", rf"^{prefix}non-finite loss: \{{"
+
+
+@pytest.mark.parametrize("entry,fault,message", [pytest.param(*row, id=f"{row[0]}-{row[1]}") for row in numeric_rows()])
+def test_numeric_failure(entry, fault, message):
+    # the whole NumericError, no numpy warning before it (pyproject.toml makes
+    # a RuntimeWarning an error) and no state written
+    steps, call, _ = NUMERIC_ENTRIES[entry]
+    trainer = small_trainer(seed=11, parameterization=entry[7:] if entry.startswith("sample") else "eps")
+    for _ in range(steps):
+        trainer.train_step()  # step 1 sets the thresholds
+    break_weights(trainer.params, fault)
+    batch = trainer.task.sample_batch(np.random.default_rng(5), 6, trainer.schedule, "eps")
     before = step_state(trainer)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # a numpy RuntimeWarning would fail the test
-        with pytest.raises(NumericError, match=message):
-            trainer.train_step()
+    with pytest.raises(NumericError, match=message):
+        call(trainer, batch)
     assert_same_state(step_state(trainer), before)
 
 
@@ -470,16 +469,6 @@ def test_loss_is_the_objective_the_step_minimizes_and_writes_no_state():
     assert trainer.rng.bit_generator.state == rng.bit_generator.state  # the step drew that batch
     assert record.total == total.item()  # bit-equal, as are the other loss columns
     assert {c: getattr(record, c) for c in breakdown} == breakdown
-
-
-def test_a_failed_first_step_is_step_1():
-    trainer = small_trainer(seed=11)
-    trainer.params.out_w.data = np.full_like(trainer.params.out_w.data, 1e200)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(NumericError, match=r"^step 1: non-finite loss: "):
-            trainer.train_step()
-    assert taus(trainer.params) == [None, None]
 
 
 def test_trainer_forward_writes_no_threshold():
