@@ -257,13 +257,16 @@ def cmd_train(args: argparse.Namespace) -> int:
 def _heldout_masks(trainer: Trainer, batches: int, mode: str) -> tuple[list[np.ndarray], np.ndarray]:
     """Per-layer (N, L, E) routing masks and the (N,) timesteps on `batches`
     held-out batches, drawn from seed + 4242 so every checkpoint and arm of
-    a config sees the same data."""
+    a config sees the same data. A NumericError names the batch, from 1."""
     cfg = trainer.config
     rng = np.random.default_rng(cfg.seed + 4242)
     masks, timesteps = [], []
-    for _ in range(batches):
+    for i in range(batches):
         batch = trainer.task.sample_batch(rng, cfg.batch_size, trainer.schedule, cfg.model.parameterization)
-        _, layer_outputs = trainer.forward(batch, mode=mode)
+        try:
+            _, layer_outputs = trainer.forward(batch, mode=mode)
+        except NumericError as exc:
+            raise NumericError(f"held-out batch {i + 1}: {exc}") from exc
         masks.append([out.route.mask for out in layer_outputs])
         timesteps.append(batch.t)
     return [np.concatenate(layer, axis=0) for layer in zip(*masks)], np.concatenate(timesteps)

@@ -8,7 +8,7 @@ output layers zero-initialized the whole network starts as the identity
 residual path and predicts exactly zero.
 
 A weight's name is its field path in DenoiserParams, such as
-"block0.moe.expert3.w_in"; layer.named_tensors lists them in declaration order.
+"block0.moe.w_in"; layer.named_tensors lists them in declaration order.
 """
 
 from __future__ import annotations

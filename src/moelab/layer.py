@@ -7,17 +7,12 @@ width), computed once per forward, feeding two output heads: a gating head
 producing the E affinity logits and a target head predicting the denoiser's
 regression target, which drives the per-layer regularization loss.
 
-Dispatch is grouped and dropless (MegaBlocks-style, at desk scale): the
-selected token-expert pairs are listed expert by expert, x is gathered
-once in that expert-major order, and all experts run as two segmented
-matmuls (tensor.segment_matmul, one GEMM per expert's contiguous row
-segment) around one GELU. The gated rows are scatter-added back in one
-op, so each layer's graph has the same few nodes whatever E is, and the
-expert work is one row per selected pair. Train mode selects exactly
-B*L*k pairs, i.e. the dense FFN's cost; infer mode pays for however many
-pairs the threshold admits. No token is dropped and no capacity is
-padded. An expert that selects no token is not run and receives exactly
-zero gradient.
+The E experts are stored stacked, w_in as (E, D, H) and w_out as (E, H, D).
+Dispatch is grouped and dropless (MegaBlocks-style, at desk scale; see
+moe_forward): all experts run as two segmented matmuls around one GELU,
+so each layer's graph has the same few nodes whatever E is, and the expert
+work is one row per selected pair. No token is dropped and no capacity is
+padded. An expert given no token is not run and gets an all-zero gradient.
 
 Each parameter dataclass, here and in the denoiser, declares its tensors
 once, as fields; `named_tensors` is the one list of them.
@@ -51,7 +46,7 @@ __all__ = [
 
 @dataclass
 class ExpertParams:
-    """One expert FFN: linear -> GELU -> linear, bias-free.
+    """The dense twin's FFN, shaped as one expert: linear -> GELU -> linear, bias-free.
 
     Bias-free keeps the activated parameter count exactly invariant across
     the k-in-E family at fixed model dim.
@@ -69,7 +64,8 @@ class MoeLayerParams:
     gate_b: Tensor  # (E,)
     target_w: Tensor  # (D, D)
     target_b: Tensor  # (D,)
-    experts: list[ExpertParams]
+    w_in: Tensor  # (E, D, expert_hidden) every expert's first linear
+    w_out: Tensor  # (E, expert_hidden, D) every expert's second linear
     threshold: ThresholdState
 
     def router_trunk(self, x: Tensor) -> Tensor:
@@ -97,11 +93,11 @@ def named_tensors(params, prefix: str = "") -> list[tuple[str, Tensor]]:
     """Every Tensor of a parameter dataclass as (path, tensor), in field
     declaration order. A nested dataclass recurses under "<field>."; a list
     numbers its items under the field name less its trailing "s" (`blocks`
-    gives "block0.", `experts` gives "expert3."); None and any other value
-    (a config, a threshold, an array) name nothing. A Trainer walks it once:
-    AdamW's list and the EMA's keys come from that walk, and AdamW's list is
-    the order each step, the EMA update and the checkpoint groups follow. So
-    a Tensor field is trained, saved and averaged by being declared.
+    gives "block0."); None and any other value (a config, a threshold, an
+    array) name nothing. A Trainer walks it once: AdamW's list and the EMA's
+    keys come from that walk, and AdamW's list is the order each step, the
+    EMA update and the checkpoint groups follow. So a Tensor field is
+    trained, saved and averaged by being declared.
     """
     named = []
     for f in fields(params):
@@ -120,8 +116,8 @@ def xavier_bound(fan_in: int, fan_out: int) -> float:
     return float(np.sqrt(6.0 / (fan_in + fan_out)))
 
 
-def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int, bound: float | None = None) -> Tensor:
-    b = xavier_bound(fan_in, fan_out) if bound is None else bound
+def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> Tensor:
+    b = xavier_bound(fan_in, fan_out)
     return Tensor(rng.uniform(-b, b, size=(fan_in, fan_out)), requires_grad=True)
 
 
@@ -132,27 +128,28 @@ def init_params(config: DenoiserConfig, seed_or_rng) -> MoeLayerParams:
     the bound their dense counterpart would use: the inner dimension is
     treated as dense_hidden when computing the Xavier bound, so the
     per-weight range matches the dense FFN despite the narrower expert width.
+    Draws run router_w, gate_w, target_w, then w_in[e], w_out[e] per expert.
     """
     rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) else np.random.default_rng(seed_or_rng)
     d, e, dense = config.model_dim, config.num_experts, config.dense_hidden
     h = dense // config.k
+    b = xavier_bound(d, dense)  # the dense FFN's bound, w_in's and w_out's alike
 
-    return MoeLayerParams(
+    params = MoeLayerParams(
         router_w=_xavier(rng, d, d),
         router_b=Tensor(np.zeros(d), requires_grad=True),
         gate_w=_xavier(rng, d, e),
         gate_b=Tensor(np.zeros(e), requires_grad=True),
         target_w=_xavier(rng, d, d),
         target_b=Tensor(np.zeros(d), requires_grad=True),
-        experts=[
-            ExpertParams(
-                w_in=_xavier(rng, d, h, bound=xavier_bound(d, dense)),
-                w_out=_xavier(rng, h, d, bound=xavier_bound(dense, d)),
-            )
-            for _ in range(e)
-        ],
+        w_in=Tensor(np.empty((e, d, h)), requires_grad=True),
+        w_out=Tensor(np.empty((e, h, d)), requires_grad=True),
         threshold=ThresholdState(),
     )
+    for i in range(e):
+        params.w_in.data[i] = rng.uniform(-b, b, size=(d, h))
+        params.w_out.data[i] = rng.uniform(-b, b, size=(h, d))
+    return params
 
 
 def expert_forward(expert: ExpertParams, x: Tensor) -> Tensor:
@@ -170,36 +167,36 @@ def moe_forward(
 ) -> LayerOutput:
     """Route, run experts, and combine: y[b,l] = sum_i gates[b,l,i] * E_i(x[b,l]).
 
-    strategy, gating and k are the DenoiserConfig's; E is len(params.experts).
+    strategy, gating and k are the DenoiserConfig's; E is params.w_in.shape[0].
 
     Grouped dispatch: the selected (expert, row) pairs are taken expert by
     expert, rows ascending within each expert, so expert i owns one
     contiguous segment of the pair list. One gather of x in that order
-    feeds segment_matmul with every expert's w_in, one GELU, and
-    segment_matmul with every w_out; the outputs are scaled by the pairs'
+    feeds segment_matmul over w_in, one GELU, and segment_matmul over
+    w_out (one GEMM per expert's segment); the outputs are scaled by the pairs'
     gate values (one gather of the flat gates) and scatter-added into y in
     one op. Expert work is one row per selected pair: B*L*k in train
     mode, mask.sum() in infer mode. Experts with no selected row are
     skipped; if none is selected, y is a zero constant. The router trunk
     runs once and feeds both heads; the target head's prediction rides
     along for the per-layer regularization loss. A 1-in-1 layer with
-    softmax gating has every gate exactly 1.0, so y is exactly its one
-    expert's dense FFN output: the dense twin.
+    softmax gating has every gate exactly 1.0, so y is exactly the dense
+    FFN output of w_in[0] and w_out[0]: the dense twin.
     """
     h = params.router_trunk(x)
     logits = params.gating_logits(h)
     result = routing.route(logits, strategy, gating, mode, params.threshold, k=k)
 
     B, L, D = x.shape
-    E = len(params.experts)
+    E = params.w_in.shape[0]
     experts_of, rows = np.nonzero(result.mask.reshape(B * L, E).T)
     if rows.size == 0:
         y = Tensor(np.zeros((B, L, D)))
     else:
         offsets = np.concatenate(([0], np.cumsum(np.bincount(experts_of, minlength=E))))
         x_pairs = take_rows(x.reshape(B * L, D), rows)  # (pairs, D), expert-major
-        hidden = gelu(segment_matmul(x_pairs, [ex.w_in for ex in params.experts], offsets))
-        out = segment_matmul(hidden, [ex.w_out for ex in params.experts], offsets)
+        hidden = gelu(segment_matmul(x_pairs, params.w_in, offsets))
+        out = segment_matmul(hidden, params.w_out, offsets)
         gates = take_rows(result.gates.reshape(B * L * E, 1), rows * E + experts_of)
         y = scatter_rows(out * gates, rows, B * L).reshape(B, L, D)
 

@@ -1,12 +1,12 @@
 """Dense float64 tensors with reverse-mode differentiation.
 
-A deliberately small op set: matmul, a grouped matmul over contiguous row
-segments (segment_matmul), elementwise arithmetic, GELU, sigmoid, softmax,
-reductions, reshape/permute, row gather/scatter (take_rows/scatter_rows,
-whose scatter-add is one np.bincount), column slicing (take_cols) and
-constant masking. Every op is eager. Each differentiable op has a row in
-the op table, tests/test_ops.py, which checks it against finite
-differences, no_grad, a freed tape and a bit-equal repeat.
+A deliberately small op set: matmul, a grouped matmul of row segments against
+one stacked (S, d, m) weight (segment_matmul), elementwise arithmetic, GELU,
+sigmoid, softmax, reductions, reshape/permute, row gather/scatter
+(take_rows/scatter_rows, whose scatter-add is one np.bincount), column
+slicing (take_cols) and constant masking. Every op is eager. Each
+differentiable op has a row in the op table, tests/test_ops.py, which checks
+it against finite differences, no_grad, a freed tape and a bit-equal repeat.
 
 The tape is a graph of _Node objects apart from the data: a Tensor is its
 array plus its node, or no node when it needs no gradient (a constant, or
@@ -77,7 +77,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import itertools
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -368,48 +368,48 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(a.data @ b.data, _parents=(a, b), _grad_fn=gfn)
 
 
-def segment_matmul(x: Tensor, weights: Sequence[Tensor], offsets) -> Tensor:
-    """Grouped matmul: out[o_s:o_{s+1}] = x[o_s:o_{s+1}] @ weights[s].
+def segment_matmul(x: Tensor, w: Tensor, offsets) -> Tensor:
+    """Grouped matmul: out[o_s:o_{s+1}] = x[o_s:o_{s+1}] @ w[s].
 
-    `x` is (n, d) with its rows sorted by segment; `offsets` holds the
-    len(weights) + 1 segment boundaries, rising from 0 to n; every weight
-    is (d, m). One GEMM per non-empty segment and no padding. Empty
-    segments are skipped and their weights never touched: this op gives
-    them no gradient, so backward(loss, params) leaves them exact zeros.
+    `x` is (n, d) with its rows sorted by segment, `w` stacks the S segment
+    weights as (S, d, m) and `offsets` holds the S + 1 segment boundaries,
+    rising from 0 to n. One GEMM per non-empty segment and no padding.
+    Backward writes each segment's dW into its slice of one zero gradient,
+    so an empty segment's slice stays exact zeros.
     """
-    x = Tensor._coerce(x)
-    weights = [Tensor._coerce(w) for w in weights]
-    shapes = sorted({w.shape for w in weights})
-    if x.data.ndim != 2 or len(shapes) != 1 or len(shapes[0]) != 2 or shapes[0][0] != x.shape[1]:
-        raise ShapeError(f"segment_matmul expects (n, d) x one (d, m) shape for all weights: {x.shape} vs {shapes}")
+    x, w = Tensor._coerce(x), Tensor._coerce(w)
+    if x.data.ndim != 2 or w.data.ndim != 3 or w.shape[1] != x.shape[1]:
+        raise ShapeError(f"segment_matmul expects (n, d) x (S, d, m): {x.shape} vs {w.shape}")
     offsets = np.asarray(offsets, dtype=np.intp)
     if (
-        offsets.shape != (len(weights) + 1,)
+        offsets.shape != (w.shape[0] + 1,)
         or offsets[0] != 0
         or offsets[-1] != x.shape[0]
         or np.any(np.diff(offsets) < 0)
     ):
         raise ShapeError(
             f"segment_matmul offsets {offsets.tolist()} must rise from 0 to the {x.shape[0]} rows "
-            f"of x in {len(weights)} segments"
+            f"of x in the {w.shape[0]} segments of {w.shape}"
         )
-    segments = [(w._node, w.data, lo, hi) for w, lo, hi in zip(weights, offsets[:-1], offsets[1:]) if lo < hi]
-    out = np.empty((x.shape[0], shapes[0][1]))
-    for _, w, lo, hi in segments:
-        np.matmul(x.data[lo:hi], w, out=out[lo:hi])
-    xn, x_data = x._node, x.data
+    segments = [(s, lo, hi) for s, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])) if lo < hi]
+    out = np.empty((x.shape[0], w.shape[2]))
+    for s, lo, hi in segments:
+        np.matmul(x.data[lo:hi], w.data[s], out=out[lo:hi])
+    xn, x_data, wn, w_data = x._node, x.data, w._node, w.data
 
     def gfn(g):
         if xn is not None:
             dx = np.empty_like(x_data)  # the segments cover every row
-            for _, w, lo, hi in segments:
-                np.matmul(g[lo:hi], w.T, out=dx[lo:hi])
+            for s, lo, hi in segments:
+                np.matmul(g[lo:hi], w_data[s].T, out=dx[lo:hi])
             _accumulate(xn, dx)
-        for wn, _, lo, hi in segments:
-            if wn is not None:
-                _accumulate(wn, x_data[lo:hi].T @ g[lo:hi])
+        if wn is not None:
+            dw = np.zeros_like(w_data)
+            for s, lo, hi in segments:
+                np.matmul(x_data[lo:hi].T, g[lo:hi], out=dw[s])
+            _accumulate(wn, dw)
 
-    return Tensor(out, _parents=(x, *weights), _grad_fn=gfn)
+    return Tensor(out, _parents=(x, w), _grad_fn=gfn)
 
 
 def gelu(x: Tensor) -> Tensor:

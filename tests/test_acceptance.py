@@ -161,7 +161,7 @@ def _relcheck(got: np.ndarray, want: np.ndarray, rtol: float, atol: float = 1e-7
 def test_criterion_5_gradients_match_finite_differences():
     start = time.time()
 
-    # (a) MoE layer forward w.r.t. input and a full expert + router head
+    # (a) MoE layer forward w.r.t. input, every expert's w_in and the router head
     cfg = DenoiserConfig(model_dim=4, num_experts=4, k=2, dense_hidden=8)
     params = init_params(cfg, 404)
     rng = np.random.default_rng(11)
@@ -196,7 +196,7 @@ def test_criterion_5_gradients_match_finite_differences():
     assert _relcheck(x_t.grad, fd_x, 1e-4) < 0, "moe_forward d/dx mismatch"
 
     for name, p in named_tensors(params):
-        if name not in ("expert1.w_in", "gate_w", "router_w"):
+        if name not in ("w_in", "gate_w", "router_w"):
             continue
         saved = p.data.copy()
         grad = p.grad if p.grad is not None else np.zeros_like(saved)
@@ -384,13 +384,10 @@ def test_criterion_8_combination_usage_oracle_and_fixture():
 def _graft_dense_twin(moe_trainer: Trainer, dense_trainer: Trainer) -> None:
     moe_named = dict(moe_trainer.params.named_tensors())
     for name, t in dense_trainer.params.named_tensors():
-        if ".ffn.w_in" in name:
-            src = moe_named[name.replace(".ffn.w_in", ".moe.expert0.w_in")]
-        elif ".ffn.w_out" in name:
-            src = moe_named[name.replace(".ffn.w_out", ".moe.expert0.w_out")]
+        if ".ffn." in name:  # the one expert: slice 0 of the stacked weight
+            t.data = moe_named[name.replace(".ffn.", ".moe.")].data[0].copy()
         else:
-            src = moe_named[name]
-        t.data = src.data.copy()
+            t.data = moe_named[name].data.copy()
     dense_trainer.ema = type(dense_trainer.ema)(dense_trainer.params.named_tensors())
 
 

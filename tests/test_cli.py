@@ -653,11 +653,15 @@ def meta_with(**fields):
 
 def old_version(version: int):
     """Versions 1-3 store the step count apart, as "opt_step"; 1 and 2 store each threshold
-    as {"momentum", "tau"}; 1 also stores one member per tensor and no manifest."""
+    as {"momentum", "tau"}; 1 also stores one member per tensor and no manifest. Versions 1-4
+    store each expert's weights apart; the rows keep them stacked, since the version check
+    refuses the file before the manifest is read."""
     def make(path, ckpt):
         members = members_of(ckpt)
         m = json.loads(members["meta_json"].tobytes())
-        m.update(version=version, opt_step=m["step"])
+        m["version"] = version
+        if version < 4:
+            m["opt_step"] = m["step"]
         if version < 3:
             m["thresholds"] = [{"momentum": 0.99, "tau": tau} for tau in m["thresholds"]]
         if version == 1:
@@ -674,7 +678,7 @@ def old_version(version: int):
 CONFIG = resolve_config(build_parser().parse_args(["train", "--seed", "5", *FAST]))[1]  # the trained checkpoint's
 N = sum(t.size for t in Trainer(CONFIG).opt.params)  # each state group's length
 # what the message says when a metadata field holds its value as JSON text; a new key's says " metadata 'key' "
-AS_TEXT = {"version": " has version '4'; this moelab reads version 4\n",
+AS_TEXT = {"version": " has version '5'; this moelab reads version 5\n",
            "step": " metadata 'step' is '1', not a step count\n", "config": " metadata 'config' is not a JSON object\n"}
 
 
@@ -735,7 +739,7 @@ ROWS = [
     ("tau-bool", meta_with(thresholds=[True]), " block 0 threshold 'tau': True is not"),
     ("tau-huge", meta_with(thresholds=[10**400]), " block 0 threshold 'tau': 1000"),  # an integer no float holds
     ("config-list", meta_with(config=[1, 2]), " metadata 'config' is not a JSON object\n"),
-    ("version-text", meta_with(version="3"), " has version '3'; this moelab reads version 4\n"),
+    ("version-text", meta_with(version="3"), " has version '3'; this moelab reads version 5\n"),
     ("step-bool", meta_with(step=True), " metadata 'step' is True, not a step count\n"),
     ("batch_size", meta(lambda m: {**m, "config": {**m["config"], "batch_size": 8}}),
      " config mismatch (saved vs requested): {'batch_size': (8, 4)}\n"),
@@ -743,7 +747,7 @@ ROWS = [
      " config mismatch (saved vs requested): {'ema_decay': (0.999, None)}\n"),
     ("force_unit_gate", meta(lambda m: {**m, "config": {**m["config"], "force_unit_gate": False}}),  # dropped
      " config mismatch (saved vs requested): {'force_unit_gate': (False, None)}\n"),
-    *[(f"version-{v}", old_version(v), f" has version {v}; this moelab reads version 4\n") for v in (1, 2, 3)],
+    *[(f"version-{v}", old_version(v), f" has version {v}; this moelab reads version 5\n") for v in (1, 2, 3, 4)],
     ("text", lambda path, _: path.write_text("step = 3\n"), " is not an .npz archive\n"),
     ("empty", lambda path, _: path.write_bytes(b""), " is not an .npz archive\n"),
     ("half-archive", lambda path, ckpt: path.write_bytes(ckpt.read_bytes()[: ckpt.stat().st_size // 2]),
@@ -787,6 +791,7 @@ def test_a_compressed_copy_of_a_checkpoint_loads_bit_equal(tmp_path, trained_che
 
 SCORES = "block 0: router scores have {} non-finite entries of 64\n"  # 4 rows of 4 tokens, 4 experts
 ARM = "arm 'expert-race:identity': "
+HELDOUT = "held-out batch 1: "
 # (row, the command; the trained checkpoint's tensor scaled and by what, or None for a fresh run at lr 1e300,
 #  whose first update overflows the weights; stderr after "numeric failure: "; what --out holds; log.csv's steps)
 NUMERIC_ROWS = [
@@ -795,12 +800,12 @@ NUMERIC_ROWS = [
      ["config.snapshot", "log.csv"], []),
     ("train-huge-trunk", ["train", "--steps", "2"], ("in_w", 1e308), "step 2: " + SCORES.format(48),
      ["config.snapshot", "log.csv"], []),
-    ("metrics-nan-router", ["metrics"], ("block0.moe.gate_b", np.nan), SCORES.format(64), None, None),
-    ("metrics-huge-trunk", ["metrics"], ("in_w", 1e308), SCORES.format(64), None, None),
+    ("metrics-nan-router", ["metrics"], ("block0.moe.gate_b", np.nan), HELDOUT + SCORES.format(64), None, None),
+    ("metrics-huge-trunk", ["metrics"], ("in_w", 1e308), HELDOUT + SCORES.format(64), None, None),
     ("ablate-step", ["ablate", "--steps", "3", "--arms", "expert-race:identity;token-choice:identity"], None,
      ARM + "step 2: " + SCORES.format(64), ["config.snapshot"], None),
-    ("ablate-heldout", ["ablate", "--steps", "1", "--arms", "expert-race:identity"], None, ARM + SCORES.format(64),
-     ["config.snapshot"], None),
+    ("ablate-heldout", ["ablate", "--steps", "1", "--arms", "expert-race:identity"], None,
+     ARM + HELDOUT + SCORES.format(64), ["config.snapshot"], None),
 ]
 
 

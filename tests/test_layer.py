@@ -14,7 +14,14 @@ from moelab.layer import (
     xavier_bound,
 )
 from moelab.routing import STRATEGIES, ConfigError, ThresholdState, apply_gating, get_strategy, route
-from moelab.tensor import Tensor, backward, finite_difference_grad, gelu, matmul
+from moelab.tensor import Tensor, backward, finite_difference_grad, gelu, matmul, take_rows
+
+
+def expert(params, i):
+    """Expert i as a dense FFN whose weights are differentiable slices of the stacked w_in and w_out."""
+    E = params.w_in.shape[0]
+    w_in, w_out = (take_rows(w.reshape(E, -1), [i]).reshape(w.shape[1:]) for w in (params.w_in, params.w_out))
+    return ExpertParams(w_in=w_in, w_out=w_out)
 
 
 def make_config(d=8, e=4, k=2, dense=32):
@@ -48,14 +55,13 @@ def test_expert_bound_matches_dense_counterpart():
     cfg = make_config(d=8, e=4, k=2, dense=32)
     params = init_params(cfg, 0)
     dense_bound = xavier_bound(cfg.model_dim, cfg.dense_hidden)
-    for ex in params.experts:
-        assert np.abs(ex.w_in.data).max() <= dense_bound
-        assert np.abs(ex.w_out.data).max() <= dense_bound
+    assert np.abs(params.w_in.data).max() <= dense_bound
+    assert np.abs(params.w_out.data).max() <= dense_bound
     # the range really is the dense (smaller) one: draws fill it nearly to
     # the brim yet stay strictly under the wider naive expert bound
     naive = xavier_bound(cfg.model_dim, cfg.dense_hidden // cfg.k)
     assert dense_bound < naive
-    empirical = max(np.abs(ex.w_in.data).max() for ex in params.experts)
+    empirical = np.abs(params.w_in.data).max()
     assert dense_bound * 0.95 < empirical <= dense_bound
 
 
@@ -123,7 +129,7 @@ def test_moe_forward_single_expert_gate_scaling():
     out = moe_forward(x, params, get_strategy("token-choice"), "identity", cfg.k, "train")
     (chosen,) = np.nonzero(out.route.mask[0, 0])[0].reshape(-1)[:1]
     gate = out.route.gates.data[0, 0, chosen]
-    expert_out = expert_forward(params.experts[chosen], x).data[0, 0]
+    expert_out = expert_forward(expert(params, chosen), x).data[0, 0]
     assert np.allclose(out.y.data[0, 0], gate * expert_out, atol=1e-13)
 
 
@@ -144,7 +150,7 @@ def test_dense_equivalence_one_in_one():
     params = init_params(cfg, 11)
     x = Tensor(np.random.default_rng(4).normal(size=(2, 5, 6)))
     out = moe_forward(x, params, get_strategy("token-choice"), "softmax", cfg.k, "train")
-    dense = expert_forward(params.experts[0], x)
+    dense = expert_forward(expert(params, 0), x)
     assert np.array_equal(out.y.data, dense.data)
 
 
@@ -159,9 +165,9 @@ def test_zero_token_experts_get_exact_zero_grad():
     loss = out.y.square().sum()
     backward(loss, [t for _, t in named_tensors(params)])
     for i in (1, 2, 3):
-        assert np.array_equal(params.experts[i].w_in.grad, np.zeros_like(params.experts[i].w_in.data))
-        assert np.array_equal(params.experts[i].w_out.grad, np.zeros_like(params.experts[i].w_out.data))
-    assert np.abs(params.experts[0].w_in.grad).max() > 0
+        assert np.array_equal(params.w_in.grad[i], np.zeros((4, 8)))
+        assert np.array_equal(params.w_out.grad[i], np.zeros((8, 4)))
+    assert np.abs(params.w_in.grad[0]).max() > 0
 
 
 def test_expert_idle_this_step_gets_zero_grad_not_last_steps():
@@ -171,14 +177,13 @@ def test_expert_idle_this_step_gets_zero_grad_not_last_steps():
     named = [t for _, t in named_tensors(params)]
     out = moe_forward(x, params, get_strategy("bl-choice"), "identity", cfg.k, "train")  # every expert gets rows
     backward(out.y.square().sum(), named)
-    assert all(np.abs(ex.w_in.grad).max() > 0 for ex in params.experts)
+    assert all(np.abs(g).max() > 0 for g in params.w_in.grad)
     params.gate_b.data = np.array([100.0, 0.0, 0.0, 0.0])
     out = moe_forward(x, params, get_strategy("token-choice"), "identity", cfg.k, "train")
     assert out.route.mask[..., 1:].sum() == 0
     backward(out.y.square().sum(), named)
-    for ex in params.experts[1:]:
-        assert np.array_equal(ex.w_in.grad, np.zeros((4, 8)))
-        assert np.array_equal(ex.w_out.grad, np.zeros((8, 4)))
+    assert np.array_equal(params.w_in.grad[1:], np.zeros((3, 4, 8)))
+    assert np.array_equal(params.w_out.grad[1:], np.zeros((3, 8, 4)))
 
 
 def test_moe_forward_graph_size_does_not_grow_with_expert_count():
@@ -217,7 +222,7 @@ def test_moe_forward_gradients_match_finite_differences():
     assert rel.max() < 1e-4
 
     for name, p in named_tensors(params):
-        if "expert0" not in name and "router" not in name:
+        if name not in ("w_in", "w_out") and "router" not in name:
             continue
         grad = p.grad if p.grad is not None else np.zeros_like(p.data)
         saved = p.data.copy()
@@ -249,7 +254,8 @@ def test_expert_relabeling_symmetry():
         gate_b=Tensor(params.gate_b.data[perm]),
         target_w=params.target_w,
         target_b=params.target_b,
-        experts=[params.experts[i] for i in perm],
+        w_in=Tensor(params.w_in.data[perm]),
+        w_out=Tensor(params.w_out.data[perm]),
         threshold=ThresholdState(),
     )
     out = moe_forward(x, permuted, strategy, "sigmoid", cfg.k, "train").y.data
@@ -258,16 +264,15 @@ def test_expert_relabeling_symmetry():
 
 def test_count_params_one_in_one_equals_dense_ffn():
     params = init_params(make_config(d=8, e=1, k=1, dense=32), 0)
-    (expert,) = params.experts
-    assert expert.w_in.size + expert.w_out.size == 8 * 32 + 32 * 8
+    assert params.w_in.shape == (1, 8, 32) and params.w_out.shape == (1, 32, 8)
 
 
 def test_activated_params_invariant_across_family():
     # k experts of a k-in-E layer hold exactly the dense FFN's weight count
     activated = set()
     for k, e in [(2, 8), (4, 16), (8, 32)]:
-        expert = init_params(make_config(d=64, e=e, k=k, dense=256), 0).experts[0]
-        activated.add(k * (expert.w_in.size + expert.w_out.size))
+        params = init_params(make_config(d=64, e=e, k=k, dense=256), 0)
+        activated.add(k * (params.w_in.size + params.w_out.size) // e)
     assert activated == {64 * 256 + 256 * 64}
 
 
@@ -285,12 +290,12 @@ def dense_masked_reference(x, params, strategy, gating, k, mode):
     output weighted by its gate column (picked out with a 0/1 matmul)."""
     logits = params.gating_logits(params.router_trunk(x))
     result = route(logits, strategy, gating, mode, params.threshold, k=k)
-    E = len(params.experts)
+    E = params.w_in.shape[0]
     y = None
-    for i, expert in enumerate(params.experts):
+    for i in range(E):
         sel = np.zeros((E, 1))
         sel[i, 0] = 1.0
-        term = expert_forward(expert, x) * matmul(result.gates, Tensor(sel))
+        term = expert_forward(expert(params, i), x) * matmul(result.gates, Tensor(sel))
         y = term if y is None else y + term
     return y, result
 
@@ -352,6 +357,6 @@ def test_gathered_dispatch_matches_dense_masked_oracle(strategy_name, gating, ca
         assert_close(g, grads_ref[name], name)
     for i in range(cfg.num_experts):
         if mask[..., i].sum() == 0:
-            assert np.array_equal(grads[f"expert{i}.w_in"], np.zeros((4, 4)))
-            assert np.array_equal(grads[f"expert{i}.w_out"], np.zeros((4, 4)))
+            assert np.array_equal(grads["w_in"][i], np.zeros((4, 4)))
+            assert np.array_equal(grads["w_out"][i], np.zeros((4, 4)))
 

@@ -36,7 +36,7 @@ def big(*shape, scale=1.0):
     return x
 
 
-Row = namedtuple("Row", "case op arrays args call ref", defaults=((), None, None))
+Row = namedtuple("Row", "case op arrays args ref", defaults=((), None))
 
 
 ROWS = [
@@ -64,8 +64,7 @@ ROWS = [
     Row("empty", tensor.scatter_rows, (arr(0, 3),), ([], 4)),
     Row("2d", tensor.take_cols, (arr(3, 7),), (2, 5), ref=lambda x: x[..., 2:5]),
     Row("3d-strided", tensor.take_cols, (strided(2, 3, 7),), (2, 5), ref=lambda x: x[..., 2:5]),
-    Row("empty-segment", tensor.segment_matmul, (strided(6, 3), *(arr(3, 2) for _ in range(4))),
-        call=lambda x, *ws: tensor.segment_matmul(x, ws, [0, 3, 3, 4, 6])),
+    Row("empty-segment", tensor.segment_matmul, (strided(6, 3), arr(4, 3, 2)), ([0, 3, 3, 4, 6],)),
 ]
 
 
@@ -79,7 +78,7 @@ def _ops() -> set:
 
 
 def _apply(row, tensors: list) -> Tensor:
-    return row.call(*tensors) if row.call else row.op(*tensors, *row.args)
+    return row.op(*tensors, *row.args)
 
 
 def _loss(out: Tensor) -> Tensor:

@@ -2,6 +2,7 @@
 
 import ctypes
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -176,13 +177,17 @@ def test_scatter_add_is_bit_identical_to_add_at(idx, n, cols):
 def test_segment_matmul_forward_per_segment_and_zero_grad_for_an_empty_segment():
     rng = np.random.default_rng(13)
     offsets = [0, 3, 3, 4, 6]  # segment 1 empty, segment 2 a single row
-    ws = [Tensor(rng.normal(size=(3, 2)), requires_grad=True) for _ in range(4)]
+    w = Tensor(rng.normal(size=(4, 3, 2)), requires_grad=True)
     x = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
-    out = segment_matmul(x, ws, offsets)
-    for w, lo, hi in zip(ws, offsets[:-1], offsets[1:]):
-        assert np.array_equal(out.data[lo:hi], x.data[lo:hi] @ w.data)
-    backward(out.square().sum(), [x, *ws])
-    assert np.array_equal(ws[1].grad, np.zeros((3, 2)))  # no rows: exactly zero
+    out = segment_matmul(x, w, offsets)
+    for s, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
+        assert np.array_equal(out.data[lo:hi], x.data[lo:hi] @ w.data[s])
+    assert out._node.parents == (x._node, w._node)
+    backward(out.square().sum(), [x, w])
+    assert np.array_equal(w.grad[1], np.zeros((3, 2)))  # no rows: exactly zero
+    for s in (0, 2, 3):
+        lo, hi = offsets[s], offsets[s + 1]
+        assert np.array_equal(w.grad[s], x.data[lo:hi].T @ (2.0 * out.data[lo:hi]))
 
 
 @pytest.mark.parametrize(
@@ -196,17 +201,16 @@ def test_segment_matmul_forward_per_segment_and_zero_grad_for_an_empty_segment()
     ],
 )
 def test_segment_matmul_rejects_offsets_that_do_not_cover_x(offsets):
-    ws = [Tensor(np.ones((3, 2))), Tensor(np.ones((3, 2)))]
-    with pytest.raises(ShapeError, match="offsets"):
-        segment_matmul(Tensor(np.ones((6, 3))), ws, offsets)
+    w = Tensor(np.ones((2, 3, 2)))  # two segments
+    with pytest.raises(ShapeError, match=r"offsets .* in the 2 segments of \(2, 3, 2\)$"):
+        segment_matmul(Tensor(np.ones((6, 3))), w, offsets)
 
 
 def test_segment_matmul_rejects_mismatched_weights():
     x = Tensor(np.ones((4, 3)))
-    with pytest.raises(ShapeError):
-        segment_matmul(x, [Tensor(np.ones((2, 2)))], [0, 4])  # inner dims differ
-    with pytest.raises(ShapeError):
-        segment_matmul(x, [Tensor(np.ones((3, 2))), Tensor(np.ones((3, 5)))], [0, 2, 4])
+    for w in (np.ones((3, 2)), np.ones((1, 2, 2))):  # a 2-D weight; inner dims differ
+        with pytest.raises(ShapeError, match=re.escape(f"segment_matmul expects (n, d) x (S, d, m): (4, 3) vs {w.shape}")):
+            segment_matmul(x, Tensor(w), [0, 4])
 
 
 def test_take_cols_gradient_is_exactly_zero_outside_the_slice():
@@ -343,20 +347,19 @@ def test_no_grad_nests_and_restores_after_an_exception():
 def test_backward_frees_interior_nodes_and_keeps_leaf_grads():
     rng = np.random.default_rng(7)
     x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-    w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
-    idle = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    w = Tensor(rng.normal(size=(2, 3, 2)), requires_grad=True)
     const = Tensor(rng.normal(size=(4, 2)))
-    scaled = [w * 1.0, idle * 1.0]  # the second one's segment is empty: no gradient reaches it
-    hidden = gelu(segment_matmul(x, scaled, [0, 4, 4]))
+    scaled = w * 1.0
+    hidden = gelu(segment_matmul(x, scaled, [0, 4, 4]))  # slice 1's segment is empty
     loss = (hidden * const).sum()
-    backward(loss, [x, w, idle])
-    for node in (loss, hidden, *scaled):
+    backward(loss, [x, w])
+    for node in (loss, hidden, scaled):
         assert node.grad is None and node._node.parents == ()
-    z = x.data @ w.data
+    z = x.data @ w.data[0]
     gz = const.data * (0.5 * (1.0 + erf(z / np.sqrt(2.0))) + z * np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi))
-    assert np.allclose(x.grad, gz @ w.data.T, rtol=1e-12, atol=1e-14)
-    assert np.allclose(w.grad, x.data.T @ gz, rtol=1e-12, atol=1e-14)
-    assert np.array_equal(idle.grad, np.zeros((3, 2)))
+    assert np.allclose(x.grad, gz @ w.data[0].T, rtol=1e-12, atol=1e-14)
+    assert np.allclose(w.grad[0], x.data.T @ gz, rtol=1e-12, atol=1e-14)
+    assert np.array_equal(w.grad[1], np.zeros((3, 2)))
     assert const.grad is None
 
 
