@@ -8,7 +8,7 @@ output layers zero-initialized the whole network starts as the identity
 residual path and predicts exactly zero.
 
 A weight's name is its field path in DenoiserParams, such as
-"block0.moe.w_in"; layer.named_tensors lists them in declaration order.
+"block0.moe.experts.w_in"; layer.named_tensors lists them in declaration order.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import layer as moe_layer
 from .diffusion import PARAMETERIZATIONS, build_schedule
-from .layer import ExpertParams, LayerOutput, MoeLayerParams, _xavier, expert_forward
+from .layer import ExpertParams, LayerOutput, MoeLayerParams, _xavier, init_experts, xavier_bound
 from .routing import GATING_FUNCTIONS, ConfigError, NumericError, RoutingStrategy, get_strategy
 from .tensor import Tensor, gelu, matmul, take_cols, take_rows
 
@@ -80,7 +80,7 @@ class BlockParams:
     mod_b: Tensor  # (3D,)
     mix_w: Tensor  # (L, L) token-mixing map
     moe: MoeLayerParams | None  # None in dense mode
-    ffn: ExpertParams | None  # dense twin FFN
+    ffn: ExpertParams | None  # dense twin FFN: a bank of one expert
 
 
 @dataclass
@@ -131,12 +131,11 @@ def init_denoiser(config: DenoiserConfig, seed_or_rng) -> DenoiserParams:
 
     blocks = []
     for _ in range(config.layers):
+        moe = ffn = None
         if config.dense:
-            ffn = ExpertParams(w_in=_xavier(rng, d, H), w_out=_xavier(rng, H, d))
-            moe = None
+            ffn = init_experts(rng, 1, d, H, xavier_bound(d, H))
         else:
             moe = moe_layer.init_params(config, rng)
-            ffn = None
         blocks.append(
             BlockParams(
                 mod_w=_zeros(d, 3 * d),
@@ -226,8 +225,9 @@ def denoiser_forward(
                     raise NumericError(f"block {i}: {exc}") from exc
                 layer_outputs.append(out)
                 y = out.y
-            else:
-                y = expert_forward(blk.ffn, u)
+            else:  # a bank of one: its one expert takes every row
+                B, L, D = u.shape
+                y = moe_layer.expert_forward(blk.ffn, u.reshape(B * L, D), [0, B * L]).reshape(B, L, D)
             h = h + y * gate
 
         f_scale, f_shift = _split_cols(matmul(cond, params.final_mod_w) + params.final_mod_b, 2)

@@ -7,10 +7,11 @@ width), computed once per forward, feeding two output heads: a gating head
 producing the E affinity logits and a target head predicting the denoiser's
 regression target, which drives the per-layer regularization loss.
 
-The E experts are stored stacked, w_in as (E, D, H) and w_out as (E, H, D).
-Dispatch is grouped and dropless (MegaBlocks-style, at desk scale; see
-moe_forward): all experts run as two segmented matmuls around one GELU,
-so each layer's graph has the same few nodes whatever E is, and the expert
+An expert bank (ExpertParams) stacks its experts, w_in as (E, D, H) and
+w_out as (E, H, D); the dense twin's FFN is a bank of one. expert_forward
+is the one FFN: two segmented matmuls around one GELU, so each layer's
+graph has the same few nodes whatever E is. Dispatch is grouped and
+dropless (MegaBlocks-style, at desk scale; see moe_forward): the expert
 work is one row per selected pair. No token is dropped and no capacity is
 padded. An expert given no token is not run and gets an all-zero gradient.
 
@@ -38,6 +39,7 @@ __all__ = [
     "LayerOutput",
     "named_tensors",
     "xavier_bound",
+    "init_experts",
     "init_params",
     "expert_forward",
     "moe_forward",
@@ -46,14 +48,14 @@ __all__ = [
 
 @dataclass
 class ExpertParams:
-    """The dense twin's FFN, shaped as one expert: linear -> GELU -> linear, bias-free.
+    """E experts stacked, each linear -> GELU -> linear; a dense FFN is a bank of one.
 
     Bias-free keeps the activated parameter count exactly invariant across
     the k-in-E family at fixed model dim.
     """
 
-    w_in: Tensor  # (D, expert_hidden)
-    w_out: Tensor  # (expert_hidden, D)
+    w_in: Tensor  # (E, D, expert_hidden) every expert's first linear
+    w_out: Tensor  # (E, expert_hidden, D) every expert's second linear
 
 
 @dataclass
@@ -64,8 +66,7 @@ class MoeLayerParams:
     gate_b: Tensor  # (E,)
     target_w: Tensor  # (D, D)
     target_b: Tensor  # (D,)
-    w_in: Tensor  # (E, D, expert_hidden) every expert's first linear
-    w_out: Tensor  # (E, expert_hidden, D) every expert's second linear
+    experts: ExpertParams
     threshold: ThresholdState
 
     def router_trunk(self, x: Tensor) -> Tensor:
@@ -121,40 +122,42 @@ def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> Tensor:
     return Tensor(rng.uniform(-b, b, size=(fan_in, fan_out)), requires_grad=True)
 
 
+def init_experts(rng: np.random.Generator, e: int, d: int, h: int, bound: float) -> ExpertParams:
+    """A bank of e experts of inner width h, uniform in [-bound, bound]; draws
+    run w_in[i], then w_out[i], for each expert i."""
+    w_in, w_out = np.empty((e, d, h)), np.empty((e, h, d))
+    for i in range(e):
+        w_in[i] = rng.uniform(-bound, bound, size=(d, h))
+        w_out[i] = rng.uniform(-bound, bound, size=(h, d))
+    return ExpertParams(w_in=Tensor(w_in, requires_grad=True), w_out=Tensor(w_out, requires_grad=True))
+
+
 def init_params(config: DenoiserConfig, seed_or_rng) -> MoeLayerParams:
     """Xavier-uniform init of one k-in-E layer of the config, deterministic under seed.
 
-    Each expert's inner width is dense_hidden / k. Expert linears draw from
-    the bound their dense counterpart would use: the inner dimension is
-    treated as dense_hidden when computing the Xavier bound, so the
+    Each expert's inner width is dense_hidden / k, but the bank draws from
+    the dense FFN's Xavier bound, xavier_bound(D, dense_hidden), so the
     per-weight range matches the dense FFN despite the narrower expert width.
-    Draws run router_w, gate_w, target_w, then w_in[e], w_out[e] per expert.
+    Draws run router_w, gate_w, target_w, then the expert bank.
     """
     rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) else np.random.default_rng(seed_or_rng)
     d, e, dense = config.model_dim, config.num_experts, config.dense_hidden
-    h = dense // config.k
-    b = xavier_bound(d, dense)  # the dense FFN's bound, w_in's and w_out's alike
-
-    params = MoeLayerParams(
+    return MoeLayerParams(
         router_w=_xavier(rng, d, d),
         router_b=Tensor(np.zeros(d), requires_grad=True),
         gate_w=_xavier(rng, d, e),
         gate_b=Tensor(np.zeros(e), requires_grad=True),
         target_w=_xavier(rng, d, d),
         target_b=Tensor(np.zeros(d), requires_grad=True),
-        w_in=Tensor(np.empty((e, d, h)), requires_grad=True),
-        w_out=Tensor(np.empty((e, h, d)), requires_grad=True),
+        experts=init_experts(rng, e, d, dense // config.k, xavier_bound(d, dense)),
         threshold=ThresholdState(),
     )
-    for i in range(e):
-        params.w_in.data[i] = rng.uniform(-b, b, size=(d, h))
-        params.w_out.data[i] = rng.uniform(-b, b, size=(h, d))
-    return params
 
 
-def expert_forward(expert: ExpertParams, x: Tensor) -> Tensor:
-    """linear -> GELU -> linear on (..., D) input."""
-    return matmul(gelu(matmul(x, expert.w_in)), expert.w_out)
+def expert_forward(experts: ExpertParams, x: Tensor, offsets) -> Tensor:
+    """Expert i's linear -> GELU -> linear on rows offsets[i]:offsets[i + 1] of the (rows, D)
+    input x: segment_matmul over w_in (one GEMM per non-empty segment), GELU, segment_matmul over w_out."""
+    return segment_matmul(gelu(segment_matmul(x, experts.w_in, offsets)), experts.w_out, offsets)
 
 
 def moe_forward(
@@ -167,36 +170,33 @@ def moe_forward(
 ) -> LayerOutput:
     """Route, run experts, and combine: y[b,l] = sum_i gates[b,l,i] * E_i(x[b,l]).
 
-    strategy, gating and k are the DenoiserConfig's; E is params.w_in.shape[0].
+    strategy, gating and k are the DenoiserConfig's; E is the bank's size.
 
     Grouped dispatch: the selected (expert, row) pairs are taken expert by
     expert, rows ascending within each expert, so expert i owns one
     contiguous segment of the pair list. One gather of x in that order
-    feeds segment_matmul over w_in, one GELU, and segment_matmul over
-    w_out (one GEMM per expert's segment); the outputs are scaled by the pairs'
-    gate values (one gather of the flat gates) and scatter-added into y in
-    one op. Expert work is one row per selected pair: B*L*k in train
-    mode, mask.sum() in infer mode. Experts with no selected row are
-    skipped; if none is selected, y is a zero constant. The router trunk
-    runs once and feeds both heads; the target head's prediction rides
-    along for the per-layer regularization loss. A 1-in-1 layer with
-    softmax gating has every gate exactly 1.0, so y is exactly the dense
-    FFN output of w_in[0] and w_out[0]: the dense twin.
+    feeds expert_forward; its outputs are scaled by the pairs' gate values
+    (one gather of the flat gates) and scatter-added into y in one op.
+    Expert work is one row per selected pair: B*L*k in train mode,
+    mask.sum() in infer mode; if none is selected, y is a zero constant.
+    The router trunk runs once and feeds both heads; the target head's
+    prediction rides along for the per-layer regularization loss. A 1-in-1
+    layer with softmax gating has every gate exactly 1.0, so y is exactly
+    the dense FFN output of its bank of one: the dense twin.
     """
     h = params.router_trunk(x)
     logits = params.gating_logits(h)
     result = routing.route(logits, strategy, gating, mode, params.threshold, k=k)
 
     B, L, D = x.shape
-    E = params.w_in.shape[0]
+    E = params.experts.w_in.shape[0]
     experts_of, rows = np.nonzero(result.mask.reshape(B * L, E).T)
     if rows.size == 0:
         y = Tensor(np.zeros((B, L, D)))
     else:
         offsets = np.concatenate(([0], np.cumsum(np.bincount(experts_of, minlength=E))))
         x_pairs = take_rows(x.reshape(B * L, D), rows)  # (pairs, D), expert-major
-        hidden = gelu(segment_matmul(x_pairs, params.w_in, offsets))
-        out = segment_matmul(hidden, params.w_out, offsets)
+        out = expert_forward(params.experts, x_pairs, offsets)
         gates = take_rows(result.gates.reshape(B * L * E, 1), rows * E + experts_of)
         y = scatter_rows(out * gates, rows, B * L).reshape(B, L, D)
 

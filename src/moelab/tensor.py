@@ -346,7 +346,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """a @ b with `a` of rank >= 2 and `b` a 2-D matrix.
 
     Leading axes of `a` act as batch dims; the last axis of `a` contracts
-    with the first axis of `b`. Covers every linear layer in the engine.
+    with the first axis of `b`. Covers every linear layer but the expert banks (segment_matmul).
     """
     a, b = Tensor._coerce(a), Tensor._coerce(b)
     if a.data.ndim < 2 or b.data.ndim != 2:

@@ -5,7 +5,7 @@ states and RNG; everything it touches round-trips through the checkpoint
 container so a resumed run replays the original trajectory bit for bit.
 `Trainer.loss` builds the training objective: `train_step` minimizes it and
 the finite-difference gradient tests differentiate it.
-The container (version 5) is an .npz archive with one flat float64 member
+The container (version 6) is an .npz archive with one flat float64 member
 per state group (`param`, `ema`, `opt_m`, `opt_v`) plus `meta_json`, whose
 manifest lists each tensor's name and shape; tensors are streamed into
 and out of the trainer's own arrays, one .npy header per group.
@@ -51,7 +51,7 @@ __all__ = [
     "load_checkpoint",
 ]
 
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 
 
 class AdamW(object):
@@ -506,7 +506,7 @@ def _check_manifest(path, manifest, named: list[tuple[str, Tensor]]) -> None:
 def load_checkpoint(path, config: TrainerConfig) -> Trainer:
     """Rebuild a Trainer in the exact state it was saved in.
 
-    Reads the layout save_checkpoint writes, version 5 only; any other
+    Reads the layout save_checkpoint writes, version 6 only; any other
     version raises ConfigError naming both. The saved config must equal
     `config` key for key, or a ConfigError names each key that differs,
     one the other side lacks included. The manifest must match the

@@ -161,7 +161,7 @@ def _relcheck(got: np.ndarray, want: np.ndarray, rtol: float, atol: float = 1e-7
 def test_criterion_5_gradients_match_finite_differences():
     start = time.time()
 
-    # (a) MoE layer forward w.r.t. input, every expert's w_in and the router head
+    # (a) MoE layer forward w.r.t. input, the expert bank's w_in and the router head
     cfg = DenoiserConfig(model_dim=4, num_experts=4, k=2, dense_hidden=8)
     params = init_params(cfg, 404)
     rng = np.random.default_rng(11)
@@ -195,9 +195,12 @@ def test_criterion_5_gradients_match_finite_differences():
             fd_x[np.unravel_index(idx, x_base.shape)] += sign * val / (2 * h)
     assert _relcheck(x_t.grad, fd_x, 1e-4) < 0, "moe_forward d/dx mismatch"
 
+    checked = ("experts.w_in", "gate_w", "router_w")
+    seen = []
     for name, p in named_tensors(params):
-        if name not in ("w_in", "gate_w", "router_w"):
+        if name not in checked:
             continue
+        seen.append(name)
         saved = p.data.copy()
         grad = p.grad if p.grad is not None else np.zeros_like(saved)
         fd = np.zeros_like(saved)
@@ -211,6 +214,7 @@ def test_criterion_5_gradients_match_finite_differences():
             p.data = saved
             fd.reshape(-1)[idx] = (vals[0] - vals[1]) / (2 * h)
         assert _relcheck(grad, fd, 1e-4) < 0, f"moe_forward d/d{name} mismatch"
+    assert sorted(seen) == sorted(checked), f"finite differences checked only {seen}"  # a rename must fail here
 
     # (b) every aux loss w.r.t. router logits
     T, E, k = 8, 4, 2
@@ -381,13 +385,15 @@ def test_criterion_8_combination_usage_oracle_and_fixture():
 # 9. dense-twin equivalence
 
 
+def _moe_name(dense_name: str) -> str:
+    """The 1-in-1 MoE's name for a dense twin's weight: a block's FFN is the layer's bank of one."""
+    return dense_name.replace(".ffn.", ".moe.experts.")
+
+
 def _graft_dense_twin(moe_trainer: Trainer, dense_trainer: Trainer) -> None:
     moe_named = dict(moe_trainer.params.named_tensors())
-    for name, t in dense_trainer.params.named_tensors():
-        if ".ffn." in name:  # the one expert: slice 0 of the stacked weight
-            t.data = moe_named[name.replace(".ffn.", ".moe.")].data[0].copy()
-        else:
-            t.data = moe_named[name].data.copy()
+    for name, t in dense_trainer.params.named_tensors():  # every shape matches, the banks' too
+        t.data = moe_named[_moe_name(name)].data.copy()
     dense_trainer.ema = type(dense_trainer.ema)(dense_trainer.params.named_tensors())
 
 
@@ -405,15 +411,32 @@ def test_criterion_9_dense_twin_equivalence():
     pred_moe, _ = moe_trainer.forward(batch, mode="train")
     pred_dense, _ = dense_trainer.forward(batch, mode="train")
     forward_gap = float(np.abs(pred_moe.data - pred_dense.data).max())
-    assert forward_gap < 1e-10
+    assert forward_gap == 0.0
 
     gaps = []
     for _ in range(50):
         rec_moe = moe_trainer.train_step()
         rec_dense = dense_trainer.train_step()
         gaps.append(abs(rec_moe.total - rec_dense.total))
-    assert max(gaps) < 1e-6, f"trajectory gap {max(gaps)}"
-    report(9, f"forward gap {forward_gap:.1e} < 1e-10; 50-step loss gap {max(gaps):.1e} < 1e-6")
+    assert max(gaps) == 0.0, f"trajectory gap {max(gaps)}"
+    report(9, "forward gap 0.0 and 50-step loss gap 0.0: the twin runs the same expert path")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_dense_twin_weights_equal_the_one_in_one_moe_bit_for_bit_at_the_default_shape(seed):
+    # the default shape (B=32, L=16, D=64, 4 blocks) with one expert of the
+    # dense width, `v` at lr 2e-3 and no aux loss; softmax gates every token by 1.0
+    one = DenoiserConfig(num_experts=1, k=1, gating="softmax", parameterization="v")
+    weights = LossWeights(plr=0.0, sim=0.0, blc=0.0)
+    moe_trainer = Trainer(TrainerConfig(model=one, lr=2e-3, weights=weights, seed=seed))
+    dense_trainer = Trainer(TrainerConfig(model=replace(one, dense=True), lr=2e-3, weights=weights, seed=seed))
+    _graft_dense_twin(moe_trainer, dense_trainer)
+    for _ in range(3):
+        moe_trainer.train_step()
+        dense_trainer.train_step()
+    moe_named = dict(moe_trainer.params.named_tensors())
+    for name, t in dense_trainer.params.named_tensors():
+        assert np.array_equal(t.data, moe_named[_moe_name(name)].data), name
 
 
 # ----------------------------------------------------------------------

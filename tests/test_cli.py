@@ -654,8 +654,9 @@ def meta_with(**fields):
 def old_version(version: int):
     """Versions 1-3 store the step count apart, as "opt_step"; 1 and 2 store each threshold
     as {"momentum", "tau"}; 1 also stores one member per tensor and no manifest. Versions 1-4
-    store each expert's weights apart; the rows keep them stacked, since the version check
-    refuses the file before the manifest is read."""
+    store each expert's weights apart, and 1-5 name a layer's bank by its two weights
+    ("block0.moe.w_in"); the rows keep today's manifest, since the version check refuses
+    the file before the manifest is read."""
     def make(path, ckpt):
         members = members_of(ckpt)
         m = json.loads(members["meta_json"].tobytes())
@@ -678,7 +679,7 @@ def old_version(version: int):
 CONFIG = resolve_config(build_parser().parse_args(["train", "--seed", "5", *FAST]))[1]  # the trained checkpoint's
 N = sum(t.size for t in Trainer(CONFIG).opt.params)  # each state group's length
 # what the message says when a metadata field holds its value as JSON text; a new key's says " metadata 'key' "
-AS_TEXT = {"version": " has version '5'; this moelab reads version 5\n",
+AS_TEXT = {"version": " has version '6'; this moelab reads version 6\n",
            "step": " metadata 'step' is '1', not a step count\n", "config": " metadata 'config' is not a JSON object\n"}
 
 
@@ -739,7 +740,7 @@ ROWS = [
     ("tau-bool", meta_with(thresholds=[True]), " block 0 threshold 'tau': True is not"),
     ("tau-huge", meta_with(thresholds=[10**400]), " block 0 threshold 'tau': 1000"),  # an integer no float holds
     ("config-list", meta_with(config=[1, 2]), " metadata 'config' is not a JSON object\n"),
-    ("version-text", meta_with(version="3"), " has version '3'; this moelab reads version 5\n"),
+    ("version-text", meta_with(version="3"), " has version '3'; this moelab reads version 6\n"),
     ("step-bool", meta_with(step=True), " metadata 'step' is True, not a step count\n"),
     ("batch_size", meta(lambda m: {**m, "config": {**m["config"], "batch_size": 8}}),
      " config mismatch (saved vs requested): {'batch_size': (8, 4)}\n"),
@@ -747,7 +748,7 @@ ROWS = [
      " config mismatch (saved vs requested): {'ema_decay': (0.999, None)}\n"),
     ("force_unit_gate", meta(lambda m: {**m, "config": {**m["config"], "force_unit_gate": False}}),  # dropped
      " config mismatch (saved vs requested): {'force_unit_gate': (False, None)}\n"),
-    *[(f"version-{v}", old_version(v), f" has version {v}; this moelab reads version 5\n") for v in (1, 2, 3, 4)],
+    *[(f"version-{v}", old_version(v), f" has version {v}; this moelab reads version 6\n") for v in (1, 2, 3, 4, 5)],
     ("text", lambda path, _: path.write_text("step = 3\n"), " is not an .npz archive\n"),
     ("empty", lambda path, _: path.write_bytes(b""), " is not an .npz archive\n"),
     ("half-archive", lambda path, ckpt: path.write_bytes(ckpt.read_bytes()[: ckpt.stat().st_size // 2]),

@@ -242,8 +242,8 @@ def test_dense_twin_forward_matches_one_in_one():
     dense = init_denoiser(replace(SMALL, dense=True, num_experts=1, k=1), 22)
     # graft the MoE expert weights into the dense twin
     for blk_moe, blk_dense in zip(moe.blocks, dense.blocks):
-        blk_dense.ffn.w_in.data = blk_moe.moe.w_in.data[0].copy()
-        blk_dense.ffn.w_out.data = blk_moe.moe.w_out.data[0].copy()
+        blk_dense.ffn.w_in.data = blk_moe.moe.experts.w_in.data.copy()
+        blk_dense.ffn.w_out.data = blk_moe.moe.experts.w_out.data.copy()
     for name in ("in_w", "in_b", "class_emb", "t_w1", "t_b1", "t_w2", "t_b2",
                  "final_mod_w", "final_mod_b", "out_w", "out_b"):
         getattr(dense, name).data = getattr(moe, name).data.copy()
@@ -541,7 +541,7 @@ def test_checkpoint_resume_bit_exact(tmp_path):
         assert np.array_equal(a.data, b.data), name
 
 
-# The version-5 manifest of SMALL, written out: the checkpoint's `tensors`,
+# The version-6 manifest of SMALL, written out: the checkpoint's `tensors`,
 # AdamW's parameter order and the weight EMA's keys all follow it.
 _STEM = [("in_w", (16, 16)), ("in_b", (16,)), ("class_emb", (3, 16)),
          ("t_w1", (16, 16)), ("t_b1", (16,)), ("t_w2", (16, 16)), ("t_b2", (16,))]
@@ -551,23 +551,23 @@ _MOE_MANIFEST = _STEM + [
     ("block0.moe.router_w", (16, 16)), ("block0.moe.router_b", (16,)),
     ("block0.moe.gate_w", (16, 4)), ("block0.moe.gate_b", (4,)),
     ("block0.moe.target_w", (16, 16)), ("block0.moe.target_b", (16,)),
-    ("block0.moe.w_in", (4, 16, 16)), ("block0.moe.w_out", (4, 16, 16)),
+    ("block0.moe.experts.w_in", (4, 16, 16)), ("block0.moe.experts.w_out", (4, 16, 16)),
     ("block1.mod_w", (16, 48)), ("block1.mod_b", (48,)), ("block1.mix_w", (8, 8)),
     ("block1.moe.router_w", (16, 16)), ("block1.moe.router_b", (16,)),
     ("block1.moe.gate_w", (16, 4)), ("block1.moe.gate_b", (4,)),
     ("block1.moe.target_w", (16, 16)), ("block1.moe.target_b", (16,)),
-    ("block1.moe.w_in", (4, 16, 16)), ("block1.moe.w_out", (4, 16, 16)),
+    ("block1.moe.experts.w_in", (4, 16, 16)), ("block1.moe.experts.w_out", (4, 16, 16)),
 ] + _HEAD
 _DENSE_MANIFEST = _STEM + [
     ("block0.mod_w", (16, 48)), ("block0.mod_b", (48,)), ("block0.mix_w", (8, 8)),
-    ("block0.ffn.w_in", (16, 32)), ("block0.ffn.w_out", (32, 16)),
+    ("block0.ffn.w_in", (1, 16, 32)), ("block0.ffn.w_out", (1, 32, 16)),
     ("block1.mod_w", (16, 48)), ("block1.mod_b", (48,)), ("block1.mix_w", (8, 8)),
-    ("block1.ffn.w_in", (16, 32)), ("block1.ffn.w_out", (32, 16)),
+    ("block1.ffn.w_in", (1, 16, 32)), ("block1.ffn.w_out", (1, 32, 16)),
 ] + _HEAD
 
 
 @pytest.mark.parametrize("dense, manifest", [(False, _MOE_MANIFEST), (True, _DENSE_MANIFEST)], ids=["moe", "dense"])
-def test_the_manifest_is_the_version_5_layout(dense, manifest, tmp_path):
+def test_the_manifest_is_the_version_6_layout(dense, manifest, tmp_path):
     trainer = small_trainer(dense=dense)
     named = trainer.params.named_tensors()
     assert [(name, t.shape) for name, t in named] == manifest

@@ -7,7 +7,9 @@ from moelab.denoiser import DenoiserConfig
 from moelab.layer import (
     ExpertParams,
     MoeLayerParams,
+    _xavier,
     expert_forward,
+    init_experts,
     init_params,
     moe_forward,
     named_tensors,
@@ -18,10 +20,17 @@ from moelab.tensor import Tensor, backward, finite_difference_grad, gelu, matmul
 
 
 def expert(params, i):
-    """Expert i as a dense FFN whose weights are differentiable slices of the stacked w_in and w_out."""
-    E = params.w_in.shape[0]
-    w_in, w_out = (take_rows(w.reshape(E, -1), [i]).reshape(w.shape[1:]) for w in (params.w_in, params.w_out))
+    """Expert i as a bank of one whose weights are differentiable slices of the layer's bank."""
+    bank = params.experts
+    E = bank.w_in.shape[0]
+    w_in, w_out = (take_rows(w.reshape(E, -1), [i]).reshape((1, *w.shape[1:])) for w in (bank.w_in, bank.w_out))
     return ExpertParams(w_in=w_in, w_out=w_out)
+
+
+def dense_ffn(bank, x):
+    """A bank of one as a dense FFN on (B, L, D) input: its one expert takes every row."""
+    B, L, D = x.shape
+    return expert_forward(bank, x.reshape(B * L, D), [0, B * L]).reshape(B, L, D)
 
 
 def make_config(d=8, e=4, k=2, dense=32):
@@ -55,13 +64,13 @@ def test_expert_bound_matches_dense_counterpart():
     cfg = make_config(d=8, e=4, k=2, dense=32)
     params = init_params(cfg, 0)
     dense_bound = xavier_bound(cfg.model_dim, cfg.dense_hidden)
-    assert np.abs(params.w_in.data).max() <= dense_bound
-    assert np.abs(params.w_out.data).max() <= dense_bound
+    assert np.abs(params.experts.w_in.data).max() <= dense_bound
+    assert np.abs(params.experts.w_out.data).max() <= dense_bound
     # the range really is the dense (smaller) one: draws fill it nearly to
     # the brim yet stay strictly under the wider naive expert bound
     naive = xavier_bound(cfg.model_dim, cfg.dense_hidden // cfg.k)
     assert dense_bound < naive
-    empirical = np.abs(params.w_in.data).max()
+    empirical = np.abs(params.experts.w_in.data).max()
     assert dense_bound * 0.95 < empirical <= dense_bound
 
 
@@ -106,20 +115,27 @@ def test_logits_shape_contract():
 
 
 def test_expert_forward_zero_weights_and_shape():
-    ex = ExpertParams(w_in=Tensor(np.zeros((4, 6))), w_out=Tensor(np.zeros((6, 4))))
+    ex = ExpertParams(w_in=Tensor(np.zeros((1, 4, 6))), w_out=Tensor(np.zeros((1, 6, 4))))
     x = Tensor(np.ones((5, 4)))
-    out = expert_forward(ex, x)
+    out = expert_forward(ex, x, [0, 5])
     assert out.shape == (5, 4)
     assert np.array_equal(out.data, np.zeros((5, 4)))
 
 
 def test_expert_forward_hand_computed_scalar_path():
     # 1-d everything: y = gelu(x * w_in) * w_out
-    ex = ExpertParams(w_in=Tensor(np.array([[2.0]])), w_out=Tensor(np.array([[3.0]])))
+    ex = ExpertParams(w_in=Tensor(np.array([[[2.0]]])), w_out=Tensor(np.array([[[3.0]]])))
     x = 0.7
-    got = expert_forward(ex, Tensor(np.array([[x]]))).data[0, 0]
+    got = expert_forward(ex, Tensor(np.array([[x]])), [0, 1]).data[0, 0]
     want = gelu(Tensor(np.array([x * 2.0]))).data[0] * 3.0
     assert abs(got - want) < 1e-15
+
+
+def test_one_bank_initializer_draws_the_dense_ffn_as_two_xavier_linears():
+    rng_a, rng_b = np.random.default_rng(14), np.random.default_rng(14)
+    bank = init_experts(rng_a, 1, 8, 32, xavier_bound(8, 32))
+    w_in, w_out = _xavier(rng_b, 8, 32), _xavier(rng_b, 32, 8)
+    assert np.array_equal(bank.w_in.data, w_in.data[None]) and np.array_equal(bank.w_out.data, w_out.data[None])
 
 
 def test_moe_forward_single_expert_gate_scaling():
@@ -129,7 +145,7 @@ def test_moe_forward_single_expert_gate_scaling():
     out = moe_forward(x, params, get_strategy("token-choice"), "identity", cfg.k, "train")
     (chosen,) = np.nonzero(out.route.mask[0, 0])[0].reshape(-1)[:1]
     gate = out.route.gates.data[0, 0, chosen]
-    expert_out = expert_forward(expert(params, chosen), x).data[0, 0]
+    expert_out = dense_ffn(expert(params, chosen), x).data[0, 0]
     assert np.allclose(out.y.data[0, 0], gate * expert_out, atol=1e-13)
 
 
@@ -150,7 +166,7 @@ def test_dense_equivalence_one_in_one():
     params = init_params(cfg, 11)
     x = Tensor(np.random.default_rng(4).normal(size=(2, 5, 6)))
     out = moe_forward(x, params, get_strategy("token-choice"), "softmax", cfg.k, "train")
-    dense = expert_forward(expert(params, 0), x)
+    dense = dense_ffn(expert(params, 0), x)
     assert np.array_equal(out.y.data, dense.data)
 
 
@@ -165,9 +181,9 @@ def test_zero_token_experts_get_exact_zero_grad():
     loss = out.y.square().sum()
     backward(loss, [t for _, t in named_tensors(params)])
     for i in (1, 2, 3):
-        assert np.array_equal(params.w_in.grad[i], np.zeros((4, 8)))
-        assert np.array_equal(params.w_out.grad[i], np.zeros((8, 4)))
-    assert np.abs(params.w_in.grad[0]).max() > 0
+        assert np.array_equal(params.experts.w_in.grad[i], np.zeros((4, 8)))
+        assert np.array_equal(params.experts.w_out.grad[i], np.zeros((8, 4)))
+    assert np.abs(params.experts.w_in.grad[0]).max() > 0
 
 
 def test_expert_idle_this_step_gets_zero_grad_not_last_steps():
@@ -177,13 +193,13 @@ def test_expert_idle_this_step_gets_zero_grad_not_last_steps():
     named = [t for _, t in named_tensors(params)]
     out = moe_forward(x, params, get_strategy("bl-choice"), "identity", cfg.k, "train")  # every expert gets rows
     backward(out.y.square().sum(), named)
-    assert all(np.abs(g).max() > 0 for g in params.w_in.grad)
+    assert all(np.abs(g).max() > 0 for g in params.experts.w_in.grad)
     params.gate_b.data = np.array([100.0, 0.0, 0.0, 0.0])
     out = moe_forward(x, params, get_strategy("token-choice"), "identity", cfg.k, "train")
     assert out.route.mask[..., 1:].sum() == 0
     backward(out.y.square().sum(), named)
-    assert np.array_equal(params.w_in.grad[1:], np.zeros((3, 4, 8)))
-    assert np.array_equal(params.w_out.grad[1:], np.zeros((3, 8, 4)))
+    assert np.array_equal(params.experts.w_in.grad[1:], np.zeros((3, 4, 8)))
+    assert np.array_equal(params.experts.w_out.grad[1:], np.zeros((3, 8, 4)))
 
 
 def test_moe_forward_graph_size_does_not_grow_with_expert_count():
@@ -222,7 +238,7 @@ def test_moe_forward_gradients_match_finite_differences():
     assert rel.max() < 1e-4
 
     for name, p in named_tensors(params):
-        if name not in ("w_in", "w_out") and "router" not in name:
+        if name not in ("experts.w_in", "experts.w_out") and "router" not in name:
             continue
         grad = p.grad if p.grad is not None else np.zeros_like(p.data)
         saved = p.data.copy()
@@ -254,8 +270,7 @@ def test_expert_relabeling_symmetry():
         gate_b=Tensor(params.gate_b.data[perm]),
         target_w=params.target_w,
         target_b=params.target_b,
-        w_in=Tensor(params.w_in.data[perm]),
-        w_out=Tensor(params.w_out.data[perm]),
+        experts=ExpertParams(w_in=Tensor(params.experts.w_in.data[perm]), w_out=Tensor(params.experts.w_out.data[perm])),
         threshold=ThresholdState(),
     )
     out = moe_forward(x, permuted, strategy, "sigmoid", cfg.k, "train").y.data
@@ -264,7 +279,7 @@ def test_expert_relabeling_symmetry():
 
 def test_count_params_one_in_one_equals_dense_ffn():
     params = init_params(make_config(d=8, e=1, k=1, dense=32), 0)
-    assert params.w_in.shape == (1, 8, 32) and params.w_out.shape == (1, 32, 8)
+    assert params.experts.w_in.shape == (1, 8, 32) and params.experts.w_out.shape == (1, 32, 8)
 
 
 def test_activated_params_invariant_across_family():
@@ -272,7 +287,7 @@ def test_activated_params_invariant_across_family():
     activated = set()
     for k, e in [(2, 8), (4, 16), (8, 32)]:
         params = init_params(make_config(d=64, e=e, k=k, dense=256), 0)
-        activated.add(k * (params.w_in.size + params.w_out.size) // e)
+        activated.add(k * (params.experts.w_in.size + params.experts.w_out.size) // e)
     assert activated == {64 * 256 + 256 * 64}
 
 
@@ -290,12 +305,12 @@ def dense_masked_reference(x, params, strategy, gating, k, mode):
     output weighted by its gate column (picked out with a 0/1 matmul)."""
     logits = params.gating_logits(params.router_trunk(x))
     result = route(logits, strategy, gating, mode, params.threshold, k=k)
-    E = params.w_in.shape[0]
+    E = params.experts.w_in.shape[0]
     y = None
     for i in range(E):
         sel = np.zeros((E, 1))
         sel[i, 0] = 1.0
-        term = expert_forward(expert(params, i), x) * matmul(result.gates, Tensor(sel))
+        term = dense_ffn(expert(params, i), x) * matmul(result.gates, Tensor(sel))
         y = term if y is None else y + term
     return y, result
 
@@ -357,6 +372,6 @@ def test_gathered_dispatch_matches_dense_masked_oracle(strategy_name, gating, ca
         assert_close(g, grads_ref[name], name)
     for i in range(cfg.num_experts):
         if mask[..., i].sum() == 0:
-            assert np.array_equal(grads["w_in"][i], np.zeros((4, 4)))
-            assert np.array_equal(grads["w_out"][i], np.zeros((4, 4)))
+            assert np.array_equal(grads["experts.w_in"][i], np.zeros((4, 4)))
+            assert np.array_equal(grads["experts.w_out"][i], np.zeros((4, 4)))
 

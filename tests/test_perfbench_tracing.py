@@ -37,7 +37,8 @@ def test_perfbench_tracer_installs_records_spans_and_undoes():
     finally:
         patches.undo()
     names = {span[0] for span in tracer.spans}
-    assert {"training.train_step", "denoiser.forward", "layer.moe_forward", "layer.router",
+    assert {"training.train_step", "denoiser.forward", "layer.moe_forward", "layer.router", "layer.experts",
             "routing.route", "routing.topk_mask.expert-race", "training.optimizer", "training.ema"} <= names
     assert tracer.counts["matmul_calls"] > 0
+    assert tracer.counts["expert_rows"] == 1 * 4 * 4 * 2  # layers x B x L x k: one row per selected pair
     assert patched_names() == originals
