@@ -135,7 +135,7 @@ def route_sim_draws(
         scores = rng.normal(size=(n, B, L, E))
         for strat, budget in budgets.items():
             view = routing.reshape_scores(scores, strat)
-            mask2d = routing.topk_mask(view, budget)
+            mask2d, _ = routing.topk_mask(view, budget)
             # each draw's objective sums its own view, in that view's memory
             # order (a strided view for bl-choice), as a one-draw call would
             for draw, draw_mask in zip(scores, mask2d.reshape(n, -1, view.shape[1])):

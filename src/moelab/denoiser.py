@@ -13,7 +13,7 @@ A weight's name is its field path in DenoiserParams, such as
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Literal
 
 import numpy as np
@@ -31,7 +31,26 @@ __all__ = [
     "init_denoiser",
     "class_labels",
     "denoiser_forward",
+    "is_integer",
+    "check_integer_fields",
 ]
+
+
+def is_integer(value) -> bool:
+    """An int or a numpy integer, and not a bool (which Python counts as an int)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_integer_fields(config) -> None:
+    """Every field of a config dataclass declared `int` must hold an integer;
+    a float or a bool raises ConfigError naming the field. A numpy integer
+    is stored as a plain int, so the config still writes to JSON."""
+    for f in fields(config):
+        if f.type in ("int", int):
+            value = getattr(config, f.name)
+            if not is_integer(value):
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+            object.__setattr__(config, f.name, int(value))
 
 
 @dataclass(frozen=True)
@@ -51,6 +70,7 @@ class DenoiserConfig:
 
     def __post_init__(self):
         """A bad value raises a ConfigError naming its field; the strategy name is made canonical."""
+        check_integer_fields(self)
         for key in ("layers", "model_dim", "tokens", "num_classes", "dense_hidden"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
@@ -172,8 +192,10 @@ def _split_cols(x: Tensor, parts: int) -> list[Tensor]:
 
 def class_labels(c) -> np.ndarray:
     """Class labels as an intp array. Integer-valued floats such as 1.0 pass;
-    any other label (1.9, nan) raises ConfigError instead of truncating."""
+    any other label (1.9, nan, True) raises ConfigError instead of truncating."""
     c = np.asarray(c)
+    if c.dtype == bool and c.size:
+        raise ConfigError(f"class label {c.flat[0]} is not an integer")
     with np.errstate(invalid="ignore"):
         labels = c.astype(np.intp)
     bad = c[labels != c]

@@ -168,7 +168,8 @@ def moe_forward(
     k: int,
     mode: Literal["train", "infer"],
 ) -> LayerOutput:
-    """Route, run experts, and combine: y[b,l] = sum_i gates[b,l,i] * E_i(x[b,l]).
+    """Route, run experts, and combine: y[b,l] = sum over the selected i of
+    gated[b,l,i] * E_i(x[b,l]).
 
     strategy, gating and k are the DenoiserConfig's; E is the bank's size.
 
@@ -176,7 +177,8 @@ def moe_forward(
     expert, rows ascending within each expert, so expert i owns one
     contiguous segment of the pair list. One gather of x in that order
     feeds expert_forward; its outputs are scaled by the pairs' gate values
-    (one gather of the flat gates) and scatter-added into y in one op.
+    (one gather of the flat gated scores, which applies the mask) and
+    scatter-added into y in one op.
     Expert work is one row per selected pair: B*L*k in train mode,
     mask.sum() in infer mode; if none is selected, y is a zero constant.
     The router trunk runs once and feeds both heads; the target head's
@@ -197,7 +199,7 @@ def moe_forward(
         offsets = np.concatenate(([0], np.cumsum(np.bincount(experts_of, minlength=E))))
         x_pairs = take_rows(x.reshape(B * L, D), rows)  # (pairs, D), expert-major
         out = expert_forward(params.experts, x_pairs, offsets)
-        gates = take_rows(result.gates.reshape(B * L * E, 1), rows * E + experts_of)
+        gates = take_rows(result.gated.reshape(B * L * E, 1), rows * E + experts_of)
         y = scatter_rows(out * gates, rows, B * L).reshape(B, L, D)
 
     y_hat = params.target_prediction(h)

@@ -121,14 +121,10 @@ def _identity_gating(s: Tensor) -> Tensor:
     return s
 
 
-def _softmax_gating(s: Tensor) -> Tensor:
-    return softmax(s, axis=-1)
-
-
 GATING_FUNCTIONS: dict[str, Callable[[Tensor], Tensor]] = {
     "identity": _identity_gating,
     "sigmoid": sigmoid,
-    "softmax": _softmax_gating,
+    "softmax": softmax,
 }
 
 
@@ -186,8 +182,9 @@ def scatter_mask(mask2d: np.ndarray, strategy: RoutingStrategy, shape: tuple[int
     return mask2d.reshape(tuple(shape[p] for p in perm)).transpose(tuple(np.argsort(perm)))
 
 
-def topk_mask(scores2d: np.ndarray, k: int) -> np.ndarray:
-    """Row-wise binary mask with exactly k ones per row (all zero for k=0).
+def topk_mask(scores2d: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise binary mask with exactly k ones per row, and each row's K-th
+    largest value: (mask, kth). For k=0 the mask is all zero and kth is +inf.
 
     One partition per row finds its K-th largest value in O(D_B). The row
     keeps every entry above that value and, of the entries equal to it, the
@@ -195,7 +192,8 @@ def topk_mask(scores2d: np.ndarray, k: int) -> np.ndarray:
     negated scores gives, so identical inputs always produce identical
     masks. +-inf are ordinary values here. K outside [0, D_B] raises
     ConfigError. NaN raises NumericError: it has no place in the order, and a
-    partition would quietly select fewer than k entries.
+    partition would quietly select fewer than k entries. kth is a copy, not
+    a view that would keep the partitioned scores alive.
     """
     d_b = scores2d.shape[1]
     if not 0 <= k <= d_b:
@@ -204,34 +202,19 @@ def topk_mask(scores2d: np.ndarray, k: int) -> np.ndarray:
     if nan:
         raise NumericError(f"{nan} NaN scores of {scores2d.size}; top-K selection needs ordered values")
     if k == 0:  # the partition below has no index d_b - 0
-        return np.zeros_like(scores2d, dtype=np.float64)
-    kth = np.partition(scores2d, d_b - k, axis=1)[:, d_b - k, None]
-    mask = scores2d >= kth
+        return np.zeros_like(scores2d, dtype=np.float64), np.full(scores2d.shape[0], np.inf)
+    kth = np.partition(scores2d, d_b - k, axis=1)[:, d_b - k].copy()
+    mask = scores2d >= kth[:, None]
     # A row holds more than k entries >= its K-th value only where entries
     # tied with it do not all fit in the budget; every row holds at least k,
     # so one total count rules that out for all rows at once.
     if np.count_nonzero(mask) > mask.shape[0] * k:
         over = np.flatnonzero(np.count_nonzero(mask, axis=1) > k)
-        rows, cut = scores2d[over], kth[over]
+        rows, cut = scores2d[over], kth[over, None]
         tied = rows == cut
         room = k - np.count_nonzero(rows > cut, axis=1, keepdims=True)
         mask[over] = (rows > cut) | (tied & (np.cumsum(tied, axis=1) <= room))
-    return mask.astype(np.float64)
-
-
-def _kth_from_mask(scores2d: np.ndarray, mask2d: np.ndarray) -> np.ndarray:
-    """Each row's K-th largest score, read off its top-K mask (K >= 1)
-    instead of a second partition: the smallest selected score of a row is
-    its K-th largest, +-inf included.
-
-    The min runs along the longer axis laid out contiguously: a row-wise
-    min over short rows (token-choice's 8 columns) or over a strided view
-    (bl-choice) is slower than the partition it replaces.
-    """
-    picked = np.where(mask2d, scores2d, np.inf)
-    if picked.shape[1] < picked.shape[0]:
-        return np.ascontiguousarray(picked.T).min(axis=0)
-    return np.ascontiguousarray(picked).min(axis=1)
+    return mask.astype(np.float64), kth
 
 
 # ----------------------------------------------------------------------
@@ -274,14 +257,15 @@ class RouteResult:
     """Outcome of one routing pass.
 
     mask: binary (B, L, E) ndarray of selected token-expert pairs.
-    gates: Tensor (B, L, E), gating(scores) * mask; gradient flows through
-        the gate values only, never through the selection itself.
+    gated: Tensor (B, L, E), gating(scores) unmasked; moe_forward reads it
+        only at the selected pairs, so gradient flows through the selected
+        gate values only, never through the selection itself.
     kth_values: per-row K-th largest gated score (train mode; None in
         infer mode, where the mask came from the threshold).
     """
 
     mask: np.ndarray
-    gates: Tensor
+    gated: Tensor
     kth_values: np.ndarray | None
 
 
@@ -293,13 +277,14 @@ def route(
     state: ThresholdState,
     k: int = 1,
 ) -> RouteResult:
-    """Select token-expert pairs and produce the sparsified gate tensor.
+    """Gate the scores and select token-expert pairs from them.
 
     Train mode: exact row-wise top-K on the gated scores of the strategy's
-    (D_A, D_B) view, with each row's K-th value in `kth_values` for the
-    caller's ema_update. Infer mode: elementwise mask = gated score >= tau,
-    so each sample's routing depends only on its own scores; activation
-    counts may vary per token. Neither mode writes `state`.
+    (D_A, D_B) view, with each row's K-th value, from the same partition,
+    in `kth_values` for the caller's ema_update. Infer mode: elementwise
+    mask = gated score >= tau, so each sample's routing depends only on its
+    own scores; activation counts may vary per token. Neither mode writes
+    `state`.
 
     Softmax gating over a single expert gives gates of exactly 1.0 and
     passes exactly zero gradient to the logits, so a 1-in-1 softmax layer
@@ -316,9 +301,7 @@ def route(
 
     if mode == "train":
         budget = effective_k(strategy, B, L, E, k)
-        view = reshape_scores(gated.data, strategy)
-        mask2d = topk_mask(view, budget)
-        kth = _kth_from_mask(view, mask2d)
+        mask2d, kth = topk_mask(reshape_scores(gated.data, strategy), budget)
         mask = scatter_mask(mask2d, strategy, (B, L, E))
     elif mode == "infer":
         if not state.initialized:
@@ -328,4 +311,4 @@ def route(
     else:
         raise ConfigError(f"mode must be 'train' or 'infer', got {mode!r}")
 
-    return RouteResult(mask=mask, gates=gated * Tensor(mask), kth_values=kth)
+    return RouteResult(mask=mask, gated=gated, kth_values=kth)

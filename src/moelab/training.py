@@ -34,7 +34,7 @@ import numpy as np
 
 from . import losses as losses_mod
 from . import metrics as metrics_mod
-from .denoiser import DenoiserConfig, class_labels, denoiser_forward, init_denoiser
+from .denoiser import DenoiserConfig, check_integer_fields, class_labels, denoiser_forward, init_denoiser, is_integer
 from .diffusion import NoiseSchedule, SyntheticTask, ancestral_sample, build_schedule
 from .losses import LossWeights, aux_inputs_from_routing
 from .routing import ConfigError, NumericError, StateError, effective_k, ema_update
@@ -144,6 +144,7 @@ class TrainerConfig:
 
     def __post_init__(self):
         """A bad value DenoiserConfig does not see raises a ConfigError naming its key."""
+        check_integer_fields(self)
         if not 0 < self.lr < np.inf:
             raise ConfigError(f"lr must be > 0 and finite, got {self.lr}")
         if self.seed < 0:
@@ -300,7 +301,7 @@ class Trainer(object):
         step, with no numpy warning before it. The reverse steps build no
         tape.
         """
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        if not is_integer(n) or n < 1:
             raise ConfigError(f"sample count must be a positive integer, got {n!r}")
         cfg = self.config.model
         labels = class_labels(c)

@@ -106,11 +106,8 @@ def reference_topk_mask(scores2d, k):
     order = np.argsort(-scores2d, axis=1, kind="stable")
     mask = np.zeros_like(scores2d, dtype=np.float64)
     mask[np.arange(d_a)[:, None], order[:, :k]] = 1.0
-    return mask
-
-
-def reference_kth_value_per_row(scores2d, k):
-    return np.sort(scores2d, axis=1)[:, scores2d.shape[1] - k]
+    kth = np.sort(scores2d, axis=1)[:, d_b - k] if k else np.full(d_a, np.inf)
+    return mask, kth
 
 
 def reference_route(scores, strategy, gating, mode, state, k=1):
@@ -124,8 +121,7 @@ def reference_route(scores, strategy, gating, mode, state, k=1):
     if mode == "train":
         budget = routing.effective_k(strategy, B, L, E, k)
         view = routing.reshape_scores(gated.data, strategy)
-        mask2d = routing.topk_mask(view, budget)
-        kth = reference_kth_value_per_row(view, budget)
+        mask2d, kth = routing.topk_mask(view, budget)
         mask = routing.scatter_mask(mask2d, strategy, (B, L, E))
     elif mode == "infer":
         if not state.initialized:
@@ -134,8 +130,8 @@ def reference_route(scores, strategy, gating, mode, state, k=1):
         kth = None
     else:
         raise routing.ConfigError(f"mode must be 'train' or 'infer', got {mode!r}")
-    gates = gated * Tensor(mask)
-    return routing.RouteResult(mask=mask, gates=gates, kth_values=kth)
+    # a masked copy: moe_forward reads only the selected pairs, so it runs the same bits
+    return routing.RouteResult(mask=mask, gated=gated * Tensor(mask), kth_values=kth)
 
 
 def reference_routing_report(masks, k, t=None, t_max=None):
@@ -174,7 +170,7 @@ def reference_route_sim_draws(rng, budgets, shape, k, draws):
         scores = rng.normal(size=shape)
         for strat, budget in budgets.items():
             view = routing.reshape_scores(scores, strat)
-            mask2d = routing.topk_mask(view, budget)
+            mask2d, _ = routing.topk_mask(view, budget)
             objectives[strat.name].append(float((view * mask2d).sum()))
             mask = routing.scatter_mask(mask2d, strat, shape)
             reports[strat.name].append(metrics.routing_report([mask], k)[0])

@@ -316,7 +316,7 @@ def test_denoiser_no_grad_outputs_bit_identical_with_no_tape(case):
         assert b.y._node is None and b.logits._node is None
 
 
-@pytest.mark.parametrize("c", [[0, 1.5], 1.9, [2, np.nan]])
+@pytest.mark.parametrize("c", [[0, 1.5], 1.9, [2, np.nan], True, [False, True]])
 def test_denoiser_rejects_fractional_class_labels(c):
     params = init_denoiser(SMALL, 28)
     x_t = np.zeros((2, SMALL.tokens, SMALL.model_dim))
@@ -669,6 +669,29 @@ def test_loaded_state_arrays_own_their_memory(tmp_path):
     assert all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))
 
 
+@pytest.mark.parametrize(
+    "config,key,bad",
+    [
+        (DenoiserConfig, "layers", 1.5),
+        (DenoiserConfig, "model_dim", 64.0),
+        (DenoiserConfig, "tokens", True),
+        (DenoiserConfig, "num_classes", 4.5),
+        (DenoiserConfig, "num_experts", 8.0),
+        (DenoiserConfig, "k", True),
+        (DenoiserConfig, "dense_hidden", 256.5),
+        (DenoiserConfig, "total_steps", 5.5),
+        (TrainerConfig, "batch_size", 2.5),
+        (TrainerConfig, "seed", 1.5),
+    ],
+)
+def test_integer_settings_refuse_floats_and_bools(config, key, bad):
+    with pytest.raises(ConfigError, match=f"^{key} must be an integer, got {bad!r}$"):
+        config(**{key: bad})
+    # a numpy integer passes, stored as a plain int so the config still writes to JSON
+    value = config(**{key: np.int64(getattr(config(), key))}).__dict__[key]
+    assert type(value) is int and json.dumps(value)
+
+
 def test_sampling_requires_thresholds():
     trainer = small_trainer(seed=5)
     with pytest.raises(StateError):
@@ -696,7 +719,7 @@ def test_sampling_rejects_class_label_out_of_range(c):
         trainer.sample(2, c)
 
 
-@pytest.mark.parametrize("c", [1.9, [0, 0.5], np.nan])
+@pytest.mark.parametrize("c", [1.9, [0, 0.5], np.nan, True, [False, True]])
 def test_sampling_rejects_fractional_class_labels(c):
     trainer = small_trainer(seed=5)
     trainer.train_step()

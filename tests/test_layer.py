@@ -144,7 +144,7 @@ def test_moe_forward_single_expert_gate_scaling():
     x = Tensor(np.random.default_rng(2).normal(size=(1, 1, 4)))
     out = moe_forward(x, params, get_strategy("token-choice"), "identity", cfg.k, "train")
     (chosen,) = np.nonzero(out.route.mask[0, 0])[0].reshape(-1)[:1]
-    gate = out.route.gates.data[0, 0, chosen]
+    gate = out.route.gated.data[0, 0, chosen]
     expert_out = dense_ffn(expert(params, chosen), x).data[0, 0]
     assert np.allclose(out.y.data[0, 0], gate * expert_out, atol=1e-13)
 
@@ -310,7 +310,7 @@ def dense_masked_reference(x, params, strategy, gating, k, mode):
     for i in range(E):
         sel = np.zeros((E, 1))
         sel[i, 0] = 1.0
-        term = dense_ffn(expert(params, i), x) * matmul(result.gates, Tensor(sel))
+        term = dense_ffn(expert(params, i), x) * matmul(result.gated * Tensor(result.mask), Tensor(sel))
         y = term if y is None else y + term
     return y, result
 

@@ -49,9 +49,9 @@ def test_objective_race_beats_token_choice_on_seeded_draw():
     race = get_strategy("expert-race")
     tc = get_strategy("token-choice")
     race_view = reshape_scores(S, race)
-    race_val = routing_objective(race_view, topk_mask(race_view, effective_k(race, 2, 3, 4, k)))
+    race_val = routing_objective(race_view, topk_mask(race_view, effective_k(race, 2, 3, 4, k))[0])
     tc_view = reshape_scores(S, tc)
-    tc_val = routing_objective(tc_view, topk_mask(tc_view, effective_k(tc, 2, 3, 4, k)))
+    tc_val = routing_objective(tc_view, topk_mask(tc_view, effective_k(tc, 2, 3, 4, k))[0])
     # sorting oracle for the race side
     assert abs(race_val - np.sort(S.ravel())[::-1][:6].sum()) < 1e-12
     assert race_val >= tc_val
@@ -63,7 +63,7 @@ def test_objective_equals_exhaustive_row_oracle():
         S = rng.normal(size=(2, 2, 2))
         view = reshape_scores(S, strategy)
         K = effective_k(strategy, 2, 2, 2, 1)
-        value = routing_objective(view, topk_mask(view, K))
+        value = routing_objective(view, topk_mask(view, K)[0])
         best = sum(max(sum(c) for c in itertools.combinations(row, K)) for row in view)
         assert abs(value - best) < 1e-12
 
@@ -270,7 +270,7 @@ def test_routing_report_matches_legacy_formulas(E, k):
     strategy = get_strategy("expert-race")
     K = effective_k(strategy, N, L, E, k)
     masks = [
-        scatter_mask(topk_mask(reshape_scores(rng.normal(size=(N, L, E)), strategy), K), strategy, (N, L, E))
+        scatter_mask(topk_mask(reshape_scores(rng.normal(size=(N, L, E)), strategy), K)[0], strategy, (N, L, E))
         for _ in range(3)
     ]
     masks.append(np.zeros((N, L, E)))  # a layer that selected nothing

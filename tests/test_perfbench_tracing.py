@@ -41,4 +41,7 @@ def test_perfbench_tracer_installs_records_spans_and_undoes():
             "routing.route", "routing.topk_mask.expert-race", "training.optimizer", "training.ema"} <= names
     assert tracer.counts["matmul_calls"] > 0
     assert tracer.counts["expert_rows"] == 1 * 4 * 4 * 2  # layers x B x L x k: one row per selected pair
+    # one selection per layer per step: route reads its K-th values from that same partition
+    assert [span[0] for span in tracer.spans if span[0].startswith("routing.topk_mask.")] == [
+        "routing.topk_mask.expert-race"]
     assert patched_names() == originals

@@ -115,7 +115,7 @@ def test_scatter_gather_round_trip(strategy):
     view = reshape_scores(S, strategy)
     assert np.array_equal(scatter_mask(view, strategy, (3, 5, 4)), S)
     # idempotence: scatter then gather reproduces the 2-D mask
-    mask2d = topk_mask(view, 2)
+    mask2d, _ = topk_mask(view, 2)
     again = reshape_scores(scatter_mask(mask2d, strategy, (3, 5, 4)), strategy)
     assert np.array_equal(again, mask2d)
 
@@ -125,7 +125,7 @@ def test_block_of_draws_views_and_scatters_draw_by_draw(strategy):
     block = np.random.default_rng(18).normal(size=(3, 2, 5, 4))
     view = reshape_scores(block, strategy)
     assert np.array_equal(view, np.concatenate([reshape_scores(draw, strategy) for draw in block]))
-    mask2d = topk_mask(view, 2)
+    mask2d, _ = topk_mask(view, 2)
     d_a = view.shape[0] // 3
     per_draw = [scatter_mask(mask2d[i * d_a:(i + 1) * d_a], strategy, (2, 5, 4)) for i in range(3)]
     assert np.array_equal(scatter_mask(mask2d, strategy, block.shape), np.stack(per_draw))
@@ -143,19 +143,19 @@ def test_reshape_rejects_scores_that_are_neither_a_draw_nor_a_block(shape):
 
 
 def test_topk_mask_simple_row():
-    mask = topk_mask(np.array([[5.0, 1.0, 3.0, 2.0]]), 2)
+    mask, _ = topk_mask(np.array([[5.0, 1.0, 3.0, 2.0]]), 2)
     assert mask.tolist() == [[1.0, 0.0, 1.0, 0.0]]
 
 
 def test_topk_mask_tie_rule_lowest_index():
-    mask = topk_mask(np.full((1, 4), 7.0), 2)
+    mask, _ = topk_mask(np.full((1, 4), 7.0), 2)
     assert mask.tolist() == [[1.0, 1.0, 0.0, 0.0]]
 
 
 def test_topk_mask_against_full_sort_oracle():
     rng = np.random.default_rng(23)
     S = rng.normal(size=(4, 7))
-    mask = topk_mask(S, 3)
+    mask, _ = topk_mask(S, 3)
     for i in range(4):
         keep = set(np.argsort(-S[i], kind="stable")[:3].tolist())
         assert {j for j in range(7) if mask[i, j] == 1.0} == keep
@@ -174,17 +174,13 @@ def test_selection_rejects_negative_or_zero_k():
         route(Tensor(np.zeros((1, 3, 2))), ALL[0], "identity", "train", ThresholdState(), k=0)
 
 
-def _kth_from_topk_mask(scores2d, k):
-    """route's K-th values: read off the row's top-K mask."""
-    return routing._kth_from_mask(scores2d, topk_mask(scores2d, k))
-
-
 def test_topk_mask_of_zero_is_all_zero():
-    mask = topk_mask(np.array([[3.0, 2.0, 1.0], [0.0, np.inf, -np.inf]]), 0)
+    mask, kth = topk_mask(np.array([[3.0, 2.0, 1.0], [0.0, np.inf, -np.inf]]), 0)
     assert mask.tolist() == [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+    assert kth.tolist() == [np.inf, np.inf]
 
 
-@pytest.mark.parametrize("select", [topk_mask, _kth_from_topk_mask], ids=["topk_mask", "kth_from_mask"])
+@pytest.mark.parametrize("select", [topk_mask], ids=["topk_mask"])
 def test_selection_rejects_nan_with_its_count(select):
     S = np.array([[3.0, np.nan, 1.0], [np.nan, 0.0, 2.0]])
     with pytest.raises(NumericError, match="2 NaN scores of 6"):
@@ -193,10 +189,12 @@ def test_selection_rejects_nan_with_its_count(select):
 
 def test_topk_mask_infinities_follow_the_tie_rule():
     S = np.array([[np.inf, -np.inf, np.inf, 0.0, -0.0, np.inf], [-np.inf] * 6])
-    assert topk_mask(S, 2).tolist() == [[1, 0, 1, 0, 0, 0], [1, 1, 0, 0, 0, 0]]
-    assert topk_mask(S, 5).tolist() == [[1, 0, 1, 1, 1, 1], [1, 1, 1, 1, 1, 0]]
-    assert _kth_from_topk_mask(S, 4).tolist() == [0.0, -np.inf]
-    assert _kth_from_topk_mask(S, 2).tolist() == [np.inf, -np.inf]
+    mask, kth = topk_mask(S, 2)
+    assert mask.tolist() == [[1, 0, 1, 0, 0, 0], [1, 1, 0, 0, 0, 0]]
+    assert kth.tolist() == [np.inf, -np.inf]
+    mask, _ = topk_mask(S, 5)
+    assert mask.tolist() == [[1, 0, 1, 1, 1, 1], [1, 1, 1, 1, 1, 0]]
+    assert topk_mask(S, 4)[1].tolist() == [0.0, -np.inf]
 
 
 def test_topk_mask_budgets_against_full_sort_oracle():
@@ -204,20 +202,21 @@ def test_topk_mask_budgets_against_full_sort_oracle():
     rng = np.random.default_rng(31)
     S = rng.integers(-2, 3, size=(5, 6)).astype(np.float64)
     for row, b in zip(S, [0, 1, 3, 6, 2]):
-        mask = topk_mask(row[None], b)[0]
+        mask = topk_mask(row[None], b)[0][0]
         keep = set(np.argsort(-row, kind="stable")[:b].tolist())
         assert {j for j in range(6) if mask[j] == 1.0} == keep
 
 
 def test_kth_value_per_row():
-    assert _kth_from_topk_mask(np.array([[5.0, 1.0, 3.0, 2.0]]), 2)[0] == 3.0
-    assert _kth_from_topk_mask(np.full((3, 5), 2.5), 4).tolist() == [2.5, 2.5, 2.5]
+    assert topk_mask(np.array([[5.0, 1.0, 3.0, 2.0]]), 2)[1][0] == 3.0
+    assert topk_mask(np.full((3, 5), 2.5), 4)[1].tolist() == [2.5, 2.5, 2.5]
     rng = np.random.default_rng(29)
     S = rng.normal(size=(6, 9))
     for k in (1, 4, 9):
-        got = _kth_from_topk_mask(S, k)
+        _, got = topk_mask(S, k)
         want = np.array([np.sort(row)[::-1][k - 1] for row in S])
         assert np.array_equal(got, want)
+        assert got.base is None  # a copy: it does not keep the partitioned scores alive
     # and route's kth_values, from the gated view of each strategy
     scores = rng.normal(size=(2, 4, 4))
     for strategy in ALL:
@@ -310,7 +309,8 @@ def test_route_worked_example_expert_race():
     res = route(S, get_strategy("expert-race"), "identity", "train", ThresholdState(), k=1)
     assert res.mask[0, 0, 0] == 1.0 and res.mask[0, 1, 1] == 1.0
     assert res.mask.sum() == 2.0
-    assert np.array_equal(res.gates.data, S.data * res.mask)
+    assert np.array_equal(res.gated.data, S.data)
+    assert res.kth_values.tolist() == [3.0]
 
 
 def test_route_infer_threshold_extremes():
@@ -397,8 +397,8 @@ def test_route_softmax_over_one_expert_gives_unit_gates_and_no_gradient(strategy
     S = Tensor(rng.normal(size=(2, 4, 1)) * 3.0, requires_grad=True)
     res = route(S, strategy, "softmax", *case_state(case), k=1)
     assert res.mask.all()
-    assert np.array_equal(res.gates.data, res.mask)
-    backward((res.gates * Tensor(rng.normal(size=(2, 4, 1)))).sum(), [S])
+    assert np.array_equal(res.gated.data, res.mask)
+    backward((res.gated * Tensor(rng.normal(size=(2, 4, 1)))).sum(), [S])
     assert np.array_equal(S.grad, np.zeros((2, 4, 1)))
 
 
@@ -445,5 +445,5 @@ def test_topk_mask_is_row_optimal():
         S = rng.normal(size=(2, 2, 2))
         view = reshape_scores(S, strategy)
         K = effective_k(strategy, 2, 2, 2, 1)
-        value = float((view * topk_mask(view, K)).sum())
+        value = float((view * topk_mask(view, K)[0]).sum())
         assert abs(value - _best_objective_bruteforce(view, [K] * view.shape[0])) < 1e-12

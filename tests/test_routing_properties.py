@@ -5,7 +5,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from moelab import routing
 from moelab.routing import (
     GATING_FUNCTIONS,
     STRATEGIES,
@@ -99,7 +98,8 @@ def test_ties_break_the_same_way_on_repeated_calls(case, gating):
     first = route(Tensor(scores), strategy, gating, "train", ThresholdState(), k=k)
     again = route(Tensor(scores.copy()), strategy, gating, "train", ThresholdState(), k=k)
     assert np.array_equal(first.mask, again.mask)
-    assert np.array_equal(first.gates.data, again.gates.data)
+    assert np.array_equal(first.gated.data, again.gated.data)
+    assert np.array_equal(first.kth_values, again.kth_values)
 
 
 @settings(max_examples=100, deadline=None)
@@ -111,7 +111,8 @@ def test_partition_selection_matches_the_sort_oracles(case, data):
     K = data.draw(st.integers(0, d_b), label="K")
     oracle = np.zeros((d_a, d_b))
     oracle[np.arange(d_a)[:, None], np.argsort(-view, axis=1, kind="stable")[:, :K]] = 1.0
-    mask = topk_mask(view, K)
+    mask, kth = topk_mask(view, K)
     assert np.array_equal(mask, oracle)
-    if K >= 1:  # route's K-th values, read off the mask
-        assert np.array_equal(routing._kth_from_mask(view, mask), np.sort(view, axis=1)[:, d_b - K])
+    # route's K-th values, from the same partition; +inf for an empty selection
+    want = np.sort(view, axis=1)[:, d_b - K] if K else np.full(d_a, np.inf)
+    assert np.array_equal(kth, want)
