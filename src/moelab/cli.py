@@ -340,7 +340,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         except NumericError as exc:  # several arms: say which one diverged
             raise NumericError(f"arm {arm!r}: {exc}") from None
         report = metrics_mod.routing_report(masks, cfg["k"], t, trainer.schedule.total_steps)
-        numbers = [config.weights.sim, config.weights.blc, last.total, last.diffusion] + [
+        numbers = [config.w_sim, config.w_blc, last.total, last.diffusion] + [
             metrics_mod.report_mean(report, key) for key in ("max_vio", "comb_usage", "allocation_bucket_variance")
         ]
         rows.append(",".join([arm, config.model.strategy, config.model.gating] + [repr(float(x)) for x in numbers]) + "\n")

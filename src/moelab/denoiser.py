@@ -32,7 +32,7 @@ __all__ = [
     "class_labels",
     "denoiser_forward",
     "is_integer",
-    "check_integer_fields",
+    "check_field_types",
 ]
 
 
@@ -41,16 +41,25 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def check_integer_fields(config) -> None:
-    """Every field of a config dataclass declared `int` must hold an integer;
-    a float or a bool raises ConfigError naming the field. A numpy integer
-    is stored as a plain int, so the config still writes to JSON."""
+# a field's declared type -> the Python types its value may have, and their name
+_FIELD_KINDS = {"int": (int, "an integer"), "float": ((int, float), "a number"), "bool": (bool, "a bool"),
+                "str": (str, "a string")}
+
+
+def check_field_types(config) -> None:
+    """Every field of a config dataclass declared `int`, `float`, `bool` or
+    `str` must hold that kind of value; anything else raises ConfigError
+    naming the field. A bool is no number; an int passes as a float. A numpy
+    scalar is stored as the Python one, so the config still writes to JSON."""
     for f in fields(config):
-        if f.type in ("int", int):
-            value = getattr(config, f.name)
-            if not is_integer(value):
-                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
-            object.__setattr__(config, f.name, int(value))
+        if f.type not in _FIELD_KINDS:
+            continue
+        kinds, noun = _FIELD_KINDS[f.type]
+        value = getattr(config, f.name)
+        plain = value.item() if isinstance(value, np.generic) else value
+        if not isinstance(plain, kinds) or (isinstance(plain, bool) and f.type != "bool"):
+            raise ConfigError(f"{f.name} must be {noun}, got {value!r}")
+        object.__setattr__(config, f.name, plain)
 
 
 @dataclass(frozen=True)
@@ -70,7 +79,7 @@ class DenoiserConfig:
 
     def __post_init__(self):
         """A bad value raises a ConfigError naming its field; the strategy name is made canonical."""
-        check_integer_fields(self)
+        check_field_types(self)
         for key in ("layers", "model_dim", "tokens", "num_classes", "dense_hidden"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
@@ -192,7 +201,13 @@ def _split_cols(x: Tensor, parts: int) -> list[Tensor]:
 
 def class_labels(c) -> np.ndarray:
     """Class labels as an intp array. Integer-valued floats such as 1.0 pass;
-    any other label (1.9, nan, True) raises ConfigError instead of truncating."""
+    any other label (1.9, nan, True) raises ConfigError instead of truncating.
+    A list is checked element by element, as np.asarray reads [1, True] as
+    [1, 1]."""
+    if not isinstance(c, np.ndarray):
+        for label in np.ravel(np.asarray(c, dtype=object)):
+            if isinstance(label, (bool, np.bool_)):
+                raise ConfigError(f"class label {label} is not an integer")
     c = np.asarray(c)
     if c.dtype == bool and c.size:
         raise ConfigError(f"class label {c.flat[0]} is not an integer")

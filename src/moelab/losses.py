@@ -12,6 +12,10 @@ routing probability. The weighting normalizes the diagonal and
 off-diagonal blocks separately (E and E^2 - E terms respectively), which
 pins the constant-score configuration at loss value 1 regardless of
 expert count, k, or token count.
+
+total_loss adds the per-layer regularization (PLR), router similarity and
+balance losses to the diffusion loss, scaled by the weights w_plr, w_sim
+and w_blc that TrainerConfig holds.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from .tensor import Tensor, softmax
 
 __all__ = [
     "AuxLossInputs",
-    "LossWeights",
     "aux_inputs_from_routing",
     "balance_loss",
     "correlation_matrices",
@@ -58,18 +61,6 @@ class AuxLossInputs:
     @property
     def num_tokens(self) -> int:
         return self.M.shape[0]
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    plr: float = 1e-2
-    sim: float = 1e-4
-    blc: float = 0.0
-
-    def __post_init__(self):
-        for name, value in self.__dict__.items():
-            if not 0 <= value < np.inf:
-                raise ConfigError(f"loss weights must be >= 0 and finite, got w_{name} = {value}")
 
 
 def aux_inputs_from_routing(mask: np.ndarray, logits: Tensor, k: int) -> AuxLossInputs:
@@ -174,21 +165,18 @@ def total_loss(
     plr: Tensor | None,
     sim: Tensor | None,
     blc: Tensor | None,
-    weights: LossWeights,
+    w_plr: float,
+    w_sim: float,
+    w_blc: float,
 ) -> tuple[Tensor, dict[str, float]]:
-    """Weighted sum plus a per-term breakdown for the step log."""
+    """diffusion + w_plr*plr + w_sim*sim + w_blc*blc, leaving out a term that
+    is None or weighted 0, plus a per-term breakdown for the step log (an
+    absent term reads 0.0)."""
     total = diffusion
-    breakdown = {
-        "diffusion": diffusion.item(),
-        "plr": plr.item() if plr is not None else 0.0,
-        "sim": sim.item() if sim is not None else 0.0,
-        "blc": blc.item() if blc is not None else 0.0,
-    }
-    if plr is not None and weights.plr > 0:
-        total = total + plr * weights.plr
-    if sim is not None and weights.sim > 0:
-        total = total + sim * weights.sim
-    if blc is not None and weights.blc > 0:
-        total = total + blc * weights.blc
+    breakdown = {"diffusion": diffusion.item()}
+    for name, term, weight in (("plr", plr, w_plr), ("sim", sim, w_sim), ("blc", blc, w_blc)):
+        breakdown[name] = term.item() if term is not None else 0.0
+        if term is not None and weight > 0:
+            total = total + term * weight
     breakdown["total"] = total.item()
     return total, breakdown

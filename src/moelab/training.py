@@ -27,16 +27,16 @@ import sys
 import zipfile
 import zlib
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import losses as losses_mod
 from . import metrics as metrics_mod
-from .denoiser import DenoiserConfig, check_integer_fields, class_labels, denoiser_forward, init_denoiser, is_integer
+from .denoiser import DenoiserConfig, check_field_types, class_labels, denoiser_forward, init_denoiser, is_integer
 from .diffusion import NoiseSchedule, SyntheticTask, ancestral_sample, build_schedule
-from .losses import LossWeights, aux_inputs_from_routing
+from .losses import aux_inputs_from_routing
 from .routing import ConfigError, NumericError, StateError, effective_k, ema_update
 from .tensor import Tensor, backward, no_grad
 
@@ -136,15 +136,26 @@ class LogRecord:
 
 @dataclass(frozen=True)
 class TrainerConfig:
+    """A run's model and training settings. The loss weights scale the
+    training objective's regularizers: `w_plr` the per-layer regularization
+    loss, `w_sim` the router similarity loss and `w_blc` the balance loss."""
+
     model: DenoiserConfig = field(default_factory=DenoiserConfig)
     batch_size: int = 32
     lr: float = 1e-4
-    weights: LossWeights = field(default_factory=LossWeights)
+    w_plr: float = 1e-2
+    w_sim: float = 1e-4
+    w_blc: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
         """A bad value DenoiserConfig does not see raises a ConfigError naming its key."""
-        check_integer_fields(self)
+        if not isinstance(self.model, DenoiserConfig):
+            raise ConfigError(f"model must be a DenoiserConfig, got {self.model!r}")
+        check_field_types(self)
+        for key in ("w_plr", "w_sim", "w_blc"):
+            if not 0 <= getattr(self, key) < np.inf:
+                raise ConfigError(f"loss weights must be >= 0 and finite, got {key} = {getattr(self, key)}")
         if not 0 < self.lr < np.inf:
             raise ConfigError(f"lr must be > 0 and finite, got {self.lr}")
         if self.seed < 0:
@@ -155,24 +166,15 @@ class TrainerConfig:
         effective_k(m.routing_strategy(), self.batch_size, m.tokens, m.num_experts, m.k)
 
     def to_dict(self) -> dict:
-        d = dict(self.model.__dict__)
-        d.update(
-            batch_size=self.batch_size,
-            lr=self.lr,
-            w_plr=self.weights.plr,
-            w_sim=self.weights.sim,
-            w_blc=self.weights.blc,
-            seed=self.seed,
-        )
-        return d
+        """The model's fields, then this config's own: one flat dict."""
+        return {**self.model.__dict__, **{f.name: getattr(self, f.name) for f in fields(self) if f.name != "model"}}
 
     @classmethod
     def from_dict(cls, d: dict) -> TrainerConfig:
-        """The inverse of to_dict; `dense` may be left out."""
-        d = dict(d)
-        weights = LossWeights(plr=d.pop("w_plr"), sim=d.pop("w_sim"), blc=d.pop("w_blc"))
-        own = {key: d.pop(key) for key in ("batch_size", "lr", "seed")}
-        return cls(model=DenoiserConfig(**d), weights=weights, **own)
+        """The inverse of to_dict; a key left out, such as `dense`, takes its default."""
+        own = {f.name for f in fields(cls)}
+        model = DenoiserConfig(**{key: value for key, value in d.items() if key not in own})
+        return cls(model=model, **{key: value for key, value in d.items() if key in own})
 
 
 class _Undrawn(np.random.Generator):
@@ -236,7 +238,7 @@ class Trainer(object):
                     aux = [aux_inputs_from_routing(out.route.mask, out.logits, cfg.model.k) for out in layer_outputs]
                     sim = losses_mod.layer_mean([losses_mod.router_similarity_loss(a) for a in aux])
                     blc = losses_mod.layer_mean([losses_mod.balance_loss(a) for a in aux])
-            total, breakdown = losses_mod.total_loss(diff, plr, sim, blc, cfg.weights)
+            total, breakdown = losses_mod.total_loss(diff, plr, sim, blc, cfg.w_plr, cfg.w_sim, cfg.w_blc)
         if not np.isfinite(total.item()):
             raise NumericError(f"non-finite loss: {breakdown}")
         return total, breakdown, layer_outputs

@@ -19,7 +19,7 @@ from moelab import routing as R
 from moelab.cli import _heldout_masks
 from moelab.denoiser import DenoiserConfig
 from moelab.layer import init_params, moe_forward, named_tensors
-from moelab.losses import AuxLossInputs, LossWeights
+from moelab.losses import AuxLossInputs
 from moelab.routing import ThresholdState, get_strategy
 from moelab.tensor import Tensor, backward, softmax
 from moelab.training import Trainer, TrainerConfig, load_checkpoint, save_checkpoint
@@ -401,10 +401,9 @@ def test_criterion_9_dense_twin_equivalence():
     # softmax over the one expert gates every token by exactly 1.0
     base = DenoiserConfig(layers=2, model_dim=16, tokens=8, num_classes=3,
                           num_experts=1, k=1, dense_hidden=64, total_steps=40, gating="softmax")
-    weights = LossWeights(plr=0.0, sim=0.0, blc=0.0)
-    moe_trainer = Trainer(TrainerConfig(model=base, batch_size=6, seed=4, weights=weights))
-    dense_trainer = Trainer(TrainerConfig(model=replace(base, dense=True),
-                                          batch_size=6, seed=4, weights=weights))
+    no_aux = dict(w_plr=0.0, w_sim=0.0, w_blc=0.0)
+    moe_trainer = Trainer(TrainerConfig(model=base, batch_size=6, seed=4, **no_aux))
+    dense_trainer = Trainer(TrainerConfig(model=replace(base, dense=True), batch_size=6, seed=4, **no_aux))
     _graft_dense_twin(moe_trainer, dense_trainer)
 
     batch = moe_trainer.task.sample_batch(np.random.default_rng(5), 6, moe_trainer.schedule, "eps")
@@ -427,9 +426,9 @@ def test_dense_twin_weights_equal_the_one_in_one_moe_bit_for_bit_at_the_default_
     # the default shape (B=32, L=16, D=64, 4 blocks) with one expert of the
     # dense width, `v` at lr 2e-3 and no aux loss; softmax gates every token by 1.0
     one = DenoiserConfig(num_experts=1, k=1, gating="softmax", parameterization="v")
-    weights = LossWeights(plr=0.0, sim=0.0, blc=0.0)
-    moe_trainer = Trainer(TrainerConfig(model=one, lr=2e-3, weights=weights, seed=seed))
-    dense_trainer = Trainer(TrainerConfig(model=replace(one, dense=True), lr=2e-3, weights=weights, seed=seed))
+    no_aux = dict(w_plr=0.0, w_sim=0.0, w_blc=0.0)
+    moe_trainer = Trainer(TrainerConfig(model=one, lr=2e-3, seed=seed, **no_aux))
+    dense_trainer = Trainer(TrainerConfig(model=replace(one, dense=True), lr=2e-3, seed=seed, **no_aux))
     _graft_dense_twin(moe_trainer, dense_trainer)
     for _ in range(3):
         moe_trainer.train_step()
@@ -559,8 +558,7 @@ def _train_balance_arm(w_sim: float, seed: int = 1, steps: int = 400):
     model = DenoiserConfig(layers=2, model_dim=32, tokens=8, num_classes=4,
                            num_experts=16, k=4, dense_hidden=128, total_steps=100,
                            strategy="expert-race", gating="identity")
-    trainer = Trainer(TrainerConfig(model=model, batch_size=16, seed=seed,
-                                    weights=LossWeights(plr=1e-2, sim=w_sim, blc=0.0)))
+    trainer = Trainer(TrainerConfig(model=model, batch_size=16, seed=seed, w_plr=1e-2, w_sim=w_sim, w_blc=0.0))
     for _ in range(steps):
         trainer.train_step()
     rng = np.random.default_rng(777)

@@ -19,7 +19,6 @@ import pytest
 from moelab import training
 from moelab.cli import build_parser, main, parse_config_file, resolve_config
 from moelab.denoiser import DenoiserConfig
-from moelab.losses import LossWeights
 from moelab.training import Trainer, TrainerConfig, load_checkpoint, save_checkpoint
 
 FAST = [
@@ -345,7 +344,7 @@ def test_trainer_config_from_dict_inverts_to_dict():
         model=DenoiserConfig(layers=2, model_dim=12, tokens=6, num_classes=3, num_experts=3, k=3,
                              dense_hidden=24, strategy="token-choice", gating="softmax", parameterization="v",
                              total_steps=30, dense=True),
-        batch_size=5, lr=3e-3, weights=LossWeights(plr=0.5, sim=0.25, blc=0.125), seed=9,
+        batch_size=5, lr=3e-3, w_plr=0.5, w_sim=0.25, w_blc=0.125, seed=9,
     )
     assert all(other.to_dict()[key] != value for key, value in default.to_dict().items())
     for config in (default, other):

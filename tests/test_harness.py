@@ -1,6 +1,8 @@
 """Diffusion harness: schedules, noising, the denoiser, training machinery."""
 
 import json
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -25,7 +27,6 @@ from moelab.training import (
     load_checkpoint,
     save_checkpoint,
 )
-from moelab.losses import LossWeights
 from moelab.tensor import Tensor, backward, no_grad
 
 
@@ -316,7 +317,7 @@ def test_denoiser_no_grad_outputs_bit_identical_with_no_tape(case):
         assert b.y._node is None and b.logits._node is None
 
 
-@pytest.mark.parametrize("c", [[0, 1.5], 1.9, [2, np.nan], True, [False, True]])
+@pytest.mark.parametrize("c", [[0, 1.5], 1.9, [2, np.nan], True, [False, True], [1, True], [0.0, True]])
 def test_denoiser_rejects_fractional_class_labels(c):
     params = init_denoiser(SMALL, 28)
     x_t = np.zeros((2, SMALL.tokens, SMALL.model_dim))
@@ -669,6 +670,9 @@ def test_loaded_state_arrays_own_their_memory(tmp_path):
     assert all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))
 
 
+TYPE_NOUNS = {"int": "an integer", "float": "a number", "bool": "a bool", "str": "a string"}
+
+
 @pytest.mark.parametrize(
     "config,key,bad",
     [
@@ -682,14 +686,37 @@ def test_loaded_state_arrays_own_their_memory(tmp_path):
         (DenoiserConfig, "total_steps", 5.5),
         (TrainerConfig, "batch_size", 2.5),
         (TrainerConfig, "seed", 1.5),
+        (DenoiserConfig, "strategy", 5),
+        (DenoiserConfig, "strategy", True),
+        (DenoiserConfig, "gating", []),
+        (DenoiserConfig, "gating", 1),
+        (DenoiserConfig, "dense", "no"),
+        (DenoiserConfig, "dense", 1),
+        (DenoiserConfig, "dense", 0.0),
+        (TrainerConfig, "lr", True),
+        (TrainerConfig, "lr", "0.1"),
+        (TrainerConfig, "lr", None),
+        (TrainerConfig, "w_plr", True),
+        (TrainerConfig, "w_sim", "0.1"),
+        (TrainerConfig, "w_blc", np.bool_(True)),
+        (TrainerConfig, "model", None),
+        (TrainerConfig, "model", {"layers": 2}),
     ],
 )
 def test_integer_settings_refuse_floats_and_bools(config, key, bad):
-    with pytest.raises(ConfigError, match=f"^{key} must be an integer, got {bad!r}$"):
+    # every int, float, bool and str field refuses any other kind of value,
+    # a bool included, and TrainerConfig's model must be a DenoiserConfig
+    declared = {f.name: f.type for f in fields(config)}[key]
+    noun = TYPE_NOUNS.get(declared, f"a {declared}")
+    with pytest.raises(ConfigError, match=f"^{key} must be {noun}, got {re.escape(repr(bad))}$"):
         config(**{key: bad})
-    # a numpy integer passes, stored as a plain int so the config still writes to JSON
-    value = config(**{key: np.int64(getattr(config(), key))}).__dict__[key]
-    assert type(value) is int and json.dumps(value)
+    if declared in TYPE_NOUNS:
+        # a numpy scalar passes, stored as the Python one so the config still writes to JSON
+        default = getattr(config(), key)
+        value = getattr(config(**{key: np.asarray(default)[()]}), key)
+        assert type(value) is type(default) and json.dumps(value)
+    if declared == "float":
+        assert getattr(config(**{key: 1}), key) == 1  # an int passes as a float
 
 
 def test_sampling_requires_thresholds():
@@ -719,7 +746,7 @@ def test_sampling_rejects_class_label_out_of_range(c):
         trainer.sample(2, c)
 
 
-@pytest.mark.parametrize("c", [1.9, [0, 0.5], np.nan, True, [False, True]])
+@pytest.mark.parametrize("c", [1.9, [0, 0.5], np.nan, True, [False, True], [1, True], [0.0, True]])
 def test_sampling_rejects_fractional_class_labels(c):
     trainer = small_trainer(seed=5)
     trainer.train_step()
@@ -800,9 +827,9 @@ def test_infer_activation_rate_tracks_k_over_e():
     assert abs(np.mean(rates) - target) / target < 0.15
 
 
-@pytest.mark.parametrize("weights", [LossWeights(), LossWeights(blc=1e-2)], ids=["default", "blc"])
-def test_end_to_end_gradients_match_finite_differences(weights):
-    trainer = Trainer(TrainerConfig(model=SMALL, batch_size=6, weights=weights, seed=9))
+@pytest.mark.parametrize("w_blc", [0.0, 1e-2], ids=["default", "blc"])
+def test_end_to_end_gradients_match_finite_differences(w_blc):
+    trainer = Trainer(TrainerConfig(model=SMALL, batch_size=6, w_blc=w_blc, seed=9))
     for _ in range(3):  # move off the zero-init point
         trainer.train_step()
     batch = trainer.task.sample_batch(np.random.default_rng(7), 4, trainer.schedule, "eps")

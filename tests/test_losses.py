@@ -6,7 +6,6 @@ from similarity import router_similarity_diag
 
 from moelab.losses import (
     AuxLossInputs,
-    LossWeights,
     aux_inputs_from_routing,
     balance_loss,
     correlation_matrices,
@@ -287,7 +286,7 @@ def test_total_loss_default_weights_hand_arithmetic():
     d = Tensor(np.array(0.8))
     plr = Tensor(np.array(3.0))
     sim = Tensor(np.array(2.0))
-    total, breakdown = total_loss(d, plr, sim, None, LossWeights())
+    total, breakdown = total_loss(d, plr, sim, None, w_plr=1e-2, w_sim=1e-4, w_blc=0.0)
     assert abs(total.item() - (0.8 + 1e-2 * 3.0 + 1e-4 * 2.0)) < 1e-15
     assert breakdown["plr"] == 3.0 and breakdown["sim"] == 2.0 and breakdown["blc"] == 0.0
 
@@ -295,13 +294,13 @@ def test_total_loss_default_weights_hand_arithmetic():
 def test_total_loss_zero_weights_equals_diffusion():
     d = Tensor(np.array(0.8))
     total, _ = total_loss(d, Tensor(np.array(5.0)), Tensor(np.array(5.0)), Tensor(np.array(5.0)),
-                          LossWeights(plr=0.0, sim=0.0, blc=0.0))
+                          w_plr=0.0, w_sim=0.0, w_blc=0.0)
     assert total.item() == 0.8
 
 
 def test_total_loss_includes_balance_arm():
     d = Tensor(np.array(1.0))
     blc = Tensor(np.array(2.0))
-    total, breakdown = total_loss(d, None, None, blc, LossWeights(plr=0.0, sim=0.0, blc=1e-3))
+    total, breakdown = total_loss(d, None, None, blc, w_plr=0.0, w_sim=0.0, w_blc=1e-3)
     assert abs(total.item() - 1.002) < 1e-15
     assert breakdown["blc"] == 2.0
