@@ -49,8 +49,9 @@ _FIELD_KINDS = {"int": (int, "an integer"), "float": ((int, float), "a number"),
 def check_field_types(config) -> None:
     """Every field of a config dataclass declared `int`, `float`, `bool` or
     `str` must hold that kind of value; anything else raises ConfigError
-    naming the field. A bool is no number; an int passes as a float. A numpy
-    scalar is stored as the Python one, so the config still writes to JSON."""
+    naming the field. A bool is no number; an int passes as a float and is
+    stored as one. A numpy scalar is stored as the Python one, so the config
+    still writes to JSON."""
     for f in fields(config):
         if f.type not in _FIELD_KINDS:
             continue
@@ -59,6 +60,11 @@ def check_field_types(config) -> None:
         plain = value.item() if isinstance(value, np.generic) else value
         if not isinstance(plain, kinds) or (isinstance(plain, bool) and f.type != "bool"):
             raise ConfigError(f"{f.name} must be {noun}, got {value!r}")
+        if f.type == "float":
+            try:
+                plain = float(plain)
+            except OverflowError:  # not printed: str() refuses an int of over 4,300 digits
+                raise ConfigError(f"{f.name} must be a finite number, got an int too large for a float") from None
         object.__setattr__(config, f.name, plain)
 
 

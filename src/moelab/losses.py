@@ -1,6 +1,6 @@
 """Training objectives: diffusion regression plus the routing regularizers.
 
-The auxiliary losses all consume the same pair of (tokens x experts)
+The auxiliary losses are formulas over the same pair of (tokens x experts)
 matrices: M, the binary selection indicator from the routing mask, and P,
 softmax-normalized router probabilities. M is a constant (the selection is
 discrete); gradients reach the router only through P.
@@ -11,7 +11,9 @@ P' = P^T P are E x E; M' counts co-selections, P' accumulates joint
 routing probability. The weighting normalizes the diagonal and
 off-diagonal blocks separately (E and E^2 - E terms respectively), which
 pins the constant-score configuration at loss value 1 regardless of
-expert count, k, or token count.
+expert count, k, or token count. With one expert both losses are
+constant (1, up to the rounding of their 1/T scales) with zero gradient,
+so Trainer.loss leaves them out.
 
 total_loss adds the per-layer regularization (PLR), router similarity and
 balance losses to the diffusion loss, scaled by the weights w_plr, w_sim
@@ -20,15 +22,12 @@ and w_blc that TrainerConfig holds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .routing import ConfigError
 from .tensor import Tensor, softmax
 
 __all__ = [
-    "AuxLossInputs",
     "aux_inputs_from_routing",
     "balance_loss",
     "correlation_matrices",
@@ -41,41 +40,17 @@ __all__ = [
 ]
 
 
-@dataclass
-class AuxLossInputs:
-    """Selection indicator M (T x E, constant) and probabilities P (T x E)."""
-
-    M: np.ndarray
-    P: Tensor
-    k: int
-    num_experts: int
-
-    def __post_init__(self):
-        if self.M.shape != self.P.shape:
-            raise ConfigError(f"M and P shapes differ: {self.M.shape} vs {self.P.shape}")
-        if self.M.ndim != 2:
-            raise ConfigError(f"M must be (tokens, experts), got {self.M.shape}")
-        if self.num_experts < 2:
-            raise ConfigError("aux losses need E >= 2")
-
-    @property
-    def num_tokens(self) -> int:
-        return self.M.shape[0]
-
-
-def aux_inputs_from_routing(mask: np.ndarray, logits: Tensor, k: int) -> AuxLossInputs:
-    """Flatten a (B, L, E) routing mask and logits into loss inputs.
+def aux_inputs_from_routing(mask: np.ndarray, logits: Tensor) -> tuple[np.ndarray, Tensor]:
+    """(M, P): a (B, L, E) routing mask and logits flattened to T = B*L rows.
 
     P is always the softmax of the raw logits over experts, independent of
     the gating function used for output mixing.
     """
     B, L, E = mask.shape
-    M = mask.reshape(B * L, E)
-    P = softmax(logits.reshape(B * L, E), axis=-1)
-    return AuxLossInputs(M=M, P=P, k=k, num_experts=E)
+    return mask.reshape(B * L, E), softmax(logits.reshape(B * L, E), axis=-1)
 
 
-def balance_loss(inputs: AuxLossInputs) -> Tensor:
+def balance_loss(M: np.ndarray, P: Tensor, k: int) -> Tensor:
     """sum_i f_i * P_i: per-expert load ratio times mean routing probability.
 
     f_i = (E / (k*T)) * sum_t M[t,i] is expert i's share of selections
@@ -83,18 +58,14 @@ def balance_loss(inputs: AuxLossInputs) -> Tensor:
     count, which keeps the loss well defined for strategies whose
     per-token counts vary. A perfectly uniform configuration scores 1.
     """
-    T, E = inputs.M.shape
-    f = (E / (inputs.k * T)) * inputs.M.sum(axis=0)  # (E,) constant
-    p_mean = inputs.P.mean(axis=0)  # (E,)
-    return (p_mean * Tensor(f)).sum()
+    T, E = M.shape
+    f = (E / (k * T)) * M.sum(axis=0)  # (E,) constant
+    return (P.mean(axis=0) * Tensor(f)).sum()
 
 
-def correlation_matrices(inputs: AuxLossInputs) -> tuple[np.ndarray, Tensor]:
+def correlation_matrices(M: np.ndarray, P: Tensor) -> tuple[np.ndarray, Tensor]:
     """(M', P') with M' = M^T M (constant) and P' = P^T P (differentiable)."""
-    M = inputs.M
-    m_corr = M.T @ M
-    p_corr = inputs.P.transpose(1, 0) @ inputs.P
-    return m_corr, p_corr
+    return M.T @ M, P.transpose(1, 0) @ P
 
 
 def similarity_weights(m_corr: np.ndarray) -> np.ndarray:
@@ -118,11 +89,10 @@ def similarity_weights(m_corr: np.ndarray) -> np.ndarray:
     return W
 
 
-def router_similarity_loss(inputs: AuxLossInputs) -> Tensor:
+def router_similarity_loss(M: np.ndarray, P: Tensor) -> Tensor:
     """(1/T) * sum_{i,j} W(i,j) * P'_{i,j}, constant-score fixed point 1."""
-    m_corr, p_corr = correlation_matrices(inputs)
-    T = inputs.num_tokens
-    return (p_corr * Tensor(similarity_weights(m_corr))).sum() * (1.0 / T)
+    m_corr, p_corr = correlation_matrices(M, P)
+    return (p_corr * Tensor(similarity_weights(m_corr))).sum() * (1.0 / M.shape[0])
 
 
 def layer_mean(terms: list[Tensor]) -> Tensor:

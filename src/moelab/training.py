@@ -127,11 +127,12 @@ class LogRecord:
     comb_usage: float
     mean_active: float
 
-    CSV_COLUMNS = ("step", "diffusion", "plr", "sim", "blc", "total", "max_vio", "comb_usage", "mean_active")
-
     def csv_row(self) -> str:
         """Every float column as its shortest exact repr, so it parses back equal."""
         return ",".join([str(self.step)] + [repr(float(getattr(self, c))) for c in self.CSV_COLUMNS[1:]])
+
+
+LogRecord.CSV_COLUMNS = tuple(f.name for f in fields(LogRecord))  # log.csv's header, in field order
 
 
 @dataclass(frozen=True)
@@ -222,11 +223,11 @@ class Trainer(object):
     def loss(self, batch) -> tuple[Tensor, dict[str, float], list]:
         """The training objective on a batch, from a train-mode forward that
         records the tape: the diffusion loss plus the weighted per-layer
-        regularizer, router similarity and balance losses (the last two need
-        two or more experts). Returns the total, its float breakdown (log.csv's
-        loss columns) and each block's LayerOutput, and writes no state.
-        Non-finite router scores or loss raise NumericError, with no numpy
-        warning."""
+        regularizer, router similarity and balance losses (the last two only
+        with two or more experts). Returns the total, its float breakdown
+        (log.csv's loss columns) and each block's LayerOutput, and writes no
+        state. Non-finite router scores or loss raise NumericError, with no
+        numpy warning."""
         cfg = self.config
         with np.errstate(over="ignore", invalid="ignore"):
             prediction, layer_outputs = denoiser_forward(batch.x_t, batch.t, batch.c, self.params, mode="train")
@@ -234,10 +235,10 @@ class Trainer(object):
             plr = sim = blc = None
             if layer_outputs:
                 plr = losses_mod.per_layer_reg_loss([out.y_hat for out in layer_outputs], batch.y)
-                if cfg.model.num_experts >= 2:  # pairwise losses are undefined for a single expert
-                    aux = [aux_inputs_from_routing(out.route.mask, out.logits, cfg.model.k) for out in layer_outputs]
-                    sim = losses_mod.layer_mean([losses_mod.router_similarity_loss(a) for a in aux])
-                    blc = losses_mod.layer_mean([losses_mod.balance_loss(a) for a in aux])
+                if cfg.model.num_experts >= 2:  # one expert: both are constant 1, so left out and logged 0.0
+                    aux = [aux_inputs_from_routing(out.route.mask, out.logits) for out in layer_outputs]
+                    sim = losses_mod.layer_mean([losses_mod.router_similarity_loss(M, P) for M, P in aux])
+                    blc = losses_mod.layer_mean([losses_mod.balance_loss(M, P, cfg.model.k) for M, P in aux])
             total, breakdown = losses_mod.total_loss(diff, plr, sim, blc, cfg.w_plr, cfg.w_sim, cfg.w_blc)
         if not np.isfinite(total.item()):
             raise NumericError(f"non-finite loss: {breakdown}")

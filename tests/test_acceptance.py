@@ -19,7 +19,6 @@ from moelab import routing as R
 from moelab.cli import _heldout_masks
 from moelab.denoiser import DenoiserConfig
 from moelab.layer import init_params, moe_forward, named_tensors
-from moelab.losses import AuxLossInputs
 from moelab.routing import ThresholdState, get_strategy
 from moelab.tensor import Tensor, backward, softmax
 from moelab.training import Trainer, TrainerConfig, load_checkpoint, save_checkpoint
@@ -118,8 +117,7 @@ def test_criterion_3_constant_scores_give_unit_similarity_loss():
         order = np.argsort(-logits, axis=1, kind="stable")
         mask = np.zeros((T, E))
         mask[np.arange(T)[:, None], order[:, :k]] = 1.0
-        inputs = AuxLossInputs(mask, softmax(Tensor(logits), axis=-1), k, E)
-        loss = L.router_similarity_loss(inputs).item()
+        loss = L.router_similarity_loss(mask, softmax(Tensor(logits), axis=-1)).item()
         assert abs(loss - 1.0) < 1e-9, (T, E, k, loss)
     report(3, "constant scores yield similarity loss 1.0 +/- 1e-9 on 10 shapes")
 
@@ -138,9 +136,9 @@ def test_criterion_4_diagonal_geometric_mean_identity():
         order = np.argsort(-logits, axis=1)
         mask = np.zeros((T, E))
         mask[np.arange(T)[:, None], order[:, :k]] = 1.0
-        inputs = AuxLossInputs(mask, softmax(Tensor(logits), axis=-1), k, E)
-        diag = router_similarity_diag(inputs).item()
-        p = inputs.P.data
+        P = softmax(Tensor(logits), axis=-1)
+        diag = router_similarity_diag(mask, P).item()
+        p = P.data
         oracle = sum(
             (E / mask.sum()) * mask[:, i].sum() * (p[:, i] ** 2).sum() / T
             for i in range(E)
@@ -222,9 +220,11 @@ def test_criterion_5_gradients_match_finite_differences():
     order = np.argsort(-logits_base, axis=1)
     mask = np.zeros((T, E))
     mask[np.arange(T)[:, None], order[:, :k]] = 1.0
-    for loss_fn in (L.balance_loss, L.router_similarity_loss):
+    aux_losses = {"balance_loss": lambda P: L.balance_loss(mask, P, k),
+                  "router_similarity_loss": lambda P: L.router_similarity_loss(mask, P)}
+    for name, loss_fn in aux_losses.items():
         lg = Tensor(logits_base, requires_grad=True)
-        backward(loss_fn(AuxLossInputs(mask, softmax(lg, axis=-1), k, E)))
+        backward(loss_fn(softmax(lg, axis=-1)))
         fd = np.zeros_like(logits_base)
         for idx in range(logits_base.size):
             vals = []
@@ -232,9 +232,9 @@ def test_criterion_5_gradients_match_finite_differences():
                 bumped = logits_base.reshape(-1).copy()
                 bumped[idx] += sign * h
                 t = Tensor(bumped.reshape(T, E))
-                vals.append(loss_fn(AuxLossInputs(mask, softmax(t, axis=-1), k, E)).item())
+                vals.append(loss_fn(softmax(t, axis=-1)).item())
             fd.reshape(-1)[idx] = (vals[0] - vals[1]) / (2 * h)
-        assert _relcheck(lg.grad, fd, 1e-4) < 0, loss_fn.__name__
+        assert _relcheck(lg.grad, fd, 1e-4) < 0, name
 
     # (c) end-to-end total loss on a 2-layer toy model, sampled coordinates
     model = DenoiserConfig(layers=2, model_dim=16, tokens=8, num_classes=3,

@@ -270,6 +270,14 @@ def test_dense_twin_forward_matches_one_in_one():
     assert np.abs(pred_moe.data - pred_dense.data).max() < 1e-10
 
 
+def test_one_in_one_moe_logs_no_similarity_or_balance_loss():
+    # with one expert both losses are constant: Trainer.loss leaves them out
+    # of the objective, and the step log reads 0.0 for each
+    record = small_trainer(seed=3, num_experts=1, k=1).train_step()
+    assert record.sim == 0.0 and record.blc == 0.0
+    assert record.plr > 0.0
+
+
 def case_params(case: str, seed: int, tau: float):
     """The routing mode and denoiser of a test case: "train" routes fresh
     blocks by top-K, "eval" trained ones (each tau set), as Trainer.forward
@@ -701,6 +709,10 @@ TYPE_NOUNS = {"int": "an integer", "float": "a number", "bool": "a bool", "str":
         (TrainerConfig, "w_blc", np.bool_(True)),
         (TrainerConfig, "model", None),
         (TrainerConfig, "model", {"layers": 2}),
+        # ints past float range; str() of one past 4,300 digits raises, so the ids are spelled out
+        pytest.param(TrainerConfig, "lr", 10**400, id="TrainerConfig-lr-10**400"),
+        pytest.param(TrainerConfig, "w_plr", 10**5000, id="TrainerConfig-w_plr-10**5000"),
+        pytest.param(TrainerConfig, "w_sim", -10**5000, id="TrainerConfig-w_sim--10**5000"),
     ],
 )
 def test_integer_settings_refuse_floats_and_bools(config, key, bad):
@@ -708,7 +720,11 @@ def test_integer_settings_refuse_floats_and_bools(config, key, bad):
     # a bool included, and TrainerConfig's model must be a DenoiserConfig
     declared = {f.name: f.type for f in fields(config)}[key]
     noun = TYPE_NOUNS.get(declared, f"a {declared}")
-    with pytest.raises(ConfigError, match=f"^{key} must be {noun}, got {re.escape(repr(bad))}$"):
+    if declared == "float" and type(bad) is int:  # an int no float holds: named, not printed
+        message = f"^{key} must be a finite number, got an int too large for a float$"
+    else:
+        message = f"^{key} must be {noun}, got {re.escape(repr(bad))}$"
+    with pytest.raises(ConfigError, match=message):
         config(**{key: bad})
     if declared in TYPE_NOUNS:
         # a numpy scalar passes, stored as the Python one so the config still writes to JSON
@@ -716,7 +732,8 @@ def test_integer_settings_refuse_floats_and_bools(config, key, bad):
         value = getattr(config(**{key: np.asarray(default)[()]}), key)
         assert type(value) is type(default) and json.dumps(value)
     if declared == "float":
-        assert getattr(config(**{key: 1}), key) == 1  # an int passes as a float
+        value = getattr(config(**{key: 1}), key)  # an int passes as a float, stored as one
+        assert type(value) is float and value == 1.0
 
 
 def test_sampling_requires_thresholds():

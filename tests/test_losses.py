@@ -5,7 +5,6 @@ import pytest
 from similarity import router_similarity_diag
 
 from moelab.losses import (
-    AuxLossInputs,
     aux_inputs_from_routing,
     balance_loss,
     correlation_matrices,
@@ -15,20 +14,24 @@ from moelab.losses import (
     similarity_weights,
     total_loss,
 )
-from moelab.routing import ConfigError, ThresholdState, get_strategy, route
+from moelab.routing import ThresholdState, get_strategy, route
 from moelab.tensor import Tensor, backward, finite_difference_grad, softmax
 
 
 def random_inputs(seed, T=12, E=4, k=2):
-    """Seeded mask from real routing plus softmax probabilities."""
+    """Seeded top-k mask M plus softmax probabilities P."""
     rng = np.random.default_rng(seed)
     logits = rng.normal(size=(T, E))
     order = np.argsort(-logits, axis=1)
     M = np.zeros((T, E))
     rows = np.arange(T)[:, None]
     M[rows, order[:, :k]] = 1.0
-    P = softmax(Tensor(logits), axis=-1)
-    return AuxLossInputs(M=M, P=P, k=k, num_experts=E)
+    return M, softmax(Tensor(logits), axis=-1)
+
+
+def aux_losses(M, k):
+    """Both aux losses on the mask M, each as a function of P alone, by name."""
+    return {"balance_loss": lambda P: balance_loss(M, P, k), "router_similarity_loss": lambda P: router_similarity_loss(M, P)}
 
 
 # ----------------------------------------------------------------------
@@ -40,7 +43,7 @@ def test_balance_loss_uniform_is_one():
     M = np.zeros((T, E))
     M[np.arange(T), np.arange(T) % E] = 1.0  # each expert gets T/E tokens
     P = Tensor(np.full((T, E), 1.0 / E))
-    assert abs(balance_loss(AuxLossInputs(M, P, k, E)).item() - 1.0) < 1e-12
+    assert abs(balance_loss(M, P, k).item() - 1.0) < 1e-12
 
 
 def test_balance_loss_full_concentration_is_expert_count():
@@ -49,21 +52,22 @@ def test_balance_loss_full_concentration_is_expert_count():
     M[:, 0] = 1.0
     P = np.zeros((T, E))
     P[:, 0] = 1.0
-    assert abs(balance_loss(AuxLossInputs(M, Tensor(P), k, E)).item() - E) < 1e-12
+    assert abs(balance_loss(M, Tensor(P), k).item() - E) < 1e-12
 
 
 def test_balance_loss_against_double_loop_oracle():
-    inputs = random_inputs(101)
-    T, E = inputs.M.shape
+    k = 2
+    M, P = random_inputs(101, k=k)
+    T, E = M.shape
     expected = 0.0
     for i in range(E):
         f_i = 0.0
         p_i = 0.0
         for t in range(T):
-            f_i += inputs.M[t, i]
-            p_i += inputs.P.data[t, i]
-        expected += (E / (inputs.k * T)) * f_i * (p_i / T)
-    assert abs(balance_loss(inputs).item() - expected) < 1e-12
+            f_i += M[t, i]
+            p_i += P.data[t, i]
+        expected += (E / (k * T)) * f_i * (p_i / T)
+    assert abs(balance_loss(M, P, k).item() - expected) < 1e-12
 
 
 def test_concentrating_mass_increases_balance_loss():
@@ -71,16 +75,14 @@ def test_concentrating_mass_increases_balance_loss():
     M = np.zeros((T, E))
     M[np.arange(T), np.arange(T) % E] = 1.0
     base_logits = np.zeros((T, E))
-    prev = balance_loss(
-        AuxLossInputs(M, softmax(Tensor(base_logits), axis=-1), k, E)
-    ).item()
+    prev = balance_loss(M, softmax(Tensor(base_logits), axis=-1), k).item()
     # progressively concentrate both probability mass and assignments on expert 0
     for strength in (1.0, 2.0, 4.0):
         skew = base_logits.copy()
         skew[:, 0] = strength
         M_skew = np.zeros((T, E))
         M_skew[:, 0] = 1.0
-        cur = balance_loss(AuxLossInputs(M_skew, softmax(Tensor(skew), axis=-1), k, E)).item()
+        cur = balance_loss(M_skew, softmax(Tensor(skew), axis=-1), k).item()
         assert cur > prev
         prev = cur
 
@@ -91,26 +93,24 @@ def test_concentrating_mass_increases_balance_loss():
 
 def test_correlation_identity_rows_give_diagonal():
     M = np.eye(4)
-    inputs = AuxLossInputs(M, Tensor(np.full((4, 4), 0.25)), 1, 4)
-    m_corr, _ = correlation_matrices(inputs)
+    m_corr, _ = correlation_matrices(M, Tensor(np.full((4, 4), 0.25)))
     assert np.array_equal(m_corr, np.eye(4))
 
 
 def test_correlation_constant_probs_value():
     T, E = 12, 4
-    inputs = AuxLossInputs(np.ones((T, E)), Tensor(np.full((T, E), 1.0 / E)), E, E)
-    _, p_corr = correlation_matrices(inputs)
+    _, p_corr = correlation_matrices(np.ones((T, E)), Tensor(np.full((T, E), 1.0 / E)))
     assert np.allclose(p_corr.data, T / E**2, atol=1e-12)
 
 
 def test_correlation_against_triple_loop_oracle():
-    inputs = random_inputs(103)
-    T, E = inputs.M.shape
-    m_corr, p_corr = correlation_matrices(inputs)
+    M, P = random_inputs(103)
+    T, E = M.shape
+    m_corr, p_corr = correlation_matrices(M, P)
     for i in range(E):
         for j in range(E):
-            m_expected = sum(inputs.M[t, i] * inputs.M[t, j] for t in range(T))
-            p_expected = sum(inputs.P.data[t, i] * inputs.P.data[t, j] for t in range(T))
+            m_expected = sum(M[t, i] * M[t, j] for t in range(T))
+            p_expected = sum(P.data[t, i] * P.data[t, j] for t in range(T))
             assert abs(m_corr[i, j] - m_expected) < 1e-12
             assert abs(p_corr.data[i, j] - p_expected) < 1e-12
     assert np.array_equal(m_corr, m_corr.T)
@@ -135,9 +135,9 @@ def test_similarity_weights_empty_offdiagonal_flagged():
 
 
 def test_similarity_weights_against_naive_oracle():
-    inputs = random_inputs(107)
-    m_corr, _ = correlation_matrices(inputs)
-    E = inputs.num_experts
+    M, P = random_inputs(107)
+    m_corr, _ = correlation_matrices(M, P)
+    E = M.shape[1]
     W = similarity_weights(m_corr)
     diag_sum = sum(m_corr[i, i] for i in range(E))
     off_sum = sum(m_corr[i, j] for i in range(E) for j in range(E) if i != j)
@@ -162,45 +162,40 @@ def test_similarity_loss_constant_scores_equal_one():
         M = np.zeros((T, E))
         M[np.arange(T)[:, None], order[:, :k]] = 1.0
         P = softmax(Tensor(logits), axis=-1)
-        loss = router_similarity_loss(AuxLossInputs(M, P, k, E)).item()
+        loss = router_similarity_loss(M, P).item()
         assert abs(loss - 1.0) < 1e-9
 
 
 def test_similarity_loss_against_naive_double_sum():
-    inputs = random_inputs(109)
-    m_corr, p_corr = correlation_matrices(inputs)
+    M, P = random_inputs(109)
+    m_corr, p_corr = correlation_matrices(M, P)
     W = similarity_weights(m_corr)
-    T, E = inputs.M.shape
+    T, E = M.shape
     expected = sum(
         W[i, j] * p_corr.data[i, j] for i in range(E) for j in range(E)
     ) / T
-    assert abs(router_similarity_loss(inputs).item() - expected) < 1e-12
+    assert abs(router_similarity_loss(M, P).item() - expected) < 1e-12
 
 
 def test_similarity_diag_equals_geometric_mean_balance_form():
     # diagonal part == sum_i (E/(K T) sum_t M) * (1/T sum_t P^2), with K T the
     # realized selection total
-    inputs = random_inputs(113)
-    T, E = inputs.M.shape
-    total_selected = inputs.M.sum()
+    M, P = random_inputs(113)
+    T, E = M.shape
+    total_selected = M.sum()
     expected = 0.0
     for i in range(E):
-        load = sum(inputs.M[t, i] for t in range(T))
-        sq = sum(inputs.P.data[t, i] ** 2 for t in range(T))
+        load = sum(M[t, i] for t in range(T))
+        sq = sum(P.data[t, i] ** 2 for t in range(T))
         expected += (E / total_selected) * load * (sq / T)
-    assert abs(router_similarity_diag(inputs).item() - expected) < 1e-12
+    assert abs(router_similarity_diag(M, P).item() - expected) < 1e-12
 
 
 def test_similarity_loss_token_duplication_invariance():
-    inputs = random_inputs(127)
-    base = router_similarity_loss(inputs).item()
-    doubled = AuxLossInputs(
-        np.concatenate([inputs.M, inputs.M], axis=0),
-        Tensor(np.concatenate([inputs.P.data, inputs.P.data], axis=0)),
-        inputs.k,
-        inputs.num_experts,
-    )
-    assert abs(router_similarity_loss(doubled).item() - base) < 1e-12
+    M, P = random_inputs(127)
+    base = router_similarity_loss(M, P).item()
+    doubled = router_similarity_loss(np.concatenate([M, M], axis=0), Tensor(np.concatenate([P.data, P.data], axis=0)))
+    assert abs(doubled.item() - base) < 1e-12
 
 
 def test_aux_losses_differentiable_through_probabilities():
@@ -211,34 +206,43 @@ def test_aux_losses_differentiable_through_probabilities():
     M = np.zeros((T, E))
     M[np.arange(T)[:, None], order[:, :k]] = 1.0
 
-    for loss_fn in (balance_loss, router_similarity_loss):
+    for name, loss_fn in aux_losses(M, k).items():
         logits = Tensor(logits_base, requires_grad=True)
-        loss = loss_fn(AuxLossInputs(M, softmax(logits, axis=-1), k, E))
-        backward(loss)
+        backward(loss_fn(softmax(logits, axis=-1)))
 
         def f(t):
-            return loss_fn(AuxLossInputs(M, softmax(t, axis=-1), k, E)).item()
+            return loss_fn(softmax(t, axis=-1)).item()
 
         fd = finite_difference_grad(f, Tensor(logits_base), h=1e-6)
         rel = np.abs(logits.grad - fd.data) / np.maximum(
             np.maximum(np.abs(fd.data), np.abs(logits.grad)), 1e-8
         )
-        assert rel.max() < 1e-4, loss_fn.__name__
+        assert rel.max() < 1e-4, name
 
 
-def test_aux_inputs_require_two_experts():
-    with pytest.raises(ConfigError):
-        AuxLossInputs(np.ones((3, 1)), Tensor(np.ones((3, 1))), 1, 1)
+@pytest.mark.parametrize("T", [6, 49, 512])
+def test_aux_losses_of_one_expert_are_one_with_zero_gradient(T):
+    # one expert: every P entry is softmax over one logit, exactly 1.0, so
+    # both losses are constant and the logits get no gradient at all. They
+    # read 1 up to the rounding of their 1/T scales (1 - 2**-52 at T = 49).
+    logits_base = np.random.default_rng(T).normal(size=(T, 1))
+    M = np.ones((T, 1))
+    for name, loss_fn in aux_losses(M, 1).items():
+        logits = Tensor(logits_base, requires_grad=True)
+        loss = loss_fn(softmax(logits, axis=-1))
+        assert abs(loss.item() - 1.0) <= 2.0**-52, name
+        backward(loss)
+        assert np.array_equal(logits.grad, np.zeros((T, 1))), name
 
 
 def test_aux_inputs_from_routing_uses_softmax_probs():
     rng = np.random.default_rng(137)
     S = Tensor(rng.normal(size=(2, 3, 4)))
     res = route(S, get_strategy("expert-race"), "identity", "train", ThresholdState(), k=2)
-    inputs = aux_inputs_from_routing(res.mask, S, 2)
-    assert inputs.M.shape == (6, 4)
-    assert np.allclose(inputs.P.data.sum(axis=-1), 1.0, atol=1e-9)
-    assert inputs.M.sum() == 12
+    M, P = aux_inputs_from_routing(res.mask, S)
+    assert M.shape == (6, 4)
+    assert np.allclose(P.data.sum(axis=-1), 1.0, atol=1e-9)
+    assert M.sum() == 12
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,6 @@ renamed name fail the tests, not only the traced benchmark run."""
 import importlib.util
 from pathlib import Path
 
-from moelab import cli, layer, routing, training
 from moelab.denoiser import DenoiserConfig
 from moelab.training import Trainer, TrainerConfig
 
@@ -19,29 +18,29 @@ def load_tracing():
     return module
 
 
-def patched_names():
-    return (layer.moe_forward, layer.MoeLayerParams.gating_logits, routing.route, routing.topk_mask,
-            training.denoiser_forward, training.Trainer.train_step, cli.main)
-
-
 def test_perfbench_tracer_installs_records_spans_and_undoes():
     tracing = load_tracing()
-    originals = patched_names()
     model = DenoiserConfig(layers=1, model_dim=8, tokens=4, num_classes=2, num_experts=4, k=2,
                            dense_hidden=16, total_steps=5)
     trainer = Trainer(TrainerConfig(model=model, batch_size=4, seed=1))
     tracer = tracing.Tracer()
     patches = tracing.instrument(tracer)
+    # every (owner, attr) the tracer replaced, with the value it found there first
+    originals = {}
+    for owner, attr, old in patches._saved:
+        originals.setdefault((owner, attr), old)
     try:
+        assert all(getattr(owner, attr) is not old for (owner, attr), old in originals.items())
         trainer.train_step()
     finally:
         patches.undo()
+    assert all(getattr(owner, attr) is old for (owner, attr), old in originals.items())
     names = {span[0] for span in tracer.spans}
     assert {"training.train_step", "denoiser.forward", "layer.moe_forward", "layer.router", "layer.experts",
-            "routing.route", "routing.topk_mask.expert-race", "training.optimizer", "training.ema"} <= names
+            "routing.route", "routing.topk_mask.expert-race", "losses.aux", "training.optimizer",
+            "training.ema"} <= names
     assert tracer.counts["matmul_calls"] > 0
     assert tracer.counts["expert_rows"] == 1 * 4 * 4 * 2  # layers x B x L x k: one row per selected pair
     # one selection per layer per step: route reads its K-th values from that same partition
     assert [span[0] for span in tracer.spans if span[0].startswith("routing.topk_mask.")] == [
         "routing.topk_mask.expert-race"]
-    assert patched_names() == originals
