@@ -2,9 +2,9 @@
 
 Subcommands: route-sim (strategy comparison on sampled scores), train
 (toy diffusion run with checkpoints and a CSV log), metrics (report from
-a checkpoint), ablate (multi-arm comparison table). Everything is emitted
-as CSV/JSON for external plotting; every run writes a config snapshot
-that fully reproduces it.
+a checkpoint, under the config it carries), ablate (multi-arm comparison
+table). Everything is emitted as CSV/JSON for external plotting; every
+run but metrics writes a config snapshot that fully reproduces it.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure.
 """
@@ -27,8 +27,8 @@ from .training import LogRecord, Trainer, TrainerConfig, load_checkpoint, save_c
 CONFIG_SCHEMA_VERSION = 1
 
 # A run's settings are TrainerConfig's flat fields (to_dict), with num_experts
-# spelled `experts` and without `dense` (the CLI does not build the dense
-# twin), plus the run's own keys.
+# spelled `experts` and without `dense` (no run builds the dense twin; metrics
+# reads one from its checkpoint), plus the run's own keys.
 _RUN_DEFAULTS = {"schema_version": CONFIG_SCHEMA_VERSION, "steps": 200, "checkpoint_every": 100}
 _CONFIG_DEFAULTS = {key: value for key, value in TrainerConfig().to_dict().items() if key != "dense"}
 _CONFIG_DEFAULTS["experts"] = _CONFIG_DEFAULTS.pop("num_experts")
@@ -38,56 +38,59 @@ _FLAG_KEYS = ("seed", "strategy", "gating", "k", "experts", "steps", "batch_size
               "w_sim", "w_plr", "w_blc")
 
 
+def parse_settings(entries) -> dict:
+    """The raw values of `key = value` settings, each of a known key set at
+    most once. Each entry is (where, text, at): an error in `text` starts
+    with `where` (`path:line` or `arm '<text>'`), and a repeat of its key
+    names it by `at`."""
+    values, first = {}, {}
+    for where, text, at in entries:
+        if "=" not in text:
+            raise ConfigError(f"{where}: expected 'key = value', got {text!r}")
+        key, val = (part.strip() for part in text.split("=", 1))
+        if key not in _CONFIG_DEFAULTS:
+            raise ConfigError(f"{where}: unknown config key {key!r}")
+        if key in values:
+            raise ConfigError(f"{where}: config key {key!r} is already set {first[key]}")
+        values[key], first[key] = val, at
+    return values
+
+
 def parse_config_file(path: Path) -> dict:
     """Flat `key = value` lines, each key at most once; '#' starts a comment."""
     try:
         text = path.read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from None
-    values: dict = {}
-    line_of: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, val = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_DEFAULTS:
-            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        if key in values:
-            raise ConfigError(f"{path}:{lineno}: config key {key!r} is already set on line {line_of[key]}")
-        values[key], line_of[key] = val, lineno
-    return values
+    lines = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
+    return parse_settings((f"{path}:{n}", line, f"on line {n}") for n, line in enumerate(lines, start=1) if line)
 
 
 def resolve_settings(args: argparse.Namespace) -> dict:
-    """Defaults < config file < command-line flags: the run's settings, each
-    of its default's type. Checks the schema, the run's own keys and the
-    strategy name, which it makes canonical."""
-    cfg = dict(_CONFIG_DEFAULTS)
+    """Defaults < config file < command-line flags, typed and checked."""
+    values = dict(_CONFIG_DEFAULTS)
     if args.config:
-        cfg.update(parse_config_file(Path(args.config)))
+        values.update(parse_config_file(Path(args.config)))
+    values.update((key, getattr(args, key)) for key in _FLAG_KEYS if getattr(args, key) is not None)
+    return check_settings(values)
+
+
+def check_settings(values: dict) -> dict:
+    """Every setting of `values` as its default's type. Checks the schema,
+    the run's own keys and the strategy name, which it makes canonical."""
+    cfg = {}
     for key, default in _CONFIG_DEFAULTS.items():
-        flag = getattr(args, key, None)
-        value = cfg[key] if flag is None else flag
         try:  # every key takes its default's type
-            cfg[key] = type(default)(value)
+            cfg[key] = type(default)(values[key])
         except ValueError:
-            raise ConfigError(f"config key {key!r} must be {type(default).__name__}, got {value!r}") from None
+            raise ConfigError(f"config key {key!r} must be {type(default).__name__}, got {values[key]!r}") from None
     if cfg["schema_version"] != CONFIG_SCHEMA_VERSION:
         raise ConfigError(f"config schema_version {cfg['schema_version']} != {CONFIG_SCHEMA_VERSION}")
-    for key in ("steps", "checkpoint_every"):
+    for key in ("steps", "checkpoint_every", "seed"):
         if cfg[key] < 0:
             raise ConfigError(f"{key} must be >= 0, got {cfg[key]}")
     cfg["strategy"] = routing.get_strategy(cfg["strategy"]).name
     return cfg
-
-
-def resolve_config(args: argparse.Namespace) -> tuple[dict, TrainerConfig]:
-    """The run's settings and the TrainerConfig built, and so checked, from them."""
-    cfg = resolve_settings(args)
-    return cfg, trainer_config_from(cfg)
 
 
 def write_config_snapshot(cfg: dict, out_dir: Path) -> None:
@@ -150,8 +153,6 @@ def cmd_route_sim(args: argparse.Namespace) -> int:
     """Builds no model, so checks only the settings it reads: the score
     shape, k, the seed and the strategies."""
     cfg = resolve_settings(args)
-    if cfg["seed"] < 0:
-        raise ConfigError(f"seed must be >= 0, got {cfg['seed']}")
     if args.draws < 1:
         raise ConfigError(f"--draws must be >= 1, got {args.draws}")
     wanted = args.strategies.split(",") if args.strategies else list(routing.STRATEGIES)
@@ -209,7 +210,8 @@ def discard_later_claims(out_dir: Path, step: int, source: Path | None = None) -
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    cfg, config = resolve_config(args)
+    cfg = resolve_settings(args)
+    config = trainer_config_from(cfg)
     trainer = load_checkpoint(args.resume, config) if args.resume else Trainer(config)
     out_dir = make_out_dir(args)
     write_config_snapshot(cfg, out_dir)
@@ -272,22 +274,17 @@ def _heldout_masks(trainer: Trainer, batches: int, mode: str) -> tuple[list[np.n
     return [np.concatenate(layer, axis=0) for layer in zip(*masks)], np.concatenate(timesteps)
 
 
-def _checkpoint_metrics(trainer: Trainer) -> dict:
-    """The routing report per layer, with its tau, on four held-out batches
-    routed in infer mode; uninitialized thresholds raise StateError."""
-    blocks = trainer.params.blocks
-    masks, t = _heldout_masks(trainer, 4, "infer")
-    report = metrics_mod.routing_report(masks, trainer.config.model.k, t, trainer.schedule.total_steps)
-    per_layer = [{"layer": i, **rec, "tau": blocks[i].moe.threshold.tau} for i, rec in enumerate(report)]
-    return {"per_layer": per_layer}
-
-
 def cmd_metrics(args: argparse.Namespace) -> int:
-    _, config = resolve_config(args)
-    trainer = load_checkpoint(args.checkpoint, config)
-    report = _checkpoint_metrics(trainer)  # before --out: a failed report leaves no directory
+    """The routing report per layer, with its tau, on four held-out batches
+    routed in infer mode under the checkpoint's own config; uninitialized
+    thresholds raise StateError."""
+    trainer = load_checkpoint(args.checkpoint)
+    masks, t = _heldout_masks(trainer, 4, "infer")  # before --out: a failed report leaves no directory
+    report = metrics_mod.routing_report(masks, trainer.config.model.k, t, trainer.schedule.total_steps)
+    blocks = trainer.params.blocks
+    per_layer = [{"layer": i, **rec, "tau": blocks[i].moe.threshold.tau} for i, rec in enumerate(report)]
     path = make_out_dir(args) / "metrics.json"
-    path.write_text(json.dumps(report, indent=2) + "\n")
+    path.write_text(json.dumps({"per_layer": per_layer}, indent=2) + "\n")
     print(f"wrote {path}")
     return 0
 
@@ -296,54 +293,55 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 # ablate
 
 
-def _parse_arms(spec: str, cfg: dict) -> list[tuple[str, TrainerConfig]]:
-    """Each 'strategy:gating[:w_sim[:w_blc]]' arm with its config, all
-    built, and so checked, before the first arm trains."""
+def _parse_arms(spec: str, cfg: dict) -> list[tuple[str, int, TrainerConfig]]:
+    """Each ';'-separated arm, ','-separated `key=value` overrides of the
+    base settings `cfg`, with its step count and config: all parsed,
+    typed and built, and so checked, before the first arm trains. An
+    error names its arm."""
     arms = []
     for arm in (a.strip() for a in spec.split(";")):
         if not arm:
             continue
-        parts = arm.split(":")
-        if not 2 <= len(parts) <= 4:
-            raise ConfigError(f"arm {arm!r} must be strategy:gating[:w_sim[:w_blc]]")
+        where = f"arm {arm!r}"
+        overrides = parse_settings((where, text, "in this arm") for text in arm.split(","))
         try:
-            weights = [float(w) for w in parts[2:]]
-        except ValueError:
-            raise ConfigError(f"arm {arm!r}: w_sim and w_blc must be numbers") from None
-        w_sim, w_blc = weights + [cfg["w_sim"], cfg["w_blc"]][len(weights):]
-        arm_cfg = dict(cfg, strategy=parts[0], gating=parts[1], w_sim=w_sim, w_blc=w_blc)
-        arms.append((arm, trainer_config_from(arm_cfg)))
+            arm_cfg = check_settings({**cfg, **overrides})
+            if arm_cfg["steps"] < 1:
+                raise ConfigError(f"ablate trains each arm for --steps >= 1, got {arm_cfg['steps']}")
+            arms.append((arm, arm_cfg["steps"], trainer_config_from(arm_cfg)))
+        except ConfigError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
     if not arms:
-        raise ConfigError("ablate needs --arms 'strategy:gating[:w_sim[:w_blc]];...'")
+        raise ConfigError("ablate needs --arms 'key=value,...;...'")
     return arms
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
     """One row per arm: final losses and the layer mean of the routing report
-    on one held-out batch routed in train mode (batch top-K). Every arm
-    replaces the base strategy and gating, so only the arms' configs are
-    built and checked."""
+    on one held-out batch routed in train mode (batch top-K). Only the
+    arms' configs are built and checked; the snapshot holds the base
+    settings the arms override."""
     cfg = resolve_settings(args)
-    if cfg["steps"] < 1:
-        raise ConfigError(f"ablate trains each arm for --steps >= 1, got {cfg['steps']}")
     arms = _parse_arms(args.arms, cfg)
     out_dir = make_out_dir(args)
     write_config_snapshot(cfg, out_dir)
 
     rows = ["arm,strategy,gating,w_sim,w_blc,final_total,final_diffusion,max_vio,comb_usage,alloc_variance\n"]
-    for arm, config in arms:
+    for arm, steps, config in arms:
         try:
             trainer = Trainer(config)
-            for _ in range(cfg["steps"]):
+            for _ in range(steps):
                 last = trainer.train_step()
             masks, t = _heldout_masks(trainer, 1, "train")
         except NumericError as exc:  # several arms: say which one diverged
             raise NumericError(f"arm {arm!r}: {exc}") from None
-        report = metrics_mod.routing_report(masks, cfg["k"], t, trainer.schedule.total_steps)
+        report = metrics_mod.routing_report(masks, config.model.k, t, trainer.schedule.total_steps)
         numbers = [config.w_sim, config.w_blc, last.total, last.diffusion] + [
             metrics_mod.report_mean(report, key) for key in ("max_vio", "comb_usage", "allocation_bucket_variance")
         ]
-        rows.append(",".join([arm, config.model.strategy, config.model.gating] + [repr(float(x)) for x in numbers]) + "\n")
+        quoted = '"' + arm.replace('"', '""') + '"'  # the arm's commas, quoted as CSV quotes a field
+        fields = [quoted, config.model.strategy, config.model.gating] + [repr(float(x)) for x in numbers]
+        rows.append(",".join(fields) + "\n")
     csv_path = out_dir / "ablate.csv"
     csv_path.write_text("".join(rows))  # once, after the last arm: a failed arm leaves no ablate.csv
     print(f"wrote {csv_path}")
@@ -385,15 +383,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--resume", help="checkpoint to resume from")
     p_train.set_defaults(func=cmd_train)
 
-    p_metrics = sub.add_parser("metrics", help="report routing metrics from a checkpoint")
-    add_common(p_metrics)
+    p_metrics = sub.add_parser("metrics", help="report routing metrics from a checkpoint, under its own config")
     p_metrics.add_argument("--checkpoint", required=True)
+    p_metrics.add_argument("--out", help="output directory")
     p_metrics.set_defaults(func=cmd_metrics)
 
     p_ablate = sub.add_parser("ablate", help="train several arms and tabulate")
     add_common(p_ablate)
     p_ablate.add_argument("--arms", required=True,
-                          help="semicolon-separated strategy:gating[:w_sim[:w_blc]] arms")
+                          help="';'-separated arms, each ','-separated key=value overrides of the settings")
     p_ablate.set_defaults(func=cmd_ablate)
     return parser
 

@@ -352,6 +352,7 @@ _GROUPS = ("param", "ema", "opt_m", "opt_v")
 _F8 = np.dtype(np.float64)
 _U8 = np.dtype(np.uint8)
 _META_KEYS = {"version", "step", "config", "thresholds", "rng_state", "tensors"}
+_CONFIG_KEYS = tuple(TrainerConfig().to_dict())  # the saved config keys a TrainerConfig is built from
 
 
 def _state_groups(trainer: Trainer) -> dict[str, list[np.ndarray]]:
@@ -507,13 +508,15 @@ def _check_manifest(path, manifest, named: list[tuple[str, Tensor]]) -> None:
             raise ConfigError(f"checkpoint {path} tensor {name!r} has shape {saved_shape}, the model needs {t.shape}")
 
 
-def load_checkpoint(path, config: TrainerConfig) -> Trainer:
+def load_checkpoint(path, config: TrainerConfig | None = None) -> Trainer:
     """Rebuild a Trainer in the exact state it was saved in.
 
     Reads the layout save_checkpoint writes, version 6 only; any other
-    version raises ConfigError naming both. The saved config must equal
-    `config` key for key, or a ConfigError names each key that differs,
-    one the other side lacks included. The manifest must match the
+    version raises ConfigError naming both. The checkpoint describes
+    itself: a TrainerConfig is built from the saved keys it has. The saved
+    config must equal `config`, or without one that built config, key for
+    key, or a ConfigError names each key that differs, one the other side
+    lacks included. The manifest must match the
     model's tensors, names and shapes, and each state group must be a 1-D
     C-order float64 member of exactly their total size; its bytes are read
     straight into the arrays of a blank Trainer (np.empty, never drawn,
@@ -528,7 +531,8 @@ def load_checkpoint(path, config: TrainerConfig) -> Trainer:
     dtype, in Fortran order, not 1-D (`meta_json` too), of the wrong
     length, or with fewer or more data bytes than its header says;
     metadata that is not a UTF-8 JSON object; a missing metadata field, or
-    one of the wrong JSON type or value.
+    one of the wrong JSON type or value; a saved config value that
+    TrainerConfig refuses.
     """
     try:
         archive = zipfile.ZipFile(path)
@@ -548,9 +552,15 @@ def load_checkpoint(path, config: TrainerConfig) -> Trainer:
         missing = sorted(_META_KEYS - set(meta))
         if missing:
             raise ConfigError(f"checkpoint {path} metadata has no {missing}")
-        saved, current = meta["config"], config.to_dict()
+        saved = meta["config"]
         if not isinstance(saved, dict):
             raise ConfigError(f"checkpoint {path} metadata 'config' is not a JSON object")
+        try:
+            built = TrainerConfig.from_dict({key: saved[key] for key in _CONFIG_KEYS if key in saved})
+        except ConfigError as exc:
+            raise ConfigError(f"checkpoint {path} metadata 'config': {exc}") from None
+        config = built if config is None else config
+        current = config.to_dict()
         if saved != current:
             diff = {
                 key: (saved.get(key), current.get(key))

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from moelab import training
-from moelab.cli import build_parser, main, parse_config_file, resolve_config
+from moelab.cli import build_parser, main, parse_config_file, resolve_settings, trainer_config_from
 from moelab.denoiser import DenoiserConfig
 from moelab.training import Trainer, TrainerConfig, load_checkpoint, save_checkpoint
 
@@ -383,8 +383,7 @@ def test_metrics_report_from_checkpoint(tmp_path):
     run = tmp_path / "run"
     main(["train", "--out", str(run), "--steps", "5", "--seed", "5", *FAST])
     out = tmp_path / "report"
-    rc = main(["metrics", "--checkpoint", str(run / "ckpt_final.npz"),
-               "--out", str(out), "--seed", "5", *FAST])
+    rc = main(["metrics", "--checkpoint", str(run / "ckpt_final.npz"), "--out", str(out)])
     assert rc == 0
     report = json.loads((out / "metrics.json").read_text())
     assert len(report["per_layer"]) == 1
@@ -393,8 +392,7 @@ def test_metrics_report_from_checkpoint(tmp_path):
         assert key in entry
     # repeated invocation is read-only and identical
     out2 = tmp_path / "report2"
-    main(["metrics", "--checkpoint", str(run / "ckpt_final.npz"),
-          "--out", str(out2), "--seed", "5", *FAST])
+    main(["metrics", "--checkpoint", str(run / "ckpt_final.npz"), "--out", str(out2)])
     assert (out / "metrics.json").read_text() == (out2 / "metrics.json").read_text()
 
 
@@ -402,8 +400,7 @@ def test_metrics_on_an_untrained_checkpoint_is_a_state_error(tmp_path, capsys):
     run = tmp_path / "run"
     assert main(["train", "--out", str(run), "--steps", "0", "--seed", "5", *FAST]) == 0
     capsys.readouterr()
-    rc = main(["metrics", "--checkpoint", str(run / "ckpt_final.npz"),
-               "--out", str(tmp_path / "rep"), "--seed", "5", *FAST])
+    rc = main(["metrics", "--checkpoint", str(run / "ckpt_final.npz"), "--out", str(tmp_path / "rep")])
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("state error: ") and err.count("\n") == 1, err
@@ -416,17 +413,25 @@ def test_metrics_one_in_one_flags_no_pairs(tmp_path):
     run = tmp_path / "run"
     main(["train", "--out", str(run), "--steps", "2", "--seed", "6", *args])
     out = tmp_path / "rep"
-    rc = main(["metrics", "--checkpoint", str(run / "ckpt_final.npz"),
-               "--out", str(out), "--seed", "6", *args])
+    rc = main(["metrics", "--checkpoint", str(run / "ckpt_final.npz"), "--out", str(out)])
     assert rc == 0
     entry = json.loads((out / "metrics.json").read_text())["per_layer"][0]
     assert entry["comb_usage"] == 0.0 and entry["comb_no_pairs"] is True
 
 
+def test_metrics_on_a_dense_twin_checkpoint_reports_no_routed_layer(tmp_path):
+    model = DenoiserConfig(layers=1, model_dim=8, tokens=4, num_experts=4, k=2, dense_hidden=16, dense=True)
+    trainer = Trainer(TrainerConfig(model=model, batch_size=4))
+    trainer.train_step()
+    save_checkpoint(tmp_path / "dense.npz", trainer)
+    assert main(["metrics", "--checkpoint", str(tmp_path / "dense.npz"), "--out", str(tmp_path / "rep")]) == 0
+    assert json.loads((tmp_path / "rep" / "metrics.json").read_text()) == {"per_layer": []}
+
+
 def test_ablate_rows_per_arm(tmp_path):
     out = tmp_path / "ablate"
     rc = main(["ablate", "--out", str(out), "--seed", "1", "--steps", "3",
-               "--arms", "expert-race:softmax;expert-race:sigmoid;expert-race:identity",
+               "--arms", "gating=softmax;gating=sigmoid;gating=identity",
                *FAST])
     assert rc == 0
     rows = read_csv(out / "ablate.csv")
@@ -442,7 +447,7 @@ def test_ablate_balance_settings_arms(tmp_path):
     out = tmp_path / "balance"
     rc = main(["ablate", "--out", str(out), "--seed", "2", "--steps", "3",
                "--arms",
-               "expert-race:identity:0:0;expert-race:identity:0:0.0001;expert-race:identity:0.0001:0",
+               "w_sim=0,w_blc=0;w_sim=0,w_blc=0.0001;w_sim=0.0001,w_blc=0",
                *FAST])
     assert rc == 0
     rows = read_csv(out / "ablate.csv")
@@ -454,7 +459,7 @@ def test_ablate_balance_settings_arms(tmp_path):
 def test_ablate_arm_matches_individual_run(tmp_path):
     arm_out = tmp_path / "arm"
     main(["ablate", "--out", str(arm_out), "--seed", "9", "--steps", "4",
-          "--arms", "token-choice:sigmoid", *FAST])
+          "--arms", "strategy=token-choice,gating=sigmoid", *FAST])
     solo_out = tmp_path / "solo"
     main(["train", "--out", str(solo_out), "--steps", "4", "--seed", "9",
           "--strategy", "token-choice", "--gating", "sigmoid", *FAST])
@@ -511,9 +516,10 @@ def test_out_that_cannot_be_a_directory_is_config_error_naming_it(tmp_path, caps
         "route-sim": ["--draws", "1"],
         "train": ["--steps", "1"],
         "metrics": ["--checkpoint", str(trained_checkpoint)],
-        "ablate": ["--steps", "1", "--arms", "expert-race:identity"],
+        "ablate": ["--steps", "1", "--arms", "gating=identity"],
     }[command]
-    rc = main([command, "--out", str(out), "--seed", "5", *FAST, *extra])
+    settings = [] if command == "metrics" else ["--seed", "5", *FAST]  # metrics reads its checkpoint's
+    rc = main([command, "--out", str(out), *settings, *extra])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and str(out) in err
@@ -537,7 +543,7 @@ def test_route_sim_single_expert_reports_zero_comb_usage(tmp_path):
 def test_ablate_single_expert_reports_zero_comb_usage(tmp_path):
     out = tmp_path / "ablate"
     rc = main(["ablate", "--out", str(out), "--seed", "1", "--steps", "2",
-               "--arms", "expert-race:identity;token-choice:softmax", *ONE_EXPERT])
+               "--arms", "gating=identity;strategy=token-choice,gating=softmax", *ONE_EXPERT])
     assert rc == 0
     rows = read_csv(out / "ablate.csv")
     assert [float(r["comb_usage"]) for r in rows] == [0.0, 0.0]
@@ -549,12 +555,13 @@ def test_ablate_columns_are_layer_means_of_the_routing_report(tmp_path):
     args = ["--seed", "4", "--steps", "3", "--batch-size", "4", "--tokens", "4", "--model-dim", "8",
             "--layers", "3", "--experts", "4", "--k", "2"]
     out = tmp_path / "ablate"
-    assert main(["ablate", "--out", str(out), "--arms", "bl-choice:softmax", *args]) == 0
+    assert main(["ablate", "--out", str(out), "--arms", "strategy=bl-choice,gating=softmax", *args]) == 0
     row = read_csv(out / "ablate.csv")[0]
 
     # the same arm, trained and routed again by hand on the held-out batch
-    cfg, config = cli.resolve_config(cli.build_parser().parse_args(
+    cfg = cli.resolve_settings(cli.build_parser().parse_args(
         ["train", "--strategy", "bl-choice", "--gating", "softmax", *args]))
+    config = cli.trainer_config_from(cfg)
     trainer = cli.Trainer(config)
     for _ in range(cfg["steps"]):
         trainer.train_step()
@@ -579,7 +586,7 @@ def test_route_sim_rejects_fewer_than_one_draw(tmp_path, capsys):
 
 def test_ablate_rejects_zero_steps_before_writing(tmp_path, capsys):
     out = tmp_path / "ablate"
-    rc = main(["ablate", "--out", str(out), "--steps", "0", "--arms", "expert-race:identity", *FAST])
+    rc = main(["ablate", "--out", str(out), "--steps", "0", "--arms", "gating=identity", *FAST])
     assert rc == 2
     assert "--steps" in capsys.readouterr().err
     assert not out.exists()
@@ -675,7 +682,8 @@ def old_version(version: int):
     return make
 
 
-CONFIG = resolve_config(build_parser().parse_args(["train", "--seed", "5", *FAST]))[1]  # the trained checkpoint's
+# the trained checkpoint's config
+CONFIG = trainer_config_from(resolve_settings(build_parser().parse_args(["train", "--seed", "5", *FAST])))
 N = sum(t.size for t in Trainer(CONFIG).opt.params)  # each state group's length
 # what the message says when a metadata field holds its value as JSON text; a new key's says " metadata 'key' "
 AS_TEXT = {"version": " has version '6'; this moelab reads version 6\n",
@@ -741,8 +749,14 @@ ROWS = [
     ("config-list", meta_with(config=[1, 2]), " metadata 'config' is not a JSON object\n"),
     ("version-text", meta_with(version="3"), " has version '3'; this moelab reads version 6\n"),
     ("step-bool", meta_with(step=True), " metadata 'step' is True, not a step count\n"),
-    ("batch_size", meta(lambda m: {**m, "config": {**m["config"], "batch_size": 8}}),
+    ("batch_size", meta(lambda m: {**m, "config": {**m["config"], "batch_size": 8}}),  # resume only
      " config mismatch (saved vs requested): {'batch_size': (8, 4)}\n"),
+    ("config-strategy", meta(lambda m: {**m, "config": {**m["config"], "strategy": "expert-rice"}}),
+     " metadata 'config': unknown strategy 'expert-rice'; choose from "),
+    ("config-k", meta(lambda m: {**m, "config": {**m["config"], "k": 99}}),
+     " metadata 'config': k=99 exceeds expert count 4\n"),
+    ("w_plr-missing", meta(lambda m: {**m, "config": {k: v for k, v in m["config"].items() if k != "w_plr"}}),
+     " config mismatch (saved vs requested): {'w_plr': (None, 0.01)}\n"),
     ("ema_decay", meta(lambda m: {**m, "config": {**m["config"], "ema_decay": 0.999}}),  # once a setting
      " config mismatch (saved vs requested): {'ema_decay': (0.999, None)}\n"),
     ("force_unit_gate", meta(lambda m: {**m, "config": {**m["config"], "force_unit_gate": False}}),  # dropped
@@ -758,10 +772,15 @@ ROWS = [
 ]
 
 
-@pytest.mark.parametrize("make,fragment", [pytest.param(make, fragment, id=row) for row, make, fragment in ROWS])
-def test_checkpoint_fault(tmp_path, capsys, trained_checkpoint, make, fragment):
-    # through `metrics` and `train --resume` alike: exit 2, one line naming the
-    # file and the fault, no --out, and the file and its directory untouched
+# a valid checkpoint of another config: only a resume that asks for the trained config refuses it
+RESUME_ONLY = {"batch_size"}
+
+
+@pytest.mark.parametrize("row,make,fragment", [pytest.param(*row, id=row[0]) for row in ROWS])
+def test_checkpoint_fault(tmp_path, capsys, trained_checkpoint, row, make, fragment):
+    # through `metrics` (which reads its config from the checkpoint) and
+    # `train --resume` alike: exit 2, one line naming the file and the
+    # fault, no --out, and the file and its directory untouched
     home, out = tmp_path / "home", tmp_path / "out"
     home.mkdir()
     broken = home / "broken.npz"
@@ -771,14 +790,18 @@ def test_checkpoint_fault(tmp_path, capsys, trained_checkpoint, make, fragment):
         return {p: p.read_bytes() if p.is_file() else None for p in home.rglob("*")}
 
     before = files()
-    for command in (["metrics", "--checkpoint"], ["train", "--steps", "2", "--resume"]):
+    metrics = ["metrics", "--checkpoint", str(broken), "--out", str(out)]
+    resume = ["train", "--steps", "2", "--resume", str(broken), "--out", str(out), "--seed", "5", *FAST]
+    for command in [resume] if row in RESUME_ONLY else [metrics, resume]:
         capsys.readouterr()
-        rc = main([*command, str(broken), "--out", str(out), "--seed", "5", *FAST])
+        rc = main(command)
         err = capsys.readouterr().err
         head, named, tail = err.partition(f"checkpoint {broken}")
         assert rc == 2 and head in ("config error: ", "config error: cannot read "), (command, err)
         assert named and tail.startswith(fragment) and err.count("\n") == 1, (command, err)
         assert not out.exists() and files() == before, command
+    if row in RESUME_ONLY:
+        assert main(metrics) == 0
 
 
 def test_a_compressed_copy_of_a_checkpoint_loads_bit_equal(tmp_path, trained_checkpoint):
@@ -790,7 +813,7 @@ def test_a_compressed_copy_of_a_checkpoint_loads_bit_equal(tmp_path, trained_che
 
 
 SCORES = "block 0: router scores have {} non-finite entries of 64\n"  # 4 rows of 4 tokens, 4 experts
-ARM = "arm 'expert-race:identity': "
+ARM = "arm 'gating=identity': "
 HELDOUT = "held-out batch 1: "
 # (row, the command; the trained checkpoint's tensor scaled and by what, or None for a fresh run at lr 1e300,
 #  whose first update overflows the weights; stderr after "numeric failure: "; what --out holds; log.csv's steps)
@@ -802,9 +825,9 @@ NUMERIC_ROWS = [
      ["config.snapshot", "log.csv"], []),
     ("metrics-nan-router", ["metrics"], ("block0.moe.gate_b", np.nan), HELDOUT + SCORES.format(64), None, None),
     ("metrics-huge-trunk", ["metrics"], ("in_w", 1e308), HELDOUT + SCORES.format(64), None, None),
-    ("ablate-step", ["ablate", "--steps", "3", "--arms", "expert-race:identity;token-choice:identity"], None,
+    ("ablate-step", ["ablate", "--steps", "3", "--arms", "gating=identity;strategy=token-choice"], None,
      ARM + "step 2: " + SCORES.format(64), ["config.snapshot"], None),
-    ("ablate-heldout", ["ablate", "--steps", "1", "--arms", "expert-race:identity"], None,
+    ("ablate-heldout", ["ablate", "--steps", "1", "--arms", "gating=identity"], None,
      ARM + HELDOUT + SCORES.format(64), ["config.snapshot"], None),
 ]
 
@@ -821,7 +844,8 @@ def test_numeric_failure_exits_3_in_one_line(tmp_path, capsys, trained_checkpoin
         (tmp_path / "diverge.cfg").write_text("lr = 1e300\n")
         given = ["--config", str(tmp_path / "diverge.cfg")]
     out = tmp_path / "out"
-    args = [*command, *given, "--out", str(out), "--seed", "5", *FAST]
+    settings = [] if command[0] == "metrics" else ["--seed", "5", *FAST]  # metrics reads its checkpoint's
+    args = [*command, *given, "--out", str(out), *settings]
     if command[0] == "train" and not fault:  # real stderr, once
         done = subprocess.run([sys.executable, "-m", "moelab", *args], capture_output=True, text=True, timeout=120,
                               env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")})
@@ -849,7 +873,8 @@ def test_python_dash_m_runs_the_cli(tmp_path):
 def test_missing_input_file_is_config_error_naming_it(tmp_path, capsys, command, flag):
     missing = tmp_path / "nope"
     out = tmp_path / "out"
-    rc = main([command, flag, str(missing), "--out", str(out), "--steps", "1", *FAST])
+    settings = [] if command == "metrics" else ["--steps", "1", *FAST]
+    rc = main([command, flag, str(missing), "--out", str(out), *settings])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and str(missing) in err
@@ -859,14 +884,18 @@ def test_missing_input_file_is_config_error_naming_it(tmp_path, capsys, command,
 @pytest.mark.parametrize(
     "arms,named",
     [
-        ("expert-race:identity;expert-race:sigmod", "unknown gating 'sigmod'"),
-        ("expert-race:identity;expert-rice:identity", "expert-rice"),
-        ("expert-race:identity;expert-race:identity:-1", "loss weights must be >= 0"),
-        ("expert-race:identity;expert-race:identity:0:x", "must be numbers"),
-        ("expert-race:identity;expert-race", "strategy:gating"),
-        ("expert-race:identity;expert-choice:identity", "E must divide"),
+        ("gating=identity;gating=sigmod", "arm 'gating=sigmod': unknown gating 'sigmod'"),
+        ("gating=identity;strategy=expert-rice", "arm 'strategy=expert-rice': unknown strategy 'expert-rice'"),
+        ("gating=identity;w_sim=-1", "arm 'w_sim=-1': loss weights must be >= 0"),
+        ("gating=identity;w_blc=x", "arm 'w_blc=x': config key 'w_blc' must be float, got 'x'\n"),
+        ("gating=identity;gating", "arm 'gating': expected 'key = value', got 'gating'\n"),
+        ("gating=identity;warp_speed=9", "arm 'warp_speed=9': unknown config key 'warp_speed'\n"),
+        ("gating=identity;k=1,k=2", "arm 'k=1,k=2': config key 'k' is already set in this arm\n"),
+        ("gating=identity;k=two", "arm 'k=two': config key 'k' must be int, got 'two'\n"),
+        ("gating=identity;strategy=expert-choice", "E must divide"),
     ],
-    ids=["gating", "strategy", "w_sim", "w_blc", "shape", "budget"],
+    ids=["gating", "strategy", "w_sim", "w_blc", "missing-equals", "unknown-key", "repeated-key", "k-wrong-type",
+         "budget"],
 )
 def test_ablate_validates_every_arm_before_training(tmp_path, capsys, monkeypatch, arms, named):
     from moelab import cli
@@ -882,7 +911,8 @@ def test_ablate_validates_every_arm_before_training(tmp_path, capsys, monkeypatc
     assert trained == [] and not (out / "ablate.csv").exists()
 
 
-@pytest.mark.parametrize("arms, rc", [("token-choice:identity", 0), ("token-choice:identity;expert-choice:identity", 2)],
+@pytest.mark.parametrize("arms, rc", [("strategy=token-choice", 0),
+                                      ("strategy=token-choice;strategy=expert-choice", 2)],
                          ids=["no-arm-uses-the-base", "an-arm-does"])
 def test_ablate_checks_the_arms_not_the_base_strategy_they_replace(tmp_path, capsys, arms, rc):
     # k * batch_size * tokens / experts = 1 * 2 * 3 / 4 is no integer K: only an arm may run expert-choice here
@@ -931,7 +961,7 @@ def test_a_bad_setting_is_one_config_error_line_before_writing(tmp_path, capsys,
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("\n".join([*lines, setting]) + "\n")
     out = tmp_path / "run"
-    arms = ["--arms", "expert-race:identity"] if command == "ablate" else []
+    arms = ["--arms", "gating=identity"] if command == "ablate" else []
     rc = main([command, "--config", str(cfg), "--out", str(out), *arms])
     assert rc == 2
     err = capsys.readouterr().err
