@@ -27,10 +27,9 @@ from .training import LogRecord, Trainer, TrainerConfig, load_checkpoint, save_c
 CONFIG_SCHEMA_VERSION = 1
 
 # A run's settings are TrainerConfig's flat fields (to_dict), with num_experts
-# spelled `experts` and without `dense` (no run builds the dense twin; metrics
-# reads one from its checkpoint), plus the run's own keys.
+# spelled `experts`, plus the run's own keys.
 _RUN_DEFAULTS = {"schema_version": CONFIG_SCHEMA_VERSION, "steps": 200, "checkpoint_every": 100}
-_CONFIG_DEFAULTS = {key: value for key, value in TrainerConfig().to_dict().items() if key != "dense"}
+_CONFIG_DEFAULTS = TrainerConfig().to_dict()
 _CONFIG_DEFAULTS["experts"] = _CONFIG_DEFAULTS.pop("num_experts")
 _CONFIG_DEFAULTS.update(_RUN_DEFAULTS)
 # the keys that also have a command-line flag

@@ -5,7 +5,9 @@ adaptive scale/shift computed from the (timestep, class) embedding, a
 token-mixing linear map in place of attention, and the MoE block, joined
 to the residual stream through a zero-initialized gate. With all adaptive
 output layers zero-initialized the whole network starts as the identity
-residual path and predicts exactly zero.
+residual path and predicts exactly zero. The dense twin is a setting, not
+another block: one expert, k=1 and softmax gating, which gates every token
+by exactly 1.0 (layer.moe_forward).
 
 A weight's name is its field path in DenoiserParams, such as
 "block0.moe.experts.w_in"; layer.named_tensors lists them in declaration order.
@@ -20,7 +22,7 @@ import numpy as np
 
 from . import layer as moe_layer
 from .diffusion import PARAMETERIZATIONS, build_schedule
-from .layer import ExpertParams, LayerOutput, MoeLayerParams, _xavier, init_experts, xavier_bound
+from .layer import LayerOutput, MoeLayerParams, _xavier
 from .routing import GATING_FUNCTIONS, ConfigError, NumericError, RoutingStrategy, get_strategy
 from .tensor import Tensor, gelu, matmul, take_cols, take_rows
 
@@ -42,14 +44,13 @@ def is_integer(value) -> bool:
 
 
 # a field's declared type -> the Python types its value may have, and their name
-_FIELD_KINDS = {"int": (int, "an integer"), "float": ((int, float), "a number"), "bool": (bool, "a bool"),
-                "str": (str, "a string")}
+_FIELD_KINDS = {"int": (int, "an integer"), "float": ((int, float), "a number"), "str": (str, "a string")}
 
 
 def check_field_types(config) -> None:
-    """Every field of a config dataclass declared `int`, `float`, `bool` or
-    `str` must hold that kind of value; anything else raises ConfigError
-    naming the field. A bool is no number; an int passes as a float and is
+    """Every field of a config dataclass declared `int`, `float` or `str`
+    must hold that kind of value; anything else raises ConfigError naming
+    the field. A bool is no number; an int passes as a float and is
     stored as one. A numpy scalar is stored as the Python one, so the config
     still writes to JSON."""
     for f in fields(config):
@@ -58,7 +59,7 @@ def check_field_types(config) -> None:
         kinds, noun = _FIELD_KINDS[f.type]
         value = getattr(config, f.name)
         plain = value.item() if isinstance(value, np.generic) else value
-        if not isinstance(plain, kinds) or (isinstance(plain, bool) and f.type != "bool"):
+        if not isinstance(plain, kinds) or isinstance(plain, bool):
             raise ConfigError(f"{f.name} must be {noun}, got {value!r}")
         if f.type == "float":
             try:
@@ -81,7 +82,6 @@ class DenoiserConfig:
     gating: str = "identity"
     parameterization: Literal["eps", "x0", "v"] = "eps"
     total_steps: int = 100  # of the cosine noise schedule
-    dense: bool = False  # plain FFN blocks instead of MoE (the twin model)
 
     def __post_init__(self):
         """A bad value raises a ConfigError naming its field; the strategy name is made canonical."""
@@ -114,8 +114,7 @@ class BlockParams:
     mod_w: Tensor  # (D, 3D) -> scale, shift, gate; zero-initialized
     mod_b: Tensor  # (3D,)
     mix_w: Tensor  # (L, L) token-mixing map
-    moe: MoeLayerParams | None  # None in dense mode
-    ffn: ExpertParams | None  # dense twin FFN: a bank of one expert
+    moe: MoeLayerParams
 
 
 @dataclass
@@ -162,22 +161,17 @@ def _zeros(*shape: int) -> Tensor:
 def init_denoiser(config: DenoiserConfig, seed_or_rng) -> DenoiserParams:
     """Xavier-uniform linears, zero-initialized adaptive and output layers."""
     rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) else np.random.default_rng(seed_or_rng)
-    d, L, H = config.model_dim, config.tokens, config.dense_hidden
+    d, L = config.model_dim, config.tokens
 
     blocks = []
     for _ in range(config.layers):
-        moe = ffn = None
-        if config.dense:
-            ffn = init_experts(rng, 1, d, H, xavier_bound(d, H))
-        else:
-            moe = moe_layer.init_params(config, rng)
+        moe = moe_layer.init_params(config, rng)
         blocks.append(
             BlockParams(
                 mod_w=_zeros(d, 3 * d),
                 mod_b=_zeros(3 * d),
                 mix_w=_xavier(rng, L, L),
                 moe=moe,
-                ffn=ffn,
             )
         )
 
@@ -234,12 +228,11 @@ def denoiser_forward(
 ) -> tuple[Tensor, list[LayerOutput]]:
     """Predict the regression target; collect per-layer routing artifacts.
 
-    Returns the prediction (B, L, D) and one LayerOutput per MoE block
-    (empty list in dense mode). Non-finite router scores raise NumericError
-    naming the block, with no numpy warning before it however the state
-    overflowed; a non-finite prediction is returned as it is, for the
-    caller's loss or sampler check. A class label that is not an integer
-    raises ConfigError.
+    Returns the prediction (B, L, D) and one LayerOutput per block.
+    Non-finite router scores raise NumericError naming the block, with no
+    numpy warning before it however the state overflowed; a non-finite
+    prediction is returned as it is, for the caller's loss or sampler
+    check. A class label that is not an integer raises ConfigError.
     """
     cfg = params.config
     strategy = cfg.routing_strategy()
@@ -261,17 +254,12 @@ def denoiser_forward(
             u = h * (scale + 1.0) + shift
             # token mixing: contract the L axis with a learned (L, L) map
             u = matmul(u.transpose(0, 2, 1), blk.mix_w).transpose(0, 2, 1)
-            if blk.moe is not None:
-                try:
-                    out = moe_layer.moe_forward(u, blk.moe, strategy, cfg.gating, cfg.k, mode)
-                except NumericError as exc:
-                    raise NumericError(f"block {i}: {exc}") from exc
-                layer_outputs.append(out)
-                y = out.y
-            else:  # a bank of one: its one expert takes every row
-                B, L, D = u.shape
-                y = moe_layer.expert_forward(blk.ffn, u.reshape(B * L, D), [0, B * L]).reshape(B, L, D)
-            h = h + y * gate
+            try:
+                out = moe_layer.moe_forward(u, blk.moe, strategy, cfg.gating, cfg.k, mode)
+            except NumericError as exc:
+                raise NumericError(f"block {i}: {exc}") from exc
+            layer_outputs.append(out)
+            h = h + out.y * gate
 
         f_scale, f_shift = _split_cols(matmul(cond, params.final_mod_w) + params.final_mod_b, 2)
         h = h * (f_scale + 1.0) + f_shift

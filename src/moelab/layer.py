@@ -8,12 +8,13 @@ producing the E affinity logits and a target head predicting the denoiser's
 regression target, which drives the per-layer regularization loss.
 
 An expert bank (ExpertParams) stacks its experts, w_in as (E, D, H) and
-w_out as (E, H, D); the dense twin's FFN is a bank of one. expert_forward
-is the one FFN: two segmented matmuls around one GELU, so each layer's
-graph has the same few nodes whatever E is. Dispatch is grouped and
-dropless (MegaBlocks-style, at desk scale; see moe_forward): the expert
-work is one row per selected pair. No token is dropped and no capacity is
-padded. An expert given no token is not run and gets an all-zero gradient.
+w_out as (E, H, D); the dense twin is a 1-in-1 layer with softmax gating,
+whose bank of one is the dense FFN. expert_forward is the one FFN: two
+segmented matmuls around one GELU, so each layer's graph has the same few
+nodes whatever E is. Dispatch is grouped and dropless (MegaBlocks-style,
+at desk scale; see moe_forward): the expert work is one row per selected
+pair. No token is dropped and no capacity is padded. An expert given no
+token is not run and gets an all-zero gradient.
 
 Each parameter dataclass, here and in the denoiser, declares its tensors
 once, as fields; `named_tensors` is the one list of them.

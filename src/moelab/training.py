@@ -172,7 +172,7 @@ class TrainerConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> TrainerConfig:
-        """The inverse of to_dict; a key left out, such as `dense`, takes its default."""
+        """The inverse of to_dict; a key left out takes its default."""
         own = {f.name for f in fields(cls)}
         model = DenoiserConfig(**{key: value for key, value in d.items() if key not in own})
         return cls(model=model, **{key: value for key, value in d.items() if key in own})
@@ -197,21 +197,29 @@ class Trainer(object):
         optimizer moments and an EMA shadow equal to the weights. With
         `blank`, the weights, moments and shadow are np.empty arrays
         instead, for load_checkpoint to overwrite: nothing is drawn, zeroed
-        or copied first."""
+        or copied first. Sizes no array can have raise one ConfigError
+        naming them."""
         self.config = config
         self.rng = np.random.default_rng(config.seed)
-        self.params = init_denoiser(config.model, _Undrawn() if blank else np.random.default_rng(config.seed))
-        self.schedule = build_schedule(config.model.total_steps)
-        self.task = SyntheticTask(
-            num_classes=config.model.num_classes,
-            tokens=config.model.tokens,
-            dim=config.model.model_dim,
-            seed=config.seed + 7919,
-        )
-        # the one walk: from here on AdamW's list is the order of every tensor
-        named = self.params.named_tensors()
-        self.opt = AdamW([t for _, t in named], lr=config.lr, blank=blank)
-        self.ema = WeightEma(named, blank=blank)
+        m = config.model
+        self.schedule = build_schedule(m.total_steps)
+        try:
+            self.params = init_denoiser(m, _Undrawn() if blank else np.random.default_rng(config.seed))
+            self.task = SyntheticTask(
+                num_classes=m.num_classes,
+                tokens=m.tokens,
+                dim=m.model_dim,
+                seed=config.seed + 7919,
+            )
+            # the one walk: from here on AdamW's list is the order of every tensor
+            named = self.params.named_tensors()
+            self.opt = AdamW([t for _, t in named], lr=config.lr, blank=blank)
+            self.ema = WeightEma(named, blank=blank)
+        except (ValueError, MemoryError) as exc:  # numpy's refusal of an array size; the config is checked
+            raise ConfigError(
+                f"layers={m.layers}, model_dim={m.model_dim}, tokens={m.tokens}, num_classes={m.num_classes}, "
+                f"num_experts={m.num_experts}, dense_hidden={m.dense_hidden} ask for arrays numpy cannot allocate: {exc}"
+            ) from None
 
     @property
     def step_count(self) -> int:
@@ -232,13 +240,12 @@ class Trainer(object):
         with np.errstate(over="ignore", invalid="ignore"):
             prediction, layer_outputs = denoiser_forward(batch.x_t, batch.t, batch.c, self.params, mode="train")
             diff = losses_mod.diffusion_loss(prediction, batch.y)
-            plr = sim = blc = None
-            if layer_outputs:
-                plr = losses_mod.per_layer_reg_loss([out.y_hat for out in layer_outputs], batch.y)
-                if cfg.model.num_experts >= 2:  # one expert: both are constant 1, so left out and logged 0.0
-                    aux = [aux_inputs_from_routing(out.route.mask, out.logits) for out in layer_outputs]
-                    sim = losses_mod.layer_mean([losses_mod.router_similarity_loss(M, P) for M, P in aux])
-                    blc = losses_mod.layer_mean([losses_mod.balance_loss(M, P, cfg.model.k) for M, P in aux])
+            plr = losses_mod.per_layer_reg_loss([out.y_hat for out in layer_outputs], batch.y)
+            sim = blc = None
+            if cfg.model.num_experts >= 2:  # one expert: both are constant 1, so left out and logged 0.0
+                aux = [aux_inputs_from_routing(out.route.mask, out.logits) for out in layer_outputs]
+                sim = losses_mod.layer_mean([losses_mod.router_similarity_loss(M, P) for M, P in aux])
+                blc = losses_mod.layer_mean([losses_mod.balance_loss(M, P, cfg.model.k) for M, P in aux])
             total, breakdown = losses_mod.total_loss(diff, plr, sim, blc, cfg.w_plr, cfg.w_sim, cfg.w_blc)
         if not np.isfinite(total.item()):
             raise NumericError(f"non-finite loss: {breakdown}")
@@ -264,7 +271,7 @@ class Trainer(object):
         for p in self.opt.params:  # applied: free the gradients until the next step
             p.grad = None
         self.ema.update(self.opt.params)
-        for blk, out in zip(self.params.blocks, layer_outputs):  # none when dense
+        for blk, out in zip(self.params.blocks, layer_outputs):
             ema_update(blk.moe.threshold, out.route.kth_values)
 
         report = metrics_mod.routing_report([out.route.mask for out in layer_outputs], cfg.model.k)
@@ -314,7 +321,7 @@ class Trainer(object):
         bad = c[(c < 0) | (c >= cfg.num_classes)]
         if bad.size:
             raise ConfigError(f"class label {bad[0]} outside [0, {cfg.num_classes})")
-        if not cfg.dense and not all(blk.moe.threshold.initialized for blk in self.params.blocks):
+        if not all(blk.moe.threshold.initialized for blk in self.params.blocks):
             raise StateError("sampling needs initialized thresholds; run training first")
         allocation_log: list[dict] = []
 
@@ -395,7 +402,7 @@ def save_checkpoint(path, trainer: Trainer) -> None:
     named_tensors() order, streamed from the trainer's own arrays with no
     concatenated copy. `meta_json` holds UTF-8 JSON bytes: the step count
     (the optimizer's, which `Trainer.step_count` reads), config, thresholds
-    (each block's tau: a number, or null when unset or for a dense block),
+    (each block's tau: a number, or null when unset),
     RNG state and the manifest `tensors`, a list of [name, shape] in that
     order.
 
@@ -408,7 +415,7 @@ def save_checkpoint(path, trainer: Trainer) -> None:
     path, before any file is written.
     """
     named = trainer.params.named_tensors()
-    thresholds = [blk.moe.threshold.tau if blk.moe is not None else None for blk in trainer.params.blocks]
+    thresholds = [blk.moe.threshold.tau for blk in trainer.params.blocks]
     meta = {
         "version": CHECKPOINT_VERSION,
         "step": trainer.step_count,
@@ -569,7 +576,10 @@ def load_checkpoint(path, config: TrainerConfig | None = None) -> Trainer:
             }
             raise ConfigError(f"checkpoint {path} config mismatch (saved vs requested): {diff}")
 
-        trainer = Trainer(config, blank=True)
+        try:
+            trainer = Trainer(config, blank=True)
+        except ConfigError as exc:  # a size no array can have
+            raise ConfigError(f"checkpoint {path}: {exc}") from None
         named = trainer.params.named_tensors()
         _check_manifest(path, meta["tensors"], named)
         for group, arrays in _state_groups(trainer).items():
@@ -584,8 +594,7 @@ def load_checkpoint(path, config: TrainerConfig | None = None) -> Trainer:
         for i, (blk, tau) in enumerate(zip(blocks, thresholds)):
             if not (tau is None or _is_float(tau) and math.isfinite(tau)):
                 raise ConfigError(f"checkpoint {path} block {i} threshold 'tau': {tau!r} is not a finite number or null")
-            if blk.moe is not None:
-                blk.moe.threshold.tau = None if tau is None else float(tau)
+            blk.moe.threshold.tau = None if tau is None else float(tau)
         try:
             trainer.rng.bit_generator.state = meta["rng_state"]
         except (KeyError, TypeError, ValueError, OverflowError):

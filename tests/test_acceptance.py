@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s`. The criteria pin their own
 tolerances; the slow ones (toy trainings) dominate the runtime.
 """
 
+import copy
 import itertools
 import time
 from dataclasses import dataclass, replace
@@ -11,6 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 from budgets import row_budgets
+from plain_ffn import plain_ffn_blocks
 from similarity import router_similarity_diag
 
 from moelab import losses as L
@@ -385,57 +387,46 @@ def test_criterion_8_combination_usage_oracle_and_fixture():
 # 9. dense-twin equivalence
 
 
-def _moe_name(dense_name: str) -> str:
-    """The 1-in-1 MoE's name for a dense twin's weight: a block's FFN is the layer's bank of one."""
-    return dense_name.replace(".ffn.", ".moe.experts.")
-
-
-def _graft_dense_twin(moe_trainer: Trainer, dense_trainer: Trainer) -> None:
-    moe_named = dict(moe_trainer.params.named_tensors())
-    for name, t in dense_trainer.params.named_tensors():  # every shape matches, the banks' too
-        t.data = moe_named[_moe_name(name)].data.copy()
-    dense_trainer.ema = type(dense_trainer.ema)(dense_trainer.params.named_tensors())
+def _twin(model: DenoiserConfig, **settings) -> TrainerConfig:
+    """The dense twin of a shape: one expert, k=1, softmax gating (every gate
+    exactly 1.0) and no per-layer regularization loss."""
+    return TrainerConfig(model=replace(model, num_experts=1, k=1, gating="softmax"), w_plr=0.0, **settings)
 
 
 def test_criterion_9_dense_twin_equivalence():
-    # softmax over the one expert gates every token by exactly 1.0
-    base = DenoiserConfig(layers=2, model_dim=16, tokens=8, num_classes=3,
-                          num_experts=1, k=1, dense_hidden=64, total_steps=40, gating="softmax")
-    no_aux = dict(w_plr=0.0, w_sim=0.0, w_blc=0.0)
-    moe_trainer = Trainer(TrainerConfig(model=base, batch_size=6, seed=4, **no_aux))
-    dense_trainer = Trainer(TrainerConfig(model=replace(base, dense=True), batch_size=6, seed=4, **no_aux))
-    _graft_dense_twin(moe_trainer, dense_trainer)
-
-    batch = moe_trainer.task.sample_batch(np.random.default_rng(5), 6, moe_trainer.schedule, "eps")
-    pred_moe, _ = moe_trainer.forward(batch, mode="train")
-    pred_dense, _ = dense_trainer.forward(batch, mode="train")
-    forward_gap = float(np.abs(pred_moe.data - pred_dense.data).max())
-    assert forward_gap == 0.0
-
+    # one config trained twice from one seed: routed, and with plain FFN blocks
+    twin = _twin(DenoiserConfig(layers=2, model_dim=16, tokens=8, num_classes=3, dense_hidden=64, total_steps=40),
+                 batch_size=6, seed=4)
+    routed, plain = Trainer(twin), Trainer(twin)
     gaps = []
     for _ in range(50):
-        rec_moe = moe_trainer.train_step()
-        rec_dense = dense_trainer.train_step()
-        gaps.append(abs(rec_moe.total - rec_dense.total))
+        rec_routed = routed.train_step()
+        with plain_ffn_blocks():
+            rec_plain = plain.train_step()
+        gaps.append(abs(rec_routed.total - rec_plain.total))
     assert max(gaps) == 0.0, f"trajectory gap {max(gaps)}"
-    report(9, "forward gap 0.0 and 50-step loss gap 0.0: the twin runs the same expert path")
+
+    batch = routed.task.sample_batch(np.random.default_rng(5), 6, routed.schedule, "eps")
+    pred_routed, _ = routed.forward(batch, mode="train")
+    with plain_ffn_blocks():
+        pred_plain, _ = plain.forward(batch, mode="train")
+    forward_gap = float(np.abs(pred_routed.data - pred_plain.data).max())
+    assert forward_gap == 0.0
+    report(9, "50-step loss gap 0.0 and forward gap 0.0: the 1-in-1 softmax MoE is the plain FFN model")
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_dense_twin_weights_equal_the_one_in_one_moe_bit_for_bit_at_the_default_shape(seed):
     # the default shape (B=32, L=16, D=64, 4 blocks) with one expert of the
-    # dense width, `v` at lr 2e-3 and no aux loss; softmax gates every token by 1.0
-    one = DenoiserConfig(num_experts=1, k=1, gating="softmax", parameterization="v")
-    no_aux = dict(w_plr=0.0, w_sim=0.0, w_blc=0.0)
-    moe_trainer = Trainer(TrainerConfig(model=one, lr=2e-3, seed=seed, **no_aux))
-    dense_trainer = Trainer(TrainerConfig(model=replace(one, dense=True), lr=2e-3, seed=seed, **no_aux))
-    _graft_dense_twin(moe_trainer, dense_trainer)
+    # dense width, `v` at lr 2e-3
+    twin = _twin(DenoiserConfig(parameterization="v"), lr=2e-3, seed=seed)
+    routed, plain = Trainer(twin), Trainer(twin)
     for _ in range(3):
-        moe_trainer.train_step()
-        dense_trainer.train_step()
-    moe_named = dict(moe_trainer.params.named_tensors())
-    for name, t in dense_trainer.params.named_tensors():
-        assert np.array_equal(t.data, moe_named[_moe_name(name)].data), name
+        routed.train_step()
+        with plain_ffn_blocks():
+            plain.train_step()
+    for (name, a), (_, b) in zip(routed.params.named_tensors(), plain.params.named_tensors(), strict=True):
+        assert np.array_equal(a.data, b.data), name
 
 
 # ----------------------------------------------------------------------
@@ -529,7 +520,7 @@ def test_v_run_samples_the_task_law_under_thresholds(v_runs):
     runs, _ = v_runs
     lines = []
     for seed, run in runs.items():
-        trainer = run.trainer
+        trainer = copy.deepcopy(run.trainer)  # the fixture stays at step 200 for the other tests
         while trainer.step_count < 300:
             trainer.train_step()
         c = np.arange(32) % trainer.config.model.num_classes
@@ -545,6 +536,7 @@ def test_v_run_samples_the_task_law_under_thresholds(v_runs):
             assert ACTIVE_BAND[0] <= active <= ACTIVE_BAND[1], f"seed {seed}: {active:.3f} experts per token on {where}"
 
         excess = ", ".join(f"{lo}-{hi}: {e:.3f}" for (lo, hi), e in zip(EXCESS_BUCKETS, _excess_by_bucket(trainer)))
+        assert run.trainer.step_count == 200
         lines.append(f"seed {seed}: accuracy {quality.accuracy:.2f}, log-lik/dim {quality.log_likelihood:.3f}, "
                      f"experts/token {on_data:.3f} on data, {sampling:.3f} sampling; excess loss by t {excess}")
     print("\nPASS v run, 300 steps, 32 samples per seed:\n  " + "\n  ".join(lines))

@@ -343,7 +343,7 @@ def test_trainer_config_from_dict_inverts_to_dict():
     other = TrainerConfig(
         model=DenoiserConfig(layers=2, model_dim=12, tokens=6, num_classes=3, num_experts=3, k=3,
                              dense_hidden=24, strategy="token-choice", gating="softmax", parameterization="v",
-                             total_steps=30, dense=True),
+                             total_steps=30),
         batch_size=5, lr=3e-3, w_plr=0.5, w_sim=0.25, w_blc=0.125, seed=9,
     )
     assert all(other.to_dict()[key] != value for key, value in default.to_dict().items())
@@ -419,13 +419,17 @@ def test_metrics_one_in_one_flags_no_pairs(tmp_path):
     assert entry["comb_usage"] == 0.0 and entry["comb_no_pairs"] is True
 
 
-def test_metrics_on_a_dense_twin_checkpoint_reports_no_routed_layer(tmp_path):
-    model = DenoiserConfig(layers=1, model_dim=8, tokens=4, num_experts=4, k=2, dense_hidden=16, dense=True)
-    trainer = Trainer(TrainerConfig(model=model, batch_size=4))
-    trainer.train_step()
-    save_checkpoint(tmp_path / "dense.npz", trainer)
-    assert main(["metrics", "--checkpoint", str(tmp_path / "dense.npz"), "--out", str(tmp_path / "rep")]) == 0
-    assert json.loads((tmp_path / "rep" / "metrics.json").read_text()) == {"per_layer": []}
+def test_metrics_on_the_dense_twin_reads_one_expert_per_token_in_each_layer(tmp_path):
+    # the twin is a setting of the existing keys: one expert, k=1, softmax gating and no PLR term
+    twin = ["--batch-size", "4", "--tokens", "4", "--model-dim", "8", "--layers", "2",
+            "--experts", "1", "--k", "1", "--gating", "softmax", "--w-plr", "0"]
+    run = tmp_path / "run"
+    assert main(["train", "--out", str(run), "--steps", "2", *twin]) == 0
+    assert main(["metrics", "--checkpoint", str(run / "ckpt_final.npz"), "--out", str(tmp_path / "rep")]) == 0
+    per_layer = json.loads((tmp_path / "rep" / "metrics.json").read_text())["per_layer"]
+    assert [entry["layer"] for entry in per_layer] == [0, 1]
+    for entry in per_layer:
+        assert entry["mean_active"] == 1.0 and entry["tau"] == 1.0 and entry["comb_no_pairs"] is True, entry
 
 
 def test_ablate_rows_per_arm(tmp_path):
@@ -761,6 +765,8 @@ ROWS = [
      " config mismatch (saved vs requested): {'ema_decay': (0.999, None)}\n"),
     ("force_unit_gate", meta(lambda m: {**m, "config": {**m["config"], "force_unit_gate": False}}),  # dropped
      " config mismatch (saved vs requested): {'force_unit_gate': (False, None)}\n"),
+    ("dense", meta(lambda m: {**m, "config": {**m["config"], "dense": False}}),  # dropped: the twin is a setting
+     " config mismatch (saved vs requested): {'dense': (False, None)}\n"),
     *[(f"version-{v}", old_version(v), f" has version {v}; this moelab reads version 6\n") for v in (1, 2, 3, 4, 5)],
     ("text", lambda path, _: path.write_text("step = 3\n"), " is not an .npz archive\n"),
     ("empty", lambda path, _: path.write_bytes(b""), " is not an .npz archive\n"),
@@ -802,6 +808,20 @@ def test_checkpoint_fault(tmp_path, capsys, trained_checkpoint, row, make, fragm
         assert not out.exists() and files() == before, command
     if row in RESUME_ONLY:
         assert main(metrics) == 0
+
+
+def test_a_size_no_array_can_have_is_one_config_error_line(tmp_path, capsys, trained_checkpoint):
+    # numpy refuses a (2**62, 2**62) weight before it allocates anything
+    huge = tmp_path / "huge.npz"
+    meta(lambda m: {**m, "config": {**m["config"], "model_dim": 2**62}})(huge, trained_checkpoint)
+    sizes = "model_dim=4611686018427387904, tokens="
+    for command, said in [(["train", "--model-dim", str(2**62), "--steps", "1"], f"config error: layers=4, {sizes}"),
+                          (["metrics", "--checkpoint", str(huge)], f"config error: checkpoint {huge}: layers=1, {sizes}")]:
+        out = tmp_path / "out"
+        assert main([*command, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(said) and " ask for arrays numpy cannot allocate: " in err, err
+        assert err.count("\n") == 1 and not out.exists(), err
 
 
 def test_a_compressed_copy_of_a_checkpoint_loads_bit_equal(tmp_path, trained_checkpoint):

@@ -6,6 +6,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from plain_ffn import plain_ffn_blocks
 
 from moelab import layer, training
 from moelab.denoiser import DenoiserConfig, denoiser_forward, init_denoiser
@@ -238,36 +239,20 @@ def test_denoiser_prediction_shape_matches_target():
 def test_dense_twin_forward_matches_one_in_one():
     from dataclasses import replace
 
-    moe_cfg = replace(SMALL, num_experts=1, k=1, gating="softmax")
-    moe = init_denoiser(moe_cfg, 21)
-    dense = init_denoiser(replace(SMALL, dense=True, num_experts=1, k=1), 22)
-    # graft the MoE expert weights into the dense twin
-    for blk_moe, blk_dense in zip(moe.blocks, dense.blocks):
-        blk_dense.ffn.w_in.data = blk_moe.moe.experts.w_in.data.copy()
-        blk_dense.ffn.w_out.data = blk_moe.moe.experts.w_out.data.copy()
-    for name in ("in_w", "in_b", "class_emb", "t_w1", "t_b1", "t_w2", "t_b2",
-                 "final_mod_w", "final_mod_b", "out_w", "out_b"):
-        getattr(dense, name).data = getattr(moe, name).data.copy()
-    for blk_moe, blk_dense in zip(moe.blocks, dense.blocks):
-        blk_dense.mod_w.data = blk_moe.mod_w.data.copy()
-        blk_dense.mod_b.data = blk_moe.mod_b.data.copy()
-        blk_dense.mix_w.data = blk_moe.mix_w.data.copy()
+    params = init_denoiser(replace(SMALL, num_experts=1, k=1, gating="softmax"), 21)
     # make the comparison non-trivial: randomize the adaptive layers
     rng = np.random.default_rng(23)
-    for blk_moe, blk_dense in zip(moe.blocks, dense.blocks):
-        w = rng.normal(scale=0.1, size=blk_moe.mod_w.data.shape)
-        blk_moe.mod_w.data = w
-        blk_dense.mod_w.data = w.copy()
-    out_w = rng.normal(scale=0.1, size=moe.out_w.data.shape)
-    moe.out_w.data = out_w
-    dense.out_w.data = out_w.copy()
+    for blk in params.blocks:
+        blk.mod_w.data = rng.normal(scale=0.1, size=blk.mod_w.data.shape)
+    params.out_w.data = rng.normal(scale=0.1, size=params.out_w.data.shape)
 
     x_t = rng.normal(size=(3, SMALL.tokens, SMALL.model_dim))
     t = np.array([5, 9, 2])
     c = np.array([0, 1, 2])
-    pred_moe, _ = denoiser_forward(x_t, t, c, moe, mode="train")
-    pred_dense, _ = denoiser_forward(x_t, t, c, dense)
-    assert np.abs(pred_moe.data - pred_dense.data).max() < 1e-10
+    pred_routed, _ = denoiser_forward(x_t, t, c, params, mode="train")
+    with plain_ffn_blocks():
+        pred_plain, _ = denoiser_forward(x_t, t, c, params, mode="train")
+    assert np.array_equal(pred_routed.data, pred_plain.data)
 
 
 def test_one_in_one_moe_logs_no_similarity_or_balance_loss():
@@ -567,17 +552,16 @@ _MOE_MANIFEST = _STEM + [
     ("block1.moe.target_w", (16, 16)), ("block1.moe.target_b", (16,)),
     ("block1.moe.experts.w_in", (4, 16, 16)), ("block1.moe.experts.w_out", (4, 16, 16)),
 ] + _HEAD
-_DENSE_MANIFEST = _STEM + [
-    ("block0.mod_w", (16, 48)), ("block0.mod_b", (48,)), ("block0.mix_w", (8, 8)),
-    ("block0.ffn.w_in", (1, 16, 32)), ("block0.ffn.w_out", (1, 32, 16)),
-    ("block1.mod_w", (16, 48)), ("block1.mod_b", (48,)), ("block1.mix_w", (8, 8)),
-    ("block1.ffn.w_in", (1, 16, 32)), ("block1.ffn.w_out", (1, 32, 16)),
-] + _HEAD
+# the dense twin's layout is the MoE's, with one gate logit and one expert of the dense width
+_TWIN_SHAPES = {"gate_w": (16, 1), "gate_b": (1,), "w_in": (1, 16, 32), "w_out": (1, 32, 16)}
+_TWIN_MANIFEST = [(name, _TWIN_SHAPES.get(name.rsplit(".", 1)[-1], shape)) for name, shape in _MOE_MANIFEST]
 
 
-@pytest.mark.parametrize("dense, manifest", [(False, _MOE_MANIFEST), (True, _DENSE_MANIFEST)], ids=["moe", "dense"])
-def test_the_manifest_is_the_version_6_layout(dense, manifest, tmp_path):
-    trainer = small_trainer(dense=dense)
+@pytest.mark.parametrize("overrides, manifest", [({}, _MOE_MANIFEST),
+                                                 (dict(num_experts=1, k=1, gating="softmax"), _TWIN_MANIFEST)],
+                         ids=["moe", "twin"])
+def test_the_manifest_is_the_version_6_layout(overrides, manifest, tmp_path):
+    trainer = small_trainer(**overrides)
     named = trainer.params.named_tensors()
     assert [(name, t.shape) for name, t in named] == manifest
     assert len(trainer.opt.params) == len(named)
@@ -678,7 +662,7 @@ def test_loaded_state_arrays_own_their_memory(tmp_path):
     assert all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))
 
 
-TYPE_NOUNS = {"int": "an integer", "float": "a number", "bool": "a bool", "str": "a string"}
+TYPE_NOUNS = {"int": "an integer", "float": "a number", "str": "a string"}
 
 
 @pytest.mark.parametrize(
@@ -698,25 +682,23 @@ TYPE_NOUNS = {"int": "an integer", "float": "a number", "bool": "a bool", "str":
         (DenoiserConfig, "strategy", True),
         (DenoiserConfig, "gating", []),
         (DenoiserConfig, "gating", 1),
-        (DenoiserConfig, "dense", "no"),
-        (DenoiserConfig, "dense", 1),
-        (DenoiserConfig, "dense", 0.0),
         (TrainerConfig, "lr", True),
         (TrainerConfig, "lr", "0.1"),
         (TrainerConfig, "lr", None),
         (TrainerConfig, "w_plr", True),
         (TrainerConfig, "w_sim", "0.1"),
-        (TrainerConfig, "w_blc", np.bool_(True)),
-        (TrainerConfig, "model", None),
-        (TrainerConfig, "model", {"layers": 2}),
         # ints past float range; str() of one past 4,300 digits raises, so the ids are spelled out
         pytest.param(TrainerConfig, "lr", 10**400, id="TrainerConfig-lr-10**400"),
         pytest.param(TrainerConfig, "w_plr", 10**5000, id="TrainerConfig-w_plr-10**5000"),
         pytest.param(TrainerConfig, "w_sim", -10**5000, id="TrainerConfig-w_sim--10**5000"),
+        # pytest names two of these by list position (bad22, bad24): add new rows below them
+        (TrainerConfig, "w_blc", np.bool_(True)),
+        (TrainerConfig, "model", None),
+        (TrainerConfig, "model", {"layers": 2}),
     ],
 )
 def test_integer_settings_refuse_floats_and_bools(config, key, bad):
-    # every int, float, bool and str field refuses any other kind of value,
+    # every int, float and str field refuses any other kind of value,
     # a bool included, and TrainerConfig's model must be a DenoiserConfig
     declared = {f.name: f.type for f in fields(config)}[key]
     noun = TYPE_NOUNS.get(declared, f"a {declared}")
@@ -734,6 +716,18 @@ def test_integer_settings_refuse_floats_and_bools(config, key, bad):
     if declared == "float":
         value = getattr(config(**{key: 1}), key)  # an int passes as a float, stored as one
         assert type(value) is float and value == 1.0
+
+
+@pytest.mark.parametrize("size", [dict(model_dim=2**62), dict(tokens=2**40), dict(dense_hidden=2**62)],
+                         ids=["model_dim", "tokens", "dense_hidden"])
+@pytest.mark.parametrize("blank", [False, True], ids=["drawn", "blank"])
+def test_a_size_no_array_can_have_is_one_config_error(size, blank):
+    # each asks for a weight numpy refuses before it allocates anything
+    model = DenoiserConfig(**size)
+    sizes = (f"layers=4, model_dim={model.model_dim}, tokens={model.tokens}, num_classes=4, num_experts=8, "
+             f"dense_hidden={model.dense_hidden} ask for arrays numpy cannot allocate: array is too big")
+    with pytest.raises(ConfigError, match="^" + re.escape(sizes)):
+        Trainer(TrainerConfig(model=model), blank=blank)
 
 
 def test_sampling_requires_thresholds():

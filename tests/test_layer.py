@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from plain_ffn import plain_ffn
 
 from moelab.denoiser import DenoiserConfig
 from moelab.layer import (
@@ -25,12 +26,6 @@ def expert(params, i):
     E = bank.w_in.shape[0]
     w_in, w_out = (take_rows(w.reshape(E, -1), [i]).reshape((1, *w.shape[1:])) for w in (bank.w_in, bank.w_out))
     return ExpertParams(w_in=w_in, w_out=w_out)
-
-
-def dense_ffn(bank, x):
-    """A bank of one as a dense FFN on (B, L, D) input: its one expert takes every row."""
-    B, L, D = x.shape
-    return expert_forward(bank, x.reshape(B * L, D), [0, B * L]).reshape(B, L, D)
 
 
 def make_config(d=8, e=4, k=2, dense=32):
@@ -145,7 +140,7 @@ def test_moe_forward_single_expert_gate_scaling():
     out = moe_forward(x, params, get_strategy("token-choice"), "identity", cfg.k, "train")
     (chosen,) = np.nonzero(out.route.mask[0, 0])[0].reshape(-1)[:1]
     gate = out.route.gated.data[0, 0, chosen]
-    expert_out = dense_ffn(expert(params, chosen), x).data[0, 0]
+    expert_out = plain_ffn(expert(params, chosen), x).data[0, 0]
     assert np.allclose(out.y.data[0, 0], gate * expert_out, atol=1e-13)
 
 
@@ -166,7 +161,7 @@ def test_dense_equivalence_one_in_one():
     params = init_params(cfg, 11)
     x = Tensor(np.random.default_rng(4).normal(size=(2, 5, 6)))
     out = moe_forward(x, params, get_strategy("token-choice"), "softmax", cfg.k, "train")
-    dense = dense_ffn(expert(params, 0), x)
+    dense = plain_ffn(expert(params, 0), x)
     assert np.array_equal(out.y.data, dense.data)
 
 
@@ -310,7 +305,7 @@ def dense_masked_reference(x, params, strategy, gating, k, mode):
     for i in range(E):
         sel = np.zeros((E, 1))
         sel[i, 0] = 1.0
-        term = dense_ffn(expert(params, i), x) * matmul(result.gated * Tensor(result.mask), Tensor(sel))
+        term = plain_ffn(expert(params, i), x) * matmul(result.gated * Tensor(result.mask), Tensor(sel))
         y = term if y is None else y + term
     return y, result
 
