@@ -14,7 +14,7 @@ segmented matmuls around one GELU, so each layer's graph has the same few
 nodes whatever E is. Dispatch is grouped and dropless (MegaBlocks-style,
 at desk scale; see moe_forward): the expert work is one row per selected
 pair. No token is dropped and no capacity is padded. An expert given no
-token is not run and gets an all-zero gradient.
+token runs on zero rows, so it adds nothing and gets an all-zero gradient.
 
 Each parameter dataclass, here and in the denoiser, declares its tensors
 once, as fields; `named_tensors` is the one list of them.
@@ -157,7 +157,7 @@ def init_params(config: DenoiserConfig, seed_or_rng) -> MoeLayerParams:
 
 def expert_forward(experts: ExpertParams, x: Tensor, offsets) -> Tensor:
     """Expert i's linear -> GELU -> linear on rows offsets[i]:offsets[i + 1] of the (rows, D)
-    input x: segment_matmul over w_in (one GEMM per non-empty segment), GELU, segment_matmul over w_out."""
+    input x: segment_matmul over w_in (one GEMM per segment, even empty), GELU, segment_matmul over w_out."""
     return segment_matmul(gelu(segment_matmul(x, experts.w_in, offsets)), experts.w_out, offsets)
 
 
@@ -181,7 +181,7 @@ def moe_forward(
     (one gather of the flat gated scores, which applies the mask) and
     scatter-added into y in one op.
     Expert work is one row per selected pair: B*L*k in train mode,
-    mask.sum() in infer mode; if none is selected, y is a zero constant.
+    mask.sum() in infer mode; zero rows, and y = 0, when none is selected.
     The router trunk runs once and feeds both heads; the target head's
     prediction rides along for the per-layer regularization loss. A 1-in-1
     layer with softmax gating has every gate exactly 1.0, so y is exactly
@@ -194,14 +194,11 @@ def moe_forward(
     B, L, D = x.shape
     E = params.experts.w_in.shape[0]
     experts_of, rows = np.nonzero(result.mask.reshape(B * L, E).T)
-    if rows.size == 0:
-        y = Tensor(np.zeros((B, L, D)))
-    else:
-        offsets = np.concatenate(([0], np.cumsum(np.bincount(experts_of, minlength=E))))
-        x_pairs = take_rows(x.reshape(B * L, D), rows)  # (pairs, D), expert-major
-        out = expert_forward(params.experts, x_pairs, offsets)
-        gates = take_rows(result.gated.reshape(B * L * E, 1), rows * E + experts_of)
-        y = scatter_rows(out * gates, rows, B * L).reshape(B, L, D)
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(experts_of, minlength=E))))
+    x_pairs = take_rows(x.reshape(B * L, D), rows)  # (pairs, D), expert-major
+    out = expert_forward(params.experts, x_pairs, offsets)
+    gates = take_rows(result.gated.reshape(B * L * E, 1), rows * E + experts_of)
+    y = scatter_rows(out * gates, rows, B * L).reshape(B, L, D)
 
     y_hat = params.target_prediction(h)
     return LayerOutput(y=y, route=result, y_hat=y_hat, logits=logits)

@@ -9,7 +9,7 @@ known law.
 
 `routing_report` turns a stack of masks (a model's layers, or a block of
 route-sim draws) into the one set of records that the train log, `metrics`,
-`ablate` and `route-sim` all write from, in one pass over the stack.
+`ablate` and `route-sim` all write from.
 """
 
 from __future__ import annotations
@@ -203,8 +203,8 @@ def routing_report(
     comb_usage, comb_no_pairs, mean_active (experts per token) and, given
     the samples' (N,) timesteps t and the schedule length t_max,
     allocation_bucket_variance. A single expert has no pairs: comb_usage
-    0.0 with comb_no_pairs true. All records come from one pass over the
-    stack; each equals the one its mask would get on its own, bit for bit.
+    0.0 with comb_no_pairs true. Each record is bit-equal to its mask's own;
+    the stack is read in one pass, but allocation_bucket_variance per mask.
     A list of masks of unequal shapes raises ConfigError naming two of them.
     """
     if t is not None and t_max is None:

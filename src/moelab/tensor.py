@@ -373,9 +373,9 @@ def segment_matmul(x: Tensor, w: Tensor, offsets) -> Tensor:
 
     `x` is (n, d) with its rows sorted by segment, `w` stacks the S segment
     weights as (S, d, m) and `offsets` holds the S + 1 segment boundaries,
-    rising from 0 to n. One GEMM per non-empty segment and no padding.
-    Backward writes each segment's dW into its slice of one zero gradient,
-    so an empty segment's slice stays exact zeros.
+    rising from 0 to n. One GEMM per segment, empty ones included, and no
+    padding. Backward writes each segment's slice of dW; numpy writes exact
+    +0.0 for a contraction of length zero, so an empty segment's is zeros.
     """
     x, w = Tensor._coerce(x), Tensor._coerce(w)
     if x.data.ndim != 2 or w.data.ndim != 3 or w.shape[1] != x.shape[1]:
@@ -391,21 +391,21 @@ def segment_matmul(x: Tensor, w: Tensor, offsets) -> Tensor:
             f"segment_matmul offsets {offsets.tolist()} must rise from 0 to the {x.shape[0]} rows "
             f"of x in the {w.shape[0]} segments of {w.shape}"
         )
-    segments = [(s, lo, hi) for s, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])) if lo < hi]
+    segments = list(enumerate(zip(offsets[:-1], offsets[1:])))
     out = np.empty((x.shape[0], w.shape[2]))
-    for s, lo, hi in segments:
+    for s, (lo, hi) in segments:
         np.matmul(x.data[lo:hi], w.data[s], out=out[lo:hi])
     xn, x_data, wn, w_data = x._node, x.data, w._node, w.data
 
     def gfn(g):
         if xn is not None:
             dx = np.empty_like(x_data)  # the segments cover every row
-            for s, lo, hi in segments:
+            for s, (lo, hi) in segments:
                 np.matmul(g[lo:hi], w_data[s].T, out=dx[lo:hi])
             _accumulate(xn, dx)
         if wn is not None:
-            dw = np.zeros_like(w_data)
-            for s, lo, hi in segments:
+            dw = np.empty_like(w_data)  # the segments cover every slice
+            for s, (lo, hi) in segments:
                 np.matmul(x_data[lo:hi].T, g[lo:hi], out=dw[s])
             _accumulate(wn, dw)
 
@@ -491,13 +491,13 @@ def _scatter_add(idx: np.ndarray, src: np.ndarray, n: int) -> np.ndarray:
     """An (n, cols) zero table with src[j] added into row idx[j], for 1-D
     in-range `idx` and 2-D `src`.
 
-    One np.bincount over the flat indices idx[j] * cols + c. It adds each
-    element's terms in index order starting from zero, as np.add.at does,
-    so the result is bit-identical to np.add.at's.
+    One np.bincount over the flat indices idx[j] * cols + c, cast to float64
+    (it is int64 on an empty idx). It adds each element's terms in index
+    order starting from zero, as np.add.at does, so the bits equal np.add.at's.
     """
     cols = src.shape[1]
     flat = (idx[:, None] * cols + np.arange(cols)).reshape(-1)
-    return np.bincount(flat, weights=src.reshape(-1), minlength=n * cols).reshape(n, cols)
+    return np.bincount(flat, weights=src.reshape(-1), minlength=n * cols).astype(np.float64, copy=False).reshape(n, cols)
 
 
 def take_rows(table: Tensor, indices) -> Tensor:

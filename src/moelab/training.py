@@ -197,8 +197,8 @@ class Trainer(object):
         optimizer moments and an EMA shadow equal to the weights. With
         `blank`, the weights, moments and shadow are np.empty arrays
         instead, for load_checkpoint to overwrite: nothing is drawn, zeroed
-        or copied first. Sizes no array can have raise one ConfigError
-        naming them."""
+        or copied first. Sizes no weight or batch array can have raise one
+        ConfigError naming them."""
         self.config = config
         self.rng = np.random.default_rng(config.seed)
         m = config.model
@@ -215,10 +215,12 @@ class Trainer(object):
             named = self.params.named_tensors()
             self.opt = AdamW([t for _, t in named], lr=config.lr, blank=blank)
             self.ema = WeightEma(named, blank=blank)
+            np.empty((config.batch_size, m.tokens, m.model_dim))  # a train batch's (B, L, D), pages untouched
         except (ValueError, MemoryError) as exc:  # numpy's refusal of an array size; the config is checked
             raise ConfigError(
                 f"layers={m.layers}, model_dim={m.model_dim}, tokens={m.tokens}, num_classes={m.num_classes}, "
-                f"num_experts={m.num_experts}, dense_hidden={m.dense_hidden} ask for arrays numpy cannot allocate: {exc}"
+                f"num_experts={m.num_experts}, dense_hidden={m.dense_hidden}, batch_size={config.batch_size} ask for "
+                f"arrays numpy cannot allocate: {exc}"
             ) from None
 
     @property

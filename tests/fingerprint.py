@@ -50,7 +50,7 @@ def fingerprint(config: TrainerConfig, steps: int) -> str:
         + trainer.opt.v
     ):
         digest.update(arr.tobytes())
-    taus = [blk.moe.threshold.tau if blk.moe is not None else None for blk in trainer.params.blocks]
+    taus = [blk.moe.threshold.tau for blk in trainer.params.blocks]
     digest.update(repr(taus).encode())
     digest.update(str(trainer.step_count).encode())
     digest.update(json.dumps(trainer.rng.bit_generator.state, sort_keys=True).encode())

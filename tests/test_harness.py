@@ -718,16 +718,18 @@ def test_integer_settings_refuse_floats_and_bools(config, key, bad):
         assert type(value) is float and value == 1.0
 
 
-@pytest.mark.parametrize("size", [dict(model_dim=2**62), dict(tokens=2**40), dict(dense_hidden=2**62)],
-                         ids=["model_dim", "tokens", "dense_hidden"])
+@pytest.mark.parametrize("size,batch_size", [(dict(model_dim=2**62), 32), (dict(tokens=2**40), 32),
+                                              (dict(dense_hidden=2**62), 32), ({}, 2**62)],
+                         ids=["model_dim", "tokens", "dense_hidden", "batch_size"])
 @pytest.mark.parametrize("blank", [False, True], ids=["drawn", "blank"])
-def test_a_size_no_array_can_have_is_one_config_error(size, blank):
-    # each asks for a weight numpy refuses before it allocates anything
+def test_a_size_no_array_can_have_is_one_config_error(size, batch_size, blank):
+    # each asks for a weight, or a batch's (B, L, D) arrays, that numpy refuses before it allocates anything
     model = DenoiserConfig(**size)
     sizes = (f"layers=4, model_dim={model.model_dim}, tokens={model.tokens}, num_classes=4, num_experts=8, "
-             f"dense_hidden={model.dense_hidden} ask for arrays numpy cannot allocate: array is too big")
+             f"dense_hidden={model.dense_hidden}, batch_size={batch_size} "
+             "ask for arrays numpy cannot allocate: array is too big")
     with pytest.raises(ConfigError, match="^" + re.escape(sizes)):
-        Trainer(TrainerConfig(model=model), blank=blank)
+        Trainer(TrainerConfig(model=model, batch_size=batch_size), blank=blank)
 
 
 def test_sampling_requires_thresholds():
@@ -795,6 +797,19 @@ def test_sampling_smoke_and_determinism():
     assert np.all(np.isfinite(xa))
     assert len(alloc) == SMALL.total_steps
     assert all(len(e["mean_active_per_layer"]) == SMALL.layers for e in alloc)
+
+
+def test_sampling_with_every_expert_off_runs_the_experts_on_zero_rows():
+    # tau = +inf selects no expert in any block, as an experts-off ablation does
+    trainer = small_trainer(seed=6, parameterization="v")
+    for _ in range(2):
+        trainer.train_step()
+    for blk in trainer.params.blocks:
+        blk.moe.threshold.tau = np.inf
+    x, alloc = trainer.sample(2, 1, rng=np.random.default_rng(99))
+    assert np.all(np.isfinite(x))
+    assert len(alloc) == SMALL.total_steps
+    assert all(e["mean_active_per_layer"] == [0.0] * SMALL.layers for e in alloc)
 
 
 def test_sampler_allocation_matches_profile_on_same_masks(monkeypatch):

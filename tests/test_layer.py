@@ -153,7 +153,11 @@ def test_moe_forward_all_gates_zero_gives_zero_output():
         out = moe_forward(x, params, get_strategy("expert-race"), gating, cfg.k, "infer")
         assert out.route.mask.sum() == 0
         assert np.array_equal(out.y.data, np.zeros((2, 3, cfg.model_dim)))
-        assert not out.y.requires_grad  # no expert ran, so nothing to differentiate
+        # the experts ran on zero rows, so y's gradient reaches x and every weight as exact zeros
+        leaves = [x] + [t for _, t in named_tensors(params)]
+        backward(out.y.sum(), leaves)
+        for t in leaves:
+            assert t.grad.dtype == np.float64 and np.array_equal(t.grad, np.zeros_like(t.data))
 
 
 def test_dense_equivalence_one_in_one():

@@ -1,6 +1,7 @@
 """The op table: one row per differentiable op and input case, and one body that checks
 every row on one gradient-needing Tensor per array, with the loss sum(out * probe) and
-numpy warnings raised as errors: 1. backward matches finite_difference_grad (h = 1e-5)
+numpy warnings raised as errors: 0. the output and every gradient are float64, as the
+tensor core promises; 1. backward matches finite_difference_grad (h = 1e-5)
 at rel <= 1e-6; 2. a no_grad forward is byte-equal to the taped one and has no node;
 3. backward consumed the output's node, so a second sweep through it raises; 4. a
 repeat is byte-equal; and where a row names a numpy reference, the forward is
@@ -65,6 +66,8 @@ ROWS = [
     Row("2d", tensor.take_cols, (arr(3, 7),), (2, 5), ref=lambda x: x[..., 2:5]),
     Row("3d-strided", tensor.take_cols, (strided(2, 3, 7),), (2, 5), ref=lambda x: x[..., 2:5]),
     Row("empty-segment", tensor.segment_matmul, (strided(6, 3), arr(4, 3, 2)), ([0, 3, 3, 4, 6],)),
+    Row("zero-rows", tensor.segment_matmul, (arr(0, 3), arr(4, 3, 2)), ([0, 0, 0, 0, 0],)),
+    Row("empty-first-last", tensor.segment_matmul, (arr(5, 3), arr(4, 3, 2)), ([0, 0, 2, 5, 5],)),
 ]
 
 
@@ -106,6 +109,7 @@ def test_every_op_has_a_row():
 @pytest.mark.parametrize("row", ROWS, ids=[f"{row.op.__name__}-{row.case}" for row in ROWS])
 def test_op(row):
     out, grads = _taped(row)
+    assert [a.dtype for a in (out.data, *grads)] == [np.float64] * (1 + len(grads))
     for i, grad in enumerate(grads):
         def f(t, i=i):
             return _loss(_apply(row, [t if j == i else Tensor(a) for j, a in enumerate(row.arrays)])).item()
