@@ -22,7 +22,8 @@ import numpy as np
 from . import metrics as metrics_mod
 from . import routing
 from .routing import ConfigError, NumericError, StateError
-from .training import LogRecord, Trainer, TrainerConfig, load_checkpoint, save_checkpoint
+from .training import (LogRecord, Trainer, TrainerConfig, load_checkpoint, remove_file, replace_file,
+                       save_checkpoint, writing)
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -93,8 +94,7 @@ def check_settings(values: dict) -> dict:
 
 
 def write_config_snapshot(cfg: dict, out_dir: Path) -> None:
-    lines = [f"{key} = {cfg[key]}" for key in sorted(cfg)]
-    (out_dir / "config.snapshot").write_text("\n".join(lines) + "\n")
+    replace_file(out_dir / "config.snapshot", "".join(f"{key} = {cfg[key]}\n" for key in sorted(cfg)))
 
 
 def trainer_config_from(cfg: dict) -> TrainerConfig:
@@ -162,22 +162,23 @@ def cmd_route_sim(args: argparse.Namespace) -> int:
     B, L, E, k = cfg["batch_size"], cfg["tokens"], cfg["experts"], cfg["k"]
     budgets = {s: routing.effective_k(s, B, L, E, k) for s in strategies}
     out_dir = make_out_dir(args)
+    csv_path = out_dir / "route_sim.csv"
+    remove_file(csv_path)  # an earlier run's table never sits beside this run's snapshot
     write_config_snapshot(cfg, out_dir)
     rng = np.random.default_rng(cfg["seed"])
     objectives, reports = route_sim_draws(rng, budgets, (B, L, E), k, args.draws)
 
     race = objectives.get("expert-race")
-    csv_path = out_dir / "route_sim.csv"
-    with csv_path.open("w") as fh:
-        fh.write("strategy,objective,gap_vs_expert_race,max_vio,comb_usage\n")
-        for strat in strategies:
-            objs = objectives[strat.name]
-            gap = float("nan") if race is None else float(np.mean(np.array(race) - np.array(objs)))
-            fh.write(
-                f"{strat.name},{float(np.mean(objs)):.10g},{gap:.10g},"
-                f"{metrics_mod.report_mean(reports[strat.name], 'max_vio'):.10g},"
-                f"{metrics_mod.report_mean(reports[strat.name], 'comb_usage'):.10g}\n"
-            )
+    rows = ["strategy,objective,gap_vs_expert_race,max_vio,comb_usage\n"]
+    for strat in strategies:
+        objs = objectives[strat.name]
+        gap = float("nan") if race is None else float(np.mean(np.array(race) - np.array(objs)))
+        rows.append(
+            f"{strat.name},{float(np.mean(objs)):.10g},{gap:.10g},"
+            f"{metrics_mod.report_mean(reports[strat.name], 'max_vio'):.10g},"
+            f"{metrics_mod.report_mean(reports[strat.name], 'comb_usage'):.10g}\n"
+        )
+    replace_file(csv_path, "".join(rows))
     print(f"wrote {csv_path}")
     return 0
 
@@ -195,17 +196,20 @@ def discard_later_claims(out_dir: Path, step: int, source: Path | None = None) -
     run killed after this never leaves them disagreeing with its log. A
     ckpt_final.npz that is the resume `source` holds `step` itself: it is
     renamed to ckpt_<step>.npz, so the checkpoint the log reaches stays.
+    A removal or rename that fails raises one ConfigError naming the file.
     """
     source = None if source is None else source.resolve()
     final = out_dir / "ckpt_final.npz"
     if final.resolve() == source:
-        os.replace(final, out_dir / f"ckpt_{step:06d}.npz")
-    final.unlink(missing_ok=True)
-    (out_dir / "summary.json").unlink(missing_ok=True)
+        kept = out_dir / f"ckpt_{step:06d}.npz"
+        with writing(kept):
+            os.replace(final, kept)
+    remove_file(final)
+    remove_file(out_dir / "summary.json")
     for ckpt in out_dir.glob("ckpt_*.npz"):
         n = ckpt.stem[len("ckpt_"):]
         if n.isdigit() and int(n) > step and ckpt.resolve() != source:
-            ckpt.unlink()
+            remove_file(ckpt)
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -222,15 +226,15 @@ def cmd_train(args: argparse.Namespace) -> int:
     log_path = out_dir / "log.csv"
     kept = []
     if args.resume and log_path.exists():
-        for row in log_path.read_text().splitlines(keepends=True)[1:]:
+        with writing(log_path):  # the log this run rewrites
+            rows = log_path.read_text().splitlines(keepends=True)[1:]
+        for row in rows:
             step = row.split(",", 1)[0]
             if row.endswith("\n") and step.isdigit() and int(step) <= trainer.step_count:
                 kept.append(row)
     # the header and kept rows replace the log in one step, so a run killed
     # before its first new row still leaves the rows its checkpoint covers
-    tmp = out_dir / f".log.csv.{os.getpid()}.tmp"
-    tmp.write_text(",".join(LogRecord.CSV_COLUMNS) + "\n" + "".join(kept))
-    os.replace(tmp, log_path)
+    replace_file(log_path, ",".join(LogRecord.CSV_COLUMNS) + "\n" + "".join(kept))
     with log_path.open("a") as fh:
         last = None
         while trainer.step_count < cfg["steps"]:
@@ -246,7 +250,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         "steps": trainer.step_count,
         "final": None if last is None else last.__dict__,
     }
-    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    replace_file(out_dir / "summary.json", json.dumps(summary, indent=2) + "\n")
     print(f"trained {trainer.step_count} steps -> {out_dir}")
     return 0
 
@@ -283,7 +287,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     blocks = trainer.params.blocks
     per_layer = [{"layer": i, **rec, "tau": blocks[i].moe.threshold.tau} for i, rec in enumerate(report)]
     path = make_out_dir(args) / "metrics.json"
-    path.write_text(json.dumps({"per_layer": per_layer}, indent=2) + "\n")
+    replace_file(path, json.dumps({"per_layer": per_layer}, indent=2) + "\n")
     print(f"wrote {path}")
     return 0
 
@@ -323,6 +327,8 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     cfg = resolve_settings(args)
     arms = _parse_arms(args.arms, cfg)
     out_dir = make_out_dir(args)
+    csv_path = out_dir / "ablate.csv"
+    remove_file(csv_path)  # an earlier run's table never sits beside this run's snapshot
     write_config_snapshot(cfg, out_dir)
 
     rows = ["arm,strategy,gating,w_sim,w_blc,final_total,final_diffusion,max_vio,comb_usage,alloc_variance\n"]
@@ -341,8 +347,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         quoted = '"' + arm.replace('"', '""') + '"'  # the arm's commas, quoted as CSV quotes a field
         fields = [quoted, config.model.strategy, config.model.gating] + [repr(float(x)) for x in numbers]
         rows.append(",".join(fields) + "\n")
-    csv_path = out_dir / "ablate.csv"
-    csv_path.write_text("".join(rows))  # once, after the last arm: a failed arm leaves no ablate.csv
+    replace_file(csv_path, "".join(rows))  # once, after the last arm: a failed arm leaves no ablate.csv
     print(f"wrote {csv_path}")
     return 0
 

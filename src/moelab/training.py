@@ -1,4 +1,5 @@
-"""Training loop machinery: AdamW steps, weight EMA, checkpoints.
+"""Training loop machinery: AdamW steps, weight EMA, checkpoints, and
+replace_file, the one way moelab writes a file.
 
 One Trainer owns the parameters, optimizer state, EMA shadow, threshold
 states and RNG; everything it touches round-trips through the checkpoint
@@ -49,6 +50,9 @@ __all__ = [
     "Trainer",
     "save_checkpoint",
     "load_checkpoint",
+    "replace_file",
+    "remove_file",
+    "writing",
 ]
 
 CHECKPOINT_VERSION = 6
@@ -396,6 +400,53 @@ def _process_exists(pid: int) -> bool:
     return True
 
 
+@contextmanager
+def writing(path):
+    """An OSError in the block raises one ConfigError: `cannot write <path>: <strerror>`."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def replace_file(path, content) -> None:
+    """Write `path` whole or not at all. `content` is the text to write, or
+    a function that writes the temp file it is given.
+
+    The temp file `.<name>.<pid>.tmp` is written beside `path` and then
+    replaces it in one os.replace, so an interrupted write leaves `path` as
+    it was; on any exception the temp file is removed. First, the temp
+    files that earlier writes of `path` left behind, whose process is gone
+    (killed before its cleanup ran), are removed. A directory that is
+    missing or cannot be listed, or an OSError from the write or the
+    rename, raises one ConfigError naming `path`.
+    """
+    path = Path(path)
+    prefix = f".{path.name}."
+    tmp = path.with_name(f"{prefix}{os.getpid()}.tmp")
+    with writing(path):
+        for stale in list(path.parent.iterdir()):
+            if stale.name.startswith(prefix) and stale.name.endswith(".tmp"):
+                pid = stale.name[len(prefix):-len(".tmp")]
+                if pid.isdigit() and int(pid) > 0 and not _process_exists(int(pid)):
+                    stale.unlink(missing_ok=True)
+        try:
+            if isinstance(content, str):
+                tmp.write_text(content)
+            else:
+                content(tmp)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+
+
+def remove_file(path) -> None:
+    """Remove `path` if it is there; an OSError raises replace_file's ConfigError."""
+    with writing(path):
+        Path(path).unlink(missing_ok=True)
+
+
 def save_checkpoint(path, trainer: Trainer) -> None:
     """Single .npz container: weights, EMA shadow, optimizer, thresholds, RNG.
 
@@ -408,13 +459,10 @@ def save_checkpoint(path, trainer: Trainer) -> None:
     RNG state and the manifest `tensors`, a list of [name, shape] in that
     order.
 
-    Written atomically: the archive goes to a temp file in the target
-    directory, which then replaces `path`, so an interrupted save leaves any
-    previous checkpoint intact. The temp files of earlier saves to `path`
-    whose process is gone (killed before its cleanup ran) are removed. Like
-    np.savez, appends ".npz" to a path without that suffix. A directory that
-    is missing or cannot be listed raises a one-line ConfigError naming the
-    path, before any file is written.
+    Written through replace_file, so an interrupted save leaves any previous
+    checkpoint intact, and a missing directory or a failed write is one
+    ConfigError naming the path. Like np.savez, appends ".npz" to a path
+    without that suffix.
     """
     named = trainer.params.named_tensors()
     thresholds = [blk.moe.threshold.tau for blk in trainer.params.blocks]
@@ -429,29 +477,14 @@ def save_checkpoint(path, trainer: Trainer) -> None:
     blob = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
     total = sum(t.size for _, t in named)
 
-    path = Path(path)
-    if path.suffix != ".npz":
-        path = path.with_name(path.name + ".npz")
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    prefix = f".{path.name}."
-    try:
-        entries = list(path.parent.iterdir())
-    except OSError as exc:  # no such directory, or not one
-        raise ConfigError(f"cannot write checkpoint {path}: {exc.strerror or exc}") from None
-    for stale in entries:
-        if stale.name.startswith(prefix) and stale.name.endswith(".tmp"):
-            pid = stale.name[len(prefix):-len(".tmp")]
-            if pid.isdigit() and int(pid) > 0 and not _process_exists(int(pid)):
-                stale.unlink(missing_ok=True)
-    try:
+    def write(tmp: Path) -> None:
         with zipfile.ZipFile(tmp, "w") as archive:
             for group, arrays in _state_groups(trainer).items():
                 _write_member(archive, group, _F8, total, arrays)
             _write_member(archive, "meta_json", _U8, blob.size, [blob])
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+
+    path = Path(path)
+    replace_file(path if path.suffix == ".npz" else path.with_name(path.name + ".npz"), write)
 
 
 @contextmanager

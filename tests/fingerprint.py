@@ -3,7 +3,8 @@
 `fingerprint(config, steps)` trains a fresh Trainer for `steps` steps and
 hashes, in this order:
 - each step's log.csv row (every float as its exact repr)
-- every weight, EMA shadow entry and AdamW moment, in named_tensors() order
+- every array of each checkpoint state group (`training._state_groups`:
+  weights, EMA shadow, AdamW moments), in named_tensors() order
 - each block's threshold tau, the step count and the RNG state
 - the bytes of an 8-sample draw of class 1 from seed 5, or the text of the
   NumericError the draw raises
@@ -26,6 +27,7 @@ import json
 
 import numpy as np
 
+from moelab import training
 from moelab.denoiser import DenoiserConfig
 from moelab.routing import NumericError
 from moelab.training import Trainer, TrainerConfig
@@ -42,14 +44,9 @@ def fingerprint(config: TrainerConfig, steps: int) -> str:
     digest = hashlib.sha256()
     for _ in range(steps):
         digest.update(trainer.train_step().csv_row().encode() + b"\n")
-    named = trainer.params.named_tensors()
-    for arr in (
-        [t.data for _, t in named]
-        + [trainer.ema.shadow[name] for name, _ in named]
-        + trainer.opt.m
-        + trainer.opt.v
-    ):
-        digest.update(arr.tobytes())
+    for group in training._state_groups(trainer).values():
+        for arr in group:
+            digest.update(arr.tobytes())
     taus = [blk.moe.threshold.tau for blk in trainer.params.blocks]
     digest.update(repr(taus).encode())
     digest.update(str(trainer.step_count).encode())

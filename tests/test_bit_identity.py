@@ -229,8 +229,7 @@ def use_reference_ops(monkeypatch):
 
 def full_state(trainer):
     return (
-        [t.data for _, t in trainer.params.named_tensors()]
-        + list(trainer.ema.shadow.values()) + trainer.opt.m + trainer.opt.v,
+        [a for group in training._state_groups(trainer).values() for a in group],
         [blk.moe.threshold.tau.hex() for blk in trainer.params.blocks],
         trainer.rng.bit_generator.state, trainer.step_count, trainer.opt.step_count,
     )

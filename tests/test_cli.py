@@ -196,7 +196,7 @@ def test_resume_drops_a_torn_last_log_row(tmp_path):
 
 def _member_digests(path: Path) -> dict:
     with zipfile.ZipFile(path) as archive:
-        return {m: hashlib.sha256(archive.read(f"{m}.npy")).hexdigest() for m in ("param", "ema", "opt_m", "opt_v")}
+        return {m: hashlib.sha256(archive.read(f"{m}.npy")).hexdigest() for m in training._GROUPS}
 
 
 def test_train_killed_at_seeded_times_resumes_to_the_uninterrupted_run(tmp_path):
@@ -531,6 +531,119 @@ def test_out_that_cannot_be_a_directory_is_config_error_naming_it(tmp_path, caps
     assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
 
+# every file a command writes: (the command, the file's name in --out)
+OUTPUTS = [("route-sim", "config.snapshot"), ("route-sim", "route_sim.csv"), ("train", "config.snapshot"),
+           ("train", "log.csv"), ("train", "ckpt_final.npz"), ("train", "summary.json"), ("metrics", "metrics.json"),
+           ("ablate", "config.snapshot"), ("ablate", "ablate.csv")]
+
+
+class DiskFull:
+    """A file each of whose writes stores half its bytes, then raises OSError("disk full")."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        raise OSError("disk full")
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+@pytest.fixture(scope="module")
+def dead_pid():
+    """The id of a process that has exited and been reaped."""
+    child = subprocess.Popen([sys.executable, "-c", ""])
+    child.wait()
+    return child.pid
+
+
+@pytest.mark.parametrize("command,name", OUTPUTS, ids=[f"{command}-{name}" for command, name in OUTPUTS])
+def test_an_output_whose_write_fails_is_one_config_error_line(tmp_path, capsys, trained_checkpoint, dead_pid,
+                                                               command, name):
+    # a write of `name` (its temp file's, or the file's own) that stores half
+    # its bytes and then finds the disk full: exit 2 in one line naming the
+    # file, the file as it was when the write began, and no temp file, not
+    # even one a gone process left beside it
+    out = tmp_path / "out"
+    args = {
+        "route-sim": ["route-sim", "--draws", "2", *FAST],
+        "train": ["train", "--steps", "2", *FAST],
+        "metrics": ["metrics", "--checkpoint", str(trained_checkpoint)],
+        "ablate": ["ablate", "--steps", "1", "--arms", "gating=identity", *FAST],
+    }[command] + ["--out", str(out)]
+    assert main(args) == 0  # an earlier run's files
+    target = out / name
+    (out / f".{name}.{dead_pid}.tmp").write_text("left by a killed run\n")
+    real_open, began = io.open, []
+
+    def held():
+        return target.read_bytes() if target.exists() else None
+
+    def open_disk_full(file, mode="r", *rest, **kwargs):
+        path = Path(file) if isinstance(file, (str, os.PathLike)) else None
+        if path is None or "w" not in mode or path.parent != out or not (
+                path.name == name or path.name.startswith(f".{name}.") and path.name.endswith(".tmp")):
+            return real_open(file, mode, *rest, **kwargs)
+        began.append(held())
+        return DiskFull(real_open(file, mode, *rest, **kwargs))
+
+    capsys.readouterr()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(io, "open", open_disk_full)
+        rc = main(args)
+    assert rc == 2 and capsys.readouterr().err == f"config error: cannot write {target}: disk full\n"
+    assert len(began) == 1 and held() == began[0]
+    assert not list(out.glob(".*.tmp"))
+
+
+@pytest.mark.parametrize("command,name", [("route-sim", "config.snapshot"), ("route-sim", "route_sim.csv"),
+                                          ("train", "summary.json"), ("resume", "log.csv")])
+def test_an_output_with_a_directory_in_the_way_is_one_config_error_line(tmp_path, capsys, trained_checkpoint,
+                                                                        command, name):
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    args = {"route-sim": ["route-sim", "--draws", "1"], "train": ["train", "--steps", "1"],
+            "resume": ["train", "--steps", "2", "--resume", str(trained_checkpoint), "--seed", "5"]}[command]
+    assert main([*args, "--out", str(out), *FAST]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {out / name}: ") and err.count("\n") == 1, err
+    assert (out / name).is_dir()
+
+
+def test_a_failed_route_sim_leaves_no_table_of_an_earlier_run(tmp_path, monkeypatch):
+    from moelab import cli
+
+    out = tmp_path / "sim"
+    base = ["route-sim", "--out", str(out), "--draws", "2", *FAST]
+    assert main([*base, "--seed", "1"]) == 0
+
+    def dies(*args):
+        raise RuntimeError("killed")
+
+    monkeypatch.setattr(cli, "route_sim_draws", dies)
+    with pytest.raises(RuntimeError, match="killed"):
+        main([*base, "--seed", "5"])
+    assert sorted(p.name for p in out.iterdir()) == ["config.snapshot"]
+    assert "seed = 5\n" in (out / "config.snapshot").read_text()
+
+
+def test_a_failed_ablate_leaves_no_table_of_an_earlier_run(tmp_path):
+    out = tmp_path / "ablate"
+    base = ["ablate", "--out", str(out), "--steps", "1", *FAST]
+    assert main([*base, "--arms", "seed=1"]) == 0
+    assert main([*base, "--seed", "5", "--arms", "lr=1e300"]) == 3
+    assert sorted(p.name for p in out.iterdir()) == ["config.snapshot"]
+    assert "seed = 5\n" in (out / "config.snapshot").read_text()
+
+
 ONE_EXPERT = ["--batch-size", "4", "--tokens", "4", "--model-dim", "8",
               "--layers", "2", "--experts", "1", "--k", "1"]
 
@@ -742,6 +855,10 @@ ROWS = [
     ("meta_json-huge", member("meta_json", lambda a: npy(np.broadcast_to(a[:1], (10**15,)), a.tobytes())),
      " member 'meta_json' is truncated\n"),  # and no petabyte allocated for it
     ("meta_json-list", meta(lambda m: [1, 2]), " member 'meta_json' is not a JSON object\n"),
+    ("manifest-entry", meta(lambda m: {**m, "tensors": ["in_w", *m["tensors"][1:]]}),
+     " manifest entry 'in_w' is not [name, shape]\n"),
+    ("manifest-order", meta(lambda m: {**m, "tensors": [m["tensors"][1], m["tensors"][0], *m["tensors"][2:]]}),
+     " lists tensor 'in_b' where the model has 'in_w'\n"),
     ("in_b-shape", meta(lambda m: {**m, "tensors": [[n, [1] if n == "in_b" else s] for n, s in m["tensors"]]}),
      " tensor 'in_b' has shape (1,), the model needs (8,)\n"),
     ("thresholds-short", meta_with(thresholds=[]), " metadata 'thresholds' is not a list of 1 threshold entries\n"),
@@ -971,10 +1088,11 @@ def test_ablate_checks_the_arms_not_the_base_strategy_they_replace(tmp_path, cap
         ("train", "warp_speed = 9", "bad.cfg:7: unknown config key 'warp_speed'"),
         ("train", "k = two", "config key 'k' must be int, got 'two'"),
         ("train", "strategy = expert-choice\ntokens = 3\nk = 1", "K = k*D_B/E = 1*3/4 is not an integer"),
+        ("train", "schema_version = 2", "config schema_version 2 != 1\n"),
     ],
     ids=["gating", "parameterization", "num_classes", "model_dim", "layers", "dense_hidden", "seed", "batch_size", "lr-nan",
          "lr-negative", "ema_decay", "schedule", "repeated-key", "w_sim-nan", "steps", "ablate-parameterization",
-         "unknown-key", "k-wrong-type", "selection-size"],
+         "unknown-key", "k-wrong-type", "selection-size", "schema_version"],
 )
 def test_a_bad_setting_is_one_config_error_line_before_writing(tmp_path, capsys, command, setting, named):
     # a bad value is one config-error line naming its key, before --out exists

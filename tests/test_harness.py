@@ -381,11 +381,10 @@ def test_weight_ema_in_place_matches_allocating_formula():
 
 
 def step_state(trainer):
-    """Copies of all a train step writes: the weights, EMA shadow and AdamW
-    moments, each block's tau, the step count and the RNG state."""
-    arrays = [t.data for _, t in trainer.params.named_tensors()]
-    arrays += list(trainer.ema.shadow.values()) + trainer.opt.m + trainer.opt.v
-    return [a.copy() for a in arrays], taus(trainer.params), trainer.step_count, trainer.rng.bit_generator.state
+    """Copies of all a train step writes: every state group's arrays, each
+    block's tau, the step count and the RNG state."""
+    arrays = [a.copy() for group in training._state_groups(trainer).values() for a in group]
+    return arrays, taus(trainer.params), trainer.step_count, trainer.rng.bit_generator.state
 
 
 def assert_same_state(a, b):
@@ -628,11 +627,20 @@ def test_interrupted_checkpoint_save_keeps_previous_file(tmp_path, monkeypatch):
         write_header(fh, header)
 
     monkeypatch.setattr(np.lib.format, "write_array_header_1_0", disk_full_after_the_first_member)
-    with pytest.raises(OSError, match="disk full"):
+    with pytest.raises(ConfigError) as info:
         save_checkpoint(path, trainer)
+    assert str(info.value) == f"cannot write {path}: disk full"
     assert len(headers) == 2  # one member was written whole before the failure
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["ckpt.npz"]
+
+
+def test_a_checkpoint_path_without_the_npz_suffix_gets_it(tmp_path):
+    trainer = small_trainer(seed=4)
+    trainer.train_step()
+    save_checkpoint(tmp_path / "ckpt", trainer)
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt.npz"]
+    assert_same_state(step_state(load_checkpoint(tmp_path / "ckpt.npz", trainer.config)), step_state(trainer))
 
 
 def test_checkpoint_into_a_missing_directory_is_config_error(tmp_path):
@@ -652,11 +660,8 @@ def test_loaded_state_arrays_own_their_memory(tmp_path):
     path = tmp_path / "ckpt.npz"
     save_checkpoint(path, trainer)
     restored = load_checkpoint(path, trainer.config)
-    arrays = (
-        [t.data for _, t in restored.params.named_tensors()]
-        + list(restored.ema.shadow.values()) + restored.opt.m + restored.opt.v
-    )
-    assert len(arrays) == 4 * len(restored.params.named_tensors())
+    arrays = [a for group in training._state_groups(restored).values() for a in group]
+    assert len(arrays) == len(training._GROUPS) * len(restored.params.named_tensors())
     assert all(a.base is None and a.flags.owndata and a.flags.c_contiguous for a in arrays)
     spans = sorted((a.ctypes.data, a.ctypes.data + a.nbytes) for a in arrays)
     assert all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))
