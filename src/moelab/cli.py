@@ -56,13 +56,24 @@ def parse_settings(entries) -> dict:
     return values
 
 
-def parse_config_file(path: Path) -> dict:
-    """Flat `key = value` lines, each key at most once; '#' starts a comment."""
+def utf8_text(path: Path, data: bytes) -> str:
+    """`data`, the bytes read from `path`, as text; bytes that are not UTF-8
+    raise one ConfigError naming the path and the line."""
     try:
-        text = path.read_text()
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"{path}:{line}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def parse_config_file(path: Path) -> dict:
+    """Flat `key = value` lines of UTF-8 text, each key at most once; '#'
+    starts a comment."""
+    try:
+        data = path.read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from None
-    lines = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
+    lines = (raw.split("#", 1)[0].strip() for raw in utf8_text(path, data).splitlines())
     return parse_settings((f"{path}:{n}", line, f"on line {n}") for n, line in enumerate(lines, start=1) if line)
 
 
@@ -217,21 +228,23 @@ def cmd_train(args: argparse.Namespace) -> int:
     config = trainer_config_from(cfg)
     trainer = load_checkpoint(args.resume, config) if args.resume else Trainer(config)
     out_dir = make_out_dir(args)
-    write_config_snapshot(cfg, out_dir)
-    discard_later_claims(out_dir, trainer.step_count, Path(args.resume) if args.resume else None)
 
     # a resumed run keeps the log rows up to the checkpoint's step and
     # rewrites the rest, so resuming into the same --out duplicates nothing;
-    # a last row without its newline was torn by a kill, whatever it starts with
+    # a last row without its newline was torn by a kill, whatever it starts
+    # with. The log is read before this run writes anything, so a log that
+    # cannot be read or decoded leaves --out as it was.
     log_path = out_dir / "log.csv"
     kept = []
     if args.resume and log_path.exists():
         with writing(log_path):  # the log this run rewrites
-            rows = log_path.read_text().splitlines(keepends=True)[1:]
-        for row in rows:
+            data = log_path.read_bytes()
+        for row in utf8_text(log_path, data).splitlines(keepends=True)[1:]:
             step = row.split(",", 1)[0]
             if row.endswith("\n") and step.isdigit() and int(step) <= trainer.step_count:
                 kept.append(row)
+    write_config_snapshot(cfg, out_dir)
+    discard_later_claims(out_dir, trainer.step_count, Path(args.resume) if args.resume else None)
     # the header and kept rows replace the log in one step, so a run killed
     # before its first new row still leaves the rows its checkpoint covers
     replace_file(log_path, ",".join(LogRecord.CSV_COLUMNS) + "\n" + "".join(kept))
@@ -259,31 +272,12 @@ def cmd_train(args: argparse.Namespace) -> int:
 # metrics
 
 
-def _heldout_masks(trainer: Trainer, batches: int, mode: str) -> tuple[list[np.ndarray], np.ndarray]:
-    """Per-layer (N, L, E) routing masks and the (N,) timesteps on `batches`
-    held-out batches, drawn from seed + 4242 so every checkpoint and arm of
-    a config sees the same data. A NumericError names the batch, from 1."""
-    cfg = trainer.config
-    rng = np.random.default_rng(cfg.seed + 4242)
-    masks, timesteps = [], []
-    for i in range(batches):
-        batch = trainer.task.sample_batch(rng, cfg.batch_size, trainer.schedule, cfg.model.parameterization)
-        try:
-            _, layer_outputs = trainer.forward(batch, mode=mode)
-        except NumericError as exc:
-            raise NumericError(f"held-out batch {i + 1}: {exc}") from exc
-        masks.append([out.route.mask for out in layer_outputs])
-        timesteps.append(batch.t)
-    return [np.concatenate(layer, axis=0) for layer in zip(*masks)], np.concatenate(timesteps)
-
-
 def cmd_metrics(args: argparse.Namespace) -> int:
-    """The routing report per layer, with its tau, on four held-out batches
-    routed in infer mode under the checkpoint's own config; uninitialized
-    thresholds raise StateError."""
+    """The routing report per layer, with its tau, from Trainer.evaluate:
+    the held-out set routed in infer mode under the checkpoint's own config.
+    Uninitialized thresholds raise StateError."""
     trainer = load_checkpoint(args.checkpoint)
-    masks, t = _heldout_masks(trainer, 4, "infer")  # before --out: a failed report leaves no directory
-    report = metrics_mod.routing_report(masks, trainer.config.model.k, t, trainer.schedule.total_steps)
+    report = trainer.evaluate("infer").report  # before --out: a failed report leaves no directory
     blocks = trainer.params.blocks
     per_layer = [{"layer": i, **rec, "tau": blocks[i].moe.threshold.tau} for i, rec in enumerate(report)]
     path = make_out_dir(args) / "metrics.json"
@@ -320,9 +314,10 @@ def _parse_arms(spec: str, cfg: dict) -> list[tuple[str, int, TrainerConfig]]:
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
-    """One row per arm: final losses and the layer mean of the routing report
-    on one held-out batch routed in train mode (batch top-K). Only the
-    arms' configs are built and checked; the snapshot holds the base
+    """One row per arm, from Trainer.evaluate on the held-out set routed in
+    train mode (batch top-K): the diffusion loss, its excess over the
+    Bayes-optimal denoiser and the layer means of the routing report. Only
+    the arms' configs are built and checked; the snapshot holds the base
     settings the arms override."""
     cfg = resolve_settings(args)
     arms = _parse_arms(args.arms, cfg)
@@ -331,19 +326,19 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     remove_file(csv_path)  # an earlier run's table never sits beside this run's snapshot
     write_config_snapshot(cfg, out_dir)
 
-    rows = ["arm,strategy,gating,w_sim,w_blc,final_total,final_diffusion,max_vio,comb_usage,alloc_variance\n"]
+    rows = ["arm,strategy,gating,w_sim,w_blc,heldout_diffusion,heldout_excess,max_vio,comb_usage,"
+            "alloc_variance\n"]
     for arm, steps, config in arms:
         try:
             trainer = Trainer(config)
             for _ in range(steps):
-                last = trainer.train_step()
-            masks, t = _heldout_masks(trainer, 1, "train")
+                trainer.train_step()
+            held_out = trainer.evaluate("train")
         except NumericError as exc:  # several arms: say which one diverged
             raise NumericError(f"arm {arm!r}: {exc}") from None
-        report = metrics_mod.routing_report(masks, config.model.k, t, trainer.schedule.total_steps)
-        numbers = [config.w_sim, config.w_blc, last.total, last.diffusion] + [
-            metrics_mod.report_mean(report, key) for key in ("max_vio", "comb_usage", "allocation_bucket_variance")
-        ]
+        means = [metrics_mod.report_mean(held_out.report, key)
+                 for key in ("max_vio", "comb_usage", "allocation_bucket_variance")]
+        numbers = [config.w_sim, config.w_blc, held_out.diffusion, held_out.excess, *means]
         quoted = '"' + arm.replace('"', '""') + '"'  # the arm's commas, quoted as CSV quotes a field
         fields = [quoted, config.model.strategy, config.model.gating] + [repr(float(x)) for x in numbers]
         rows.append(",".join(fields) + "\n")

@@ -5,7 +5,8 @@ One Trainer owns the parameters, optimizer state, EMA shadow, threshold
 states and RNG; everything it touches round-trips through the checkpoint
 container so a resumed run replays the original trajectory bit for bit.
 `Trainer.loss` builds the training objective: `train_step` minimizes it and
-the finite-difference gradient tests differentiate it.
+the finite-difference gradient tests differentiate it. `Trainer.evaluate`
+reads a trained model on the one held-out set every command reports from.
 The container (version 6) is an .npz archive with one flat float64 member
 per state group (`param`, `ema`, `opt_m`, `opt_v`) plus `meta_json`, whose
 manifest lists each tensor's name and shape; tensors are streamed into
@@ -30,6 +31,7 @@ import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from tokenize import TokenError
 
 import numpy as np
 
@@ -47,6 +49,7 @@ __all__ = [
     "WeightEma",
     "LogRecord",
     "TrainerConfig",
+    "Evaluation",
     "Trainer",
     "save_checkpoint",
     "load_checkpoint",
@@ -56,6 +59,9 @@ __all__ = [
 ]
 
 CHECKPOINT_VERSION = 6
+# The held-out set: this many batches of batch_size, drawn from seed + 4242,
+# so every checkpoint and ablate arm of a config is read on the same data.
+HELDOUT_BATCHES = 4
 
 
 class AdamW(object):
@@ -182,6 +188,15 @@ class TrainerConfig:
         return cls(model=model, **{key: value for key, value in d.items() if key in own})
 
 
+@dataclass
+class Evaluation:
+    """What one pass over the held-out set reads (Trainer.evaluate)."""
+
+    report: list[dict]  # metrics.routing_report per layer, with allocation by timestep
+    diffusion: float  # the mean over the batches of each batch's MSE against batch.y
+    excess: float  # the mean over the batches of metrics.excess_loss
+
+
 class _Undrawn(np.random.Generator):
     """Stands in for init_denoiser's generator when every weight is about to
     be overwritten: each draw is an np.empty array of the asked size."""
@@ -298,6 +313,41 @@ class Trainer(object):
         no numpy warning before it."""
         with no_grad():
             return denoiser_forward(batch.x_t, batch.t, batch.c, self.params, mode=mode)
+
+    def evaluate(self, mode: str) -> Evaluation:
+        """One pass over the held-out set: HELDOUT_BATCHES batches drawn from
+        seed + 4242, each routed once by self.forward in `mode`. From that
+        pass, the per-layer routing report over all the batches (with their
+        timesteps), the diffusion loss and the excess over the Bayes-optimal
+        denoiser. Writes no state and draws nothing from self.rng. A
+        NumericError, from the forward or a non-finite loss, is raised
+        prefixed "held-out batch i: " (i counts from 1), with no numpy
+        warning before it."""
+        cfg = self.config
+        param = cfg.model.parameterization
+        rng = np.random.default_rng(cfg.seed + 4242)
+        masks, timesteps, diffusion, excess = [], [], [], []
+        for i in range(HELDOUT_BATCHES):
+            batch = self.task.sample_batch(rng, cfg.batch_size, self.schedule, param)
+            try:
+                prediction, layer_outputs = self.forward(batch, mode)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    losses = {
+                        "diffusion": losses_mod.diffusion_loss(prediction, batch.y).item(),
+                        "excess": metrics_mod.excess_loss(prediction.data, batch, self.task, self.schedule, param),
+                    }
+                if not np.isfinite(list(losses.values())).all():
+                    raise NumericError(f"non-finite loss: {losses}")
+            except NumericError as exc:
+                raise NumericError(f"held-out batch {i + 1}: {exc}") from exc
+            masks.append([out.route.mask for out in layer_outputs])
+            timesteps.append(batch.t)
+            diffusion.append(losses["diffusion"])
+            excess.append(losses["excess"])
+        per_layer = [np.concatenate(layer, axis=0) for layer in zip(*masks)]
+        t = np.concatenate(timesteps)
+        report = metrics_mod.routing_report(per_layer, cfg.model.k, t, self.schedule.total_steps)
+        return Evaluation(report, float(np.mean(diffusion)), float(np.mean(excess)))
 
     def sample(
         self,
@@ -528,9 +578,11 @@ def _read_member(archive: zipfile.ZipFile, path, key: str, dtype: np.dtype, arra
         yield arrays
     except ConfigError:
         raise
-    except (ValueError, EOFError, OSError, zipfile.BadZipFile, zlib.error, lzma.LZMAError, NotImplementedError) as exc:
+    except (ValueError, EOFError, OSError, zipfile.BadZipFile, zlib.error, lzma.LZMAError, NotImplementedError,
+            TokenError) as exc:
         # not .npy, not JSON, a bad CRC, an unknown compression method, a corrupt
-        # deflate (zlib.error), bzip2 (OSError) or lzma stream, ...
+        # deflate (zlib.error), bzip2 (OSError) or lzma stream, a .npy header
+        # cut short inside a bracket (numpy's parser raises TokenError), ...
         raise ConfigError(f"{where} is unreadable: {exc}") from None
 
 

@@ -18,7 +18,6 @@ from similarity import router_similarity_diag
 from moelab import losses as L
 from moelab import metrics as M
 from moelab import routing as R
-from moelab.cli import _heldout_masks
 from moelab.denoiser import DenoiserConfig
 from moelab.layer import init_params, moe_forward, named_tensors
 from moelab.routing import ThresholdState, get_strategy
@@ -529,8 +528,7 @@ def test_v_run_samples_the_task_law_under_thresholds(v_runs):
         quality = M.sample_quality(x, c, trainer.task)
         assert quality.accuracy >= 0.9, f"seed {seed}: accuracy {quality.accuracy}"
 
-        masks, _ = _heldout_masks(trainer, 4, "infer")
-        on_data = float(np.mean([mask.sum(axis=-1).mean() for mask in masks]))
+        on_data = M.report_mean(trainer.evaluate("infer").report, "mean_active")
         sampling = float(np.mean([entry["mean_active_per_layer"] for entry in allocation_log]))
         for where, active in (("held-out data", on_data), ("sampling", sampling)):
             assert ACTIVE_BAND[0] <= active <= ACTIVE_BAND[1], f"seed {seed}: {active:.3f} experts per token on {where}"

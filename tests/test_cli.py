@@ -1,20 +1,25 @@
 """CLI commands drive the library end to end and stay reproducible."""
 
+import contextlib
 import csv
 import hashlib
 import io
 import json
 import math
 import os
+import shutil
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 import zipfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moelab import training
 from moelab.cli import build_parser, main, parse_config_file, resolve_settings, trainer_config_from
@@ -192,6 +197,22 @@ def test_resume_drops_a_torn_last_log_row(tmp_path):
     (run / "log.csv").write_text("".join(rows[:11]) + rows[11][:1])
     assert main([*base, "--resume", str(run / "ckpt_000010.npz")]) == 0
     assert (run / "log.csv").read_text() == full
+
+
+def test_a_resumed_log_that_is_not_utf8_is_one_config_error_line_and_changes_nothing(tmp_path, capsys):
+    # the log is read before the resume writes its snapshot or discards a later checkpoint
+    cfg = tmp_path / "every1.cfg"
+    cfg.write_text("checkpoint_every = 1\n")
+    run = tmp_path / "run"
+    base = ["train", "--out", str(run), "--config", str(cfg), "--seed", "3", "--steps", "2", *FAST]
+    assert main(base) == 0
+    (run / "log.csv").write_bytes(b"step\n\xff\xfe1,2\n")
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+    capsys.readouterr()
+    assert main([*base, "--resume", str(run / "ckpt_000001.npz")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {run / 'log.csv'}:2: not UTF-8 text (invalid start byte at byte 5)\n"
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
 
 def _member_digests(path: Path) -> dict:
@@ -438,12 +459,14 @@ def test_ablate_rows_per_arm(tmp_path):
                "--arms", "gating=softmax;gating=sigmoid;gating=identity",
                *FAST])
     assert rc == 0
+    assert (out / "ablate.csv").read_text().splitlines()[0] == (
+        "arm,strategy,gating,w_sim,w_blc,heldout_diffusion,heldout_excess,max_vio,comb_usage,alloc_variance")
     rows = read_csv(out / "ablate.csv")
     assert len(rows) == 3
     assert {r["gating"] for r in rows} == {"softmax", "sigmoid", "identity"}
     for r in rows:
-        for col in ("final_total", "max_vio", "comb_usage", "alloc_variance"):
-            assert r[col] != ""
+        for col in ("heldout_diffusion", "heldout_excess", "max_vio", "comb_usage", "alloc_variance"):
+            assert math.isfinite(float(r[col]))
 
 
 def test_ablate_balance_settings_arms(tmp_path):
@@ -461,15 +484,18 @@ def test_ablate_balance_settings_arms(tmp_path):
 
 
 def test_ablate_arm_matches_individual_run(tmp_path):
+    # the arm's held-out losses are those of the same config trained alone,
+    # read back from its checkpoint by Trainer.evaluate in train mode
     arm_out = tmp_path / "arm"
-    main(["ablate", "--out", str(arm_out), "--seed", "9", "--steps", "4",
-          "--arms", "strategy=token-choice,gating=sigmoid", *FAST])
+    assert main(["ablate", "--out", str(arm_out), "--seed", "9", "--steps", "4",
+                 "--arms", "strategy=token-choice,gating=sigmoid", *FAST]) == 0
     solo_out = tmp_path / "solo"
-    main(["train", "--out", str(solo_out), "--steps", "4", "--seed", "9",
-          "--strategy", "token-choice", "--gating", "sigmoid", *FAST])
+    assert main(["train", "--out", str(solo_out), "--steps", "4", "--seed", "9",
+                 "--strategy", "token-choice", "--gating", "sigmoid", *FAST]) == 0
     arm_row = read_csv(arm_out / "ablate.csv")[0]
-    solo_rows = read_csv(solo_out / "log.csv")
-    assert float(arm_row["final_total"]) == float(solo_rows[-1]["total"])
+    held_out = load_checkpoint(solo_out / "ckpt_final.npz").evaluate("train")
+    assert arm_row["heldout_diffusion"] == repr(held_out.diffusion)
+    assert arm_row["heldout_excess"] == repr(held_out.excess)
 
 
 def test_config_file_and_flag_precedence(tmp_path):
@@ -667,7 +693,7 @@ def test_ablate_single_expert_reports_zero_comb_usage(tmp_path):
 
 
 def test_ablate_columns_are_layer_means_of_the_routing_report(tmp_path):
-    from moelab import cli, metrics
+    from moelab import cli
 
     args = ["--seed", "4", "--steps", "3", "--batch-size", "4", "--tokens", "4", "--model-dim", "8",
             "--layers", "3", "--experts", "4", "--k", "2"]
@@ -675,22 +701,18 @@ def test_ablate_columns_are_layer_means_of_the_routing_report(tmp_path):
     assert main(["ablate", "--out", str(out), "--arms", "strategy=bl-choice,gating=softmax", *args]) == 0
     row = read_csv(out / "ablate.csv")[0]
 
-    # the same arm, trained and routed again by hand on the held-out batch
+    # the same arm, trained by hand and read by Trainer.evaluate in train mode
     cfg = cli.resolve_settings(cli.build_parser().parse_args(
         ["train", "--strategy", "bl-choice", "--gating", "softmax", *args]))
-    config = cli.trainer_config_from(cfg)
-    trainer = cli.Trainer(config)
+    trainer = cli.Trainer(cli.trainer_config_from(cfg))
     for _ in range(cfg["steps"]):
         trainer.train_step()
-    batch = trainer.task.sample_batch(np.random.default_rng(cfg["seed"] + 4242), cfg["batch_size"],
-                                      trainer.schedule, cfg["parameterization"])
-    _, layer_outputs = trainer.forward(batch, mode="train")
-    report = metrics.routing_report([out.route.mask for out in layer_outputs], cfg["k"],
-                                    batch.t, trainer.schedule.total_steps)
-    assert len(report) == 3
+    held_out = trainer.evaluate("train")
+    assert len(held_out.report) == 3
     for column, key in [("max_vio", "max_vio"), ("comb_usage", "comb_usage"),
                         ("alloc_variance", "allocation_bucket_variance")]:
-        assert float(row[column]) == np.mean([r[key] for r in report])
+        assert row[column] == repr(float(np.mean([r[key] for r in held_out.report])))
+    assert [row["heldout_diffusion"], row["heldout_excess"]] == [repr(held_out.diffusion), repr(held_out.excess)]
 
 
 def test_route_sim_rejects_fewer_than_one_draw(tmp_path, capsys):
@@ -850,6 +872,8 @@ ROWS = [
      " member 'opt_v' has dtype int64, the model needs float64\n"),
     ("meta_json-not-utf8", member("meta_json", lambda a: npy(np.frombuffer(b"\xff\xfe{}", np.uint8))),
      " member 'meta_json' is unreadable: 'utf-8' codec can't decode byte 0xff"),
+    ("param-header-unclosed", member("param", lambda a: b"\x93NUMPY\x01\x00\x02\x00{\n" + a.tobytes()),
+     " member 'param' is unreadable: ('EOF in multi-line statement'"),  # numpy's header parser raises TokenError
     ("meta_json-not-json", member("meta_json", lambda a: npy(np.frombuffer(b"step = 3", np.uint8))),
      " member 'meta_json' is unreadable: Expecting value"),
     ("meta_json-huge", member("meta_json", lambda a: npy(np.broadcast_to(a[:1], (10**15,)), a.tobytes())),
@@ -1066,6 +1090,15 @@ def test_ablate_checks_the_arms_not_the_base_strategy_they_replace(tmp_path, cap
         assert "K = k*D_B/E = 1*3/4 is not an integer" in capsys.readouterr().err and not out.exists()
 
 
+def test_a_config_file_that_is_not_utf8_is_one_config_error_line_before_writing(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"seed = 1\n\xff\xfe\n")
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--out", str(out), "--steps", "1", *FAST]) == 2
+    assert capsys.readouterr().err == f"config error: {cfg}:2: not UTF-8 text (invalid start byte at byte 9)\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command,setting,named",
     [
@@ -1109,3 +1142,51 @@ def test_a_bad_setting_is_one_config_error_line_before_writing(tmp_path, capsys,
     assert err.startswith("config error: ") and err.count("\n") == 1, err
     assert named in err, err
     assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    """A 2-step FAST run checkpointed at each step, and the settings it ran with."""
+    root = tmp_path_factory.mktemp("tiny")
+    (root / "every1.cfg").write_text("checkpoint_every = 1\n")
+    run_settings = ["--config", str(root / "every1.cfg"), "--seed", "5", "--steps", "2", *FAST]
+    assert main(["train", "--out", str(root / "run"), *run_settings]) == 0
+    return root, run_settings
+
+
+@pytest.mark.parametrize("name", ["config.snapshot", "log.csv", "ckpt_final.npz"])
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_a_read_file_with_mutated_bytes_exits_0_2_or_3_in_one_line(tiny_run, name, data):
+    # 1-4 bytes of a file a command reads are overwritten: the snapshot read
+    # as --config (the size flags override its sizes, so a mutated digit
+    # cannot make a long run), the log a resume into the run's --out rewrites,
+    # and the checkpoint metrics reads. No exception escapes, a failure is
+    # one stderr line, and a failed resume leaves the run's files as they were.
+    root, run_settings = tiny_run
+    original = (root / "run" / name).read_bytes()
+    edits = data.draw(st.lists(st.tuples(st.integers(0, len(original) - 1), st.integers(0, 255)),
+                               min_size=1, max_size=4))
+    mutated = bytearray(original)
+    for at, byte in edits:
+        mutated[at] = byte
+    with tempfile.TemporaryDirectory(dir=root) as scratch:
+        run, out = Path(scratch) / "run", Path(scratch) / "out"
+        shutil.copytree(root / "run", run)
+        (run / name).write_bytes(bytes(mutated))
+        command = {
+            "config.snapshot": ["train", "--config", str(run / name), "--steps", "2", *FAST, "--out", str(out)],
+            "log.csv": ["train", *run_settings, "--resume", str(run / "ckpt_000001.npz"), "--out", str(run)],
+            "ckpt_final.npz": ["metrics", "--checkpoint", str(run / name), "--out", str(out)],
+        }[name]
+        before = {p.name: p.read_bytes() for p in run.iterdir()}
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(command)
+        err = err.getvalue()
+        assert rc in (0, 2, 3), (rc, err)
+        if rc:
+            assert err.count("\n") == 1, err
+            assert err.startswith(("config error: ", "state error: ", "numeric failure: ")), err
+        if rc == 2 and name == "log.csv":
+            assert {p.name: p.read_bytes() for p in run.iterdir()} == before

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from plain_ffn import plain_ffn_blocks
 
-from moelab import layer, training
+from moelab import layer, losses, metrics, training
 from moelab.denoiser import DenoiserConfig, denoiser_forward, init_denoiser
 from moelab.diffusion import (
     DiffusionBatch,
@@ -411,6 +411,8 @@ NUMERIC_ENTRIES = {
     "denoiser-infer": (1, lambda tr, b: denoiser_forward(b.x_t, b.t, b.c, tr.params, mode="infer"), ""),
     "forward-train": (1, lambda tr, b: tr.forward(b, mode="train"), ""),
     "forward-infer": (1, lambda tr, b: tr.forward(b, mode="infer"), ""),
+    "evaluate-train": (1, lambda tr, b: tr.evaluate("train"), "held-out batch 1: "),
+    "evaluate-infer": (1, lambda tr, b: tr.evaluate("infer"), "held-out batch 1: "),
     "loss": (1, lambda tr, b: tr.loss(b), ""),
     "step-1": (0, lambda tr, b: tr.train_step(), "step 1: "),
     "step-3": (2, lambda tr, b: tr.train_step(), "step 3: "),
@@ -428,7 +430,7 @@ def numeric_rows():
         if entry.startswith("sample"):
             yield entry, "output", f"^reverse step {T - 1}: {block_1.format(192)}"  # the state blew up at step T
             yield entry, "output-max", f"^non-finite noise estimate at reverse step {T}$"
-        elif entry in ("loss", "step-1", "step-3"):
+        elif entry in ("loss", "step-1", "step-3") or entry.startswith("evaluate"):
             yield entry, "output", rf"^{prefix}non-finite loss: \{{"
 
 
@@ -477,6 +479,43 @@ def test_trainer_forward_writes_no_threshold():
     assert taus(trainer.params) == before
     with pytest.raises(ConfigError, match="mode must be 'train' or 'infer', got 'eval'"):
         trainer.forward(batch, mode="eval")
+
+
+def heldout_reference(trainer, mode):
+    """The held-out loop `moelab metrics` ran before Trainer.evaluate, kept
+    as its reference: four batches drawn from seed + 4242, each routed once,
+    their per-layer masks and timesteps concatenated into one routing
+    report; and each batch's diffusion loss and excess loss, averaged."""
+    cfg = trainer.config
+    param = cfg.model.parameterization
+    rng = np.random.default_rng(cfg.seed + 4242)
+    masks, timesteps, diffusion, excess = [], [], [], []
+    for _ in range(4):
+        batch = trainer.task.sample_batch(rng, cfg.batch_size, trainer.schedule, param)
+        prediction, layer_outputs = trainer.forward(batch, mode=mode)
+        masks.append([out.route.mask for out in layer_outputs])
+        timesteps.append(batch.t)
+        diffusion.append(losses.diffusion_loss(prediction, batch.y).item())
+        excess.append(metrics.excess_loss(prediction.data, batch, trainer.task, trainer.schedule, param))
+    per_layer = [np.concatenate(layer, axis=0) for layer in zip(*masks)]
+    report = metrics.routing_report(per_layer, cfg.model.k, np.concatenate(timesteps), trainer.schedule.total_steps)
+    return report, float(np.mean(diffusion)), float(np.mean(excess))
+
+
+@pytest.mark.parametrize("mode", ["train", "infer"])
+def test_evaluate_is_the_heldout_loop_it_replaced_and_writes_no_state(mode):
+    trainer = small_trainer(seed=14, parameterization="v")
+    for _ in range(2):
+        trainer.train_step()
+    before = step_state(trainer)
+    held_out = trainer.evaluate(mode)
+    assert_same_state(step_state(trainer), before)
+    assert training.HELDOUT_BATCHES == 4
+    report, diffusion, excess = heldout_reference(trainer, mode)
+    assert repr(held_out.report) == repr(report)  # every record bit-equal
+    assert [repr(held_out.diffusion), repr(held_out.excess)] == [repr(diffusion), repr(excess)]
+    assert len(report) == SMALL.layers and all(np.isfinite(r["allocation_bucket_variance"]) for r in report)
+    assert repr(trainer.evaluate(mode)) == repr(held_out)  # the same set each time
 
 
 def test_zero_learning_rate_keeps_params_bit_exact():
