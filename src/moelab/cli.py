@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 configuration error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -56,11 +57,14 @@ def parse_settings(entries) -> dict:
     return values
 
 
-def utf8_text(path: Path, data: bytes) -> str:
-    """`data`, the bytes read from `path`, as text; bytes that are not UTF-8
+def utf8_lines(path: Path, data: bytes) -> list[str]:
+    """`data`, the bytes read from `path`, as text split at each newline and
+    only there (not at the other line breaks str.splitlines knows), so item
+    i is line i + 1 of an error message. The last item is what follows the
+    last newline: "" when the text ends with one. Bytes that are not UTF-8
     raise one ConfigError naming the path and the line."""
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").split("\n")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ConfigError(f"{path}:{line}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
@@ -73,7 +77,7 @@ def parse_config_file(path: Path) -> dict:
         data = path.read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from None
-    lines = (raw.split("#", 1)[0].strip() for raw in utf8_text(path, data).splitlines())
+    lines = (raw.split("#", 1)[0].strip() for raw in utf8_lines(path, data))
     return parse_settings((f"{path}:{n}", line, f"on line {n}") for n, line in enumerate(lines, start=1) if line)
 
 
@@ -119,10 +123,11 @@ def trainer_config_from(cfg: dict) -> TrainerConfig:
 # route-sim
 
 
-# Draws are routed in blocks of at most this many scores: one selection and
-# one report per strategy per block instead of per draw. It bounds the
-# block's memory; the results do not depend on it.
-BLOCK_BUDGET = 2**16
+# Draws are routed in blocks of at most this many scores: one selection per
+# strategy and one report per block instead of per draw. It bounds the
+# block's memory, whose report stacks every strategy's float64 masks (6 x
+# 2**14 x 8 bytes = 768 KiB); the results do not depend on it.
+BLOCK_BUDGET = 2**14
 
 
 def route_sim_draws(
@@ -146,6 +151,7 @@ def route_sim_draws(
     for start in range(0, draws, block):
         n = min(block, draws - start)
         scores = rng.normal(size=(n, B, L, E))
+        masks = []
         for strat, budget in budgets.items():
             view = routing.reshape_scores(scores, strat)
             mask2d, _ = routing.topk_mask(view, budget)
@@ -155,7 +161,11 @@ def route_sim_draws(
                 objectives[strat.name].append(
                     metrics_mod.routing_objective(routing.reshape_scores(draw, strat), draw_mask)
                 )
-            reports[strat.name] += metrics_mod.routing_report(routing.scatter_mask(mask2d, strat, scores.shape), k)
+            masks.append(routing.scatter_mask(mask2d, strat, scores.shape))
+        # one report over every strategy's masks; each record equals its mask's own
+        records = metrics_mod.routing_report(np.concatenate(masks), k)
+        for i, name in enumerate(reports):
+            reports[name] += records[i * n:(i + 1) * n]
     return objectives, reports
 
 
@@ -219,8 +229,37 @@ def discard_later_claims(out_dir: Path, step: int, source: Path | None = None) -
     remove_file(out_dir / "summary.json")
     for ckpt in out_dir.glob("ckpt_*.npz"):
         n = ckpt.stem[len("ckpt_"):]
-        if n.isdigit() and int(n) > step and ckpt.resolve() != source:
+        if n.isascii() and n.isdigit() and int(n) > step and ckpt.resolve() != source:
             remove_file(ckpt)
+
+
+def resumed_log_rows(path: Path, step: int) -> list[str]:
+    """The rows of the log at `path`, each with its newline, that a run
+    resumed at `step` keeps: those of the steps up to `step`. What follows
+    the last newline was torn by a kill and is dropped, whatever it holds.
+    Every other row must start with a step of ASCII digits, and a kept row
+    must read back as the LogRecord row it was written as; any other row
+    raises one ConfigError naming its line. A missing log keeps nothing."""
+    if not path.exists():
+        return []
+    with writing(path):  # the log this run rewrites
+        data = path.read_bytes()
+    kept = []
+    for line, row in enumerate(utf8_lines(path, data)[1:-1], start=2):
+        fields = row.split(",")
+        if not (fields[0].isascii() and fields[0].isdigit()):
+            raise ConfigError(f"{path}:{line}: a log row starts with its step, got {fields[0]!r}")
+        try:
+            if int(fields[0]) > step:
+                continue
+            written = LogRecord(int(fields[0]), *map(float, fields[1:])).csv_row() == row
+        except (TypeError, ValueError):  # a field too few or too many, or one int or float cannot read
+            written = False
+        if not written:
+            raise ConfigError(f"{path}:{line}: expected a log row of {len(LogRecord.CSV_COLUMNS)} numbers "
+                              f"({','.join(LogRecord.CSV_COLUMNS)}), got {row!r}")
+        kept.append(row + "\n")
+    return kept
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -230,19 +269,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     out_dir = make_out_dir(args)
 
     # a resumed run keeps the log rows up to the checkpoint's step and
-    # rewrites the rest, so resuming into the same --out duplicates nothing;
-    # a last row without its newline was torn by a kill, whatever it starts
-    # with. The log is read before this run writes anything, so a log that
-    # cannot be read or decoded leaves --out as it was.
+    # rewrites the rest, so resuming into the same --out duplicates nothing.
+    # The log is read before this run writes anything, so a log that cannot
+    # be read, decoded or parsed leaves --out as it was.
     log_path = out_dir / "log.csv"
-    kept = []
-    if args.resume and log_path.exists():
-        with writing(log_path):  # the log this run rewrites
-            data = log_path.read_bytes()
-        for row in utf8_text(log_path, data).splitlines(keepends=True)[1:]:
-            step = row.split(",", 1)[0]
-            if row.endswith("\n") and step.isdigit() and int(step) <= trainer.step_count:
-                kept.append(row)
+    kept = resumed_log_rows(log_path, trainer.step_count) if args.resume else []
     write_config_snapshot(cfg, out_dir)
     discard_later_claims(out_dir, trainer.step_count, Path(args.resume) if args.resume else None)
     # the header and kept rows replace the log in one step, so a run killed
@@ -361,7 +392,12 @@ def make_out_dir(args: argparse.Namespace) -> Path:
 # ----------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use: its flags come
+    from module constants, so every call would build the same tree. Its
+    callers only parse with it. It holds no command function; main looks
+    that up by name on each call."""
     parser = argparse.ArgumentParser(prog="moelab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -375,31 +411,28 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_sim)
     p_sim.add_argument("--strategies", help="comma-separated subset (default: all six)")
     p_sim.add_argument("--draws", type=int, default=100)
-    p_sim.set_defaults(func=cmd_route_sim)
 
     p_train = sub.add_parser("train", help="run the toy diffusion training loop")
     add_common(p_train)
     p_train.add_argument("--resume", help="checkpoint to resume from")
-    p_train.set_defaults(func=cmd_train)
 
     p_metrics = sub.add_parser("metrics", help="report routing metrics from a checkpoint, under its own config")
     p_metrics.add_argument("--checkpoint", required=True)
     p_metrics.add_argument("--out", help="output directory")
-    p_metrics.set_defaults(func=cmd_metrics)
 
     p_ablate = sub.add_parser("ablate", help="train several arms and tabulate")
     add_common(p_ablate)
     p_ablate.add_argument("--arms", required=True,
                           help="';'-separated arms, each ','-separated key=value overrides of the settings")
-    p_ablate.set_defaults(func=cmd_ablate)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up per call, so a command wrapped or replaced by name is the one that runs
+    command = {"route-sim": cmd_route_sim, "train": cmd_train, "metrics": cmd_metrics, "ablate": cmd_ablate}
     try:
-        return args.func(args)
+        return command[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -478,7 +478,8 @@ def replace_file(path, content) -> None:
         for stale in list(path.parent.iterdir()):
             if stale.name.startswith(prefix) and stale.name.endswith(".tmp"):
                 pid = stale.name[len(prefix):-len(".tmp")]
-                if pid.isdigit() and int(pid) > 0 and not _process_exists(int(pid)):
+                # only ASCII digits within pid_t's range can name a process
+                if pid.isascii() and pid.isdigit() and 0 < int(pid) < 2**31 and not _process_exists(int(pid)):
                     stale.unlink(missing_ok=True)
         try:
             if isinstance(content, str):

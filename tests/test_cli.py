@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moelab import training
+from moelab import cli, routing, training
 from moelab.cli import build_parser, main, parse_config_file, resolve_settings, trainer_config_from
 from moelab.denoiser import DenoiserConfig
 from moelab.training import Trainer, TrainerConfig, load_checkpoint, save_checkpoint
@@ -96,6 +96,41 @@ def test_route_sim_deterministic(tmp_path):
     main(args + ["--out", str(tmp_path / "a")])
     main(args + ["--out", str(tmp_path / "b")])
     assert (tmp_path / "a/route_sim.csv").read_text() == (tmp_path / "b/route_sim.csv").read_text()
+
+
+def test_build_parser_builds_one_parser_per_process():
+    assert build_parser() is build_parser()
+
+
+def test_main_runs_the_command_the_module_holds_at_call_time(tmp_path, monkeypatch):
+    # the parser is built once and holds no command, so a command replaced by
+    # name after a first call (as the benchmark's tracer wraps cmd_route_sim)
+    # is the one the next call runs
+    args = ["route-sim", "--out", str(tmp_path / "out"), "--draws", "1", *FAST]
+    assert main(args) == 0
+    ran = []
+    monkeypatch.setattr(cli, "cmd_route_sim", lambda ns: ran.append(ns.draws) or 0)
+    assert main(args) == 0
+    assert ran == [1]
+
+
+def test_route_sim_calls_in_one_process_carry_no_state(tmp_path, capsys):
+    # a one-strategy call, then a refused one, then a plain one: the last
+    # writes the six-row table a fresh process writes
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    settings = ["--seed", "4", "--draws", "3", *FAST]
+    assert main(["route-sim", "--out", str(out), *settings, "--strategies", "token-choice"]) == 0
+    assert main(["route-sim", "--out", str(out), *settings, "--draws", "0"]) == 2
+    assert main(["route-sim", "--out", str(out), *settings]) == 0
+    rows = read_csv(out / "route_sim.csv")
+    assert [row["strategy"] for row in rows] == list(routing.STRATEGIES)
+    done = subprocess.run(
+        [sys.executable, "-m", "moelab", "route-sim", "--out", str(fresh), *settings],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}, capture_output=True,
+        text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert (fresh / "route_sim.csv").read_bytes() == (out / "route_sim.csv").read_bytes()
 
 
 def test_train_writes_log_checkpoints_and_summary(tmp_path):
@@ -220,6 +255,61 @@ def _member_digests(path: Path) -> dict:
         return {m: hashlib.sha256(archive.read(f"{m}.npy")).hexdigest() for m in training._GROUPS}
 
 
+def _form_feed_before_plr(row):
+    step, diffusion, rest = row.split(",", 2)
+    return f"{step},{diffusion}\x0c{rest}"  # a line break for str.splitlines, not for the log
+
+
+# (the line of log.csv an edit spoils, the edit of that line's text, what the
+# error says of it); '²' passes str.isdigit, but int refuses it
+BAD_LOG_ROWS = {
+    "step-not-ascii": (2, lambda row: "\u00b2" + row[1:], "a log row starts with its step, got '\u00b2'"),
+    "form-feed-for-a-comma": (2, _form_feed_before_plr, "expected a log row of 9 numbers"),
+    "eight-fields": (2, lambda row: row.rsplit(",", 1)[0], "expected a log row of 9 numbers"),
+    "a-field-not-a-number": (3, lambda row: row.replace(",", ",x", 1), "expected a log row of 9 numbers"),
+    "blank-row": (2, lambda row: "\n" + row, "a log row starts with its step, got ''"),
+    "step-of-more-digits-than-int-reads": (2, lambda row: "1" * 5000 + row[1:], "expected a log row of 9 numbers"),
+    "step-not-ascii-past-the-checkpoint": (4, lambda row: "\u00b2" + row[1:], "a log row starts with its step"),
+}
+
+
+@pytest.mark.parametrize("edit", BAD_LOG_ROWS)
+def test_a_resumed_log_row_that_does_not_parse_is_one_config_error_line_and_changes_nothing(tmp_path, capsys,
+                                                                                           edit):
+    # every newline-ended row starts with a step of ASCII digits, and a row
+    # the resume keeps reads back as the LogRecord row it was written as
+    line, change, said = BAD_LOG_ROWS[edit]
+    cfg = tmp_path / "every1.cfg"
+    cfg.write_text("checkpoint_every = 1\n")
+    run = tmp_path / "run"
+    base = ["train", "--out", str(run), "--config", str(cfg), "--seed", "3", "--steps", "3", *FAST]
+    assert main(base) == 0
+    log = run / "log.csv"
+    rows = log.read_text().split("\n")
+    rows[line - 1] = change(rows[line - 1])
+    log.write_text("\n".join(rows))
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+    capsys.readouterr()
+    assert main([*base, "--resume", str(run / "ckpt_000002.npz")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {log}:{line}: {said}") and err.count("\n") == 1, err
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+
+def test_a_resume_drops_a_row_past_its_checkpoint_that_does_not_parse(tmp_path):
+    cfg = tmp_path / "every1.cfg"
+    cfg.write_text("checkpoint_every = 1\n")
+    run = tmp_path / "run"
+    base = ["train", "--out", str(run), "--config", str(cfg), "--seed", "3", "--steps", "3", *FAST]
+    assert main(base) == 0
+    full = (run / "log.csv").read_text()
+    rows = full.split("\n")
+    rows[3] = rows[3].split(",", 1)[0] + ",torn by an editor"
+    (run / "log.csv").write_text("\n".join(rows))
+    assert main([*base, "--resume", str(run / "ckpt_000002.npz")]) == 0
+    assert (run / "log.csv").read_text() == full
+
+
 def test_train_killed_at_seeded_times_resumes_to_the_uninterrupted_run(tmp_path):
     # `python -m moelab train` SIGKILLed three times, each time resumed from
     # its newest checkpoint (fresh if it has none). A kill is keyed to the
@@ -273,8 +363,6 @@ def test_train_killed_at_seeded_times_resumes_to_the_uninterrupted_run(tmp_path)
 
 
 def test_fresh_train_into_a_used_out_leaves_no_file_of_the_earlier_run(tmp_path, monkeypatch):
-    from moelab import cli
-
     cfg = tmp_path / "every3.cfg"
     cfg.write_text("checkpoint_every = 3\n")
     run = tmp_path / "run"
@@ -299,8 +387,6 @@ def test_fresh_train_into_a_used_out_leaves_no_file_of_the_earlier_run(tmp_path,
 
 
 def test_train_log_on_disk_reaches_each_checkpoint_step(tmp_path, monkeypatch):
-    from moelab import cli
-
     cfg = tmp_path / "every3.cfg"
     cfg.write_text("checkpoint_every = 3\n")
     run = tmp_path / "run"
@@ -645,8 +731,6 @@ def test_an_output_with_a_directory_in_the_way_is_one_config_error_line(tmp_path
 
 
 def test_a_failed_route_sim_leaves_no_table_of_an_earlier_run(tmp_path, monkeypatch):
-    from moelab import cli
-
     out = tmp_path / "sim"
     base = ["route-sim", "--out", str(out), "--draws", "2", *FAST]
     assert main([*base, "--seed", "1"]) == 0
@@ -693,8 +777,6 @@ def test_ablate_single_expert_reports_zero_comb_usage(tmp_path):
 
 
 def test_ablate_columns_are_layer_means_of_the_routing_report(tmp_path):
-    from moelab import cli
-
     args = ["--seed", "4", "--steps", "3", "--batch-size", "4", "--tokens", "4", "--model-dim", "8",
             "--layers", "3", "--experts", "4", "--k", "2"]
     out = tmp_path / "ablate"
@@ -1062,8 +1144,6 @@ def test_missing_input_file_is_config_error_naming_it(tmp_path, capsys, command,
          "budget"],
 )
 def test_ablate_validates_every_arm_before_training(tmp_path, capsys, monkeypatch, arms, named):
-    from moelab import cli
-
     trained = []
     monkeypatch.setattr(cli.Trainer, "train_step", lambda self: trained.append(1))
     out = tmp_path / "ablate"
@@ -1097,6 +1177,47 @@ def test_a_config_file_that_is_not_utf8_is_one_config_error_line_before_writing(
     assert main(["train", "--config", str(cfg), "--out", str(out), "--steps", "1", *FAST]) == 2
     assert capsys.readouterr().err == f"config error: {cfg}:2: not UTF-8 text (invalid start byte at byte 9)\n"
     assert not out.exists()
+
+
+def test_a_config_error_names_its_line_counted_at_newlines_only(tmp_path, capsys):
+    # a form feed ends a line for str.splitlines, but not in a config file
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("seed = 1\x0c\nbogus\n")
+    out = tmp_path / "out"
+    assert main(["route-sim", "--config", str(cfg), "--out", str(out), "--draws", "1"]) == 2
+    assert capsys.readouterr().err == f"config error: {cfg}:2: expected 'key = value', got 'bogus'\n"
+    assert not out.exists()
+
+
+# a file in --out that no run of moelab wrote, whose name holds '²' where a
+# temp file's pid or a checkpoint's step would be (str.isdigit accepts '²',
+# int does not), or a pid os.kill cannot take
+STRANGERS = {
+    "route-sim": ".config.snapshot.\u00b2.tmp",
+    "route-sim-past-pid_t": ".config.snapshot.2147483648.tmp",
+    "train": ".config.snapshot.\u00b2.tmp",
+    "train-checkpoint": "ckpt_\u00b2\u00b2.npz",
+    "metrics": ".metrics.json.\u00b2.tmp",
+    "ablate": ".ablate.csv.\u00b2.tmp",
+}
+
+
+@pytest.mark.parametrize("command", STRANGERS)
+def test_a_file_moelab_did_not_write_is_left_alone(tmp_path, trained_checkpoint, command):
+    out = tmp_path / "out"
+    out.mkdir()
+    stranger = out / STRANGERS[command]
+    stranger.write_text("not moelab's\n")
+    args = {
+        "route-sim": ["route-sim", "--draws", "1", *FAST],
+        "route-sim-past-pid_t": ["route-sim", "--draws", "1", *FAST],
+        "train": ["train", "--steps", "1", *FAST],
+        "train-checkpoint": ["train", "--steps", "1", *FAST],
+        "metrics": ["metrics", "--checkpoint", str(trained_checkpoint)],
+        "ablate": ["ablate", "--steps", "1", "--arms", "gating=identity", *FAST],
+    }[command]
+    assert main([*args, "--out", str(out)]) == 0
+    assert stranger.read_text() == "not moelab's\n"
 
 
 @pytest.mark.parametrize(

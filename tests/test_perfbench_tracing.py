@@ -5,6 +5,7 @@ renamed name fail the tests, not only the traced benchmark run."""
 import importlib.util
 from pathlib import Path
 
+from moelab import cli
 from moelab.denoiser import DenoiserConfig
 from moelab.training import Trainer, TrainerConfig
 
@@ -44,3 +45,23 @@ def test_perfbench_tracer_installs_records_spans_and_undoes():
     # one selection per layer per step: route reads its K-th values from that same partition
     assert [span[0] for span in tracer.spans if span[0].startswith("routing.topk_mask.")] == [
         "routing.topk_mask.expert-race"]
+
+
+def test_a_traced_route_sim_after_an_untraced_one_records_its_spans(tmp_path):
+    # the parser, built by the first call, must not bind the command it runs:
+    # the second call runs the tracer's cmd_route_sim, and the routing metrics
+    # it takes are spans under it
+    tracing = load_tracing()
+    args = ["route-sim", "--out", str(tmp_path), "--draws", "2", "--batch-size", "4", "--tokens", "4",
+            "--experts", "4", "--k", "2"]
+    assert cli.main(args) == 0
+    tracer = tracing.Tracer()
+    patches = tracing.instrument(tracer)
+    try:
+        assert cli.main(args) == 0
+    finally:
+        patches.undo()
+    names = [span[0] for span in tracer.spans]
+    assert names[0] == "cli.main" and "cli.cmd_route_sim" in names
+    table = tracing.span_table(tracer.spans, 0, len(tracer.spans))
+    assert table["metrics"]["by_parent_s"]["cli.cmd_route_sim"] > 0
