@@ -130,6 +130,12 @@ def trainer_config_from(cfg: dict) -> TrainerConfig:
 BLOCK_BUDGET = 2**14
 
 
+def block_draws(shape: tuple[int, int, int], draws: int) -> int:
+    """Draws per block of route_sim_draws: at most BLOCK_BUDGET scores, at least one draw, at most `draws`."""
+    B, L, E = shape
+    return min(draws, max(1, BLOCK_BUDGET // (B * L * E)))
+
+
 def route_sim_draws(
     rng: np.random.Generator,
     budgets: dict[routing.RoutingStrategy, int],
@@ -144,13 +150,12 @@ def route_sim_draws(
     A Generator fills an (n, B, L, E) block in the order n separate
     (B, L, E) draws would take, so the draws do not depend on the block size.
     """
-    B, L, E = shape
-    block = max(1, BLOCK_BUDGET // (B * L * E))
+    block = block_draws(shape, draws)
     objectives = {s.name: [] for s in budgets}
     reports = {s.name: [] for s in budgets}
     for start in range(0, draws, block):
         n = min(block, draws - start)
-        scores = rng.normal(size=(n, B, L, E))
+        scores = rng.normal(size=(n, *shape))
         masks = []
         for strat, budget in budgets.items():
             view = routing.reshape_scores(scores, strat)
@@ -171,7 +176,8 @@ def route_sim_draws(
 
 def cmd_route_sim(args: argparse.Namespace) -> int:
     """Builds no model, so checks only the settings it reads: the score
-    shape, k, the seed and the strategies."""
+    shape, k, the seed and the strategies, and that numpy can allocate the
+    first block of draws, before --out."""
     cfg = resolve_settings(args)
     if args.draws < 1:
         raise ConfigError(f"--draws must be >= 1, got {args.draws}")
@@ -182,6 +188,12 @@ def cmd_route_sim(args: argparse.Namespace) -> int:
         raise ConfigError(f"--strategies names {', '.join(repeated)} more than once")
     B, L, E, k = cfg["batch_size"], cfg["tokens"], cfg["experts"], cfg["k"]
     budgets = {s: routing.effective_k(s, B, L, E, k) for s in strategies}
+    try:  # the first block's stacked masks, its largest array; pages untouched
+        np.empty((len(budgets) * block_draws((B, L, E), args.draws), B, L, E))
+    except (ValueError, MemoryError) as exc:  # numpy's refusal of an array size
+        raise ConfigError(
+            f"batch_size={B}, tokens={L}, experts={E} ask for arrays numpy cannot allocate: {exc}"
+        ) from None
     out_dir = make_out_dir(args)
     csv_path = out_dir / "route_sim.csv"
     remove_file(csv_path)  # an earlier run's table never sits beside this run's snapshot

@@ -25,11 +25,13 @@ derivative Phi(x) + x * phi(x) in the forward, with the IEEE operations of
 the textbook backward in the same order, and saves only that; its backward
 is one multiply by g.
 
-backward() consumes interior nodes; leaves keep grads. As the sweep passes
-an interior node it drops the node's gradient, grad-fn and parent links, so
-the arrays its grad-fn saved are freed as soon as no later node needs them,
-and a second backward through the same graph raises ContractError. The
-optimizer rebinds leaf data between steps. Gradients are never written in
+backward(loss) consumes interior nodes; the leaves it reaches keep grads,
+and one it never reaches is not written (None reads as zero). As the sweep
+passes an interior node it drops the node's gradient, grad-fn and parent
+links, so the arrays its grad-fn saved are freed as soon as no later node
+needs them, and a second backward through the same graph raises
+ContractError. The optimizer applies and frees each leaf's gradient and
+rebinds its data between steps. Gradients are never written in
 place: a second contribution rebinds `t.grad = t.grad + g`. So a gradient
 is stored as the very array an op hands over when that array is
 C-contiguous, and copied into C order only when it is not (a transposed or
@@ -77,7 +79,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import itertools
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -558,17 +560,17 @@ def _consumed(g: np.ndarray) -> None:
     raise ContractError("backward already ran through this graph and freed it; build the graph again")
 
 
-def backward(loss: Tensor, params: Iterable[Tensor] = ()) -> None:
+def backward(loss: Tensor) -> None:
     """Reverse-mode sweep from a scalar loss that consumes the graph.
 
     Fills `grad` on every requires_grad leaf reachable from `loss`
     (parameters and inputs made with requires_grad=True), popping nodes in
-    exact reverse creation order. Once an interior node's grad-fn has run,
-    or was skipped because no gradient reached the node, its grad, grad-fn
-    and parent links are dropped, so what it saved for backward is freed as
-    soon as no later node needs it; a later backward that reaches the node
-    raises ContractError. Tensors passed in `params` that the graph never
-    touched get explicit zero gradients.
+    exact reverse creation order, and writes no other leaf: one the graph
+    never reaches keeps grad None, which optimizers read as zero. Once an
+    interior node's grad-fn has run, or was skipped because no gradient
+    reached the node, its grad, grad-fn and parent links are dropped, so
+    what it saved for backward is freed as soon as no later node needs it;
+    a later backward that reaches the node raises ContractError.
     """
     if loss.data.size != 1:
         raise ContractError(f"loss must be scalar, got shape {loss.shape}")
@@ -597,10 +599,6 @@ def backward(loss: Tensor, params: Iterable[Tensor] = ()) -> None:
         if node.grad is not None:
             node.grad_fn(node.grad)
         node.grad, node.grad_fn, node.parents = None, _consumed, ()
-
-    for p in params:
-        if p.requires_grad and p.grad is None:
-            p.grad = np.zeros_like(p.data)
 
 
 def finite_difference_grad(f: Callable[[Tensor], float], x: Tensor, h: float = 1e-5) -> Tensor:

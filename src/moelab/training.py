@@ -16,7 +16,8 @@ The optimizer moments and the EMA shadow are arrays the trainer owns and
 updates in place. Parameters are rebound to a new array each step
 (`p.data = p.data - u`), never written in place: graph nodes and callers may
 still hold the previous step's array. Sampling and `Trainer.forward` run
-under `tensor.no_grad()` and build no tape.
+under `tensor.no_grad()` and build no tape. AdamW frees each gradient as
+it applies it.
 """
 
 from __future__ import annotations
@@ -69,8 +70,9 @@ class AdamW(object):
     betas (0.9, 0.999) and eps 1e-8.
 
     `m` and `v` are updated in place, with the same IEEE operations in the
-    same order as the textbook formulas; `p.grad` is only read and each
-    parameter is rebound to a new array.
+    same order as the textbook formulas. `step` reads each `p.grad` (None,
+    a leaf the loss never reached, as zero), rebinds `p` to a new array and
+    sets `p.grad = None` before the next tensor: it frees what it applies.
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -91,6 +93,7 @@ class AdamW(object):
         bc2 = 1.0 - b2**self.step_count
         for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            p.grad = None
             u = np.multiply(g, 1.0 - b1)
             m *= b1
             m += u  # m = b1 * m + (1 - b1) * g
@@ -287,10 +290,8 @@ class Trainer(object):
             self.rng.bit_generator.state = rng_state
             raise NumericError(f"step {self.step_count + 1}: {exc}") from exc
 
-        backward(total, self.opt.params)
+        backward(total)
         self.opt.step()
-        for p in self.opt.params:  # applied: free the gradients until the next step
-            p.grad = None
         self.ema.update(self.opt.params)
         for blk, out in zip(self.params.blocks, layer_outputs):
             ema_update(blk.moe.threshold, out.route.kth_values)
@@ -361,8 +362,9 @@ class Trainer(object):
         Returns generated samples (n, L, D) and, per reverse step, the mean
         active experts per token per layer. A sample count n that is not a
         positive integer, a class label that is not an integer in [0,
-        num_classes), or a label list whose length is neither 1 nor n,
-        raises ConfigError. The first non-finite router score, noise
+        num_classes), a label list whose length is neither 1 nor n, or an n
+        whose (n, L, D) state numpy cannot allocate raises ConfigError,
+        before anything is drawn. The first non-finite router score, noise
         estimate or sample state raises NumericError naming the reverse
         step, with no numpy warning before it. The reverse steps build no
         tape.
@@ -370,6 +372,10 @@ class Trainer(object):
         if not is_integer(n) or n < 1:
             raise ConfigError(f"sample count must be a positive integer, got {n!r}")
         cfg = self.config.model
+        try:
+            np.empty((n, cfg.tokens, cfg.model_dim))  # the sample state, pages untouched
+        except (ValueError, MemoryError) as exc:  # numpy's refusal of an array size
+            raise ConfigError(f"sample count n={n} asks for arrays numpy cannot allocate: {exc}") from None
         labels = class_labels(c)
         if labels.ndim > 1 or labels.size not in (1, n):
             raise ConfigError(f"{labels.size} class labels for {n} samples; give 1 or {n}")

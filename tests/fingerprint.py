@@ -13,8 +13,10 @@ Run from the repository root:
 
     PYTHONPATH=src python tests/fingerprint.py [--steps 20]
 
-It prints one hash for the default config and one for `v` prediction at
-lr 2e-3. Compare the hashes of two commits on one machine. No golden hash is
+It prints one hash for the default config, one for `v` prediction at
+lr 2e-3 and one for the default config at w_plr = 0, where no loss reaches a
+block's target head, so its hash covers how an untouched parameter is
+updated. Compare the hashes of two commits on one machine. No golden hash is
 stored: OpenBLAS picks its kernels per CPU, so the same code may hash
 differently on another machine.
 """
@@ -35,6 +37,7 @@ from moelab.training import Trainer, TrainerConfig
 CONFIGS = {
     "default": TrainerConfig(),
     "v, lr 2e-3": TrainerConfig(model=DenoiserConfig(parameterization="v"), lr=2e-3),
+    "w_plr 0": TrainerConfig(w_plr=0.0),
 }
 
 

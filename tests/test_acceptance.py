@@ -245,7 +245,7 @@ def test_criterion_5_gradients_match_finite_differences():
         trainer.train_step()
     batch = trainer.task.sample_batch(np.random.default_rng(3), 4, trainer.schedule, "eps")
 
-    backward(trainer.loss(batch)[0], trainer.opt.params)  # the objective train_step minimizes
+    backward(trainer.loss(batch)[0])  # the objective train_step minimizes
     coord_rng = np.random.default_rng(5)
     named = trainer.params.named_tensors()
     total_coords = sum(p.data.size for _, p in named)

@@ -1034,7 +1034,8 @@ def test_checkpoint_fault(tmp_path, capsys, trained_checkpoint, row, make, fragm
 
 
 def test_a_size_no_array_can_have_is_one_config_error_line(tmp_path, capsys, trained_checkpoint):
-    # numpy refuses a (2**62, 2**62) weight, or a (2**62, 4, 8) batch, before it allocates anything
+    # numpy refuses a (2**62, 2**62) weight, or a (2**62, 4, 8) batch, before it allocates anything;
+    # route-sim's first block of (10**8, 10**8, 8) scores is past any address space (MemoryError)
     huge = tmp_path / "huge.npz"
     meta(lambda m: {**m, "config": {**m["config"], "model_dim": 2**62}})(huge, trained_checkpoint)
     sizes = "model_dim=4611686018427387904, tokens="
@@ -1042,7 +1043,11 @@ def test_a_size_no_array_can_have_is_one_config_error_line(tmp_path, capsys, tra
     for command, said in [(["train", "--model-dim", str(2**62), "--steps", "1"], f"config error: layers=4, {sizes}"),
                           (["metrics", "--checkpoint", str(huge)], f"config error: checkpoint {huge}: layers=1, {sizes}"),
                           (["train", *batch, "--steps", "1"], "config error: layers=1, model_dim=8, tokens=4, "
-                           "num_classes=4, num_experts=8, dense_hidden=256, batch_size=4611686018427387904 ask ")]:
+                           "num_classes=4, num_experts=8, dense_hidden=256, batch_size=4611686018427387904 ask "),
+                          (["route-sim", "--draws", "1", "--batch-size", str(2**62)],
+                           "config error: batch_size=4611686018427387904, tokens=16, experts=8 ask "),
+                          (["route-sim", "--draws", "1", "--batch-size", str(10**8), "--tokens", str(10**8)],
+                           "config error: batch_size=100000000, tokens=100000000, experts=8 ask ")]:
         out = tmp_path / "out"
         assert main([*command, "--out", str(out)]) == 2
         err = capsys.readouterr().err

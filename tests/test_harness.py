@@ -360,7 +360,54 @@ def test_adamw_in_place_matches_allocating_formulas():
             assert np.array_equal(p.data, ref_p[i])
             assert p.data is not old_data[i]  # rebound, not written
             assert np.array_equal(old_data[i], old_copies[i])
-            assert p.grad is grads[i] and np.array_equal(grads[i], grad_copies[i])
+            assert p.grad is None and np.array_equal(grads[i], grad_copies[i])  # read, not written, then freed
+
+
+def test_adamw_reads_a_missing_grad_as_zeros_and_frees_every_grad():
+    # the second tensor has a gradient for two steps, then none (a leaf the
+    # loss stopped reaching): its moments and weights must move, bit for bit,
+    # as they do under an explicit zero gradient
+    rng = np.random.default_rng(41)
+    params = _random_params(rng)
+    twins = [Tensor(p.data.copy(), requires_grad=True) for p in params]
+    opt, twin_opt = AdamW(params, lr=1e-2), AdamW(twins, lr=1e-2)
+    for step in range(4):
+        for i, (p, twin) in enumerate(zip(params, twins)):
+            g = rng.normal(size=p.shape)
+            missing = i == 1 and step >= 2
+            p.grad = None if missing else g
+            twin.grad = np.zeros_like(g) if missing else g.copy()
+        opt.step()
+        twin_opt.step()
+        for i, (p, twin) in enumerate(zip(params, twins)):
+            assert p.grad is None and twin.grad is None
+            assert opt.m[i].tobytes() == twin_opt.m[i].tobytes()
+            assert opt.v[i].tobytes() == twin_opt.v[i].tobytes()
+            assert p.data.tobytes() == twin.data.tobytes()
+
+
+def test_a_train_step_at_w_plr_0_frees_every_grad_and_leaves_the_target_heads_alone(monkeypatch):
+    # without the per-layer regularizer no loss reads a block's target head:
+    # backward leaves its 8 tensors at grad None and writes every other one,
+    # and AdamW's zero update keeps their weights bit for bit
+    trainer = Trainer(TrainerConfig(w_plr=0.0))
+    named = trainer.params.named_tensors()
+    heads = {name: t.data.copy() for name, t in named if name.endswith((".target_w", ".target_b"))}
+    assert len(heads) == 8
+    unreached = []
+
+    def recorded_backward(loss):
+        backward(loss)
+        unreached.append({name for name, t in named if t.grad is None})
+
+    monkeypatch.setattr(training, "backward", recorded_backward)
+    for _ in range(2):
+        trainer.train_step()
+        assert all(p.grad is None for p in trainer.opt.params)
+    assert unreached == [set(heads)] * 2
+    for name, t in named:
+        if name in heads:
+            assert t.data.tobytes() == heads[name].tobytes(), name
 
 
 def test_weight_ema_in_place_matches_allocating_formula():
@@ -795,6 +842,18 @@ def test_sampling_rejects_a_count_that_is_no_positive_integer(n, monkeypatch):
     assert steps == []
 
 
+@pytest.mark.parametrize("n", [10**13, 2**62])
+def test_sampling_refuses_a_count_numpy_cannot_allocate_before_drawing(n):
+    # 10**13 asks for petabytes (MemoryError), 2**62 for more than an array can
+    # index (ValueError): one ConfigError naming n, with nothing drawn
+    trainer = small_trainer(seed=5)
+    trainer.train_step()
+    state = trainer.rng.bit_generator.state
+    with pytest.raises(ConfigError, match=f"^sample count n={n} asks for arrays numpy cannot allocate: "):
+        trainer.sample(n, 0)
+    assert trainer.rng.bit_generator.state == state
+
+
 @pytest.mark.parametrize("c", [-1, SMALL.num_classes, [0, 7]])
 def test_sampling_rejects_class_label_out_of_range(c):
     trainer = small_trainer(seed=5)
@@ -903,7 +962,7 @@ def test_end_to_end_gradients_match_finite_differences(w_blc):
     for _ in range(3):  # move off the zero-init point
         trainer.train_step()
     batch = trainer.task.sample_batch(np.random.default_rng(7), 4, trainer.schedule, "eps")
-    backward(trainer.loss(batch)[0], trainer.opt.params)  # the objective train_step minimizes
+    backward(trainer.loss(batch)[0])  # the objective train_step minimizes
 
     rng = np.random.default_rng(31)
     named = trainer.params.named_tensors()

@@ -144,6 +144,10 @@ def test_moe_forward_single_expert_gate_scaling():
     assert np.allclose(out.y.data[0, 0], gate * expert_out, atol=1e-13)
 
 
+# The target head: only y_hat reads it, so a loss on y never reaches it and backward leaves its grad None.
+UNREAD_BY_Y = {"target_w", "target_b"}
+
+
 def test_moe_forward_all_gates_zero_gives_zero_output():
     cfg = make_config()
     params = init_params(cfg, 9)
@@ -153,11 +157,13 @@ def test_moe_forward_all_gates_zero_gives_zero_output():
         out = moe_forward(x, params, get_strategy("expert-race"), gating, cfg.k, "infer")
         assert out.route.mask.sum() == 0
         assert np.array_equal(out.y.data, np.zeros((2, 3, cfg.model_dim)))
-        # the experts ran on zero rows, so y's gradient reaches x and every weight as exact zeros
-        leaves = [x] + [t for _, t in named_tensors(params)]
-        backward(out.y.sum(), leaves)
-        for t in leaves:
-            assert t.grad.dtype == np.float64 and np.array_equal(t.grad, np.zeros_like(t.data))
+        # the experts ran on zero rows, so y's gradient reaches x and every weight y reads as exact zeros
+        backward(out.y.sum())
+        for name, t in [("x", x), *named_tensors(params)]:
+            if name in UNREAD_BY_Y:
+                assert t.grad is None, name
+            else:
+                assert t.grad.dtype == np.float64 and np.array_equal(t.grad, np.zeros_like(t.data)), name
 
 
 def test_dense_equivalence_one_in_one():
@@ -178,7 +184,7 @@ def test_zero_token_experts_get_exact_zero_grad():
     out = moe_forward(x, params, get_strategy("token-choice"), "identity", cfg.k, "train")
     assert np.all(out.route.mask[..., 0] == 1.0) and out.route.mask[..., 1:].sum() == 0
     loss = out.y.square().sum()
-    backward(loss, [t for _, t in named_tensors(params)])
+    backward(loss)
     for i in (1, 2, 3):
         assert np.array_equal(params.experts.w_in.grad[i], np.zeros((4, 8)))
         assert np.array_equal(params.experts.w_out.grad[i], np.zeros((8, 4)))
@@ -189,14 +195,13 @@ def test_expert_idle_this_step_gets_zero_grad_not_last_steps():
     cfg = make_config(d=4, e=4, k=1, dense=8)
     params = init_params(cfg, 13)
     x = Tensor(np.random.default_rng(5).normal(size=(2, 4, 4)))
-    named = [t for _, t in named_tensors(params)]
     out = moe_forward(x, params, get_strategy("bl-choice"), "identity", cfg.k, "train")  # every expert gets rows
-    backward(out.y.square().sum(), named)
+    backward(out.y.square().sum())
     assert all(np.abs(g).max() > 0 for g in params.experts.w_in.grad)
     params.gate_b.data = np.array([100.0, 0.0, 0.0, 0.0])
     out = moe_forward(x, params, get_strategy("token-choice"), "identity", cfg.k, "train")
     assert out.route.mask[..., 1:].sum() == 0
-    backward(out.y.square().sum(), named)
+    backward(out.y.square().sum())
     assert np.array_equal(params.experts.w_in.grad[1:], np.zeros((3, 4, 8)))
     assert np.array_equal(params.experts.w_out.grad[1:], np.zeros((3, 8, 4)))
 
@@ -355,7 +360,7 @@ def test_gathered_dispatch_matches_dense_masked_oracle(strategy_name, gating, ca
         else:
             out = moe_forward(x, params, strategy, gating, cfg.k, mode)
             y, result = out.y, out.route
-        backward((y * probe).sum(), [x] + [t for _, t in named_tensors(params)])
+        backward((y * probe).sum())
         runs.append((y.data, result.mask, x.grad, {name: t.grad for name, t in named_tensors(params)}))
         assert params.threshold.tau == tau  # routing writes no threshold
     (y, mask, gx, grads), (y_ref, mask_ref, gx_ref, grads_ref) = runs
@@ -367,8 +372,10 @@ def test_gathered_dispatch_matches_dense_masked_oracle(strategy_name, gating, ca
         assert mask[..., 3].sum() == 0
     assert_close(y, y_ref, "y")
     assert_close(gx, gx_ref, "dL/dx")
+    assert {n for n, g in grads.items() if g is None} == {n for n, g in grads_ref.items() if g is None} == UNREAD_BY_Y
     for name, g in grads.items():
-        assert_close(g, grads_ref[name], name)
+        if name not in UNREAD_BY_Y:
+            assert_close(g, grads_ref[name], name)
     for i in range(cfg.num_experts):
         if mask[..., i].sum() == 0:
             assert np.array_equal(grads["experts.w_in"][i], np.zeros((4, 4)))

@@ -91,7 +91,7 @@ def _loss(out: Tensor) -> Tensor:
 def _taped(row):
     leaves = [Tensor(a, requires_grad=True) for a in row.arrays]
     out = _apply(row, leaves)
-    backward(_loss(out), leaves)
+    backward(_loss(out))
     return out, [leaf.grad for leaf in leaves]
 
 

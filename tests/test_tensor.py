@@ -82,11 +82,11 @@ def test_gelu_exact_gaussian_form():
     assert np.allclose(out.data, [0.0, phi1, -(1.0 - phi1)], atol=1e-12)
 
 
-def test_unused_tensor_gets_zero_grad():
+def test_a_leaf_the_graph_never_reaches_keeps_grad_none():
     used = Tensor(np.ones(2), requires_grad=True)
     unused = Tensor(np.ones(3), requires_grad=True)
-    backward(used.sum(), params=[used, unused])
-    assert np.array_equal(unused.grad, np.zeros(3))
+    backward(used.sum())
+    assert np.array_equal(used.grad, np.ones(2)) and unused.grad is None
 
 
 def test_shape_mismatch_names_both_shapes():
@@ -183,7 +183,7 @@ def test_segment_matmul_forward_per_segment_and_zero_grad_for_an_empty_segment()
     for s, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
         assert np.array_equal(out.data[lo:hi], x.data[lo:hi] @ w.data[s])
     assert out._node.parents == (x._node, w._node)
-    backward(out.square().sum(), [x, w])
+    backward(out.square().sum())
     assert np.array_equal(w.grad[1], np.zeros((3, 2)))  # no rows: exactly zero
     for s in (0, 2, 3):
         lo, hi = offsets[s], offsets[s + 1]
@@ -352,7 +352,7 @@ def test_backward_frees_interior_nodes_and_keeps_leaf_grads():
     scaled = w * 1.0
     hidden = gelu(segment_matmul(x, scaled, [0, 4, 4]))  # slice 1's segment is empty
     loss = (hidden * const).sum()
-    backward(loss, [x, w])
+    backward(loss)
     for node in (loss, hidden, scaled):
         assert node.grad is None and node._node.parents == ()
     z = x.data @ w.data[0]
@@ -416,10 +416,10 @@ def test_train_step_backward_peak_stays_near_the_forward_tape(monkeypatch):
     trainer.train_step()  # past the first step's set-up: thresholds, moments
     seen = {}
 
-    def measured_backward(loss, params):
+    def measured_backward(loss):
         seen["forward"] = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        backward(loss, params)
+        backward(loss)
         seen["peak"] = tracemalloc.get_traced_memory()[1]
 
     monkeypatch.setattr(training, "backward", measured_backward)
@@ -446,9 +446,9 @@ def test_train_step_tape_holds_only_what_backward_reads(monkeypatch):
         live["forward"] = tracemalloc.get_traced_memory()[0]
         return forward(*args, **kwargs)
 
-    def measured_backward(loss, params):
+    def measured_backward(loss):
         live["backward"] = tracemalloc.get_traced_memory()[0]
-        sweep(loss, params)
+        sweep(loss)
 
     monkeypatch.setattr(training, "denoiser_forward", measured_forward)
     monkeypatch.setattr(training, "backward", measured_backward)
