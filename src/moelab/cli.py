@@ -336,8 +336,8 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 def _parse_arms(spec: str, cfg: dict) -> list[tuple[str, int, TrainerConfig]]:
     """Each ';'-separated arm, ','-separated `key=value` overrides of the
     base settings `cfg`, with its step count and config: all parsed,
-    typed and built, and so checked, before the first arm trains. An
-    error names its arm."""
+    typed and built, a blank Trainer too (np.empty arrays, nothing drawn),
+    and so checked, before the first arm trains. An error names its arm."""
     arms = []
     for arm in (a.strip() for a in spec.split(";")):
         if not arm:
@@ -348,7 +348,9 @@ def _parse_arms(spec: str, cfg: dict) -> list[tuple[str, int, TrainerConfig]]:
             arm_cfg = check_settings({**cfg, **overrides})
             if arm_cfg["steps"] < 1:
                 raise ConfigError(f"ablate trains each arm for --steps >= 1, got {arm_cfg['steps']}")
-            arms.append((arm, arm_cfg["steps"], trainer_config_from(arm_cfg)))
+            config = trainer_config_from(arm_cfg)
+            Trainer(config, blank=True)
+            arms.append((arm, arm_cfg["steps"], config))
         except ConfigError as exc:
             raise ConfigError(f"{where}: {exc}") from None
     if not arms:

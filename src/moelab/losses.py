@@ -117,7 +117,7 @@ def per_layer_reg_loss(y_hats: list[Tensor], target) -> Tensor:
         if y_hat.shape != y.shape:
             raise ConfigError(f"target head output {y_hat.shape} does not match target {y.shape}")
         diff = y_hat - y
-        per_token = diff.square().sum(axis=-1)  # (B, L)
+        per_token = (diff * diff).sum(axis=-1)  # (B, L)
         terms.append(per_token.mean())
     return layer_mean(terms)
 
@@ -127,7 +127,8 @@ def diffusion_loss(prediction: Tensor, target) -> Tensor:
     y = target if isinstance(target, Tensor) else Tensor(target)
     if prediction.shape != y.shape:
         raise ConfigError(f"prediction {prediction.shape} does not match target {y.shape}")
-    return (prediction - y).square().mean()
+    diff = prediction - y
+    return (diff * diff).mean()
 
 
 def total_loss(

@@ -1,7 +1,8 @@
 """Dense float64 tensors with reverse-mode differentiation.
 
 A deliberately small op set: matmul, a grouped matmul of row segments against
-one stacked (S, d, m) weight (segment_matmul), elementwise arithmetic, GELU,
+one stacked (S, d, m) weight (segment_matmul), elementwise arithmetic (a
+square is x * x: one mul node, and its gradient reaches x twice), GELU,
 sigmoid, softmax, reductions, reshape/permute, row gather/scatter
 (take_rows/scatter_rows, whose scatter-add is one np.bincount), column
 slicing (take_cols) and constant masking. Every op is eager. Each
@@ -18,12 +19,13 @@ formula reads, never a parent Tensor, so the forward's dead intermediates
 are freed at once. add, sub, sum, reshape, transpose, take_rows,
 scatter_rows and take_cols save no array; mul and segment_matmul save both
 operands; matmul saves `a` only if `b` needs a gradient and `b` only if `a`
-does. gelu computes erf of |x| / sqrt 2 into one buffer, puts x's sign
-back and, under no_grad, multiplies x into that same buffer, so a
-forward-only gelu allocates one array; with a gradient it computes its
-derivative Phi(x) + x * phi(x) in the forward, with the IEEE operations of
-the textbook backward in the same order, and saves only that; its backward
-is one multiply by g.
+does. gelu computes erf of |x| / sqrt 2 into one buffer and puts x's sign
+back to make Phi(x); when a gradient is needed it then computes the
+derivative Phi(x) + x * phi(x) from that buffer into a second one, with the
+IEEE operations of the textbook backward in the same order, and saves only
+that. In both modes it then multiplies x into the first buffer, which
+becomes the output: a forward-only gelu allocates one array and a taped one
+two, and its backward is one multiply by g.
 
 backward(loss) consumes interior nodes; the leaves it reaches keep grads,
 and one it never reaches is not written (None reads as zero). As the sweep
@@ -270,14 +272,6 @@ class Tensor:
     def __matmul__(self, other) -> "Tensor":
         return matmul(self, other)
 
-    def square(self) -> "Tensor":
-        x, xn = self.data, self._node
-
-        def gfn(g):
-            _accumulate(xn, g * 2.0 * x)
-
-        return Tensor(x * x, _parents=(self,), _grad_fn=gfn)
-
     # ------------------------------------------------------------------
     # reductions
 
@@ -421,9 +415,10 @@ def gelu(x: Tensor) -> Tensor:
     x's sign put back: the same bits as erf(x * (1 / sqrt 2)), because
     multiplying by a positive constant is symmetric in sign (-0.0 included)
     and scipy's erf is odd bit for bit, but without erf's branch on the sign.
-    The whole CDF is built in one buffer. For a NaN x the buffer's NaN takes
-    x's sign, but x is the first operand of every later op that meets it, so
-    the output and the derivative carry x's NaN as before."""
+    The whole CDF is built in one buffer, and the output x * Phi(x) is written
+    over it once the derivative, when one is needed, has read it. For a NaN x
+    the buffer's NaN takes x's sign, but x is the first operand of every later
+    op that meets it, so the output and the derivative carry x's NaN as before."""
     from scipy.special import erf  # loaded on the first call; see the module docstring
 
     x = Tensor._coerce(x)
@@ -433,24 +428,23 @@ def gelu(x: Tensor) -> Tensor:
     np.copysign(cdf, x.data, out=cdf)
     cdf += 1.0
     cdf *= 0.5
-    if not (_grad_enabled and x.requires_grad):
-        return Tensor(np.multiply(x.data, cdf, out=cdf))
-    out = x.data * cdf
-    # d = cdf + x * pdf with pdf = exp(-0.5 * x * x) / sqrt(2 pi), in one
-    # buffer: the same IEEE operations in the same order as the textbook form
-    d = x.data * -0.5
-    d *= x.data
-    np.exp(d, out=d)
-    d *= _INV_SQRT_2PI
-    d *= x.data
-    d += cdf
-    xn = x._node
+    gfn = None
+    if _grad_enabled and x.requires_grad:
+        # d = cdf + x * pdf with pdf = exp(-0.5 * x * x) / sqrt(2 pi), in one
+        # buffer: the same IEEE operations in the same order as the textbook form
+        d = x.data * -0.5
+        d *= x.data
+        np.exp(d, out=d)
+        d *= _INV_SQRT_2PI
+        d *= x.data
+        d += cdf
+        xn = x._node
 
-    def gfn(g):
-        np.multiply(d, g, out=d)  # the sweep calls this once
-        _accumulate(xn, d)
+        def gfn(g):
+            np.multiply(d, g, out=d)  # the sweep calls this once
+            _accumulate(xn, d)
 
-    return Tensor(out, _parents=(x,), _grad_fn=gfn)
+    return Tensor(np.multiply(x.data, cdf, out=cdf), _parents=(x,), _grad_fn=gfn)
 
 
 def sigmoid(x: Tensor) -> Tensor:

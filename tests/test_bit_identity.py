@@ -38,7 +38,7 @@ CONFIG = TrainerConfig(
 )
 
 
-def reference_backward(loss, params=()):
+def reference_backward(loss):
     if loss.data.size != 1:
         raise tensor.ContractError(f"loss must be scalar, got shape {loss.shape}")
     nodes, seen, stack = [], set(), [loss._node]
@@ -56,9 +56,6 @@ def reference_backward(loss, params=()):
     for node in nodes:
         if node.grad_fn is not None and node.grad is not None:
             node.grad_fn(node.grad)
-    for p in params:
-        if p.requires_grad and p.grad is None:
-            p.grad = np.zeros_like(p.data)
 
 
 def reference_accumulate(t, g):

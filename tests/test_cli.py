@@ -175,6 +175,19 @@ def test_train_resume_into_same_dir_keeps_one_row_per_step(tmp_path):
     assert (run / "log.csv").read_text() == first  # resumed rows repeat bit for bit
 
 
+def test_resuming_from_ckpt_final_in_its_own_out_keeps_it_as_the_step_checkpoint(tmp_path):
+    base = ["train", "--seed", "3", *FAST]
+    ref, run = tmp_path / "ref", tmp_path / "run"
+    assert main([*base, "--out", str(ref), "--steps", "5"]) == 0
+    assert main([*base, "--out", str(run), "--steps", "3"]) == 0
+    final = (run / "ckpt_final.npz").read_bytes()
+    assert main([*base, "--out", str(run), "--steps", "5", "--resume", str(run / "ckpt_final.npz")]) == 0
+    assert (run / "ckpt_000003.npz").read_bytes() == final
+    assert [r["step"] for r in read_csv(run / "log.csv")] == ["1", "2", "3", "4", "5"]
+    assert (run / "log.csv").read_text() == (ref / "log.csv").read_text()
+    assert _member_digests(run / "ckpt_final.npz") == _member_digests(ref / "ckpt_final.npz")
+
+
 def test_killed_resume_keeps_the_log_its_checkpoint_covers(tmp_path):
     # resumes into the run's own --out, SIGKILLed before their first new
     # step and inside a checkpoint save
@@ -982,6 +995,8 @@ ROWS = [
      " metadata 'config': unknown strategy 'expert-rice'; choose from "),
     ("config-k", meta(lambda m: {**m, "config": {**m["config"], "k": 99}}),
      " metadata 'config': k=99 exceeds expert count 4\n"),
+    ("config-seed", meta(lambda m: {**m, "config": {**m["config"], "seed": -1}}),  # the CLI refuses it earlier
+     " metadata 'config': seed must be >= 0, got -1\n"),
     ("w_plr-missing", meta(lambda m: {**m, "config": {k: v for k, v in m["config"].items() if k != "w_plr"}}),
      " config mismatch (saved vs requested): {'w_plr': (None, 0.01)}\n"),
     ("ema_decay", meta(lambda m: {**m, "config": {**m["config"], "ema_decay": 0.999}}),  # once a setting
@@ -1144,9 +1159,13 @@ def test_missing_input_file_is_config_error_naming_it(tmp_path, capsys, command,
         ("gating=identity;k=1,k=2", "arm 'k=1,k=2': config key 'k' is already set in this arm\n"),
         ("gating=identity;k=two", "arm 'k=two': config key 'k' must be int, got 'two'\n"),
         ("gating=identity;strategy=expert-choice", "E must divide"),
+        ("gating=identity;batch_size=4611686018427387904",
+         "arm 'batch_size=4611686018427387904': layers=1, model_dim=8, tokens=3, num_classes=4, num_experts=4, "
+         "dense_hidden=256, batch_size=4611686018427387904 ask for arrays numpy cannot allocate"),
+        (";;", "ablate needs --arms 'key=value,...;...'\n"),
     ],
     ids=["gating", "strategy", "w_sim", "w_blc", "missing-equals", "unknown-key", "repeated-key", "k-wrong-type",
-         "budget"],
+         "budget", "array-size", "only-empty-arms"],
 )
 def test_ablate_validates_every_arm_before_training(tmp_path, capsys, monkeypatch, arms, named):
     trained = []
@@ -1156,13 +1175,15 @@ def test_ablate_validates_every_arm_before_training(tmp_path, capsys, monkeypatc
                "--batch-size", "2", "--tokens", "3", "--model-dim", "8", "--layers", "1",
                "--experts", "4", "--k", "1"])
     assert rc == 2
-    assert named in capsys.readouterr().err
-    assert trained == [] and not (out / "ablate.csv").exists()
+    err = capsys.readouterr().err
+    assert named in err and err.count("\n") == 1
+    assert trained == [] and not out.exists()
 
 
 @pytest.mark.parametrize("arms, rc", [("strategy=token-choice", 0),
+                                      ("strategy=token-choice;;", 0),
                                       ("strategy=token-choice;strategy=expert-choice", 2)],
-                         ids=["no-arm-uses-the-base", "an-arm-does"])
+                         ids=["no-arm-uses-the-base", "empty-arms-are-skipped", "an-arm-does"])
 def test_ablate_checks_the_arms_not_the_base_strategy_they_replace(tmp_path, capsys, arms, rc):
     # k * batch_size * tokens / experts = 1 * 2 * 3 / 4 is no integer K: only an arm may run expert-choice here
     out = tmp_path / "ablate"

@@ -236,6 +236,17 @@ def test_denoiser_prediction_shape_matches_target():
     assert pred.shape == x_t.shape
 
 
+def test_an_odd_model_dim_pads_the_timestep_embedding_with_a_zero_column():
+    trainer = small_trainer(model_dim=7)  # 3 sines and 3 cosines, then the pad
+    t = np.arange(SMALL.total_steps)
+    emb = trainer.params.timestep_embedding(t, SMALL.total_steps)
+    assert emb.shape == (SMALL.total_steps, 7)
+    assert np.array_equal(emb[:, -1], np.zeros(SMALL.total_steps)) and np.all(emb[1:, :-1] != 0.0)
+    for _ in range(2):
+        assert np.isfinite(trainer.train_step().total)
+    assert all(np.isfinite(p.data).all() for p in trainer.opt.params)
+
+
 def test_dense_twin_forward_matches_one_in_one():
     from dataclasses import replace
 

@@ -183,7 +183,7 @@ def test_zero_token_experts_get_exact_zero_grad():
     x = Tensor(np.random.default_rng(5).normal(size=(2, 3, 4)))
     out = moe_forward(x, params, get_strategy("token-choice"), "identity", cfg.k, "train")
     assert np.all(out.route.mask[..., 0] == 1.0) and out.route.mask[..., 1:].sum() == 0
-    loss = out.y.square().sum()
+    loss = (out.y * out.y).sum()
     backward(loss)
     for i in (1, 2, 3):
         assert np.array_equal(params.experts.w_in.grad[i], np.zeros((4, 8)))
@@ -196,12 +196,12 @@ def test_expert_idle_this_step_gets_zero_grad_not_last_steps():
     params = init_params(cfg, 13)
     x = Tensor(np.random.default_rng(5).normal(size=(2, 4, 4)))
     out = moe_forward(x, params, get_strategy("bl-choice"), "identity", cfg.k, "train")  # every expert gets rows
-    backward(out.y.square().sum())
+    backward((out.y * out.y).sum())
     assert all(np.abs(g).max() > 0 for g in params.experts.w_in.grad)
     params.gate_b.data = np.array([100.0, 0.0, 0.0, 0.0])
     out = moe_forward(x, params, get_strategy("token-choice"), "identity", cfg.k, "train")
     assert out.route.mask[..., 1:].sum() == 0
-    backward(out.y.square().sum())
+    backward((out.y * out.y).sum())
     assert np.array_equal(params.experts.w_in.grad[1:], np.zeros((3, 4, 8)))
     assert np.array_equal(params.experts.w_out.grad[1:], np.zeros((3, 8, 4)))
 

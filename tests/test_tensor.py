@@ -183,7 +183,7 @@ def test_segment_matmul_forward_per_segment_and_zero_grad_for_an_empty_segment()
     for s, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
         assert np.array_equal(out.data[lo:hi], x.data[lo:hi] @ w.data[s])
     assert out._node.parents == (x._node, w._node)
-    backward(out.square().sum())
+    backward((out * out).sum())
     assert np.array_equal(w.grad[1], np.zeros((3, 2)))  # no rows: exactly zero
     for s in (0, 2, 3):
         lo, hi = offsets[s], offsets[s + 1]
@@ -215,7 +215,8 @@ def test_segment_matmul_rejects_mismatched_weights():
 
 def test_take_cols_gradient_is_exactly_zero_outside_the_slice():
     x = Tensor(np.random.default_rng(10).normal(size=(2, 3, 7)), requires_grad=True)
-    backward(take_cols(x, 2, 5).square().sum())
+    cols = take_cols(x, 2, 5)
+    backward((cols * cols).sum())
     assert np.all(x.grad[..., :2] == 0) and np.all(x.grad[..., 5:] == 0)
 
 
@@ -315,6 +316,23 @@ def test_gelu_under_no_grad_equals_the_grad_path_and_keeps_its_input():
     taped = gelu(Tensor(x, requires_grad=True))
     assert np.array_equal(x, before)
     assert fast.data.tobytes() == taped.data.tobytes()
+
+
+@pytest.mark.parametrize("taped,arrays", [(False, 1), (True, 2)])
+def test_gelu_allocates_its_output_and_only_a_taped_derivative(taped, arrays):
+    # the output is written over the CDF's buffer in both modes, and only a
+    # taped call adds its derivative; tracemalloc counts numpy's data buffers
+    x = np.random.default_rng(44).normal(size=(256, 256))
+    gelu(Tensor(x[:2]))  # scipy.special loads on the first call
+    xt = Tensor(x, requires_grad=taped)
+    tracemalloc.start()
+    try:
+        out = gelu(xt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad == taped
+    assert arrays * x.nbytes <= peak < (arrays + 0.1) * x.nbytes, peak / x.nbytes
 
 
 def test_no_grad_records_no_tape():
