@@ -91,12 +91,14 @@ def resolve_settings(args: argparse.Namespace) -> dict:
 
 
 def check_settings(values: dict) -> dict:
-    """Every setting of `values` as its default's type. Checks the schema,
-    the run's own keys and the strategy name, which it makes canonical."""
+    """Every setting of `values` as its default's type, a text one stripped
+    as a config file's is. Checks the schema, the run's own keys and the
+    strategy name, which it makes canonical."""
     cfg = {}
     for key, default in _CONFIG_DEFAULTS.items():
+        value = values[key].strip() if isinstance(values[key], str) else values[key]
         try:  # every key takes its default's type
-            cfg[key] = type(default)(values[key])
+            cfg[key] = type(default)(value)
         except ValueError:
             raise ConfigError(f"config key {key!r} must be {type(default).__name__}, got {values[key]!r}") from None
     if cfg["schema_version"] != CONFIG_SCHEMA_VERSION:

@@ -158,9 +158,8 @@ def _zeros(*shape: int) -> Tensor:
     return Tensor(np.zeros(shape), requires_grad=True)
 
 
-def init_denoiser(config: DenoiserConfig, seed_or_rng) -> DenoiserParams:
-    """Xavier-uniform linears, zero-initialized adaptive and output layers."""
-    rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) else np.random.default_rng(seed_or_rng)
+def init_denoiser(config: DenoiserConfig, rng: np.random.Generator) -> DenoiserParams:
+    """Xavier-uniform linears, zero-initialized adaptive and output layers; draws from `rng`."""
     d, L = config.model_dim, config.tokens
 
     blocks = []

@@ -133,15 +133,14 @@ def init_experts(rng: np.random.Generator, e: int, d: int, h: int, bound: float)
     return ExpertParams(w_in=Tensor(w_in, requires_grad=True), w_out=Tensor(w_out, requires_grad=True))
 
 
-def init_params(config: DenoiserConfig, seed_or_rng) -> MoeLayerParams:
-    """Xavier-uniform init of one k-in-E layer of the config, deterministic under seed.
+def init_params(config: DenoiserConfig, rng: np.random.Generator) -> MoeLayerParams:
+    """Xavier-uniform init of one k-in-E layer of the config; draws from `rng`.
 
     Each expert's inner width is dense_hidden / k, but the bank draws from
     the dense FFN's Xavier bound, xavier_bound(D, dense_hidden), so the
     per-weight range matches the dense FFN despite the narrower expert width.
     Draws run router_w, gate_w, target_w, then the expert bank.
     """
-    rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) else np.random.default_rng(seed_or_rng)
     d, e, dense = config.model_dim, config.num_experts, config.dense_hidden
     return MoeLayerParams(
         router_w=_xavier(rng, d, d),

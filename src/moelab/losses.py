@@ -103,7 +103,7 @@ def layer_mean(terms: list[Tensor]) -> Tensor:
     return total * (1.0 / len(terms))
 
 
-def per_layer_reg_loss(y_hats: list[Tensor], target) -> Tensor:
+def per_layer_reg_loss(y_hats: list[Tensor], target: np.ndarray) -> Tensor:
     """Mean over layers and tokens of the squared error to the final target.
 
     Per-token squared L2 norm (summed over feature dims), averaged over
@@ -111,7 +111,7 @@ def per_layer_reg_loss(y_hats: list[Tensor], target) -> Tensor:
     """
     if not y_hats:
         raise ConfigError("per_layer_reg_loss needs at least one layer prediction")
-    y = target if isinstance(target, Tensor) else Tensor(target)
+    y = Tensor(target)
     terms = []
     for y_hat in y_hats:
         if y_hat.shape != y.shape:
@@ -122,9 +122,9 @@ def per_layer_reg_loss(y_hats: list[Tensor], target) -> Tensor:
     return layer_mean(terms)
 
 
-def diffusion_loss(prediction: Tensor, target) -> Tensor:
+def diffusion_loss(prediction: Tensor, target: np.ndarray) -> Tensor:
     """Plain mean squared error over every element."""
-    y = target if isinstance(target, Tensor) else Tensor(target)
+    y = Tensor(target)
     if prediction.shape != y.shape:
         raise ConfigError(f"prediction {prediction.shape} does not match target {y.shape}")
     diff = prediction - y

@@ -47,7 +47,6 @@ __all__ = [
     "reshape_scores",
     "scatter_mask",
     "topk_mask",
-    "apply_gating",
     "ema_update",
     "route",
 ]
@@ -106,8 +105,8 @@ _BY_KEY = {name.replace("-", ""): strategy for name, strategy in STRATEGIES.item
 
 
 def get_strategy(name: str) -> RoutingStrategy:
-    """Look a strategy up by name, ignoring case, '-' and '_'."""
-    strategy = _BY_KEY.get(name.lower().replace("_", "").replace("-", ""))
+    """Look a strategy up by name, ignoring case, '-', '_' and outer whitespace."""
+    strategy = _BY_KEY.get(name.strip().lower().replace("_", "").replace("-", ""))
     if strategy is None:
         raise ConfigError(f"unknown strategy {name!r}; choose from {sorted(STRATEGIES)}")
     return strategy
@@ -121,17 +120,13 @@ def _identity_gating(s: Tensor) -> Tensor:
     return s
 
 
+# identity keeps raw logits; sigmoid is elementwise; softmax normalizes each
+# (b, l) slice over the expert axis. DenoiserConfig checks the name.
 GATING_FUNCTIONS: dict[str, Callable[[Tensor], Tensor]] = {
     "identity": _identity_gating,
     "sigmoid": sigmoid,
     "softmax": softmax,
 }
-
-
-def apply_gating(scores: Tensor, gating: str) -> Tensor:
-    """identity keeps raw logits; sigmoid is elementwise; softmax normalizes
-    each (b, l) slice over the expert axis. DenoiserConfig checks the name."""
-    return GATING_FUNCTIONS[gating](scores)
 
 
 # ----------------------------------------------------------------------
@@ -297,7 +292,7 @@ def route(
     if bad:
         raise NumericError(f"router scores have {bad} non-finite entries of {scores.size}")
     B, L, E = scores.shape
-    gated = apply_gating(scores, gating)
+    gated = GATING_FUNCTIONS[gating](scores)
 
     if mode == "train":
         budget = effective_k(strategy, B, L, E, k)

@@ -5,9 +5,11 @@ one stacked (S, d, m) weight (segment_matmul), elementwise arithmetic (a
 square is x * x: one mul node, and its gradient reaches x twice), GELU,
 sigmoid, softmax, reductions, reshape/permute, row gather/scatter
 (take_rows/scatter_rows, whose scatter-add is one np.bincount), column
-slicing (take_cols) and constant masking. Every op is eager. Each
-differentiable op has a row in the op table, tests/test_ops.py, which checks
-it against finite differences, no_grad, a freed tape and a bit-equal repeat.
+slicing (take_cols) and constant masking. Every op is eager and takes
+Tensors; t + c, t - c, t * c, c + t and c * t take a number c as a constant.
+Each differentiable op has a row in the op table, tests/test_ops.py, which
+checks it against finite differences, no_grad, a freed tape and a bit-equal
+repeat.
 
 The tape is a graph of _Node objects apart from the data: a Tensor is its
 array plus its node, or no node when it needs no gradient (a constant, or
@@ -235,14 +237,11 @@ class Tensor:
     # ------------------------------------------------------------------
     # elementwise arithmetic (numpy trailing-aligned broadcasting only)
 
-    @staticmethod
-    def _coerce(other) -> "Tensor":
-        return other if isinstance(other, Tensor) else Tensor(np.asarray(other, dtype=np.float64))
-
     def _binary(self, other, fwd, grads) -> "Tensor":
-        """fwd(x, y) is the output; grads(x, y) returns the maps from the output
-        gradient to each operand's, closing over only the arrays they read."""
-        other = Tensor._coerce(other)
+        """`other` is a Tensor or a number. fwd(x, y) is the output; grads(x, y) returns the
+        maps from the output gradient to each operand's, closing over only the arrays they read."""
+        if not isinstance(other, Tensor):
+            other = Tensor(other)
         if not _broadcastable(self.shape, other.shape):
             raise ShapeError(f"operands not broadcastable: {self.shape} vs {other.shape}")
         grad_a, grad_b = grads(self.data, other.data)
@@ -298,8 +297,6 @@ class Tensor:
     # shape ops
 
     def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         old, xn = self.shape, self._node
 
         def gfn(g):
@@ -308,8 +305,6 @@ class Tensor:
         return Tensor(self.data.reshape(shape), _parents=(self,), _grad_fn=gfn)
 
     def transpose(self, *perm) -> "Tensor":
-        if len(perm) == 1 and isinstance(perm[0], (tuple, list)):
-            perm = tuple(perm[0])
         if not perm:
             perm = tuple(reversed(range(self.data.ndim)))
         inv, xn = tuple(np.argsort(perm)), self._node
@@ -344,7 +339,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     Leading axes of `a` act as batch dims; the last axis of `a` contracts
     with the first axis of `b`. Covers every linear layer but the expert banks (segment_matmul).
     """
-    a, b = Tensor._coerce(a), Tensor._coerce(b)
     if a.data.ndim < 2 or b.data.ndim != 2:
         raise ShapeError(f"matmul expects (..., n) x (n, m) with 2-D rhs: {a.shape} vs {b.shape}")
     if a.shape[-1] != b.shape[0]:
@@ -373,7 +367,6 @@ def segment_matmul(x: Tensor, w: Tensor, offsets) -> Tensor:
     padding. Backward writes each segment's slice of dW; numpy writes exact
     +0.0 for a contraction of length zero, so an empty segment's is zeros.
     """
-    x, w = Tensor._coerce(x), Tensor._coerce(w)
     if x.data.ndim != 2 or w.data.ndim != 3 or w.shape[1] != x.shape[1]:
         raise ShapeError(f"segment_matmul expects (n, d) x (S, d, m): {x.shape} vs {w.shape}")
     offsets = np.asarray(offsets, dtype=np.intp)
@@ -421,7 +414,6 @@ def gelu(x: Tensor) -> Tensor:
     op that meets it, so the output and the derivative carry x's NaN as before."""
     from scipy.special import erf  # loaded on the first call; see the module docstring
 
-    x = Tensor._coerce(x)
     cdf = np.abs(x.data)  # then erf(|x| / sqrt 2) with x's sign and 0.5 * (1 + erf), all in place
     cdf *= _INV_SQRT2
     erf(cdf, out=cdf)
@@ -448,7 +440,6 @@ def gelu(x: Tensor) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    x = Tensor._coerce(x)
     with np.errstate(over="ignore"):  # exp(-x) = inf below -709, and 1 / (1 + inf) = 0.0 exactly
         s = 1.0 / (1.0 + np.exp(-x.data))
     xn = x._node
@@ -461,7 +452,6 @@ def sigmoid(x: Tensor) -> Tensor:
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along `axis`; rows sum to 1."""
-    x = Tensor._coerce(x)
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     p = e / e.sum(axis=axis, keepdims=True)
@@ -501,7 +491,6 @@ def take_rows(table: Tensor, indices) -> Tensor:
 
     Every index must lie in [0, rows); negative indices do not wrap.
     """
-    table = Tensor._coerce(table)
     if table.data.ndim != 2:
         raise ShapeError(f"take_rows expects a 2-D table, got {table.shape}")
     n, cols = table.shape
@@ -521,7 +510,6 @@ def scatter_rows(src: Tensor, indices, n: int) -> Tensor:
     accumulate in order; every index must lie in [0, n). Backward gathers
     g[indices].
     """
-    src = Tensor._coerce(src)
     idx = _row_indices("scatter_rows", indices, n)
     if src.data.ndim != 2 or idx.shape != src.shape[:1]:
         raise ShapeError(f"scatter_rows expects 2-D src with one index per row: {src.shape} vs {idx.shape}")
@@ -536,7 +524,6 @@ def scatter_rows(src: Tensor, indices, n: int) -> Tensor:
 def take_cols(x: Tensor, start: int, stop: int) -> Tensor:
     """Slice the last axis: x[..., start:stop]. Backward writes g into that
     slice of a zero gradient."""
-    x = Tensor._coerce(x)
     if x.data.ndim < 1 or not 0 <= start < stop <= x.shape[-1]:
         raise ShapeError(f"take_cols [{start}:{stop}] out of range for shape {x.shape}")
     shape, xn = x.shape, x._node

@@ -162,7 +162,7 @@ def test_criterion_5_gradients_match_finite_differences():
 
     # (a) MoE layer forward w.r.t. input, the expert bank's w_in and the router head
     cfg = DenoiserConfig(model_dim=4, num_experts=4, k=2, dense_hidden=8)
-    params = init_params(cfg, 404)
+    params = init_params(cfg, np.random.default_rng(404))
     rng = np.random.default_rng(11)
     x_base = rng.normal(size=(2, 3, 4))
     probe = rng.normal(size=(2, 3, 4))

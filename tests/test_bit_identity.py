@@ -66,7 +66,6 @@ def reference_accumulate(t, g):
 
 
 def reference_gelu(x):
-    x = Tensor._coerce(x)
     cdf = 0.5 * (1.0 + erf(x.data * (1.0 / np.sqrt(2.0))))
 
     def gfn(g):
@@ -114,7 +113,7 @@ def reference_route(scores, strategy, gating, mode, state, k=1):
     if bad:
         raise routing.NumericError(f"router scores have {bad} non-finite entries of {scores.size}")
     B, L, E = scores.shape
-    gated = routing.apply_gating(scores, gating)
+    gated = routing.GATING_FUNCTIONS[gating](scores)
     if mode == "train":
         budget = routing.effective_k(strategy, B, L, E, k)
         view = routing.reshape_scores(gated.data, strategy)

@@ -836,6 +836,18 @@ def test_route_sim_rejects_a_repeated_strategy_before_writing(tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, check", [
+    pytest.param(["route-sim", "--draws", "1", "--strategies", "expert-race, token-choice"],
+                 lambda out: len(read_csv(out / "route_sim.csv")) == 2, id="route-sim-strategies"),
+    pytest.param(["train", "--steps", "0", "--gating", " softmax"],
+                 lambda out: "\ngating = softmax\n" in (out / "config.snapshot").read_text(), id="train-gating"),
+])
+def test_a_flag_setting_is_stripped_like_a_config_file_line(tmp_path, args, check):
+    out = tmp_path / "run"
+    assert main([args[0], "--out", str(out), *args[1:]]) == 0
+    assert check(out)
+
+
 @pytest.fixture(scope="module")
 def trained_checkpoint(tmp_path_factory):
     run = tmp_path_factory.mktemp("trained")
@@ -848,11 +860,12 @@ def members_of(ckpt: Path) -> dict:
         return {key: data[key] for key in data.files}
 
 
-def npy(a: np.ndarray, data: bytes | None = None, fortran: bool = False) -> bytes:
+def npy(a: np.ndarray, data: bytes | None = None, fortran: bool = False,
+        write_header=np.lib.format.write_array_header_1_0) -> bytes:
     """A .npy member whose header describes `a` and that holds `data` (a's bytes by default)."""
     buf = io.BytesIO()
     header = {"descr": np.lib.format.dtype_to_descr(a.dtype), "fortran_order": fortran, "shape": a.shape}
-    np.lib.format.write_array_header_1_0(buf, header)
+    write_header(buf, header)
     return buf.getvalue() + (a.tobytes() if data is None else data)
 
 
@@ -967,6 +980,8 @@ ROWS = [
      " member 'opt_v' has dtype int64, the model needs float64\n"),
     ("meta_json-not-utf8", member("meta_json", lambda a: npy(np.frombuffer(b"\xff\xfe{}", np.uint8))),
      " member 'meta_json' is unreadable: 'utf-8' codec can't decode byte 0xff"),
+    ("param-npy-2.0", member("param", lambda a: npy(a, write_header=np.lib.format.write_array_header_2_0)),
+     " member 'param' is not a version 1.0 .npy array\n"),
     ("param-header-unclosed", member("param", lambda a: b"\x93NUMPY\x01\x00\x02\x00{\n" + a.tobytes()),
      " member 'param' is unreadable: ('EOF in multi-line statement'"),  # numpy's header parser raises TokenError
     ("meta_json-not-json", member("meta_json", lambda a: npy(np.frombuffer(b"step = 3", np.uint8))),
@@ -1217,10 +1232,12 @@ def test_a_config_error_names_its_line_counted_at_newlines_only(tmp_path, capsys
 
 # a file in --out that no run of moelab wrote, whose name holds '²' where a
 # temp file's pid or a checkpoint's step would be (str.isdigit accepts '²',
-# int does not), or a pid os.kill cannot take
+# int does not), or a pid os.kill cannot take; or the temp file of a live
+# process, which may be a concurrent writer's
 STRANGERS = {
     "route-sim": ".config.snapshot.\u00b2.tmp",
     "route-sim-past-pid_t": ".config.snapshot.2147483648.tmp",
+    "route-sim-live-pid": f".config.snapshot.{os.getppid()}.tmp",
     "train": ".config.snapshot.\u00b2.tmp",
     "train-checkpoint": "ckpt_\u00b2\u00b2.npz",
     "metrics": ".metrics.json.\u00b2.tmp",
@@ -1237,6 +1254,7 @@ def test_a_file_moelab_did_not_write_is_left_alone(tmp_path, trained_checkpoint,
     args = {
         "route-sim": ["route-sim", "--draws", "1", *FAST],
         "route-sim-past-pid_t": ["route-sim", "--draws", "1", *FAST],
+        "route-sim-live-pid": ["route-sim", "--draws", "1", *FAST],
         "train": ["train", "--steps", "1", *FAST],
         "train-checkpoint": ["train", "--steps", "1", *FAST],
         "metrics": ["metrics", "--checkpoint", str(trained_checkpoint)],

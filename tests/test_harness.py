@@ -12,6 +12,7 @@ from moelab import layer, losses, metrics, training
 from moelab.denoiser import DenoiserConfig, denoiser_forward, init_denoiser
 from moelab.diffusion import (
     DiffusionBatch,
+    NoiseSchedule,
     SyntheticTask,
     ancestral_sample,
     build_schedule,
@@ -59,6 +60,16 @@ def test_schedule_endpoints_and_monotonic():
 def test_schedule_rejects_tiny_t():
     with pytest.raises(ConfigError):
         build_schedule(1)
+
+
+@pytest.mark.parametrize("alpha_bar, named", [
+    pytest.param([1.0, 0.5], r"^alpha_bar must have length T\+1, got \(2,\)$", id="length"),
+    pytest.param([0.9, 0.5, 0.1], "^alpha_bar must start at 1 and decrease strictly$", id="start"),
+    pytest.param([1.0, 0.5, 0.5], "^alpha_bar must start at 1 and decrease strictly$", id="flat"),
+])
+def test_schedule_rejects_a_bad_alpha_bar(alpha_bar, named):
+    with pytest.raises(ConfigError, match=named):
+        NoiseSchedule(total_steps=2, alpha_bar=np.array(alpha_bar))
 
 
 def test_forward_diffuse_identity_at_t0():
@@ -221,7 +232,7 @@ def test_ancestral_sampler_driven_by_the_oracle_draws_the_task_law():
 
 
 def test_denoiser_initial_prediction_is_zero():
-    params = init_denoiser(SMALL, 3)
+    params = init_denoiser(SMALL, np.random.default_rng(3))
     rng = np.random.default_rng(5)
     x_t = rng.normal(size=(4, SMALL.tokens, SMALL.model_dim))
     pred, outs = denoiser_forward(x_t, np.array([3, 7, 1, 9]), np.array([0, 1, 2, 0]), params)
@@ -230,7 +241,7 @@ def test_denoiser_initial_prediction_is_zero():
 
 
 def test_denoiser_prediction_shape_matches_target():
-    params = init_denoiser(SMALL, 4)
+    params = init_denoiser(SMALL, np.random.default_rng(4))
     x_t = np.random.default_rng(6).normal(size=(2, SMALL.tokens, SMALL.model_dim))
     pred, _ = denoiser_forward(x_t, np.array([1, 2]), np.array([0, 1]), params)
     assert pred.shape == x_t.shape
@@ -250,7 +261,7 @@ def test_an_odd_model_dim_pads_the_timestep_embedding_with_a_zero_column():
 def test_dense_twin_forward_matches_one_in_one():
     from dataclasses import replace
 
-    params = init_denoiser(replace(SMALL, num_experts=1, k=1, gating="softmax"), 21)
+    params = init_denoiser(replace(SMALL, num_experts=1, k=1, gating="softmax"), np.random.default_rng(21))
     # make the comparison non-trivial: randomize the adaptive layers
     rng = np.random.default_rng(23)
     for blk in params.blocks:
@@ -278,7 +289,7 @@ def case_params(case: str, seed: int, tau: float):
     """The routing mode and denoiser of a test case: "train" routes fresh
     blocks by top-K, "eval" trained ones (each tau set), as Trainer.forward
     does, and "infer" thresholds at that tau."""
-    params = init_denoiser(SMALL, seed)
+    params = init_denoiser(SMALL, np.random.default_rng(seed))
     for blk in params.blocks:
         blk.moe.threshold.tau = None if case == "train" else tau
     return ("infer" if case == "infer" else "train"), params
@@ -286,6 +297,12 @@ def case_params(case: str, seed: int, tau: float):
 
 def taus(params):
     return [blk.moe.threshold.tau for blk in params.blocks]
+
+
+def test_a_finite_noise_estimate_that_overflows_the_state_names_its_step():
+    # at t = T, beta_T / sqrt(1 - alpha_bar_T) / sqrt(alpha_T) is about 31.6, so 1e308 overflows
+    with pytest.raises(NumericError, match="^non-finite sample state at reverse step 10$"):
+        ancestral_sample(lambda x, t: np.full_like(x, 1e308), (2, 3), build_schedule(10), np.random.default_rng(0))
 
 
 def test_sampler_reads_to_eps_from_the_training_module_at_each_step(monkeypatch):
@@ -321,16 +338,17 @@ def test_denoiser_no_grad_outputs_bit_identical_with_no_tape(case):
         assert b.y._node is None and b.logits._node is None
 
 
-@pytest.mark.parametrize("c", [[0, 1.5], 1.9, [2, np.nan], True, [False, True], [1, True], [0.0, True]])
+@pytest.mark.parametrize("c", [[0, 1.5], 1.9, [2, np.nan], True, [False, True], [1, True], [0.0, True],
+                               np.array([False, True])])
 def test_denoiser_rejects_fractional_class_labels(c):
-    params = init_denoiser(SMALL, 28)
+    params = init_denoiser(SMALL, np.random.default_rng(28))
     x_t = np.zeros((2, SMALL.tokens, SMALL.model_dim))
     with pytest.raises(ConfigError, match="is not an integer"):
         denoiser_forward(x_t, np.array([1, 2]), c, params)
 
 
 def test_denoiser_accepts_integer_valued_float_labels():
-    params = init_denoiser(SMALL, 28)
+    params = init_denoiser(SMALL, np.random.default_rng(28))
     x_t = np.random.default_rng(29).normal(size=(2, SMALL.tokens, SMALL.model_dim))
     pred_int, _ = denoiser_forward(x_t, np.array([1, 2]), np.array([0, 2]), params, mode="train")
     pred_float, _ = denoiser_forward(x_t, np.array([1, 2]), np.array([0.0, 2.0]), params, mode="train")

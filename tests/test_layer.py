@@ -16,7 +16,7 @@ from moelab.layer import (
     named_tensors,
     xavier_bound,
 )
-from moelab.routing import STRATEGIES, ConfigError, ThresholdState, apply_gating, get_strategy, route
+from moelab.routing import GATING_FUNCTIONS, STRATEGIES, ConfigError, ThresholdState, get_strategy, route
 from moelab.tensor import Tensor, backward, finite_difference_grad, gelu, matmul, take_rows
 
 
@@ -24,7 +24,7 @@ def expert(params, i):
     """Expert i as a bank of one whose weights are differentiable slices of the layer's bank."""
     bank = params.experts
     E = bank.w_in.shape[0]
-    w_in, w_out = (take_rows(w.reshape(E, -1), [i]).reshape((1, *w.shape[1:])) for w in (bank.w_in, bank.w_out))
+    w_in, w_out = (take_rows(w.reshape(E, -1), [i]).reshape(1, *w.shape[1:]) for w in (bank.w_in, bank.w_out))
     return ExpertParams(w_in=w_in, w_out=w_out)
 
 
@@ -49,15 +49,15 @@ def test_config_rejects_k_outside_one_to_e(e, k, message):
 
 
 def test_init_deterministic_under_seed():
-    a = init_params(make_config(), 5)
-    b = init_params(make_config(), 5)
+    a = init_params(make_config(), np.random.default_rng(5))
+    b = init_params(make_config(), np.random.default_rng(5))
     for (name_a, ta), (_, tb) in zip(named_tensors(a), named_tensors(b)):
         assert np.array_equal(ta.data, tb.data), name_a
 
 
 def test_expert_bound_matches_dense_counterpart():
     cfg = make_config(d=8, e=4, k=2, dense=32)
-    params = init_params(cfg, 0)
+    params = init_params(cfg, np.random.default_rng(0))
     dense_bound = xavier_bound(cfg.model_dim, cfg.dense_hidden)
     assert np.abs(params.experts.w_in.data).max() <= dense_bound
     assert np.abs(params.experts.w_out.data).max() <= dense_bound
@@ -71,7 +71,7 @@ def test_expert_bound_matches_dense_counterpart():
 
 def test_router_weights_within_analytic_xavier_bound():
     cfg = make_config(d=16, e=8, k=2, dense=64)
-    params = init_params(cfg, 1)
+    params = init_params(cfg, np.random.default_rng(1))
     assert np.abs(params.router_w.data).max() <= xavier_bound(16, 16)
     assert np.abs(params.gate_w.data).max() <= xavier_bound(16, 8)
     assert np.array_equal(params.router_b.data, np.zeros(16))
@@ -79,7 +79,7 @@ def test_router_weights_within_analytic_xavier_bound():
 
 def test_compute_logits_zero_weights_zero_logits():
     cfg = make_config()
-    params = init_params(cfg, 0)
+    params = init_params(cfg, np.random.default_rng(0))
     for _, t in named_tensors(params):
         t.data = np.zeros_like(t.data)
     x = Tensor(np.random.default_rng(0).normal(size=(2, 3, cfg.model_dim)))
@@ -90,7 +90,7 @@ def test_compute_logits_hand_built_head():
     # single token; first layer passes input through (identity weights, zero
     # bias), so logits = gate_w^T gelu(x)
     cfg = make_config(d=2, e=2, k=1, dense=4)
-    params = init_params(cfg, 0)
+    params = init_params(cfg, np.random.default_rng(0))
     params.router_w.data = np.eye(2)
     params.router_b.data = np.zeros(2)
     params.gate_w.data = np.array([[1.0, -1.0], [0.5, 2.0]])
@@ -104,7 +104,7 @@ def test_compute_logits_hand_built_head():
 
 def test_logits_shape_contract():
     cfg = make_config(d=8, e=4)
-    params = init_params(cfg, 3)
+    params = init_params(cfg, np.random.default_rng(3))
     x = Tensor(np.random.default_rng(1).normal(size=(2, 3, 8)))
     assert params.gating_logits(params.router_trunk(x)).shape == (2, 3, 4)
 
@@ -135,7 +135,7 @@ def test_one_bank_initializer_draws_the_dense_ffn_as_two_xavier_linears():
 
 def test_moe_forward_single_expert_gate_scaling():
     cfg = make_config(d=4, e=2, k=1, dense=8)
-    params = init_params(cfg, 7)
+    params = init_params(cfg, np.random.default_rng(7))
     x = Tensor(np.random.default_rng(2).normal(size=(1, 1, 4)))
     out = moe_forward(x, params, get_strategy("token-choice"), "identity", cfg.k, "train")
     (chosen,) = np.nonzero(out.route.mask[0, 0])[0].reshape(-1)[:1]
@@ -150,7 +150,7 @@ UNREAD_BY_Y = {"target_w", "target_b"}
 
 def test_moe_forward_all_gates_zero_gives_zero_output():
     cfg = make_config()
-    params = init_params(cfg, 9)
+    params = init_params(cfg, np.random.default_rng(9))
     params.threshold.tau = np.inf
     x = Tensor(np.random.default_rng(3).normal(size=(2, 3, cfg.model_dim)), requires_grad=True)
     for gating in ("identity", "sigmoid", "softmax"):
@@ -168,7 +168,7 @@ def test_moe_forward_all_gates_zero_gives_zero_output():
 
 def test_dense_equivalence_one_in_one():
     cfg = make_config(d=6, e=1, k=1, dense=24)
-    params = init_params(cfg, 11)
+    params = init_params(cfg, np.random.default_rng(11))
     x = Tensor(np.random.default_rng(4).normal(size=(2, 5, 6)))
     out = moe_forward(x, params, get_strategy("token-choice"), "softmax", cfg.k, "train")
     dense = plain_ffn(expert(params, 0), x)
@@ -177,7 +177,7 @@ def test_dense_equivalence_one_in_one():
 
 def test_zero_token_experts_get_exact_zero_grad():
     cfg = make_config(d=4, e=4, k=1, dense=8)
-    params = init_params(cfg, 13)
+    params = init_params(cfg, np.random.default_rng(13))
     # push all tokens to expert 0 by biasing the gate head
     params.gate_b.data = np.array([100.0, 0.0, 0.0, 0.0])
     x = Tensor(np.random.default_rng(5).normal(size=(2, 3, 4)))
@@ -193,7 +193,7 @@ def test_zero_token_experts_get_exact_zero_grad():
 
 def test_expert_idle_this_step_gets_zero_grad_not_last_steps():
     cfg = make_config(d=4, e=4, k=1, dense=8)
-    params = init_params(cfg, 13)
+    params = init_params(cfg, np.random.default_rng(13))
     x = Tensor(np.random.default_rng(5).normal(size=(2, 4, 4)))
     out = moe_forward(x, params, get_strategy("bl-choice"), "identity", cfg.k, "train")  # every expert gets rows
     backward((out.y * out.y).sum())
@@ -210,7 +210,7 @@ def test_moe_forward_graph_size_does_not_grow_with_expert_count():
     x_base = np.random.default_rng(10).normal(size=(2, 8, 8))
     nodes = {}
     for e in (4, 8):
-        params = init_params(make_config(d=8, e=e, k=2, dense=32), 37)
+        params = init_params(make_config(d=8, e=e, k=2, dense=32), np.random.default_rng(37))
         x = Tensor(x_base, requires_grad=True)
         before = next(Tensor._order_counter)
         out = moe_forward(x, params, get_strategy("expert-race"), "softmax", 2, "train")
@@ -221,7 +221,7 @@ def test_moe_forward_graph_size_does_not_grow_with_expert_count():
 
 def test_moe_forward_gradients_match_finite_differences():
     cfg = make_config(d=4, e=4, k=2, dense=8)
-    params = init_params(cfg, 17)
+    params = init_params(cfg, np.random.default_rng(17))
     rng = np.random.default_rng(6)
     x_base = rng.normal(size=(2, 3, 4))
     probe = rng.normal(size=(2, 3, 4))
@@ -261,7 +261,7 @@ def test_moe_forward_gradients_match_finite_differences():
 
 def test_expert_relabeling_symmetry():
     cfg = make_config(d=4, e=4, k=2, dense=8)
-    params = init_params(cfg, 19)
+    params = init_params(cfg, np.random.default_rng(19))
     x = Tensor(np.random.default_rng(7).normal(size=(2, 3, 4)))
     strategy = get_strategy("token-choice")
     base = moe_forward(x, params, strategy, "sigmoid", cfg.k, "train").y.data
@@ -282,7 +282,7 @@ def test_expert_relabeling_symmetry():
 
 
 def test_count_params_one_in_one_equals_dense_ffn():
-    params = init_params(make_config(d=8, e=1, k=1, dense=32), 0)
+    params = init_params(make_config(d=8, e=1, k=1, dense=32), np.random.default_rng(0))
     assert params.experts.w_in.shape == (1, 8, 32) and params.experts.w_out.shape == (1, 32, 8)
 
 
@@ -290,14 +290,14 @@ def test_activated_params_invariant_across_family():
     # k experts of a k-in-E layer hold exactly the dense FFN's weight count
     activated = set()
     for k, e in [(2, 8), (4, 16), (8, 32)]:
-        params = init_params(make_config(d=64, e=e, k=k, dense=256), 0)
+        params = init_params(make_config(d=64, e=e, k=k, dense=256), np.random.default_rng(0))
         activated.add(k * (params.experts.w_in.size + params.experts.w_out.size) // e)
     assert activated == {64 * 256 + 256 * 64}
 
 
 def test_layer_output_carries_target_head_prediction():
     cfg = make_config()
-    params = init_params(cfg, 23)
+    params = init_params(cfg, np.random.default_rng(23))
     x = Tensor(np.random.default_rng(8).normal(size=(2, 3, cfg.model_dim)))
     out = moe_forward(x, params, get_strategy("expert-race"), "identity", cfg.k, "train")
     assert out.y_hat.shape == (2, 3, cfg.model_dim)
@@ -339,13 +339,13 @@ def test_gathered_dispatch_matches_dense_masked_oracle(strategy_name, gating, ca
     probe = Tensor(rng.normal(size=(2, 4, 4)))
 
     def build():
-        params = init_params(cfg, 31)
+        params = init_params(cfg, np.random.default_rng(31))
         params.gate_b.data = np.array([0.0, 0.0, 0.0, -30.0])  # expert 3 is all but never wanted
         if case != "train":
             # between the lowest per-token best score and the highest
             # per-token second-best one: some token gets no expert, another
             # at least two, and expert 3 none
-            gated = apply_gating(params.gating_logits(params.router_trunk(Tensor(x_base))), gating).data
+            gated = GATING_FUNCTIONS[gating](params.gating_logits(params.router_trunk(Tensor(x_base)))).data
             top = np.sort(gated, axis=-1)
             params.threshold.tau = float(top[..., -1].min() + top[..., -2].max()) / 2.0
         return params

@@ -14,7 +14,7 @@ from moelab.losses import (
     similarity_weights,
     total_loss,
 )
-from moelab.routing import ThresholdState, get_strategy, route
+from moelab.routing import ConfigError, ThresholdState, get_strategy, route
 from moelab.tensor import Tensor, backward, finite_difference_grad, softmax
 
 
@@ -284,6 +284,19 @@ def test_diffusion_loss_basics_and_oracle():
     pred = rng.normal(size=(2, 3, 4))
     expected = float(np.mean([(pred[i] - y[i]) ** 2 for i in range(2)]))
     assert abs(diffusion_loss(Tensor(pred), y).item() - expected) < 1e-12
+
+
+@pytest.mark.parametrize("call, named", [
+    pytest.param(lambda: per_layer_reg_loss([], np.zeros((2, 3, 4))), "^per_layer_reg_loss needs at least one layer",
+                 id="no-layers"),
+    pytest.param(lambda: per_layer_reg_loss([Tensor(np.zeros((2, 3, 4)))], np.zeros((2, 3, 5))),
+                 r"^target head output \(2, 3, 4\) does not match target \(2, 3, 5\)$", id="reg-shapes"),
+    pytest.param(lambda: diffusion_loss(Tensor(np.zeros((2, 3, 4))), np.zeros((3, 2, 4))),
+                 r"^prediction \(2, 3, 4\) does not match target \(3, 2, 4\)$", id="diffusion-shapes"),
+])
+def test_regression_losses_reject_a_bad_argument(call, named):
+    with pytest.raises(ConfigError, match=named):
+        call()
 
 
 def test_total_loss_default_weights_hand_arithmetic():

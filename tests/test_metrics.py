@@ -224,6 +224,26 @@ def test_allocation_profile_empty_bucket_is_missing():
     assert profile.means[0] == 3.0
 
 
+def test_allocation_profile_of_no_samples_has_no_bucket_variance():
+    profile = allocation_profile(np.ones((0, 2, 3)), np.array([], dtype=np.int64), 100, buckets=10)
+    assert np.all(profile.counts == 0) and np.isnan(profile.bucket_variance)
+
+
+@pytest.mark.parametrize("call, named", [
+    pytest.param(lambda: routing_objective(np.ones((2, 3)), np.ones((3, 2))), r"^scores \(2, 3\) vs mask \(3, 2\)$",
+                 id="objective-shapes"),
+    pytest.param(lambda: max_violation(np.ones(4), 1), r"^mask must end in an expert axis, got shape \(4,\)$",
+                 id="max-violation-rank"),
+    pytest.param(lambda: allocation_profile(np.ones((4, 3)), np.zeros(4), 100), r"\(N, L, E\) masks .* \(4, 3\) / \(4,\)$",
+                 id="allocation-rank"),
+    pytest.param(lambda: allocation_profile(np.ones((4, 2, 3)), np.zeros(3), 100), r"\(4, 2, 3\) / \(3,\)$",
+                 id="allocation-timesteps"),
+])
+def test_metrics_reject_a_bad_argument(call, named):
+    with pytest.raises(ConfigError, match=named):
+        call()
+
+
 @pytest.mark.parametrize("bad", [-5, 101, float("nan")])
 def test_allocation_profile_rejects_a_timestep_outside_its_range(bad):
     t = np.array([0, 100, bad, 7])

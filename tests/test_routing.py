@@ -33,6 +33,7 @@ ALL = [get_strategy(n) for n in routing.STRATEGIES]
         ("ExpertRace", "expert-race"),
         ("TOKEN-CHOICE", "token-choice"),
         ("tokenchoice", "token-choice"),
+        (" Expert_Race ", "expert-race"),
     ],
 )
 def test_get_strategy_accepts_case_and_separator_variants(spelling, name):
@@ -42,6 +43,16 @@ def test_get_strategy_accepts_case_and_separator_variants(spelling, name):
 def test_get_strategy_rejects_unknown_name():
     with pytest.raises(ConfigError, match="unknown strategy"):
         get_strategy("race-expert")
+
+
+@pytest.mark.parametrize("call, named", [
+    pytest.param(lambda: routing.RoutingStrategy("lb", ("L",), ("B",)), r"must partition \{B, L, E\}", id="partition"),
+    pytest.param(lambda: route(Tensor(np.ones((4, 4))), ALL[0], "identity", "train", ThresholdState(), k=1),
+                 r"^scores must be \(B, L, E\), got \(4, 4\)$", id="scores-rank"),
+])
+def test_routing_rejects_a_bad_argument(call, named):
+    with pytest.raises(ConfigError, match=named):
+        call()
 
 
 # ----------------------------------------------------------------------
@@ -232,15 +243,15 @@ def test_kth_value_per_row():
 
 def test_gating_identity_and_sigmoid():
     S = Tensor(np.array([[[0.0, 1.0], [-1.0, 2.0]]]))
-    assert routing.apply_gating(S, "identity") is S
-    sig = routing.apply_gating(S, "sigmoid")
+    assert routing.GATING_FUNCTIONS["identity"](S) is S
+    sig = routing.GATING_FUNCTIONS["sigmoid"](S)
     assert abs(sig.data[0, 0, 0] - 0.5) < 1e-15
 
 
 def test_gating_softmax_normalizes_per_token():
     rng = np.random.default_rng(31)
     S = Tensor(rng.normal(size=(2, 3, 5)))
-    out = routing.apply_gating(S, "softmax")
+    out = routing.GATING_FUNCTIONS["softmax"](S)
     assert np.allclose(out.data.sum(axis=-1), 1.0, atol=1e-12)
 
 
@@ -249,10 +260,10 @@ def test_order_preservation_identity_sigmoid_not_softmax():
     S = rng.normal(size=(2, 3, 4))
     flat_order = np.argsort(S.ravel())
     for kind in ("identity", "sigmoid"):
-        gated = routing.apply_gating(Tensor(S), kind).data
+        gated = routing.GATING_FUNCTIONS[kind](Tensor(S)).data
         assert np.array_equal(np.argsort(gated.ravel()), flat_order)
     # softmax renormalizes per token: this fixed input breaks the global order
-    gated = routing.apply_gating(Tensor(S), "softmax").data
+    gated = routing.GATING_FUNCTIONS["softmax"](Tensor(S)).data
     assert not np.array_equal(np.argsort(gated.ravel()), flat_order)
 
 

@@ -226,6 +226,21 @@ def test_take_cols_rejects_out_of_range_slice(start, stop):
         take_cols(Tensor(np.ones((2, 7))), start, stop)
 
 
+@pytest.mark.parametrize("call, error, named", [
+    pytest.param(lambda: Tensor(np.ones(3)).item(), ContractError, r"^item\(\) needs a single element, got shape \(3,\)$",
+                 id="item"),
+    pytest.param(lambda: matmul(Tensor(np.ones(3)), Tensor(np.ones((3, 2)))), ShapeError,
+                 r"^matmul expects \(\.\.\., n\) x \(n, m\) with 2-D rhs: \(3,\) vs \(3, 2\)$", id="matmul-rank"),
+    pytest.param(lambda: take_rows(Tensor(np.ones(3)), [0]), ShapeError, r"^take_rows expects a 2-D table, got \(3,\)$",
+                 id="take_rows-rank"),
+    pytest.param(lambda: finite_difference_grad(lambda t: t.sum().item(), Tensor(np.ones(2)), h=0.0), ContractError,
+                 "^h must be positive$", id="fd-step"),
+])
+def test_an_argument_outside_an_ops_contract_raises(call, error, named):
+    with pytest.raises(error, match=named):
+        call()
+
+
 # ----------------------------------------------------------------------
 # the lean tape: no gradient copies it does not need, no tape under no_grad
 
