@@ -6,7 +6,8 @@ a checkpoint, under the config it carries), ablate (multi-arm comparison
 table). Everything is emitted as CSV/JSON for external plotting; every
 run but metrics writes a config snapshot that fully reproduces it.
 
-Exit codes: 0 success, 2 configuration error, 3 numeric failure.
+Exit codes: 0 success, 2 configuration error, 3 numeric failure, 130
+interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -222,8 +223,9 @@ def cmd_route_sim(args: argparse.Namespace) -> int:
 # train
 
 
-def discard_later_claims(out_dir: Path, step: int, source: Path | None = None) -> None:
-    """Remove the files in `out_dir` that describe a state past `step`.
+def discard_later_claims(out_dir: Path, step: int, source: Path | None = None) -> Path | None:
+    """Remove the files in `out_dir` that describe a state past `step`, and
+    return where the resume `source` now is (None for a fresh run).
 
     A run rewrites everything after the step it starts from (0 for a fresh
     run, the checkpoint's step for a resume), so before it trains,
@@ -236,15 +238,16 @@ def discard_later_claims(out_dir: Path, step: int, source: Path | None = None) -
     source = None if source is None else source.resolve()
     final = out_dir / "ckpt_final.npz"
     if final.resolve() == source:
-        kept = out_dir / f"ckpt_{step:06d}.npz"
-        with writing(kept):
-            os.replace(final, kept)
+        source = out_dir / f"ckpt_{step:06d}.npz"
+        with writing(source):
+            os.replace(final, source)
     remove_file(final)
     remove_file(out_dir / "summary.json")
     for ckpt in out_dir.glob("ckpt_*.npz"):
         n = ckpt.stem[len("ckpt_"):]
         if n.isascii() and n.isdigit() and int(n) > step and ckpt.resolve() != source:
             remove_file(ckpt)
+    return source
 
 
 def resumed_log_rows(path: Path, step: int) -> list[str]:
@@ -289,21 +292,26 @@ def cmd_train(args: argparse.Namespace) -> int:
     log_path = out_dir / "log.csv"
     kept = resumed_log_rows(log_path, trainer.step_count) if args.resume else []
     write_config_snapshot(cfg, out_dir)
-    discard_later_claims(out_dir, trainer.step_count, Path(args.resume) if args.resume else None)
+    latest = discard_later_claims(out_dir, trainer.step_count, Path(args.resume) if args.resume else None)
     # the header and kept rows replace the log in one step, so a run killed
     # before its first new row still leaves the rows its checkpoint covers
     replace_file(log_path, ",".join(LogRecord.CSV_COLUMNS) + "\n" + "".join(kept))
-    with log_path.open("a") as fh:
-        last = None
-        while trainer.step_count < cfg["steps"]:
-            record = trainer.train_step()
-            fh.write(record.csv_row() + "\n")
-            fh.flush()  # the log on disk holds every finished step, so a tail is never behind
-            last = record
-            if cfg["checkpoint_every"] > 0 and record.step % cfg["checkpoint_every"] == 0:
-                save_checkpoint(out_dir / f"ckpt_{record.step:06d}.npz", trainer)
-
-    save_checkpoint(out_dir / "ckpt_final.npz", trainer)
+    last = None
+    try:
+        with log_path.open("a") as fh:
+            while trainer.step_count < cfg["steps"]:
+                record = trainer.train_step()
+                fh.write(record.csv_row() + "\n")
+                fh.flush()  # the log on disk holds every finished step, so a tail is never behind
+                last = record
+                if cfg["checkpoint_every"] > 0 and record.step % cfg["checkpoint_every"] == 0:
+                    save_checkpoint(out_dir / f"ckpt_{record.step:06d}.npz", trainer)
+                    latest = out_dir / f"ckpt_{record.step:06d}.npz"
+        save_checkpoint(out_dir / "ckpt_final.npz", trainer)
+    except KeyboardInterrupt:  # Ctrl-C: main prints the step the log reaches and the checkpoint to go on from
+        done = f"after step {last.step}" if last else "before its first new step"
+        resume = f"resume from {latest}" if latest else "no checkpoint to resume from"
+        raise KeyboardInterrupt(f"train stopped {done}; {resume}") from None
     summary = {
         "steps": trainer.step_count,
         "final": None if last is None else last.__dict__,
@@ -458,6 +466,9 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
+    except KeyboardInterrupt as exc:  # Ctrl-C; 130 is the shell's 128 + SIGINT
+        print(f"interrupted: {str(exc) or args.command + ' stopped'}", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

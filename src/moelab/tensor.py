@@ -63,11 +63,22 @@ keeps no more than its peak, which it reaches anyway. This is glibc only:
 where the C library has no mallopt (macOS, Windows) the call is skipped
 and nothing else changes.
 
-scipy loads when the first gelu runs, not at import: gelu is the only user
-of scipy.special.erf, and loading scipy.special at import cost every moelab
-process, route-sim and the other pure-numpy commands included, about 26 MB
-of RSS and 0.4 s on a 2-vCPU x86 VM. After the first call the import is a cached sys.modules
-lookup (under 1 us). Without scipy, the first gelu raises ImportError.
+gelu is the only user of scipy. On its first call it loads scipy's erf
+ufunc from the one extension module that defines it,
+scipy/special/_special_ufuncs, and imports neither scipy nor scipy.special
+(importlib finds scipy's directory without importing the package). The
+package import runs scipy's array-API layer, whose `from numpy import *`
+pulls in numpy.f2py, numpy.testing, numpy.ma and more: on a 2-vCPU x86 VM
+a cold process that imported moelab.tensor and ran one gelu took a median
+0.44 s (0.23-0.65 s over 9 runs) and peaked at 53 MB of RSS through `from
+scipy.special import erf`, and 0.14 s (0.07-0.18 s) and 30 MB with the
+extension alone. route-sim and
+the other pure-numpy commands load no scipy at all. The interpreter caches
+the extension under its full name, so a later `import scipy.special`
+hands out the very ufunc gelu uses: one erf, the same bits. Without
+scipy>=1.17's extension the first gelu raises one ImportError naming the
+file it looked for.
+
 scipy's erf follows Cephes, which takes a negative argument as -erf(-x): a
 branch on the data that mispredicts on activations of mixed sign. gelu
 passes it |x| / sqrt 2 and copies x's sign onto the result, which gives
@@ -82,7 +93,11 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
+import importlib.machinery
+import importlib.util
 import itertools
+import os
 from typing import Callable
 
 import numpy as np
@@ -401,6 +416,25 @@ def segment_matmul(x: Tensor, w: Tensor, offsets) -> Tensor:
     return Tensor(out, _parents=(x, w), _grad_fn=gfn)
 
 
+# the extension module scipy>=1.17 defines its erf ufunc in
+_ERF_MODULE = "scipy.special._special_ufuncs"
+
+
+@functools.cache
+def _erf() -> np.ufunc:
+    """scipy's erf, loaded from its extension module alone, once per process
+    (see the module docstring); without it, one ImportError naming the file."""
+    scipy = importlib.util.find_spec("scipy")  # finds the package, imports nothing
+    special = os.path.join(scipy.submodule_search_locations[0] if scipy else "scipy", "special")
+    spec = importlib.machinery.PathFinder.find_spec(_ERF_MODULE, [special]) if scipy else None
+    if spec is None:
+        name = _ERF_MODULE.rpartition(".")[2] + importlib.machinery.EXTENSION_SUFFIXES[0]
+        raise ImportError(f"gelu needs the erf of scipy>=1.17 and found no {os.path.join(special, name)}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.erf
+
+
 def gelu(x: Tensor) -> Tensor:
     """Exact Gaussian-CDF GELU: x * Phi(x). Derivative Phi(x) + x * phi(x).
 
@@ -412,8 +446,7 @@ def gelu(x: Tensor) -> Tensor:
     over it once the derivative, when one is needed, has read it. For a NaN x
     the buffer's NaN takes x's sign, but x is the first operand of every later
     op that meets it, so the output and the derivative carry x's NaN as before."""
-    from scipy.special import erf  # loaded on the first call; see the module docstring
-
+    erf = _erf()  # scipy's erf ufunc, loaded on the first call; see the module docstring
     cdf = np.abs(x.data)  # then erf(|x| / sqrt 2) with x's sign and 0.5 * (1 + erf), all in place
     cdf *= _INV_SQRT2
     erf(cdf, out=cdf)

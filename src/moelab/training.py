@@ -67,7 +67,7 @@ HELDOUT_BATCHES = 4
 
 class AdamW(object):
     """AdamW with zero weight decay (constant learning rate) and the usual
-    betas (0.9, 0.999) and eps 1e-8.
+    betas (0.9, 0.999) and eps 1e-8, over `named`, (name, tensor) pairs.
 
     `m` and `v` are updated in place, with the same IEEE operations in the
     same order as the textbook formulas. `step` reads each `p.grad` (None,
@@ -76,17 +76,31 @@ class AdamW(object):
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
+    # |g| at most sqrt(the largest float64) keeps g * g finite, and with it
+    # (1 - beta2) * g * g, v (a weighted mean of those) and v / (1 - beta2**n)
+    grad_bound = math.sqrt(np.finfo(np.float64).max)
 
-    def __init__(self, params: list[Tensor], lr: float, blank: bool = False):
+    def __init__(self, named: list[tuple[str, Tensor]], lr: float, blank: bool = False):
         """Moments start at zero, or as np.empty arrays with `blank`."""
-        self.params = params
+        self.names = [name for name, _ in named]
+        self.params = [t for _, t in named]
         self.lr = lr
         self.step_count = 0
         start = np.empty_like if blank else np.zeros_like
-        self.m = [start(p.data) for p in params]
-        self.v = [start(p.data) for p in params]
+        self.m = [start(p.data) for p in self.params]
+        self.v = [start(p.data) for p in self.params]
 
     def step(self) -> None:
+        """One update of every tensor. First, a gradient with a non-finite
+        entry, or one past grad_bound, frees every gradient and raises
+        NumericError naming its tensor: no weight, moment or count changes."""
+        for name, p in zip(self.names, self.params):
+            largest = 0.0 if p.grad is None else np.abs(p.grad).max()
+            if not largest <= self.grad_bound:  # NaN compares False
+                for q in self.params:
+                    q.grad = None
+                raise NumericError(f"gradient of {name} has max |g| = {largest:.3g}; AdamW's second moment "
+                                   f"holds |g| <= {self.grad_bound:.3g}")
         self.step_count += 1
         b1, b2 = self.beta1, self.beta2
         bc1 = 1.0 - b1**self.step_count
@@ -235,7 +249,7 @@ class Trainer(object):
             )
             # the one walk: from here on AdamW's list is the order of every tensor
             named = self.params.named_tensors()
-            self.opt = AdamW([t for _, t in named], lr=config.lr, blank=blank)
+            self.opt = AdamW(named, lr=config.lr, blank=blank)
             self.ema = WeightEma(named, blank=blank)
             np.empty((config.batch_size, m.tokens, m.model_dim))  # a train batch's (B, L, D), pages untouched
         except (ValueError, MemoryError) as exc:  # numpy's refusal of an array size; the config is checked
@@ -277,21 +291,24 @@ class Trainer(object):
 
     def train_step(self) -> LogRecord:
         """One AdamW step on self.loss of a fresh batch, then the weight EMA
-        and each block's threshold. A NumericError from the loss is raised
-        prefixed "step n: " (n counts from 1, as log.csv does), and such a
-        step writes no state: the RNG goes back to before its batch draw, so
-        a retry trains on the batch a resume from a checkpoint would."""
+        and each block's threshold. A NumericError from the loss or from
+        AdamW's gradient check is raised prefixed "step n: " (n counts from
+        1, as log.csv does), with no numpy warning, and such a step writes no
+        state: the RNG goes back to before its batch draw, so a retry trains
+        on the batch a resume from a checkpoint would."""
         cfg = self.config
         rng_state = self.rng.bit_generator.state
         batch = self.task.sample_batch(self.rng, cfg.batch_size, self.schedule, cfg.model.parameterization)
         try:
             total, breakdown, layer_outputs = self.loss(batch)
+            # a gradient that overflowed is AdamW's NumericError, not a numpy warning
+            with np.errstate(over="ignore", invalid="ignore"):
+                backward(total)
+                self.opt.step()
         except NumericError as exc:
             self.rng.bit_generator.state = rng_state
             raise NumericError(f"step {self.step_count + 1}: {exc}") from exc
 
-        backward(total)
-        self.opt.step()
         self.ema.update(self.opt.params)
         for blk, out in zip(self.params.blocks, layer_outputs):
             ema_update(blk.moe.threshold, out.route.kth_values)

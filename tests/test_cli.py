@@ -375,6 +375,61 @@ def test_train_killed_at_seeded_times_resumes_to_the_uninterrupted_run(tmp_path)
     assert not [p.name for p in run.iterdir() if p.name.endswith(".tmp")]
 
 
+def interrupted(args: list[str], ready) -> tuple[int, str]:
+    """Exit code and stderr of the CLI run with `args` in a child that gets a
+    SIGINT once ready() holds. The child resets SIGINT to Python's handler
+    first: a background job starts with SIGINT ignored, and it would run on."""
+    child = subprocess.Popen(
+        [sys.executable, "-c", "import signal, sys\nsignal.signal(signal.SIGINT, signal.default_int_handler)\n"
+         f"from moelab.cli import main\nsys.exit(main({args!r}))"],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    sent, deadline = False, time.monotonic() + 60
+    try:
+        while not sent and child.poll() is None and time.monotonic() < deadline:
+            if ready():
+                child.send_signal(signal.SIGINT)
+                sent = True
+            time.sleep(0.005)
+        _, err = child.communicate(timeout=60)
+    finally:
+        if child.poll() is None:
+            child.kill()
+            child.communicate()
+    assert sent, err
+    return child.returncode, err
+
+
+def test_ctrl_c_ends_in_one_line_with_exit_130_and_a_resume_that_runs_on(tmp_path):
+    # SIGINT after the log holds a row and step 2's checkpoint is on disk: one
+    # stderr line naming the last logged step and the checkpoint to resume
+    # from, a log of whole rows, and a resume whose log equals an
+    # uninterrupted run's. route-sim takes the one line too.
+    cfg = tmp_path / "every1.cfg"
+    cfg.write_text("checkpoint_every = 1\n")
+    args = ["--config", str(cfg), "--seed", "3", *FAST]
+    run = tmp_path / "run"
+    rc, err = interrupted(["train", "--out", str(run), *args, "--steps", "100000"],
+                          lambda: (run / "ckpt_000002.npz").exists())
+    head, _, resume = err.partition("; resume from ")
+    assert rc == 130 and err.count("\n") == 1 and head.startswith("interrupted: train stopped after step "), err
+    ckpt = Path(resume.strip())
+    step = int(ckpt.stem[len("ckpt_"):])
+    assert ckpt.parent == run and step >= 2 and ckpt.exists(), err
+    log = (run / "log.csv").read_text()
+    logged = int(head.rpartition(" ")[2])
+    assert log.endswith("\n") and len(cli.resumed_log_rows(run / "log.csv", 10**9)) in (logged, logged + 1)
+    assert main(["train", "--out", str(run), *args, "--resume", str(ckpt), "--steps", str(step + 2)]) == 0
+    assert main(["train", "--out", str(tmp_path / "ref"), *args, "--steps", str(step + 2)]) == 0
+    assert (run / "log.csv").read_text() == (tmp_path / "ref" / "log.csv").read_text()
+
+    sim = tmp_path / "sim"
+    rc, err = interrupted(["route-sim", "--out", str(sim), "--draws", "10000000", *FAST],
+                          lambda: (sim / "config.snapshot").exists())
+    assert rc == 130 and err == "interrupted: route-sim stopped\n", err
+    assert not (sim / "route_sim.csv").exists()
+
+
 def test_fresh_train_into_a_used_out_leaves_no_file_of_the_earlier_run(tmp_path, monkeypatch):
     cfg = tmp_path / "every3.cfg"
     cfg.write_text("checkpoint_every = 3\n")
@@ -1103,6 +1158,10 @@ NUMERIC_ROWS = [
     ("train-nan-router", ["train", "--steps", "2"], ("block0.moe.gate_b", np.nan), "step 2: " + SCORES.format(64),
      ["config.snapshot", "log.csv"], []),
     ("train-huge-trunk", ["train", "--steps", "2"], ("in_w", 1e308), "step 2: " + SCORES.format(48),
+     ["config.snapshot", "log.csv"], []),
+    # the forward stays finite, but the loss's gradient through a head of 1e96 overflows AdamW's g * g
+    ("train-huge-head", ["train", "--steps", "2"], ("out_w", 1e100),
+     "step 2: gradient of in_w has max |g| = 2.48e+192; AdamW's second moment holds |g| <= 1.34e+154\n",
      ["config.snapshot", "log.csv"], []),
     ("metrics-nan-router", ["metrics"], ("block0.moe.gate_b", np.nan), HELDOUT + SCORES.format(64), None, None),
     ("metrics-huge-trunk", ["metrics"], ("in_w", 1e308), HELDOUT + SCORES.format(64), None, None),

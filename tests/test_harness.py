@@ -366,7 +366,7 @@ def _random_params(rng):
 def test_adamw_in_place_matches_allocating_formulas():
     rng = np.random.default_rng(40)
     params = _random_params(rng)
-    opt = AdamW(params, lr=1e-2)
+    opt = AdamW(list(enumerate(params)), lr=1e-2)
     ref_p = [p.data.copy() for p in params]
     ref_m = [np.zeros_like(p.data) for p in params]
     ref_v = [np.zeros_like(p.data) for p in params]
@@ -399,7 +399,7 @@ def test_adamw_reads_a_missing_grad_as_zeros_and_frees_every_grad():
     rng = np.random.default_rng(41)
     params = _random_params(rng)
     twins = [Tensor(p.data.copy(), requires_grad=True) for p in params]
-    opt, twin_opt = AdamW(params, lr=1e-2), AdamW(twins, lr=1e-2)
+    opt, twin_opt = AdamW(list(enumerate(params)), lr=1e-2), AdamW(list(enumerate(twins)), lr=1e-2)
     for step in range(4):
         for i, (p, twin) in enumerate(zip(params, twins)):
             g = rng.normal(size=p.shape)
@@ -413,6 +413,31 @@ def test_adamw_reads_a_missing_grad_as_zeros_and_frees_every_grad():
             assert opt.m[i].tobytes() == twin_opt.m[i].tobytes()
             assert opt.v[i].tobytes() == twin_opt.v[i].tobytes()
             assert p.data.tobytes() == twin.data.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, np.nextafter(AdamW.grad_bound, np.inf)])
+def test_adamw_refuses_a_gradient_it_cannot_square_before_it_writes_anything(bad):
+    # the check runs before the first tensor's update: no weight, moment or
+    # count moves, and every gradient is freed. The bound is tight: a gradient
+    # of exactly grad_bound updates with no numpy warning (pyproject.toml makes
+    # a RuntimeWarning an error), and one float past it is refused.
+    rng = np.random.default_rng(42)
+    params = _random_params(rng)
+    opt = AdamW([(f"p{i}", p) for i, p in enumerate(params)], lr=1e-2)
+    for p in params:
+        p.grad = rng.normal(size=p.shape)
+    params[2].grad[1, 0, 1] = -AdamW.grad_bound
+    opt.step()
+    assert all(np.isfinite(a).all() for a in [*opt.v, *(p.data for p in params)])
+    before = [(p.data, m.copy(), v.copy()) for p, m, v in zip(params, opt.m, opt.v)]
+    for p in params:
+        p.grad = rng.normal(size=p.shape)
+    params[2].grad[1, 0, 1] = bad
+    with pytest.raises(NumericError, match=r"^gradient of p2 has max \|g\| = (nan|inf|1\.34e\+154); AdamW's "):
+        opt.step()
+    assert opt.step_count == 1 and all(p.grad is None for p in params)
+    for p, m, v, (data, m0, v0) in zip(params, opt.m, opt.v, before):
+        assert p.data is data and m.tobytes() == m0.tobytes() and v.tobytes() == v0.tobytes()
 
 
 def test_a_train_step_at_w_plr_0_frees_every_grad_and_leaves_the_target_heads_alone(monkeypatch):
@@ -475,6 +500,8 @@ def break_weights(params, fault):
         params.in_w.data *= 1e300  # overflows before block 1's router
     elif fault == "output":
         params.out_w.data += 1e200  # a finite prediction, an overflowing loss or next sample state
+    elif fault == "head":
+        params.out_w.data = params.out_w.data + 1e96  # a finite loss whose gradient AdamW cannot square
     else:
         params.out_w.data = np.full_like(params.out_w.data, 1e308)  # the first prediction overflows
 
@@ -508,6 +535,8 @@ def numeric_rows():
             yield entry, "output-max", f"^non-finite noise estimate at reverse step {T}$"
         elif entry in ("loss", "step-1", "step-3") or entry.startswith("evaluate"):
             yield entry, "output", rf"^{prefix}non-finite loss: \{{"
+        if entry.startswith("step"):
+            yield entry, "head", rf"^{prefix}gradient of in_w has max \|g\| = \S+; AdamW's second moment holds \|g\| <= 1\.34e\+154$"
 
 
 @pytest.mark.parametrize("entry,fault,message", [pytest.param(*row, id=f"{row[0]}-{row[1]}") for row in numeric_rows()])
@@ -524,6 +553,7 @@ def test_numeric_failure(entry, fault, message):
     with pytest.raises(NumericError, match=message):
         call(trainer, batch)
     assert_same_state(step_state(trainer), before)
+    assert all(p.grad is None for p in trainer.opt.params)
 
 
 def test_loss_is_the_objective_the_step_minimizes_and_writes_no_state():

@@ -1,6 +1,7 @@
 """Tensor substrate: forward values, exact gradients and the tape; the op table is test_ops.py."""
 
 import ctypes
+import importlib.machinery
 import os
 import re
 import subprocess
@@ -298,25 +299,51 @@ def test_gelu_bit_identical_to_textbook_expressions():
 
 def test_scipy_loads_at_the_first_gelu_not_at_import(tmp_path):
     # a fresh process, since this module imports scipy.special: route-sim
-    # runs without it, and the first gelu loads it and computes the same values
+    # runs without scipy, and the first gelu loads only erf's extension
+    # module, neither scipy nor scipy.special. A later import of scipy.special
+    # hands out the very ufunc gelu used, so the values are scipy's.
     child = f"""
 import sys
 import numpy as np
-import moelab
 from moelab import cli, tensor
 assert cli.main(["route-sim", "--out", {str(tmp_path / "sim")!r}, "--draws", "1",
                  "--batch-size", "2", "--tokens", "4", "--experts", "4", "--k", "2"]) == 0
-assert "scipy.special" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+loaded = lambda: sorted(m for m in sys.modules if m.startswith("scipy"))
+assert loaded() == [], loaded()
 x = np.linspace(-3.0, 3.0, 7)
 out = tensor.gelu(tensor.Tensor(x)).data
-assert "scipy.special" in sys.modules
-from scipy.special import erf
-assert np.array_equal(out, x * (0.5 * (1.0 + erf(x * (1.0 / np.sqrt(2.0)))))), out
+assert loaded() == ["scipy.special._special_ufuncs"], loaded()
+import scipy.special
+assert tensor._erf() is scipy.special.erf
+assert np.array_equal(out, x * (0.5 * (1.0 + scipy.special.erf(x * (1.0 / np.sqrt(2.0)))))), out
 """
     src = Path(__file__).resolve().parents[1] / "src"
     done = subprocess.run([sys.executable, "-c", child], env={**os.environ, "PYTHONPATH": str(src)},
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_gelu_without_scipys_erf_extension_raises_one_import_error_naming_the_file(tmp_path):
+    # a stub scipy package ahead of site-packages, with no extension file:
+    # importing moelab works, and the first gelu names the file it looked for
+    special = tmp_path / "scipy" / "special"
+    special.mkdir(parents=True)
+    (tmp_path / "scipy" / "__init__.py").write_text("")
+    (special / "__init__.py").write_text("")
+    child = """
+import numpy as np
+from moelab import tensor
+try:
+    tensor.gelu(tensor.Tensor(np.zeros(2)))
+except ImportError as exc:
+    print(exc)
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", child], env={**os.environ, "PYTHONPATH": f"{tmp_path}{os.pathsep}{src}"},
+                          capture_output=True, text=True, timeout=120)
+    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+    want = f"gelu needs the erf of scipy>=1.17 and found no {special / ('_special_ufuncs' + suffix)}\n"
+    assert done.returncode == 0 and done.stdout == want and not done.stderr, (done.stdout, done.stderr)
 
 
 def test_gelu_under_no_grad_equals_the_grad_path_and_keeps_its_input():
@@ -338,7 +365,7 @@ def test_gelu_allocates_its_output_and_only_a_taped_derivative(taped, arrays):
     # the output is written over the CDF's buffer in both modes, and only a
     # taped call adds its derivative; tracemalloc counts numpy's data buffers
     x = np.random.default_rng(44).normal(size=(256, 256))
-    gelu(Tensor(x[:2]))  # scipy.special loads on the first call
+    gelu(Tensor(x[:2]))  # scipy's erf loads on the first call
     xt = Tensor(x, requires_grad=taped)
     tracemalloc.start()
     try:
