@@ -145,17 +145,18 @@ def route_sim_draws(
     shape: tuple[int, int, int],
     k: int,
     draws: int,
-) -> tuple[dict[str, list[float]], dict[str, list[dict]]]:
-    """Per strategy name, the selection objective and the routing report
-    record of each of `draws` (B, L, E) score tensors drawn from `rng`, in
-    draw order. budgets maps each strategy to its per-row K.
+) -> dict[str, dict[str, list[float]]]:
+    """Per strategy name, the three columns route-sim averages, each a list
+    of one float per draw in draw order: `objective` (the selection
+    objective), and `max_vio` and `comb_usage` from the routing report, of
+    each of `draws` (B, L, E) score tensors drawn from `rng`. budgets maps
+    each strategy to its per-row K. Nothing else of a draw is kept.
 
     A Generator fills an (n, B, L, E) block in the order n separate
     (B, L, E) draws would take, so the draws do not depend on the block size.
     """
     block = block_draws(shape, draws)
-    objectives = {s.name: [] for s in budgets}
-    reports = {s.name: [] for s in budgets}
+    columns = {s.name: {"objective": [], "max_vio": [], "comb_usage": []} for s in budgets}
     for start in range(0, draws, block):
         n = min(block, draws - start)
         scores = rng.normal(size=(n, *shape))
@@ -166,15 +167,16 @@ def route_sim_draws(
             # each draw's objective sums its own view, in that view's memory
             # order (a strided view for bl-choice), as a one-draw call would
             for draw, draw_mask in zip(scores, mask2d.reshape(n, -1, view.shape[1])):
-                objectives[strat.name].append(
+                columns[strat.name]["objective"].append(
                     metrics_mod.routing_objective(routing.reshape_scores(draw, strat), draw_mask)
                 )
             masks.append(routing.scatter_mask(mask2d, strat, scores.shape))
         # one report over every strategy's masks; each record equals its mask's own
         records = metrics_mod.routing_report(np.concatenate(masks), k)
-        for i, name in enumerate(reports):
-            reports[name] += records[i * n:(i + 1) * n]
-    return objectives, reports
+        for i, column in enumerate(columns.values()):
+            for key in ("max_vio", "comb_usage"):
+                column[key] += [record[key] for record in records[i * n:(i + 1) * n]]
+    return columns
 
 
 def cmd_route_sim(args: argparse.Namespace) -> int:
@@ -202,18 +204,15 @@ def cmd_route_sim(args: argparse.Namespace) -> int:
     remove_file(csv_path)  # an earlier run's table never sits beside this run's snapshot
     write_config_snapshot(cfg, out_dir)
     rng = np.random.default_rng(cfg["seed"])
-    objectives, reports = route_sim_draws(rng, budgets, (B, L, E), k, args.draws)
+    columns = route_sim_draws(rng, budgets, (B, L, E), k, args.draws)
 
-    race = objectives.get("expert-race")
+    race = columns.get("expert-race")
     rows = ["strategy,objective,gap_vs_expert_race,max_vio,comb_usage\n"]
     for strat in strategies:
-        objs = objectives[strat.name]
-        gap = float("nan") if race is None else float(np.mean(np.array(race) - np.array(objs)))
-        rows.append(
-            f"{strat.name},{float(np.mean(objs)):.10g},{gap:.10g},"
-            f"{metrics_mod.report_mean(reports[strat.name], 'max_vio'):.10g},"
-            f"{metrics_mod.report_mean(reports[strat.name], 'comb_usage'):.10g}\n"
-        )
+        column = columns[strat.name]
+        gap = float("nan") if race is None else np.mean(np.array(race["objective"]) - np.array(column["objective"]))
+        objective, max_vio, comb_usage = (np.mean(column[key]) for key in ("objective", "max_vio", "comb_usage"))
+        rows.append(f"{strat.name},{objective:.10g},{gap:.10g},{max_vio:.10g},{comb_usage:.10g}\n")
     replace_file(csv_path, "".join(rows))
     print(f"wrote {csv_path}")
     return 0

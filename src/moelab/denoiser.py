@@ -23,7 +23,7 @@ import numpy as np
 from . import layer as moe_layer
 from .diffusion import PARAMETERIZATIONS, build_schedule
 from .layer import LayerOutput, MoeLayerParams, _xavier
-from .routing import GATING_FUNCTIONS, ConfigError, NumericError, RoutingStrategy, get_strategy
+from .routing import GATING_FUNCTIONS, ConfigError, NumericError, get_strategy
 from .tensor import Tensor, gelu, matmul, take_cols, take_rows
 
 __all__ = [
@@ -104,9 +104,6 @@ class DenoiserConfig:
         if self.parameterization not in PARAMETERIZATIONS:
             raise ConfigError(f"unknown parameterization {self.parameterization!r}; use one of {PARAMETERIZATIONS}")
         build_schedule(self.total_steps)
-
-    def routing_strategy(self) -> RoutingStrategy:
-        return get_strategy(self.strategy)
 
 
 @dataclass
@@ -234,7 +231,7 @@ def denoiser_forward(
     check. A class label that is not an integer raises ConfigError.
     """
     cfg = params.config
-    strategy = cfg.routing_strategy()
+    strategy = get_strategy(cfg.strategy)
 
     # a diverging state overflows here first: the router check below names
     # the block, for every caller, instead of numpy warning before it

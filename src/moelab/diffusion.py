@@ -145,9 +145,10 @@ def ancestral_sample(predict_eps, shape: tuple, schedule: NoiseSchedule, rng: np
 
 @dataclass
 class DiffusionBatch:
-    x0: np.ndarray  # (B, L, D)
+    """A drawn batch as the loss and the readouts read it: the noised
+    input, its timesteps, the regression target and the class labels."""
+
     t: np.ndarray  # (B,) integer timesteps
-    eps: np.ndarray  # (B, L, D)
     x_t: np.ndarray  # (B, L, D)
     y: np.ndarray  # (B, L, D) regression target
     c: np.ndarray  # (B,) class labels
@@ -226,4 +227,4 @@ class SyntheticTask:
         eps = rng.normal(size=x0.shape)
         x_t = forward_diffuse(x0, t, eps, schedule)
         y = make_target(x0, eps, t, schedule, parameterization)
-        return DiffusionBatch(x0=x0, t=t, eps=eps, x_t=x_t, y=y, c=c)
+        return DiffusionBatch(t=t, x_t=x_t, y=y, c=c)

@@ -138,13 +138,11 @@ def combination_usage(mask: np.ndarray) -> CombinationUsage:
 class AllocationProfile:
     """Mean active experts per token, bucketed by diffusion timestep.
 
-    means[b] is NaN for buckets that saw no samples (missing, not zero);
-    counts[b] is the number of tokens that landed in bucket b.
+    means[b] is NaN exactly when bucket b saw no samples (missing, not
+    zero).
     """
 
-    edges: np.ndarray  # (buckets + 1,) over [0, T]
     means: np.ndarray  # (buckets,)
-    counts: np.ndarray  # (buckets,) tokens per bucket
 
     @property
     def bucket_variance(self) -> float:
@@ -164,8 +162,9 @@ def allocation_profile(
     """Bucket per-sample mean experts-per-token by timestep.
 
     masks: (N, L, E) routing masks, one per sample; timesteps: (N,) the
-    sample's diffusion step in [0, t_max]. A timestep outside that range,
-    or NaN, raises ConfigError naming the first one.
+    sample's diffusion step in [0, t_max], split into `buckets` equal
+    buckets. A timestep outside that range, or NaN, raises ConfigError
+    naming the first one.
     """
     masks = np.asarray(masks, dtype=np.float64)
     timesteps = np.asarray(timesteps)
@@ -189,33 +188,27 @@ def allocation_profile(
     means = np.full(buckets, np.nan)
     nonzero = counts > 0
     means[nonzero] = sums[nonzero] / counts[nonzero]
-    return AllocationProfile(edges=edges, means=means, counts=counts)
+    return AllocationProfile(means=means)
 
 
 def routing_report(
-    masks: list[np.ndarray] | np.ndarray,
+    masks: np.ndarray,
     k: int,
     t: np.ndarray | None = None,
     t_max: int | None = None,
 ) -> list[dict]:
-    """One record per mask of a stack of equal-shape (N, L, E) routing masks
-    (a list, or an array whose first axis runs over them): max_vio,
-    comb_usage, comb_no_pairs, mean_active (experts per token) and, given
-    the samples' (N,) timesteps t and the schedule length t_max,
+    """One record per mask of an (R, N, L, E) stack of routing masks (a
+    model's layers, or a block of route-sim draws): max_vio, comb_usage,
+    comb_no_pairs, mean_active (experts per token) and, given the samples'
+    (N,) timesteps t and the schedule length t_max,
     allocation_bucket_variance. A single expert has no pairs: comb_usage
     0.0 with comb_no_pairs true. Each record is bit-equal to its mask's own;
     the stack is read in one pass, but allocation_bucket_variance per mask.
-    A list of masks of unequal shapes raises ConfigError naming two of them.
     """
     if t is not None and t_max is None:
         raise ConfigError("allocation by timestep needs t_max")
     if len(masks) == 0:
         return []
-    if not isinstance(masks, np.ndarray):
-        first = np.shape(masks[0])
-        for mask in masks[1:]:
-            if np.shape(mask) != first:
-                raise ConfigError(f"masks must share one shape, got {first} and {np.shape(mask)}")
     masks = np.ascontiguousarray(masks)  # one copy of a strided stack, then views
     R, E = masks.shape[0], masks.shape[-1]
     T = masks[0].size // E

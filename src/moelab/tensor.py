@@ -289,24 +289,24 @@ class Tensor:
     # ------------------------------------------------------------------
     # reductions
 
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
+    def sum(self, axis=None) -> "Tensor":
         shape, xn = self.shape, self._node
 
         def gfn(g):
-            if axis is not None and not keepdims:
+            if axis is not None:
                 axes = (axis,) if isinstance(axis, int) else tuple(axis)
                 g = np.expand_dims(g, tuple(a % len(shape) for a in axes))
             _accumulate(xn, np.broadcast_to(g, shape))
 
-        return Tensor(self.data.sum(axis=axis, keepdims=keepdims), _parents=(self,), _grad_fn=gfn)
+        return Tensor(self.data.sum(axis=axis), _parents=(self,), _grad_fn=gfn)
 
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
+    def mean(self, axis=None) -> "Tensor":
         if axis is None:
             n = self.size
         else:
             axes = (axis,) if isinstance(axis, int) else tuple(axis)
             n = int(np.prod([self.shape[a] for a in axes]))
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
+        return self.sum(axis=axis) * (1.0 / n)
 
     # ------------------------------------------------------------------
     # shape ops
@@ -330,7 +330,7 @@ class Tensor:
         return Tensor(self.data.transpose(perm), _parents=(self,), _grad_fn=gfn)
 
 
-def _accumulate(t: _Node | Tensor, g: np.ndarray) -> None:
+def _accumulate(t: _Node, g: np.ndarray) -> None:
     """Add g to t.grad. Nothing writes a gradient in place (a second
     contribution rebinds t.grad), so a C-contiguous ndarray is stored as is,
     even when it aliases another node's gradient; anything else is copied

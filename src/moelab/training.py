@@ -41,7 +41,7 @@ from . import metrics as metrics_mod
 from .denoiser import DenoiserConfig, check_field_types, class_labels, denoiser_forward, init_denoiser, is_integer
 from .diffusion import NoiseSchedule, SyntheticTask, ancestral_sample, build_schedule
 from .losses import aux_inputs_from_routing
-from .routing import ConfigError, NumericError, StateError, effective_k, ema_update
+from .routing import ConfigError, NumericError, StateError, effective_k, ema_update, get_strategy
 from .tensor import Tensor, backward, no_grad
 
 __all__ = [
@@ -191,7 +191,7 @@ class TrainerConfig:
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         m = self.model
-        effective_k(m.routing_strategy(), self.batch_size, m.tokens, m.num_experts, m.k)
+        effective_k(get_strategy(m.strategy), self.batch_size, m.tokens, m.num_experts, m.k)
 
     def to_dict(self) -> dict:
         """The model's fields, then this config's own: one flat dict."""
@@ -313,7 +313,7 @@ class Trainer(object):
         for blk, out in zip(self.params.blocks, layer_outputs):
             ema_update(blk.moe.threshold, out.route.kth_values)
 
-        report = metrics_mod.routing_report([out.route.mask for out in layer_outputs], cfg.model.k)
+        report = metrics_mod.routing_report(np.stack([out.route.mask for out in layer_outputs]), cfg.model.k)
         return LogRecord(
             step=self.step_count,
             **breakdown,
@@ -358,23 +358,25 @@ class Trainer(object):
                     raise NumericError(f"non-finite loss: {losses}")
             except NumericError as exc:
                 raise NumericError(f"held-out batch {i + 1}: {exc}") from exc
-            masks.append([out.route.mask for out in layer_outputs])
+            masks.append(np.stack([out.route.mask for out in layer_outputs]))
             timesteps.append(batch.t)
             diffusion.append(losses["diffusion"])
             excess.append(losses["excess"])
-        per_layer = [np.concatenate(layer, axis=0) for layer in zip(*masks)]
         t = np.concatenate(timesteps)
-        report = metrics_mod.routing_report(per_layer, cfg.model.k, t, self.schedule.total_steps)
+        # (layers, samples, L, E): each layer's masks of every batch, in batch order
+        report = metrics_mod.routing_report(np.concatenate(masks, axis=1), cfg.model.k, t, self.schedule.total_steps)
         return Evaluation(report, float(np.mean(diffusion)), float(np.mean(excess)))
 
     def sample(
         self,
         n: int,
         c: np.ndarray | int,
-        rng: np.random.Generator | None = None,
+        rng: np.random.Generator,
     ) -> tuple[np.ndarray, list[dict]]:
         """Ancestral reverse process (diffusion.ancestral_sample) under
-        thresholded routing.
+        thresholded routing, its noise drawn from `rng` alone: the trainer's
+        batch stream (self.rng) is never read, so sampling leaves training
+        as it was.
 
         Returns generated samples (n, L, D) and, per reverse step, the mean
         active experts per token per layer. A sample count n that is not a
@@ -415,8 +417,7 @@ class Trainer(object):
             return _to_eps(pred.data, x, t, self.schedule, cfg.parameterization)
 
         with no_grad():
-            x = ancestral_sample(predict_eps, (n, cfg.tokens, cfg.model_dim), self.schedule,
-                                 rng if rng is not None else self.rng)
+            x = ancestral_sample(predict_eps, (n, cfg.tokens, cfg.model_dim), self.schedule, rng)
         return x, allocation_log
 
 
@@ -626,6 +627,19 @@ def _check_manifest(path, manifest, named: list[tuple[str, Tensor]]) -> None:
             raise ConfigError(f"checkpoint {path} tensor {name!r} has shape {saved_shape}, the model needs {t.shape}")
 
 
+def _check_moments(path, opt: AdamW) -> None:
+    """AdamW's moments must be ones it can step from: every opt_m entry
+    finite, every opt_v entry finite and >= 0 (a mean of squares). An inf in
+    v would freeze its weight for good, as m_hat / (sqrt(inf) + eps) = 0."""
+    for group, moments, rule, holds in (("opt_m", opt.m, "finite", np.isfinite),
+                                        ("opt_v", opt.v, "finite and >= 0", lambda v: (v >= 0) & (v < np.inf))):
+        bad = [arr.size - np.count_nonzero(holds(arr)) for arr in moments]
+        if any(bad):
+            first = next(name for name, n in zip(opt.names, bad) if n)
+            raise ConfigError(f"checkpoint {path} member {group!r} holds {sum(bad)} entries that are not {rule}, "
+                              f"the first in tensor {first!r}")
+
+
 def load_checkpoint(path, config: TrainerConfig | None = None) -> Trainer:
     """Rebuild a Trainer in the exact state it was saved in.
 
@@ -650,7 +664,9 @@ def load_checkpoint(path, config: TrainerConfig | None = None) -> Trainer:
     length, or with fewer or more data bytes than its header says;
     metadata that is not a UTF-8 JSON object; a missing metadata field, or
     one of the wrong JSON type or value; a saved config value that
-    TrainerConfig refuses.
+    TrainerConfig refuses; optimizer moments AdamW cannot step from (an
+    `opt_m` entry that is not finite, an `opt_v` entry that is not finite
+    and >= 0), named by their count and the first tensor that holds one.
     """
     try:
         archive = zipfile.ZipFile(path)
@@ -696,6 +712,7 @@ def load_checkpoint(path, config: TrainerConfig | None = None) -> Trainer:
         for group, arrays in _state_groups(trainer).items():
             with _read_member(archive, path, group, _F8, arrays):
                 pass  # read straight into the trainer's arrays
+        _check_moments(path, trainer.opt)
         if type(meta["step"]) is not int or meta["step"] < 0:  # JSON true is no step count
             raise ConfigError(f"checkpoint {path} metadata 'step' is {meta['step']!r}, not a step count")
         trainer.opt.step_count = meta["step"]

@@ -959,6 +959,18 @@ def meta_with(**fields):
     return meta(lambda m: {**m, **fields})
 
 
+def moments(key: str, value: float):
+    """A fault: member `key` with `value` in 2 entries of block0.mix_w and 3 of out_w."""
+    def make(path, ckpt):
+        members = members_of(ckpt)
+        m = json.loads(members["meta_json"].tobytes())
+        members[key] = members[key].copy()
+        for name, count in (("block0.mix_w", 2), ("out_w", 3)):
+            members[key][tensor_slice(m, name)][:count] = value
+        write_members(path, members)
+    return make
+
+
 def old_version(version: int):
     """Versions 1-3 store the step count apart, as "opt_step"; 1 and 2 store each threshold
     as {"momentum", "tau"}; 1 also stores one member per tensor and no manifest. Versions 1-4
@@ -1033,6 +1045,12 @@ ROWS = [
     *generated_rows(),
     ("opt_v-int64", member("opt_v", lambda a: a.astype(np.int64)),
      " member 'opt_v' has dtype int64, the model needs float64\n"),
+    # moments AdamW cannot step from: a resume from them would leave those weights frozen for good
+    *[(f"{key}-{fault}", moments(key, value), f" member {key!r} holds 5 entries that are not {rule}, "
+       "the first in tensor 'block0.mix_w'\n")
+      for key, fault, value, rule in [("opt_v", "inf", math.inf, "finite and >= 0"),
+                                      ("opt_v", "negative", -1e-12, "finite and >= 0"),
+                                      ("opt_m", "nan", math.nan, "finite")]],
     ("meta_json-not-utf8", member("meta_json", lambda a: npy(np.frombuffer(b"\xff\xfe{}", np.uint8))),
      " member 'meta_json' is unreadable: 'utf-8' codec can't decode byte 0xff"),
     ("param-npy-2.0", member("param", lambda a: npy(a, write_header=np.lib.format.write_array_header_2_0)),

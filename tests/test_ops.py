@@ -51,7 +51,7 @@ ROWS = [
     Row("square-1e3", Tensor.__mul__, (big(3, 4, scale=300.0),), ref=np.square, operands=(0, 0)),
     Row("all", Tensor.sum, (arr(3, 2),)),
     Row("axis", Tensor.sum, (arr(3, 4),), (-1,)),
-    Row("axes-keepdims", Tensor.sum, (strided(2, 3, 4),), ((0, 2), True)),
+    Row("axes", Tensor.sum, (strided(2, 3, 4),), ((0, 2),)),
     Row("all", Tensor.mean, (strided(2, 3),)),
     Row("axis", Tensor.mean, (arr(3, 4),), (0,)),
     Row("strided", Tensor.reshape, (strided(2, 3, 4),), (4, 6), ref=lambda x: x.reshape(4, 6)),
