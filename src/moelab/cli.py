@@ -24,7 +24,7 @@ import numpy as np
 from . import metrics as metrics_mod
 from . import routing
 from .routing import ConfigError, NumericError, StateError
-from .training import (LogRecord, Trainer, TrainerConfig, load_checkpoint, remove_file, replace_file,
+from .training import (LogRecord, Trainer, TrainerConfig, allocating, load_checkpoint, remove_file, replace_file,
                        save_checkpoint, writing)
 
 CONFIG_SCHEMA_VERSION = 1
@@ -93,8 +93,9 @@ def resolve_settings(args: argparse.Namespace) -> dict:
 
 def check_settings(values: dict) -> dict:
     """Every setting of `values` as its default's type, a text one stripped
-    as a config file's is. Checks the schema, the run's own keys and the
-    strategy name, which it makes canonical."""
+    as a config file's is: the one typing of config-file lines, flags and
+    arm overrides. Checks the schema, the run's own keys and the strategy
+    name, which it makes canonical."""
     cfg = {}
     for key, default in _CONFIG_DEFAULTS.items():
         value = values[key].strip() if isinstance(values[key], str) else values[key]
@@ -181,11 +182,15 @@ def route_sim_draws(
 
 def cmd_route_sim(args: argparse.Namespace) -> int:
     """Builds no model, so checks only the settings it reads: the score
-    shape, k, the seed and the strategies, and that numpy can allocate the
-    first block of draws, before --out."""
+    shape, k, the seed, the strategies and --draws, and that numpy can
+    allocate the first block of draws, before --out."""
     cfg = resolve_settings(args)
-    if args.draws < 1:
-        raise ConfigError(f"--draws must be >= 1, got {args.draws}")
+    try:
+        draws = int(args.draws)
+    except ValueError:
+        raise ConfigError(f"--draws must be an integer >= 1, got {args.draws!r}") from None
+    if draws < 1:
+        raise ConfigError(f"--draws must be >= 1, got {draws}")
     wanted = args.strategies.split(",") if args.strategies else list(routing.STRATEGIES)
     strategies = [routing.get_strategy(s) for s in wanted]
     repeated = sorted({s.name for s in strategies if strategies.count(s) > 1})
@@ -193,18 +198,14 @@ def cmd_route_sim(args: argparse.Namespace) -> int:
         raise ConfigError(f"--strategies names {', '.join(repeated)} more than once")
     B, L, E, k = cfg["batch_size"], cfg["tokens"], cfg["experts"], cfg["k"]
     budgets = {s: routing.effective_k(s, B, L, E, k) for s in strategies}
-    try:  # the first block's stacked masks, its largest array; pages untouched
-        np.empty((len(budgets) * block_draws((B, L, E), args.draws), B, L, E))
-    except (ValueError, MemoryError) as exc:  # numpy's refusal of an array size
-        raise ConfigError(
-            f"batch_size={B}, tokens={L}, experts={E} ask for arrays numpy cannot allocate: {exc}"
-        ) from None
+    with allocating(f"batch_size={B}, tokens={L}, experts={E} ask"):
+        np.empty((len(budgets) * block_draws((B, L, E), draws), B, L, E))  # the first block's masks, pages untouched
     out_dir = make_out_dir(args)
     csv_path = out_dir / "route_sim.csv"
     remove_file(csv_path)  # an earlier run's table never sits beside this run's snapshot
     write_config_snapshot(cfg, out_dir)
     rng = np.random.default_rng(cfg["seed"])
-    columns = route_sim_draws(rng, budgets, (B, L, E), k, args.draws)
+    columns = route_sim_draws(rng, budgets, (B, L, E), k, draws)
 
     race = columns.get("expert-race")
     rows = ["strategy,objective,gap_vs_expert_race,max_vio,comb_usage\n"]
@@ -427,13 +428,13 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser):
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--out", help="output directory")
-        for key in _FLAG_KEYS:  # each flag takes its config key's type
-            p.add_argument("--" + key.replace("_", "-"), dest=key, type=type(_CONFIG_DEFAULTS[key]), default=None)
+        for key in _FLAG_KEYS:  # text: check_settings types it as it does a config-file line
+            p.add_argument("--" + key.replace("_", "-"), dest=key, default=None)
 
     p_sim = sub.add_parser("route-sim", help="compare strategies on sampled score tensors")
     add_common(p_sim)
     p_sim.add_argument("--strategies", help="comma-separated subset (default: all six)")
-    p_sim.add_argument("--draws", type=int, default=100)
+    p_sim.add_argument("--draws", default="100")  # text, typed by cmd_route_sim
 
     p_train = sub.add_parser("train", help="run the toy diffusion training loop")
     add_common(p_train)

@@ -21,7 +21,7 @@ from typing import Literal
 import numpy as np
 
 from . import layer as moe_layer
-from .diffusion import PARAMETERIZATIONS, build_schedule
+from .diffusion import PARAMETERIZATIONS
 from .layer import LayerOutput, MoeLayerParams, _xavier
 from .routing import GATING_FUNCTIONS, ConfigError, NumericError, get_strategy
 from .tensor import Tensor, gelu, matmul, take_cols, take_rows
@@ -84,7 +84,8 @@ class DenoiserConfig:
     total_steps: int = 100  # of the cosine noise schedule
 
     def __post_init__(self):
-        """A bad value raises a ConfigError naming its field; the strategy name is made canonical."""
+        """A bad value raises a ConfigError naming its field; the strategy name is made canonical.
+        Each check is a bound that builds nothing: Trainer refuses sizes numpy cannot allocate."""
         check_field_types(self)
         for key in ("layers", "model_dim", "tokens", "num_classes", "dense_hidden"):
             if getattr(self, key) < 1:
@@ -103,7 +104,8 @@ class DenoiserConfig:
             raise ConfigError(f"unknown gating {self.gating!r}; choose from {sorted(GATING_FUNCTIONS)}")
         if self.parameterization not in PARAMETERIZATIONS:
             raise ConfigError(f"unknown parameterization {self.parameterization!r}; use one of {PARAMETERIZATIONS}")
-        build_schedule(self.total_steps)
+        if self.total_steps < 2:
+            raise ConfigError(f"total_steps must be >= 2, got {self.total_steps}")
 
 
 @dataclass

@@ -57,6 +57,7 @@ __all__ = [
     "replace_file",
     "remove_file",
     "writing",
+    "allocating",
 ]
 
 CHECKPOINT_VERSION = 6
@@ -233,13 +234,17 @@ class Trainer(object):
         optimizer moments and an EMA shadow equal to the weights. With
         `blank`, the weights, moments and shadow are np.empty arrays
         instead, for load_checkpoint to overwrite: nothing is drawn, zeroed
-        or copied first. Sizes no weight or batch array can have raise one
-        ConfigError naming them."""
+        or copied first. The run's one noise schedule is built here. Sizes
+        no schedule, weight or batch array can have raise one ConfigError
+        naming them."""
         self.config = config
         self.rng = np.random.default_rng(config.seed)
         m = config.model
-        self.schedule = build_schedule(m.total_steps)
-        try:
+        sizes = (f"layers={m.layers}, model_dim={m.model_dim}, tokens={m.tokens}, num_classes={m.num_classes}, "
+                 f"num_experts={m.num_experts}, dense_hidden={m.dense_hidden}, total_steps={m.total_steps}, "
+                 f"batch_size={config.batch_size} ask")
+        with allocating(sizes):
+            self.schedule = build_schedule(m.total_steps)
             self.params = init_denoiser(m, _Undrawn() if blank else np.random.default_rng(config.seed))
             self.task = SyntheticTask(
                 num_classes=m.num_classes,
@@ -252,12 +257,6 @@ class Trainer(object):
             self.opt = AdamW(named, lr=config.lr, blank=blank)
             self.ema = WeightEma(named, blank=blank)
             np.empty((config.batch_size, m.tokens, m.model_dim))  # a train batch's (B, L, D), pages untouched
-        except (ValueError, MemoryError) as exc:  # numpy's refusal of an array size; the config is checked
-            raise ConfigError(
-                f"layers={m.layers}, model_dim={m.model_dim}, tokens={m.tokens}, num_classes={m.num_classes}, "
-                f"num_experts={m.num_experts}, dense_hidden={m.dense_hidden}, batch_size={config.batch_size} ask for "
-                f"arrays numpy cannot allocate: {exc}"
-            ) from None
 
     @property
     def step_count(self) -> int:
@@ -391,10 +390,8 @@ class Trainer(object):
         if not is_integer(n) or n < 1:
             raise ConfigError(f"sample count must be a positive integer, got {n!r}")
         cfg = self.config.model
-        try:
+        with allocating(f"sample count n={n} asks"):
             np.empty((n, cfg.tokens, cfg.model_dim))  # the sample state, pages untouched
-        except (ValueError, MemoryError) as exc:  # numpy's refusal of an array size
-            raise ConfigError(f"sample count n={n} asks for arrays numpy cannot allocate: {exc}") from None
         labels = class_labels(c)
         if labels.ndim > 1 or labels.size not in (1, n):
             raise ConfigError(f"{labels.size} class labels for {n} samples; give 1 or {n}")
@@ -483,6 +480,19 @@ def writing(path):
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
+@contextmanager
+def allocating(what):
+    """numpy's refusal of an array size in the block, a ValueError or
+    MemoryError, raises one ConfigError: `<what> for arrays numpy cannot
+    allocate: <reason>`. A ConfigError (itself a ValueError) passes as it is."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (ValueError, MemoryError) as exc:
+        raise ConfigError(f"{what} for arrays numpy cannot allocate: {exc}") from None
+
+
 def replace_file(path, content) -> None:
     """Write `path` whole or not at all. `content` is the text to write, or
     a function that writes the temp file it is given.
@@ -527,10 +537,11 @@ def save_checkpoint(path, trainer: Trainer) -> None:
 
     Five stored (uncompressed) members. `param`, `ema`, `opt_m` and `opt_v`
     each hold one 1-D float64 array: the model's tensors concatenated in
-    named_tensors() order, streamed from the trainer's own arrays with no
-    concatenated copy. `meta_json` holds UTF-8 JSON bytes: the step count
-    (the optimizer's, which `Trainer.step_count` reads), config, thresholds
-    (each block's tau: a number, or null when unset),
+    AdamW's order (`opt.names`, `opt.params`, the one walk Trainer made, so
+    a save walks no parameter tree), streamed from the trainer's own arrays
+    with no concatenated copy. `meta_json` holds UTF-8 JSON bytes: the step
+    count (the optimizer's, which `Trainer.step_count` reads), config,
+    thresholds (each block's tau: a number, or null when unset),
     RNG state and the manifest `tensors`, a list of [name, shape] in that
     order.
 
@@ -539,7 +550,7 @@ def save_checkpoint(path, trainer: Trainer) -> None:
     ConfigError naming the path. Like np.savez, appends ".npz" to a path
     without that suffix.
     """
-    named = trainer.params.named_tensors()
+    opt = trainer.opt
     thresholds = [blk.moe.threshold.tau for blk in trainer.params.blocks]
     meta = {
         "version": CHECKPOINT_VERSION,
@@ -547,10 +558,10 @@ def save_checkpoint(path, trainer: Trainer) -> None:
         "config": trainer.config.to_dict(),
         "thresholds": thresholds,
         "rng_state": trainer.rng.bit_generator.state,
-        "tensors": [[name, list(t.shape)] for name, t in named],
+        "tensors": [[name, list(p.shape)] for name, p in zip(opt.names, opt.params)],
     }
     blob = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-    total = sum(t.size for _, t in named)
+    total = sum(p.size for p in opt.params)
 
     def write(tmp: Path) -> None:
         with zipfile.ZipFile(tmp, "w") as archive:
@@ -611,11 +622,11 @@ def _read_member(archive: zipfile.ZipFile, path, key: str, dtype: np.dtype, arra
         raise ConfigError(f"{where} is unreadable: {exc}") from None
 
 
-def _check_manifest(path, manifest, named: list[tuple[str, Tensor]]) -> None:
-    """The saved [name, shape] list must be the model's, entry by entry."""
-    if not isinstance(manifest, list) or len(manifest) != len(named):
-        raise ConfigError(f"checkpoint {path} metadata 'tensors' does not list the model's {len(named)} tensors")
-    for entry, (name, t) in zip(manifest, named):
+def _check_manifest(path, manifest, opt: AdamW) -> None:
+    """The saved [name, shape] list must be the model's, in AdamW's order, entry by entry."""
+    if not isinstance(manifest, list) or len(manifest) != len(opt.names):
+        raise ConfigError(f"checkpoint {path} metadata 'tensors' does not list the model's {len(opt.names)} tensors")
+    for entry, name, t in zip(manifest, opt.names, opt.params):
         try:
             saved_name, saved_shape = entry
             saved_shape = tuple(saved_shape)
@@ -707,8 +718,7 @@ def load_checkpoint(path, config: TrainerConfig | None = None) -> Trainer:
             trainer = Trainer(config, blank=True)
         except ConfigError as exc:  # a size no array can have
             raise ConfigError(f"checkpoint {path}: {exc}") from None
-        named = trainer.params.named_tensors()
-        _check_manifest(path, meta["tensors"], named)
+        _check_manifest(path, meta["tensors"], trainer.opt)
         for group, arrays in _state_groups(trainer).items():
             with _read_member(archive, path, group, _F8, arrays):
                 pass  # read straight into the trainer's arrays

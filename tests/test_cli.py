@@ -105,13 +105,13 @@ def test_build_parser_builds_one_parser_per_process():
 def test_main_runs_the_command_the_module_holds_at_call_time(tmp_path, monkeypatch):
     # the parser is built once and holds no command, so a command replaced by
     # name after a first call (as the benchmark's tracer wraps cmd_route_sim)
-    # is the one the next call runs
+    # is the one the next call runs, given the flags as text
     args = ["route-sim", "--out", str(tmp_path / "out"), "--draws", "1", *FAST]
     assert main(args) == 0
     ran = []
     monkeypatch.setattr(cli, "cmd_route_sim", lambda ns: ran.append(ns.draws) or 0)
     assert main(args) == 0
-    assert ran == [1]
+    assert ran == ["1"]
 
 
 def test_route_sim_calls_in_one_process_carry_no_state(tmp_path, capsys):
@@ -1137,16 +1137,27 @@ def test_checkpoint_fault(tmp_path, capsys, trained_checkpoint, row, make, fragm
 
 
 def test_a_size_no_array_can_have_is_one_config_error_line(tmp_path, capsys, trained_checkpoint):
-    # numpy refuses a (2**62, 2**62) weight, or a (2**62, 4, 8) batch, before it allocates anything;
-    # route-sim's first block of (10**8, 10**8, 8) scores is past any address space (MemoryError)
-    huge = tmp_path / "huge.npz"
-    meta(lambda m: {**m, "config": {**m["config"], "model_dim": 2**62}})(huge, trained_checkpoint)
+    # numpy refuses a (2**62, 2**62) weight, a (2**62 + 1,) schedule or a (2**62, 4, 8) batch before it
+    # allocates anything; route-sim's first block of (10**8, 10**8, 8) scores is past any address space (MemoryError)
+    huge, long = tmp_path / "huge.npz", tmp_path / "long.npz"
+    for path, key in [(huge, "model_dim"), (long, "total_steps")]:
+        meta(lambda m: {**m, "config": {**m["config"], key: 2**62}})(path, trained_checkpoint)
+    (tmp_path / "long.cfg").write_text(f"total_steps = {2**62}\n")
     sizes = "model_dim=4611686018427387904, tokens="
+    steps = "dense_hidden=256, total_steps=4611686018427387904, batch_size="
+    defaults = "layers=4, model_dim=64, tokens=16, num_classes=4, num_experts=8, " + steps + "32 ask "
     batch = ["--batch-size", str(2**62), "--tokens", "4", "--model-dim", "8", "--layers", "1"]
     for command, said in [(["train", "--model-dim", str(2**62), "--steps", "1"], f"config error: layers=4, {sizes}"),
                           (["metrics", "--checkpoint", str(huge)], f"config error: checkpoint {huge}: layers=1, {sizes}"),
                           (["train", *batch, "--steps", "1"], "config error: layers=1, model_dim=8, tokens=4, "
-                           "num_classes=4, num_experts=8, dense_hidden=256, batch_size=4611686018427387904 ask "),
+                           "num_classes=4, num_experts=8, dense_hidden=256, total_steps=100, "
+                           "batch_size=4611686018427387904 ask "),
+                          (["train", "--config", str(tmp_path / "long.cfg"), "--steps", "1"],
+                           "config error: " + defaults),
+                          (["ablate", "--arms", f"total_steps={2**62}"],
+                           f"config error: arm 'total_steps={2**62}': " + defaults),
+                          (["metrics", "--checkpoint", str(long)], f"config error: checkpoint {long}: layers=1, "
+                           f"model_dim=8, tokens=4, num_classes=4, num_experts=4, {steps}4 ask "),
                           (["route-sim", "--draws", "1", "--batch-size", str(2**62)],
                            "config error: batch_size=4611686018427387904, tokens=16, experts=8 ask "),
                           (["route-sim", "--draws", "1", "--batch-size", str(10**8), "--tokens", str(10**8)],
@@ -1253,7 +1264,7 @@ def test_missing_input_file_is_config_error_naming_it(tmp_path, capsys, command,
         ("gating=identity;strategy=expert-choice", "E must divide"),
         ("gating=identity;batch_size=4611686018427387904",
          "arm 'batch_size=4611686018427387904': layers=1, model_dim=8, tokens=3, num_classes=4, num_experts=4, "
-         "dense_hidden=256, batch_size=4611686018427387904 ask for arrays numpy cannot allocate"),
+         "dense_hidden=256, total_steps=100, batch_size=4611686018427387904 ask for arrays numpy cannot allocate"),
         (";;", "ablate needs --arms 'key=value,...;...'\n"),
     ],
     ids=["gating", "strategy", "w_sim", "w_blc", "missing-equals", "unknown-key", "repeated-key", "k-wrong-type",
@@ -1364,13 +1375,21 @@ def test_a_file_moelab_did_not_write_is_left_alone(tmp_path, trained_checkpoint,
         ("train", "k = two", "config key 'k' must be int, got 'two'"),
         ("train", "strategy = expert-choice\ntokens = 3\nk = 1", "K = k*D_B/E = 1*3/4 is not an integer"),
         ("train", "schema_version = 2", "config schema_version 2 != 1\n"),
+        ("train", "total_steps = 1", "total_steps must be >= 2, got 1\n"),
+        ("train", ["--k", "two"], "config error: config key 'k' must be int, got 'two'\n"),
+        ("train", ["--w-sim", "x"], "config error: config key 'w_sim' must be float, got 'x'\n"),
+        ("train", ["--seed", "1.5"], "config error: config key 'seed' must be int, got '1.5'\n"),
+        ("route-sim", ["--draws", "x"], "config error: --draws must be an integer >= 1, got 'x'\n"),
     ],
     ids=["gating", "parameterization", "num_classes", "model_dim", "layers", "dense_hidden", "seed", "batch_size", "lr-nan",
          "lr-negative", "ema_decay", "schedule", "repeated-key", "w_sim-nan", "steps", "ablate-parameterization",
-         "unknown-key", "k-wrong-type", "selection-size", "schema_version"],
+         "unknown-key", "k-wrong-type", "selection-size", "schema_version", "total_steps", "flag-k", "flag-w_sim",
+         "flag-seed", "flag-draws"],
 )
 def test_a_bad_setting_is_one_config_error_line_before_writing(tmp_path, capsys, command, setting, named):
-    # a bad value is one config-error line naming its key, before --out exists
+    # a bad value, a config file's lines or a list of flags, is one config-error line naming its key,
+    # before --out exists
+    flags, setting = (setting, "") if isinstance(setting, list) else ([], setting)
     small = {"layers": 1, "model_dim": 8, "tokens": 4, "batch_size": 4, "experts": 4, "steps": 1}
     overridden = {line.split("=", 1)[0].strip() for line in setting.splitlines()}  # a config file sets each key once
     lines = [f"{key} = {value}" for key, value in small.items() if key not in overridden]
@@ -1378,7 +1397,7 @@ def test_a_bad_setting_is_one_config_error_line_before_writing(tmp_path, capsys,
     cfg.write_text("\n".join([*lines, setting]) + "\n")
     out = tmp_path / "run"
     arms = ["--arms", "gating=identity"] if command == "ablate" else []
-    rc = main([command, "--config", str(cfg), "--out", str(out), *arms])
+    rc = main([command, "--config", str(cfg), "--out", str(out), *arms, *flags])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1, err

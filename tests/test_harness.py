@@ -741,17 +741,15 @@ def test_a_train_step_walks_no_parameter_tree(walks):
     assert walks == []
 
 
-def test_the_state_groups_walk_no_parameter_tree_and_a_save_or_load_walks_once(walks, tmp_path):
+def test_the_state_groups_and_a_save_walk_no_parameter_tree_and_a_load_walks_once(walks, tmp_path):
     trainer = small_trainer(seed=4)
     trainer.train_step()
     walks.clear()
     training._state_groups(trainer)
-    assert walks == []
     save_checkpoint(tmp_path / "ckpt.npz", trainer)
-    assert walks == [trainer.params]  # the manifest's names
-    walks.clear()
+    assert walks == []  # the manifest's names and shapes are AdamW's
     restored = load_checkpoint(tmp_path / "ckpt.npz", trainer.config)
-    assert walks == [restored.params] * 2  # the blank Trainer's walk, then the manifest check's
+    assert walks == [restored.params]  # the blank Trainer's walk, which the manifest check reads too
 
 
 def test_interrupted_checkpoint_save_keeps_previous_file(tmp_path, monkeypatch):
@@ -869,14 +867,16 @@ def test_integer_settings_refuse_floats_and_bools(config, key, bad):
 
 
 @pytest.mark.parametrize("size,batch_size", [(dict(model_dim=2**62), 32), (dict(tokens=2**40), 32),
-                                              (dict(dense_hidden=2**62), 32), ({}, 2**62)],
-                         ids=["model_dim", "tokens", "dense_hidden", "batch_size"])
+                                              (dict(dense_hidden=2**62), 32), (dict(total_steps=2**62), 32),
+                                              ({}, 2**62)],
+                         ids=["model_dim", "tokens", "dense_hidden", "total_steps", "batch_size"])
 @pytest.mark.parametrize("blank", [False, True], ids=["drawn", "blank"])
 def test_a_size_no_array_can_have_is_one_config_error(size, batch_size, blank):
-    # each asks for a weight, or a batch's (B, L, D) arrays, that numpy refuses before it allocates anything
+    # each asks for a weight, the schedule's (T + 1,) arrays or a batch's (B, L, D) arrays,
+    # that numpy refuses before it allocates anything
     model = DenoiserConfig(**size)
     sizes = (f"layers=4, model_dim={model.model_dim}, tokens={model.tokens}, num_classes=4, num_experts=8, "
-             f"dense_hidden={model.dense_hidden}, batch_size={batch_size} "
+             f"dense_hidden={model.dense_hidden}, total_steps={model.total_steps}, batch_size={batch_size} "
              "ask for arrays numpy cannot allocate: array is too big")
     with pytest.raises(ConfigError, match="^" + re.escape(sizes)):
         Trainer(TrainerConfig(model=model, batch_size=batch_size), blank=blank)
