@@ -7,7 +7,7 @@ table). Everything is emitted as CSV/JSON for external plotting; every
 run but metrics writes a config snapshot that fully reproduces it.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure, 130
-interrupted (Ctrl-C).
+interrupted (Ctrl-C), 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ import numpy as np
 from . import metrics as metrics_mod
 from . import routing
 from .routing import ConfigError, NumericError, StateError
-from .training import (LogRecord, Trainer, TrainerConfig, allocating, load_checkpoint, remove_file, replace_file,
-                       save_checkpoint, writing)
+from .training import (LogRecord, Trainer, TrainerConfig, allocating, load_checkpoint, refusing, remove_file,
+                       replace_file, save_checkpoint)
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -74,10 +74,8 @@ def utf8_lines(path: Path, data: bytes) -> list[str]:
 def parse_config_file(path: Path) -> dict:
     """Flat `key = value` lines of UTF-8 text, each key at most once; '#'
     starts a comment."""
-    try:
+    with refusing(f"cannot read config file {path}"):
         data = path.read_bytes()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from None
     lines = (raw.split("#", 1)[0].strip() for raw in utf8_lines(path, data))
     return parse_settings((f"{path}:{n}", line, f"on line {n}") for n, line in enumerate(lines, start=1) if line)
 
@@ -215,7 +213,7 @@ def cmd_route_sim(args: argparse.Namespace) -> int:
         objective, max_vio, comb_usage = (np.mean(column[key]) for key in ("objective", "max_vio", "comb_usage"))
         rows.append(f"{strat.name},{objective:.10g},{gap:.10g},{max_vio:.10g},{comb_usage:.10g}\n")
     replace_file(csv_path, "".join(rows))
-    print(f"wrote {csv_path}")
+    print(f"wrote {csv_path}", flush=True)
     return 0
 
 
@@ -239,7 +237,7 @@ def discard_later_claims(out_dir: Path, step: int, source: Path | None = None) -
     final = out_dir / "ckpt_final.npz"
     if final.resolve() == source:
         source = out_dir / f"ckpt_{step:06d}.npz"
-        with writing(source):
+        with refusing(f"cannot write {source}"):
             os.replace(final, source)
     remove_file(final)
     remove_file(out_dir / "summary.json")
@@ -259,7 +257,7 @@ def resumed_log_rows(path: Path, step: int) -> list[str]:
     raises one ConfigError naming its line. A missing log keeps nothing."""
     if not path.exists():
         return []
-    with writing(path):  # the log this run rewrites
+    with refusing(f"cannot write {path}"):  # the log this run rewrites
         data = path.read_bytes()
     kept = []
     for line, row in enumerate(utf8_lines(path, data)[1:-1], start=2):
@@ -298,7 +296,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     replace_file(log_path, ",".join(LogRecord.CSV_COLUMNS) + "\n" + "".join(kept))
     last = None
     try:
-        with log_path.open("a") as fh:
+        with refusing(f"cannot write {log_path}"), log_path.open("a") as fh:  # a full disk mid-run too
             while trainer.step_count < cfg["steps"]:
                 record = trainer.train_step()
                 fh.write(record.csv_row() + "\n")
@@ -317,7 +315,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         "final": None if last is None else last.__dict__,
     }
     replace_file(out_dir / "summary.json", json.dumps(summary, indent=2) + "\n")
-    print(f"trained {trainer.step_count} steps -> {out_dir}")
+    print(f"trained {trainer.step_count} steps -> {out_dir}", flush=True)
     return 0
 
 
@@ -335,7 +333,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     per_layer = [{"layer": i, **rec, "tau": blocks[i].moe.threshold.tau} for i, rec in enumerate(report)]
     path = make_out_dir(args) / "metrics.json"
     replace_file(path, json.dumps({"per_layer": per_layer}, indent=2) + "\n")
-    print(f"wrote {path}")
+    print(f"wrote {path}", flush=True)
     return 0
 
 
@@ -398,7 +396,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         fields = [quoted, config.model.strategy, config.model.gating] + [repr(float(x)) for x in numbers]
         rows.append(",".join(fields) + "\n")
     replace_file(csv_path, "".join(rows))  # once, after the last arm: a failed arm leaves no ablate.csv
-    print(f"wrote {csv_path}")
+    print(f"wrote {csv_path}", flush=True)
     return 0
 
 
@@ -406,10 +404,8 @@ def make_out_dir(args: argparse.Namespace) -> Path:
     if not args.out:
         raise ConfigError("--out is required")
     out_dir = Path(args.out)
-    try:
+    with refusing(f"cannot create output directory {out_dir}"):  # a file in the way, no permission, ...
         out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # a file in the way, no permission, ...
-        raise ConfigError(f"cannot create output directory {out_dir}: {exc.strerror or exc}") from None
     return out_dir
 
 
@@ -469,6 +465,9 @@ def main(argv=None) -> int:
     except KeyboardInterrupt as exc:  # Ctrl-C; 130 is the shell's 128 + SIGINT
         print(f"interrupted: {str(exc) or args.command + ' stopped'}", file=sys.stderr)
         return 130
+    except BrokenPipeError:  # a print's flush found stdout's reader gone; 141 is the shell's 128 + SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the exit-time flush writes nowhere
+        return 141
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from typing import Literal
 import numpy as np
 
 from . import layer as moe_layer
-from .diffusion import PARAMETERIZATIONS
+from .diffusion import PARAMETERIZATIONS, integer_array
 from .layer import LayerOutput, MoeLayerParams, _xavier
 from .routing import GATING_FUNCTIONS, ConfigError, NumericError, get_strategy
 from .tensor import Tensor, gelu, matmul, take_cols, take_rows
@@ -31,7 +31,6 @@ __all__ = [
     "DenoiserParams",
     "BlockParams",
     "init_denoiser",
-    "class_labels",
     "denoiser_forward",
     "is_integer",
     "check_field_types",
@@ -197,26 +196,6 @@ def _split_cols(x: Tensor, parts: int) -> list[Tensor]:
     return [take_cols(x, p * n, (p + 1) * n).reshape(B, 1, n) for p in range(parts)]
 
 
-def class_labels(c) -> np.ndarray:
-    """Class labels as an intp array. Integer-valued floats such as 1.0 pass;
-    any other label (1.9, nan, True) raises ConfigError instead of truncating.
-    A list is checked element by element, as np.asarray reads [1, True] as
-    [1, 1]."""
-    if not isinstance(c, np.ndarray):
-        for label in np.ravel(np.asarray(c, dtype=object)):
-            if isinstance(label, (bool, np.bool_)):
-                raise ConfigError(f"class label {label} is not an integer")
-    c = np.asarray(c)
-    if c.dtype == bool and c.size:
-        raise ConfigError(f"class label {c.flat[0]} is not an integer")
-    with np.errstate(invalid="ignore"):
-        labels = c.astype(np.intp)
-    bad = c[labels != c]
-    if bad.size:
-        raise ConfigError(f"class label {bad.flat[0]} is not an integer")
-    return labels
-
-
 def denoiser_forward(
     x_t: np.ndarray,
     t: np.ndarray,
@@ -243,7 +222,7 @@ def denoiser_forward(
 
         t_feats = Tensor(params.timestep_embedding(t, cfg.total_steps))
         t_emb = matmul(gelu(matmul(t_feats, params.t_w1) + params.t_b1), params.t_w2) + params.t_b2
-        cond = t_emb + take_rows(params.class_emb, class_labels(c))  # (B, D)
+        cond = t_emb + take_rows(params.class_emb, integer_array(c, "class label"))  # (B, D)
 
         layer_outputs: list[LayerOutput] = []
         for i, blk in enumerate(params.blocks):

@@ -25,6 +25,7 @@ __all__ = [
     "ancestral_sample",
     "DiffusionBatch",
     "SyntheticTask",
+    "integer_array",
 ]
 
 # what the network predicts: the noise, the clean sample or the velocity
@@ -33,6 +34,25 @@ _MAX_BETA = 0.999
 # SyntheticTask: class-mean spread, and the per-token noise scale's ends
 _CLASS_SEPARATION = 2.0
 _SIGMA_LO, _SIGMA_HI = 0.2, 1.0
+
+
+def integer_array(values, what: str) -> np.ndarray:
+    """`values` (class labels, timesteps) as an intp array. Integer-valued floats such as 1.0 pass; any
+    other value (1.9, nan, True) raises ConfigError `<what> <value> is not an integer` instead of truncating.
+    A list is checked element by element, as np.asarray reads [1, True] as [1, 1]."""
+    if not isinstance(values, np.ndarray):
+        for value in np.ravel(np.asarray(values, dtype=object)):
+            if isinstance(value, (bool, np.bool_)):
+                raise ConfigError(f"{what} {value} is not an integer")
+    values = np.asarray(values)
+    if values.dtype == bool and values.size:
+        raise ConfigError(f"{what} {values.flat[0]} is not an integer")
+    with np.errstate(invalid="ignore"):
+        ints = values.astype(np.intp)
+    bad = values[ints != values]
+    if bad.size:
+        raise ConfigError(f"{what} {bad.flat[0]} is not an integer")
+    return ints
 
 
 @dataclass(frozen=True)
@@ -223,7 +243,7 @@ class SyntheticTask:
         if t is None:
             t = rng.integers(1, schedule.total_steps + 1, size=batch)
         else:
-            t = np.broadcast_to(np.asarray(t, dtype=np.int64), (batch,)).copy()
+            t = np.broadcast_to(integer_array(t, "timestep"), (batch,)).copy()
         eps = rng.normal(size=x0.shape)
         x_t = forward_diffuse(x0, t, eps, schedule)
         y = make_target(x0, eps, t, schedule, parameterization)

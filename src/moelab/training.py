@@ -38,8 +38,8 @@ import numpy as np
 
 from . import losses as losses_mod
 from . import metrics as metrics_mod
-from .denoiser import DenoiserConfig, check_field_types, class_labels, denoiser_forward, init_denoiser, is_integer
-from .diffusion import NoiseSchedule, SyntheticTask, ancestral_sample, build_schedule
+from .denoiser import DenoiserConfig, check_field_types, denoiser_forward, init_denoiser, is_integer
+from .diffusion import NoiseSchedule, SyntheticTask, ancestral_sample, build_schedule, integer_array
 from .losses import aux_inputs_from_routing
 from .routing import ConfigError, NumericError, StateError, effective_k, ema_update, get_strategy
 from .tensor import Tensor, backward, no_grad
@@ -56,7 +56,7 @@ __all__ = [
     "load_checkpoint",
     "replace_file",
     "remove_file",
-    "writing",
+    "refusing",
     "allocating",
 ]
 
@@ -392,7 +392,7 @@ class Trainer(object):
         cfg = self.config.model
         with allocating(f"sample count n={n} asks"):
             np.empty((n, cfg.tokens, cfg.model_dim))  # the sample state, pages untouched
-        labels = class_labels(c)
+        labels = integer_array(c, "class label")
         if labels.ndim > 1 or labels.size not in (1, n):
             raise ConfigError(f"{labels.size} class labels for {n} samples; give 1 or {n}")
         c = np.broadcast_to(labels, (n,)).copy()
@@ -472,12 +472,13 @@ def _process_exists(pid: int) -> bool:
 
 
 @contextmanager
-def writing(path):
-    """An OSError in the block raises one ConfigError: `cannot write <path>: <strerror>`."""
+def refusing(what):
+    """The OS's refusal of the block's work, an OSError (a full disk, no permission, a missing file, ...),
+    raises one ConfigError: `<what>: <reason>`, e.g. `cannot write <path>: No space left on device`."""
     try:
         yield
     except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+        raise ConfigError(f"{what}: {exc.strerror or exc}") from None
 
 
 @contextmanager
@@ -503,12 +504,12 @@ def replace_file(path, content) -> None:
     files that earlier writes of `path` left behind, whose process is gone
     (killed before its cleanup ran), are removed. A directory that is
     missing or cannot be listed, or an OSError from the write or the
-    rename, raises one ConfigError naming `path`.
+    rename, raises refusing's ConfigError, `cannot write <path>: <reason>`.
     """
     path = Path(path)
     prefix = f".{path.name}."
     tmp = path.with_name(f"{prefix}{os.getpid()}.tmp")
-    with writing(path):
+    with refusing(f"cannot write {path}"):
         for stale in list(path.parent.iterdir()):
             if stale.name.startswith(prefix) and stale.name.endswith(".tmp"):
                 pid = stale.name[len(prefix):-len(".tmp")]
@@ -527,8 +528,8 @@ def replace_file(path, content) -> None:
 
 
 def remove_file(path) -> None:
-    """Remove `path` if it is there; an OSError raises replace_file's ConfigError."""
-    with writing(path):
+    """Remove `path` if it is there; an OSError raises refusing's ConfigError, `cannot write <path>: <reason>`."""
+    with refusing(f"cannot write {path}"):
         Path(path).unlink(missing_ok=True)
 
 
@@ -680,9 +681,8 @@ def load_checkpoint(path, config: TrainerConfig | None = None) -> Trainer:
     and >= 0), named by their count and the first tensor that holds one.
     """
     try:
-        archive = zipfile.ZipFile(path)
-    except OSError as exc:
-        raise ConfigError(f"cannot read checkpoint {path}: {exc.strerror or exc}") from None
+        with refusing(f"cannot read checkpoint {path}"):
+            archive = zipfile.ZipFile(path)
     except zipfile.BadZipFile:  # text, empty or truncated files, a lone .npy array
         raise ConfigError(f"checkpoint {path} is not an .npz archive") from None
     with archive:

@@ -430,6 +430,47 @@ def test_ctrl_c_ends_in_one_line_with_exit_130_and_a_resume_that_runs_on(tmp_pat
     assert not (sim / "route_sim.csv").exists()
 
 
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("command", ["route-sim", "train", "metrics", "ablate"])
+def test_a_closed_stdout_ends_in_exit_141_with_nothing_on_stderr(tmp_path, trained_checkpoint, command, unbuffered):
+    # stdout a pipe whose reader closed it before the command started: the
+    # final `wrote`/`trained` line fails, with stdout unbuffered at the print
+    # and buffered at main's flush. Exit 141 (128 + SIGPIPE), no traceback and
+    # no `Exception ignored` line, and --out as a normal run writes it
+    args = {
+        "route-sim": ["route-sim", "--draws", "1", *FAST],
+        "train": ["train", "--steps", "1", *FAST],
+        "metrics": ["metrics", "--checkpoint", str(trained_checkpoint)],
+        "ablate": ["ablate", "--steps", "1", "--arms", "gating=identity", *FAST],
+    }[command]
+    ref, out = tmp_path / "ref", tmp_path / "out"
+    assert main([*args, "--out", str(ref)]) == 0
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "moelab", *args, "--out", str(out)], stdout=write, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
+                 "PYTHONUNBUFFERED": unbuffered}, timeout=120)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (141, b"")
+    assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in ref.iterdir())
+    assert all((out / p.name).read_bytes() == p.read_bytes() for p in ref.iterdir())
+
+
+def test_no_stdout_at_all_is_no_error(tmp_path):
+    # fd 1 closed before the interpreter starts: sys.stdout is None, the
+    # final print writes nothing, and the run ends as a normal one
+    out = tmp_path / "out"
+    done = subprocess.run(
+        ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "moelab", "route-sim", "--draws", "1", *FAST,
+         "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}, stderr=subprocess.PIPE,
+        timeout=120)
+    assert (done.returncode, done.stderr) == (0, b"") and (out / "route_sim.csv").exists()
+
+
 def test_fresh_train_into_a_used_out_leaves_no_file_of_the_earlier_run(tmp_path, monkeypatch):
     cfg = tmp_path / "every3.cfg"
     cfg.write_text("checkpoint_every = 3\n")
@@ -718,12 +759,15 @@ OUTPUTS = [("route-sim", "config.snapshot"), ("route-sim", "route_sim.csv"), ("t
 
 
 class DiskFull:
-    """A file each of whose writes stores half its bytes, then raises OSError("disk full")."""
+    """A file each of whose writes past its first `room` stores half its bytes, then raises OSError("disk full")."""
 
-    def __init__(self, fh):
-        self.fh = fh
+    def __init__(self, fh, room=0):
+        self.fh, self.room = fh, room
 
     def write(self, data):
+        if self.room:
+            self.room -= 1
+            return self.fh.write(data)
         self.fh.write(data[: len(data) // 2])
         raise OSError("disk full")
 
@@ -782,6 +826,34 @@ def test_an_output_whose_write_fails_is_one_config_error_line(tmp_path, capsys, 
     assert rc == 2 and capsys.readouterr().err == f"config error: cannot write {target}: disk full\n"
     assert len(began) == 1 and held() == began[0]
     assert not list(out.glob(".*.tmp"))
+
+
+def test_a_log_row_whose_append_fails_is_one_config_error_line_and_a_resume_runs_on(tmp_path, capsys):
+    # the disk fills on step 3's row, appended in place to log.csv: exit 2 in
+    # one line naming the log, step 2's checkpoint intact, and a resume from
+    # it that drops the torn row and writes an uninterrupted run's log
+    cfg = tmp_path / "every1.cfg"
+    cfg.write_text("checkpoint_every = 1\n")
+    out, ref = tmp_path / "out", tmp_path / "ref"
+    base = ["train", "--config", str(cfg), "--seed", "3", "--steps", "4", *FAST]
+    assert main([*base, "--out", str(ref)]) == 0
+    real_open = io.open
+
+    def open_disk_full(file, mode="r", *rest, **kwargs):
+        fh = real_open(file, mode, *rest, **kwargs)
+        is_log = isinstance(file, (str, os.PathLike)) and Path(file) == out / "log.csv"
+        return DiskFull(fh, room=2) if is_log and "a" in mode else fh
+
+    capsys.readouterr()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(io, "open", open_disk_full)
+        rc = main([*base, "--out", str(out)])
+    assert rc == 2 and capsys.readouterr().err == f"config error: cannot write {out / 'log.csv'}: disk full\n"
+    assert not (out / "log.csv").read_text().endswith("\n")  # step 3's torn row
+    assert not (out / "ckpt_000003.npz").exists()
+    assert main([*base, "--out", str(out), "--resume", str(out / "ckpt_000002.npz")]) == 0
+    assert (out / "log.csv").read_bytes() == (ref / "log.csv").read_bytes()
+    assert (out / "ckpt_final.npz").read_bytes() == (ref / "ckpt_final.npz").read_bytes()
 
 
 @pytest.mark.parametrize("command,name", [("route-sim", "config.snapshot"), ("route-sim", "route_sim.csv"),

@@ -205,6 +205,17 @@ def test_optimal_prediction_reaches_the_posterior_variance(parameterization):
         assert np.allclose(mse.mean(), expected.mean(), rtol=0.05), (step, mse.mean(), expected.mean())
 
 
+@pytest.mark.parametrize("t,named", [(2.5, "2.5"), (True, "True"), (np.nan, "nan"), ([3, 4.5], "4.5")])
+def test_sample_batch_refuses_a_timestep_that_is_not_an_integer(t, named):
+    # as a class label is refused: no truncation of 2.5 to 2 or True to 1,
+    # and no numpy ValueError for nan; an integer-valued float passes
+    task, sched = SyntheticTask(num_classes=2, tokens=4, dim=3, seed=13), build_schedule(100)
+    with pytest.raises(ConfigError, match=f"^timestep {named} is not an integer$"):
+        task.sample_batch(np.random.default_rng(0), 2, sched, "eps", t=t)
+    batch = task.sample_batch(np.random.default_rng(0), 2, sched, "eps", t=50.0)
+    assert batch.t.dtype == np.int64 and batch.t.tolist() == [50, 50]
+
+
 def test_ancestral_sampler_driven_by_the_oracle_draws_the_task_law():
     # with the exact noise predictor the sampler's only errors are Monte Carlo
     # and its own: the class means come out within 0.05 RMS (standard error
