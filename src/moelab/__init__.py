@@ -12,7 +12,6 @@ from .routing import (
     NumericError,
     RouteResult,
     RoutingStrategy,
-    StateError,
     ThresholdState,
     get_strategy,
     route,
@@ -24,7 +23,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Tensor",
     "ConfigError",
-    "StateError",
     "NumericError",
     "RoutingStrategy",
     "RouteResult",

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from . import routing
-from .routing import ConfigError, NumericError, StateError
+from .routing import ConfigError, NumericError
 from .training import (LogRecord, Trainer, TrainerConfig, allocating, load_checkpoint, refusing, remove_file,
                        replace_file, save_checkpoint)
 
@@ -326,7 +326,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_metrics(args: argparse.Namespace) -> int:
     """The routing report per layer, with its tau, from Trainer.evaluate:
     the held-out set routed in infer mode under the checkpoint's own config.
-    Uninitialized thresholds raise StateError."""
+    A checkpoint saved before its thresholds were set (a 0-step run), or
+    one load_checkpoint refuses, raises a one-line ConfigError."""
     trainer = load_checkpoint(args.checkpoint)
     report = trainer.evaluate("infer").report  # before --out: a failed report leaves no directory
     blocks = trainer.params.blocks
@@ -455,9 +456,6 @@ def main(argv=None) -> int:
         return command[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except StateError as exc:
-        print(f"state error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -35,7 +35,6 @@ from .tensor import Tensor, sigmoid, softmax
 
 __all__ = [
     "ConfigError",
-    "StateError",
     "NumericError",
     "RoutingStrategy",
     "STRATEGIES",
@@ -56,11 +55,7 @@ _AXIS_INDEX = {"B": 0, "L": 1, "E": 2}
 
 
 class ConfigError(ValueError):
-    """Invalid routing configuration (bad strategy, non-integral K, ...)."""
-
-
-class StateError(RuntimeError):
-    """Routing state used before it was initialized."""
+    """Invalid configuration, input or state (bad strategy, non-integral K, an unset threshold, ...)."""
 
 
 class NumericError(RuntimeError):
@@ -300,7 +295,7 @@ def route(
         mask = scatter_mask(mask2d, strategy, (B, L, E))
     elif mode == "infer":
         if not state.initialized:
-            raise StateError("inference routing needs an initialized threshold; train first or load one")
+            raise ConfigError("inference routing needs an initialized threshold; train first or load one")
         mask = (gated.data >= state.tau).astype(np.float64)
         kth = None
     else:

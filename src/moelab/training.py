@@ -23,12 +23,10 @@ it applies it.
 from __future__ import annotations
 
 import json
-import lzma
 import math
 import os
 import sys
 import zipfile
-import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -41,7 +39,7 @@ from . import metrics as metrics_mod
 from .denoiser import DenoiserConfig, check_field_types, denoiser_forward, init_denoiser, is_integer
 from .diffusion import NoiseSchedule, SyntheticTask, ancestral_sample, build_schedule, integer_array
 from .losses import aux_inputs_from_routing
-from .routing import ConfigError, NumericError, StateError, effective_k, ema_update, get_strategy
+from .routing import ConfigError, NumericError, effective_k, ema_update, get_strategy
 from .tensor import Tensor, backward, no_grad
 
 __all__ = [
@@ -400,7 +398,7 @@ class Trainer(object):
         if bad.size:
             raise ConfigError(f"class label {bad[0]} outside [0, {cfg.num_classes})")
         if not all(blk.moe.threshold.initialized for blk in self.params.blocks):
-            raise StateError("sampling needs initialized thresholds; run training first")
+            raise ConfigError("sampling needs initialized thresholds; run training first")
         allocation_log: list[dict] = []
 
         # denoiser_forward and _to_eps are read from this module at each
@@ -582,9 +580,10 @@ def _read_member(archive: zipfile.ZipFile, path, key: str, dtype: np.dtype, arra
 
     Any fault in the member, including one the caller's block meets decoding
     what it yields, raises a one-line ConfigError naming the path and the
-    member: a missing or encrypted member, a compression method zipfile
-    cannot read, a corrupt compressed stream, a CRC mismatch, a wrong
-    header, or data shorter or longer than the header says.
+    member: a missing, encrypted or compressed member (save_checkpoint
+    writes stored ones), a CRC mismatch, a wrong header, or data shorter or
+    longer than the header says. A stored member's bytes lie in the file,
+    so a new array is allocated only for a header whose size fits in it.
     """
     where = f"checkpoint {path} member {key!r}"
     try:
@@ -593,6 +592,8 @@ def _read_member(archive: zipfile.ZipFile, path, key: str, dtype: np.dtype, arra
         raise ConfigError(f"checkpoint {path} has no entry {key!r}") from None
     if info.flag_bits & 0x1:
         raise ConfigError(f"{where} is encrypted")
+    if info.compress_type != zipfile.ZIP_STORED:
+        raise ConfigError(f"{where} is compressed; moelab reads the stored members it writes")
     try:
         with archive.open(info) as fh:
             if np.lib.format.read_magic(fh) != (1, 0):
@@ -606,8 +607,8 @@ def _read_member(archive: zipfile.ZipFile, path, key: str, dtype: np.dtype, arra
             if len(shape) != 1 or arrays is not None and shape != need:
                 raise ConfigError(f"{where} has shape {shape}, the model needs {need}")
             nbytes = shape[0] * dtype.itemsize
-            if arrays is None:  # allocate no more than the member holds
-                arrays = [np.empty(shape, dtype)] if nbytes <= info.file_size else []
+            if arrays is None:  # allocate no more than the file holds, whatever the directory claims
+                arrays = [np.empty(shape, dtype)] if nbytes <= os.path.getsize(archive.filename) else []
             if sum(fh.readinto(arr) for arr in arrays) != nbytes:
                 raise ConfigError(f"{where} is truncated")
             if fh.read(1):
@@ -615,11 +616,9 @@ def _read_member(archive: zipfile.ZipFile, path, key: str, dtype: np.dtype, arra
         yield arrays
     except ConfigError:
         raise
-    except (ValueError, EOFError, OSError, zipfile.BadZipFile, zlib.error, lzma.LZMAError, NotImplementedError,
-            TokenError) as exc:
-        # not .npy, not JSON, a bad CRC, an unknown compression method, a corrupt
-        # deflate (zlib.error), bzip2 (OSError) or lzma stream, a .npy header
-        # cut short inside a bracket (numpy's parser raises TokenError), ...
+    except (ValueError, EOFError, OSError, RecursionError, zipfile.BadZipFile, TokenError) as exc:
+        # not .npy, not JSON, JSON nested past the decoder's depth, a bad CRC, a .npy
+        # header cut short inside a bracket (numpy's parser raises TokenError), ...
         raise ConfigError(f"{where} is unreadable: {exc}") from None
 
 
@@ -664,21 +663,23 @@ def load_checkpoint(path, config: TrainerConfig | None = None) -> Trainer:
     model's tensors, names and shapes, and each state group must be a 1-D
     C-order float64 member of exactly their total size; its bytes are read
     straight into the arrays of a blank Trainer (np.empty, never drawn,
-    zeroed or copied), so every state array owns its memory. Members may
-    be stored or compressed (np.savez_compressed loads bit-equal).
+    zeroed or copied), so every state array owns its memory. Members must
+    be stored, as save_checkpoint and np.savez write them; an np.savez copy
+    loads bit-equal.
 
     Each of these raises a one-line ConfigError naming the path (and the
     member or field): a file that cannot be opened or that is not an .npz
-    archive; a missing or encrypted member; a member in a compression
-    method zipfile cannot read, with a corrupt compressed stream or a CRC
+    archive; a missing, encrypted or compressed member, or one with a CRC
     mismatch; a member that is not a version 1.0 .npy array, of another
     dtype, in Fortran order, not 1-D (`meta_json` too), of the wrong
-    length, or with fewer or more data bytes than its header says;
-    metadata that is not a UTF-8 JSON object; a missing metadata field, or
-    one of the wrong JSON type or value; a saved config value that
-    TrainerConfig refuses; optimizer moments AdamW cannot step from (an
-    `opt_m` entry that is not finite, an `opt_v` entry that is not finite
-    and >= 0), named by their count and the first tensor that holds one.
+    length, or with fewer or more data bytes than its header says (a
+    `meta_json` header larger than the file included); metadata that is
+    not a UTF-8 JSON object, or nested deeper than the JSON decoder goes;
+    a missing metadata field, or one of the wrong JSON type or value; a
+    saved config value that TrainerConfig refuses; optimizer moments AdamW
+    cannot step from (an `opt_m` entry that is not finite, an `opt_v` entry
+    that is not finite and >= 0), named by their count and the first tensor
+    that holds one.
     """
     try:
         with refusing(f"cannot read checkpoint {path}"):

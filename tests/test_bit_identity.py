@@ -121,7 +121,7 @@ def reference_route(scores, strategy, gating, mode, state, k=1):
         mask = routing.scatter_mask(mask2d, strategy, (B, L, E))
     elif mode == "infer":
         if not state.initialized:
-            raise routing.StateError("inference routing needs an initialized threshold")
+            raise routing.ConfigError("inference routing needs an initialized threshold")
         mask = (gated.data >= state.tau).astype(np.float64)
         kth = None
     else:

@@ -612,14 +612,15 @@ def test_metrics_report_from_checkpoint(tmp_path):
     assert (out / "metrics.json").read_text() == (out2 / "metrics.json").read_text()
 
 
-def test_metrics_on_an_untrained_checkpoint_is_a_state_error(tmp_path, capsys):
+def test_metrics_on_an_untrained_checkpoint_is_a_config_error(tmp_path, capsys):
     run = tmp_path / "run"
     assert main(["train", "--out", str(run), "--steps", "0", "--seed", "5", *FAST]) == 0
     capsys.readouterr()
     rc = main(["metrics", "--checkpoint", str(run / "ckpt_final.npz"), "--out", str(tmp_path / "rep")])
     err = capsys.readouterr().err
     assert rc == 2
-    assert err.startswith("state error: ") and err.count("\n") == 1, err
+    assert err.startswith("config error: inference routing needs an initialized threshold; "), err
+    assert err.count("\n") == 1, err
     assert not (tmp_path / "rep").exists()
 
 
@@ -1076,6 +1077,16 @@ AS_TEXT = {"version": " has version '6'; this moelab reads version 6\n",
            "step": " metadata 'step' is '1', not a step count\n", "config": " metadata 'config' is not a JSON object\n"}
 
 
+def huge(a: np.ndarray) -> bytes:
+    """`a`'s bytes under a header that claims 10**15 of them."""
+    return npy(np.broadcast_to(a[:1], (10**15,)), a.tobytes())
+
+
+def corrupt(a: np.ndarray) -> bytes:
+    """`a` as a .npy member whose first byte is wrong."""
+    return b"\xff" + npy(a)[1:]
+
+
 # each member's faults: (fault, edit of its array, central-directory fields, what the message says of it)
 MEMBER_FAULTS = [
     ("float32", lambda a: a.astype(np.float32), {}, "has dtype float32, the model needs {dtype}\n"),
@@ -1086,10 +1097,12 @@ MEMBER_FAULTS = [
     ("trailing", lambda a: npy(a, a.tobytes() + a[:1].tobytes()), {}, "holds more bytes than its header says\n"),
     ("crc", lambda a: a, {"CRC": 0}, "is unreadable: Bad CRC-32 for file '{key}.npy'\n"),
     ("encrypted", lambda a: a, {"flag_bits": 0x1}, "is encrypted\n"),
-    ("method-99", lambda a: a, {"compress_type": 99}, "is unreadable: That compression method is not supported\n"),
-    *[(f"corrupt-{name}", lambda a: b"\xff" + npy(a)[1:], {"compress_type": method}, f"is unreadable: {said}")
-      for name, method, said in [("deflate", zipfile.ZIP_DEFLATED, "Error -3 while decompressing data"),
-                                 ("bzip2", zipfile.ZIP_BZIP2, "Invalid data stream"), ("lzma", zipfile.ZIP_LZMA, "")]],
+    # whatever its method, and however corrupt its stream, no compressed member reaches a decompressor
+    *[(fault, edit, {"compress_type": method}, "is compressed; moelab reads the stored members it writes\n")
+      for fault, edit, method in [("method-99", lambda a: a, 99),
+                                  ("corrupt-deflate", corrupt, zipfile.ZIP_DEFLATED),
+                                  ("corrupt-bzip2", corrupt, zipfile.ZIP_BZIP2),
+                                  ("corrupt-lzma", corrupt, zipfile.ZIP_LZMA)]],
 ]
 LENGTH_FAULTS = [  # the model fixes every member's length but meta_json's
     ("short", lambda a: a[:-1], {}, "has shape ({short},), the model needs ({n},)\n"),
@@ -1131,8 +1144,11 @@ ROWS = [
      " member 'param' is unreadable: ('EOF in multi-line statement'"),  # numpy's header parser raises TokenError
     ("meta_json-not-json", member("meta_json", lambda a: npy(np.frombuffer(b"step = 3", np.uint8))),
      " member 'meta_json' is unreadable: Expecting value"),
-    ("meta_json-huge", member("meta_json", lambda a: npy(np.broadcast_to(a[:1], (10**15,)), a.tobytes())),
-     " member 'meta_json' is truncated\n"),  # and no petabyte allocated for it
+    ("meta_json-huge", member("meta_json", huge), " member 'meta_json' is truncated\n"),  # no petabyte allocated
+    ("meta_json-huge-entry", member("meta_json", huge, file_size=10**15 + 128),  # the directory claims it too
+     " member 'meta_json' is truncated\n"),
+    ("meta_json-nested", member("meta_json", lambda a: npy(np.frombuffer(b"[" * 100_000, np.uint8))),
+     " member 'meta_json' is unreadable: maximum recursion depth exceeded"),
     ("meta_json-list", meta(lambda m: [1, 2]), " member 'meta_json' is not a JSON object\n"),
     ("manifest-entry", meta(lambda m: {**m, "tensors": ["in_w", *m["tensors"][1:]]}),
      " manifest entry 'in_w' is not [name, shape]\n"),
@@ -1241,12 +1257,20 @@ def test_a_size_no_array_can_have_is_one_config_error_line(tmp_path, capsys, tra
         assert err.count("\n") == 1 and not out.exists(), err
 
 
-def test_a_compressed_copy_of_a_checkpoint_loads_bit_equal(tmp_path, trained_checkpoint):
+def test_a_compressed_copy_of_a_checkpoint_is_one_config_error(tmp_path, capsys, trained_checkpoint):
+    # an np.savez copy loads bit-equal; an np.savez_compressed one is refused at its first member
     members = members_of(trained_checkpoint)
-    np.savez_compressed(tmp_path / "compressed.npz", **members)
-    save_checkpoint(tmp_path / "resaved.npz", load_checkpoint(tmp_path / "compressed.npz", CONFIG))
+    stored, compressed = tmp_path / "stored.npz", tmp_path / "compressed.npz"
+    np.savez(stored, **members)
+    np.savez_compressed(compressed, **members)
+    save_checkpoint(tmp_path / "resaved.npz", load_checkpoint(stored, CONFIG))
     resaved = members_of(tmp_path / "resaved.npz")
     assert {k: v.tobytes() for k, v in resaved.items()} == {k: v.tobytes() for k, v in members.items()}
+    before = compressed.read_bytes()
+    assert main(["metrics", "--checkpoint", str(compressed), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (f"config error: checkpoint {compressed} member 'meta_json' is compressed; "
+                                       "moelab reads the stored members it writes\n")
+    assert not (tmp_path / "out").exists() and compressed.read_bytes() == before
 
 
 SCORES = "block 0: router scores have {} non-finite entries of 64\n"  # 4 rows of 4 tokens, 4 experts
@@ -1520,6 +1544,6 @@ def test_a_read_file_with_mutated_bytes_exits_0_2_or_3_in_one_line(tiny_run, nam
         assert rc in (0, 2, 3), (rc, err)
         if rc:
             assert err.count("\n") == 1, err
-            assert err.startswith(("config error: ", "state error: ", "numeric failure: ")), err
+            assert err.startswith(("config error: ", "numeric failure: ")), err
         if rc == 2 and name == "log.csv":
             assert {p.name: p.read_bytes() for p in run.iterdir()} == before

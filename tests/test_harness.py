@@ -19,7 +19,7 @@ from moelab.diffusion import (
     forward_diffuse,
     make_target,
 )
-from moelab.routing import ConfigError, StateError
+from moelab.routing import ConfigError
 from moelab.training import (
     AdamW,
     NumericError,
@@ -895,7 +895,7 @@ def test_a_size_no_array_can_have_is_one_config_error(size, batch_size, blank):
 
 def test_sampling_requires_thresholds():
     trainer = small_trainer(seed=5)
-    with pytest.raises(StateError):
+    with pytest.raises(ConfigError, match="initialized threshold"):
         trainer.sample(2, 0, rng=np.random.default_rng(0))
 
 

@@ -11,7 +11,6 @@ from moelab import routing
 from moelab.routing import (
     ConfigError,
     NumericError,
-    StateError,
     ThresholdState,
     effective_k,
     ema_update,
@@ -334,7 +333,7 @@ def test_route_infer_threshold_extremes():
 
 def test_route_infer_requires_initialized_tau():
     S = Tensor(np.zeros((1, 2, 2)))
-    with pytest.raises(StateError):
+    with pytest.raises(ConfigError, match="initialized threshold"):
         route(S, get_strategy("expert-race"), "identity", "infer", ThresholdState(), k=1)
 
 

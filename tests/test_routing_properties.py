@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 from moelab.routing import (
     GATING_FUNCTIONS,
     STRATEGIES,
-    StateError,
+    ConfigError,
     ThresholdState,
     get_strategy,
     reshape_scores,
@@ -86,8 +86,8 @@ def test_route_leaves_the_threshold_as_it_was(case, gating, mode, tau):
     state = ThresholdState(tau=tau)
     try:
         route(Tensor(scores), strategy, gating, mode, state, k=k)
-    except StateError:
-        assert mode == "infer" and tau is None
+    except ConfigError as exc:
+        assert mode == "infer" and tau is None and "initialized threshold" in str(exc)
     assert state.tau == tau
 
 
