@@ -26,7 +26,7 @@ __all__ = [
     "max_violation",
     "CombinationUsage",
     "combination_usage",
-    "AllocationProfile",
+    "ALLOCATION_BUCKETS",
     "allocation_profile",
     "routing_report",
     "report_mean",
@@ -134,61 +134,36 @@ def combination_usage(mask: np.ndarray) -> CombinationUsage:
     return CombinationUsage(ratio=float(ratio[0]), no_pairs=bool(no_pairs[0]))
 
 
-@dataclass
-class AllocationProfile:
+ALLOCATION_BUCKETS = 50  # equal timestep buckets of [0, t_max]
+
+
+def allocation_profile(masks: np.ndarray, timesteps: np.ndarray, t_max: int) -> np.ndarray:
     """Mean active experts per token, bucketed by diffusion timestep.
 
-    means[b] is NaN exactly when bucket b saw no samples (missing, not
-    zero).
-    """
-
-    means: np.ndarray  # (buckets,)
-
-    @property
-    def bucket_variance(self) -> float:
-        """Variance of the non-missing bucket means."""
-        valid = self.means[~np.isnan(self.means)]
-        if valid.size == 0:
-            return float("nan")
-        return float(np.var(valid))
-
-
-def allocation_profile(
-    masks: np.ndarray,
-    timesteps: np.ndarray,
-    t_max: int,
-    buckets: int = 50,
-) -> AllocationProfile:
-    """Bucket per-sample mean experts-per-token by timestep.
-
-    masks: (N, L, E) routing masks, one per sample; timesteps: (N,) the
-    sample's diffusion step in [0, t_max], split into `buckets` equal
-    buckets. A timestep outside that range, or NaN, raises ConfigError
-    naming the first one.
+    masks: an (..., N, L, E) stack of routing masks, each holding one mask
+    row per sample; timesteps: (N,) the samples' diffusion steps in [0,
+    t_max], split into ALLOCATION_BUCKETS equal buckets. Returns the
+    (..., ALLOCATION_BUCKETS) bucket means, NaN where a bucket saw no
+    sample. A timestep outside that range, or NaN, raises ConfigError
+    naming the first one. Selections and sample counts are integers, so
+    the sums are exact and each mean is the same whatever the stack.
     """
     masks = np.asarray(masks, dtype=np.float64)
     timesteps = np.asarray(timesteps)
-    if masks.ndim != 3 or timesteps.shape[0] != masks.shape[0]:
+    if masks.ndim < 3 or timesteps.shape != masks.shape[-3:-2]:
         raise ConfigError(
             f"need (N, L, E) masks and (N,) timesteps, got {masks.shape} / {timesteps.shape}"
         )
     outside = ~((timesteps >= 0) & (timesteps <= t_max))  # NaN is outside too
     if outside.any():
         raise ConfigError(f"timestep {timesteps[np.argmax(outside)]} is outside [0, {t_max}]")
-    edges = np.linspace(0.0, float(t_max), buckets + 1)
-    per_token = masks.sum(axis=-1)  # (N, L) active experts per token
+    edges = np.linspace(0.0, float(t_max), ALLOCATION_BUCKETS + 1)
     # right-open buckets except the last, which absorbs t == t_max
-    idx = np.clip(np.searchsorted(edges, timesteps, side="right") - 1, 0, buckets - 1)
-
-    sums = np.zeros(buckets)
-    counts = np.zeros(buckets, dtype=np.int64)
-    L = masks.shape[1]
-    np.add.at(sums, idx, per_token.sum(axis=-1))
-    np.add.at(counts, idx, L)
-    means = np.full(buckets, np.nan)
-    nonzero = counts > 0
-    means[nonzero] = sums[nonzero] / counts[nonzero]
-    return AllocationProfile(means=means)
+    idx = np.clip(np.searchsorted(edges, timesteps, side="right") - 1, 0, ALLOCATION_BUCKETS - 1)
+    one_hot = (idx[:, None] == np.arange(ALLOCATION_BUCKETS)).astype(np.float64)
+    sums = masks.sum(axis=(-2, -1)) @ one_hot  # (..., buckets) selections per bucket
+    counts = masks.shape[-2] * one_hot.sum(axis=0)  # tokens per bucket
+    return np.divide(sums, counts, out=np.full(sums.shape, np.nan), where=counts > 0)
 
 
 def routing_report(
@@ -201,9 +176,10 @@ def routing_report(
     model's layers, or a block of route-sim draws): max_vio, comb_usage,
     comb_no_pairs, mean_active (experts per token) and, given the samples'
     (N,) timesteps t and the schedule length t_max,
-    allocation_bucket_variance. A single expert has no pairs: comb_usage
+    allocation_bucket_variance, the variance of the mask's filled
+    allocation_profile buckets. A single expert has no pairs: comb_usage
     0.0 with comb_no_pairs true. Each record is bit-equal to its mask's own;
-    the stack is read in one pass, but allocation_bucket_variance per mask.
+    the stack is read in one pass.
     """
     if t is not None and t_max is None:
         raise ConfigError("allocation by timestep needs t_max")
@@ -226,8 +202,9 @@ def routing_report(
         )
     ]
     if t is not None:
-        for record, mask in zip(records, masks):
-            record["allocation_bucket_variance"] = allocation_profile(mask, t, t_max).bucket_variance
+        # _max_violations refused T == 0, so every mask fills some bucket
+        for record, means in zip(records, allocation_profile(masks, t, t_max)):
+            record["allocation_bucket_variance"] = float(np.var(means[~np.isnan(means)]))
     return records
 
 

@@ -20,6 +20,7 @@ import contextlib
 import io
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -153,8 +154,14 @@ def reference_routing_report(masks, k, t=None, t_max=None):
             "comb_no_pairs": no_pairs,
             "mean_active": float(mask.sum() / T),
         }
-        if t is not None:
-            record["allocation_bucket_variance"] = metrics.allocation_profile(mask, t, t_max).bucket_variance
+        if t is not None:  # 50 timestep buckets, filled one mask at a time
+            edges = np.linspace(0.0, float(t_max), 51)
+            idx = np.clip(np.searchsorted(edges, t, side="right") - 1, 0, 49)
+            sums, counts = np.zeros(50), np.zeros(50, dtype=np.int64)
+            np.add.at(sums, idx, mask.sum(axis=-1).sum(axis=-1))
+            np.add.at(counts, idx, mask.shape[1])
+            filled = counts > 0
+            record["allocation_bucket_variance"] = float(np.var(sums[filled] / counts[filled]))
         records.append(record)
     return records
 
@@ -272,6 +279,23 @@ def test_lean_ops_are_bit_identical_to_reference_ops(lean_run, monkeypatch):
     for a, b in zip(lean_masks, masks):
         assert len(a) == len(b) == CONFIG.model.layers
         assert all(np.array_equal(ma, mb) for ma, mb in zip(a, b))
+
+
+def evaluations():
+    """repr of a short run's held-out evaluation in each routing mode, on a
+    schedule of more steps than there are timestep buckets, so a bucket
+    pools several timesteps."""
+    trainer = Trainer(replace(CONFIG, model=replace(CONFIG.model, total_steps=100)))
+    for _ in range(3):
+        trainer.train_step()
+    return [repr(trainer.evaluate(mode)) for mode in ("train", "infer")]
+
+
+def test_evaluation_reports_are_bit_identical_under_reference_ops(monkeypatch):
+    lean = evaluations()
+    use_reference_ops(monkeypatch)
+    assert evaluations() == lean
+    assert all("'allocation_bucket_variance': " in evaluation for evaluation in lean)
 
 
 def test_grouped_checkpoint_round_trip_matches_the_per_tensor_form(tmp_path):

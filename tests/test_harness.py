@@ -1022,8 +1022,8 @@ def test_sampler_allocation_matches_profile_on_same_masks(monkeypatch):
     _, alloc = trainer.sample(3, 0, rng=np.random.default_rng(1))
     entry, mask = alloc[len(alloc) // 2], masks[len(alloc) // 2]
     t = np.full(mask.shape[0], entry["t"])
-    profile = allocation_profile(mask, t, SMALL.total_steps, buckets=4)
-    filled = profile.means[~np.isnan(profile.means)]  # every sample is at step t: one bucket
+    means = allocation_profile(mask, t, SMALL.total_steps)
+    filled = means[~np.isnan(means)]  # every sample is at step t: one bucket
     assert filled.shape == (1,) and abs(filled[0] - entry["mean_active_per_layer"][0]) < 1e-12
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from moelab import metrics
 from moelab.metrics import (
+    ALLOCATION_BUCKETS,
     allocation_profile,
     combination_usage,
     excess_loss,
@@ -197,10 +198,9 @@ def test_allocation_profile_token_choice_constant_k():
     S = Tensor(rng.normal(size=(B, L, E)))
     res = route(S, get_strategy("token-choice"), "identity", "train", ThresholdState(), k=k)
     t = rng.integers(1, 101, size=B)
-    profile = allocation_profile(res.mask, t, 100, buckets=10)
-    filled = profile.means[~np.isnan(profile.means)]
-    assert np.all(filled == k)
-    assert profile.bucket_variance == 0.0
+    means = allocation_profile(res.mask, t, 100)
+    assert np.all(means[~np.isnan(means)] == k)
+    assert routing_report(res.mask[None], k, t, 100)[0]["allocation_bucket_variance"] == 0.0
 
 
 def test_allocation_profile_two_cluster_threshold():
@@ -211,21 +211,21 @@ def test_allocation_profile_two_cluster_threshold():
     S = np.where(t[:, None, None] < 50, 2.0, -2.0) * np.ones((B, L, E))
     state = ThresholdState(tau=0.0)
     res = route(Tensor(S), get_strategy("expert-race"), "identity", "infer", state, k=1)
-    profile = allocation_profile(res.mask, t, 100, buckets=2)
-    assert profile.means[0] == E and profile.means[1] == 0.0
+    means = allocation_profile(res.mask, t, 100)
+    assert means[5] == E and means[45] == 0.0
 
 
 def test_allocation_profile_empty_bucket_is_missing():
     masks = np.ones((4, 2, 3))
     t = np.array([5, 5, 95, 95])
-    profile = allocation_profile(masks, t, 100, buckets=10)
-    assert np.isnan(profile.means[5])
-    assert profile.means[0] == 3.0
+    means = allocation_profile(masks, t, 100)
+    assert np.isnan(means[25])
+    assert means[2] == 3.0
 
 
 def test_allocation_profile_of_no_samples_has_no_bucket_variance():
-    profile = allocation_profile(np.ones((0, 2, 3)), np.array([], dtype=np.int64), 100, buckets=10)
-    assert np.all(np.isnan(profile.means)) and np.isnan(profile.bucket_variance)
+    means = allocation_profile(np.ones((0, 2, 3)), np.array([], dtype=np.int64), 100)
+    assert means.shape == (ALLOCATION_BUCKETS,) and np.all(np.isnan(means))
 
 
 @pytest.mark.parametrize("call, named", [
@@ -237,6 +237,10 @@ def test_allocation_profile_of_no_samples_has_no_bucket_variance():
                  id="allocation-rank"),
     pytest.param(lambda: allocation_profile(np.ones((4, 2, 3)), np.zeros(3), 100), r"\(4, 2, 3\) / \(3,\)$",
                  id="allocation-timesteps"),
+    pytest.param(lambda: allocation_profile(np.ones((4, 2, 3)), np.float64(5), 100), r"\(4, 2, 3\) / \(\)$",
+                 id="allocation-scalar-timestep"),
+    pytest.param(lambda: allocation_profile(np.ones((4, 2, 3)), np.zeros((4, 1)), 100), r"\(4, 2, 3\) / \(4, 1\)$",
+                 id="allocation-timestep-column"),
 ])
 def test_metrics_reject_a_bad_argument(call, named):
     with pytest.raises(ConfigError, match=named):
@@ -247,7 +251,7 @@ def test_metrics_reject_a_bad_argument(call, named):
 def test_allocation_profile_rejects_a_timestep_outside_its_range(bad):
     t = np.array([0, 100, bad, 7])
     with pytest.raises(ConfigError, match=rf"^timestep {bad} is outside \[0, 100\]$"):
-        allocation_profile(np.ones((4, 2, 3)), t, 100, buckets=10)
+        allocation_profile(np.ones((4, 2, 3)), t, 100)
 
 
 # ----------------------------------------------------------------------
@@ -262,12 +266,13 @@ def _legacy_layer_record(mask, k, t, t_max):
     else:
         usage = combination_usage(mask)
         comb_ratio, comb_no_pairs = usage.ratio, usage.no_pairs
+    means = allocation_profile(mask, t, t_max)  # the one mask's own buckets
     return {
         "max_vio": max_violation(mask, k),
         "comb_usage": comb_ratio,
         "comb_no_pairs": comb_no_pairs,
         "mean_active": float(mask.sum(axis=-1).mean()),
-        "allocation_bucket_variance": allocation_profile(mask, t, t_max).bucket_variance,
+        "allocation_bucket_variance": float(np.var(means[~np.isnan(means)])),
     }
 
 

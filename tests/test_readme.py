@@ -1,5 +1,7 @@
-"""The README's Python examples run as written, and its CLI lines parse."""
+"""The README's Python examples run as written, its CLI lines parse, and
+its metrics.json field list is the one `moelab metrics` writes."""
 
+import json
 import math
 import os
 import re
@@ -59,3 +61,18 @@ def test_cli_examples_parse():
             assert cli._parse_arms(args.arms, cli.resolve_settings(args)), argv
         elif argv[0] != "metrics":
             cli.resolve_settings(args)
+
+
+def test_metrics_json_fields_are_the_ones_listed(tmp_path):
+    # the bullets under "with these fields:" name each per-layer key of
+    # metrics.json, in the order `moelab metrics` writes them
+    text = (ROOT / "README.md").read_text()
+    bullets = text.split("with these fields:\n\n", 1)[1].split("\n\n", 1)[0]
+    listed = re.findall(r"^- `(\w+)`", bullets, re.M)
+    model = DenoiserConfig(layers=2, model_dim=8, tokens=4, num_experts=4, k=2, dense_hidden=16)
+    trainer = Trainer(TrainerConfig(model=model, batch_size=4))
+    trainer.train_step()
+    save_checkpoint(tmp_path / "ckpt.npz", trainer)
+    assert cli.main(["metrics", "--checkpoint", str(tmp_path / "ckpt.npz"), "--out", str(tmp_path / "m")]) == 0
+    per_layer = json.loads((tmp_path / "m" / "metrics.json").read_text())["per_layer"]
+    assert len(per_layer) == 2 and all(list(record) == listed for record in per_layer)
