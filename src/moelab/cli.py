@@ -153,6 +153,9 @@ def route_sim_draws(
 
     A Generator fills an (n, B, L, E) block in the order n separate
     (B, L, E) draws would take, so the draws do not depend on the block size.
+    A block's view is C-order, so each draw's objective is one row sum over
+    its own D_A rows, the value metrics.routing_objective gives for that
+    draw's own view.
     """
     block = block_draws(shape, draws)
     columns = {s.name: {"objective": [], "max_vio": [], "comb_usage": []} for s in budgets}
@@ -163,12 +166,7 @@ def route_sim_draws(
         for strat, budget in budgets.items():
             view = routing.reshape_scores(scores, strat)
             mask2d, _ = routing.topk_mask(view, budget)
-            # each draw's objective sums its own view, in that view's memory
-            # order (a strided view for bl-choice), as a one-draw call would
-            for draw, draw_mask in zip(scores, mask2d.reshape(n, -1, view.shape[1])):
-                columns[strat.name]["objective"].append(
-                    metrics_mod.routing_objective(routing.reshape_scores(draw, strat), draw_mask)
-                )
+            columns[strat.name]["objective"] += np.multiply(view, mask2d).reshape(n, -1).sum(axis=1).tolist()
             masks.append(routing.scatter_mask(mask2d, strat, scores.shape))
         # one report over every strategy's masks; each record equals its mask's own
         records = metrics_mod.routing_report(np.concatenate(masks), k)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import tensor
 from .routing import ConfigError, NumericError
 
 __all__ = [
@@ -37,22 +38,9 @@ _SIGMA_LO, _SIGMA_HI = 0.2, 1.0
 
 
 def integer_array(values, what: str) -> np.ndarray:
-    """`values` (class labels, timesteps) as an intp array. Integer-valued floats such as 1.0 pass; any
-    other value (1.9, nan, True) raises ConfigError `<what> <value> is not an integer` instead of truncating.
-    A list is checked element by element, as np.asarray reads [1, True] as [1, 1]."""
-    if not isinstance(values, np.ndarray):
-        for value in np.ravel(np.asarray(values, dtype=object)):
-            if isinstance(value, (bool, np.bool_)):
-                raise ConfigError(f"{what} {value} is not an integer")
-    values = np.asarray(values)
-    if values.dtype == bool and values.size:
-        raise ConfigError(f"{what} {values.flat[0]} is not an integer")
-    with np.errstate(invalid="ignore"):
-        ints = values.astype(np.intp)
-    bad = values[ints != values]
-    if bad.size:
-        raise ConfigError(f"{what} {bad.flat[0]} is not an integer")
-    return ints
+    """tensor.integer_array refusing with ConfigError: class labels and
+    timesteps are settings, not shapes."""
+    return tensor.integer_array(values, what, ConfigError)
 
 
 @dataclass(frozen=True)

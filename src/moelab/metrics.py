@@ -19,6 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .diffusion import integer_array
 from .routing import ConfigError, NumericError
 
 __all__ = [
@@ -42,7 +43,9 @@ def routing_objective(scores2d: np.ndarray, mask2d: np.ndarray) -> float:
 
     A sum's order follows its operand's memory layout. The product is laid
     out like scores2d, so the result depends on the view alone, not on how
-    the mask is laid out.
+    the mask is laid out. routing.reshape_scores always gives a C-order
+    view, so route-sim's per-draw row sums of a block's view equal this
+    on each draw's own view, bit for bit.
     """
     if scores2d.shape != mask2d.shape:
         raise ConfigError(f"scores {scores2d.shape} vs mask {mask2d.shape}")
@@ -145,8 +148,9 @@ def allocation_profile(masks: np.ndarray, timesteps: np.ndarray, t_max: int) -> 
     t_max], split into ALLOCATION_BUCKETS equal buckets. Returns the
     (..., ALLOCATION_BUCKETS) bucket means, NaN where a bucket saw no
     sample. A timestep outside that range, or NaN, raises ConfigError
-    naming the first one. Selections and sample counts are integers, so
-    the sums are exact and each mean is the same whatever the stack.
+    naming the first one, and so does one that is not an integer.
+    Selections and sample counts are integers, so the sums are exact and
+    each mean is the same whatever the stack.
     """
     masks = np.asarray(masks, dtype=np.float64)
     timesteps = np.asarray(timesteps)
@@ -157,6 +161,7 @@ def allocation_profile(masks: np.ndarray, timesteps: np.ndarray, t_max: int) -> 
     outside = ~((timesteps >= 0) & (timesteps <= t_max))  # NaN is outside too
     if outside.any():
         raise ConfigError(f"timestep {timesteps[np.argmax(outside)]} is outside [0, {t_max}]")
+    timesteps = integer_array(timesteps, "timestep")
     edges = np.linspace(0.0, float(t_max), ALLOCATION_BUCKETS + 1)
     # right-open buckets except the last, which absorbs t == t_max
     idx = np.clip(np.searchsorted(edges, timesteps, side="right") - 1, 0, ALLOCATION_BUCKETS - 1)

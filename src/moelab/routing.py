@@ -157,12 +157,16 @@ def reshape_scores(scores: np.ndarray, strategy: RoutingStrategy) -> np.ndarray:
     """Permute and reshape (B, L, E) scores into the (D_A, D_B) view.
 
     A block of n draws, (n, B, L, E), becomes one (n*D_A, D_B) view whose
-    rows i*D_A .. (i+1)*D_A - 1 are draw i's view.
+    rows i*D_A .. (i+1)*D_A - 1 are draw i's view. The view is always a
+    C-order array: a view of C-order `scores` where the strategy's
+    permutation keeps (B, L, E) order (token-choice, le-choice,
+    expert-race), otherwise a copy. So a sum over a draw's rows of a block's
+    view runs in the order it runs over that draw's own view.
     """
     if scores.ndim not in (3, 4):
         raise ConfigError(f"scores must be (B, L, E) or (n, B, L, E), got {scores.shape}")
     _, d_b = strategy.extents(*scores.shape[-3:])
-    return scores.transpose(_permutation(strategy, scores.ndim - 3)).reshape(-1, d_b)
+    return np.ascontiguousarray(scores.transpose(_permutation(strategy, scores.ndim - 3)).reshape(-1, d_b))
 
 
 def scatter_mask(mask2d: np.ndarray, strategy: RoutingStrategy, shape: tuple[int, ...]) -> np.ndarray:

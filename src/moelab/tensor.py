@@ -117,6 +117,7 @@ __all__ = [
     "take_rows",
     "scatter_rows",
     "take_cols",
+    "integer_array",
 ]
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -384,7 +385,7 @@ def segment_matmul(x: Tensor, w: Tensor, offsets) -> Tensor:
     """
     if x.data.ndim != 2 or w.data.ndim != 3 or w.shape[1] != x.shape[1]:
         raise ShapeError(f"segment_matmul expects (n, d) x (S, d, m): {x.shape} vs {w.shape}")
-    offsets = np.asarray(offsets, dtype=np.intp)
+    offsets = integer_array(offsets, "segment_matmul offset")
     if (
         offsets.shape != (w.shape[0] + 1,)
         or offsets[0] != 0
@@ -497,9 +498,30 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return Tensor(p, _parents=(x,), _grad_fn=gfn)
 
 
+def integer_array(values, what: str, error: type[ValueError] = ShapeError) -> np.ndarray:
+    """`values` (row indices, offsets, class labels, timesteps) as an intp
+    array. Integer-valued floats such as 1.0 pass; any other value (1.9,
+    nan, True) raises `error` `<what> <value> is not an integer` instead of
+    truncating. A list is checked element by element, as np.asarray reads
+    [1, True] as [1, 1]."""
+    if not isinstance(values, np.ndarray):
+        for value in np.ravel(np.asarray(values, dtype=object)):
+            if isinstance(value, (bool, np.bool_)):
+                raise error(f"{what} {value} is not an integer")
+    values = np.asarray(values)
+    if values.dtype == bool and values.size:
+        raise error(f"{what} {values.flat[0]} is not an integer")
+    with np.errstate(invalid="ignore"):
+        ints = values.astype(np.intp)
+    bad = values[ints != values]
+    if bad.size:
+        raise error(f"{what} {bad.flat[0]} is not an integer")
+    return ints
+
+
 def _row_indices(op: str, indices, n: int) -> np.ndarray:
-    """`indices` as an intp array, each required to lie in [0, n)."""
-    idx = np.asarray(indices, dtype=np.intp)
+    """`indices` as an intp array of integers, each required to lie in [0, n)."""
+    idx = integer_array(indices, f"{op} index")
     bad = idx[(idx < 0) | (idx >= n)]
     if bad.size:
         raise ShapeError(f"{op} index {bad.flat[0]} out of range for {n} rows")

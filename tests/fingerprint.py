@@ -1,4 +1,4 @@
-"""A sha256 fingerprint of a short training run, to show a change is bit-identical.
+"""A sha256 fingerprint of a short training run and of route-sim, to show a change is bit-identical.
 
 `fingerprint(config, steps)` trains a fresh Trainer for `steps` steps and
 hashes, in this order:
@@ -9,6 +9,10 @@ hashes, in this order:
 - the bytes of an 8-sample draw of class 1 from seed 5, or the text of the
   NumericError the draw raises
 
+`route_sim_fingerprint(draws)` hashes the hex of every per-draw float of
+`cli.route_sim_draws` (objective, max_vio, comb_usage) over all six
+strategies at the default config's score shape and k, from seed 0.
+
 Run from the repository root:
 
     PYTHONPATH=src python tests/fingerprint.py [--steps 20]
@@ -16,9 +20,9 @@ Run from the repository root:
 It prints one hash for the default config, one for `v` prediction at
 lr 2e-3 and one for the default config at w_plr = 0, where no loss reaches a
 block's target head, so its hash covers how an untouched parameter is
-updated. Compare the hashes of two commits on one machine. No golden hash is
-stored: OpenBLAS picks its kernels per CPU, so the same code may hash
-differently on another machine.
+updated, then one for 200 route-sim draws. Compare the hashes of two commits
+on one machine. No golden hash is stored: OpenBLAS picks its kernels per
+CPU, so the same code may hash differently on another machine.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import json
 
 import numpy as np
 
-from moelab import training
+from moelab import cli, routing, training
 from moelab.denoiser import DenoiserConfig
 from moelab.routing import NumericError
 from moelab.training import Trainer, TrainerConfig
@@ -62,12 +66,24 @@ def fingerprint(config: TrainerConfig, steps: int) -> str:
     return digest.hexdigest()
 
 
+def route_sim_fingerprint(draws: int) -> str:
+    """The sha256 hex digest of `draws` route-sim draws from seed 0, every
+    per-draw float as its hex, strategy by strategy and column by column."""
+    config = TrainerConfig()
+    shape, k = (config.batch_size, config.model.tokens, config.model.num_experts), config.model.k
+    budgets = {s: routing.effective_k(s, *shape, k) for s in routing.STRATEGIES.values()}
+    columns = cli.route_sim_draws(np.random.default_rng(0), budgets, shape, k, draws)
+    floats = (v for column in columns.values() for values in column.values() for v in values)
+    return hashlib.sha256("".join(f"{v.hex()}\n" for v in floats).encode()).hexdigest()
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--steps", type=int, default=20, help="train steps per config (default 20)")
     args = parser.parse_args()
     for name, config in CONFIGS.items():
         print(f"{fingerprint(config, args.steps)}  {name}")
+    print(f"{route_sim_fingerprint(200)}  route-sim")
 
 
 if __name__ == "__main__":

@@ -241,6 +241,8 @@ def test_allocation_profile_of_no_samples_has_no_bucket_variance():
                  id="allocation-scalar-timestep"),
     pytest.param(lambda: allocation_profile(np.ones((4, 2, 3)), np.zeros((4, 1)), 100), r"\(4, 2, 3\) / \(4, 1\)$",
                  id="allocation-timestep-column"),
+    pytest.param(lambda: allocation_profile(np.ones((2, 3, 4)), np.array([2.5, 7.0]), 100),
+                 r"^timestep 2.5 is not an integer$", id="allocation-fractional-timestep"),
 ])
 def test_metrics_reject_a_bad_argument(call, named):
     with pytest.raises(ConfigError, match=named):

@@ -49,8 +49,8 @@ def test_perfbench_tracer_installs_records_spans_and_undoes():
 
 def test_a_traced_route_sim_after_an_untraced_one_records_its_spans(tmp_path):
     # the parser, built by the first call, must not bind the command it runs:
-    # the second call runs the tracer's cmd_route_sim, and the routing metrics
-    # it takes are spans under it
+    # the second call runs the tracer's cmd_route_sim, and the selections it
+    # makes are spans under it
     tracing = load_tracing()
     args = ["route-sim", "--out", str(tmp_path), "--draws", "2", "--batch-size", "4", "--tokens", "4",
             "--experts", "4", "--k", "2"]
@@ -64,4 +64,4 @@ def test_a_traced_route_sim_after_an_untraced_one_records_its_spans(tmp_path):
     names = [span[0] for span in tracer.spans]
     assert names[0] == "cli.main" and "cli.cmd_route_sim" in names
     table = tracing.span_table(tracer.spans, 0, len(tracer.spans))
-    assert table["metrics"]["by_parent_s"]["cli.cmd_route_sim"] > 0
+    assert table["routing.topk_mask.expert-race"]["by_parent_s"]["cli.cmd_route_sim"] > 0

@@ -134,7 +134,10 @@ def test_scatter_gather_round_trip(strategy):
 def test_block_of_draws_views_and_scatters_draw_by_draw(strategy):
     block = np.random.default_rng(18).normal(size=(3, 2, 5, 4))
     view = reshape_scores(block, strategy)
-    assert np.array_equal(view, np.concatenate([reshape_scores(draw, strategy) for draw in block]))
+    draw_views = [reshape_scores(draw, strategy) for draw in block]
+    assert np.array_equal(view, np.concatenate(draw_views))
+    # one layout for every strategy, so a sum over a draw's rows runs in one order
+    assert view.flags.c_contiguous and all(v.flags.c_contiguous for v in draw_views)
     mask2d, _ = topk_mask(view, 2)
     d_a = view.shape[0] // 3
     per_draw = [scatter_mask(mask2d[i * d_a:(i + 1) * d_a], strategy, (2, 5, 4)) for i in range(3)]

@@ -146,10 +146,17 @@ def test_scatter_rows_rejects_index_count_mismatch():
 
 
 @pytest.mark.parametrize("op", ["take_rows", "scatter_rows"])
-@pytest.mark.parametrize("bad", [-1, 4, 9])
-def test_row_ops_reject_out_of_range_index(op, bad):
+@pytest.mark.parametrize("bad, why", [
+    pytest.param(-1, "out of range for 4 rows", id="-1"),
+    pytest.param(4, "out of range for 4 rows", id="4"),
+    pytest.param(9, "out of range for 4 rows", id="9"),
+    pytest.param(1.7, "is not an integer", id="1.7"),  # not truncated to row 1
+    pytest.param(0.9, "is not an integer", id="0.9"),  # nor to row 0
+    pytest.param(True, "is not an integer", id="True"),  # nor read as row 1
+])
+def test_row_ops_reject_out_of_range_index(op, bad, why):
     idx = [0, bad, 2]
-    with pytest.raises(ShapeError, match=rf"index {bad} out of range for 4 rows"):
+    with pytest.raises(ShapeError, match=rf"^{op} index {bad} {why}$"):
         if op == "take_rows":
             take_rows(Tensor(np.ones((4, 2))), idx)
         else:
@@ -191,19 +198,24 @@ def test_segment_matmul_forward_per_segment_and_zero_grad_for_an_empty_segment()
         assert np.array_equal(w.grad[s], x.data[lo:hi].T @ (2.0 * out.data[lo:hi]))
 
 
+COVER = r"^segment_matmul offsets .* in the 2 segments of \(2, 3, 2\)$"
+
+
 @pytest.mark.parametrize(
-    "offsets",
+    "offsets, named",
     [
-        [0, 2, 5],  # stops short of the 6 rows
-        [0, 3, 7],  # runs past them
-        [1, 3, 6],  # does not start at 0
-        [0, 4, 3, 6],  # one boundary too many
-        [0, 6],  # one too few
+        pytest.param([0, 2, 5], COVER, id="offsets0"),  # stops short of the 6 rows
+        pytest.param([0, 3, 7], COVER, id="offsets1"),  # runs past them
+        pytest.param([1, 3, 6], COVER, id="offsets2"),  # does not start at 0
+        pytest.param([0, 4, 3, 6], COVER, id="offsets3"),  # one boundary too many
+        pytest.param([0, 6], COVER, id="offsets4"),  # one too few
+        pytest.param([0, 1.5, 6], r"^segment_matmul offset 1.5 is not an integer$", id="fraction"),  # not run as 1
+        pytest.param([0, True, 6], r"^segment_matmul offset True is not an integer$", id="bool"),  # nor read as 1
     ],
 )
-def test_segment_matmul_rejects_offsets_that_do_not_cover_x(offsets):
+def test_segment_matmul_rejects_offsets_that_do_not_cover_x(offsets, named):
     w = Tensor(np.ones((2, 3, 2)))  # two segments
-    with pytest.raises(ShapeError, match=r"offsets .* in the 2 segments of \(2, 3, 2\)$"):
+    with pytest.raises(ShapeError, match=named):
         segment_matmul(Tensor(np.ones((6, 3))), w, offsets)
 
 
